@@ -41,7 +41,7 @@ _S1 = [
     np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0),
     np.array([1.0, 1j], dtype=complex) / math.sqrt(2.0),
 ]
-# The 16 product states |s_a s_b><s_a s_b| used by tomography-style runs.
+# The 16 product states |s_a s_b><s_a s_b|; they span two-qubit operator space.
 PRODUCT_STATES = tuple(
     np.outer(np.kron(a, b), np.kron(a, b).conj()) for a in _S1 for b in _S1
 )
@@ -122,7 +122,7 @@ def entanglement_fidelity_product_basis(
     B_mu = sum_i rho_i W_i_mu with W W^dag = G^-1 (G the Gram matrix) gives
     sum_mu Tr[B_mu^dag N'(B_mu)] = Tr[G^-1 M], M_ij = Tr[rho_i^dag N'(rho_j)].
     Agrees with the Pauli-basis value to rounding; kept as an independent
-    route because sweep runs reconstruct channels from exactly these states.
+    route that scores a channel on physical input states, not Paulis.
     """
     channel, tmat = _resolve_target(channel, target, textbook_cphase)
     if validate:
@@ -170,11 +170,15 @@ class LocalZFit:
     channel: TwoQubitChannel  # the compensated channel
 
 
-def _local_z_diag(theta_1: float, theta_2: float) -> np.ndarray:
-    """Diagonal of Rz(theta_1) (x) Rz(theta_2)."""
+def _local_z_diag(theta_1, theta_2) -> np.ndarray:
+    """Diagonal of Rz(theta_1) (x) Rz(theta_2), along a trailing axis of length 4.
+
+    Angles may be arrays; they broadcast against each other.
+    """
     a = np.exp(-0.5j * theta_1)
     b = np.exp(-0.5j * theta_2)
-    return np.array([a * b, a * b.conjugate(), a.conjugate() * b, a.conjugate() * b.conjugate()])
+    return np.stack([a * b, a * b.conjugate(), a.conjugate() * b,
+                     a.conjugate() * b.conjugate()], axis=-1)
 
 
 def _golden_max(fn, lo: float, hi: float, tol: float) -> float:
@@ -216,14 +220,14 @@ def fit_local_z(
     # the diagonal superoperator of the correction and w folds channel+target.
     w = (np.conj(_unitary_superop(tmat)) * s_n).sum(axis=1)
 
-    def f_of(t1: float, t2: float) -> float:
+    def f_of(t1, t2):
         u = _local_z_diag(t1, t2)
-        s = np.einsum("i,j->ij", u, u.conj()).reshape(16)
-        f_e = (s * w).sum().real / 16.0
+        s = (u[..., :, None] * u[..., None, :].conj()).reshape(u.shape[:-1] + (16,))
+        f_e = (s * w).sum(axis=-1).real / 16.0
         return (4.0 * f_e + 1.0) / 5.0
 
     grid = np.linspace(-math.pi, math.pi, coarse, endpoint=False)
-    vals = np.array([[f_of(t1, t2) for t2 in grid] for t1 in grid])
+    vals = f_of(grid[:, None], grid[None, :])
     i, j = np.unravel_index(np.argmax(vals), vals.shape)
     t1, t2 = float(grid[i]), float(grid[j])
     half = math.pi / coarse * 1.5  # search window around the coarse winner

@@ -14,21 +14,22 @@ from resgate.constants import HBAR_J_S, TWO_PI, uev_to_J
 
 
 def make_params(
-    g_rad_ns: float, kappa_per_ns: float, n: int = 2, delta_sign: int = 1
+    g_rad_ns: float, kappa_per_ns: float, n: int = 2, delta_sign: int = 1,
+    g2_over_g1: float = 1.0,
 ) -> DerivedGateParams:
-    """Gate parameters straight in internal units (equal couplings).
+    """Gate parameters straight in internal units (equal couplings by default).
 
-    Bypasses the device layer: pick g and kappa, let the schedule fix Delta
-    and t_g. V0/chi/J_tilde are not used by the channel or the simulator, so
-    they are left at zero.
+    Bypasses the device layer: pick g (qubit 1; qubit 2 gets g2_over_g1
+    times it) and kappa, let the schedule fix Delta and t_g. V0/chi/J_tilde
+    are not used by the channel or the simulator, so they are left at zero.
     """
     g_J = g_rad_ns * 1e9 * HBAR_J_S
-    delta, t_g = gate_schedule(g_J, g_J, n)
+    delta, t_g = gate_schedule(g_J, g2_over_g1 * g_J, n)
     return DerivedGateParams(
         V0=0.0,
         kappa=kappa_per_ns * 1e9,
         g1=g_J,
-        g2=g_J,
+        g2=g2_over_g1 * g_J,
         chi=0.0,
         Delta=delta_sign * delta,
         t_g=t_g,
