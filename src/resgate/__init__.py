@@ -2,8 +2,8 @@
 
 Layers, roughly bottom-up:
 
-- constants / errors: unit conversions (SI <-> eV <-> rad/ns) and the shared
-  exception types.
+- constants / errors: physical constants, unit conversions (J <-> GHz,
+  ueV -> J) and the shared exception types.
 - device: resonator + double-dot electrostatics; exchange model and its
   derivatives; couplings, decay rate, and the gate schedule.
 - noise: 1/f^beta charge-noise dephasing, the echo filter constant, the
@@ -17,7 +17,6 @@ Layers, roughly bottom-up:
 """
 
 from .channel import (
-    DisplacementTrajectory,
     TwoQubitChannel,
     accumulated_entangling_phase,
     alpha_closed_form,
@@ -26,7 +25,6 @@ from .channel import (
     b_factor,
     b_factor_simplified,
     correlated_dephasing_channel,
-    displacement_trajectory,
     drive_frame_displacement,
     ideal_gate_unitary,
     intrinsic_dephasing_channel,

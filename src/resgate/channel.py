@@ -147,20 +147,6 @@ class TwoQubitChannel:
         )
 
 
-def validate_two_qubit_density_matrix(
-    rho: np.ndarray, herm_tol: float = 1e-12, trace_tol: float = 1e-10, eig_tol: float = 1e-10
-) -> None:
-    rho = np.asarray(rho)
-    if rho.shape != (4, 4):
-        raise DomainError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > herm_tol:
-        raise DomainError("density matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > trace_tol or abs(np.trace(rho).imag) > trace_tol:
-        raise DomainError("density matrix trace differs from 1 beyond tolerance")
-    if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0] < -eig_tol:
-        raise DomainError("density matrix has a negative eigenvalue beyond tolerance")
-
-
 def ideal_gate_unitary(phi_12: float) -> np.ndarray:
     """exp(+i * phi_12 * Z1 Z2) = diag(e^{i phi}, e^{-i phi}, e^{-i phi}, e^{i phi}).
 
@@ -216,26 +202,6 @@ def drive_frame_displacement(g: float, delta: float, kappa: float, t):
     t = np.asarray(t, dtype=float)
     val = -1j * np.exp(-1j * delta * t) * alpha_closed_form(g, delta, kappa, t)
     return val if val.ndim else complex(val)
-
-
-@dataclass(frozen=True)
-class DisplacementTrajectory:
-    """Sampled alpha(t) over [0, t_g] plus the closed-form parameters."""
-
-    t: np.ndarray
-    alpha: np.ndarray
-    g: float
-    delta: float
-    kappa: float
-
-
-def displacement_trajectory(
-    g: float, delta: float, kappa: float, t_g: float, num: int = 513
-) -> DisplacementTrajectory:
-    t = np.linspace(0.0, t_g, num)
-    return DisplacementTrajectory(
-        t=t, alpha=alpha_closed_form(g, delta, kappa, t), g=g, delta=delta, kappa=kappa
-    )
 
 
 def accumulated_entangling_phase(g: float, delta: float, kappa: float, t: float) -> float:

@@ -12,7 +12,8 @@ Subcommands:
 All subcommands read the same JSON config (--config; defaults apply when
 omitted) and emit the same row schema as CSV or JSON (--out/--format; stdout
 when --out is missing). Exit codes: 0 success, 2 configuration error,
-3 at least one row carries a failed numerical diagnostic.
+3 at least one row carries a failed numerical diagnostic (the failing
+rows and their reasons go to stderr).
 """
 
 from __future__ import annotations
@@ -121,6 +122,10 @@ def main(argv=None) -> int:
         if result.any_failed:
             bad = [i for i, r in enumerate(result.rows) if r.failed]
             print(f"numerical diagnostics failed for row(s) {bad}", file=sys.stderr)
+            for i in bad:
+                diag = result.rows[i].diagnostics
+                reasons = diag.get("failure_reasons") or [diag.get("error", "")]
+                print(f"row {i}: {'; '.join(reasons)}", file=sys.stderr)
             return 3
         return 0
     except (ConfigError, DomainError) as exc:

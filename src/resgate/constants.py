@@ -2,8 +2,9 @@
 
 Everything device-facing works in SI (joules, rad/s, volts, seconds);
 the simulation and channel layers work in angular units (rad/ns, 1/ns, ns)
-with the reduced Planck constant set to one. The converters here are the
-only place the two meet.
+with the reduced Planck constant set to one, and DerivedGateParams converts
+between the two. The converters here translate the configuration's units
+(GHz of J/h, ueV) to and from joules.
 """
 
 from __future__ import annotations
@@ -16,33 +17,8 @@ HBAR_EV_S = 6.582119569e-16  # eV*s
 H_EV_S = 4.135667696e-15  # eV*s
 
 EV_TO_J = E_CHARGE_C
-J_TO_EV = 1.0 / E_CHARGE_C
 
 TWO_PI = 6.283185307179586
-
-
-def energy_J_to_omega(e_joule: float) -> float:
-    """Energy in joules -> angular frequency in rad/s (E / hbar)."""
-    return e_joule / HBAR_J_S
-
-
-def omega_to_energy_J(omega: float) -> float:
-    """Angular frequency in rad/s -> energy in joules (hbar * omega)."""
-    return omega * HBAR_J_S
-
-
-def energy_J_to_rad_per_ns(e_joule: float) -> float:
-    """Energy in joules -> angular frequency in rad/ns."""
-    return e_joule / HBAR_J_S * 1e-9
-
-
-def ghz_to_rad_per_s(f_ghz: float) -> float:
-    """Ordinary frequency in GHz -> angular frequency in rad/s."""
-    return TWO_PI * f_ghz * 1e9
-
-
-def rad_per_s_to_ghz(omega: float) -> float:
-    return omega / TWO_PI * 1e-9
 
 
 def energy_J_to_h_ghz(e_joule: float) -> float:
@@ -57,7 +33,3 @@ def h_ghz_to_energy_J(f_ghz: float) -> float:
 
 def uev_to_J(e_uev: float) -> float:
     return e_uev * 1e-6 * EV_TO_J
-
-
-def J_to_uev(e_joule: float) -> float:
-    return e_joule * J_TO_EV * 1e6

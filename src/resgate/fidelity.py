@@ -13,8 +13,8 @@ single-qubit Z dressing that converts one into the other.
 
 A compensation fit is included for channels that carry deterministic
 single-qubit Z phases (e.g. from a displaced initial cavity state):
-``fit_local_z`` maximizes F_avg over two trailing Z angles by coarse scan
-plus golden-section coordinate descent.
+``fit_local_z`` maximizes F_avg over two trailing Z angles by a coarse scan
+followed by exact coordinate ascent.
 """
 
 from __future__ import annotations
@@ -160,6 +160,11 @@ def average_gate_fidelity(
     )
 
 
+_COARSE_GRID = 25  # seed grid points per angle for fit_local_z
+_MAX_ROUNDS = 40  # cap on its coordinate-ascent rounds
+_PROBE_ANGLES = np.array([0.0, math.pi, 0.5 * math.pi, -0.5 * math.pi])
+
+
 @dataclass(frozen=True)
 class LocalZFit:
     """Result of the trailing local-Z compensation fit."""
@@ -181,36 +186,18 @@ def _local_z_diag(theta_1, theta_2) -> np.ndarray:
                      a.conjugate() * b.conjugate()], axis=-1)
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float) -> float:
-    """Golden-section maximizer of a unimodal-enough fn on [lo, hi]."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
-
-
 def fit_local_z(
     channel: TwoQubitChannel, target=None, *, textbook_cphase: bool = False,
-    validate: bool = True, coarse: int = 25, angle_tol: float = 1e-6,
-    max_rounds: int = 40,
+    validate: bool = True,
 ) -> LocalZFit:
     """Maximize F_avg over trailing single-qubit Z rotations Rz(t1) (x) Rz(t2).
 
-    The compensated channel is N' = conj(Rz (x) Rz) . N. F_avg is a low-order
-    trigonometric polynomial of the two angles, so a coarse*coarse scan over
-    [-pi, pi)^2 followed by golden-section coordinate descent (angle
-    tolerance ``angle_tol`` rad) finds the global maximum.
+    The compensated channel is N' = conj(Rz (x) Rz) . N. The correction
+    superoperator is diagonal, so at a fixed other angle F_avg is
+    c + a cos(t) + b sin(t) in each angle, for any channel, and its
+    maximizer is t = atan2(F(pi/2) - F(-pi/2), F(0) - F(pi)). A coarse grid
+    over [-pi, pi)^2 seeds coordinate ascent with these exact steps, which
+    runs until a round gains less than 1e-14.
     """
     channel_in, tmat = _resolve_target(channel, target, textbook_cphase)
     if validate:
@@ -226,17 +213,19 @@ def fit_local_z(
         f_e = (s * w).sum(axis=-1).real / 16.0
         return (4.0 * f_e + 1.0) / 5.0
 
-    grid = np.linspace(-math.pi, math.pi, coarse, endpoint=False)
+    def best_angle(f_0, f_pi, f_up, f_down) -> float:
+        return math.atan2(f_up - f_down, f_0 - f_pi)
+
+    grid = np.linspace(-math.pi, math.pi, _COARSE_GRID, endpoint=False)
     vals = f_of(grid[:, None], grid[None, :])
     i, j = np.unravel_index(np.argmax(vals), vals.shape)
     t1, t2 = float(grid[i]), float(grid[j])
-    half = math.pi / coarse * 1.5  # search window around the coarse winner
 
-    prev = -np.inf
-    for _ in range(max_rounds):
-        t1 = _golden_max(lambda x: f_of(x, t2), t1 - half, t1 + half, angle_tol)
-        t2 = _golden_max(lambda x: f_of(t1, x), t2 - half, t2 + half, angle_tol)
-        cur = f_of(t1, t2)
+    prev = float(vals[i, j])
+    for _ in range(_MAX_ROUNDS):
+        t1 = best_angle(*f_of(_PROBE_ANGLES, t2))
+        t2 = best_angle(*f_of(t1, _PROBE_ANGLES))
+        cur = float(f_of(t1, t2))
         if cur - prev < 1e-14:
             break
         prev = cur

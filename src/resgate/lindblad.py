@@ -8,9 +8,9 @@ Solves the full (two qubits) x (truncated Fock space) master equation
 
 with D[c] rho = c rho c^dag - {c^dag c, rho}/2. The Hamiltonian is written
 in the frame rotating at the drive frequency, so it is time-independent and
-nothing oscillates faster than Delta. evolve_rk4 integrates the composite
-state with fixed-step classical RK4 and re-Hermitization after every step;
-the default 20 ps step resolves everything comfortably.
+nothing oscillates faster than Delta. The reference evolve_rk4 integrates
+the composite state with fixed-step classical RK4 and re-Hermitization
+after every step; the default 20 ps step resolves everything comfortably.
 With the (gamma/2) D[Z] convention a single-qubit coherence decays at
 exactly gamma (the 1/T2 rate).
 
@@ -25,15 +25,18 @@ so the qubit block r_ij = <i|rho|j> (an n_ph x n_ph cavity operator)
 evolves on its own under a fixed n_ph^2 x n_ph^2 generator L_ij. The
 effective two-qubit channel is therefore diagonal in the row-major vec
 basis: rho_ij -> C_ij rho_ij with C_ij = Tr[expm(L_ij t_g) cav].
-extract_channel computes it that way; evolve_rk4 integrates the full
-composite state and serves as the independent reference.
+One block engine serves every production path: extract_channel, the
+trajectory dump (trajectory_rows) and the polaron check (polaron_residual)
+all step the blocks with expm(L_ij dt) on the StepPolicy grid and read
+their numbers off the blocks. evolve_rk4 integrates the full composite
+state and is kept only as the independent reference the tests compare
+against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.linalg import expm
@@ -107,27 +110,17 @@ class SimDiagnostics:
     trace_drift: float
     steps: int
     dt_ns: float
-    final_polaron_residual: float | None = None
     top_level_threshold: float = DEFAULT_TOP_LEVEL_THRESHOLD
     failed: bool = False
     failure_reasons: tuple[str, ...] = ()
 
     def merged_with(self, other: "SimDiagnostics") -> "SimDiagnostics":
         """Worst-case combination (used when aggregating Monte-Carlo samples)."""
-        def _opt_max(a, b):
-            if a is None:
-                return b
-            if b is None:
-                return a
-            return max(a, b)
         return SimDiagnostics(
             max_top_level_pop=max(self.max_top_level_pop, other.max_top_level_pop),
             trace_drift=max(self.trace_drift, other.trace_drift),
             steps=max(self.steps, other.steps),
             dt_ns=max(self.dt_ns, other.dt_ns),
-            final_polaron_residual=_opt_max(
-                self.final_polaron_residual, other.final_polaron_residual
-            ),
             top_level_threshold=min(self.top_level_threshold, other.top_level_threshold),
             failed=self.failed or other.failed,
             failure_reasons=self.failure_reasons + other.failure_reasons,
@@ -139,7 +132,6 @@ class SimDiagnostics:
             "trace_drift": self.trace_drift,
             "steps": self.steps,
             "dt_ns": self.dt_ns,
-            "final_polaron_residual": self.final_polaron_residual,
             "top_level_threshold": self.top_level_threshold,
             "failed": self.failed,
             "failure_reasons": list(self.failure_reasons),
@@ -272,63 +264,6 @@ def _hermitize(rho: np.ndarray) -> np.ndarray:
     return 0.5 * (rho + np.conj(np.swapaxes(rho, -1, -2)))
 
 
-def _evolve_batch(
-    rhos: np.ndarray,
-    h: np.ndarray,
-    kappa: float,
-    gamma_1: float,
-    gamma_2: float,
-    t_total_ns: float,
-    policy: StepPolicy,
-    *,
-    top_level_threshold: float = DEFAULT_TOP_LEVEL_THRESHOLD,
-    trace_drift_tol: float = DEFAULT_TRACE_DRIFT_TOL,
-    record: Callable[[int, float, np.ndarray], None] | None = None,
-) -> tuple[np.ndarray, SimDiagnostics]:
-    """RK4-evolve a (B, D, D) batch; returns (final batch, diagnostics).
-
-    Diagnostics track the worst state in the batch. Trace drift is measured
-    against each state's initial trace (photon loss is trace-preserving in
-    the Lindblad form, so drift is pure integrator error).
-    """
-    rhos = np.array(rhos, dtype=complex)
-    if rhos.ndim == 2:
-        rhos = rhos[None]
-    b, d, _ = rhos.shape
-    n_ph = d // 4
-    ops = _full_ops(n_ph)
-    steps, dt = policy.resolve(t_total_ns)
-
-    init_traces = np.einsum("bii->b", rhos).real.copy()
-    max_top = 0.0
-    max_drift = 0.0
-
-    def _scan(r, step_idx, t_now):
-        nonlocal max_top, max_drift
-        diag = np.einsum("bii->bi", r).real
-        top = float(diag.reshape(b, 4, n_ph)[:, :, -1].sum(axis=1).max())
-        drift = float(np.abs(diag.sum(axis=1) - init_traces).max())
-        max_top = max(max_top, top)
-        max_drift = max(max_drift, drift)
-        if record is not None:
-            record(step_idx, t_now, r)
-
-    _scan(rhos, 0, 0.0)
-    half = 0.5 * dt
-    for i in range(steps):
-        k1 = _rhs(rhos, h, ops, kappa, gamma_1, gamma_2)
-        k2 = _rhs(rhos + half * k1, h, ops, kappa, gamma_1, gamma_2)
-        k3 = _rhs(rhos + half * k2, h, ops, kappa, gamma_1, gamma_2)
-        k4 = _rhs(rhos + dt * k3, h, ops, kappa, gamma_1, gamma_2)
-        rhos = rhos + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        rhos = _hermitize(rhos)
-        _scan(rhos, i + 1, (i + 1) * dt)
-
-    return rhos, _run_health(
-        max_top, max_drift, steps, dt, n_ph, top_level_threshold, trace_drift_tol
-    )
-
-
 def _run_health(
     max_top: float, max_drift: float, steps: int, dt: float, n_ph: int,
     top_level_threshold: float, trace_drift_tol: float,
@@ -364,27 +299,35 @@ def evolve_rk4(
     *,
     top_level_threshold: float = DEFAULT_TOP_LEVEL_THRESHOLD,
     trace_drift_tol: float = DEFAULT_TRACE_DRIFT_TOL,
-    record: Callable[[int, float, np.ndarray], None] | None = None,
 ) -> tuple[CompositeState, SimDiagnostics]:
     """Evolve one composite state (internal units; H from build_hamiltonian).
 
     Out-of-tolerance trace drift or guard-level population does not raise:
     it comes back as diagnostics.failed with the reasons spelled out, so
-    sweeps can record the failure and continue.
+    sweeps can record the failure and continue. Trace drift is measured
+    against the initial trace (photon loss is trace-preserving in the
+    Lindblad form, so drift is pure integrator error).
     """
-    final, diag = _evolve_batch(
-        rho0.matrix,
-        h,
-        kappa,
-        gamma_1,
-        gamma_2,
-        t_total_ns,
-        policy,
-        top_level_threshold=top_level_threshold,
-        trace_drift_tol=trace_drift_tol,
-        record=record,
+    n_ph = rho0.n_ph
+    ops = _full_ops(n_ph)
+    steps, dt = policy.resolve(t_total_ns)
+    rho = np.array(rho0.matrix, dtype=complex)
+    init_trace = float(np.trace(rho).real)
+    max_top = max_drift = 0.0
+    half = 0.5 * dt
+    for step in range(steps + 1):
+        if step:
+            k1 = _rhs(rho, h, ops, kappa, gamma_1, gamma_2)
+            k2 = _rhs(rho + half * k1, h, ops, kappa, gamma_1, gamma_2)
+            k3 = _rhs(rho + half * k2, h, ops, kappa, gamma_1, gamma_2)
+            k4 = _rhs(rho + dt * k3, h, ops, kappa, gamma_1, gamma_2)
+            rho = _hermitize(rho + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
+        pops = np.diagonal(rho).real
+        max_top = max(max_top, float(pops[n_ph - 1::n_ph].sum()))
+        max_drift = max(max_drift, abs(float(pops.sum()) - init_trace))
+    return CompositeState(matrix=rho, n_ph=n_ph), _run_health(
+        max_top, max_drift, steps, dt, n_ph, top_level_threshold, trace_drift_tol
     )
-    return CompositeState(matrix=final[0], n_ph=rho0.n_ph), diag
 
 
 @dataclass(frozen=True)
@@ -470,6 +413,50 @@ def _block_generator(params: DerivedGateParams, n_ph: int):
     return lambda lam_i, lam_j: base + (-0.5j * lam_i) * x_left + (0.5j * lam_j) * x_right
 
 
+def _branch_amplitudes(params: DerivedGateParams) -> list[float]:
+    """lam = g1 s1 + g2 s2 for each qubit basis state (branch (s1, s2))."""
+    return [params.g1_rad_ns * s1 + params.g2_rad_ns * s2 for s1, s2 in _BRANCHES]
+
+
+def _dephasing_rates(gamma_1: float, gamma_2: float) -> np.ndarray:
+    """c_ij in 1/ns (gamma in 1/s): gamma_k summed over the qubits k whose Z
+    eigenvalues differ between branches i and j."""
+    s = np.array(_BRANCHES)
+    return 1e-9 * ((s[:, None, :] != s[None, :, :]) @ np.array([gamma_1, gamma_2]))
+
+
+def _initial_cavity(params: DerivedGateParams, prep: CavityPrep, n_ph: int | None) -> np.ndarray:
+    """Initial cavity rho of a vacuum or coherent preparation.
+
+    With n_ph None, vacuum runs use the fixed default; a displaced cavity
+    gets the space its excursion actually needs (initial offset + loop
+    radius).
+    """
+    if n_ph is None:
+        n_ph = (
+            choose_n_ph(abs(prep.alpha) + _loop_radius(params))
+            if prep.kind == "coherent" else DEFAULT_N_PH
+        )
+    fock = FockSpace(n_ph)
+    return fock.vacuum_rho() if prep.kind == "vacuum" else fock.coherent_rho(prep.alpha)
+
+
+def _stepped_blocks(generator, pairs: list, cav: np.ndarray, steps: int, dt: float):
+    """Yield the blocks expm(L(lam_i, lam_j) k dt) cav for k = 0..steps.
+
+    ``pairs`` lists amplitude pairs (lam_i, lam_j); each yield is one
+    (len(pairs), n_ph, n_ph) array, and all pairs advance by one batched
+    matmul per step. Dephasing is left out (see _block_generator).
+    """
+    n_ph = cav.shape[0]
+    props = np.stack([expm(generator(*pair) * dt) for pair in pairs])
+    vecs = np.tile(cav.reshape(1, n_ph * n_ph, 1), (len(pairs), 1, 1))
+    for step in range(steps + 1):
+        if step:
+            vecs = props @ vecs
+        yield vecs.reshape(len(pairs), n_ph, n_ph)
+
+
 def extract_channel(
     params: DerivedGateParams,
     gamma_1: float,
@@ -506,75 +493,59 @@ def extract_channel(
             top_level_threshold=top_level_threshold, trace_drift_tol=trace_drift_tol,
         )
 
-    if n_ph is None:
-        # Vacuum runs use the fixed default; a displaced cavity gets the
-        # space its excursion actually needs (initial offset + loop radius).
-        if prep.kind == "coherent":
-            n_ph = choose_n_ph(abs(prep.alpha) + _loop_radius(params))
-        else:
-            n_ph = DEFAULT_N_PH
-    fock = FockSpace(n_ph)
-    cav = fock.vacuum_rho() if prep.kind == "vacuum" else fock.coherent_rho(prep.alpha)
-
+    cav = _initial_cavity(params, prep, n_ph)
+    n_ph = cav.shape[0]
     generator = _block_generator(params, n_ph)
-    lam = [params.g1_rad_ns * s1 + params.g2_rad_ns * s2 for s1, s2 in _BRANCHES]
+    lam = _branch_amplitudes(params)
     steps, dt = policy.resolve(params.t_g_ns)
-    v0 = cav.reshape(-1)
-    fock_diag = np.arange(n_ph) * (n_ph + 1)  # vec indices of the Fock populations
 
-    traces = {}  # (lam_i, lam_j) -> Tr of the propagated block, before dephasing
     distinct = list(dict.fromkeys(lam))
-    pops = np.empty((len(distinct), steps + 1, n_ph))
-    for b, lam_b in enumerate(distinct):
-        step = expm(generator(lam_b, lam_b) * dt)
-        vec = v0
-        pops[b, 0] = vec[fock_diag].real
-        for k in range(1, steps + 1):
-            vec = step @ vec
-            pops[b, k] = vec[fock_diag].real
-        traces[lam_b, lam_b] = vec[fock_diag].sum()
+    pops = np.array([  # (grid time, distinct block, Fock level)
+        np.einsum("bnn->bn", blocks).real
+        for blocks in _stepped_blocks(
+            generator, [(lam_b, lam_b) for lam_b in distinct], cav, steps, dt
+        )
+    ])
     totals = pops.sum(axis=2)
     diag = _run_health(
-        float(pops[:, :, -1].max()), float(np.abs(totals - totals[:, :1]).max()),
+        float(pops[:, :, -1].max()), float(np.abs(totals - totals[:1]).max()),
         steps, dt, n_ph, top_level_threshold, trace_drift_tol,
     )
 
-    coh = np.diag([traces[lam_i, lam_i] for lam_i in lam])
-    for i, (s1_i, s2_i) in enumerate(_BRANCHES):
-        for j, (s1_j, s2_j) in enumerate(_BRANCHES[i + 1:], start=i + 1):
+    # (lam_i, lam_j) -> Tr of the propagated block, before dephasing
+    traces = {(lam_b, lam_b): tr for lam_b, tr in zip(distinct, totals[-1])}
+    rates = _dephasing_rates(gamma_1, gamma_2)
+    coh = np.diag(np.array([traces[lam_i, lam_i] for lam_i in lam], dtype=complex))
+    for i in range(4):
+        for j in range(i + 1, 4):
             key = lam[i], lam[j]
             if key not in traces:
-                traces[key] = (expm(generator(*key) * params.t_g_ns) @ v0)[fock_diag].sum()
-            rate = 1e-9 * (gamma_1 * (s1_i != s1_j) + gamma_2 * (s2_i != s2_j))
-            coh[i, j] = math.exp(-rate * params.t_g_ns) * traces[key]
+                traces[key] = np.trace(
+                    (expm(generator(*key) * params.t_g_ns) @ cav.reshape(-1))
+                    .reshape(n_ph, n_ph)
+                )
+            coh[i, j] = math.exp(-rates[i, j] * params.t_g_ns) * traces[key]
             coh[j, i] = np.conj(coh[i, j])
     return TwoQubitChannel(superop=np.diag(coh.reshape(16))), diag
 
 
-def _ground_state_defect(
-    rho_full: np.ndarray, params: DerivedGateParams, fock: FockSpace, t_ns: float
+def _polaron_defect(
+    r_diag: np.ndarray, lam: list[float], params: DerivedGateParams, t_ns: float
 ) -> float:
     """1 - vacuum weight of the cavity marginal after undoing the drive.
 
-    Applies the qubit-conditioned inverse displacement built from the
-    closed-form drive-frame amplitude: branch (s1, s2) is displaced by
-    -(g1 s1 + g2 s2) * alpha_unit(t), which for equal couplings reduces to
-    the familiar -(s1 + s2) * alpha_d(t).
+    r_diag holds the diagonal blocks r_ii. Branch i is displaced back by
+    -lam_i * alpha_unit(t), with alpha_unit the closed-form drive-frame
+    amplitude (for equal couplings: the familiar -(s1 + s2) * alpha_d(t)),
+    so the marginal is sum_i D_i r_ii D_i^dag with n_ph x n_ph D_i.
     """
-    n_ph = fock.n_levels
-    g1, g2 = params.g1_rad_ns, params.g2_rad_ns
     alpha_unit = drive_frame_displacement(
         1.0, params.delta_rad_ns, params.kappa_per_ns, t_ns
     )
-    a = fock.annihilation()
-    disp = np.zeros_like(rho_full)
-    for i, (s1, s2) in enumerate(_BRANCHES):
-        amp = -(g1 * s1 + g2 * s2) * alpha_unit
-        disp[i * n_ph:(i + 1) * n_ph, i * n_ph:(i + 1) * n_ph] = expm(
-            amp * a.conj().T - np.conj(amp) * a
-        )
-    moved = disp @ rho_full @ disp.conj().T
-    cav = np.einsum("inim->nm", moved.reshape(4, n_ph, 4, n_ph))
+    a = FockSpace(r_diag.shape[-1]).annihilation()
+    amps = -np.array(lam)[:, None, None] * alpha_unit
+    disp = expm(amps * a.conj().T - np.conj(amps) * a)
+    cav = (disp @ r_diag @ disp.conj().transpose(0, 2, 1)).sum(axis=0)
     return 1.0 - float(cav[0, 0].real) / float(np.trace(cav).real)
 
 
@@ -591,40 +562,24 @@ def polaron_residual(
     Evolves (vacuum cavity, no intrinsic dephasing), and at each sampled
     time applies the inverse conditional displacement built from the
     closed-form drive-frame amplitude; the cavity should then sit in its
-    ground state up to truncation and integrator error:
+    ground state up to truncation error:
 
         residual(t) = 1 - <0| Tr_qubits[rho-displaced] |0> / Tr[rho].
 
-    Sample times are snapped to the integrator's step grid (consistently
-    with the amplitude used for the displacement). Returns the maximum
-    residual over the samples.
+    Sample times are snapped to the policy's step grid (consistently with
+    the amplitude used for the displacement). Returns the maximum residual
+    over the samples; it is the polaron_residual column of trajectory_rows.
     """
     t_samples = np.atleast_1d(np.asarray(t_samples, dtype=float))
     if np.any(t_samples < 0) or np.any(t_samples > params.t_g_ns * (1 + 1e-12)):
         raise DomainError("sample times must lie in [0, t_g]")
     if n_ph is None:
         n_ph = choose_n_ph(_loop_radius(params))
-    if initial_qubit is None:
-        plus = np.full(4, 0.5, dtype=complex)
-        initial_qubit = np.outer(plus, plus.conj())
-
-    fock = FockSpace(n_ph)
-    state = np.kron(np.asarray(initial_qubit, dtype=complex), fock.vacuum_rho())
-    h = build_hamiltonian(params, n_ph)
-    steps, dt = policy.resolve(params.t_g_ns)
-    sample_idx = sorted({int(round(t / dt)) for t in t_samples})
-
-    worst = 0.0
-
-    def _record(step_idx, t_now, batch):
-        nonlocal worst
-        if step_idx in sample_idx:
-            worst = max(worst, _ground_state_defect(batch[0], params, fock, t_now))
-
-    _evolve_batch(
-        state, h, params.kappa_per_ns, 0.0, 0.0, params.t_g_ns, policy, record=_record
+    rows = trajectory_rows(
+        params, 0.0, 0.0, n_ph=n_ph, policy=policy, initial_qubit=initial_qubit
     )
-    return worst
+    _, dt = policy.resolve(params.t_g_ns)
+    return max([0.0] + [rows[int(round(t / dt))]["polaron_residual"] for t in t_samples])
 
 
 def trajectory_rows(
@@ -641,53 +596,57 @@ def trajectory_rows(
     """Per-step state metrics for the optional trajectory dump.
 
     Evolves a single composite state (default |++> with the requested
-    cavity preparation; gamma in 1/s) and records, every ``stride`` steps
-    plus the final one, a row with keys t_ns, trace, purity, mean_photon,
-    top_level_pop, polaron_residual. The residual column is the same
-    displaced-frame ground-state defect polaron_residual() maximizes; for
-    non-vacuum preparations or gamma > 0 it is reported as-is rather than
-    being expected small.
+    cavity preparation; gamma in 1/s) on the policy's step grid and
+    records, every ``stride`` steps plus the final one, a row with keys
+    t_ns, trace, purity, mean_photon, top_level_pop, polaron_residual.
+    Every number comes from the qubit blocks r_ij(t) =
+    q_ij exp(-c_ij t) expm(L_ij t) cav: trace, mean_photon, top_level_pop
+    and the residual from the four diagonal blocks, and the purity as
+    sum_ij ||r_ij||^2. The residual column is the same displaced-frame
+    ground-state defect polaron_residual() maximizes; for non-vacuum
+    preparations or gamma > 0 it is reported as-is rather than being
+    expected small.
     """
     prep = initial_cavity or CavityPrep.vacuum()
     if prep.kind == "thermal":
         raise DomainError("trajectory dump needs a deterministic cavity preparation")
-    if n_ph is None:
-        amp0 = abs(prep.alpha) if prep.kind == "coherent" else 0.0
-        n_ph = (
-            choose_n_ph(amp0 + _loop_radius(params))
-            if prep.kind == "coherent" else DEFAULT_N_PH
-        )
     if initial_qubit is None:
         plus = np.full(4, 0.5, dtype=complex)
         initial_qubit = np.outer(plus, plus.conj())
     if stride < 1:
         raise DomainError(f"stride must be >= 1, got {stride}")
 
-    fock = FockSpace(n_ph)
-    cav = fock.vacuum_rho() if prep.kind == "vacuum" else fock.coherent_rho(prep.alpha)
-    state = np.kron(np.asarray(initial_qubit, dtype=complex), cav)
-    h = build_hamiltonian(params, n_ph)
-    steps, _ = policy.resolve(params.t_g_ns)
+    cav = _initial_cavity(params, prep, n_ph)
+    q = np.asarray(initial_qubit, dtype=complex)
+    lam = _branch_amplitudes(params)
+    steps, dt = policy.resolve(params.t_g_ns)
+
+    # blocks on and above the diagonal; those below are their adjoints
+    upper_i, upper_j = np.triu_indices(4)
+    pairs = list(dict.fromkeys((lam[i], lam[j]) for i, j in zip(upper_i, upper_j)))
+    pair_of = np.array([pairs.index((lam[i], lam[j])) for i, j in zip(upper_i, upper_j)])
+    diag_of = pair_of[upper_i == upper_j]
+    weight = np.abs(q[upper_i, upper_j]) ** 2 * np.where(upper_i == upper_j, 1.0, 2.0)
+    rate = _dephasing_rates(gamma_1, gamma_2)[upper_i, upper_j]
+    photons = np.arange(cav.shape[0])
 
     rows: list[dict] = []
-
-    def _record(step_idx, t_now, batch):
-        if step_idx % stride and step_idx != steps:
-            return
-        st = CompositeState(matrix=batch[0], n_ph=n_ph)
+    blocks_in = _stepped_blocks(_block_generator(params, cav.shape[0]), pairs, cav, steps, dt)
+    for step, blocks in enumerate(blocks_in):
+        if step % stride and step != steps:
+            continue
+        t_now = step * dt
+        r_diag = np.diagonal(q)[:, None, None] * blocks[diag_of]
+        pops = np.einsum("inn->in", r_diag).real
+        sq_norms = (np.abs(blocks) ** 2).sum(axis=(1, 2))[pair_of]
         rows.append({
             "t_ns": t_now,
-            "trace": st.trace,
-            "purity": st.purity,
-            "mean_photon": st.mean_photon,
-            "top_level_pop": st.top_level_pop,
-            "polaron_residual": _ground_state_defect(batch[0], params, fock, t_now),
+            "trace": float(pops.sum()),
+            "purity": float((weight * np.exp(-2.0 * rate * t_now) * sq_norms).sum()),
+            "mean_photon": float((pops * photons).sum()),
+            "top_level_pop": float(pops[:, -1].sum()),
+            "polaron_residual": _polaron_defect(r_diag, lam, params, t_now),
         })
-
-    _evolve_batch(
-        state, h, params.kappa_per_ns, gamma_1 * 1e-9, gamma_2 * 1e-9,
-        params.t_g_ns, policy, record=_record,
-    )
     return rows
 
 

@@ -261,7 +261,9 @@ def test_cli_simulate_flags_small_fock_space(tmp_path, capsys):
     cfg.write_text(json.dumps({"j_ghz": 0.3, "eps_d_over_eps_a": 2.0, "n_ph": 6}))
     code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
     assert code == 3
-    assert "failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "failed" in err
+    assert "row 0: top Fock level population" in err
 
 
 def test_cli_sweep_to_file(tmp_path, capsys):

@@ -138,6 +138,57 @@ def test_fit_local_z_no_op_on_clean_channel():
     assert fit.report.f_avg == pytest.approx(plain, abs=1e-9)
 
 
+def _random_channels(rng):
+    """Three diagonal channels and three non-diagonal Kraus mixtures."""
+    chans = []
+    for _ in range(3):
+        # unit-diagonal Gram matrix: the coherence factors of a CPTP diagonal map
+        v = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        chans.append(TwoQubitChannel(superop=np.diag((v @ v.conj().T).reshape(16))))
+    for _ in range(3):
+        weights = rng.dirichlet(np.ones(3))
+        kraus = []
+        for w in weights:
+            u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+            kraus.append(math.sqrt(w) * u)
+        chans.append(TwoQubitChannel(kraus=tuple(kraus)))
+    return chans
+
+
+def _local_z_fidelity_grid(chan, target, theta):
+    """F_avg of chan followed by Rz(t1) (x) Rz(t2), on the grid theta x theta.
+
+    The rotation's superoperator is diagonal with entries
+    r_p conj(r_r) r_q conj(r_s), r(t) = (e^{-it/2}, e^{it/2}), so F_e is a
+    bilinear form in the per-qubit factors.
+    """
+    s_n = chan.superop_matrix()
+    s_t = np.kron(target, target.conj())
+    d = np.diag(s_n @ s_t.conj().T).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    r = np.exp(-0.5j * np.outer(theta, [1.0, -1.0]))
+    a = (r[:, :, None] * r.conj()[:, None, :]).reshape(len(theta), 4)
+    f_e = (a @ d @ a.T).real / 16.0
+    return (4.0 * f_e + 1.0) / 5.0
+
+
+def test_fit_local_z_not_below_brute_force_grid():
+    rng = np.random.default_rng(2024)
+    target = ideal_gate_unitary(math.pi / 4.0)
+    theta = np.linspace(-math.pi, math.pi, 721)
+    for chan in _random_channels(rng):
+        grid = _local_z_fidelity_grid(chan, target, theta)
+        # the grid formula agrees with the standard fidelity route
+        i, j = 100, 517
+        rz = [np.diag(np.exp(-0.5j * np.array([t, -t]))) for t in (theta[i], theta[j])]
+        direct = average_gate_fidelity(
+            chan.then(TwoQubitChannel.from_unitary(np.kron(*rz))), target
+        ).f_avg
+        assert grid[i, j] == pytest.approx(direct, abs=1e-13)
+        fit = fit_local_z(chan, target)
+        assert fit.report.f_avg >= grid.max() - 1e-12
+
+
 def test_analytic_channel_fidelity_invariant_under_sideband():
     gamma = 1.2e6
     p_pos = make_params(0.35, 1.021e-3, n=2, delta_sign=+1)

@@ -262,6 +262,37 @@ def test_trajectory_rows_shape_and_content():
         trajectory_rows(p, 0.0, 0.0, initial_cavity=CavityPrep.thermal(0.1), n_ph=6)
 
 
+def test_trajectory_rows_match_rk4_reference():
+    # unequal couplings, a coherent start, unequal dephasing and a mixed
+    # qubit state with every coherence non-zero, so all 16 blocks count;
+    # 6 levels leave ~1e-4 in the guard level, so top_level_pop is not ~0
+    p = make_params(0.7, 5e-3, g2_over_g1=1.5)
+    gamma_1, gamma_2, alpha, n_ph = 2e6, 0.5e6, 0.3 + 0.4j, 6
+    rng = np.random.default_rng(7)
+    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    qubit = m @ m.conj().T / np.trace(m @ m.conj().T)
+    policy = StepPolicy(dt_ns=0.010)
+    rows = trajectory_rows(
+        p, gamma_1, gamma_2, CavityPrep.coherent(alpha), n_ph=n_ph, policy=policy,
+        initial_qubit=qubit,
+    )
+    steps, dt = policy.resolve(p.t_g_ns)
+    assert len(rows) == steps + 1
+    state = CompositeState.from_parts(qubit, FockSpace(n_ph).coherent_rho(alpha))
+    h = build_hamiltonian(p, n_ph)
+    done = 0
+    for k in (steps // 7, steps // 2, steps):
+        # RK4 continues from the previous grid time, k - done steps of dt
+        state, _ = evolve_rk4(
+            state, h, p.kappa_per_ns, gamma_1 * 1e-9, gamma_2 * 1e-9, (k - done) * dt,
+            StepPolicy(dt_ns=dt, min_steps=1, max_steps=10**6),
+        )
+        done = k
+        assert rows[k]["t_ns"] == pytest.approx(k * dt, rel=1e-12)
+        for key in ("trace", "purity", "mean_photon", "top_level_pop"):
+            assert abs(rows[k][key] - getattr(state, key)) < 1e-6, (k, key)
+
+
 def test_polaron_residual_small_on_schedule():
     p = make_params(0.7, 1.021e-3, n=2)
     ts = np.linspace(0.0, p.t_g_ns, 9)
