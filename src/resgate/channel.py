@@ -22,6 +22,7 @@ vectorized density matrices, S = sum_k kron(K_k, conj(K_k)).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -182,9 +183,14 @@ def alpha_closed_form(g: float, delta: float, kappa: float, t):
     """
     if delta == 0.0 and kappa == 0.0:
         raise DomainError("alpha is unbounded at delta = kappa = 0 (resonant lossless drive)")
-    t = np.asarray(t, dtype=float)
-    val = -(g / 2.0) * (np.exp(-kappa * t) - np.exp(1j * delta * t)) / (1j * delta + kappa)
+    val = _alpha(g, delta, kappa, np.asarray(t, dtype=float), np)
     return val if val.ndim else complex(val)
+
+
+def _alpha(g: float, delta: float, kappa: float, t, xp):
+    """The alpha_closed_form expression with exp taken from ``xp``: numpy for
+    arrays, cmath for one float (as b_factor needs, without 0-d arrays)."""
+    return -(g / 2.0) * (xp.exp(-kappa * t) - xp.exp(1j * delta * t)) / (1j * delta + kappa)
 
 
 def drive_frame_displacement(g: float, delta: float, kappa: float, t):
@@ -250,7 +256,7 @@ def b_factor(g: float, delta: float, kappa: float, t_g: float) -> tuple[float, f
         int_term = 4.0 * kappa * (gsq / (4.0 * d2)) * (i_exp - 2.0 * i_cos + t_g)
     else:
         int_term = 0.0
-    ent_term = 2.0 * abs(alpha_closed_form(g, delta, kappa, t_g)) ** 2
+    ent_term = 2.0 * abs(_alpha(g, delta, kappa, t_g, cmath)) ** 2
     b_l = math.exp(-int_term)
     b_e = math.exp(-ent_term)
     return b_l * b_e, b_l, b_e

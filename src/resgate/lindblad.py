@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .channel import TwoQubitChannel, drive_frame_displacement, ideal_gate_unitary
 from .device import DerivedGateParams
@@ -441,6 +440,14 @@ def _initial_cavity(params: DerivedGateParams, prep: CavityPrep, n_ph: int | Non
     return fock.vacuum_rho() if prep.kind == "vacuum" else fock.coherent_rho(prep.alpha)
 
 
+def _expm(m: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm, imported on first use so that importing resgate
+    (and the analytic path) loads no scipy."""
+    from scipy.linalg import expm
+
+    return expm(m)
+
+
 def _stepped_blocks(generator, pairs: list, cav: np.ndarray, steps: int, dt: float):
     """Yield the blocks expm(L(lam_i, lam_j) k dt) cav for k = 0..steps.
 
@@ -449,7 +456,7 @@ def _stepped_blocks(generator, pairs: list, cav: np.ndarray, steps: int, dt: flo
     matmul per step. Dephasing is left out (see _block_generator).
     """
     n_ph = cav.shape[0]
-    props = np.stack([expm(generator(*pair) * dt) for pair in pairs])
+    props = np.stack([_expm(generator(*pair) * dt) for pair in pairs])
     vecs = np.tile(cav.reshape(1, n_ph * n_ph, 1), (len(pairs), 1, 1))
     for step in range(steps + 1):
         if step:
@@ -521,7 +528,7 @@ def extract_channel(
             key = lam[i], lam[j]
             if key not in traces:
                 traces[key] = np.trace(
-                    (expm(generator(*key) * params.t_g_ns) @ cav.reshape(-1))
+                    (_expm(generator(*key) * params.t_g_ns) @ cav.reshape(-1))
                     .reshape(n_ph, n_ph)
                 )
             coh[i, j] = math.exp(-rates[i, j] * params.t_g_ns) * traces[key]
@@ -544,7 +551,7 @@ def _polaron_defect(
     )
     a = FockSpace(r_diag.shape[-1]).annihilation()
     amps = -np.array(lam)[:, None, None] * alpha_unit
-    disp = expm(amps * a.conj().T - np.conj(amps) * a)
+    disp = _expm(amps * a.conj().T - np.conj(amps) * a)
     cav = (disp @ r_diag @ disp.conj().transpose(0, 2, 1)).sum(axis=0)
     return 1.0 - float(cav[0, 0].real) / float(np.trace(cav).real)
 

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.special import gamma as _gamma_fn
+from functools import cached_property
 
 from .constants import H_EV_S, HBAR_J_S, h_ghz_to_energy_J
 from .device import EXCHANGE_SOFT_MAX_J, EXCHANGE_SOFT_MIN_J, ResonatorSpec
@@ -52,9 +51,9 @@ class NoiseSpec:
         if not (isinstance(self.m, int) and self.m >= 1):
             raise DomainError(f"m must be an integer >= 1, got {self.m!r}")
 
-    @property
+    @cached_property
     def eta_value(self) -> float:
-        """The filter constant actually in effect (Hahn default)."""
+        """The filter constant actually in effect (Hahn default), computed once."""
         return hahn_eta(self.beta) if self.eta is None else self.eta
 
 
@@ -95,7 +94,7 @@ def hahn_eta(beta: float) -> float:
         )
     return (
         (2.0 ** (1.0 - beta) - 1.0)
-        * float(_gamma_fn(-1.0 - beta))
+        * math.gamma(-1.0 - beta)
         * math.sin(math.pi * beta / 2.0)
         / (2.0 * math.pi)
     )

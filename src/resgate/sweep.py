@@ -26,13 +26,22 @@ import numpy as np
 
 from .channel import analytic_avg_fidelity, b_factor, ideal_gate_unitary
 from .config import RunConfig
-from .constants import TWO_PI, energy_J_to_h_ghz, h_ghz_to_energy_J, uev_to_J
+from .constants import (
+    E_CHARGE_C,
+    HBAR_J_S,
+    TWO_PI,
+    energy_J_to_h_ghz,
+    h_ghz_to_energy_J,
+    uev_to_J,
+)
 from .device import (
     DerivedGateParams,
     QubitTuning,
     ResonatorSpec,
     cavity_decay,
     derive_gate_params,
+    gate_schedule,
+    photon_voltage,
 )
 from .errors import DomainError
 from .fidelity import average_gate_fidelity, fit_local_z
@@ -90,10 +99,12 @@ class SweepResult:
         return any(r.failed for r in self.rows)
 
 
-def _golden_min(f, a: float, b: float, tol: float = 1e-12) -> float:
+def _golden_min(f, a: float, b: float, tol: float = 1e-12) -> tuple[float, int]:
+    """Golden-section minimum of f on [a, b] and the number of f evaluations."""
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     c, d = b - gr * (b - a), a + gr * (b - a)
     fc, fd = f(c), f(d)
+    evals = 2
     while abs(b - a) > tol * (abs(a) + abs(b)):
         if fc < fd:
             b, d, fd = d, c, fc
@@ -103,22 +114,36 @@ def _golden_min(f, a: float, b: float, tol: float = 1e-12) -> float:
             a, c, fc = c, d, fd
             d = a + gr * (b - a)
             fd = f(d)
-    return 0.5 * (a + b)
+        evals += 1
+    return 0.5 * (a + b), evals
 
 
-def _derive(cfg: RunConfig, res: ResonatorSpec, eps_a: float, J: float,
-            y: float) -> DerivedGateParams:
-    tuning = QubitTuning(J0=J, eps_a=eps_a, eps_0=0.0, c_r=cfg.c_r, eps_d=y * eps_a)
-    return derive_gate_params(res, tuning, cfg.n, delta_sign=cfg.delta_sign)
+def _objective(cfg: RunConfig, res: ResonatorSpec, noise: NoiseSpec, eps_a: float):
+    """Refinement objective (J, y) -> 1 - F_avg of the analytic channel.
 
+    Built once per point. What does not depend on (J, y) is hoisted (e c_r V0,
+    1/eps_a, kappa), and g is formed with the float operations of
+    coupling_strengths and derive_gate_params, so every value is exactly the
+    number obtained by scoring derive_gate_params(...) with b_factor,
+    dephasing_rate and analytic_avg_fidelity. Those kernels are called
+    through this module's globals, once per evaluation.
+    """
+    e_cr_v0 = E_CHARGE_C * cfg.c_r * photon_voltage(res)
+    inv_sq = (1.0 / eps_a) ** 2
+    kappa_ns = cavity_decay(res) * 1e-9
+    n, sign = cfg.n, cfg.delta_sign
 
-def _analytic_infidelity(cfg, res, noise, eps_a, J, y) -> float:
-    """Exact analytic infidelity 1 - F_avg(J, y) used as refinement objective."""
-    params = _derive(cfg, res, eps_a, J, y)
-    b, _, _ = b_factor(params.g_geom_rad_ns, params.delta_rad_ns,
-                       params.kappa_per_ns, params.t_g_ns)
-    gphi = dephasing_rate(J, y * eps_a, noise, eps_a).gamma_phi  # 1/s
-    return 1.0 - analytic_avg_fidelity(b, gphi * 1e-9, params.t_g_ns)
+    def infidelity(J: float, y: float) -> float:
+        eps_d = y * eps_a
+        g = 0.5 * (J * inv_sq) * e_cr_v0 * eps_d
+        delta, t_g = gate_schedule(g, g, n)
+        g_ns = g / HBAR_J_S * 1e-9
+        t_ns = t_g * 1e9
+        b, _, _ = b_factor(math.sqrt(g_ns * g_ns), sign * delta * 1e-9, kappa_ns, t_ns)
+        gphi = dephasing_rate(J, eps_d, noise, eps_a).gamma_phi  # 1/s
+        return 1.0 - analytic_avg_fidelity(b, gphi * 1e-9, t_ns)
+
+    return infidelity
 
 
 @dataclass(frozen=True)
@@ -142,7 +167,9 @@ def resolve_operating_point(cfg: RunConfig) -> OperatingPoint:
     Refinement (golden-section coordinate descent on the exact analytic
     infidelity, stopping when the relative improvement per round drops
     below cfg.refine_tol) only runs when both J and eps_d came from the
-    optimizer; a config-pinned value is taken at face value.
+    optimizer; a config-pinned value is taken at face value. A refined
+    point reports both infidelities, its rounds and its objective
+    evaluations (refine_rounds, refine_evals) in the diagnostics.
     """
     res = ResonatorSpec(omega_r=TWO_PI * cfg.omega_r_ghz * 1e9,
                         Z_r=cfg.z_r_ohm, Q=cfg.q_factor)
@@ -173,29 +200,33 @@ def resolve_operating_point(cfg: RunConfig) -> OperatingPoint:
                           j_min=j_min, j_max=j_max).eps_d_opt / eps_a
 
     # -- local refinement around the closed-form optimum -------------------
-    inf_closed = _analytic_infidelity(cfg, res, noise, eps_a, J, y)
+    # the objective trusts its inputs, so QubitTuning checks them first
+    tuning = QubitTuning(J0=J, eps_a=eps_a, eps_0=0.0, c_r=cfg.c_r, eps_d=y * eps_a)
+    infidelity = _objective(cfg, res, noise, eps_a)
+    inf_closed = infidelity(J, y)
     inf_final = inf_closed
     refine = cfg.refine and cfg.j_ghz is None and cfg.eps_d_over_eps_a is None
     if refine:
-        prev = inf_closed
-        for _ in range(60):
+        prev, evals = inf_closed, 0
+        for rounds in range(1, 61):
             lo = max(math.log(J) - 0.7, math.log(j_min))
             hi = min(math.log(J) + 0.7, math.log(j_max))
-            J = math.exp(_golden_min(
-                lambda lj: _analytic_infidelity(cfg, res, noise, eps_a, math.exp(lj), y),
-                lo, hi))
-            y = _golden_min(
-                lambda yy: _analytic_infidelity(cfg, res, noise, eps_a, J, yy),
-                0.3 * y, 3.0 * y)
-            inf_final = _analytic_infidelity(cfg, res, noise, eps_a, J, y)
+            log_j, evals_j = _golden_min(lambda lj: infidelity(math.exp(lj), y), lo, hi)
+            J = math.exp(log_j)
+            y, evals_y = _golden_min(lambda yy: infidelity(J, yy), 0.3 * y, 3.0 * y)
+            inf_final = infidelity(J, y)
+            evals += evals_j + evals_y + 1
             if prev - inf_final < cfg.refine_tol * max(inf_final, 1e-300):
                 break
             prev = inf_final
         diagnostics["infidelity_closed_form"] = inf_closed
         diagnostics["infidelity_refined"] = inf_final
+        diagnostics["refine_rounds"] = rounds
+        diagnostics["refine_evals"] = evals
+        tuning = replace(tuning, J0=J, eps_d=y * eps_a)
 
     return OperatingPoint(
-        params=_derive(cfg, res, eps_a, J, y),
+        params=derive_gate_params(res, tuning, cfg.n, delta_sign=cfg.delta_sign),
         gamma_phi=dephasing_rate(J, y * eps_a, noise, eps_a).gamma_phi,
         J=J, y=y, clamped=clamped,
         infidelity_closed_form=inf_closed,

@@ -96,6 +96,19 @@ def test_b_factor_splits_exactly():
         assert b_e <= 1.0 and b_l <= 1.0
 
 
+def test_b_factor_entanglement_term_is_alpha_closed_form():
+    # b_factor takes |alpha(t_g)|^2 in scalar cmath; the array form is the reference
+    rng = np.random.default_rng(23)
+    for k in range(400):
+        g = rng.uniform(0.01, 0.7)
+        delta = rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 5.0)
+        kappa = 0.0 if k % 4 == 0 else 10.0 ** rng.uniform(-5.0, -0.5)
+        t = rng.uniform(0.0, 40.0)
+        _, _, b_e = b_factor(g, delta, kappa, t)
+        ref = math.exp(-2.0 * abs(alpha_closed_form(g, delta, kappa, np.array([t]))[0]) ** 2)
+        assert abs(b_e - ref) <= 1e-14 * ref, (g, delta, kappa, t)
+
+
 def test_b_factor_lossless_is_unity():
     p = make_params(0.35, 0.0, n=2)
     b, b_l, b_e = b_factor(p.g_geom_rad_ns, p.delta_rad_ns, 0.0, p.t_g_ns)

@@ -8,11 +8,23 @@ import math
 import numpy as np
 import pytest
 
+from resgate import (
+    NoiseSpec,
+    QubitTuning,
+    ResonatorSpec,
+    analytic_avg_fidelity,
+    b_factor,
+    dephasing_rate,
+    derive_gate_params,
+    sweep,
+)
 from resgate.cli import TRAJECTORY_COLUMNS, main
 from resgate.config import RunConfig, config_from_dict, load_config
+from resgate.constants import TWO_PI, h_ghz_to_energy_J, uev_to_J
 from resgate.errors import ConfigError
 from resgate.sweep import (
     CSV_COLUMNS,
+    _objective,
     evaluate_point,
     load_results,
     optimize_point,
@@ -113,6 +125,55 @@ def test_operating_point_refinement_improves():
     improvement = (closed - refined) / closed
     assert 0.003 < improvement < 0.03
     assert pt.params.t_g * 1e9 == pytest.approx(7.29373812458119, rel=1e-9)
+
+
+def test_refinement_objective_is_the_public_kernels():
+    # the per-point objective hoists constants out of derive_gate_params; it
+    # must still give exactly the number the public kernels give
+    rng = np.random.default_rng(19)
+    for raw in ({"delta_sign": -1}, {"n": 1, "c_r": 0.31},
+                {"n": 2, "z_r_ohm": 300.0, "q_factor": 2e3},
+                {"n": 3, "delta_sign": -1, "c_r": 0.07, "beta": 0.5},
+                {"n": 4, "z_r_ohm": 4e4, "q_factor": 1.5e5, "eps_a_uev": 3.0}):
+        cfg = config_from_dict(raw, source="t")
+        res = ResonatorSpec(omega_r=TWO_PI * cfg.omega_r_ghz * 1e9,
+                            Z_r=cfg.z_r_ohm, Q=cfg.q_factor)
+        noise = NoiseSpec(S_eps=cfg.s_eps_ev2, beta=cfg.beta, eta=cfg.eta)
+        eps_a = uev_to_J(cfg.eps_a_uev)
+        objective = _objective(cfg, res, noise, eps_a)
+        for _ in range(60):
+            J = h_ghz_to_energy_J(math.exp(rng.uniform(math.log(0.06), math.log(25.0))))
+            y = rng.uniform(0.3, 30.0)
+            tuning = QubitTuning(J0=J, eps_a=eps_a, c_r=cfg.c_r, eps_d=y * eps_a)
+            p = derive_gate_params(res, tuning, cfg.n, delta_sign=cfg.delta_sign)
+            b, _, _ = b_factor(p.g_geom_rad_ns, p.delta_rad_ns, p.kappa_per_ns, p.t_g_ns)
+            gphi = dephasing_rate(J, y * eps_a, noise, eps_a).gamma_phi
+            want = 1.0 - analytic_avg_fidelity(b, gphi * 1e-9, p.t_g_ns)
+            assert objective(J, y) == want, (raw, J, y)
+
+
+def test_refinement_detail_in_json_diagnostics(monkeypatch):
+    calls = []
+    monkeypatch.setattr(sweep, "analytic_avg_fidelity",
+                        lambda *a: calls.append(a) or analytic_avg_fidelity(*a))
+    cfg = config_from_dict({"axes": {"n": [1, 3]}}, source="t")
+    result = run_sweep(cfg)
+    assert sum(row.diagnostics["refine_evals"] + 1 for row in result.rows) == len(calls)
+    for row in result.rows:
+        rounds, evals = row.diagnostics["refine_rounds"], row.diagnostics["refine_evals"]
+        # each round is two golden-section searches and one scoring
+        assert isinstance(rounds, int) and 1 <= rounds <= 60
+        assert isinstance(evals, int) and evals > 2 * rounds
+    monkeypatch.undo()
+    text = render_json(result)
+    assert '"refine_rounds"' in text and '"refine_evals"' in text
+    assert "refine_rounds" not in render_csv(result)
+    assert render_json(run_sweep(cfg)) == text
+    # pinned or disabled refinement reports no refinement detail
+    for raw in ({"refine": False}, {"j_ghz": 0.0852, "eps_d_over_eps_a": 2.4}):
+        (row,) = run_sweep(config_from_dict(raw, source="t")).rows
+        assert "refine_rounds" not in row.diagnostics
+        assert "refine_evals" not in row.diagnostics
 
 
 def test_operating_point_pinned_skips_refinement():

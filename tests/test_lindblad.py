@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import resgate
 from resgate import (
     CavityPrep,
     CompositeState,
@@ -16,6 +21,7 @@ from resgate import (
     average_gate_fidelity,
     build_hamiltonian,
     choose_n_ph,
+    drive_frame_displacement,
     evolve_rk4,
     extract_channel,
     ideal_gate_unitary,
@@ -291,6 +297,64 @@ def test_trajectory_rows_match_rk4_reference():
         assert rows[k]["t_ns"] == pytest.approx(k * dt, rel=1e-12)
         for key in ("trace", "purity", "mean_photon", "top_level_pop"):
             assert abs(rows[k][key] - getattr(state, key)) < 1e-6, (k, key)
+
+
+def test_import_loads_no_scipy_until_the_oracle_runs():
+    # scipy is imported on the numeric engine's first use, not with resgate
+    script = (
+        "import sys\n"
+        "import resgate\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+        "params = resgate.resolve_operating_point(resgate.config_from_dict({})).params\n"
+        "chan, diag = resgate.extract_channel(params, 0.0, 0.0, n_ph=7)\n"
+        "chan.validate()\n"
+        "assert not diag.failed and 'scipy.linalg' in sys.modules\n"
+    )
+    src = str(Path(resgate.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_polaron_residual_matches_dense_reference():
+    # the residual column against an independent route: the RK4 composite
+    # state, displaced back by one dense expm of the conditional displacement
+    # generator sum_i |i><i| (x) (A_i a^dag - A_i^* a), A_i = -lam_i alpha_unit(t)
+    from scipy.linalg import expm
+
+    for g2_over_g1 in (1.0, 1.5):
+        p = make_params(0.7, 1.021e-3, n=2, g2_over_g1=g2_over_g1)
+        n_ph, policy = 8, StepPolicy(dt_ns=0.010)
+        rows = trajectory_rows(p, 0.0, 0.0, n_ph=n_ph, policy=policy)
+        steps, dt = policy.resolve(p.t_g_ns)
+        fock = FockSpace(n_ph)
+        a = fock.annihilation()
+        plus = np.full(4, 0.5, dtype=complex)
+        state = CompositeState.from_parts(np.outer(plus, plus.conj()), fock.vacuum_rho())
+        h = build_hamiltonian(p, n_ph)
+        lam = [p.g1_rad_ns * s1 + p.g2_rad_ns * s2 for s1 in (1, -1) for s2 in (1, -1)]
+        done = 0
+        for k in [*range(steps // 40, steps, steps // 40), steps]:
+            state, _ = evolve_rk4(
+                state, h, p.kappa_per_ns, 0.0, 0.0, (k - done) * dt,
+                StepPolicy(dt_ns=dt, min_steps=1, max_steps=10**6),
+            )
+            done = k
+            unit = drive_frame_displacement(1.0, p.delta_rad_ns, p.kappa_per_ns, k * dt)
+            amps = [-lam_i * unit for lam_i in lam]
+            gen = sum(
+                np.kron(np.diag(np.eye(4)[i]), amp * a.conj().T - np.conj(amp) * a)
+                for i, amp in enumerate(amps)
+            )
+            disp = expm(gen)
+            cav = CompositeState(disp @ state.matrix @ disp.conj().T, n_ph).cavity_rho()
+            ref = 1.0 - cav[0, 0].real / np.trace(cav).real
+            # measured <= 5.1e-10 apart (RK4's own error at 10 ps); a transposed
+            # displacement moves the column by up to ~1e-5 (at ~0.85 t_g)
+            assert abs(rows[k]["polaron_residual"] - ref) < 1e-8, (g2_over_g1, k)
 
 
 def test_polaron_residual_small_on_schedule():
