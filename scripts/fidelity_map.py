@@ -3,7 +3,7 @@
 
 Runs the optimizer at every (Z_r, Q) grid point and writes one CSV row per
 point. With --numeric each point is re-checked against the master-equation
-solver (slow: a few seconds per point).
+solver (tens of milliseconds per point at the default Fock size).
 
 Example:
     python3 scripts/fidelity_map.py --out map.csv

@@ -96,7 +96,6 @@ from .sweep import (
     emit_results,
     evaluate_point,
     load_results,
-    optimize_point,
     resolve_operating_point,
     run_sweep,
 )

@@ -1,12 +1,12 @@
 """Run configuration: JSON ingestion, validation, and defaults.
 
 The config is a single flat JSON object; every key is optional and the
-empty object reproduces the reference operating point (6.5 GHz resonator,
-Z_r = 5 kOhm, Q = 20000, eps_a = 5 ueV, c_r = 0.18, S_eps = 1.4e-16
-eV^2/Hz^(1-beta), beta = 0.67, Hahn-echo eta). Keys carry their units in
-the name (omega_r_ghz, eps_a_uev, s_eps_ev2, dt_ps, ...). Unknown keys are
-rejected by name; bad ranges are rejected with the config path spelled out
-(e.g. "axes.q_factor.num").
+empty object gives RunConfig's defaults, the reference operating point.
+Keys carry their units in the name (omega_r_ghz, eps_a_uev, s_eps_ev2,
+dt_ps, ...). Each key's default and the rule its value must pass live
+together on its RunConfig field, and every value of a sweep axis passes the
+rule of the scalar key. Unknown keys are rejected by name; bad values are
+rejected with the config path spelled out (e.g. "axes.q_factor[1]").
 
 Two keys take structured values:
 
@@ -22,13 +22,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Any
 
 import numpy as np
 
+from .device import QubitTuning
 from .errors import ConfigError
-from .lindblad import CavityPrep
+from .lindblad import DEFAULT_TOP_LEVEL_THRESHOLD, CavityPrep, StepPolicy
+from .noise import NoiseSpec
 
 MODES = ("analytic", "simulate", "sweep", "optimize")
 FORMATS = ("csv", "json")
@@ -37,95 +40,6 @@ SWEEPABLE_KEYS = (
     "z_r_ohm", "q_factor", "omega_r_ghz", "eps_a_uev", "c_r",
     "j_ghz", "eps_d_over_eps_a", "s_eps_ev2", "beta", "n",
 )
-
-_DEFAULTS: dict[str, Any] = {
-    "mode": "analytic",
-    # device / qubit
-    "omega_r_ghz": 6.5,
-    "z_r_ohm": 5000.0,
-    "q_factor": 20000.0,
-    "eps_a_uev": 5.0,
-    "c_r": 0.18,
-    "j_ghz": None,              # fixed operating exchange; None -> optimized
-    "eps_d_over_eps_a": None,   # fixed drive amplitude; None -> optimized
-    # noise
-    "s_eps_ev2": 1.4e-16,
-    "beta": 0.67,
-    "eta": None,                # None -> Hahn-echo value for beta
-    # gate
-    "n": 2,
-    "delta_sign": 1,
-    # simulation
-    "n_ph": None,               # None -> default / amplitude-adaptive
-    "dt_ps": 20.0,
-    "min_steps": 200,
-    "max_steps": 10000,
-    "top_level_threshold": 1e-4,
-    "initial_cavity": "vacuum",
-    # optimizer
-    "j_min_ghz": 0.05,
-    "j_max_ghz": 30.0,
-    "refine": True,
-    "refine_tol": 1e-4,
-    # sweep / output
-    "axes": None,
-    "numeric": False,
-    "trajectory_out": None,
-    "out": None,
-    "format": "csv",
-    "seed": 0,
-    "jobs": 1,
-}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run configuration (flat mirror of the JSON schema)."""
-
-    mode: str = "analytic"
-    omega_r_ghz: float = 6.5
-    z_r_ohm: float = 5000.0
-    q_factor: float = 20000.0
-    eps_a_uev: float = 5.0
-    c_r: float = 0.18
-    j_ghz: float | None = None
-    eps_d_over_eps_a: float | None = None
-    s_eps_ev2: float = 1.4e-16
-    beta: float = 0.67
-    eta: float | None = None
-    n: int = 2
-    delta_sign: int = 1
-    n_ph: int | None = None
-    dt_ps: float = 20.0
-    min_steps: int = 200
-    max_steps: int = 10000
-    top_level_threshold: float = 1e-4
-    initial_cavity: CavityPrep = field(default_factory=CavityPrep.vacuum)
-    j_min_ghz: float = 0.05
-    j_max_ghz: float = 30.0
-    refine: bool = True
-    refine_tol: float = 1e-4
-    axes: tuple[tuple[str, tuple[float, ...]], ...] = ()
-    numeric: bool = False
-    trajectory_out: str | None = None
-    out: str | None = None
-    format: str = "csv"
-    seed: int = 0
-    jobs: int = 1
-
-    def to_json_dict(self) -> dict:
-        """Flat JSON-serializable echo of the resolved configuration."""
-        cav = self.initial_cavity
-        if cav.kind == "vacuum":
-            cav_repr: Any = "vacuum"
-        elif cav.kind == "coherent":
-            cav_repr = {"kind": "coherent", "alpha": [cav.alpha.real, cav.alpha.imag]}
-        else:
-            cav_repr = {"kind": "thermal", "n_bar": cav.n_bar, "samples": cav.samples}
-        out = {k: getattr(self, k) for k in _DEFAULTS if k not in ("initial_cavity", "axes")}
-        out["initial_cavity"] = cav_repr
-        out["axes"] = {name: list(values) for name, values in self.axes} or None
-        return out
 
 
 def _require_number(value, path, *, integer=False, positive=False,
@@ -141,6 +55,24 @@ def _require_number(value, path, *, integer=False, positive=False,
     if nonnegative and value < 0:
         raise ConfigError(f"{path}: must be non-negative, got {value!r}")
     return int(value) if integer else float(value)
+
+
+def _require_choice(value, path, *, allowed) -> str:
+    if value not in allowed:
+        raise ConfigError(f"{path}: expected one of {list(allowed)}, got {value!r}")
+    return value
+
+
+def _require_bool(value, path) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}: expected true/false, got {value!r}")
+    return value
+
+
+def _require_path(value, path) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string path, got {value!r}")
+    return value
 
 
 def _parse_cavity(value, path) -> CavityPrep:
@@ -167,22 +99,19 @@ def _parse_cavity(value, path) -> CavityPrep:
         extra = sorted(set(value) - allowed)
         if extra:
             raise ConfigError(f"{path}: unknown keys {extra} for thermal preparation")
-        n_bar = _require_number(value.get("n_bar", 0.0), f"{path}.n_bar", nonnegative=True)
-        samples = _require_number(
-            value.get("samples", 64), f"{path}.samples", integer=True, positive=True
-        )
-        return CavityPrep.thermal(n_bar, int(samples))
+        n_bar = _require_number(value.get("n_bar", CavityPrep.n_bar), f"{path}.n_bar",
+                                nonnegative=True)
+        samples = _require_number(value.get("samples", CavityPrep.samples),
+                                  f"{path}.samples", integer=True, positive=True)
+        return CavityPrep.thermal(n_bar, samples)
     raise ConfigError(
         f'{path}.kind: expected "coherent" or "thermal", got {kind!r}'
     )
 
 
-def _parse_axis(name, value) -> tuple[float, ...]:
+def _parse_axis(name, value) -> tuple:
+    """One axis's values, each checked by the rule of the scalar key ``name``."""
     path = f"axes.{name}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            raise ConfigError(f"{path}: range is empty")
-        return tuple(_require_number(v, f"{path}[{i}]") for i, v in enumerate(value))
     if isinstance(value, dict):
         allowed = {"start", "stop", "num", "spacing"}
         extra = sorted(set(value) - allowed)
@@ -193,7 +122,7 @@ def _parse_axis(name, value) -> tuple[float, ...]:
                 raise ConfigError(f"{path}: range object needs '{req}'")
         start = _require_number(value["start"], f"{path}.start")
         stop = _require_number(value["stop"], f"{path}.stop")
-        num = int(_require_number(value["num"], f"{path}.num", integer=True, positive=True))
+        num = _require_number(value["num"], f"{path}.num", integer=True, positive=True)
         spacing = value.get("spacing", "linear")
         if spacing == "linear":
             pts = np.linspace(start, stop, num)
@@ -203,107 +132,137 @@ def _parse_axis(name, value) -> tuple[float, ...]:
             pts = np.logspace(math.log10(start), math.log10(stop), num)
         else:
             raise ConfigError(f'{path}.spacing: expected "linear" or "log", got {spacing!r}')
-        return tuple(float(p) for p in pts)
-    raise ConfigError(f"{path}: expected a list of numbers or a range object, got {value!r}")
+        value = [float(p) for p in pts]
+    elif not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{path}: expected a list of numbers or a range object, got {value!r}")
+    elif not value:
+        raise ConfigError(f"{path}: range is empty")
+    rule = _FIELDS[name].metadata["parse"]
+    return tuple(rule(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+
+def _parse_axes(value, path) -> tuple[tuple[str, tuple], ...]:
+    if value is None:
+        return ()
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected an object, got {value!r}")
+    bad = sorted(set(value) - set(SWEEPABLE_KEYS))
+    if bad:
+        raise ConfigError(
+            f"{path}: {', '.join(bad)} not sweepable "
+            f"(sweepable: {', '.join(SWEEPABLE_KEYS)})"
+        )
+    return tuple((name, _parse_axis(name, values)) for name, values in value.items())
+
+
+def _key(default, parse, **rule):
+    """A config key: its default and its rule, parse(value, path, **rule).
+
+    The rule returns the value to store or raises a ConfigError naming the
+    path. A key whose default is None also takes null, as "not set".
+    """
+    return field(default=default, metadata={"parse": partial(parse, **rule)})
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Validated run configuration (flat mirror of the JSON schema).
+
+    The fields are the schema: each one's default is the key's default and
+    its metadata holds the rule config_from_dict checks the key's value by.
+    """
+
+    mode: str = _key("analytic", _require_choice, allowed=MODES)
+    # device / qubit; j_ghz, eps_d_over_eps_a None -> optimized
+    omega_r_ghz: float = _key(6.5, _require_number, positive=True)
+    z_r_ohm: float = _key(5000.0, _require_number, positive=True)
+    q_factor: float = _key(20000.0, _require_number, positive=True)
+    eps_a_uev: float = _key(5.0, _require_number, positive=True)
+    c_r: float = _key(QubitTuning.c_r, _require_number, positive=True)
+    j_ghz: float | None = _key(None, _require_number, positive=True)
+    eps_d_over_eps_a: float | None = _key(None, _require_number, positive=True)
+    # noise; eta None -> Hahn-echo value for beta
+    s_eps_ev2: float = _key(NoiseSpec.S_eps, _require_number, positive=True)
+    beta: float = _key(NoiseSpec.beta, _require_number, positive=True)
+    eta: float | None = _key(None, _require_number, positive=True)
+    # gate
+    n: int = _key(2, _require_number, integer=True, positive=True)
+    delta_sign: int = _key(1, _require_number, integer=True)
+    # simulation; n_ph None -> default / amplitude-adaptive
+    n_ph: int | None = _key(None, _require_number, integer=True)
+    dt_ps: float = _key(StepPolicy.dt_ns * 1e3, _require_number, positive=True)
+    min_steps: int = _key(StepPolicy.min_steps, _require_number, integer=True, positive=True)
+    max_steps: int = _key(StepPolicy.max_steps, _require_number, integer=True, positive=True)
+    top_level_threshold: float = _key(DEFAULT_TOP_LEVEL_THRESHOLD, _require_number,
+                                      positive=True)
+    initial_cavity: CavityPrep = _key(CavityPrep.vacuum(), _parse_cavity)
+    # optimizer
+    j_min_ghz: float = _key(0.05, _require_number, positive=True)
+    j_max_ghz: float = _key(30.0, _require_number, positive=True)
+    refine: bool = _key(True, _require_bool)
+    refine_tol: float = _key(1e-4, _require_number, positive=True)
+    # sweep / output
+    axes: tuple[tuple[str, tuple[float | int, ...]], ...] = _key((), _parse_axes)
+    numeric: bool = _key(False, _require_bool)
+    trajectory_out: str | None = _key(None, _require_path)
+    out: str | None = _key(None, _require_path)
+    format: str = _key("csv", _require_choice, allowed=FORMATS)
+    seed: int = _key(0, _require_number, integer=True, nonnegative=True)
+    jobs: int = _key(1, _require_number, integer=True, positive=True)
+
+    def to_json_dict(self) -> dict:
+        """Flat JSON-serializable echo of the resolved configuration."""
+        cav = self.initial_cavity
+        if cav.kind == "vacuum":
+            cav_repr: Any = "vacuum"
+        elif cav.kind == "coherent":
+            cav_repr = {"kind": "coherent", "alpha": [cav.alpha.real, cav.alpha.imag]}
+        else:
+            cav_repr = {"kind": "thermal", "n_bar": cav.n_bar, "samples": cav.samples}
+        out = {k: getattr(self, k) for k in _FIELDS if k not in ("initial_cavity", "axes")}
+        out["initial_cavity"] = cav_repr
+        out["axes"] = {name: list(values) for name, values in self.axes} or None
+        return out
+
+
+_FIELDS = {f.name: f for f in fields(RunConfig)}
 
 
 def config_from_dict(data: dict, *, source: str = "<config>") -> RunConfig:
-    """Validate a raw mapping and return a RunConfig with defaults applied."""
+    """Validate a raw mapping and return a RunConfig with defaults applied.
+
+    Each given value passes the rule of its RunConfig field, and every value
+    of a sweep axis passes the rule of the scalar key. The checks that
+    involve two keys, or narrow one key's rule, then run on the result.
+    """
     if not isinstance(data, dict):
         raise ConfigError(f"{source}: top level must be a JSON object")
-    unknown = sorted(set(data) - set(_DEFAULTS))
+    unknown = sorted(set(data) - set(_FIELDS))
     if unknown:
         raise ConfigError(
             f"{source}: unknown config keys: {', '.join(unknown)} "
-            f"(allowed: {', '.join(sorted(_DEFAULTS))})"
+            f"(allowed: {', '.join(sorted(_FIELDS))})"
         )
-    merged = dict(_DEFAULTS)
-    merged.update(data)
+    parsed = {
+        key: None if value is None and _FIELDS[key].default is None
+        else _FIELDS[key].metadata["parse"](value, key)
+        for key, value in data.items()
+    }
+    cfg = RunConfig(**parsed)
 
-    mode = merged["mode"]
-    if mode not in MODES:
-        raise ConfigError(f"mode: expected one of {list(MODES)}, got {mode!r}")
-    fmt = merged["format"]
-    if fmt not in FORMATS:
-        raise ConfigError(f"format: expected one of {list(FORMATS)}, got {fmt!r}")
-
-    def num(key, **kw):
-        return _require_number(merged[key], key, **kw)
-
-    def opt_num(key, **kw):
-        return None if merged[key] is None else _require_number(merged[key], key, **kw)
-
-    delta_sign = int(num("delta_sign", integer=True))
-    if delta_sign not in (1, -1):
-        raise ConfigError(f"delta_sign: expected +1 or -1, got {delta_sign}")
-
-    min_steps = int(num("min_steps", integer=True, positive=True))
-    max_steps = int(num("max_steps", integer=True, positive=True))
-    if max_steps < min_steps:
+    if cfg.delta_sign not in (1, -1):
+        raise ConfigError(f"delta_sign: expected +1 or -1, got {cfg.delta_sign}")
+    if cfg.max_steps < cfg.min_steps:
         raise ConfigError(
-            f"max_steps: must be >= min_steps ({min_steps}), got {max_steps}"
+            f"max_steps: must be >= min_steps ({cfg.min_steps}), got {cfg.max_steps}"
         )
-    j_min = num("j_min_ghz", positive=True)
-    j_max = num("j_max_ghz", positive=True)
-    if j_max <= j_min:
-        raise ConfigError(f"j_max_ghz: must exceed j_min_ghz ({j_min}), got {j_max}")
-
-    n_ph = opt_num("n_ph", integer=True)
-    if n_ph is not None and n_ph < 2:
-        raise ConfigError(f"n_ph: need at least 2 Fock levels, got {n_ph}")
-
-    axes_raw = merged["axes"]
-    axes: tuple[tuple[str, tuple[float, ...]], ...] = ()
-    if axes_raw is not None:
-        if not isinstance(axes_raw, dict):
-            raise ConfigError(f"axes: expected an object, got {axes_raw!r}")
-        bad = sorted(set(axes_raw) - set(SWEEPABLE_KEYS))
-        if bad:
-            raise ConfigError(
-                f"axes: {', '.join(bad)} not sweepable "
-                f"(sweepable: {', '.join(SWEEPABLE_KEYS)})"
-            )
-        axes = tuple((name, _parse_axis(name, value)) for name, value in axes_raw.items())
-
-    for key in ("trajectory_out", "out"):
-        if merged[key] is not None and not isinstance(merged[key], str):
-            raise ConfigError(f"{key}: expected a string path, got {merged[key]!r}")
-    for key in ("refine", "numeric"):
-        if not isinstance(merged[key], bool):
-            raise ConfigError(f"{key}: expected true/false, got {merged[key]!r}")
-
-    return RunConfig(
-        mode=mode,
-        omega_r_ghz=num("omega_r_ghz", positive=True),
-        z_r_ohm=num("z_r_ohm", positive=True),
-        q_factor=num("q_factor", positive=True),
-        eps_a_uev=num("eps_a_uev", positive=True),
-        c_r=num("c_r", positive=True),
-        j_ghz=opt_num("j_ghz", positive=True),
-        eps_d_over_eps_a=opt_num("eps_d_over_eps_a", positive=True),
-        s_eps_ev2=num("s_eps_ev2", positive=True),
-        beta=num("beta", positive=True),
-        eta=opt_num("eta", positive=True),
-        n=int(num("n", integer=True, positive=True)),
-        delta_sign=delta_sign,
-        n_ph=None if n_ph is None else int(n_ph),
-        dt_ps=num("dt_ps", positive=True),
-        min_steps=min_steps,
-        max_steps=max_steps,
-        top_level_threshold=num("top_level_threshold", positive=True),
-        initial_cavity=_parse_cavity(merged["initial_cavity"], "initial_cavity"),
-        j_min_ghz=j_min,
-        j_max_ghz=j_max,
-        refine=merged["refine"],
-        refine_tol=num("refine_tol", positive=True),
-        axes=axes,
-        numeric=merged["numeric"],
-        trajectory_out=merged["trajectory_out"],
-        out=merged["out"],
-        format=fmt,
-        seed=int(num("seed", integer=True, nonnegative=True)),
-        jobs=int(num("jobs", integer=True, positive=True)),
-    )
+    if cfg.j_max_ghz <= cfg.j_min_ghz:
+        raise ConfigError(
+            f"j_max_ghz: must exceed j_min_ghz ({cfg.j_min_ghz}), got {cfg.j_max_ghz}"
+        )
+    if cfg.n_ph is not None and cfg.n_ph < 2:
+        raise ConfigError(f"n_ph: need at least 2 Fock levels, got {cfg.n_ph}")
+    return cfg
 
 
 def read_config_file(path: str) -> dict:

@@ -354,8 +354,8 @@ class CavityPrep:
     def coherent(cls, alpha: complex) -> "CavityPrep":
         return cls(kind="coherent", alpha=complex(alpha))
 
-    @classmethod
-    def thermal(cls, n_bar: float, samples: int = 64) -> "CavityPrep":
+    @classmethod  # samples defaults to the field's default above
+    def thermal(cls, n_bar: float, samples: int = samples) -> "CavityPrep":
         return cls(kind="thermal", n_bar=n_bar, samples=samples)
 
 

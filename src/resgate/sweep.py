@@ -307,29 +307,9 @@ def _evaluate_point(cfg: RunConfig, seed: int) -> SweepRow:
     )
 
 
-def optimize_point(cfg: RunConfig, z_r_ohm: float, q_factor: float,
-                   *, seed: int | None = None) -> SweepRow:
-    """Closed-form optimum + refinement at one (Z_r, Q) grid point."""
-    return evaluate_point(replace(cfg, z_r_ohm=z_r_ohm, q_factor=q_factor),
-                          seed=seed)
-
-
-def _apply_overrides(cfg: RunConfig, overrides: dict) -> RunConfig:
-    fixed = {}
-    for key, value in overrides.items():
-        if key == "n":
-            if value != int(value):
-                raise DomainError(f"axis n: values must be integers, got {value}")
-            fixed[key] = int(value)
-        else:
-            fixed[key] = value
-    return replace(cfg, **fixed)
-
-
 def _point_worker(args) -> tuple[int, SweepRow]:
     cfg, index, overrides = args
-    return index, evaluate_point(_apply_overrides(cfg, overrides),
-                                 seed=cfg.seed + index)
+    return index, evaluate_point(replace(cfg, **overrides), seed=cfg.seed + index)
 
 
 def run_sweep(cfg: RunConfig) -> SweepResult:

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
+import re
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +31,6 @@ from resgate.sweep import (
     _objective,
     evaluate_point,
     load_results,
-    optimize_point,
     render_csv,
     render_json,
     resolve_operating_point,
@@ -67,6 +70,9 @@ def test_unknown_key_is_named():
          "axes.q_factor"),
         ({"initial_cavity": {"kind": "squeezed"}}, "initial_cavity"),
         ({"initial_cavity": {"kind": "thermal", "n_bar": -0.5}}, "n_bar"),
+        # an axis value passes the rule of its scalar key
+        ({"axes": {"q_factor": [1e4, -1.0]}}, "axes.q_factor"),
+        ({"axes": {"n": [2.5]}}, "axes.n"),
     ],
 )
 def test_rejections_carry_the_offending_path(payload, fragment):
@@ -87,6 +93,21 @@ def test_axis_forms():
     axes = dict(cfg.axes)
     assert axes["z_r_ohm"] == (50.0, 500.0)
     assert axes["q_factor"] == pytest.approx((1e3, 1e4, 1e5), rel=1e-12)
+    [(name, values)] = config_from_dict({"axes": {"n": [1, 3.0]}}, source="test").axes
+    assert (name, values) == ("n", (1, 3))
+    assert all(type(v) is int for v in values)
+
+
+def test_readme_config_table_lists_every_key_with_its_default():
+    # the README table is the one hand-written copy of the schema: a renamed
+    # key or a changed default must show up here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \|", section, flags=re.MULTILINE)
+    assert [key for key, _ in rows] == [f.name for f in fields(RunConfig)]
+    defaults = RunConfig().to_json_dict()
+    for key, cell in rows:
+        assert json.loads(cell) == defaults[key], key
 
 
 def test_coherent_cavity_forms():
@@ -209,6 +230,9 @@ def test_evaluate_point_captures_domain_errors():
     assert "error" in row.diagnostics
     assert "DomainError" in row.diagnostics["error"]
     assert math.isnan(row.f_analytic)
+    # the same value on a sweep axis passes config too, and fails the same way
+    (swept,) = run_sweep(config_from_dict({"axes": {"c_r": [1.5]}}, source="t")).rows
+    assert swept.diagnostics == row.diagnostics
 
 
 def test_single_loop_drops_power_law_only():
@@ -238,7 +262,7 @@ def test_run_sweep_ordering_and_parallel_equivalence():
 def test_sweep_single_point_equals_optimize():
     cfg = config_from_dict({"refine": False}, source="t")
     row_a = run_sweep(cfg).rows[0]
-    row_b = optimize_point(cfg, 5000.0, 20000.0)
+    row_b = evaluate_point(replace(cfg, z_r_ohm=5000.0, q_factor=20000.0))
     assert row_a.as_record() == row_b.as_record()
 
 
@@ -349,3 +373,25 @@ def test_cli_seed_override(tmp_path):
     assert main(["analytic", "--config", str(cfg), "--seed", "9", "--out", str(out2)]) == 0
     # analytic output is seed-independent
     assert out1.read_text() == out2.read_text()
+
+
+# --------------------------------------------------------------- scripts --
+
+
+@pytest.mark.parametrize(
+    "script, argv",
+    [
+        ("fidelity_map", ["--z", "5000", "--q-points", "2"]),
+        ("drive_tradeoff", ["--num", "2"]),
+    ],
+)
+def test_script_writes_its_grid(tmp_path, script, argv):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{script}.py"
+    spec = importlib.util.spec_from_file_location(script, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    out = tmp_path / "rows.csv"
+    assert module.main(argv + ["--out", str(out)]) == 0
+    lines = out.read_text().strip().split("\n")
+    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert len(lines) == 1 + 2
