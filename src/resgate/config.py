@@ -28,7 +28,7 @@ from typing import Any
 
 import numpy as np
 
-from .device import QubitTuning
+from .device import EXCHANGE_SOFT_MAX_GHZ, EXCHANGE_SOFT_MIN_GHZ, QubitTuning
 from .errors import ConfigError
 from .lindblad import DEFAULT_TOP_LEVEL_THRESHOLD, CavityPrep, StepPolicy
 from .noise import NoiseSpec
@@ -197,8 +197,8 @@ class RunConfig:
                                       positive=True)
     initial_cavity: CavityPrep = _key(CavityPrep.vacuum(), _parse_cavity)
     # optimizer
-    j_min_ghz: float = _key(0.05, _require_number, positive=True)
-    j_max_ghz: float = _key(30.0, _require_number, positive=True)
+    j_min_ghz: float = _key(EXCHANGE_SOFT_MIN_GHZ, _require_number, positive=True)
+    j_max_ghz: float = _key(EXCHANGE_SOFT_MAX_GHZ, _require_number, positive=True)
     refine: bool = _key(True, _require_bool)
     refine_tol: float = _key(1e-4, _require_number, positive=True)
     # sweep / output

@@ -28,11 +28,14 @@ from .errors import DomainError
 # extrapolating and we refuse to evaluate.
 EXCHANGE_WINDOW_EPS_A = 6.0
 
-# Soft validity band for the exchange energy itself. Values outside trigger a
-# warning (the exponential fit is only trusted between ~50 MHz and a few tens
-# of GHz); the optimizer uses the same band as its hard clamp window.
-EXCHANGE_SOFT_MIN_J = h_ghz_to_energy_J(0.050)  # h * 50 MHz
-EXCHANGE_SOFT_MAX_J = h_ghz_to_energy_J(30.0)  # h * 30 GHz
+# Soft validity band for the exchange energy itself, in GHz (J/h) and in J.
+# Values outside trigger a warning (the exponential fit is only trusted
+# between ~50 MHz and a few tens of GHz); the optimizer uses the same band as
+# its hard clamp window, and RunConfig's j_min_ghz/j_max_ghz default to it.
+EXCHANGE_SOFT_MIN_GHZ = 0.050
+EXCHANGE_SOFT_MAX_GHZ = 30.0
+EXCHANGE_SOFT_MIN_J = h_ghz_to_energy_J(EXCHANGE_SOFT_MIN_GHZ)
+EXCHANGE_SOFT_MAX_J = h_ghz_to_energy_J(EXCHANGE_SOFT_MAX_GHZ)
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,13 @@ basis: rho_ij -> C_ij rho_ij with C_ij = Tr[expm(L_ij t_g) cav].
 One block engine serves every production path: extract_channel, the
 trajectory dump (trajectory_rows) and the polaron check (polaron_residual)
 all step the blocks with expm(L_ij dt) on the StepPolicy grid and read
-their numbers off the blocks. evolve_rk4 integrates the full composite
-state and is kept only as the independent reference the tests compare
-against.
+their numbers off the blocks (_BlockTracks). Branches come in
+sign-reversed pairs (lam_{3-k} = -lam_k), and the cavity parity
+Pi = diag((-1)^m) maps L(lam_i, lam_j) onto L(-lam_i, -lam_j) exactly, so
+block (3-j, 3-i) is read off block (i, j) evolved from Pi cav Pi: one
+propagator per orbit of (i, j) <-> (3-j, 3-i), 4 with equal couplings and
+6 with unequal ones. evolve_rk4 integrates the full composite state and is
+kept only as the independent reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -103,12 +107,13 @@ class StepPolicy:
 
 @dataclass(frozen=True)
 class SimDiagnostics:
-    """Run health: populations, trace behavior, and failure flags."""
+    """Run health: populations, trace behavior, Fock size, and failure flags."""
 
     max_top_level_pop: float
     trace_drift: float
     steps: int
     dt_ns: float
+    n_ph: int
     top_level_threshold: float = DEFAULT_TOP_LEVEL_THRESHOLD
     failed: bool = False
     failure_reasons: tuple[str, ...] = ()
@@ -120,6 +125,7 @@ class SimDiagnostics:
             trace_drift=max(self.trace_drift, other.trace_drift),
             steps=max(self.steps, other.steps),
             dt_ns=max(self.dt_ns, other.dt_ns),
+            n_ph=max(self.n_ph, other.n_ph),
             top_level_threshold=min(self.top_level_threshold, other.top_level_threshold),
             failed=self.failed or other.failed,
             failure_reasons=self.failure_reasons + other.failure_reasons,
@@ -131,6 +137,7 @@ class SimDiagnostics:
             "trace_drift": self.trace_drift,
             "steps": self.steps,
             "dt_ns": self.dt_ns,
+            "n_ph": self.n_ph,
             "top_level_threshold": self.top_level_threshold,
             "failed": self.failed,
             "failure_reasons": list(self.failure_reasons),
@@ -281,6 +288,7 @@ def _run_health(
         trace_drift=max_drift,
         steps=steps,
         dt_ns=dt,
+        n_ph=n_ph,
         top_level_threshold=top_level_threshold,
         failed=bool(reasons),
         failure_reasons=tuple(reasons),
@@ -448,20 +456,94 @@ def _expm(m: np.ndarray) -> np.ndarray:
     return expm(m)
 
 
-def _stepped_blocks(generator, pairs: list, cav: np.ndarray, steps: int, dt: float):
-    """Yield the blocks expm(L(lam_i, lam_j) k dt) cav for k = 0..steps.
+# qubit index pairs (i, j) of the blocks on and above the diagonal, row-major;
+# those below are their adjoints
+_UPPER = tuple((int(i), int(j)) for i, j in zip(*np.triu_indices(4)))
+_CHUNK = 64  # grid steps held at once by _BlockTracks.diagonals
 
-    ``pairs`` lists amplitude pairs (lam_i, lam_j); each yield is one
-    (len(pairs), n_ph, n_ph) array, and all pairs advance by one batched
-    matmul per step. Dephasing is left out (see _block_generator).
+
+class _BlockTracks:
+    """The blocks expm(L(lam_i, lam_j) k dt) cav of _UPPER on a time grid.
+
+    Dephasing is left out (see _block_generator). blocks() yields the ten
+    (n_ph, n_ph) blocks at each grid step; diagonals() returns only their
+    diagonals, as one (steps + 1, 10, n_ph) array.
+
+    Orbit rule: branch 3 - k flips both Z signs of branch k, so
+    lam_{3-k} = -lam_k. With Pi = diag((-1)^m), Pi x Pi = -x and
+    Pi a (x) a Pi = a (x) a, so (Pi (x) Pi) L(lam_i, lam_j) (Pi (x) Pi) =
+    L(-lam_i, -lam_j); and the adjoint of a block evolves as the swapped
+    pair. Hence block (3-j, 3-i) is exactly Pi R^dag Pi, with R block (i, j)
+    evolved from Pi cav Pi: its trace is conj(Tr R), and for i = j its
+    populations are those of R. One expm(L dt) serves each orbit
+    {(i, j), (3-j, 3-i)} (and every pair with the same amplitudes), and
+    Pi cav Pi is stepped as a second track only where a mirrored pair reads
+    it and it differs from cav (coherent starts; not the vacuum). All tracks
+    advance by one batched matvec per step.
     """
-    n_ph = cav.shape[0]
-    props = np.stack([_expm(generator(*pair) * dt) for pair in pairs])
-    vecs = np.tile(cav.reshape(1, n_ph * n_ph, 1), (len(pairs), 1, 1))
-    for step in range(steps + 1):
-        if step:
-            vecs = props @ vecs
-        yield vecs.reshape(len(pairs), n_ph, n_ph)
+
+    def __init__(self, params: DerivedGateParams, cav: np.ndarray, dt: float):
+        n_ph = cav.shape[0]
+        lam = _branch_amplitudes(params)
+        self.flip = (-1.0) ** np.add.outer(np.arange(n_ph), np.arange(n_ph))  # Pi X Pi
+        inputs = [cav] if np.array_equal(self.flip * cav, cav) else [cav, self.flip * cav]
+        reps: list = []  # one amplitude pair per orbit
+        tracks: list = []  # (rep, input) actually stepped
+        reads: list = []  # (track, mirrored) per block of _UPPER
+        for i, j in _UPPER:
+            key, mirror = (lam[i], lam[j]), (-lam[j], -lam[i])
+            mirrored = key not in reps and mirror in reps
+            if not mirrored and key not in reps:
+                reps.append(key)
+            track = (reps.index(mirror), len(inputs) - 1) if mirrored else (reps.index(key), 0)
+            if track not in tracks:
+                tracks.append(track)
+            reads.append((tracks.index(track), mirrored))
+
+        generator = _block_generator(params, n_ph)
+        self.ops = np.stack([_expm(generator(*rep) * dt) for rep in reps])[
+            [r for r, _ in tracks]
+        ]
+        self.start = np.stack([inputs[inp].reshape(-1, 1) for _, inp in tracks])
+        # flat index of each block element in the stacked tracks; a mirrored
+        # block reads its track transposed
+        size = n_ph * n_ph
+        rows, cols = np.indices((n_ph, n_ph))
+        self.idx = np.array([t * size + (cols * n_ph + rows if m else rows * n_ph + cols)
+                             for t, m in reads])
+        self.mirrored = np.array([m for _, m in reads])
+
+    def blocks(self, steps: int):
+        """Yield the (10, n_ph, n_ph) blocks at grid steps 0..steps."""
+        vecs, mir = self.start, self.mirrored
+        for step in range(steps + 1):
+            if step:
+                vecs = self.ops @ vecs
+            out = vecs.reshape(-1)[self.idx]
+            out[mir] = self.flip * out[mir].conj()
+            yield out
+
+    def diagonals(self, steps: int) -> np.ndarray:
+        """(steps + 1, 10, n_ph) diagonals of the blocks.
+
+        Pi X Pi keeps a diagonal, so a mirrored one is only conjugated. The
+        tracks are stepped into a buffer of _CHUNK grid steps that is read
+        out once it fills, so each step is a single matvec call.
+        """
+        idx = np.diagonal(self.idx, axis1=1, axis2=2)
+        out = np.empty((steps + 1,) + idx.shape, dtype=complex)
+        states = np.empty((min(_CHUNK, steps + 1),) + self.start.shape, dtype=complex)
+        vecs = self.start
+        for first in range(0, steps + 1, _CHUNK):
+            count = min(_CHUNK, steps + 1 - first)
+            for k in range(count):
+                if first + k:
+                    vecs = np.matmul(self.ops, vecs, out=states[k])
+                else:
+                    states[0] = vecs
+            out[first:first + count] = states[:count].reshape(count, -1)[:, idx]
+        out[:, self.mirrored] = out[:, self.mirrored].conj()
+        return out
 
 
 def extract_channel(
@@ -481,14 +563,16 @@ def extract_channel(
     gamma_1, gamma_2 in 1/s. The channel is diagonal: rho_ij -> C_ij rho_ij
     with C_ij = exp(-c_ij t_g) Tr[expm(L(lam_i, lam_j) t_g) cav] (see
     _block_generator), where c_ij is gamma_k summed over the qubits k whose
-    Z eigenvalues differ between i and j, and C_ji = conj(C_ij). Blocks
-    above the diagonal are propagated in one step. Diagonal blocks are
-    stepped with expm(L dt) on the policy's time grid, so the guard-level
-    population and trace drift are checked as maxima over the whole gate,
-    not only at its end; for basis-state inputs the composite state is a
-    single diagonal block, so these maxima are the worst case over any
-    qubit input. Blocks with equal amplitudes (equal couplings) are
-    propagated once. For a thermal preparation this delegates to
+    Z eigenvalues differ between i and j, and C_ji = conj(C_ij). The ten
+    blocks on and above the diagonal are stepped with expm(L dt) on the
+    policy's time grid (_BlockTracks): one propagator per orbit of the
+    branch-flip symmetry (i, j) <-> (3-j, 3-i), which maps block (i, j)
+    evolved from Pi cav Pi onto block (3-j, 3-i) exactly, so 4 propagators
+    serve equal couplings and 6 unequal ones. The guard-level population and
+    trace drift are maxima over all four diagonal blocks at every grid step,
+    not only at the gate's end; for basis-state inputs the composite state is
+    a single diagonal block, so these maxima are the worst case over any
+    qubit input. For a thermal preparation this delegates to
     thermal_average_channel (which needs the seed).
     """
     prep = initial_cavity or CavityPrep.vacuum()
@@ -502,37 +586,23 @@ def extract_channel(
 
     cav = _initial_cavity(params, prep, n_ph)
     n_ph = cav.shape[0]
-    generator = _block_generator(params, n_ph)
-    lam = _branch_amplitudes(params)
     steps, dt = policy.resolve(params.t_g_ns)
 
-    distinct = list(dict.fromkeys(lam))
-    pops = np.array([  # (grid time, distinct block, Fock level)
-        np.einsum("bnn->bn", blocks).real
-        for blocks in _stepped_blocks(
-            generator, [(lam_b, lam_b) for lam_b in distinct], cav, steps, dt
-        )
-    ])
+    upper_i, upper_j = np.array(_UPPER).T
+    # (grid time, upper block, Fock level)
+    diags = _BlockTracks(params, cav, dt).diagonals(steps)
+    pops = diags[:, upper_i == upper_j].real
     totals = pops.sum(axis=2)
     diag = _run_health(
         float(pops[:, :, -1].max()), float(np.abs(totals - totals[:1]).max()),
         steps, dt, n_ph, top_level_threshold, trace_drift_tol,
     )
 
-    # (lam_i, lam_j) -> Tr of the propagated block, before dephasing
-    traces = {(lam_b, lam_b): tr for lam_b, tr in zip(distinct, totals[-1])}
-    rates = _dephasing_rates(gamma_1, gamma_2)
-    coh = np.diag(np.array([traces[lam_i, lam_i] for lam_i in lam], dtype=complex))
-    for i in range(4):
-        for j in range(i + 1, 4):
-            key = lam[i], lam[j]
-            if key not in traces:
-                traces[key] = np.trace(
-                    (_expm(generator(*key) * params.t_g_ns) @ cav.reshape(-1))
-                    .reshape(n_ph, n_ph)
-                )
-            coh[i, j] = math.exp(-rates[i, j] * params.t_g_ns) * traces[key]
-            coh[j, i] = np.conj(coh[i, j])
+    rates = _dephasing_rates(gamma_1, gamma_2)[upper_i, upper_j]
+    coh = np.zeros((4, 4), dtype=complex)
+    coh[upper_i, upper_j] = np.exp(-rates * params.t_g_ns) * diags[-1].sum(axis=1)
+    coh[upper_j, upper_i] = np.conj(coh[upper_i, upper_j])
+    coh[range(4), range(4)] = totals[-1]
     return TwoQubitChannel(superop=np.diag(coh.reshape(16))), diag
 
 
@@ -609,10 +679,13 @@ def trajectory_rows(
     Every number comes from the qubit blocks r_ij(t) =
     q_ij exp(-c_ij t) expm(L_ij t) cav: trace, mean_photon, top_level_pop
     and the residual from the four diagonal blocks, and the purity as
-    sum_ij ||r_ij||^2. The residual column is the same displaced-frame
-    ground-state defect polaron_residual() maximizes; for non-vacuum
-    preparations or gamma > 0 it is reported as-is rather than being
-    expected small.
+    sum_ij ||r_ij||^2. The ten blocks on and above the diagonal come from
+    _BlockTracks, so at most 6 propagators serve them (4 with equal
+    couplings): block (3-j, 3-i) is read off block (i, j) evolved from the
+    parity-flipped cavity, exactly. The residual column is the same
+    displaced-frame ground-state defect polaron_residual() maximizes; for
+    non-vacuum preparations or gamma > 0 it is reported as-is rather than
+    being expected small.
     """
     prep = initial_cavity or CavityPrep.vacuum()
     if prep.kind == "thermal":
@@ -628,24 +701,20 @@ def trajectory_rows(
     lam = _branch_amplitudes(params)
     steps, dt = policy.resolve(params.t_g_ns)
 
-    # blocks on and above the diagonal; those below are their adjoints
-    upper_i, upper_j = np.triu_indices(4)
-    pairs = list(dict.fromkeys((lam[i], lam[j]) for i, j in zip(upper_i, upper_j)))
-    pair_of = np.array([pairs.index((lam[i], lam[j])) for i, j in zip(upper_i, upper_j)])
-    diag_of = pair_of[upper_i == upper_j]
-    weight = np.abs(q[upper_i, upper_j]) ** 2 * np.where(upper_i == upper_j, 1.0, 2.0)
+    upper_i, upper_j = np.array(_UPPER).T
+    on_diag = upper_i == upper_j
+    weight = np.abs(q[upper_i, upper_j]) ** 2 * np.where(on_diag, 1.0, 2.0)
     rate = _dephasing_rates(gamma_1, gamma_2)[upper_i, upper_j]
     photons = np.arange(cav.shape[0])
 
     rows: list[dict] = []
-    blocks_in = _stepped_blocks(_block_generator(params, cav.shape[0]), pairs, cav, steps, dt)
-    for step, blocks in enumerate(blocks_in):
+    for step, blocks in enumerate(_BlockTracks(params, cav, dt).blocks(steps)):
         if step % stride and step != steps:
             continue
         t_now = step * dt
-        r_diag = np.diagonal(q)[:, None, None] * blocks[diag_of]
+        r_diag = np.diagonal(q)[:, None, None] * blocks[on_diag]
         pops = np.einsum("inn->in", r_diag).real
-        sq_norms = (np.abs(blocks) ** 2).sum(axis=(1, 2))[pair_of]
+        sq_norms = (np.abs(blocks) ** 2).sum(axis=(1, 2))
         rows.append({
             "t_ns": t_now,
             "trace": float(pops.sum()),

@@ -18,6 +18,7 @@ from resgate import (
     ResonatorSpec,
     analytic_avg_fidelity,
     b_factor,
+    choose_n_ph,
     dephasing_rate,
     derive_gate_params,
     sweep,
@@ -287,6 +288,28 @@ def test_csv_and_json_rendering(tmp_path):
     assert len(back["rows"]) == 2
     assert back["rows"][0]["q"] == 1e4
     assert back["config"]["q_factor"] == 20000.0
+
+
+def test_numeric_json_row_reports_its_fock_size(tmp_path):
+    # with n_ph null a coherent start sizes its Fock space from the reachable
+    # amplitude; the JSON row says which size ran, and reruns stay identical
+    alpha = 0.6 - 0.3j
+    cfg = config_from_dict({
+        "numeric": True, "refine": False,
+        "initial_cavity": {"kind": "coherent", "alpha": [alpha.real, alpha.imag]},
+    }, source="t")
+    p = resolve_operating_point(cfg).params
+    radius = 2.0 * p.g_geom_rad_ns / math.hypot(p.delta_rad_ns, p.kappa_per_ns)
+    result = run_sweep(cfg)
+    json_text = render_json(result)
+    assert render_json(run_sweep(cfg)) == json_text
+    path = tmp_path / "rows.json"
+    path.write_text(json_text)
+    (row,) = load_results(path)["rows"]
+    assert row["diagnostics"]["n_ph"] == choose_n_ph(abs(alpha) + radius) > 6
+    # the CSV columns stay as they were
+    assert render_csv(result).split("\n")[0] == ",".join(CSV_COLUMNS)
+    assert "n_ph" not in CSV_COLUMNS
 
 
 # ------------------------------------------------------------------- cli --

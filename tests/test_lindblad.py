@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import resgate
 from resgate import (
@@ -30,6 +32,7 @@ from resgate import (
     thermal_average_channel,
     trajectory_rows,
 )
+from resgate import lindblad
 from resgate.errors import DomainError
 
 from conftest import make_params
@@ -222,6 +225,121 @@ def test_extract_channel_matches_rk4_reference(p, gamma_1, gamma_2, alpha):
     assert np.max(np.abs(chan.superop_matrix() - ref)) < 1e-6
 
 
+_BRANCHES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def _dense_block_generator(p, n_ph, lam_i, lam_j):
+    """L(lam_i, lam_j) from scratch: r -> -i(H_i r - r H_j) + kappa(2 a r a^dag - n r - r n),
+    H = Delta n + (lam/2)(a + a^dag), as a matrix on row-major vec(r)."""
+    fock = FockSpace(n_ph)
+    a, num, eye = fock.annihilation(), fock.number_op(), np.eye(n_ph)
+
+    def h(lam):
+        return p.delta_rad_ns * num + 0.5 * lam * (a + a.conj().T)
+
+    return (-1j * (np.kron(h(lam_i), eye) - np.kron(eye, h(lam_j).T))
+            + p.kappa_per_ns * (2.0 * np.kron(a, a.conj()) - np.kron(num, eye)
+                                - np.kron(eye, num.T)))
+
+
+def _branch_lams(p):
+    return [p.g1_rad_ns * s1 + p.g2_rad_ns * s2 for s1, s2 in _BRANCHES]
+
+
+def _dense_reference_superop(p, gamma_1, gamma_2, cav):
+    """Channel with each block on or above the diagonal propagated by its own
+    dense expm(L(lam_i, lam_j) t_g): no stepping and no symmetry used."""
+    from scipy.linalg import expm
+
+    n_ph, lam = cav.shape[0], _branch_lams(p)
+    coh = np.zeros((4, 4), dtype=complex)
+    for i in range(4):
+        for j in range(i, 4):
+            rate = 1e-9 * sum(g for g, si, sj in zip((gamma_1, gamma_2), _BRANCHES[i],
+                                                      _BRANCHES[j]) if si != sj)
+            block = expm(_dense_block_generator(p, n_ph, lam[i], lam[j]) * p.t_g_ns)
+            coh[i, j] = math.exp(-rate * p.t_g_ns) * np.trace(
+                (block @ cav.reshape(-1)).reshape(n_ph, n_ph))
+            coh[j, i] = np.conj(coh[i, j])
+    return np.diag(coh.reshape(16))
+
+
+@given(
+    g2_over_g1=st.floats(min_value=0.3, max_value=3.0),
+    delta_sign=st.sampled_from([1, -1]),
+    n=st.integers(min_value=1, max_value=4),
+    gamma_1=st.floats(min_value=0.0, max_value=3e6),
+    gamma_2=st.floats(min_value=0.0, max_value=3e6),
+    alpha=st.one_of(
+        st.none(),
+        st.tuples(st.sampled_from([1, -1]), st.floats(min_value=0.05, max_value=0.8),
+                  st.sampled_from([1, -1]), st.floats(min_value=0.05, max_value=0.8)),
+    ),
+    n_ph=st.integers(min_value=4, max_value=7),
+)
+@settings(max_examples=30, deadline=None)
+def test_extract_channel_orbit_rule_matches_dense_blocks(
+    g2_over_g1, delta_sign, n, gamma_1, gamma_2, alpha, n_ph
+):
+    # every block on and above the diagonal against its own dense expm over
+    # the whole gate, for vacuum and for coherent starts off both axes
+    assume(gamma_1 != gamma_2)
+    p = make_params(0.7, 5e-3, n=n, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
+    fock = FockSpace(n_ph)
+    if alpha is None:
+        prep, cav = CavityPrep.vacuum(), fock.vacuum_rho()
+    else:
+        beta = complex(alpha[0] * alpha[1], alpha[2] * alpha[3])
+        prep, cav = CavityPrep.coherent(beta), fock.coherent_rho(beta)
+    chan, _ = extract_channel(p, gamma_1, gamma_2, prep, n_ph=n_ph)
+    ref = _dense_reference_superop(p, gamma_1, gamma_2, cav)
+    assert np.max(np.abs(chan.superop_matrix() - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("g2_over_g1", [1.0, 1.5])
+def test_extract_channel_guard_reads_mirrored_branches(g2_over_g1):
+    # this start sends |11>, whose block is read off the mirrored track of
+    # |00>, far up the ladder (~1.5e-3 in the guard level against ~1e-5 for
+    # |00>): the guard maximum must be the dense per-branch stepping maximum
+    from scipy.linalg import expm
+
+    p = make_params(0.7, 5e-3, n=2, g2_over_g1=g2_over_g1)
+    alpha, n_ph = -0.5 + 0.5j, 8
+    cav = FockSpace(n_ph).coherent_rho(alpha)
+    steps, dt = StepPolicy().resolve(p.t_g_ns)
+    worst = []
+    for lam in _branch_lams(p):
+        prop = expm(_dense_block_generator(p, n_ph, lam, lam) * dt)
+        vec, top = cav.reshape(-1), 0.0
+        for step in range(steps + 1):
+            if step:
+                vec = prop @ vec
+            top = max(top, vec[-1].real)
+        worst.append(top)
+    assert int(np.argmax(worst)) == 3 and worst[3] > 100 * worst[0]
+    _, diag = extract_channel(p, 0.0, 0.0, CavityPrep.coherent(alpha), n_ph=n_ph)
+    assert diag.max_top_level_pop == pytest.approx(worst[3], rel=1e-12)
+
+
+@pytest.mark.parametrize("g2_over_g1, expected", [(1.0, 4), (1.5, 6)])
+def test_extract_channel_builds_one_propagator_per_orbit(monkeypatch, g2_over_g1, expected):
+    # one expm(L dt) per orbit of (i, j) <-> (3-j, 3-i), none over the whole gate
+    p = make_params(0.7, 5e-3, n=2, g2_over_g1=g2_over_g1)
+    _, dt = StepPolicy().resolve(p.t_g_ns)
+    lam = _branch_lams(p)
+    steps_dt = [_dense_block_generator(p, 6, lam[i], lam[j]) * dt
+                for i in range(4) for j in range(i, 4)]
+    args = []
+    real_expm = lindblad._expm
+    monkeypatch.setattr(lindblad, "_expm", lambda m: args.append(m) or real_expm(m))
+    for prep in (CavityPrep.vacuum(), CavityPrep.coherent(0.3 - 0.2j)):
+        args.clear()
+        extract_channel(p, 1e6, 2e6, prep, n_ph=6)
+        assert len(args) == expected
+        assert all(any(np.allclose(m, ref, rtol=0.0, atol=1e-14) for ref in steps_dt)
+                   for m in args)
+
+
 def test_extract_channel_guard_is_max_over_gate():
     # the guard level fills to ~1e-5 mid-gate and empties to ~7e-8 by t_g:
     # only a check over the whole gate flags it
@@ -375,6 +493,25 @@ def test_thermal_channel_deterministic_and_continuous():
     vac = extract_channel(p, 0.0, 0.0, n_ph=6)[0].superop_matrix()
     zero = thermal_average_channel(p, 0.0, 3, 11, n_ph=6)[0].superop_matrix()
     assert np.array_equal(vac, zero)
+
+
+def test_thermal_diagnostics_report_the_largest_fock_size(monkeypatch):
+    # each Monte-Carlo sample sizes its own Fock space; the merged
+    # diagnostics report the largest one that ran
+    p = make_params(0.7, 1e-3, n=2)
+    sizes = []
+    real_extract = lindblad.extract_channel
+
+    def recording(*args, **kwargs):
+        chan, diag = real_extract(*args, **kwargs)
+        sizes.append(diag.n_ph)
+        return chan, diag
+
+    monkeypatch.setattr(lindblad, "extract_channel", recording)
+    _, diag = thermal_average_channel(p, 0.2, 2, 1)
+    assert len(sizes) == 2 and len(set(sizes)) > 1
+    assert diag.n_ph == max(sizes)
+    assert diag.to_json_dict()["n_ph"] == max(sizes)
 
 
 def test_composite_state_partial_traces():

@@ -16,7 +16,8 @@ from resgate import (
     infidelity_power_law,
     optimal_drive,
 )
-from resgate.constants import EV_TO_J, uev_to_J
+from resgate.config import RunConfig
+from resgate.constants import EV_TO_J, h_ghz_to_energy_J, uev_to_J
 from resgate.device import EXCHANGE_SOFT_MAX_J, EXCHANGE_SOFT_MIN_J
 from resgate.errors import DomainError
 
@@ -114,6 +115,10 @@ def test_optimal_drive_clamps_and_flags(noise, eps_a):
     assert tight.J_opt_unclamped == wide.J_opt
     assert not (EXCHANGE_SOFT_MIN_J <= 0.0)  # sanity on the imported band edges
     assert EXCHANGE_SOFT_MIN_J < EXCHANGE_SOFT_MAX_J
+    # the config's default clamp window is the band the device layer warns on
+    cfg = RunConfig()
+    assert (h_ghz_to_energy_J(cfg.j_min_ghz), h_ghz_to_energy_J(cfg.j_max_ghz)) == (
+        EXCHANGE_SOFT_MIN_J, EXCHANGE_SOFT_MAX_J)
 
 
 def test_optimal_drive_rejects_degenerate_exponents(eps_a):
