@@ -54,7 +54,6 @@ from .device import (
 )
 from .errors import ConfigError, DomainError, NonPhysicalChannelError
 from .fidelity import (
-    PAULI_BASIS,
     PRODUCT_STATES,
     FidelityReport,
     LocalZFit,

@@ -23,7 +23,7 @@ import sys
 
 from .config import config_from_dict, read_config_file
 from .errors import ConfigError, DomainError
-from .lindblad import StepPolicy, trajectory_rows
+from .lindblad import trajectory_rows
 from .sweep import SweepResult, emit_results, evaluate_point, resolve_operating_point, run_sweep
 
 TRAJECTORY_COLUMNS = (
@@ -64,9 +64,7 @@ def _write_trajectory(cfg, path: str) -> None:
     op = resolve_operating_point(cfg)
     rows = trajectory_rows(
         op.params, op.gamma_phi, op.gamma_phi, cfg.initial_cavity,
-        n_ph=cfg.n_ph,
-        policy=StepPolicy(dt_ns=cfg.dt_ps * 1e-3, min_steps=cfg.min_steps,
-                          max_steps=cfg.max_steps),
+        n_ph=cfg.n_ph, policy=cfg.step_policy(),
     )
     lines = [",".join(TRAJECTORY_COLUMNS)]
     lines += [

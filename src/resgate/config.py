@@ -210,6 +210,11 @@ class RunConfig:
     seed: int = _key(0, _require_number, integer=True, nonnegative=True)
     jobs: int = _key(1, _require_number, integer=True, positive=True)
 
+    def step_policy(self) -> StepPolicy:
+        """The solver's time grid: dt_ps, clamped to [min_steps, max_steps]."""
+        return StepPolicy(dt_ns=self.dt_ps * 1e-3, min_steps=self.min_steps,
+                          max_steps=self.max_steps)
+
     def to_json_dict(self) -> dict:
         """Flat JSON-serializable echo of the resolved configuration."""
         cav = self.initial_cavity

@@ -1,11 +1,13 @@
 """Entanglement and average gate fidelity of two-qubit channels.
 
-F_e(N, U) = (1/16) sum_mu Tr[B_mu^dag (U^-1 . N)(B_mu)] over any
-trace-orthonormal operator basis {B_mu}; the average gate fidelity follows
-from F_avg = (4 F_e + 1)/5. Two independent basis routes are provided: the
-normalized two-qubit Pauli basis (the workhorse) and the 16 tensor products
-of {|0>, |1>, |+>, |+i>} density matrices orthonormalized through their Gram
-matrix (the tomography-style route, used as a cross-check).
+F_e(N, U) = Tr[S_U^dag S_N] / 16, with S the 16x16 superoperators of the
+channel N and the target unitary U; the average gate fidelity follows from
+F_avg = (4 F_e + 1)/5. That trace is the one scoring kernel: both
+entanglement_fidelity and average_gate_fidelity (and so fit_local_z's
+report) compute it. entanglement_fidelity_product_basis is an independent
+route kept for cross-checks: it scores the channel on the 16 tensor
+products of {|0>, |1>, |+>, |+i>} density matrices, orthonormalized
+through their Gram matrix.
 
 The default target is the symmetric geometric-phase unitary exp(i pi/4 Z1Z2);
 ``textbook_cphase=True`` instead scores against diag(1,1,1,-1), appending the
@@ -31,10 +33,6 @@ from .channel import (
 )
 from .errors import DomainError
 
-_P1 = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
-# Trace-orthonormal two-qubit Pauli basis: Tr[B_mu^dag B_nu] = delta_mu_nu.
-PAULI_BASIS = tuple(0.5 * np.kron(a, b).astype(complex) for a in _P1 for b in _P1)
-
 _S1 = [
     np.array([1.0, 0.0], dtype=complex),
     np.array([0.0, 1.0], dtype=complex),
@@ -49,27 +47,13 @@ PRODUCT_STATES = tuple(
 
 @dataclass(frozen=True)
 class FidelityReport:
-    """Entanglement fidelity, average gate fidelity, and per-basis residuals.
-
-    basis_residuals[mu] = |Im Tr[B_mu^dag N'(B_mu)]| over the Pauli basis —
-    identically zero for an exactly Hermiticity-preserving map, so it
-    measures how asymmetric the reconstructed channel is numerically.
-    """
+    """Entanglement fidelity and the average gate fidelity it implies."""
 
     f_e: float
-    f_avg: float
-    basis_residuals: np.ndarray
 
-    def __post_init__(self):
-        if abs(self.f_avg - (4.0 * self.f_e + 1.0) / 5.0) > 1e-12:
-            raise DomainError("F_avg must equal (4 F_e + 1)/5")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "f_e": float(self.f_e),
-            "f_avg": float(self.f_avg),
-            "basis_residuals": [float(r) for r in np.asarray(self.basis_residuals)],
-        }
+    @property
+    def f_avg(self) -> float:
+        return (4.0 * self.f_e + 1.0) / 5.0
 
 
 def _resolve_target(
@@ -99,15 +83,14 @@ def entanglement_fidelity(
 ) -> float:
     """F_e of the channel against the target unitary (default: phase pi/4 gate).
 
-    Computed as the normalized trace of the noise superoperator
-    U^-1 . N; raises NonPhysicalChannelError (with the Choi spectrum) when
-    the channel fails the CPTP check and ``validate`` is on.
+    Computed as Tr[S_U^dag S_N] / 16, the normalized trace of the noise
+    superoperator U^-1 . N; raises NonPhysicalChannelError (with the Choi
+    spectrum) when the channel fails the CPTP check and ``validate`` is on.
     """
     channel, tmat = _resolve_target(channel, target, textbook_cphase)
     if validate:
         channel.validate()
-    s_noise = _unitary_superop(tmat).conj().T @ channel.superop_matrix()
-    f_e = np.trace(s_noise) / 16.0
+    f_e = np.vdot(_unitary_superop(tmat), channel.superop_matrix()) / 16.0
     assert abs(f_e.imag) < 1e-10, f"entanglement fidelity has imaginary part {f_e.imag:+.3e}"
     return float(f_e.real)
 
@@ -121,8 +104,8 @@ def entanglement_fidelity_product_basis(
     With inputs rho_i spanning operator space, any orthonormalization
     B_mu = sum_i rho_i W_i_mu with W W^dag = G^-1 (G the Gram matrix) gives
     sum_mu Tr[B_mu^dag N'(B_mu)] = Tr[G^-1 M], M_ij = Tr[rho_i^dag N'(rho_j)].
-    Agrees with the Pauli-basis value to rounding; kept as an independent
-    route that scores a channel on physical input states, not Paulis.
+    Agrees with entanglement_fidelity to rounding; kept as an independent
+    route that scores a channel on physical input states.
     """
     channel, tmat = _resolve_target(channel, target, textbook_cphase)
     if validate:
@@ -145,19 +128,8 @@ def average_gate_fidelity(
     validate: bool = True,
 ) -> FidelityReport:
     """FidelityReport against the target unitary (default: phase pi/4 gate)."""
-    channel, tmat = _resolve_target(channel, target, textbook_cphase)
-    if validate:
-        channel.validate()
-    tinv = tmat.conj().T
-    terms = np.array(
-        [np.trace(b.conj().T @ (tinv @ channel.apply(b) @ tmat)) for b in PAULI_BASIS]
-    )
-    f_e = float(terms.sum().real) / 16.0
-    return FidelityReport(
-        f_e=f_e,
-        f_avg=(4.0 * f_e + 1.0) / 5.0,
-        basis_residuals=np.abs(terms.imag),
-    )
+    return FidelityReport(f_e=entanglement_fidelity(
+        channel, target, textbook_cphase=textbook_cphase, validate=validate))
 
 
 _COARSE_GRID = 25  # seed grid points per angle for fit_local_z

@@ -27,14 +27,18 @@ effective two-qubit channel is therefore diagonal in the row-major vec
 basis: rho_ij -> C_ij rho_ij with C_ij = Tr[expm(L_ij t_g) cav].
 One block engine serves every production path: extract_channel, the
 trajectory dump (trajectory_rows) and the polaron check (polaron_residual)
-all step the blocks with expm(L_ij dt) on the StepPolicy grid and read
-their numbers off the blocks (_BlockTracks). Branches come in
-sign-reversed pairs (lam_{3-k} = -lam_k), and the cavity parity
-Pi = diag((-1)^m) maps L(lam_i, lam_j) onto L(-lam_i, -lam_j) exactly, so
-block (3-j, 3-i) is read off block (i, j) evolved from Pi cav Pi: one
-propagator per orbit of (i, j) <-> (3-j, 3-i), 4 with equal couplings and
-6 with unequal ones. evolve_rk4 integrates the full composite state and is
-kept only as the independent reference the tests compare against.
+all step the blocks with expm(L_ij dt) on the StepPolicy grid through one
+stepper (_BlockTracks.run) and read their numbers off the blocks.
+Branches come in sign-reversed pairs (lam_{3-k} = -lam_k), and the cavity
+parity Pi = diag((-1)^m) maps L(lam_i, lam_j) onto L(-lam_i, -lam_j)
+exactly, so block (3-j, 3-i) is read off block (i, j) evolved from
+Pi cav Pi: one propagator per orbit of (i, j) <-> (3-j, 3-i), 4 with equal
+couplings and 6 with unequal ones. The truncated block generator preserves
+the trace exactly (Tr(a r a^dag) = Tr(n r), and a commutator is
+traceless), so the block engine checks only the guard-level population.
+evolve_rk4 integrates the full composite state, checks its own trace drift
+(pure integrator error) and is kept only as the independent reference the
+tests compare against.
 """
 
 from __future__ import annotations
@@ -107,10 +111,9 @@ class StepPolicy:
 
 @dataclass(frozen=True)
 class SimDiagnostics:
-    """Run health: populations, trace behavior, Fock size, and failure flags."""
+    """Run health: guard-level population, grid, Fock size, and failure flags."""
 
     max_top_level_pop: float
-    trace_drift: float
     steps: int
     dt_ns: float
     n_ph: int
@@ -122,7 +125,6 @@ class SimDiagnostics:
         """Worst-case combination (used when aggregating Monte-Carlo samples)."""
         return SimDiagnostics(
             max_top_level_pop=max(self.max_top_level_pop, other.max_top_level_pop),
-            trace_drift=max(self.trace_drift, other.trace_drift),
             steps=max(self.steps, other.steps),
             dt_ns=max(self.dt_ns, other.dt_ns),
             n_ph=max(self.n_ph, other.n_ph),
@@ -134,7 +136,6 @@ class SimDiagnostics:
     def to_json_dict(self) -> dict:
         return {
             "max_top_level_pop": self.max_top_level_pop,
-            "trace_drift": self.trace_drift,
             "steps": self.steps,
             "dt_ns": self.dt_ns,
             "n_ph": self.n_ph,
@@ -191,17 +192,6 @@ class CompositeState:
     def cavity_rho(self) -> np.ndarray:
         r = self.matrix.reshape(4, self.n_ph, 4, self.n_ph)
         return np.einsum("inim->nm", r)
-
-    def validate(
-        self, herm_tol: float = 1e-10, trace_tol: float = 1e-8, eig_tol: float = 1e-7
-    ) -> None:
-        m = self.matrix
-        if np.max(np.abs(m - m.conj().T)) > herm_tol:
-            raise DomainError("composite state is not Hermitian within tolerance")
-        if abs(np.trace(m).real - 1.0) > trace_tol:
-            raise DomainError("composite state trace differs from 1 beyond tolerance")
-        if np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0] < -eig_tol:
-            raise DomainError("composite state has a negative eigenvalue beyond tolerance")
 
 
 def _full_ops(n_ph: int) -> dict:
@@ -271,13 +261,12 @@ def _hermitize(rho: np.ndarray) -> np.ndarray:
 
 
 def _run_health(
-    max_top: float, max_drift: float, steps: int, dt: float, n_ph: int,
-    top_level_threshold: float, trace_drift_tol: float,
+    max_top: float, steps: int, dt: float, n_ph: int, top_level_threshold: float,
+    reasons: tuple[str, ...] = (),
 ) -> SimDiagnostics:
-    """Diagnostics from the worst guard-level population and trace drift of a run."""
-    reasons = []
-    if max_drift > trace_drift_tol:
-        reasons.append(f"trace drift {max_drift:.3e} exceeds {trace_drift_tol:.0e}")
+    """Diagnostics from the worst guard-level population of a run, after any
+    failure ``reasons`` the caller found first."""
+    reasons = list(reasons)
     if max_top > top_level_threshold:
         reasons.append(
             f"top Fock level population {max_top:.3e} exceeds {top_level_threshold:.0e} "
@@ -285,7 +274,6 @@ def _run_health(
         )
     return SimDiagnostics(
         max_top_level_pop=max_top,
-        trace_drift=max_drift,
         steps=steps,
         dt_ns=dt,
         n_ph=n_ph,
@@ -332,8 +320,11 @@ def evolve_rk4(
         pops = np.diagonal(rho).real
         max_top = max(max_top, float(pops[n_ph - 1::n_ph].sum()))
         max_drift = max(max_drift, abs(float(pops.sum()) - init_trace))
+    reasons = ()
+    if max_drift > trace_drift_tol:
+        reasons = (f"trace drift {max_drift:.3e} exceeds {trace_drift_tol:.0e}",)
     return CompositeState(matrix=rho, n_ph=n_ph), _run_health(
-        max_top, max_drift, steps, dt, n_ph, top_level_threshold, trace_drift_tol
+        max_top, steps, dt, n_ph, top_level_threshold, reasons
     )
 
 
@@ -459,15 +450,16 @@ def _expm(m: np.ndarray) -> np.ndarray:
 # qubit index pairs (i, j) of the blocks on and above the diagonal, row-major;
 # those below are their adjoints
 _UPPER = tuple((int(i), int(j)) for i, j in zip(*np.triu_indices(4)))
-_CHUNK = 64  # grid steps held at once by _BlockTracks.diagonals
+_CHUNK = 64  # grid steps held at once by _BlockTracks.run
 
 
 class _BlockTracks:
     """The blocks expm(L(lam_i, lam_j) k dt) cav of _UPPER on a time grid.
 
-    Dephasing is left out (see _block_generator). blocks() yields the ten
-    (n_ph, n_ph) blocks at each grid step; diagonals() returns only their
-    diagonals, as one (steps + 1, 10, n_ph) array.
+    Dephasing is left out (see _block_generator). run() steps the tracks
+    and yields their states; blocks() reads the ten (n_ph, n_ph) blocks off
+    them, and guard holds where the guard-level populations of the four
+    diagonal blocks sit in a state.
 
     Orbit rule: branch 3 - k flips both Z signs of branch k, so
     lam_{3-k} = -lam_k. With Pi = diag((-1)^m), Pi x Pi = -x and
@@ -505,33 +497,25 @@ class _BlockTracks:
             [r for r, _ in tracks]
         ]
         self.start = np.stack([inputs[inp].reshape(-1, 1) for _, inp in tracks])
-        # flat index of each block element in the stacked tracks; a mirrored
-        # block reads its track transposed
+        # flat index of each block element in a state; a mirrored block reads
+        # its track transposed
         size = n_ph * n_ph
         rows, cols = np.indices((n_ph, n_ph))
         self.idx = np.array([t * size + (cols * n_ph + rows if m else rows * n_ph + cols)
                              for t, m in reads])
         self.mirrored = np.array([m for _, m in reads])
+        # Pi X Pi keeps a diagonal and a guard population is real, so a
+        # mirrored diagonal block's guard level is read off its track as is
+        self.guard = self.idx[[i == j for i, j in _UPPER], -1, -1]
 
-    def blocks(self, steps: int):
-        """Yield the (10, n_ph, n_ph) blocks at grid steps 0..steps."""
-        vecs, mir = self.start, self.mirrored
-        for step in range(steps + 1):
-            if step:
-                vecs = self.ops @ vecs
-            out = vecs.reshape(-1)[self.idx]
-            out[mir] = self.flip * out[mir].conj()
-            yield out
+    def run(self, steps: int):
+        """Yield (first, states) for grid steps 0..steps, in chunks.
 
-    def diagonals(self, steps: int) -> np.ndarray:
-        """(steps + 1, 10, n_ph) diagonals of the blocks.
-
-        Pi X Pi keeps a diagonal, so a mirrored one is only conjugated. The
-        tracks are stepped into a buffer of _CHUNK grid steps that is read
-        out once it fills, so each step is a single matvec call.
+        states is a (count, tracks * n_ph^2) view of one buffer of _CHUNK
+        grid steps, holding the steps first, first + 1, ...; it is
+        overwritten by the next chunk, so read it before asking for that.
+        Each step is a single matvec call into the buffer.
         """
-        idx = np.diagonal(self.idx, axis1=1, axis2=2)
-        out = np.empty((steps + 1,) + idx.shape, dtype=complex)
         states = np.empty((min(_CHUNK, steps + 1),) + self.start.shape, dtype=complex)
         vecs = self.start
         for first in range(0, steps + 1, _CHUNK):
@@ -541,8 +525,12 @@ class _BlockTracks:
                     vecs = np.matmul(self.ops, vecs, out=states[k])
                 else:
                     states[0] = vecs
-            out[first:first + count] = states[:count].reshape(count, -1)[:, idx]
-        out[:, self.mirrored] = out[:, self.mirrored].conj()
+            yield first, states[:count].reshape(count, -1)
+
+    def blocks(self, states: np.ndarray) -> np.ndarray:
+        """The (count, 10, n_ph, n_ph) blocks of _UPPER in a chunk of run()."""
+        out = states[:, self.idx]
+        out[:, self.mirrored] = self.flip * out[:, self.mirrored].conj()
         return out
 
 
@@ -555,7 +543,6 @@ def extract_channel(
     n_ph: int | None = None,
     policy: StepPolicy = StepPolicy(),
     top_level_threshold: float = DEFAULT_TOP_LEVEL_THRESHOLD,
-    trace_drift_tol: float = DEFAULT_TRACE_DRIFT_TOL,
     seed: int | None = None,
 ) -> tuple[TwoQubitChannel, SimDiagnostics]:
     """Exact effective two-qubit channel of one gate, by qubit-block propagators.
@@ -568,11 +555,12 @@ def extract_channel(
     policy's time grid (_BlockTracks): one propagator per orbit of the
     branch-flip symmetry (i, j) <-> (3-j, 3-i), which maps block (i, j)
     evolved from Pi cav Pi onto block (3-j, 3-i) exactly, so 4 propagators
-    serve equal couplings and 6 unequal ones. The guard-level population and
-    trace drift are maxima over all four diagonal blocks at every grid step,
-    not only at the gate's end; for basis-state inputs the composite state is
-    a single diagonal block, so these maxima are the worst case over any
-    qubit input. For a thermal preparation this delegates to
+    serve equal couplings and 6 unequal ones. The guard-level population is
+    a running maximum over all four diagonal blocks at every grid step, not
+    only at the gate's end; for basis-state inputs the composite state is a
+    single diagonal block, so it is the worst case over any qubit input.
+    Only that maximum and the final blocks are kept, so memory does not grow
+    with the step count. For a thermal preparation this delegates to
     thermal_average_channel (which needs the seed).
     """
     prep = initial_cavity or CavityPrep.vacuum()
@@ -581,28 +569,26 @@ def extract_channel(
             params, prep.n_bar, prep.samples,
             seed if seed is not None else 0,
             gamma_1=gamma_1, gamma_2=gamma_2, n_ph=n_ph, policy=policy,
-            top_level_threshold=top_level_threshold, trace_drift_tol=trace_drift_tol,
+            top_level_threshold=top_level_threshold,
         )
 
     cav = _initial_cavity(params, prep, n_ph)
     n_ph = cav.shape[0]
     steps, dt = policy.resolve(params.t_g_ns)
 
-    upper_i, upper_j = np.array(_UPPER).T
-    # (grid time, upper block, Fock level)
-    diags = _BlockTracks(params, cav, dt).diagonals(steps)
-    pops = diags[:, upper_i == upper_j].real
-    totals = pops.sum(axis=2)
-    diag = _run_health(
-        float(pops[:, :, -1].max()), float(np.abs(totals - totals[:1]).max()),
-        steps, dt, n_ph, top_level_threshold, trace_drift_tol,
-    )
+    tracks = _BlockTracks(params, cav, dt)
+    max_top = 0.0
+    for _, states in tracks.run(steps):
+        max_top = max(max_top, float(states[:, tracks.guard].real.max()))
+    traces = tracks.blocks(states[-1:])[0].diagonal(axis1=1, axis2=2).sum(axis=1)
+    diag = _run_health(max_top, steps, dt, n_ph, top_level_threshold)
 
+    upper_i, upper_j = np.array(_UPPER).T
     rates = _dephasing_rates(gamma_1, gamma_2)[upper_i, upper_j]
     coh = np.zeros((4, 4), dtype=complex)
-    coh[upper_i, upper_j] = np.exp(-rates * params.t_g_ns) * diags[-1].sum(axis=1)
+    coh[upper_i, upper_j] = np.exp(-rates * params.t_g_ns) * traces
     coh[upper_j, upper_i] = np.conj(coh[upper_i, upper_j])
-    coh[range(4), range(4)] = totals[-1]
+    coh[range(4), range(4)] = traces[upper_i == upper_j].real
     return TwoQubitChannel(superop=np.diag(coh.reshape(16))), diag
 
 
@@ -707,22 +693,24 @@ def trajectory_rows(
     rate = _dephasing_rates(gamma_1, gamma_2)[upper_i, upper_j]
     photons = np.arange(cav.shape[0])
 
+    tracks = _BlockTracks(params, cav, dt)
     rows: list[dict] = []
-    for step, blocks in enumerate(_BlockTracks(params, cav, dt).blocks(steps)):
-        if step % stride and step != steps:
-            continue
-        t_now = step * dt
-        r_diag = np.diagonal(q)[:, None, None] * blocks[on_diag]
-        pops = np.einsum("inn->in", r_diag).real
-        sq_norms = (np.abs(blocks) ** 2).sum(axis=(1, 2))
-        rows.append({
-            "t_ns": t_now,
-            "trace": float(pops.sum()),
-            "purity": float((weight * np.exp(-2.0 * rate * t_now) * sq_norms).sum()),
-            "mean_photon": float((pops * photons).sum()),
-            "top_level_pop": float(pops[:, -1].sum()),
-            "polaron_residual": _polaron_defect(r_diag, lam, params, t_now),
-        })
+    for first, states in tracks.run(steps):
+        for step, blocks in enumerate(tracks.blocks(states), first):
+            if step % stride and step != steps:
+                continue
+            t_now = step * dt
+            r_diag = np.diagonal(q)[:, None, None] * blocks[on_diag]
+            pops = np.einsum("inn->in", r_diag).real
+            sq_norms = (np.abs(blocks) ** 2).sum(axis=(1, 2))
+            rows.append({
+                "t_ns": t_now,
+                "trace": float(pops.sum()),
+                "purity": float((weight * np.exp(-2.0 * rate * t_now) * sq_norms).sum()),
+                "mean_photon": float((pops * photons).sum()),
+                "top_level_pop": float(pops[:, -1].sum()),
+                "polaron_residual": _polaron_defect(r_diag, lam, params, t_now),
+            })
     return rows
 
 
@@ -737,7 +725,6 @@ def thermal_average_channel(
     n_ph: int | None = None,
     policy: StepPolicy = StepPolicy(),
     top_level_threshold: float = DEFAULT_TOP_LEVEL_THRESHOLD,
-    trace_drift_tol: float = DEFAULT_TRACE_DRIFT_TOL,
 ) -> tuple[TwoQubitChannel, SimDiagnostics]:
     """Monte-Carlo thermal-state channel with per-sample local-Z compensation.
 
@@ -755,7 +742,7 @@ def thermal_average_channel(
     if n_bar == 0.0:
         return extract_channel(
             params, gamma_1, gamma_2, CavityPrep.vacuum(), n_ph=n_ph, policy=policy,
-            top_level_threshold=top_level_threshold, trace_drift_tol=trace_drift_tol,
+            top_level_threshold=top_level_threshold,
         )
 
     rng = np.random.default_rng(seed)
@@ -770,7 +757,6 @@ def thermal_average_channel(
         chan, diag = extract_channel(
             params, gamma_1, gamma_2, CavityPrep.coherent(beta), n_ph=n_ph,
             policy=policy, top_level_threshold=top_level_threshold,
-            trace_drift_tol=trace_drift_tol,
         )
         fit = fit_local_z(chan, target, validate=False)
         acc += fit.channel.superop_matrix()

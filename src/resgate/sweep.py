@@ -45,7 +45,7 @@ from .device import (
 )
 from .errors import DomainError
 from .fidelity import average_gate_fidelity, fit_local_z
-from .lindblad import StepPolicy, extract_channel
+from .lindblad import extract_channel
 from .noise import NoiseSpec, dephasing_rate, infidelity_power_law, optimal_drive
 
 CSV_COLUMNS = (
@@ -273,11 +273,10 @@ def _evaluate_point(cfg: RunConfig, seed: int) -> SweepRow:
     f_numeric = None
     max_fock = None
     if cfg.numeric:
-        policy = StepPolicy(dt_ns=cfg.dt_ps * 1e-3, min_steps=cfg.min_steps,
-                            max_steps=cfg.max_steps)
         chan, diag = extract_channel(
-            params, gphi, gphi, cfg.initial_cavity, n_ph=cfg.n_ph, policy=policy,
-            top_level_threshold=cfg.top_level_threshold, seed=seed,
+            params, gphi, gphi, cfg.initial_cavity, n_ph=cfg.n_ph,
+            policy=cfg.step_policy(), top_level_threshold=cfg.top_level_threshold,
+            seed=seed,
         )
         target = ideal_gate_unitary(math.copysign(math.pi / 4.0, params.delta_rad_ns))
         if cfg.initial_cavity.kind == "coherent":

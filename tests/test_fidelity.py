@@ -1,4 +1,4 @@
-"""Fidelity layer: basis sums, Pauli route, local-Z fitting."""
+"""Fidelity layer: trace kernel, product-basis route, local-Z fitting."""
 
 from __future__ import annotations
 
@@ -10,14 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resgate import (
-    PAULI_BASIS,
     PRODUCT_STATES,
+    CavityPrep,
     TwoQubitChannel,
     analytic_avg_fidelity,
     average_gate_fidelity,
     correlated_dephasing_channel,
     entanglement_fidelity,
     entanglement_fidelity_product_basis,
+    extract_channel,
     fit_local_z,
     ideal_gate_unitary,
     intrinsic_dephasing_channel,
@@ -44,14 +45,6 @@ def test_product_states_are_states_and_informationally_complete():
     assert abs(np.linalg.det(gram)) > 1e-6
 
 
-def test_pauli_basis_orthonormal():
-    assert len(PAULI_BASIS) == 16
-    for i, a in enumerate(PAULI_BASIS):
-        for j, b in enumerate(PAULI_BASIS):
-            ip = np.trace(a.conj().T @ b)
-            assert ip == pytest.approx(1.0 if i == j else 0.0, abs=1e-14)
-
-
 def test_identity_channel_has_unit_fidelity():
     ident = TwoQubitChannel.from_unitary(np.eye(4, dtype=complex))
     rep = average_gate_fidelity(ident, np.eye(4, dtype=complex))
@@ -70,16 +63,29 @@ def test_ideal_vs_itself_and_textbook_dressing():
 
 
 def test_two_fidelity_routes_agree():
-    chan = correlated_dephasing_channel(0.77).then(
-        intrinsic_dephasing_channel(0.02, 0.05, 1.0)
-    ).then(_ideal_channel())
+    # the trace kernel (entanglement_fidelity, average_gate_fidelity and
+    # fit_local_z's report) against the product-basis route, on a composed
+    # Kraus/superoperator channel and on the solver's exact channels at
+    # unequal couplings from a vacuum and a coherent start
+    p = make_params(0.7, 5e-3, n=2, g2_over_g1=1.5)
+    chans = [
+        correlated_dephasing_channel(0.77).then(
+            intrinsic_dephasing_channel(0.02, 0.05, 1.0)
+        ).then(_ideal_channel()),
+        extract_channel(p, 1e6, 2e6, CavityPrep.vacuum(), n_ph=8)[0],
+        extract_channel(p, 1e6, 2e6, CavityPrep.coherent(0.3 - 0.4j), n_ph=8)[0],
+    ]
     target = ideal_gate_unitary(math.pi / 4.0)
-    fe_pauli = entanglement_fidelity(chan, target)
-    fe_basis = entanglement_fidelity_product_basis(chan, target)
-    assert fe_pauli == pytest.approx(fe_basis, abs=1e-12)
-    rep = average_gate_fidelity(chan, target)
-    assert rep.f_avg == pytest.approx((4.0 * fe_pauli + 1.0) / 5.0, abs=1e-12)
-    assert max(rep.basis_residuals) < 1e-12
+    for chan in chans:
+        fe_basis = entanglement_fidelity_product_basis(chan, target)
+        assert entanglement_fidelity(chan, target) == pytest.approx(fe_basis, abs=1e-12)
+        rep = average_gate_fidelity(chan, target)
+        assert rep.f_e == pytest.approx(fe_basis, abs=1e-12)
+        assert rep.f_avg == pytest.approx((4.0 * fe_basis + 1.0) / 5.0, abs=1e-12)
+        fit = fit_local_z(chan, target)
+        fe_fit = entanglement_fidelity_product_basis(fit.channel, target)
+        assert fit.report.f_e == pytest.approx(fe_fit, abs=1e-12)
+        assert fit.report.f_avg == pytest.approx((4.0 * fe_fit + 1.0) / 5.0, abs=1e-12)
 
 
 @given(

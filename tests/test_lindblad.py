@@ -362,6 +362,25 @@ def test_extract_channel_guard_is_max_over_gate():
     assert any("population" in r for r in diag.failure_reasons)
 
 
+def test_extract_channel_memory_does_not_grow_with_steps():
+    # only the running guard maximum and the final blocks are kept, so a
+    # 5000-step gate needs no more memory than a 200-step one
+    import tracemalloc
+
+    p = make_params(0.7, 5e-3, n=2)
+    extract_channel(p, 0.0, 0.0, n_ph=6)  # first use imports scipy: not measured
+    peaks = []
+    for steps in (200, 5000):
+        tracemalloc.start()
+        try:
+            extract_channel(p, 0.0, 0.0, n_ph=6,
+                            policy=StepPolicy(min_steps=steps, max_steps=steps))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1e6, peaks
+
+
 def test_extract_channel_flags_tight_guard():
     p = make_params(0.7, 5e-3, n=2)
     _, diag = extract_channel(p, 0.0, 0.0, n_ph=7, top_level_threshold=1e-12)
