@@ -8,8 +8,9 @@ Layers, roughly bottom-up:
   derivatives; couplings, decay rate, and the gate schedule.
 - noise: 1/f^beta charge-noise dephasing, the echo filter constant, the
   closed-form optimal operating point, and infidelity estimates.
-- channel: exact analytic error channel of the gate (displacement
-  trajectory, entangling phase, b-factor, Kraus forms).
+- channel: the superoperator-only TwoQubitChannel and the exact analytic
+  error channel of the gate (displacement trajectory, entangling phase,
+  b-factor, dephasing channels built from Kraus sets).
 - fidelity: entanglement / average gate fidelity and local-Z compensation.
 - lindblad: the numeric master-equation oracle on qubits x Fock space.
 - config / sweep / cli: run configuration, device-grid sweeps, and the
@@ -35,7 +36,6 @@ from .constants import (
     E_CHARGE_C,
     H_EV_S,
     H_J_S,
-    HBAR_EV_S,
     HBAR_J_S,
 )
 from .device import (

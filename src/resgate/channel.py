@@ -16,8 +16,10 @@ independent dephasing of the two qubits. Everything in this module is in
 angular units: couplings are energy/hbar in rad/ns, rates in 1/ns, times in
 ns (any consistent set works).
 
-Basis order is |00>, |01>, |10>, |11>; superoperators act on row-major
-vectorized density matrices, S = sum_k kron(K_k, conj(K_k)).
+Basis order is |00>, |01>, |10>, |11>. A TwoQubitChannel holds one
+representation, its 16x16 superoperator acting on row-major vectorized
+density matrices; the Kraus families here are constructors that build it
+as S = sum_k kron(K_k, conj(K_k)).
 """
 
 from __future__ import annotations
@@ -38,68 +40,52 @@ PAULI_Z2 = np.kron(_I2, _Z).astype(complex)
 PAULI_ZZ = np.kron(_Z, _Z).astype(complex)
 
 
-def _mat_to_json(m: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
-
-
-def _mat_from_json(rows: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
-
-
 @dataclass(frozen=True)
 class TwoQubitChannel:
-    """A two-qubit map stored as Kraus operators and/or a 16x16 superoperator.
+    """A two-qubit map stored as its 16x16 superoperator (row-major vectorization).
 
-    At least one representation must be present. The Kraus list is ordered;
-    the superoperator uses row-major vectorization.
+    Kraus operators are input only: ``from_kraus`` sums kron(K, conj(K)).
     """
 
-    kraus: tuple[np.ndarray, ...] | None = None
-    superop: np.ndarray | None = None
+    superop: np.ndarray
 
     def __post_init__(self):
-        if self.kraus is None and self.superop is None:
-            raise DomainError("channel needs a Kraus list or a superoperator")
-        if self.kraus is not None:
-            for k in self.kraus:
-                if np.asarray(k).shape != (4, 4):
-                    raise DomainError("Kraus operators must be 4x4")
-        if self.superop is not None and np.asarray(self.superop).shape != (16, 16):
+        superop = np.asarray(self.superop, dtype=complex)
+        if superop.shape != (16, 16):
             raise DomainError("superoperator must be 16x16")
+        object.__setattr__(self, "superop", superop)
 
-    # -- representations ----------------------------------------------------
-    def superop_matrix(self) -> np.ndarray:
-        if self.superop is not None:
-            return np.asarray(self.superop, dtype=complex)
+    @classmethod
+    def from_kraus(cls, ops) -> "TwoQubitChannel":
+        """The map rho -> sum_k K_k rho K_k^dag of 4x4 Kraus operators K_k."""
         s = np.zeros((16, 16), dtype=complex)
-        for k in self.kraus:
+        for k in ops:
+            k = np.asarray(k, dtype=complex)
+            if k.shape != (4, 4):
+                raise DomainError("Kraus operators must be 4x4")
             s += np.kron(k, k.conj())
-        return s
+        return cls(superop=s)
+
+    @classmethod
+    def from_unitary(cls, u: np.ndarray) -> "TwoQubitChannel":
+        return cls.from_kraus((u,))
 
     def choi_matrix(self) -> np.ndarray:
         """Unnormalized Choi matrix (trace 4 for a TP map), row-major pairing."""
-        s = self.superop_matrix()
-        return s.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16)
+        return self.superop.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=complex)
-        if self.kraus is not None:
-            out = np.zeros_like(rho)
-            for k in self.kraus:
-                out += k @ rho @ k.conj().T
-            return out
-        return (self.superop_matrix() @ rho.reshape(16)).reshape(4, 4)
+        return (self.superop @ np.asarray(rho, dtype=complex).reshape(16)).reshape(4, 4)
 
-    # -- diagnostics ---------------------------------------------------------
+    def then(self, later: "TwoQubitChannel") -> "TwoQubitChannel":
+        """Composition: apply self first, then ``later``."""
+        return TwoQubitChannel(superop=later.superop @ self.superop)
+
     def completeness_defect(self) -> float:
-        """max|sum_k K^dag K - I| (or the equivalent TP defect of the superop)."""
-        if self.kraus is not None:
-            acc = np.zeros((4, 4), dtype=complex)
-            for k in self.kraus:
-                acc += k.conj().T @ k
-            return float(np.max(np.abs(acc - np.eye(4))))
+        """Trace-preservation defect max|vec(I) S - vec(I)|, equal to
+        max|sum_k K^dag K - I| for any Kraus form of the map."""
         vec_id = np.eye(4, dtype=complex).reshape(16)
-        return float(np.max(np.abs(vec_id @ self.superop_matrix() - vec_id)))
+        return float(np.max(np.abs(vec_id @ self.superop - vec_id)))
 
     def choi_min_eigenvalue(self) -> float:
         c = self.choi_matrix()
@@ -118,34 +104,6 @@ class TwoQubitChannel:
                 choi_eigenvalues=eigs,
                 tp_defect=defect,
             )
-
-    # -- algebra -------------------------------------------------------------
-    def then(self, later: "TwoQubitChannel") -> "TwoQubitChannel":
-        """Composition: apply self first, then ``later``."""
-        if self.kraus is not None and later.kraus is not None:
-            ops = tuple(b @ a for b in later.kraus for a in self.kraus)
-            return TwoQubitChannel(kraus=ops)
-        return TwoQubitChannel(superop=later.superop_matrix() @ self.superop_matrix())
-
-    @classmethod
-    def from_unitary(cls, u: np.ndarray) -> "TwoQubitChannel":
-        return cls(kraus=(np.asarray(u, dtype=complex),))
-
-    # -- serialization (matrices as nested rows of [re, im] pairs) -----------
-    def to_json_dict(self) -> dict:
-        return {
-            "kraus": None if self.kraus is None else [_mat_to_json(k) for k in self.kraus],
-            "superop": None if self.superop is None else _mat_to_json(self.superop),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "TwoQubitChannel":
-        kraus = d.get("kraus")
-        superop = d.get("superop")
-        return cls(
-            kraus=None if kraus is None else tuple(_mat_from_json(k) for k in kraus),
-            superop=None if superop is None else _mat_from_json(superop),
-        )
 
 
 def ideal_gate_unitary(phi_12: float) -> np.ndarray:
@@ -284,7 +242,7 @@ def correlated_dephasing_channel(b: float) -> TwoQubitChannel:
     k0 = 0.5 * ((1.0 + b) * PAULI_I4 - (1.0 - b) * PAULI_ZZ)
     k1 = math.sqrt((1.0 - b**4) / 2.0) * 0.5 * (PAULI_Z1 + PAULI_Z2)
     k2 = ((1.0 - b**2) / math.sqrt(2.0)) * 0.5 * (PAULI_I4 + PAULI_ZZ)
-    return TwoQubitChannel(kraus=(k0, k1, k2))
+    return TwoQubitChannel.from_kraus((k0, k1, k2))
 
 
 def intrinsic_dephasing_channel(gamma_1: float, gamma_2: float, t: float) -> TwoQubitChannel:
@@ -304,7 +262,7 @@ def intrinsic_dephasing_channel(gamma_1: float, gamma_2: float, t: float) -> Two
         (p2 * (1.0 - p1), PAULI_Z2),
         (p1 * p2, PAULI_ZZ),
     )
-    return TwoQubitChannel(kraus=tuple(math.sqrt(w) * op for w, op in weights_ops))
+    return TwoQubitChannel.from_kraus(math.sqrt(w) * op for w, op in weights_ops)
 
 
 def analytic_gate_channel(

@@ -13,7 +13,6 @@ from __future__ import annotations
 HBAR_J_S = 1.054571817e-34  # J*s (derived, quoted to given precision)
 H_J_S = 6.62607015e-34  # J*s
 E_CHARGE_C = 1.602176634e-19  # C
-HBAR_EV_S = 6.582119569e-16  # eV*s
 H_EV_S = 4.135667696e-15  # eV*s
 
 EV_TO_J = E_CHARGE_C

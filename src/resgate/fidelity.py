@@ -9,14 +9,15 @@ route kept for cross-checks: it scores the channel on the 16 tensor
 products of {|0>, |1>, |+>, |+i>} density matrices, orthonormalized
 through their Gram matrix.
 
-The default target is the symmetric geometric-phase unitary exp(i pi/4 Z1Z2);
-``textbook_cphase=True`` instead scores against diag(1,1,1,-1), appending the
-single-qubit Z dressing that converts one into the other.
+The default target is the symmetric geometric-phase unitary exp(i pi/4 Z1Z2).
+To score against the textbook diag(1,1,1,-1), append the local dressing of
+channel.textbook_cphase_decomposition to the channel and pass its CZ.
 
 A compensation fit is included for channels that carry deterministic
 single-qubit Z phases (e.g. from a displaced initial cavity state):
 ``fit_local_z`` maximizes F_avg over two trailing Z angles by a coarse scan
-followed by exact coordinate ascent.
+followed by exact coordinate ascent. The correction is diagonal, so the
+compensated superoperator is the channel's with its rows rescaled.
 """
 
 from __future__ import annotations
@@ -26,11 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    TwoQubitChannel,
-    ideal_gate_unitary,
-    textbook_cphase_decomposition,
-)
+from .channel import TwoQubitChannel, ideal_gate_unitary
 from .errors import DomainError
 
 _S1 = [
@@ -56,21 +53,14 @@ class FidelityReport:
         return (4.0 * self.f_e + 1.0) / 5.0
 
 
-def _resolve_target(
-    channel: TwoQubitChannel, target, textbook_cphase: bool
-) -> tuple[TwoQubitChannel, np.ndarray]:
-    """Apply the textbook dressing if requested; return (channel, target matrix)."""
-    if textbook_cphase:
-        if target is not None:
-            raise DomainError("pass either an explicit target or textbook_cphase, not both")
-        cz, local = textbook_cphase_decomposition()
-        return channel.then(TwoQubitChannel.from_unitary(local)), cz
+def _target_matrix(target) -> np.ndarray:
+    """The 4x4 target unitary; None means the phase pi/4 gate."""
     if target is None:
-        return channel, ideal_gate_unitary(math.pi / 4.0)
+        return ideal_gate_unitary(math.pi / 4.0)
     target = np.asarray(target, dtype=complex)
     if target.shape != (4, 4):
         raise DomainError(f"target must be a 4x4 unitary, got shape {target.shape}")
-    return channel, target
+    return target
 
 
 def _unitary_superop(u: np.ndarray) -> np.ndarray:
@@ -78,8 +68,7 @@ def _unitary_superop(u: np.ndarray) -> np.ndarray:
 
 
 def entanglement_fidelity(
-    channel: TwoQubitChannel, target=None, *, textbook_cphase: bool = False,
-    validate: bool = True,
+    channel: TwoQubitChannel, target=None, *, validate: bool = True,
 ) -> float:
     """F_e of the channel against the target unitary (default: phase pi/4 gate).
 
@@ -87,17 +76,16 @@ def entanglement_fidelity(
     superoperator U^-1 . N; raises NonPhysicalChannelError (with the Choi
     spectrum) when the channel fails the CPTP check and ``validate`` is on.
     """
-    channel, tmat = _resolve_target(channel, target, textbook_cphase)
+    tmat = _target_matrix(target)
     if validate:
         channel.validate()
-    f_e = np.vdot(_unitary_superop(tmat), channel.superop_matrix()) / 16.0
+    f_e = np.vdot(_unitary_superop(tmat), channel.superop) / 16.0
     assert abs(f_e.imag) < 1e-10, f"entanglement fidelity has imaginary part {f_e.imag:+.3e}"
     return float(f_e.real)
 
 
 def entanglement_fidelity_product_basis(
-    channel: TwoQubitChannel, target=None, *, textbook_cphase: bool = False,
-    validate: bool = True,
+    channel: TwoQubitChannel, target=None, *, validate: bool = True,
 ) -> float:
     """F_e from the 16 product states, orthonormalized via their Gram matrix.
 
@@ -107,7 +95,7 @@ def entanglement_fidelity_product_basis(
     Agrees with entanglement_fidelity to rounding; kept as an independent
     route that scores a channel on physical input states.
     """
-    channel, tmat = _resolve_target(channel, target, textbook_cphase)
+    tmat = _target_matrix(target)
     if validate:
         channel.validate()
     tinv = tmat.conj().T
@@ -124,12 +112,10 @@ def entanglement_fidelity_product_basis(
 
 
 def average_gate_fidelity(
-    channel: TwoQubitChannel, target=None, *, textbook_cphase: bool = False,
-    validate: bool = True,
+    channel: TwoQubitChannel, target=None, *, validate: bool = True,
 ) -> FidelityReport:
     """FidelityReport against the target unitary (default: phase pi/4 gate)."""
-    return FidelityReport(f_e=entanglement_fidelity(
-        channel, target, textbook_cphase=textbook_cphase, validate=validate))
+    return FidelityReport(f_e=entanglement_fidelity(channel, target, validate=validate))
 
 
 _COARSE_GRID = 25  # seed grid points per angle for fit_local_z
@@ -147,42 +133,42 @@ class LocalZFit:
     channel: TwoQubitChannel  # the compensated channel
 
 
-def _local_z_diag(theta_1, theta_2) -> np.ndarray:
-    """Diagonal of Rz(theta_1) (x) Rz(theta_2), along a trailing axis of length 4.
+def _local_z_superop(theta_1, theta_2) -> np.ndarray:
+    """Diagonal of the superoperator kron(u, conj(u)) of u = Rz(theta_1) (x)
+    Rz(theta_2), along a trailing axis of length 16.
 
     Angles may be arrays; they broadcast against each other.
     """
     a = np.exp(-0.5j * theta_1)
     b = np.exp(-0.5j * theta_2)
-    return np.stack([a * b, a * b.conjugate(), a.conjugate() * b,
-                     a.conjugate() * b.conjugate()], axis=-1)
+    u = np.stack([a * b, a * b.conjugate(), a.conjugate() * b,
+                  a.conjugate() * b.conjugate()], axis=-1)
+    return (u[..., :, None] * u[..., None, :].conj()).reshape(u.shape[:-1] + (16,))
 
 
 def fit_local_z(
-    channel: TwoQubitChannel, target=None, *, textbook_cphase: bool = False,
-    validate: bool = True,
+    channel: TwoQubitChannel, target=None, *, validate: bool = True,
 ) -> LocalZFit:
     """Maximize F_avg over trailing single-qubit Z rotations Rz(t1) (x) Rz(t2).
 
-    The compensated channel is N' = conj(Rz (x) Rz) . N. The correction
-    superoperator is diagonal, so at a fixed other angle F_avg is
+    The compensated channel is N' = (Rz (x) Rz) . N. The correction
+    superoperator is diagonal, so N' is N's superoperator with its rows
+    scaled by that diagonal, and at a fixed other angle F_avg is
     c + a cos(t) + b sin(t) in each angle, for any channel, and its
     maximizer is t = atan2(F(pi/2) - F(-pi/2), F(0) - F(pi)). A coarse grid
     over [-pi, pi)^2 seeds coordinate ascent with these exact steps, which
     runs until a round gains less than 1e-14.
     """
-    channel_in, tmat = _resolve_target(channel, target, textbook_cphase)
+    tmat = _target_matrix(target)
     if validate:
-        channel_in.validate()
-    s_n = channel_in.superop_matrix()
-    # F_e(theta) = Re sum_i s_i(theta) w_i / 16 where s = kron(u, conj(u)) is
-    # the diagonal superoperator of the correction and w folds channel+target.
+        channel.validate()
+    s_n = channel.superop
+    # F_e(theta) = Re sum_i s_i(theta) w_i / 16 where s is the diagonal
+    # superoperator of the correction and w folds channel and target.
     w = (np.conj(_unitary_superop(tmat)) * s_n).sum(axis=1)
 
     def f_of(t1, t2):
-        u = _local_z_diag(t1, t2)
-        s = (u[..., :, None] * u[..., None, :].conj()).reshape(u.shape[:-1] + (16,))
-        f_e = (s * w).sum(axis=-1).real / 16.0
+        f_e = (_local_z_superop(t1, t2) * w).sum(axis=-1).real / 16.0
         return (4.0 * f_e + 1.0) / 5.0
 
     def best_angle(f_0, f_pi, f_up, f_down) -> float:
@@ -202,9 +188,6 @@ def fit_local_z(
             break
         prev = cur
 
-    u = _local_z_diag(t1, t2)
-    corrected = channel_in.then(TwoQubitChannel.from_unitary(np.diag(u)))
-    # Rebuild the report through the standard path (explicit target: the
-    # dressing, if any, is already folded into channel_in/tmat).
+    corrected = TwoQubitChannel(superop=_local_z_superop(t1, t2)[:, None] * s_n)
     report = average_gate_fidelity(corrected, tmat, validate=False)
     return LocalZFit(report=report, theta_1=t1, theta_2=t2, channel=corrected)

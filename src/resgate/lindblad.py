@@ -759,6 +759,6 @@ def thermal_average_channel(
             policy=policy, top_level_threshold=top_level_threshold,
         )
         fit = fit_local_z(chan, target, validate=False)
-        acc += fit.channel.superop_matrix()
+        acc += fit.channel.superop
         agg = diag if agg is None else agg.merged_with(diag)
     return TwoQubitChannel(superop=acc / sample_count), agg

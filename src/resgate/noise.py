@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .constants import H_EV_S, HBAR_J_S, h_ghz_to_energy_J
+from .constants import EV_TO_J, H_EV_S, HBAR_J_S, h_ghz_to_energy_J
 from .device import EXCHANGE_SOFT_MAX_J, EXCHANGE_SOFT_MIN_J, ResonatorSpec
 from .errors import DomainError
 
@@ -158,7 +158,7 @@ def optimal_drive(
     beta = noise.beta
     eps_d_opt = 2.0 * eps_a * math.sqrt(1.0 + kappa / (2.0 * n * gamma_phi_0_at_J))
     rate_opt = beta * kappa / (2.0 * n * (1.0 - beta))  # optimal gamma_phi_0, 1/s
-    eps_a_ev = eps_a / 1.602176634e-19
+    eps_a_ev = eps_a / EV_TO_J
     j_opt_hz = rate_opt ** ((1.0 + beta) / 2.0) * eps_a_ev / math.sqrt(
         noise.S_eps * noise.eta_value
     )

@@ -155,7 +155,6 @@ class OperatingPoint:
     J: float          # J, joules
     y: float          # eps_d / eps_a
     clamped: bool
-    infidelity_closed_form: float
     infidelity_refined: float
     refined: bool
     diagnostics: dict
@@ -229,7 +228,6 @@ def resolve_operating_point(cfg: RunConfig) -> OperatingPoint:
         params=derive_gate_params(res, tuning, cfg.n, delta_sign=cfg.delta_sign),
         gamma_phi=dephasing_rate(J, y * eps_a, noise, eps_a).gamma_phi,
         J=J, y=y, clamped=clamped,
-        infidelity_closed_form=inf_closed,
         infidelity_refined=inf_final,
         refined=refine,
         diagnostics=diagnostics,

@@ -290,14 +290,14 @@ def test_11_property_suites():
         b1, b2 = (float(v) for v in rng.uniform(0.05, 1.0, size=2))
         lhs = correlated_dephasing_channel(b1).then(correlated_dephasing_channel(b2))
         rhs = correlated_dephasing_channel(b1 * b2)
-        assert np.max(np.abs(lhs.superop_matrix() - rhs.superop_matrix())) < 1e-12
+        assert np.max(np.abs(lhs.superop - rhs.superop)) < 1e-12
         g1, g2 = (float(v) for v in rng.uniform(0.0, 1.0, size=2))
         t1, t2 = (float(v) for v in rng.uniform(0.0, 1.5, size=2))
         lhs2 = intrinsic_dephasing_channel(g1, g2, t1).then(
             intrinsic_dephasing_channel(g1, g2, t2)
         )
         rhs2 = intrinsic_dephasing_channel(g1, g2, t1 + t2)
-        assert np.max(np.abs(lhs2.superop_matrix() - rhs2.superop_matrix())) < 1e-12
+        assert np.max(np.abs(lhs2.superop - rhs2.superop)) < 1e-12
 
     # one numeric extraction is CPTP under the default gates
     p = make_params(0.7, 5e-3, n=2)
@@ -320,8 +320,8 @@ def test_11_property_suites():
     assert 12.0 < ratio < 20.0
 
     # byte-identical seeded reruns: thermal sampling and rendered sweeps
-    a = thermal_average_channel(p, 0.08, 4, 99, n_ph=6)[0].superop_matrix()
-    b_mat = thermal_average_channel(p, 0.08, 4, 99, n_ph=6)[0].superop_matrix()
+    a = thermal_average_channel(p, 0.08, 4, 99, n_ph=6)[0].superop
+    b_mat = thermal_average_channel(p, 0.08, 4, 99, n_ph=6)[0].superop
     assert np.array_equal(a, b_mat)
     cfg = config_from_dict({"axes": {"q_factor": [1e4, 3e4]}, "refine": False}, source="t")
     assert render_csv(run_sweep(cfg)) == render_csv(run_sweep(cfg))

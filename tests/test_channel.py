@@ -156,8 +156,8 @@ def test_textbook_cphase_decomposition_identity():
 def test_correlated_dephasing_semigroup(b1, b2):
     e1 = correlated_dephasing_channel(b1)
     e2 = correlated_dephasing_channel(b2)
-    lhs = e1.then(e2).superop_matrix()
-    rhs = correlated_dephasing_channel(b1 * b2).superop_matrix()
+    lhs = e1.then(e2).superop
+    rhs = correlated_dephasing_channel(b1 * b2).superop
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -169,8 +169,8 @@ def test_correlated_dephasing_semigroup(b1, b2):
 def test_intrinsic_dephasing_semigroup(g1t, g2t):
     e1 = intrinsic_dephasing_channel(g1t, g1t, 1.0)
     e2 = intrinsic_dephasing_channel(g2t, g2t, 1.0)
-    lhs = e1.then(e2).superop_matrix()
-    rhs = intrinsic_dephasing_channel(g1t + g2t, g1t + g2t, 1.0).superop_matrix()
+    lhs = e1.then(e2).superop
+    rhs = intrinsic_dephasing_channel(g1t + g2t, g1t + g2t, 1.0).superop
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -199,16 +199,18 @@ def test_correlated_dephasing_coherence_pattern():
     assert out[1, 2] == pytest.approx(0.25, abs=1e-14)
 
 
-def test_channel_json_round_trip():
-    chan = correlated_dephasing_channel(0.6).then(intrinsic_dephasing_channel(0.1, 0.2, 1.0))
-    d = chan.to_json_dict()
-    back = TwoQubitChannel.from_json_dict(d)
-    assert np.allclose(back.superop_matrix(), chan.superop_matrix(), atol=1e-15)
+def test_channel_rejects_misshapen_input():
+    with pytest.raises(DomainError):
+        TwoQubitChannel.from_kraus([np.eye(4), np.eye(2)])
+    with pytest.raises(DomainError):
+        TwoQubitChannel(superop=np.eye(4))
+    with pytest.raises(DomainError):
+        TwoQubitChannel(superop=np.eye(16)[:, :15])
 
 
 def test_channel_validate_catches_broken_kraus():
     k = [np.eye(4, dtype=complex) * 0.9]
-    chan = TwoQubitChannel(kraus=tuple(k))
+    chan = TwoQubitChannel.from_kraus(k)
     with pytest.raises(NonPhysicalChannelError):
         chan.validate()
 

@@ -22,6 +22,7 @@ from resgate import (
     fit_local_z,
     ideal_gate_unitary,
     intrinsic_dephasing_channel,
+    textbook_cphase_decomposition,
 )
 
 from conftest import make_params
@@ -56,16 +57,16 @@ def test_ideal_vs_itself_and_textbook_dressing():
     chan = _ideal_channel()
     rep = average_gate_fidelity(chan)
     assert rep.f_avg == pytest.approx(1.0, abs=1e-13)
-    # the same channel scored against textbook CZ *without* the local
-    # correction is poor; with textbook_cphase=True the dressing is applied
-    rep_tb = average_gate_fidelity(chan, textbook_cphase=True)
+    # against textbook CZ the channel needs the local Z dressing appended
+    cz, local = textbook_cphase_decomposition()
+    rep_tb = average_gate_fidelity(chan.then(TwoQubitChannel.from_unitary(local)), cz)
     assert rep_tb.f_avg == pytest.approx(1.0, abs=1e-13)
 
 
 def test_two_fidelity_routes_agree():
     # the trace kernel (entanglement_fidelity, average_gate_fidelity and
     # fit_local_z's report) against the product-basis route, on a composed
-    # Kraus/superoperator channel and on the solver's exact channels at
+    # analytic channel and on the solver's exact channels at
     # unequal couplings from a vacuum and a coherent start
     p = make_params(0.7, 5e-3, n=2, g2_over_g1=1.5)
     chans = [
@@ -158,7 +159,7 @@ def _random_channels(rng):
         for w in weights:
             u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
             kraus.append(math.sqrt(w) * u)
-        chans.append(TwoQubitChannel(kraus=tuple(kraus)))
+        chans.append(TwoQubitChannel.from_kraus(kraus))
     return chans
 
 
@@ -169,7 +170,7 @@ def _local_z_fidelity_grid(chan, target, theta):
     r_p conj(r_r) r_q conj(r_s), r(t) = (e^{-it/2}, e^{it/2}), so F_e is a
     bilinear form in the per-qubit factors.
     """
-    s_n = chan.superop_matrix()
+    s_n = chan.superop
     s_t = np.kron(target, target.conj())
     d = np.diag(s_n @ s_t.conj().T).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
     r = np.exp(-0.5j * np.outer(theta, [1.0, -1.0]))

@@ -222,7 +222,7 @@ def test_extract_channel_matches_rk4_reference(p, gamma_1, gamma_2, alpha):
     chan, diag = extract_channel(p, gamma_1, gamma_2, prep, n_ph=fock.n_levels)
     assert not diag.failed
     ref = _rk4_reference_superop(p, gamma_1, gamma_2, cav)
-    assert np.max(np.abs(chan.superop_matrix() - ref)) < 1e-6
+    assert np.max(np.abs(chan.superop - ref)) < 1e-6
 
 
 _BRANCHES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -293,7 +293,7 @@ def test_extract_channel_orbit_rule_matches_dense_blocks(
         prep, cav = CavityPrep.coherent(beta), fock.coherent_rho(beta)
     chan, _ = extract_channel(p, gamma_1, gamma_2, prep, n_ph=n_ph)
     ref = _dense_reference_superop(p, gamma_1, gamma_2, cav)
-    assert np.max(np.abs(chan.superop_matrix() - ref)) < 1e-12
+    assert np.max(np.abs(chan.superop - ref)) < 1e-12
 
 
 @pytest.mark.parametrize("g2_over_g1", [1.0, 1.5])
@@ -503,14 +503,14 @@ def test_polaron_residual_small_on_schedule():
 
 def test_thermal_channel_deterministic_and_continuous():
     p = make_params(0.7, 1e-3, n=2)
-    a = thermal_average_channel(p, 0.05, 3, 11, n_ph=6)[0].superop_matrix()
-    b = thermal_average_channel(p, 0.05, 3, 11, n_ph=6)[0].superop_matrix()
+    a = thermal_average_channel(p, 0.05, 3, 11, n_ph=6)[0].superop
+    b = thermal_average_channel(p, 0.05, 3, 11, n_ph=6)[0].superop
     assert np.array_equal(a, b)
-    c = thermal_average_channel(p, 0.05, 3, 12, n_ph=6)[0].superop_matrix()
+    c = thermal_average_channel(p, 0.05, 3, 12, n_ph=6)[0].superop
     assert not np.array_equal(a, c)  # the seed really enters
     # n_bar = 0 short-circuits to the vacuum extraction, bit for bit
-    vac = extract_channel(p, 0.0, 0.0, n_ph=6)[0].superop_matrix()
-    zero = thermal_average_channel(p, 0.0, 3, 11, n_ph=6)[0].superop_matrix()
+    vac = extract_channel(p, 0.0, 0.0, n_ph=6)[0].superop
+    zero = thermal_average_channel(p, 0.0, 3, 11, n_ph=6)[0].superop
     assert np.array_equal(vac, zero)
 
 
