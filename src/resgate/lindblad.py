@@ -33,9 +33,13 @@ Branches come in sign-reversed pairs (lam_{3-k} = -lam_k), and the cavity
 parity Pi = diag((-1)^m) maps L(lam_i, lam_j) onto L(-lam_i, -lam_j)
 exactly, so block (3-j, 3-i) is read off block (i, j) evolved from
 Pi cav Pi: one propagator per orbit of (i, j) <-> (3-j, 3-i), 4 with equal
-couplings and 6 with unequal ones. The truncated block generator preserves
-the trace exactly (Tr(a r a^dag) = Tr(n r), and a commutator is
-traceless), so the block engine checks only the guard-level population.
+couplings and 6 with unequal ones. Orbits with lam_i = +-lam_j commute with
+an antiunitary (r -> r^dag or r -> Pi r^dag Pi), so their expm(L dt) is
+taken in real arithmetic in that antiunitary's fixed basis; only 1 orbit of
+4 (2 of 6 with unequal couplings) needs the complex expm. The truncated
+block generator preserves the trace exactly (Tr(a r a^dag) = Tr(n r), and
+a commutator is traceless), so the block engine checks only the
+guard-level population.
 evolve_rk4 integrates the full composite state, checks its own trace drift
 (pure integrator error) and is kept only as the independent reference the
 tests compare against.
@@ -447,10 +451,75 @@ def _expm(m: np.ndarray) -> np.ndarray:
     return expm(m)
 
 
+_HALF = math.sqrt(0.5)
+
+
+def _conjugation(n_ph: int, lam_i: float, lam_j: float):
+    """Index form of an antiunitary K (K^2 = 1) commuting with L(lam_i, lam_j), or None.
+
+    r -> r^dag maps L(lam_i, lam_j) onto L(lam_j, lam_i), and r -> Pi r^dag Pi
+    onto L(-lam_j, -lam_i); so the first commutes with L when lam_i = lam_j
+    and the second when lam_i = -lam_j. Either one sends the row-major vec
+    entry q = (b, a) to s * conj of entry p = (a, b). Returns the pairs p < q
+    and their signs s (1, or (-1)^(a+b) for the parity form); the diagonal
+    entries (a, a) are fixed by K with sign 1 in both forms.
+    """
+    if lam_i == lam_j:
+        parity = False
+    elif lam_i == -lam_j:
+        parity = True
+    else:
+        return None
+    levels = np.arange(n_ph)
+    a, b = np.nonzero(levels[:, None] < levels)  # np.triu_indices(n_ph, 1), 4x cheaper
+    signs = (-1.0) ** (a + b) if parity else np.ones(a.size)
+    return a * n_ph + b, b * n_ph + a, signs
+
+
+def _to_real(m: np.ndarray, p, q, s) -> np.ndarray:
+    """real(W^H m W), overwriting m. W = S H is the unitary whose columns are
+    the K-fixed vectors of _conjugation: e_p for a diagonal entry p = (a, a),
+    (e_p + s e_q)/sqrt2 in column p and i(e_p - s e_q)/sqrt2 in column q.
+    S scales entry q by s; H mixes each pair. For an m that commutes with K
+    the result is exact up to rounding; the imaginary part dropped is zero."""
+    mp, mq = m[:, p], m[:, q] * s
+    m[:, p], m[:, q] = (mp + mq) * _HALF, (mp - mq) * (1j * _HALF)
+    rp, rq = m[p], m[q] * s[:, None]
+    out = m.real.copy()
+    out[p], out[q] = ((rp + rq) * _HALF).real, ((rp - rq) * _HALF).imag
+    return out
+
+
+def _from_real(e: np.ndarray, p, q, s) -> np.ndarray:
+    """W e W^H for the W of _to_real."""
+    ep, eq = e[p], 1j * e[q]
+    out = e.astype(complex)
+    out[p], out[q] = (ep + eq) * _HALF, (ep - eq) * (s[:, None] * _HALF)
+    cp, cq = out[:, p], 1j * out[:, q]
+    out[:, p], out[:, q] = (cp - cq) * _HALF, (cp + cq) * (s * _HALF)
+    return out
+
+
+def _step_propagator(generator, lam_i: float, lam_j: float, dt: float) -> np.ndarray:
+    """expm(L(lam_i, lam_j) dt), in real arithmetic where an antiunitary K
+    commutes with L (_conjugation): then W^H L W is real for the unitary W
+    of K's fixed vectors, and expm(L dt) = W expm(W^H L dt W) W^H. The
+    real expm costs a fraction of the complex one; W is applied by index
+    gathers, never built."""
+    m = generator(lam_i, lam_j) * dt
+    pairs = _conjugation(math.isqrt(m.shape[0]), lam_i, lam_j)
+    if pairs is None:
+        return _expm(m)
+    return _from_real(_expm(_to_real(m, *pairs)), *pairs)
+
+
 # qubit index pairs (i, j) of the blocks on and above the diagonal, row-major;
 # those below are their adjoints
 _UPPER = tuple((int(i), int(j)) for i, j in zip(*np.triu_indices(4)))
 _CHUNK = 64  # grid steps held at once by _BlockTracks.run
+# propagator bytes stepped together in one batched matvec: the tracks of a
+# group stay in a core's L2 cache across the _CHUNK steps they take in turn
+_STEP_BYTES = 1 << 20
 
 
 class _BlockTracks:
@@ -470,8 +539,12 @@ class _BlockTracks:
     populations are those of R. One expm(L dt) serves each orbit
     {(i, j), (3-j, 3-i)} (and every pair with the same amplitudes), and
     Pi cav Pi is stepped as a second track only where a mirrored pair reads
-    it and it differs from cav (coherent starts; not the vacuum). All tracks
-    advance by one batched matvec per step.
+    it and it differs from cav (coherent starts; not the vacuum). Orbits
+    with lam_i = +-lam_j get their expm(L dt) in real form
+    (_step_propagator). The tracks advance in groups whose propagators fit
+    _STEP_BYTES, one batched matvec per group and step: a group stays in
+    cache for the _CHUNK steps it takes before the next group runs, and
+    each track's numbers do not depend on how the tracks are grouped.
     """
 
     def __init__(self, params: DerivedGateParams, cav: np.ndarray, dt: float):
@@ -492,10 +565,11 @@ class _BlockTracks:
                 tracks.append(track)
             reads.append((tracks.index(track), mirrored))
 
+        # stacked straight from the orbit list: no second stack of the orbit
+        # set, and the expm work space is freed before the track stack exists
         generator = _block_generator(params, n_ph)
-        self.ops = np.stack([_expm(generator(*rep) * dt) for rep in reps])[
-            [r for r, _ in tracks]
-        ]
+        props = [_step_propagator(generator, *rep, dt) for rep in reps]
+        self.ops = np.stack([props[r] for r, _ in tracks])
         self.start = np.stack([inputs[inp].reshape(-1, 1) for _, inp in tracks])
         # flat index of each block element in a state; a mirrored block reads
         # its track transposed
@@ -514,17 +588,25 @@ class _BlockTracks:
         states is a (count, tracks * n_ph^2) view of one buffer of _CHUNK
         grid steps, holding the steps first, first + 1, ...; it is
         overwritten by the next chunk, so read it before asking for that.
-        Each step is a single matvec call into the buffer.
+        Each step is one batched matvec call per group of tracks, written
+        into the buffer.
         """
         states = np.empty((min(_CHUNK, steps + 1),) + self.start.shape, dtype=complex)
+        group = max(1, _STEP_BYTES // self.ops[0].nbytes)
         vecs = self.start
         for first in range(0, steps + 1, _CHUNK):
             count = min(_CHUNK, steps + 1 - first)
-            for k in range(count):
-                if first + k:
-                    vecs = np.matmul(self.ops, vecs, out=states[k])
-                else:
-                    states[0] = vecs
+            for g in range(0, len(self.ops), group):
+                tracks = slice(g, g + group)
+                ops, vec = self.ops[tracks], vecs[tracks]
+                for k in range(count):
+                    if first + k:
+                        vec = np.matmul(ops, vec, out=states[k, tracks])
+                    else:
+                        states[0, tracks] = vec
+            # the next chunk's first step reads this row before any group
+            # overwrites it
+            vecs = states[count - 1]
             yield first, states[:count].reshape(count, -1)
 
     def blocks(self, states: np.ndarray) -> np.ndarray:
@@ -555,7 +637,10 @@ def extract_channel(
     policy's time grid (_BlockTracks): one propagator per orbit of the
     branch-flip symmetry (i, j) <-> (3-j, 3-i), which maps block (i, j)
     evolved from Pi cav Pi onto block (3-j, 3-i) exactly, so 4 propagators
-    serve equal couplings and 6 unequal ones. The guard-level population is
+    serve equal couplings and 6 unequal ones; those of the orbits with
+    lam_i = +-lam_j (3 of 4, 4 of 6) come from a real expm in the fixed
+    basis of an antiunitary symmetry (_step_propagator), with the same
+    numbers to rounding. The guard-level population is
     a running maximum over all four diagonal blocks at every grid step, not
     only at the gate's end; for basis-state inputs the composite state is a
     single diagonal block, so it is the worst case over any qubit input.

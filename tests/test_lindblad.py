@@ -321,14 +321,36 @@ def test_extract_channel_guard_reads_mirrored_branches(g2_over_g1):
     assert diag.max_top_level_pop == pytest.approx(worst[3], rel=1e-12)
 
 
-@pytest.mark.parametrize("g2_over_g1, expected", [(1.0, 4), (1.5, 6)])
-def test_extract_channel_builds_one_propagator_per_orbit(monkeypatch, g2_over_g1, expected):
-    # one expm(L dt) per orbit of (i, j) <-> (3-j, 3-i), none over the whole gate
+def _dense_real_basis(n_ph, parity):
+    """W from its definition: the fixed vectors of K r = r^dag (parity False)
+    or K r = Pi r^dag Pi (parity True). Column p = (a, a) is e_p; for
+    p = (a, b), q = (b, a), a < b, column p is (e_p + s e_q)/sqrt2 and
+    column q is i(e_p - s e_q)/sqrt2, with s = 1 or (-1)^(a+b)."""
+    w = np.zeros((n_ph * n_ph,) * 2, dtype=complex)
+    for a in range(n_ph):
+        w[a * n_ph + a, a * n_ph + a] = 1.0
+        for b in range(a + 1, n_ph):
+            p, q, s = a * n_ph + b, b * n_ph + a, (-1) ** (a + b) if parity else 1
+            w[p, p], w[q, p] = math.sqrt(0.5), s * math.sqrt(0.5)
+            w[p, q], w[q, q] = 1j * math.sqrt(0.5), -1j * s * math.sqrt(0.5)
+    return w
+
+
+@pytest.mark.parametrize("g2_over_g1, expected, real", [(1.0, 4, 3), (1.5, 6, 4)],
+                         ids=["1.0-4", "1.5-6"])
+def test_extract_channel_builds_one_propagator_per_orbit(monkeypatch, g2_over_g1, expected,
+                                                         real):
+    # one expm per orbit of (i, j) <-> (3-j, 3-i), none over the whole gate:
+    # expm(L dt) itself, or real(W^H L dt W) where that is exact (an orbit
+    # with lam_i = +-lam_j; the imaginary part dropped is zero)
     p = make_params(0.7, 5e-3, n=2, g2_over_g1=g2_over_g1)
     _, dt = StepPolicy().resolve(p.t_g_ns)
     lam = _branch_lams(p)
     steps_dt = [_dense_block_generator(p, 6, lam[i], lam[j]) * dt
                 for i in range(4) for j in range(i, 4)]
+    real_forms = [w.conj().T @ m @ w for m in steps_dt
+                  for w in (_dense_real_basis(6, False), _dense_real_basis(6, True))]
+    real_forms = [m.real for m in real_forms if np.abs(m.imag).max() < 1e-14]
     args = []
     real_expm = lindblad._expm
     monkeypatch.setattr(lindblad, "_expm", lambda m: args.append(m) or real_expm(m))
@@ -336,8 +358,78 @@ def test_extract_channel_builds_one_propagator_per_orbit(monkeypatch, g2_over_g1
         args.clear()
         extract_channel(p, 1e6, 2e6, prep, n_ph=6)
         assert len(args) == expected
-        assert all(any(np.allclose(m, ref, rtol=0.0, atol=1e-14) for ref in steps_dt)
+        assert sum(np.isrealobj(m) for m in args) == real
+        assert all(any(m.shape == ref.shape and np.allclose(m, ref, rtol=0.0, atol=1e-14)
+                       for ref in (real_forms if np.isrealobj(m) else steps_dt))
                    for m in args)
+
+
+@pytest.mark.parametrize("n_ph", [2, 3, 6])
+@pytest.mark.parametrize("parity", [False, True])
+def test_real_form_basis_is_unitary_and_matches_its_gathers(n_ph, parity):
+    # the index gathers of _to_real/_from_real apply the W of its definition
+    w = _dense_real_basis(n_ph, parity)
+    assert np.allclose(w.conj().T @ w, np.eye(n_ph * n_ph), rtol=0.0, atol=1e-15)
+    rng = np.random.default_rng(n_ph)
+    m = rng.normal(size=w.shape) + 1j * rng.normal(size=w.shape)
+    e = rng.normal(size=w.shape)
+    lam = (0.4, -0.4) if parity else (0.4, 0.4)
+    pairs = lindblad._conjugation(n_ph, *lam)
+    assert np.allclose(lindblad._to_real(m.copy(), *pairs), (w.conj().T @ m @ w).real,
+                       rtol=0.0, atol=1e-14)
+    assert np.allclose(lindblad._from_real(e, *pairs), w @ e @ w.conj().T,
+                       rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("parity", [False, True])
+def test_real_form_check_fires_off_the_symmetric_orbits(parity):
+    # an orbit (lam, 0) commutes with neither antiunitary: W^H L W keeps an
+    # imaginary part, so it must take the complex expm
+    p = make_params(0.7, 5e-3, n=2, g2_over_g1=1.5)
+    w = _dense_real_basis(6, parity)
+    lam = _branch_lams(p)[0]
+    for pair, symmetric in (((lam, 0.0), False), ((lam, -lam if parity else lam), True)):
+        gen = _dense_block_generator(p, 6, *pair)
+        imag = np.abs((w.conj().T @ gen @ w).imag).max()
+        if symmetric:
+            assert imag < 1e-12 * np.abs(gen).max()
+        else:
+            assert imag > 1e-3 * np.abs(gen).max()
+            assert lindblad._conjugation(6, *pair) is None
+
+
+@given(
+    g2_over_g1=st.one_of(st.just(1.0), st.floats(min_value=0.3, max_value=3.0)),
+    delta_sign=st.sampled_from([1, -1]),
+    kappa=st.floats(min_value=1e-3, max_value=5e-2),
+    n_ph=st.integers(min_value=4, max_value=10),
+)
+@settings(max_examples=12, deadline=None)
+def test_step_propagator_matches_expm(g2_over_g1, delta_sign, kappa, n_ph):
+    # every orbit's propagator, real form or not, against the complex expm
+    from scipy.linalg import expm
+
+    p = make_params(0.7, kappa, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
+    _, dt = StepPolicy().resolve(p.t_g_ns)
+    lam = _branch_lams(p)
+    generator = lindblad._block_generator(p, n_ph)
+    for i, j in lindblad._UPPER:
+        ref = expm(_dense_block_generator(p, n_ph, lam[i], lam[j]) * dt)
+        prop = lindblad._step_propagator(generator, lam[i], lam[j], dt)
+        assert np.abs(prop - ref).max() < 1e-13
+
+
+@pytest.mark.parametrize("g2_over_g1", [1.0, 1.5])
+def test_block_stepping_groups_are_bit_identical(monkeypatch, g2_over_g1):
+    # one track per batched matvec or all tracks in one: the same numbers
+    p = make_params(0.7, 5e-3, n=2, g2_over_g1=g2_over_g1)
+    runs = []
+    for step_bytes in (1, 1 << 40):
+        monkeypatch.setattr(lindblad, "_STEP_BYTES", step_bytes)
+        runs.append(extract_channel(p, 1e6, 2e6, CavityPrep.coherent(0.5 - 0.4j), n_ph=12))
+    (chan_a, diag_a), (chan_b, diag_b) = runs
+    assert np.array_equal(chan_a.superop, chan_b.superop)
+    assert diag_a.max_top_level_pop == diag_b.max_top_level_pop
 
 
 def test_extract_channel_guard_is_max_over_gate():
