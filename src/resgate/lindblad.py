@@ -34,9 +34,12 @@ parity Pi = diag((-1)^m) maps L(lam_i, lam_j) onto L(-lam_i, -lam_j)
 exactly, so block (3-j, 3-i) is read off block (i, j) evolved from
 Pi cav Pi: one propagator per orbit of (i, j) <-> (3-j, 3-i), 4 with equal
 couplings and 6 with unequal ones. Orbits with lam_i = +-lam_j commute with
-an antiunitary (r -> r^dag or r -> Pi r^dag Pi), so their expm(L dt) is
-taken in real arithmetic in that antiunitary's fixed basis; only 1 orbit of
-4 (2 of 6 with unequal couplings) needs the complex expm. The truncated
+an antiunitary (r -> r^dag or r -> Pi r^dag Pi), so in that antiunitary's
+fixed basis both their expm(L dt) and their stepping are real arithmetic:
+float64 propagators acting on at most two float64 columns per orbit, read
+straight off for the guard populations and the traces and mapped back to
+blocks only where whole blocks are needed. Only 1 orbit of 4 (2 of 6 with
+unequal couplings) takes the complex expm and complex steps. The truncated
 block generator preserves the trace exactly (Tr(a r a^dag) = Tr(n r), and
 a commutator is traceless), so the block engine checks only the
 guard-level population.
@@ -384,9 +387,14 @@ def choose_n_ph(max_amplitude: float, n_ph_floor: int = DEFAULT_N_PH,
 
 
 def _loop_radius(params: DerivedGateParams) -> float:
-    """Largest |alpha| the +/-2 branch reaches during the loop (per the drive)."""
-    g, delta, kappa = params.g_geom_rad_ns, params.delta_rad_ns, params.kappa_per_ns
-    return 2.0 * g / math.hypot(delta, kappa)
+    """Largest |alpha| a branch reaches during the loop (per the drive).
+
+    Branch (s1, s2) is driven at amplitude lam = g1 s1 + g2 s2, and its
+    displacement lam * alpha_unit(t) stays within |lam| / |i Delta + kappa|;
+    the largest |lam| is |g1| + |g2| (the +/-2 branch for equal couplings).
+    """
+    lam = abs(params.g1_rad_ns) + abs(params.g2_rad_ns)
+    return lam / math.hypot(params.delta_rad_ns, params.kappa_per_ns)
 
 
 def _block_generator(params: DerivedGateParams, n_ph: int):
@@ -490,34 +498,40 @@ def _to_real(m: np.ndarray, p, q, s) -> np.ndarray:
     return out
 
 
-def _from_real(e: np.ndarray, p, q, s) -> np.ndarray:
-    """W e W^H for the W of _to_real."""
-    ep, eq = e[p], 1j * e[q]
-    out = e.astype(complex)
-    out[p], out[q] = (ep + eq) * _HALF, (ep - eq) * (s[:, None] * _HALF)
-    cp, cq = out[:, p], 1j * out[:, q]
-    out[:, p], out[:, q] = (cp - cq) * _HALF, (cp + cq) * (s * _HALF)
-    return out
+def _to_k_basis(v: np.ndarray, p, q, s) -> np.ndarray:
+    """W^H v over the last axis, for the W of _to_real: a K-fixed v (one
+    with v_q = s conj(v_p) and real diagonal entries) comes out real."""
+    u = v.astype(complex)
+    vp, vq = v[..., p], s * v[..., q]
+    u[..., p], u[..., q] = (vp + vq) * _HALF, (vp - vq) * (-1j * _HALF)
+    return u
+
+
+def _from_k_basis(u: np.ndarray, p, q, s) -> np.ndarray:
+    """W u over the last axis, the inverse of _to_k_basis."""
+    v = u.astype(complex)
+    up, uq = u[..., p], 1j * u[..., q]
+    v[..., p], v[..., q] = (up + uq) * _HALF, (up - uq) * (s * _HALF)
+    return v
 
 
 def _step_propagator(generator, lam_i: float, lam_j: float, dt: float) -> np.ndarray:
-    """expm(L(lam_i, lam_j) dt), in real arithmetic where an antiunitary K
-    commutes with L (_conjugation): then W^H L W is real for the unitary W
-    of K's fixed vectors, and expm(L dt) = W expm(W^H L dt W) W^H. The
-    real expm costs a fraction of the complex one; W is applied by index
-    gathers, never built."""
+    """expm(L(lam_i, lam_j) dt) in the basis its block is stepped in: where
+    an antiunitary K commutes with L (_conjugation), W^H L W is real for the
+    unitary W of K's fixed vectors, and this returns the real
+    E = expm(real(W^H L dt W)) = W^H expm(L dt) W; elsewhere the complex
+    expm(L dt). The real expm costs a fraction of the complex one; W is
+    applied by index gathers, never built."""
     m = generator(lam_i, lam_j) * dt
     pairs = _conjugation(math.isqrt(m.shape[0]), lam_i, lam_j)
-    if pairs is None:
-        return _expm(m)
-    return _from_real(_expm(_to_real(m, *pairs)), *pairs)
+    return _expm(m) if pairs is None else _expm(_to_real(m, *pairs))
 
 
 # qubit index pairs (i, j) of the blocks on and above the diagonal, row-major;
 # those below are their adjoints
 _UPPER = tuple((int(i), int(j)) for i, j in zip(*np.triu_indices(4)))
 _CHUNK = 64  # grid steps held at once by _BlockTracks.run
-# propagator bytes stepped together in one batched matvec: the tracks of a
+# propagator bytes stepped together in one batched matmul: the tracks of a
 # group stay in a core's L2 cache across the _CHUNK steps they take in turn
 _STEP_BYTES = 1 << 20
 
@@ -526,9 +540,10 @@ class _BlockTracks:
     """The blocks expm(L(lam_i, lam_j) k dt) cav of _UPPER on a time grid.
 
     Dephasing is left out (see _block_generator). run() steps the tracks
-    and yields their states; blocks() reads the ten (n_ph, n_ph) blocks off
-    them, and guard holds where the guard-level populations of the four
-    diagonal blocks sit in a state.
+    and yields their states as rows of float64 numbers; guard holds where
+    the guard-level populations of the four diagonal blocks sit in a row,
+    traces() reads the ten block traces off a row, and blocks() maps rows
+    back to the ten (n_ph, n_ph) blocks.
 
     Orbit rule: branch 3 - k flips both Z signs of branch k, so
     lam_{3-k} = -lam_k. With Pi = diag((-1)^m), Pi x Pi = -x and
@@ -536,83 +551,149 @@ class _BlockTracks:
     L(-lam_i, -lam_j); and the adjoint of a block evolves as the swapped
     pair. Hence block (3-j, 3-i) is exactly Pi R^dag Pi, with R block (i, j)
     evolved from Pi cav Pi: its trace is conj(Tr R), and for i = j its
-    populations are those of R. One expm(L dt) serves each orbit
-    {(i, j), (3-j, 3-i)} (and every pair with the same amplitudes), and
-    Pi cav Pi is stepped as a second track only where a mirrored pair reads
-    it and it differs from cav (coherent starts; not the vacuum). Orbits
-    with lam_i = +-lam_j get their expm(L dt) in real form
-    (_step_propagator). The tracks advance in groups whose propagators fit
-    _STEP_BYTES, one batched matvec per group and step: a group stays in
+    populations are those of R. One propagator serves each orbit
+    {(i, j), (3-j, 3-i)} (and every pair with the same amplitudes), and it
+    steps each input a read needs: cav, and Pi cav Pi where it differs from
+    cav (coherent starts; not the vacuum).
+
+    Orbits with lam_i = +-lam_j are stepped in real arithmetic: their
+    propagator E = W^H expm(L dt) W is real (_step_propagator), and their
+    state is u = W^H vec(input). A diagonal orbit (K r = r^dag) holds one
+    real column per input, as both are Hermitian. A parity orbit
+    (K r = Pi r^dag Pi) is never read mirrored, so it holds cav only: u is
+    real when Pi cav Pi = cav, and (Re u, Im u) otherwise. So every real
+    orbit has as many columns as there are inputs (1 or 2), and the real
+    orbits step together as one float64 stack; the other orbits hold one
+    complex vector per input. W leaves the diagonal entries (a, a) in
+    place, so the guard populations and the traces are read straight off
+    the real columns. The stacks advance in groups whose propagators fit
+    _STEP_BYTES, one batched matmul per group and step: a group stays in
     cache for the _CHUNK steps it takes before the next group runs, and
     each track's numbers do not depend on how the tracks are grouped.
     """
 
     def __init__(self, params: DerivedGateParams, cav: np.ndarray, dt: float):
         n_ph = cav.shape[0]
+        d = n_ph * n_ph
         lam = _branch_amplitudes(params)
         self.flip = (-1.0) ** np.add.outer(np.arange(n_ph), np.arange(n_ph))  # Pi X Pi
         inputs = [cav] if np.array_equal(self.flip * cav, cav) else [cav, self.flip * cav]
+        self.cols = cols = len(inputs)
         reps: list = []  # one amplitude pair per orbit
-        tracks: list = []  # (rep, input) actually stepped
-        reads: list = []  # (track, mirrored) per block of _UPPER
+        reads: list = []  # (orbit, mirrored) per block of _UPPER
         for i, j in _UPPER:
             key, mirror = (lam[i], lam[j]), (-lam[j], -lam[i])
             mirrored = key not in reps and mirror in reps
             if not mirrored and key not in reps:
                 reps.append(key)
-            track = (reps.index(mirror), len(inputs) - 1) if mirrored else (reps.index(key), 0)
-            if track not in tracks:
-                tracks.append(track)
-            reads.append((tracks.index(track), mirrored))
+            reads.append((reps.index(mirror if mirrored else key), mirrored))
+        forms = [_conjugation(n_ph, *rep) for rep in reps]
+        real = [o for o, form in enumerate(forms) if form is not None]
+        cplx = [o for o, form in enumerate(forms) if form is None]
 
-        # stacked straight from the orbit list: no second stack of the orbit
-        # set, and the expm work space is freed before the track stack exists
+        # each propagator is written straight into its orbit's slot
         generator = _block_generator(params, n_ph)
-        props = [_step_propagator(generator, *rep, dt) for rep in reps]
-        self.ops = np.stack([props[r] for r, _ in tracks])
-        self.start = np.stack([inputs[inp].reshape(-1, 1) for _, inp in tracks])
-        # flat index of each block element in a state; a mirrored block reads
-        # its track transposed
-        size = n_ph * n_ph
-        rows, cols = np.indices((n_ph, n_ph))
-        self.idx = np.array([t * size + (cols * n_ph + rows if m else rows * n_ph + cols)
-                             for t, m in reads])
+        vecs = np.stack([x.reshape(d) for x in inputs])  # (cols, d)
+        self.cplx_ops = np.empty((len(cplx), d, d), dtype=complex)
+        for slot, o in enumerate(cplx):
+            self.cplx_ops[slot] = _step_propagator(generator, *reps[o], dt)
+        self.cplx_start = np.broadcast_to(vecs[:, :, None], (len(cplx), cols, d, 1)).copy()
+        self.real_ops = np.empty((len(real), d, d))
+        self.real_start = np.empty((len(real), d, cols))
+        for slot, o in enumerate(real):
+            self.real_ops[slot] = _step_propagator(generator, *reps[o], dt)
+            u = _to_k_basis(vecs, *forms[o])
+            if reps[o][0] == reps[o][1]:  # r -> r^dag: each input is K-fixed
+                self.real_start[slot] = u.real.T
+            else:  # r -> Pi r^dag Pi: cav alone, split into Re and Im
+                self.real_start[slot] = np.stack([u[0].real, u[0].imag][:cols], axis=1)
+
+        # a row of run() is the complex tracks (as float pairs), then the
+        # real columns; each read's entries sit at base + stride * entry,
+        # and im_sign weighs its imaginary parts (0 where the track is real)
+        real_at = 2 * len(cplx) * cols * d
+        self.width = real_at + len(real) * d * cols
+        base_re, base_im, stride, im_sign = [], [], [], []
+        for o, mirrored in reads:
+            inp = cols - 1 if mirrored else 0
+            if o in cplx:
+                at = 2 * (cplx.index(o) * cols + inp) * d
+                split = True
+                stride.append(2)
+                im_sign.append(-1.0 if mirrored else 1.0)  # a mirrored trace is conjugated
+            else:  # a parity orbit is never mirrored: its inp is 0
+                at = real_at + real.index(o) * d * cols + inp
+                split = cols == 2 and reps[o][0] != reps[o][1]  # (Re u, Im u)
+                stride.append(cols)
+                im_sign.append(1.0 if split else 0.0)
+            base_re.append(at)
+            base_im.append(at + 1 if split else at)
+        entries = np.arange(d)
+        self.re = np.array(base_re)[:, None] + np.array(stride)[:, None] * entries
+        self.im = np.array(base_im)[:, None] + np.array(stride)[:, None] * entries
+        self.im_sign = np.array(im_sign)
         self.mirrored = np.array([m for _, m in reads])
-        # Pi X Pi keeps a diagonal and a guard population is real, so a
-        # mirrored diagonal block's guard level is read off its track as is
-        self.guard = self.idx[[i == j for i, j in _UPPER], -1, -1]
+        # reads off a real orbit, with the signs s of their W
+        self.in_basis = np.array([k for k, (o, _) in enumerate(reads) if o in real])
+        self.pairs = forms[real[0]][:2]  # p and q are the same in both forms
+        self.signs = np.array([forms[reads[k][0]][2] for k in self.in_basis])
+        # diagonal blocks all sit on real orbits (lam_i = lam_j), whose
+        # columns are real at the diagonal entries
+        self.guard = self.re[[i == j for i, j in _UPPER], -1]
 
     def run(self, steps: int):
         """Yield (first, states) for grid steps 0..steps, in chunks.
 
-        states is a (count, tracks * n_ph^2) view of one buffer of _CHUNK
+        states is a (count, width) float64 view of one buffer of _CHUNK
         grid steps, holding the steps first, first + 1, ...; it is
         overwritten by the next chunk, so read it before asking for that.
-        Each step is one batched matvec call per group of tracks, written
+        Each step is one batched matmul call per group of tracks, written
         into the buffer.
         """
-        states = np.empty((min(_CHUNK, steps + 1),) + self.start.shape, dtype=complex)
-        group = max(1, _STEP_BYTES // self.ops[0].nbytes)
-        vecs = self.start
+        rows = min(_CHUNK, steps + 1)
+        d = self.real_ops.shape[-1]
+        # a complex buffer keeps the complex tracks aligned; the real columns
+        # sit in its float view
+        buf = np.empty((rows, (self.width + 1) // 2), dtype=complex)
+        flat = buf.view(float)
+        n_cplx, n_real = len(self.cplx_ops), len(self.real_ops)
+        at = n_cplx * self.cols * d
+        stacks = [
+            (self.cplx_ops[:, None], buf[:, :at].reshape(rows, n_cplx, self.cols, d, 1)),
+            (self.real_ops, flat[:, 2 * at:self.width].reshape(rows, n_real, d, self.cols)),
+        ]
+        starts = [self.cplx_start, self.real_start]
         for first in range(0, steps + 1, _CHUNK):
             count = min(_CHUNK, steps + 1 - first)
-            for g in range(0, len(self.ops), group):
-                tracks = slice(g, g + group)
-                ops, vec = self.ops[tracks], vecs[tracks]
-                for k in range(count):
-                    if first + k:
-                        vec = np.matmul(ops, vec, out=states[k, tracks])
-                    else:
-                        states[0, tracks] = vec
+            for (ops, states), start in zip(stacks, starts):
+                group = max(1, _STEP_BYTES // (ops.itemsize * d * d))
+                for g in range(0, len(ops), group):
+                    tracks = slice(g, g + group)
+                    op, vec = ops[tracks], start[tracks]
+                    for k in range(count):
+                        if first + k:
+                            vec = np.matmul(op, vec, out=states[k, tracks])
+                        else:
+                            states[0, tracks] = vec
             # the next chunk's first step reads this row before any group
             # overwrites it
-            vecs = states[count - 1]
-            yield first, states[:count].reshape(count, -1)
+            starts = [states[count - 1] for _, states in stacks]
+            yield first, flat[:count, :self.width]
+
+    def traces(self, row: np.ndarray) -> np.ndarray:
+        """The ten block traces of _UPPER in one row of run()."""
+        diag = slice(None, None, self.flip.shape[0] + 1)  # entries (a, a)
+        return (row[self.re[:, diag]].sum(axis=1)
+                + 1j * self.im_sign * row[self.im[:, diag]].sum(axis=1))
 
     def blocks(self, states: np.ndarray) -> np.ndarray:
         """The (count, 10, n_ph, n_ph) blocks of _UPPER in a chunk of run()."""
-        out = states[:, self.idx]
-        out[:, self.mirrored] = self.flip * out[:, self.mirrored].conj()
+        n_ph = self.flip.shape[0]
+        out = states[:, self.re] + 1j * (np.abs(self.im_sign)[:, None] * states[:, self.im])
+        out[:, self.in_basis] = _from_k_basis(out[:, self.in_basis], *self.pairs, self.signs)
+        out = out.reshape(len(states), len(_UPPER), n_ph, n_ph)
+        m = self.mirrored
+        out[:, m] = self.flip * out[:, m].transpose(0, 1, 3, 2).conj()
         return out
 
 
@@ -637,16 +718,18 @@ def extract_channel(
     policy's time grid (_BlockTracks): one propagator per orbit of the
     branch-flip symmetry (i, j) <-> (3-j, 3-i), which maps block (i, j)
     evolved from Pi cav Pi onto block (3-j, 3-i) exactly, so 4 propagators
-    serve equal couplings and 6 unequal ones; those of the orbits with
-    lam_i = +-lam_j (3 of 4, 4 of 6) come from a real expm in the fixed
-    basis of an antiunitary symmetry (_step_propagator), with the same
-    numbers to rounding. The guard-level population is
-    a running maximum over all four diagonal blocks at every grid step, not
-    only at the gate's end; for basis-state inputs the composite state is a
-    single diagonal block, so it is the worst case over any qubit input.
-    Only that maximum and the final blocks are kept, so memory does not grow
-    with the step count. For a thermal preparation this delegates to
-    thermal_average_channel (which needs the seed).
+    serve equal couplings and 6 unequal ones; the orbits with
+    lam_i = +-lam_j (3 of 4, 4 of 6) take a real expm and step real columns
+    in the fixed basis of an antiunitary symmetry, with the same numbers to
+    rounding. The guard-level population is a running maximum over all
+    four diagonal blocks at every grid step, not only at the gate's end;
+    for basis-state inputs the composite state is a single diagonal block,
+    so it is the worst case over any qubit input. The guard entries and the
+    final traces are read straight off the stepped columns, which the
+    fixed basis leaves alone on the diagonal, and only the maximum and the
+    final traces are kept, so memory does not grow with the step count.
+    For a thermal preparation this delegates to thermal_average_channel
+    (which needs the seed).
     """
     prep = initial_cavity or CavityPrep.vacuum()
     if prep.kind == "thermal":
@@ -664,8 +747,8 @@ def extract_channel(
     tracks = _BlockTracks(params, cav, dt)
     max_top = 0.0
     for _, states in tracks.run(steps):
-        max_top = max(max_top, float(states[:, tracks.guard].real.max()))
-    traces = tracks.blocks(states[-1:])[0].diagonal(axis1=1, axis2=2).sum(axis=1)
+        max_top = max(max_top, float(states[:, tracks.guard].max()))
+    traces = tracks.traces(states[-1])
     diag = _run_health(max_top, steps, dt, n_ph, top_level_threshold)
 
     upper_i, upper_j = np.array(_UPPER).T
@@ -751,9 +834,10 @@ def trajectory_rows(
     q_ij exp(-c_ij t) expm(L_ij t) cav: trace, mean_photon, top_level_pop
     and the residual from the four diagonal blocks, and the purity as
     sum_ij ||r_ij||^2. The ten blocks on and above the diagonal come from
-    _BlockTracks, so at most 6 propagators serve them (4 with equal
+    _BlockTracks.blocks, so at most 6 propagators serve them (4 with equal
     couplings): block (3-j, 3-i) is read off block (i, j) evolved from the
-    parity-flipped cavity, exactly. The residual column is the same
+    parity-flipped cavity, exactly, and the real-form tracks are mapped
+    back from their fixed basis. The residual column is the same
     displaced-frame ground-state defect polaron_residual() maximizes; for
     non-vacuum preparations or gamma > 0 it is reported as-is rather than
     being expected small.

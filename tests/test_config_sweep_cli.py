@@ -23,6 +23,7 @@ from resgate import (
     derive_gate_params,
     sweep,
 )
+from resgate import lindblad
 from resgate.cli import TRAJECTORY_COLUMNS, main
 from resgate.config import RunConfig, config_from_dict, load_config
 from resgate.constants import TWO_PI, h_ghz_to_energy_J, uev_to_J
@@ -299,7 +300,7 @@ def test_numeric_json_row_reports_its_fock_size(tmp_path):
         "initial_cavity": {"kind": "coherent", "alpha": [alpha.real, alpha.imag]},
     }, source="t")
     p = resolve_operating_point(cfg).params
-    radius = 2.0 * p.g_geom_rad_ns / math.hypot(p.delta_rad_ns, p.kappa_per_ns)
+    radius = lindblad._loop_radius(p)
     result = run_sweep(cfg)
     json_text = render_json(result)
     assert render_json(run_sweep(cfg)) == json_text

@@ -367,18 +367,19 @@ def test_extract_channel_builds_one_propagator_per_orbit(monkeypatch, g2_over_g1
 @pytest.mark.parametrize("n_ph", [2, 3, 6])
 @pytest.mark.parametrize("parity", [False, True])
 def test_real_form_basis_is_unitary_and_matches_its_gathers(n_ph, parity):
-    # the index gathers of _to_real/_from_real apply the W of its definition
+    # the index gathers of _to_real (a matrix) and of _to_k_basis and
+    # _from_k_basis (vectors, over the last axis) apply the W of its definition
     w = _dense_real_basis(n_ph, parity)
     assert np.allclose(w.conj().T @ w, np.eye(n_ph * n_ph), rtol=0.0, atol=1e-15)
     rng = np.random.default_rng(n_ph)
     m = rng.normal(size=w.shape) + 1j * rng.normal(size=w.shape)
-    e = rng.normal(size=w.shape)
     lam = (0.4, -0.4) if parity else (0.4, 0.4)
     pairs = lindblad._conjugation(n_ph, *lam)
     assert np.allclose(lindblad._to_real(m.copy(), *pairs), (w.conj().T @ m @ w).real,
                        rtol=0.0, atol=1e-14)
-    assert np.allclose(lindblad._from_real(e, *pairs), w @ e @ w.conj().T,
-                       rtol=0.0, atol=1e-14)
+    v = rng.normal(size=(3, n_ph * n_ph)) + 1j * rng.normal(size=(3, n_ph * n_ph))
+    assert np.allclose(lindblad._to_k_basis(v, *pairs), v @ w.conj(), rtol=0.0, atol=1e-14)
+    assert np.allclose(lindblad._from_k_basis(v, *pairs), v @ w.T, rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("parity", [False, True])
@@ -406,7 +407,8 @@ def test_real_form_check_fires_off_the_symmetric_orbits(parity):
 )
 @settings(max_examples=12, deadline=None)
 def test_step_propagator_matches_expm(g2_over_g1, delta_sign, kappa, n_ph):
-    # every orbit's propagator, real form or not, against the complex expm
+    # every orbit's propagator against the complex expm: a real one is
+    # E = W^H expm(L dt) W, so W E W^H (W built densely here) must match
     from scipy.linalg import expm
 
     p = make_params(0.7, kappa, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
@@ -416,12 +418,62 @@ def test_step_propagator_matches_expm(g2_over_g1, delta_sign, kappa, n_ph):
     for i, j in lindblad._UPPER:
         ref = expm(_dense_block_generator(p, n_ph, lam[i], lam[j]) * dt)
         prop = lindblad._step_propagator(generator, lam[i], lam[j], dt)
+        if np.isrealobj(prop):
+            w = _dense_real_basis(n_ph, lam[i] != lam[j])
+            prop = w @ prop @ w.conj().T
         assert np.abs(prop - ref).max() < 1e-13
+
+
+@pytest.mark.parametrize("n_ph", [4, 7, 10])
+@pytest.mark.parametrize("delta_sign", [1, -1])
+@pytest.mark.parametrize("g2_over_g1, real_orbits, orbits",
+                         [(1.0, 3, 4), (1.5, 4, 6), (3.0, 4, 6)], ids=["1.0", "1.5", "3.0"])
+def test_real_stepping_matches_complex_stepping(g2_over_g1, real_orbits, orbits, delta_sign,
+                                                n_ph):
+    # the self-conjugate orbits step real columns in K's fixed basis; mapped
+    # back by blocks(), every block of the first chunk must match that block
+    # stepped from cav with its own dense complex expm(L dt), and traces()
+    # must read the same traces (a mirrored block's conjugated)
+    from scipy.linalg import expm
+
+    p = make_params(0.7, 5e-3, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
+    steps, dt = StepPolicy().resolve(p.t_g_ns)
+    lam = _branch_lams(p)
+    props = np.array([expm(_dense_block_generator(p, n_ph, lam[i], lam[j]) * dt)
+                      for i, j in lindblad._UPPER])
+    fock = FockSpace(n_ph)
+    for cav in (fock.vacuum_rho(), fock.coherent_rho(0.5 - 0.4j)):
+        tracks = lindblad._BlockTracks(p, cav, dt)
+        assert tracks.real_ops.dtype == np.float64 and len(tracks.real_ops) == real_orbits
+        assert len(tracks.real_ops) + len(tracks.cplx_ops) == orbits
+        assert tracks.real_start.shape[-1] <= 2
+        _, states = next(tracks.run(steps))
+        assert len(states) == lindblad._CHUNK
+        vec = np.tile(cav.reshape(1, -1, 1), (len(props), 1, 1))
+        for k, blocks in enumerate(tracks.blocks(states)):
+            if k:
+                vec = props @ vec
+            assert np.abs(blocks.reshape(vec.shape) - vec).max() < 1e-12
+        traces = vec.reshape(-1, n_ph, n_ph).trace(axis1=1, axis2=2)
+        assert np.abs(tracks.traces(states[-1]) - traces).max() < 1e-12
+
+
+@pytest.mark.parametrize("kappa", [5e-3, 5e-2])
+@pytest.mark.parametrize("delta_sign", [1, -1])
+@pytest.mark.parametrize("g2_over_g1", [1.5, 3.0])
+def test_auto_fock_size_covers_the_largest_branch(g2_over_g1, delta_sign, kappa):
+    # with n_ph unset a coherent start sizes its space from the largest
+    # branch amplitude |g1| + |g2|, not from 2 sqrt(g1 g2): the guard level
+    # then stays below choose_n_ph's default tail of 1e-5
+    p = make_params(0.7, kappa, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
+    for alpha in (0.5, 1.0, -0.7 + 0.7j):
+        _, diag = extract_channel(p, 0.0, 0.0, CavityPrep.coherent(alpha))
+        assert diag.max_top_level_pop < 1e-5, (alpha, diag.n_ph)
 
 
 @pytest.mark.parametrize("g2_over_g1", [1.0, 1.5])
 def test_block_stepping_groups_are_bit_identical(monkeypatch, g2_over_g1):
-    # one track per batched matvec or all tracks in one: the same numbers
+    # one orbit per batched matmul or all orbits in one: the same numbers
     p = make_params(0.7, 5e-3, n=2, g2_over_g1=g2_over_g1)
     runs = []
     for step_bytes in (1, 1 << 40):
