@@ -39,10 +39,14 @@ fixed basis both their expm(L dt) and their stepping are real arithmetic:
 float64 propagators acting on at most two float64 columns per orbit, read
 straight off for the guard populations and the traces and mapped back to
 blocks only where whole blocks are needed. Only 1 orbit of 4 (2 of 6 with
-unequal couplings) takes the complex expm and complex steps. The truncated
-block generator preserves the trace exactly (Tr(a r a^dag) = Tr(n r), and
-a commutator is traceless), so the block engine checks only the
-guard-level population.
+unequal couplings) takes the complex expm and complex steps. Each orbit
+also keeps P = E^8 (three squarings of its step propagator E), so
+extract_channel advances 8 grid steps per matmul and reads the guard
+populations of the steps in between off 8 precomputed rows of E^j; the
+trajectory dump steps at its own stride through the same stepper. The
+truncated block generator preserves the trace exactly (Tr(a r a^dag) =
+Tr(n r), and a commutator is traceless), so the block engine checks only
+the guard-level population.
 evolve_rk4 integrates the full composite state, checks its own trace drift
 (pure integrator error) and is kept only as the independent reference the
 tests compare against.
@@ -530,9 +534,12 @@ def _step_propagator(generator, lam_i: float, lam_j: float, dt: float) -> np.nda
 # qubit index pairs (i, j) of the blocks on and above the diagonal, row-major;
 # those below are their adjoints
 _UPPER = tuple((int(i), int(j)) for i, j in zip(*np.triu_indices(4)))
-_CHUNK = 64  # grid steps held at once by _BlockTracks.run
+_CHUNK = 64  # rows held at once by _BlockTracks.run
+# grid steps per macro step P = E^_MACRO (a power of two, built by squarings);
+# extract_channel runs its tracks at this stride
+_MACRO = 8
 # propagator bytes stepped together in one batched matmul: the tracks of a
-# group stay in a core's L2 cache across the _CHUNK steps they take in turn
+# group stay in a core's L2 cache across the _CHUNK rows they take in turn
 _STEP_BYTES = 1 << 20
 
 
@@ -542,6 +549,7 @@ class _BlockTracks:
     Dephasing is left out (see _block_generator). run() steps the tracks
     and yields their states as rows of float64 numbers; guard holds where
     the guard-level populations of the four diagonal blocks sit in a row,
+    peak is the largest of them over every grid step run() has passed,
     traces() reads the ten block traces off a row, and blocks() maps rows
     back to the ten (n_ph, n_ph) blocks.
 
@@ -563,13 +571,23 @@ class _BlockTracks:
     (K r = Pi r^dag Pi) is never read mirrored, so it holds cav only: u is
     real when Pi cav Pi = cav, and (Re u, Im u) otherwise. So every real
     orbit has as many columns as there are inputs (1 or 2), and the real
-    orbits step together as one float64 stack; the other orbits hold one
-    complex vector per input. W leaves the diagonal entries (a, a) in
-    place, so the guard populations and the traces are read straight off
-    the real columns. The stacks advance in groups whose propagators fit
-    _STEP_BYTES, one batched matmul per group and step: a group stays in
-    cache for the _CHUNK steps it takes before the next group runs, and
-    each track's numbers do not depend on how the tracks are grouped.
+    orbits step together as one float64 stack, diagonal orbits first; the
+    other orbits hold one complex vector per input. W leaves the diagonal
+    entries (a, a) in place, so the guard populations and the traces are
+    read straight off the real columns. The stacks advance in groups whose
+    propagators fit _STEP_BYTES, one batched matmul per group and stop: a
+    group stays in cache for the _CHUNK stops it takes before the next
+    group runs, and each track's numbers do not depend on how the tracks
+    are grouped.
+
+    Macro steps: each orbit also keeps P = E^_MACRO, built by log2 _MACRO
+    squarings, so a stride of _MACRO grid steps is one matmul. Only the
+    diagonal orbits carry guard reads, and the guard entry g = (n_ph - 1,
+    n_ph - 1) is one of those W leaves in place; so they also keep the
+    _MACRO rows e_g^T E^j (j = 1.._MACRO), and rows @ u gives the guard
+    populations of the _MACRO grid steps after a state u without stepping
+    through them. That is one extra propagator per orbit and a
+    (_MACRO, n_ph^2) block per diagonal orbit, not a stack of powers.
     """
 
     def __init__(self, params: DerivedGateParams, cav: np.ndarray, dt: float):
@@ -588,8 +606,11 @@ class _BlockTracks:
                 reps.append(key)
             reads.append((reps.index(mirror if mirrored else key), mirrored))
         forms = [_conjugation(n_ph, *rep) for rep in reps]
-        real = [o for o, form in enumerate(forms) if form is not None]
+        # diagonal orbits (lam_i = lam_j) lead the real stack
+        real = sorted((o for o, form in enumerate(forms) if form is not None),
+                      key=lambda o: reps[o][0] != reps[o][1])
         cplx = [o for o, form in enumerate(forms) if form is None]
+        n_diag = sum(reps[o][0] == reps[o][1] for o in real)
 
         # each propagator is written straight into its orbit's slot
         generator = _block_generator(params, n_ph)
@@ -607,6 +628,15 @@ class _BlockTracks:
                 self.real_start[slot] = u.real.T
             else:  # r -> Pi r^dag Pi: cav alone, split into Re and Im
                 self.real_start[slot] = np.stack([u[0].real, u[0].imag][:cols], axis=1)
+
+        # P = E^_MACRO by squarings; the guard rows e_g^T E^j double alongside
+        self.guard_rows = self.real_ops[:n_diag, -1:]  # j = 1
+        self.cplx_macro, self.real_macro = self.cplx_ops, self.real_ops
+        for _ in range(_MACRO.bit_length() - 1):
+            self.guard_rows = np.concatenate(
+                [self.guard_rows, self.guard_rows @ self.real_macro[:n_diag]], axis=1)
+            self.cplx_macro = self.cplx_macro @ self.cplx_macro
+            self.real_macro = self.real_macro @ self.real_macro
 
         # a row of run() is the complex tracks (as float pairs), then the
         # real columns; each read's entries sit at base + stride * entry,
@@ -641,44 +671,66 @@ class _BlockTracks:
         # columns are real at the diagonal entries
         self.guard = self.re[[i == j for i, j in _UPPER], -1]
 
-    def run(self, steps: int):
-        """Yield (first, states) for grid steps 0..steps, in chunks.
+    def run(self, steps: int, stride: int = 1):
+        """Yield (at, states) for grid steps 0, stride, 2 stride, ... and steps.
 
-        states is a (count, width) float64 view of one buffer of _CHUNK
-        grid steps, holding the steps first, first + 1, ...; it is
-        overwritten by the next chunk, so read it before asking for that.
-        Each step is one batched matmul call per group of tracks, written
-        into the buffer.
+        at holds the grid steps of the rows of states, a (count, width)
+        float64 array, in chunks. The tracks stop at those steps and at every
+        multiple of _MACRO, up to _CHUNK stops per chunk; a gap of _MACRO
+        steps between stops is one matmul by P per group of tracks, and a
+        shorter gap takes E once per step. After each chunk, peak holds the
+        largest guard population over every grid step up to the chunk's last
+        stop: the guard rows read each gap off the stop that starts it.
         """
-        rows = min(_CHUNK, steps + 1)
+        stops = np.unique(np.r_[np.arange(0, steps, _MACRO), np.arange(0, steps, stride), steps])
+        gaps = np.diff(stops, prepend=0).tolist()  # steps up to each stop
+        ahead = np.diff(stops, append=steps)  # steps from each stop to the next
+        keep = (stops % stride == 0) | (stops == steps)
+        rows = min(_CHUNK, len(stops))
         d = self.real_ops.shape[-1]
+        n_diag = len(self.guard_rows)
         # a complex buffer keeps the complex tracks aligned; the real columns
         # sit in its float view
         buf = np.empty((rows, (self.width + 1) // 2), dtype=complex)
         flat = buf.view(float)
         n_cplx, n_real = len(self.cplx_ops), len(self.real_ops)
         at = n_cplx * self.cols * d
+        real_states = flat[:, 2 * at:self.width].reshape(rows, n_real, d, self.cols)
         stacks = [
-            (self.cplx_ops[:, None], buf[:, :at].reshape(rows, n_cplx, self.cols, d, 1)),
-            (self.real_ops, flat[:, 2 * at:self.width].reshape(rows, n_real, d, self.cols)),
+            (self.cplx_ops[:, None], self.cplx_macro[:, None],
+             buf[:, :at].reshape(rows, n_cplx, self.cols, d, 1)),
+            (self.real_ops, self.real_macro, real_states),
         ]
         starts = [self.cplx_start, self.real_start]
-        for first in range(0, steps + 1, _CHUNK):
-            count = min(_CHUNK, steps + 1 - first)
-            for (ops, states), start in zip(stacks, starts):
+        self.peak = 0.0
+        for first in range(0, len(stops), _CHUNK):
+            count = min(_CHUNK, len(stops) - first)
+            for (ops, macro, states), start in zip(stacks, starts):
                 group = max(1, _STEP_BYTES // (ops.itemsize * d * d))
                 for g in range(0, len(ops), group):
                     tracks = slice(g, g + group)
-                    op, vec = ops[tracks], start[tracks]
-                    for k in range(count):
-                        if first + k:
+                    op, jump, vec = ops[tracks], macro[tracks], start[tracks]
+                    for k, gap in enumerate(gaps[first:first + count]):
+                        if gap == _MACRO:
+                            vec = np.matmul(jump, vec, out=states[k, tracks])
+                        elif gap:
+                            for _ in range(gap - 1):
+                                vec = op @ vec
                             vec = np.matmul(op, vec, out=states[k, tracks])
                         else:
                             states[0, tracks] = vec
+            # the guard populations of the grid steps after each stop, up to
+            # the next; step 0 is read off its own row
+            pops = self.guard_rows @ real_states[:count, :n_diag]
+            within = np.arange(_MACRO)[:, None] < ahead[first:first + count, None, None, None]
+            self.peak = max(self.peak, float(np.where(within, pops, 0.0).max()))
+            if not first:
+                self.peak = max(self.peak, float(flat[0, self.guard].max()))
             # the next chunk's first step reads this row before any group
             # overwrites it
-            starts = [states[count - 1] for _, states in stacks]
-            yield first, flat[:count, :self.width]
+            starts = [states[count - 1] for _, _, states in stacks]
+            kept = keep[first:first + count]
+            yield stops[first:first + count][kept], flat[:count, :self.width][kept]
 
     def traces(self, row: np.ndarray) -> np.ndarray:
         """The ten block traces of _UPPER in one row of run()."""
@@ -721,13 +773,17 @@ def extract_channel(
     serve equal couplings and 6 unequal ones; the orbits with
     lam_i = +-lam_j (3 of 4, 4 of 6) take a real expm and step real columns
     in the fixed basis of an antiunitary symmetry, with the same numbers to
-    rounding. The guard-level population is a running maximum over all
-    four diagonal blocks at every grid step, not only at the gate's end;
-    for basis-state inputs the composite state is a single diagonal block,
-    so it is the worst case over any qubit input. The guard entries and the
-    final traces are read straight off the stepped columns, which the
-    fixed basis leaves alone on the diagonal, and only the maximum and the
-    final traces are kept, so memory does not grow with the step count.
+    rounding. The tracks advance _MACRO grid steps per matmul by
+    P = E^_MACRO (E for the last steps % _MACRO), which matches stepping by
+    E to rounding. The guard-level population is still a running maximum
+    over all four diagonal blocks at every grid step, not only at the
+    gate's end or at the macro steps: the steps in between are read off the
+    rows e_g^T E^j. For basis-state inputs the composite state is a single
+    diagonal block, so it is the worst case over any qubit input. The guard
+    entries and the final traces are read straight off the stepped columns,
+    which the fixed basis leaves alone on the diagonal, and only the
+    maximum and the final traces are kept, so memory does not grow with the
+    step count. SimDiagnostics.steps counts grid steps, not macro steps.
     For a thermal preparation this delegates to thermal_average_channel
     (which needs the seed).
     """
@@ -745,11 +801,9 @@ def extract_channel(
     steps, dt = policy.resolve(params.t_g_ns)
 
     tracks = _BlockTracks(params, cav, dt)
-    max_top = 0.0
-    for _, states in tracks.run(steps):
-        max_top = max(max_top, float(states[:, tracks.guard].max()))
-    traces = tracks.traces(states[-1])
-    diag = _run_health(max_top, steps, dt, n_ph, top_level_threshold)
+    for _, states in tracks.run(steps, _MACRO):
+        traces = tracks.traces(states[-1])
+    diag = _run_health(tracks.peak, steps, dt, n_ph, top_level_threshold)
 
     upper_i, upper_j = np.array(_UPPER).T
     rates = _dephasing_rates(gamma_1, gamma_2)[upper_i, upper_j]
@@ -864,10 +918,8 @@ def trajectory_rows(
 
     tracks = _BlockTracks(params, cav, dt)
     rows: list[dict] = []
-    for first, states in tracks.run(steps):
-        for step, blocks in enumerate(tracks.blocks(states), first):
-            if step % stride and step != steps:
-                continue
+    for at, states in tracks.run(steps, stride):
+        for step, blocks in zip(at.tolist(), tracks.blocks(states)):
             t_now = step * dt
             r_diag = np.diagonal(q)[:, None, None] * blocks[on_diag]
             pops = np.einsum("inn->in", r_diag).real

@@ -16,11 +16,13 @@ produce byte-identical files.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -304,6 +306,32 @@ def _evaluate_point(cfg: RunConfig, seed: int) -> SweepRow:
     )
 
 
+# thread-count setters of the OpenBLAS builds numpy wheels bundle
+_BLAS_THREAD_SETTERS = (
+    "scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_", "openblas_set_num_threads",
+)
+
+
+def _one_blas_thread() -> None:
+    """Worker initializer: cap the OpenBLAS that numpy loaded at one thread.
+
+    A point's matrices are at most a few hundred rows, where BLAS threads
+    cost more than they save, and each of the N worker processes would
+    start its own. The library sits in the numpy.libs folder of a numpy
+    wheel; opening it again returns the copy numpy loaded. A no-op where
+    there is no such library or setter.
+    """
+    for path in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for name in _BLAS_THREAD_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
+
+
 def _point_worker(args) -> tuple[int, SweepRow]:
     cfg, index, overrides = args
     return index, evaluate_point(replace(cfg, **overrides), seed=cfg.seed + index)
@@ -314,9 +342,9 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
 
     Axes combine row-major in config order (last axis fastest); with no
     axes this degenerates to the single configured point. Points are
-    independent; jobs > 1 dispatches them over a process pool and reorders
-    results back to the deterministic sequence. Per-point seeds are
-    seed + index.
+    independent; jobs > 1 dispatches them over a process pool, whose
+    workers run with one BLAS thread each, and reorders results back to the
+    deterministic sequence. Per-point seeds are seed + index.
     """
     names = [name for name, _ in cfg.axes]
     grids = [values for _, values in cfg.axes]
@@ -326,7 +354,7 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
         for index, combo in enumerate(combos)
     ]
     if cfg.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=cfg.jobs, initializer=_one_blas_thread) as pool:
             indexed = list(pool.map(_point_worker, tasks))
     else:
         indexed = [_point_worker(t) for t in tasks]

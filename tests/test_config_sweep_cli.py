@@ -5,7 +5,10 @@ from __future__ import annotations
 import importlib.util
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -259,6 +262,31 @@ def test_run_sweep_ordering_and_parallel_equivalence():
     parallel = run_sweep(config_from_dict({**payload, "jobs": 2}, source="t"))
     assert render_csv(serial) == render_csv(parallel)
     assert not serial.any_failed
+
+
+def test_sweep_workers_cap_blas_at_one_thread():
+    # the --jobs worker initializer, in a process that starts with 2 threads;
+    # where numpy bundles no OpenBLAS it does nothing, and there is nothing to read
+    libs = sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*"))
+    if not libs:
+        pytest.skip("numpy bundles no OpenBLAS here")
+    script = (
+        "import ctypes, sys\n"
+        "from resgate import sweep\n"
+        f"lib = ctypes.CDLL({str(libs[0])!r})\n"
+        "get = next(getattr(lib, n.replace('set', 'get')) for n in sweep._BLAS_THREAD_SETTERS\n"
+        "           if hasattr(lib, n.replace('set', 'get')))\n"
+        "before = get()\n"
+        "sweep._one_blas_thread()\n"
+        "print(before, get())\n"
+    )
+    src = str(Path(sweep.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2", "1"]
 
 
 def test_sweep_single_point_equals_optimize():

@@ -484,6 +484,72 @@ def test_block_stepping_groups_are_bit_identical(monkeypatch, g2_over_g1):
     assert diag_a.max_top_level_pop == diag_b.max_top_level_pop
 
 
+@pytest.mark.parametrize("steps", [3, 200, 203, 365])
+@pytest.mark.parametrize("g2_over_g1", [1.0, 1.5])
+@pytest.mark.parametrize("alpha", [None, -0.5 + 0.5j], ids=["vacuum", "coherent"])
+def test_extract_channel_guard_is_read_at_every_step(alpha, g2_over_g1, steps):
+    # extract_channel stops only every _MACRO grid steps; its guard maximum
+    # must still be the maximum over every grid step of stride-1 stepping,
+    # for fewer steps than _MACRO, a multiple of it and remainders
+    p = make_params(0.7, 5e-3, n=2, g2_over_g1=g2_over_g1)
+    n_ph = 8
+    fock = FockSpace(n_ph)
+    prep, cav = ((CavityPrep.vacuum(), fock.vacuum_rho()) if alpha is None
+                 else (CavityPrep.coherent(alpha), fock.coherent_rho(alpha)))
+    policy = StepPolicy(min_steps=steps, max_steps=steps)
+    _, dt = policy.resolve(p.t_g_ns)
+    tracks = lindblad._BlockTracks(p, cav, dt)
+    every = max(float(states[:, tracks.guard].max()) for _, states in tracks.run(steps))
+    _, diag = extract_channel(p, 0.0, 0.0, prep, n_ph=n_ph, policy=policy)
+    assert diag.steps == steps
+    assert diag.max_top_level_pop == pytest.approx(every, rel=1e-12)
+
+
+@given(
+    g2_over_g1=st.one_of(st.just(1.0), st.floats(min_value=0.3, max_value=3.0)),
+    delta_sign=st.sampled_from([1, -1]),
+    kappa=st.floats(min_value=1e-3, max_value=5e-2),
+    n_ph=st.integers(min_value=4, max_value=10),
+    alpha=st.one_of(st.none(), st.complex_numbers(max_magnitude=0.8)),
+    half_steps=st.integers(min_value=1, max_value=205),
+)
+@settings(max_examples=15, deadline=None)
+def test_extract_channel_is_the_same_at_any_stride(g2_over_g1, delta_sign, kappa, n_ph,
+                                                   alpha, half_steps):
+    # stepping by P = E^_MACRO (and E for the remainder) against E at every
+    # grid step, over odd step counts
+    p = make_params(0.7, kappa, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
+    prep = CavityPrep.vacuum() if alpha is None else CavityPrep.coherent(alpha)
+    steps = 2 * half_steps + 1
+    policy = StepPolicy(min_steps=steps, max_steps=steps)
+    runs = []
+    for macro in (1, lindblad._MACRO):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lindblad, "_MACRO", macro)
+            runs.append(extract_channel(p, 1e6, 2e6, prep, n_ph=n_ph, policy=policy))
+    (chan_a, diag_a), (chan_b, diag_b) = runs
+    assert np.abs(chan_a.superop - chan_b.superop).max() < 1e-13
+    assert diag_a.max_top_level_pop == pytest.approx(diag_b.max_top_level_pop, rel=1e-12)
+
+
+@pytest.mark.parametrize("stride", [3, 8, 20, 203])
+def test_trajectory_rows_are_the_same_at_any_stride(stride):
+    # a stride s run stops at multiples of s and of _MACRO, and steps a gap
+    # of _MACRO by P: its rows must be the stride-1 rows at the same steps,
+    # the final step included
+    p = make_params(0.7, 5e-3, g2_over_g1=1.5)
+    policy = StepPolicy(min_steps=203, max_steps=203)
+    prep = CavityPrep.coherent(0.3 + 0.4j)
+    every = trajectory_rows(p, 2e6, 0.5e6, prep, n_ph=8, policy=policy)
+    rows = trajectory_rows(p, 2e6, 0.5e6, prep, n_ph=8, policy=policy, stride=stride)
+    picked = [row for k, row in enumerate(every) if k % stride == 0 or k == 203]
+    assert len(rows) == len(picked) and rows[-1]["t_ns"] == every[-1]["t_ns"]
+    for row, ref in zip(rows, picked):
+        assert row["t_ns"] == ref["t_ns"]
+        for key in ("trace", "purity", "mean_photon", "top_level_pop", "polaron_residual"):
+            assert row[key] == pytest.approx(ref[key], rel=1e-12, abs=1e-15), key
+
+
 def test_extract_channel_guard_is_max_over_gate():
     # the guard level fills to ~1e-5 mid-gate and empties to ~7e-8 by t_g:
     # only a check over the whole gate flags it
