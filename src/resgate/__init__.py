@@ -8,10 +8,12 @@ Layers, roughly bottom-up:
   derivatives; couplings, decay rate, and the gate schedule.
 - noise: 1/f^beta charge-noise dephasing, the echo filter constant, the
   closed-form optimal operating point, and infidelity estimates.
-- channel: the superoperator-only TwoQubitChannel and the exact analytic
-  error channel of the gate (displacement trajectory, entangling phase,
-  b-factor, dephasing channels built from Kraus sets).
-- fidelity: entanglement / average gate fidelity and local-Z compensation.
+- channel: TwoQubitChannel, a Z-diagonal map stored as its 4x4 coherence
+  matrix C (rho -> C o rho), and the exact analytic error channel of the
+  gate (displacement trajectory, entangling phase, b-factor, dephasing
+  channels built from diagonal Kraus sets).
+- fidelity: entanglement / average gate fidelity read off C and the
+  target's diagonal, and local-Z compensation as a phase rescaling of C.
 - lindblad: the numeric master-equation oracle on qubits x Fock space.
 - config / sweep / cli: run configuration, device-grid sweeps, and the
   `resgate` command-line tool.
@@ -54,12 +56,10 @@ from .device import (
 )
 from .errors import ConfigError, DomainError, NonPhysicalChannelError
 from .fidelity import (
-    PRODUCT_STATES,
     FidelityReport,
     LocalZFit,
     average_gate_fidelity,
     entanglement_fidelity,
-    entanglement_fidelity_product_basis,
     fit_local_z,
 )
 from .lindblad import (

@@ -16,10 +16,12 @@ independent dephasing of the two qubits. Everything in this module is in
 angular units: couplings are energy/hbar in rad/ns, rates in 1/ns, times in
 ns (any consistent set works).
 
-Basis order is |00>, |01>, |10>, |11>. A TwoQubitChannel holds one
-representation, its 16x16 superoperator acting on row-major vectorized
-density matrices; the Kraus families here are constructors that build it
-as S = sum_k kron(K_k, conj(K_k)).
+Basis order is |00>, |01>, |10>, |11>. Every map here commutes with Z1 and
+Z2, so it is a Schur multiplier rho -> C o rho (elementwise product) with
+one 4x4 coherence matrix C, and a TwoQubitChannel stores only C. The Kraus
+families are constructors that build C = sum_k k k^dag from the diagonals
+k of diagonal Kraus operators; a Kraus operator or unitary that is not
+diagonal is rejected.
 """
 
 from __future__ import annotations
@@ -32,75 +34,87 @@ import numpy as np
 
 from .errors import DomainError, NonPhysicalChannelError
 
-_Z = np.diag([1.0, -1.0])
-_I2 = np.eye(2)
-PAULI_I4 = np.eye(4, dtype=complex)
-PAULI_Z1 = np.kron(_Z, _I2).astype(complex)
-PAULI_Z2 = np.kron(_I2, _Z).astype(complex)
-PAULI_ZZ = np.kron(_Z, _Z).astype(complex)
+# Diagonals of I, Z1, Z2 and Z1 Z2 in the basis order above.
+_I = np.ones(4)
+_Z1 = np.array([1.0, 1.0, -1.0, -1.0])
+_Z2 = np.array([1.0, -1.0, 1.0, -1.0])
+_ZZ = _Z1 * _Z2
 
 
 @dataclass(frozen=True)
 class TwoQubitChannel:
-    """A two-qubit map stored as its 16x16 superoperator (row-major vectorization).
+    """A Z-diagonal two-qubit map rho -> C o rho, stored as its 4x4
+    coherence matrix C (``coherence``).
 
-    Kraus operators are input only: ``from_kraus`` sums kron(K, conj(K)).
+    It is trace preserving iff C_ii = 1 and completely positive iff C is
+    positive semidefinite: its Choi matrix is C placed on the |ii> span,
+    so the Choi spectrum is eig(C) plus 12 zeros.
     """
 
-    superop: np.ndarray
+    coherence: np.ndarray
 
     def __post_init__(self):
-        superop = np.asarray(self.superop, dtype=complex)
-        if superop.shape != (16, 16):
-            raise DomainError("superoperator must be 16x16")
-        object.__setattr__(self, "superop", superop)
+        coherence = np.asarray(self.coherence, dtype=complex)
+        if coherence.shape != (4, 4):
+            raise DomainError("coherence matrix must be 4x4")
+        object.__setattr__(self, "coherence", coherence)
 
     @classmethod
     def from_kraus(cls, ops) -> "TwoQubitChannel":
-        """The map rho -> sum_k K_k rho K_k^dag of 4x4 Kraus operators K_k."""
-        s = np.zeros((16, 16), dtype=complex)
+        """The map rho -> sum_k K_k rho K_k^dag of diagonal 4x4 Kraus operators K_k."""
+        c = np.zeros((4, 4), dtype=complex)
         for k in ops:
             k = np.asarray(k, dtype=complex)
             if k.shape != (4, 4):
                 raise DomainError("Kraus operators must be 4x4")
-            s += np.kron(k, k.conj())
-        return cls(superop=s)
+            d = np.diag(k)
+            if np.any(k - np.diag(d)):
+                raise DomainError("Kraus operators must be diagonal in the Z basis")
+            c += np.multiply.outer(d, d.conj())
+        return cls(c)
 
     @classmethod
     def from_unitary(cls, u: np.ndarray) -> "TwoQubitChannel":
         return cls.from_kraus((u,))
+
+    @property
+    def superop(self) -> np.ndarray:
+        """16x16 superoperator on row-major vectorized matrices: diag(vec C)."""
+        return np.diag(self.coherence.reshape(16))
 
     def choi_matrix(self) -> np.ndarray:
         """Unnormalized Choi matrix (trace 4 for a TP map), row-major pairing."""
         return self.superop.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        return (self.superop @ np.asarray(rho, dtype=complex).reshape(16)).reshape(4, 4)
+        return self.coherence * np.asarray(rho, dtype=complex).reshape(4, 4)
 
     def then(self, later: "TwoQubitChannel") -> "TwoQubitChannel":
         """Composition: apply self first, then ``later``."""
-        return TwoQubitChannel(superop=later.superop @ self.superop)
+        return TwoQubitChannel(later.coherence * self.coherence)
 
     def completeness_defect(self) -> float:
-        """Trace-preservation defect max|vec(I) S - vec(I)|, equal to
+        """Trace-preservation defect max|C_ii - 1|, equal to
         max|sum_k K^dag K - I| for any Kraus form of the map."""
-        vec_id = np.eye(4, dtype=complex).reshape(16)
-        return float(np.max(np.abs(vec_id @ self.superop - vec_id)))
+        return float(np.max(np.abs(np.diagonal(self.coherence) - 1.0)))
+
+    def _coherence_eigenvalues(self) -> np.ndarray:
+        c = self.coherence
+        return np.linalg.eigvalsh(0.5 * (c + c.conj().T))
 
     def choi_min_eigenvalue(self) -> float:
-        c = self.choi_matrix()
-        return float(np.linalg.eigvalsh(0.5 * (c + c.conj().T))[0])
+        """Smallest eigenvalue of C (the Choi matrix adds only zeros)."""
+        return float(self._coherence_eigenvalues()[0])
 
     def validate(self, tp_tol: float = 1e-10, choi_tol: float = 1e-8) -> None:
         """Raise NonPhysicalChannelError if the map is not CPTP within tolerance."""
         defect = self.completeness_defect()
-        c = self.choi_matrix()
-        eigs = np.linalg.eigvalsh(0.5 * (c + c.conj().T))
+        eigs = self._coherence_eigenvalues()
         if defect > tp_tol or eigs[0] < -choi_tol:
             raise NonPhysicalChannelError(
                 f"map is not CPTP: trace-preservation defect {defect:.3e} "
-                f"(tol {tp_tol:.0e}), Choi eigenvalues {np.array2string(eigs, precision=3)} "
-                f"(min tol -{choi_tol:.0e})",
+                f"(tol {tp_tol:.0e}), coherence eigenvalues "
+                f"{np.array2string(eigs, precision=3)} (min tol -{choi_tol:.0e})",
                 choi_eigenvalues=eigs,
                 tp_defect=defect,
             )
@@ -117,15 +131,16 @@ def ideal_gate_unitary(phi_12: float) -> np.ndarray:
 
 
 def textbook_cphase_decomposition() -> tuple[np.ndarray, np.ndarray]:
-    """(CZ, local correction L) with CZ = e^{i pi/4} * ideal_gate_unitary(pi/4) @ L.
+    """(CZ, local correction L) with CZ = e^{i pi/4} * ideal_gate_unitary(pi/4) L.
 
     L = Rz(pi/2) (x) Rz(pi/2) is the single-qubit-Z dressing that turns the
-    symmetric geometric-phase gate into the textbook diag(1, 1, 1, -1).
+    symmetric geometric-phase gate into the textbook diag(1, 1, 1, -1). All
+    three are diagonal, so the product is taken on their diagonals.
     """
-    rz = np.diag([np.exp(-1j * np.pi / 4), np.exp(1j * np.pi / 4)])
-    local = np.kron(rz, rz)
-    cz = np.exp(1j * np.pi / 4) * ideal_gate_unitary(np.pi / 4) @ local
-    return cz, local
+    rz = np.exp(np.array([-1j, 1j]) * np.pi / 4)
+    local = np.multiply.outer(rz, rz).reshape(4)
+    cz = np.exp(1j * np.pi / 4) * np.diag(ideal_gate_unitary(np.pi / 4)) * local
+    return np.diag(cz), np.diag(local)
 
 
 def alpha_closed_form(g: float, delta: float, kappa: float, t):
@@ -239,10 +254,10 @@ def correlated_dephasing_channel(b: float) -> TwoQubitChannel:
     """
     if not (0.0 <= b <= 1.0):
         raise DomainError(f"b must lie in [0, 1], got {b}")
-    k0 = 0.5 * ((1.0 + b) * PAULI_I4 - (1.0 - b) * PAULI_ZZ)
-    k1 = math.sqrt((1.0 - b**4) / 2.0) * 0.5 * (PAULI_Z1 + PAULI_Z2)
-    k2 = ((1.0 - b**2) / math.sqrt(2.0)) * 0.5 * (PAULI_I4 + PAULI_ZZ)
-    return TwoQubitChannel.from_kraus((k0, k1, k2))
+    k0 = 0.5 * ((1.0 + b) * _I - (1.0 - b) * _ZZ)
+    k1 = math.sqrt((1.0 - b**4) / 2.0) * 0.5 * (_Z1 + _Z2)
+    k2 = ((1.0 - b**2) / math.sqrt(2.0)) * 0.5 * (_I + _ZZ)
+    return TwoQubitChannel.from_kraus(np.diag(k) for k in (k0, k1, k2))
 
 
 def intrinsic_dephasing_channel(gamma_1: float, gamma_2: float, t: float) -> TwoQubitChannel:
@@ -257,12 +272,12 @@ def intrinsic_dephasing_channel(gamma_1: float, gamma_2: float, t: float) -> Two
     p1 = 0.5 * (1.0 - math.exp(-gamma_1 * t))
     p2 = 0.5 * (1.0 - math.exp(-gamma_2 * t))
     weights_ops = (
-        ((1.0 - p1) * (1.0 - p2), PAULI_I4),
-        (p1 * (1.0 - p2), PAULI_Z1),
-        (p2 * (1.0 - p1), PAULI_Z2),
-        (p1 * p2, PAULI_ZZ),
+        ((1.0 - p1) * (1.0 - p2), _I),
+        (p1 * (1.0 - p2), _Z1),
+        (p2 * (1.0 - p1), _Z2),
+        (p1 * p2, _ZZ),
     )
-    return TwoQubitChannel.from_kraus(math.sqrt(w) * op for w, op in weights_ops)
+    return TwoQubitChannel.from_kraus(np.diag(math.sqrt(w) * op) for w, op in weights_ops)
 
 
 def analytic_gate_channel(

@@ -14,8 +14,9 @@ class ConfigError(ValueError):
 class NonPhysicalChannelError(ValueError):
     """A map fails the CPTP checks beyond tolerance.
 
-    Carries the offending Choi eigenvalues and the trace-preservation defect
-    so the caller can see *how* the map is broken.
+    Carries the eigenvalues of the channel's 4x4 coherence matrix C as
+    ``choi_eigenvalues`` (its Choi spectrum is these plus 12 zeros) and the
+    trace-preservation defect, so the caller can see *how* the map is broken.
     """
 
     def __init__(self, message: str, choi_eigenvalues=None, tp_defect=None):

@@ -23,8 +23,8 @@ Basis ordering is qubit_1 (x) qubit_2 (x) Fock, i.e. the Fock index runs
 fastest. H, the photon loss and the dephasing all commute with Z1 and Z2,
 so the qubit block r_ij = <i|rho|j> (an n_ph x n_ph cavity operator)
 evolves on its own under a fixed n_ph^2 x n_ph^2 generator L_ij. The
-effective two-qubit channel is therefore diagonal in the row-major vec
-basis: rho_ij -> C_ij rho_ij with C_ij = Tr[expm(L_ij t_g) cav].
+effective two-qubit channel is therefore the elementwise map
+rho_ij -> C_ij rho_ij with C_ij = Tr[expm(L_ij t_g) cav], stored as C.
 One block engine serves every production path: extract_channel, the
 trajectory dump (trajectory_rows) and the polaron check (polaron_residual)
 all step the blocks with expm(L_ij dt) on the StepPolicy grid through one
@@ -811,7 +811,7 @@ def extract_channel(
     coh[upper_i, upper_j] = np.exp(-rates * params.t_g_ns) * traces
     coh[upper_j, upper_i] = np.conj(coh[upper_i, upper_j])
     coh[range(4), range(4)] = traces[upper_i == upper_j].real
-    return TwoQubitChannel(superop=np.diag(coh.reshape(16))), diag
+    return TwoQubitChannel(coh), diag
 
 
 def _polaron_defect(
@@ -953,7 +953,7 @@ def thermal_average_channel(
     (the P-representation of a thermal state), extracts the channel for
     each, strips the deterministic drive-induced single-qubit Z phases by
     fitting two trailing Z angles per sample, and averages the compensated
-    superoperators. Deterministic for a given seed. n_bar = 0 short-circuits
+    coherence matrices. Deterministic for a given seed. n_bar = 0 short-circuits
     to the plain vacuum extraction (bit-identical with it).
     """
     if n_bar < 0:
@@ -971,7 +971,7 @@ def thermal_average_channel(
     draws = rng.normal(0.0, sigma, size=(sample_count, 2))
     target = ideal_gate_unitary(math.copysign(math.pi / 4, params.delta_rad_ns))
 
-    acc = np.zeros((16, 16), dtype=complex)
+    acc = np.zeros((4, 4), dtype=complex)
     agg: SimDiagnostics | None = None
     for re_b, im_b in draws:
         beta = complex(re_b, im_b)
@@ -980,6 +980,6 @@ def thermal_average_channel(
             policy=policy, top_level_threshold=top_level_threshold,
         )
         fit = fit_local_z(chan, target, validate=False)
-        acc += fit.channel.superop
+        acc += fit.channel.coherence
         agg = diag if agg is None else agg.merged_with(diag)
-    return TwoQubitChannel(superop=acc / sample_count), agg
+    return TwoQubitChannel(acc / sample_count), agg

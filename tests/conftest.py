@@ -1,4 +1,5 @@
-"""Shared fixtures: the default device point and synthetic internal-unit params."""
+"""Shared fixtures: the default device point, synthetic internal-unit params,
+and the product-basis fidelity route the tests score channels against."""
 
 from __future__ import annotations
 
@@ -10,6 +11,9 @@ import os
 # loads; neither pytest nor hypothesis imports numpy before this file.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+import math
+
+import numpy as np
 import pytest
 
 from resgate import (
@@ -17,8 +21,20 @@ from resgate import (
     NoiseSpec,
     ResonatorSpec,
     gate_schedule,
+    ideal_gate_unitary,
 )
 from resgate.constants import HBAR_J_S, TWO_PI, uev_to_J
+
+_S1 = [
+    np.array([1.0, 0.0], dtype=complex),
+    np.array([0.0, 1.0], dtype=complex),
+    np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0),
+    np.array([1.0, 1j], dtype=complex) / math.sqrt(2.0),
+]
+# The 16 product states |s_a s_b><s_a s_b|; they span two-qubit operator space.
+PRODUCT_STATES = tuple(
+    np.outer(np.kron(a, b), np.kron(a, b).conj()) for a in _S1 for b in _S1
+)
 
 
 def make_params(
@@ -44,6 +60,34 @@ def make_params(
         n=n,
         J_tilde=0.0,
     )
+
+
+def entanglement_fidelity_product_basis(channel, target=None, *, validate=True) -> float:
+    """F_e from the 16 product states, orthonormalized via their Gram matrix.
+
+    With inputs rho_i spanning operator space, any orthonormalization
+    B_mu = sum_i rho_i W_i_mu with W W^dag = G^-1 (G the Gram matrix) gives
+    sum_mu Tr[B_mu^dag N'(B_mu)] = Tr[G^-1 M], M_ij = Tr[rho_i^dag N'(rho_j)].
+    An independent route to resgate's F_e: it scores the channel on physical
+    input states through ``apply`` and takes the whole target, not only its
+    diagonal (default: the phase pi/4 gate).
+    """
+    if target is None:
+        target = ideal_gate_unitary(math.pi / 4.0)
+    tmat = np.asarray(target, dtype=complex)
+    if validate:
+        channel.validate()
+    tinv = tmat.conj().T
+    outs = [tinv @ channel.apply(rho) @ tmat for rho in PRODUCT_STATES]
+    m = np.array(
+        [[np.trace(ri.conj().T @ oj) for oj in outs] for ri in PRODUCT_STATES]
+    )
+    gram = np.array(
+        [[np.trace(ri.conj().T @ rj) for rj in PRODUCT_STATES] for ri in PRODUCT_STATES]
+    )
+    f_e = np.trace(np.linalg.solve(gram, m)) / 16.0
+    assert abs(f_e.imag) < 1e-10, f"entanglement fidelity has imaginary part {f_e.imag:+.3e}"
+    return float(f_e.real)
 
 
 @pytest.fixture

@@ -33,7 +33,6 @@ from resgate import (
     b_factor_simplified,
     build_hamiltonian,
     correlated_dephasing_channel,
-    entanglement_fidelity_product_basis,
     evolve_rk4,
     extract_channel,
     fit_local_z,
@@ -45,7 +44,7 @@ from resgate import (
 from resgate.config import config_from_dict
 from resgate.sweep import evaluate_point, render_csv, run_sweep
 
-from conftest import make_params
+from conftest import entanglement_fidelity_product_basis, make_params
 
 # Representative rates in 1/ns: the default-resonator cavity decay and the
 # intrinsic dephasing at the optimized default operating point.

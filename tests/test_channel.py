@@ -203,9 +203,20 @@ def test_channel_rejects_misshapen_input():
     with pytest.raises(DomainError):
         TwoQubitChannel.from_kraus([np.eye(4), np.eye(2)])
     with pytest.raises(DomainError):
-        TwoQubitChannel(superop=np.eye(4))
+        TwoQubitChannel(np.eye(16))
     with pytest.raises(DomainError):
-        TwoQubitChannel(superop=np.eye(16)[:, :15])
+        TwoQubitChannel(np.ones((4, 3)))
+
+
+def test_channel_rejects_non_diagonal_kraus_and_unitary():
+    # only Z-diagonal maps have a coherence matrix; a CNOT has none
+    cnot = np.eye(4)[[0, 1, 3, 2]]
+    with pytest.raises(DomainError):
+        TwoQubitChannel.from_unitary(cnot)
+    k = np.diag([1.0, 1.0, 1.0, 0.0]).astype(complex)
+    k[0, 3] = 1e-9
+    with pytest.raises(DomainError):
+        TwoQubitChannel.from_kraus([np.eye(4), k])
 
 
 def test_channel_validate_catches_broken_kraus():
@@ -213,6 +224,43 @@ def test_channel_validate_catches_broken_kraus():
     chan = TwoQubitChannel.from_kraus(k)
     with pytest.raises(NonPhysicalChannelError):
         chan.validate()
+    # trace preserving (C_ii = 1) but not positive: |C_03| > 1
+    c = np.eye(4, dtype=complex)
+    c[0, 3] = c[3, 0] = 1.2
+    with pytest.raises(NonPhysicalChannelError) as err:
+        TwoQubitChannel(c).validate()
+    assert err.value.tp_defect == 0.0
+    assert err.value.choi_eigenvalues[0] == pytest.approx(-0.2, abs=1e-14)
+    # positive but not trace preserving
+    with pytest.raises(NonPhysicalChannelError) as err:
+        TwoQubitChannel(np.diag([1.0, 1.0, 1.0, 1.0 + 1e-9])).validate()
+    assert err.value.tp_defect == pytest.approx(1e-9, rel=1e-6)
+
+
+def test_coherence_cp_check_matches_choi_spectrum():
+    # the Choi matrix of rho -> C o rho is C on the |ii> span: its spectrum
+    # is eig(C) plus 12 zeros, so the 4x4 verdict is the 16x16 one
+    rng = np.random.default_rng(11)
+    verdicts = []
+    for rank in (1, 2, 3, 4) * 5:
+        v = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        h = h + h.conj().T
+        np.fill_diagonal(h, 0.0)
+        chan = TwoQubitChannel(v @ v.conj().T + rng.uniform(0.0, 0.3) * h)
+        choi_eigs = np.linalg.eigvalsh(chan.choi_matrix())
+        eigs = np.linalg.eigvalsh(chan.coherence)
+        assert np.allclose(choi_eigs, np.sort(np.concatenate([eigs, np.zeros(12)])), atol=1e-12)
+        assert min(chan.choi_min_eigenvalue(), 0.0) == pytest.approx(choi_eigs[0], abs=1e-12)
+        try:
+            chan.validate()
+            verdicts.append(False)
+        except NonPhysicalChannelError as exc:
+            assert np.allclose(exc.choi_eigenvalues, eigs, atol=1e-12)
+            verdicts.append(True)
+        assert verdicts[-1] == (choi_eigs[0] < -1e-8)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_analytic_gate_channel_composition():

@@ -103,16 +103,30 @@ def test_axis_forms():
     assert all(type(v) is int for v in values)
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_config_table_lists_every_key_with_its_default():
     # the README table is the one hand-written copy of the schema: a renamed
     # key or a changed default must show up here
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     section = readme.split("\n## Configuration\n", 1)[1].split("\n#", 1)[0]
     rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \|", section, flags=re.MULTILINE)
     assert [key for key, _ in rows] == [f.name for f in fields(RunConfig)]
     defaults = RunConfig().to_json_dict()
     for key, cell in rows:
         assert json.loads(cell) == defaults[key], key
+
+
+def test_readme_quick_start_runs(capsys):
+    # the README's own example runs against the current API: t_g, the
+    # analytic fidelity, then the Lindblad fidelity and the solver's flag
+    section = README.read_text(encoding="utf-8").split("\n## Quick start\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, "README.md (Quick start)", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert lines[2].endswith(" False")
 
 
 def test_coherent_cavity_forms():

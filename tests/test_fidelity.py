@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -10,14 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resgate import (
-    PRODUCT_STATES,
     CavityPrep,
     TwoQubitChannel,
     analytic_avg_fidelity,
     average_gate_fidelity,
     correlated_dephasing_channel,
     entanglement_fidelity,
-    entanglement_fidelity_product_basis,
     extract_channel,
     fit_local_z,
     ideal_gate_unitary,
@@ -25,7 +24,11 @@ from resgate import (
     textbook_cphase_decomposition,
 )
 
-from conftest import make_params
+from conftest import (
+    PRODUCT_STATES,
+    entanglement_fidelity_product_basis,
+    make_params,
+)
 
 
 def _ideal_channel(phi=math.pi / 4.0) -> TwoQubitChannel:
@@ -67,7 +70,9 @@ def test_two_fidelity_routes_agree():
     # the trace kernel (entanglement_fidelity, average_gate_fidelity and
     # fit_local_z's report) against the product-basis route, on a composed
     # analytic channel and on the solver's exact channels at
-    # unequal couplings from a vacuum and a coherent start
+    # unequal couplings from a vacuum and a coherent start, scored against
+    # the gate and against a random non-diagonal unitary (of which the
+    # kernel reads only the diagonal)
     p = make_params(0.7, 5e-3, n=2, g2_over_g1=1.5)
     chans = [
         correlated_dephasing_channel(0.77).then(
@@ -76,8 +81,11 @@ def test_two_fidelity_routes_agree():
         extract_channel(p, 1e6, 2e6, CavityPrep.vacuum(), n_ph=8)[0],
         extract_channel(p, 1e6, 2e6, CavityPrep.coherent(0.3 - 0.4j), n_ph=8)[0],
     ]
-    target = ideal_gate_unitary(math.pi / 4.0)
-    for chan in chans:
+    rng = np.random.default_rng(5)
+    scrambled, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    for target, chan in itertools.product(
+        (ideal_gate_unitary(math.pi / 4.0), scrambled), chans
+    ):
         fe_basis = entanglement_fidelity_product_basis(chan, target)
         assert entanglement_fidelity(chan, target) == pytest.approx(fe_basis, abs=1e-12)
         rep = average_gate_fidelity(chan, target)
@@ -146,33 +154,27 @@ def test_fit_local_z_no_op_on_clean_channel():
 
 
 def _random_channels(rng):
-    """Three diagonal channels and three non-diagonal Kraus mixtures."""
+    """Six random CPTP Z-diagonal channels: coherence matrices C of ranks
+    3, 3, 3, 1, 2 and 4."""
     chans = []
-    for _ in range(3):
+    for rank in (3, 3, 3, 1, 2, 4):
         # unit-diagonal Gram matrix: the coherence factors of a CPTP diagonal map
-        v = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+        v = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
-        chans.append(TwoQubitChannel(superop=np.diag((v @ v.conj().T).reshape(16))))
-    for _ in range(3):
-        weights = rng.dirichlet(np.ones(3))
-        kraus = []
-        for w in weights:
-            u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-            kraus.append(math.sqrt(w) * u)
-        chans.append(TwoQubitChannel.from_kraus(kraus))
+        chans.append(TwoQubitChannel(v @ v.conj().T))
     return chans
 
 
 def _local_z_fidelity_grid(chan, target, theta):
     """F_avg of chan followed by Rz(t1) (x) Rz(t2), on the grid theta x theta.
 
-    The rotation's superoperator is diagonal with entries
-    r_p conj(r_r) r_q conj(r_s), r(t) = (e^{-it/2}, e^{it/2}), so F_e is a
+    The rotation multiplies C_ij by r_p conj(r_r) r_q conj(r_s) for
+    i = (p, q), j = (r, s) and r(t) = (e^{-it/2}, e^{it/2}), so F_e is a
     bilinear form in the per-qubit factors.
     """
-    s_n = chan.superop
-    s_t = np.kron(target, target.conj())
-    d = np.diag(s_n @ s_t.conj().T).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    u = np.diag(target)
+    w = chan.coherence * np.conj(np.outer(u, u.conj()))
+    d = w.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
     r = np.exp(-0.5j * np.outer(theta, [1.0, -1.0]))
     a = (r[:, :, None] * r.conj()[:, None, :]).reshape(len(theta), 4)
     f_e = (a @ d @ a.T).real / 16.0
