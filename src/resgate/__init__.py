@@ -65,14 +65,10 @@ from .fidelity import (
 from .lindblad import (
     CavityPrep,
     choose_n_ph,
-    CompositeState,
     FockSpace,
     SimDiagnostics,
     StepPolicy,
-    build_hamiltonian,
-    evolve_rk4,
     extract_channel,
-    lindblad_rhs,
     polaron_residual,
     thermal_average_channel,
     trajectory_rows,

@@ -107,12 +107,20 @@ class TwoQubitChannel:
         return float(self._coherence_eigenvalues()[0])
 
     def validate(self, tp_tol: float = 1e-10, choi_tol: float = 1e-8) -> None:
-        """Raise NonPhysicalChannelError if the map is not CPTP within tolerance."""
+        """Raise NonPhysicalChannelError if the map is not CPTP within tolerance.
+
+        A CP map has a Hermitian C (it maps Hermitian states to Hermitian
+        ones), so max|C - C^dag| must stay within tp_tol as well; the
+        eigenvalue test reads only C's Hermitian part.
+        """
         defect = self.completeness_defect()
+        c = self.coherence
+        skew = float(np.max(np.abs(c - c.conj().T)))
         eigs = self._coherence_eigenvalues()
-        if defect > tp_tol or eigs[0] < -choi_tol:
+        if defect > tp_tol or skew > tp_tol or eigs[0] < -choi_tol:
             raise NonPhysicalChannelError(
                 f"map is not CPTP: trace-preservation defect {defect:.3e} "
+                f"(tol {tp_tol:.0e}), non-Hermitian part max|C - C^dag| {skew:.3e} "
                 f"(tol {tp_tol:.0e}), coherence eigenvalues "
                 f"{np.array2string(eigs, precision=3)} (min tol -{choi_tol:.0e})",
                 choi_eigenvalues=eigs,

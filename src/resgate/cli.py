@@ -24,7 +24,14 @@ import sys
 from .config import config_from_dict, read_config_file
 from .errors import ConfigError, DomainError
 from .lindblad import trajectory_rows
-from .sweep import SweepResult, emit_results, evaluate_point, resolve_operating_point, run_sweep
+from .sweep import (
+    SweepResult,
+    _one_blas_thread,
+    emit_results,
+    evaluate_point,
+    resolve_operating_point,
+    run_sweep,
+)
 
 TRAJECTORY_COLUMNS = (
     "t_ns", "trace", "purity", "mean_photon", "top_level_pop", "polaron_residual"
@@ -80,6 +87,7 @@ def _write_trajectory(cfg, path: str) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _one_blas_thread()  # small matrices: extra BLAS threads cost more than they save
     try:
         raw = read_config_file(args.config) if args.config else {}
         raw["mode"] = args.command

@@ -8,16 +8,14 @@ Solves the full (two qubits) x (truncated Fock space) master equation
 
 with D[c] rho = c rho c^dag - {c^dag c, rho}/2. The Hamiltonian is written
 in the frame rotating at the drive frequency, so it is time-independent and
-nothing oscillates faster than Delta. The reference evolve_rk4 integrates
-the composite state with fixed-step classical RK4 and re-Hermitization
-after every step; the default 20 ps step resolves everything comfortably.
-With the (gamma/2) D[Z] convention a single-qubit coherence decays at
-exactly gamma (the 1/T2 rate).
+nothing oscillates faster than Delta; the default 20 ps step grid resolves
+everything comfortably. With the (gamma/2) D[Z] convention a single-qubit
+coherence decays at exactly gamma (the 1/T2 rate).
 
-Unit boundaries: the high-level entry points (build_hamiltonian,
-extract_channel, polaron_residual, thermal_average_channel) take SI-valued
-DerivedGateParams and dephasing rates in 1/s; the low-level pieces
-(lindblad_rhs, evolve_rk4) work in the internal system rad/ns, 1/ns, ns.
+Unit boundaries: the entry points (extract_channel, trajectory_rows,
+polaron_residual, thermal_average_channel) take SI-valued DerivedGateParams
+and dephasing rates in 1/s; the block generators and steps inside work in
+the internal system rad/ns, 1/ns, ns.
 
 Basis ordering is qubit_1 (x) qubit_2 (x) Fock, i.e. the Fock index runs
 fastest. H, the photon loss and the dephasing all commute with Z1 and Z2,
@@ -25,10 +23,10 @@ so the qubit block r_ij = <i|rho|j> (an n_ph x n_ph cavity operator)
 evolves on its own under a fixed n_ph^2 x n_ph^2 generator L_ij. The
 effective two-qubit channel is therefore the elementwise map
 rho_ij -> C_ij rho_ij with C_ij = Tr[expm(L_ij t_g) cav], stored as C.
-One block engine serves every production path: extract_channel, the
-trajectory dump (trajectory_rows) and the polaron check (polaron_residual)
-all step the blocks with expm(L_ij dt) on the StepPolicy grid through one
-stepper (_BlockTracks.run) and read their numbers off the blocks.
+One block engine serves every path: extract_channel, the trajectory dump
+(trajectory_rows) and the polaron check (polaron_residual) all step the
+blocks with expm(L_ij dt) on the StepPolicy grid through one stepper
+(_BlockTracks.run) and read their numbers off the blocks.
 Branches come in sign-reversed pairs (lam_{3-k} = -lam_k), and the cavity
 parity Pi = diag((-1)^m) maps L(lam_i, lam_j) onto L(-lam_i, -lam_j)
 exactly, so block (3-j, 3-i) is read off block (i, j) evolved from
@@ -46,10 +44,11 @@ populations of the steps in between off 8 precomputed rows of E^j; the
 trajectory dump steps at its own stride through the same stepper. The
 truncated block generator preserves the trace exactly (Tr(a r a^dag) =
 Tr(n r), and a commutator is traceless), so the block engine checks only
-the guard-level population.
-evolve_rk4 integrates the full composite state, checks its own trace drift
-(pure integrator error) and is kept only as the independent reference the
-tests compare against.
+the guard-level population. A thermal cavity is not one state but a
+Monte-Carlo mixture of coherent ones: thermal_average_channel extracts and
+averages those samples, and the single-state paths reject it.
+The tests check this engine against an independent dense-composite RK4
+integrator kept in tests/rk4_reference.py.
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ from .fidelity import fit_local_z
 
 DEFAULT_N_PH = 6  # levels 0..5: one guard level above the 4-photon working range
 DEFAULT_TOP_LEVEL_THRESHOLD = 1e-4
-DEFAULT_TRACE_DRIFT_TOL = 1e-6
 # Z1, Z2 eigenvalues of the qubit basis states |00>, |01>, |10>, |11>.
 _BRANCHES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
@@ -156,128 +154,11 @@ class SimDiagnostics:
         }
 
 
-@dataclass(frozen=True)
-class CompositeState:
-    """Density matrix on qubit_1 (x) qubit_2 (x) Fock (Fock index fastest)."""
-
-    matrix: np.ndarray
-    n_ph: int
-
-    def __post_init__(self):
-        d = 4 * self.n_ph
-        if np.asarray(self.matrix).shape != (d, d):
-            raise DomainError(
-                f"state shape {np.asarray(self.matrix).shape} does not match 4*{self.n_ph}"
-            )
-
-    @classmethod
-    def from_parts(cls, qubit_rho: np.ndarray, cavity_rho: np.ndarray) -> "CompositeState":
-        cavity_rho = np.asarray(cavity_rho, dtype=complex)
-        return cls(
-            matrix=np.kron(np.asarray(qubit_rho, dtype=complex), cavity_rho),
-            n_ph=cavity_rho.shape[0],
-        )
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-    @property
-    def purity(self) -> float:
-        return float(np.einsum("ij,ji->", self.matrix, self.matrix).real)
-
-    @property
-    def mean_photon(self) -> float:
-        diag = np.einsum("ii->i", self.matrix).real.reshape(4, self.n_ph)
-        return float((diag * np.arange(self.n_ph)).sum())
-
-    @property
-    def top_level_pop(self) -> float:
-        diag = np.einsum("ii->i", self.matrix).real.reshape(4, self.n_ph)
-        return float(diag[:, -1].sum())
-
-    def qubit_rho(self) -> np.ndarray:
-        r = self.matrix.reshape(4, self.n_ph, 4, self.n_ph)
-        return np.einsum("ikjk->ij", r)
-
-    def cavity_rho(self) -> np.ndarray:
-        r = self.matrix.reshape(4, self.n_ph, 4, self.n_ph)
-        return np.einsum("inim->nm", r)
-
-
-def _full_ops(n_ph: int) -> dict:
-    """Operators lifted to the composite space (qubit_1 x qubit_2 x Fock)."""
-    fock = FockSpace(n_ph)
-    a = fock.annihilation()
-    i_f = np.eye(n_ph, dtype=complex)
-    z = np.diag([1.0, -1.0]).astype(complex)
-    i2 = np.eye(2, dtype=complex)
-    return {
-        "a": np.kron(np.eye(4, dtype=complex), a),
-        "n": np.kron(np.eye(4, dtype=complex), a.conj().T @ a),
-        "x_f": np.kron(np.eye(4, dtype=complex), a + a.conj().T),
-        "z1": np.kron(np.kron(z, i2), i_f),
-        "z2": np.kron(np.kron(i2, z), i_f),
-    }
-
-
-def build_hamiltonian(params: DerivedGateParams, n_ph: int = DEFAULT_N_PH) -> np.ndarray:
-    """Drive-frame Hamiltonian in rad/ns on the composite space.
-
-    H = Delta a^dag a + (g1/2)(a + a^dag) Z1 + (g2/2)(a + a^dag) Z2.
-    Commutes with Z1 and Z2 (the gate is diagonal in the qubit basis);
-    Hermitian by construction.
-    """
-    ops = _full_ops(n_ph)
-    return (
-        params.delta_rad_ns * ops["n"]
-        + 0.5 * params.g1_rad_ns * ops["x_f"] @ ops["z1"]
-        + 0.5 * params.g2_rad_ns * ops["x_f"] @ ops["z2"]
-    )
-
-
-def lindblad_rhs(
-    rho: np.ndarray, h: np.ndarray, kappa: float, gamma_1: float, gamma_2: float
-) -> np.ndarray:
-    """Master-equation right-hand side (internal units: rad/ns, 1/ns).
-
-    Works on a single (D, D) matrix or a batch (B, D, D). The derivative is
-    exactly traceless: photon loss enters as 2*kappa D[a], qubit dephasing as
-    (gamma/2) D[Z] so coherences decay at gamma itself.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    d = rho.shape[-1]
-    ops = _full_ops(d // 4)
-    return _rhs(rho, h, ops, kappa, gamma_1, gamma_2)
-
-
-def _rhs(rho, h, ops, kappa, gamma_1, gamma_2):
-    out = -1j * (h @ rho - rho @ h)
-    if kappa != 0.0:
-        a, ad_a = ops["a"], ops["n"]
-        out += 2.0 * kappa * (
-            a @ rho @ a.conj().T - 0.5 * (ad_a @ rho + rho @ ad_a)
-        )
-    if gamma_1 != 0.0:
-        z1 = ops["z1"]
-        out += 0.5 * gamma_1 * (z1 @ rho @ z1 - rho)
-    if gamma_2 != 0.0:
-        z2 = ops["z2"]
-        out += 0.5 * gamma_2 * (z2 @ rho @ z2 - rho)
-    return out
-
-
-def _hermitize(rho: np.ndarray) -> np.ndarray:
-    return 0.5 * (rho + np.conj(np.swapaxes(rho, -1, -2)))
-
-
 def _run_health(
     max_top: float, steps: int, dt: float, n_ph: int, top_level_threshold: float,
-    reasons: tuple[str, ...] = (),
 ) -> SimDiagnostics:
-    """Diagnostics from the worst guard-level population of a run, after any
-    failure ``reasons`` the caller found first."""
-    reasons = list(reasons)
+    """Diagnostics from the worst guard-level population of a run."""
+    reasons = []
     if max_top > top_level_threshold:
         reasons.append(
             f"top Fock level population {max_top:.3e} exceeds {top_level_threshold:.0e} "
@@ -291,51 +172,6 @@ def _run_health(
         top_level_threshold=top_level_threshold,
         failed=bool(reasons),
         failure_reasons=tuple(reasons),
-    )
-
-
-def evolve_rk4(
-    rho0: CompositeState,
-    h: np.ndarray,
-    kappa: float,
-    gamma_1: float,
-    gamma_2: float,
-    t_total_ns: float,
-    policy: StepPolicy = StepPolicy(),
-    *,
-    top_level_threshold: float = DEFAULT_TOP_LEVEL_THRESHOLD,
-    trace_drift_tol: float = DEFAULT_TRACE_DRIFT_TOL,
-) -> tuple[CompositeState, SimDiagnostics]:
-    """Evolve one composite state (internal units; H from build_hamiltonian).
-
-    Out-of-tolerance trace drift or guard-level population does not raise:
-    it comes back as diagnostics.failed with the reasons spelled out, so
-    sweeps can record the failure and continue. Trace drift is measured
-    against the initial trace (photon loss is trace-preserving in the
-    Lindblad form, so drift is pure integrator error).
-    """
-    n_ph = rho0.n_ph
-    ops = _full_ops(n_ph)
-    steps, dt = policy.resolve(t_total_ns)
-    rho = np.array(rho0.matrix, dtype=complex)
-    init_trace = float(np.trace(rho).real)
-    max_top = max_drift = 0.0
-    half = 0.5 * dt
-    for step in range(steps + 1):
-        if step:
-            k1 = _rhs(rho, h, ops, kappa, gamma_1, gamma_2)
-            k2 = _rhs(rho + half * k1, h, ops, kappa, gamma_1, gamma_2)
-            k3 = _rhs(rho + half * k2, h, ops, kappa, gamma_1, gamma_2)
-            k4 = _rhs(rho + dt * k3, h, ops, kappa, gamma_1, gamma_2)
-            rho = _hermitize(rho + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
-        pops = np.diagonal(rho).real
-        max_top = max(max_top, float(pops[n_ph - 1::n_ph].sum()))
-        max_drift = max(max_drift, abs(float(pops.sum()) - init_trace))
-    reasons = ()
-    if max_drift > trace_drift_tol:
-        reasons = (f"trace drift {max_drift:.3e} exceeds {trace_drift_tol:.0e}",)
-    return CompositeState(matrix=rho, n_ph=n_ph), _run_health(
-        max_top, steps, dt, n_ph, top_level_threshold, reasons
     )
 
 
@@ -439,13 +275,22 @@ def _dephasing_rates(gamma_1: float, gamma_2: float) -> np.ndarray:
     return 1e-9 * ((s[:, None, :] != s[None, :, :]) @ np.array([gamma_1, gamma_2]))
 
 
-def _initial_cavity(params: DerivedGateParams, prep: CavityPrep, n_ph: int | None) -> np.ndarray:
-    """Initial cavity rho of a vacuum or coherent preparation.
+def _initial_cavity(
+    params: DerivedGateParams, prep: CavityPrep | None, n_ph: int | None
+) -> np.ndarray:
+    """Initial cavity rho of a vacuum (prep None) or coherent preparation.
 
-    With n_ph None, vacuum runs use the fixed default; a displaced cavity
-    gets the space its excursion actually needs (initial offset + loop
-    radius).
+    A thermal preparation is a mixture the block engine cannot step as one
+    state, so it raises DomainError. With n_ph None, vacuum runs use the
+    fixed default; a displaced cavity gets the space its excursion actually
+    needs (initial offset + loop radius).
     """
+    prep = prep or CavityPrep.vacuum()
+    if prep.kind == "thermal":
+        raise DomainError(
+            "needs a deterministic cavity preparation (vacuum or coherent), got "
+            "thermal; thermal_average_channel averages its coherent samples"
+        )
     if n_ph is None:
         n_ph = (
             choose_n_ph(abs(prep.alpha) + _loop_radius(params))
@@ -538,9 +383,6 @@ _CHUNK = 64  # rows held at once by _BlockTracks.run
 # grid steps per macro step P = E^_MACRO (a power of two, built by squarings);
 # extract_channel runs its tracks at this stride
 _MACRO = 8
-# propagator bytes stepped together in one batched matmul: the tracks of a
-# group stay in a core's L2 cache across the _CHUNK rows they take in turn
-_STEP_BYTES = 1 << 20
 
 
 class _BlockTracks:
@@ -574,11 +416,8 @@ class _BlockTracks:
     orbits step together as one float64 stack, diagonal orbits first; the
     other orbits hold one complex vector per input. W leaves the diagonal
     entries (a, a) in place, so the guard populations and the traces are
-    read straight off the real columns. The stacks advance in groups whose
-    propagators fit _STEP_BYTES, one batched matmul per group and stop: a
-    group stays in cache for the _CHUNK stops it takes before the next
-    group runs, and each track's numbers do not depend on how the tracks
-    are grouped.
+    read straight off the real columns. Each stack advances by one batched
+    matmul per stop.
 
     Macro steps: each orbit also keeps P = E^_MACRO, built by log2 _MACRO
     squarings, so a stride of _MACRO grid steps is one matmul. Only the
@@ -677,7 +516,7 @@ class _BlockTracks:
         at holds the grid steps of the rows of states, a (count, width)
         float64 array, in chunks. The tracks stop at those steps and at every
         multiple of _MACRO, up to _CHUNK stops per chunk; a gap of _MACRO
-        steps between stops is one matmul by P per group of tracks, and a
+        steps between stops is one matmul by P per stack of tracks, and a
         shorter gap takes E once per step. After each chunk, peak holds the
         largest guard population over every grid step up to the chunk's last
         stop: the guard rows read each gap off the stop that starts it.
@@ -705,20 +544,16 @@ class _BlockTracks:
         self.peak = 0.0
         for first in range(0, len(stops), _CHUNK):
             count = min(_CHUNK, len(stops) - first)
-            for (ops, macro, states), start in zip(stacks, starts):
-                group = max(1, _STEP_BYTES // (ops.itemsize * d * d))
-                for g in range(0, len(ops), group):
-                    tracks = slice(g, g + group)
-                    op, jump, vec = ops[tracks], macro[tracks], start[tracks]
-                    for k, gap in enumerate(gaps[first:first + count]):
-                        if gap == _MACRO:
-                            vec = np.matmul(jump, vec, out=states[k, tracks])
-                        elif gap:
-                            for _ in range(gap - 1):
-                                vec = op @ vec
-                            vec = np.matmul(op, vec, out=states[k, tracks])
-                        else:
-                            states[0, tracks] = vec
+            for (ops, macro, states), vec in zip(stacks, starts):
+                for k, gap in enumerate(gaps[first:first + count]):
+                    if gap == _MACRO:
+                        vec = np.matmul(macro, vec, out=states[k])
+                    elif gap:
+                        for _ in range(gap - 1):
+                            vec = ops @ vec
+                        vec = np.matmul(ops, vec, out=states[k])
+                    else:
+                        states[0] = vec
             # the guard populations of the grid steps after each stop, up to
             # the next; step 0 is read off its own row
             pops = self.guard_rows @ real_states[:count, :n_diag]
@@ -726,8 +561,8 @@ class _BlockTracks:
             self.peak = max(self.peak, float(np.where(within, pops, 0.0).max()))
             if not first:
                 self.peak = max(self.peak, float(flat[0, self.guard].max()))
-            # the next chunk's first step reads this row before any group
-            # overwrites it
+            # the next chunk steps on from this chunk's last row, which it
+            # reads before it overwrites it
             starts = [states[count - 1] for _, _, states in stacks]
             kept = keep[first:first + count]
             yield stops[first:first + count][kept], flat[:count, :self.width][kept]
@@ -758,12 +593,14 @@ def extract_channel(
     n_ph: int | None = None,
     policy: StepPolicy = StepPolicy(),
     top_level_threshold: float = DEFAULT_TOP_LEVEL_THRESHOLD,
-    seed: int | None = None,
 ) -> tuple[TwoQubitChannel, SimDiagnostics]:
     """Exact effective two-qubit channel of one gate, by qubit-block propagators.
 
-    gamma_1, gamma_2 in 1/s. The channel is diagonal: rho_ij -> C_ij rho_ij
-    with C_ij = exp(-c_ij t_g) Tr[expm(L(lam_i, lam_j) t_g) cav] (see
+    gamma_1, gamma_2 in 1/s. The cavity starts in vacuum (the default) or
+    in a coherent state; a thermal preparation raises DomainError, since
+    its channel is the seeded Monte-Carlo average of thermal_average_channel.
+    The channel is diagonal: rho_ij -> C_ij rho_ij with
+    C_ij = exp(-c_ij t_g) Tr[expm(L(lam_i, lam_j) t_g) cav] (see
     _block_generator), where c_ij is gamma_k summed over the qubits k whose
     Z eigenvalues differ between i and j, and C_ji = conj(C_ij). The ten
     blocks on and above the diagonal are stepped with expm(L dt) on the
@@ -784,19 +621,8 @@ def extract_channel(
     which the fixed basis leaves alone on the diagonal, and only the
     maximum and the final traces are kept, so memory does not grow with the
     step count. SimDiagnostics.steps counts grid steps, not macro steps.
-    For a thermal preparation this delegates to thermal_average_channel
-    (which needs the seed).
     """
-    prep = initial_cavity or CavityPrep.vacuum()
-    if prep.kind == "thermal":
-        return thermal_average_channel(
-            params, prep.n_bar, prep.samples,
-            seed if seed is not None else 0,
-            gamma_1=gamma_1, gamma_2=gamma_2, n_ph=n_ph, policy=policy,
-            top_level_threshold=top_level_threshold,
-        )
-
-    cav = _initial_cavity(params, prep, n_ph)
+    cav = _initial_cavity(params, initial_cavity, n_ph)
     n_ph = cav.shape[0]
     steps, dt = policy.resolve(params.t_g_ns)
 
@@ -896,16 +722,13 @@ def trajectory_rows(
     non-vacuum preparations or gamma > 0 it is reported as-is rather than
     being expected small.
     """
-    prep = initial_cavity or CavityPrep.vacuum()
-    if prep.kind == "thermal":
-        raise DomainError("trajectory dump needs a deterministic cavity preparation")
     if initial_qubit is None:
         plus = np.full(4, 0.5, dtype=complex)
         initial_qubit = np.outer(plus, plus.conj())
     if stride < 1:
         raise DomainError(f"stride must be >= 1, got {stride}")
 
-    cav = _initial_cavity(params, prep, n_ph)
+    cav = _initial_cavity(params, initial_cavity, n_ph)
     q = np.asarray(initial_qubit, dtype=complex)
     lam = _branch_amplitudes(params)
     steps, dt = policy.resolve(params.t_g_ns)

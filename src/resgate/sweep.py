@@ -47,7 +47,7 @@ from .device import (
 )
 from .errors import DomainError
 from .fidelity import average_gate_fidelity, fit_local_z
-from .lindblad import extract_channel
+from .lindblad import extract_channel, thermal_average_channel
 from .noise import NoiseSpec, dephasing_rate, infidelity_power_law, optimal_drive
 
 CSV_COLUMNS = (
@@ -273,13 +273,17 @@ def _evaluate_point(cfg: RunConfig, seed: int) -> SweepRow:
     f_numeric = None
     max_fock = None
     if cfg.numeric:
-        chan, diag = extract_channel(
-            params, gphi, gphi, cfg.initial_cavity, n_ph=cfg.n_ph,
-            policy=cfg.step_policy(), top_level_threshold=cfg.top_level_threshold,
-            seed=seed,
-        )
+        prep = cfg.initial_cavity
+        solver = dict(n_ph=cfg.n_ph, policy=cfg.step_policy(),
+                      top_level_threshold=cfg.top_level_threshold)
+        if prep.kind == "thermal":
+            chan, diag = thermal_average_channel(
+                params, prep.n_bar, prep.samples, seed,
+                gamma_1=gphi, gamma_2=gphi, **solver)
+        else:
+            chan, diag = extract_channel(params, gphi, gphi, prep, **solver)
         target = ideal_gate_unitary(math.copysign(math.pi / 4.0, params.delta_rad_ns))
-        if cfg.initial_cavity.kind == "coherent":
+        if prep.kind == "coherent":
             # a displaced cavity adds deterministic single-qubit Z phases;
             # score the entangling content after stripping them
             f_numeric = fit_local_z(chan, target, validate=False).report.f_avg
@@ -314,13 +318,14 @@ _BLAS_THREAD_SETTERS = (
 
 
 def _one_blas_thread() -> None:
-    """Worker initializer: cap the OpenBLAS that numpy loaded at one thread.
+    """Cap the OpenBLAS that numpy loaded at one thread.
 
-    A point's matrices are at most a few hundred rows, where BLAS threads
-    cost more than they save, and each of the N worker processes would
-    start its own. The library sits in the numpy.libs folder of a numpy
-    wheel; opening it again returns the copy numpy loaded. A no-op where
-    there is no such library or setter.
+    The CLI calls it once in its own process, and each worker process of
+    run_sweep as its initializer. A point's matrices are at most a few
+    hundred rows, where BLAS threads cost more than they save, and each of
+    the N worker processes would start its own. The library sits in the
+    numpy.libs folder of a numpy wheel; opening it again returns the copy
+    numpy loaded. A no-op where there is no such library or setter.
     """
     for path in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*")):
         lib = ctypes.CDLL(str(path))

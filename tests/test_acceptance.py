@@ -21,7 +21,6 @@ from scipy.integrate import quad
 
 from resgate import (
     CavityPrep,
-    CompositeState,
     FockSpace,
     StepPolicy,
     TwoQubitChannel,
@@ -31,9 +30,7 @@ from resgate import (
     average_gate_fidelity,
     b_factor,
     b_factor_simplified,
-    build_hamiltonian,
     correlated_dephasing_channel,
-    evolve_rk4,
     extract_channel,
     fit_local_z,
     ideal_gate_unitary,
@@ -45,6 +42,7 @@ from resgate.config import config_from_dict
 from resgate.sweep import evaluate_point, render_csv, run_sweep
 
 from conftest import entanglement_fidelity_product_basis, make_params
+from rk4_reference import CompositeState, build_hamiltonian, evolve_rk4
 
 # Representative rates in 1/ns: the default-resonator cavity decay and the
 # intrinsic dephasing at the optimized default operating point.

@@ -237,6 +237,25 @@ def test_channel_validate_catches_broken_kraus():
     assert err.value.tp_defect == pytest.approx(1e-9, rel=1e-6)
 
 
+def test_channel_validate_rejects_non_hermitian_coherence():
+    # C = I with C_01 = 0.5i: trace preserving and its Hermitian part is
+    # positive (eigenvalues >= 0.75), yet it maps the state |0+><0+| to a
+    # non-Hermitian matrix, so it is not a CP map
+    c = np.eye(4, dtype=complex)
+    c[0, 1] = 0.5j
+    chan = TwoQubitChannel(c)
+    plus = np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2.0)
+    out = chan.apply(np.outer(plus, plus))
+    assert np.abs(out - out.conj().T).max() == pytest.approx(0.25)
+    with pytest.raises(NonPhysicalChannelError, match="non-Hermitian") as err:
+        chan.validate()
+    assert err.value.tp_defect == 0.0
+    assert err.value.choi_eigenvalues[0] == pytest.approx(0.75, abs=1e-14)
+    # a skew within tp_tol is rounding, not a defect
+    c[0, 1], c[1, 0] = 0.5j, -0.5j + 1e-12
+    TwoQubitChannel(c).validate()
+
+
 def test_coherence_cp_check_matches_choi_spectrum():
     # the Choi matrix of rho -> C o rho is C on the |ii> span: its spectrum
     # is eig(C) plus 12 zeros, so the 4x4 verdict is the 16x16 one

@@ -20,13 +20,16 @@ from resgate import (
     QubitTuning,
     ResonatorSpec,
     analytic_avg_fidelity,
+    average_gate_fidelity,
     b_factor,
     choose_n_ph,
     dephasing_rate,
     derive_gate_params,
+    ideal_gate_unitary,
     sweep,
+    thermal_average_channel,
 )
-from resgate import lindblad
+from resgate import cli, lindblad
 from resgate.cli import TRAJECTORY_COLUMNS, main
 from resgate.config import RunConfig, config_from_dict, load_config
 from resgate.constants import TWO_PI, h_ghz_to_energy_J, uev_to_J
@@ -355,6 +358,43 @@ def test_numeric_json_row_reports_its_fock_size(tmp_path):
     assert "n_ph" not in CSV_COLUMNS
 
 
+_THERMAL = {"kind": "thermal", "n_bar": 0.2, "samples": 2}
+
+
+def test_thermal_row_is_the_seeded_thermal_average():
+    # a thermal row scores thermal_average_channel at the row's seed, with
+    # the config's solver settings, against the sign-matched target
+    cfg = config_from_dict({"numeric": True, "refine": False, "seed": 4,
+                            "initial_cavity": _THERMAL}, source="t")
+    row = evaluate_point(cfg)
+    assert not row.failed
+    op = resolve_operating_point(cfg)
+    chan, diag = thermal_average_channel(
+        op.params, 0.2, 2, cfg.seed, gamma_1=op.gamma_phi, gamma_2=op.gamma_phi,
+        n_ph=cfg.n_ph, policy=cfg.step_policy(),
+        top_level_threshold=cfg.top_level_threshold,
+    )
+    target = ideal_gate_unitary(math.copysign(math.pi / 4.0, op.params.delta_rad_ns))
+    assert row.f_numeric == average_gate_fidelity(chan, target, validate=False).f_avg
+    assert row.diagnostics["n_ph"] == diag.n_ph
+
+
+def test_sweep_row_i_draws_its_thermal_samples_with_seed_plus_i(monkeypatch):
+    seeds = []
+
+    def recording(params, n_bar, samples, seed, **kwargs):
+        seeds.append(seed)
+        return thermal_average_channel(params, n_bar, samples, seed, **kwargs)
+
+    monkeypatch.setattr(sweep, "thermal_average_channel", recording)
+    cfg = config_from_dict({"numeric": True, "refine": False, "seed": 7,
+                            "initial_cavity": _THERMAL,
+                            "axes": {"q_factor": [1e4, 2e4, 4e4]}}, source="t")
+    result = run_sweep(cfg)
+    assert seeds == [7, 8, 9]
+    assert not result.any_failed
+
+
 # ------------------------------------------------------------------- cli --
 
 
@@ -367,6 +407,13 @@ def test_cli_analytic_stdout(capsys):
     # rerun is byte-identical
     main(["analytic"])
     assert capsys.readouterr().out == out
+
+
+def test_cli_caps_its_blas_threads_once(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "_one_blas_thread", lambda: calls.append(1))
+    assert main(["analytic"]) == 0
+    assert calls == [1]
 
 
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):

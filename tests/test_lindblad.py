@@ -16,18 +16,14 @@ from hypothesis import strategies as st
 import resgate
 from resgate import (
     CavityPrep,
-    CompositeState,
     FockSpace,
     StepPolicy,
     analytic_gate_channel,
     average_gate_fidelity,
-    build_hamiltonian,
     choose_n_ph,
     drive_frame_displacement,
-    evolve_rk4,
     extract_channel,
     ideal_gate_unitary,
-    lindblad_rhs,
     polaron_residual,
     thermal_average_channel,
     trajectory_rows,
@@ -36,6 +32,7 @@ from resgate import lindblad
 from resgate.errors import DomainError
 
 from conftest import make_params
+from rk4_reference import CompositeState, build_hamiltonian, evolve_rk4, lindblad_rhs
 
 
 def test_fock_operators_truncated_commutator():
@@ -471,19 +468,6 @@ def test_auto_fock_size_covers_the_largest_branch(g2_over_g1, delta_sign, kappa)
         assert diag.max_top_level_pop < 1e-5, (alpha, diag.n_ph)
 
 
-@pytest.mark.parametrize("g2_over_g1", [1.0, 1.5])
-def test_block_stepping_groups_are_bit_identical(monkeypatch, g2_over_g1):
-    # one orbit per batched matmul or all orbits in one: the same numbers
-    p = make_params(0.7, 5e-3, n=2, g2_over_g1=g2_over_g1)
-    runs = []
-    for step_bytes in (1, 1 << 40):
-        monkeypatch.setattr(lindblad, "_STEP_BYTES", step_bytes)
-        runs.append(extract_channel(p, 1e6, 2e6, CavityPrep.coherent(0.5 - 0.4j), n_ph=12))
-    (chan_a, diag_a), (chan_b, diag_b) = runs
-    assert np.array_equal(chan_a.superop, chan_b.superop)
-    assert diag_a.max_top_level_pop == diag_b.max_top_level_pop
-
-
 @pytest.mark.parametrize("steps", [3, 200, 203, 365])
 @pytest.mark.parametrize("g2_over_g1", [1.0, 1.5])
 @pytest.mark.parametrize("alpha", [None, -0.5 + 0.5j], ids=["vacuum", "coherent"])
@@ -754,6 +738,14 @@ def test_composite_state_partial_traces():
     assert st.purity == pytest.approx(
         float(np.trace(qubit @ qubit).real * np.trace(cav @ cav).real), rel=1e-12
     )
+
+
+def test_extract_channel_rejects_a_thermal_cavity():
+    # a thermal cavity is a seeded mixture: extract_channel must not run it
+    # as vacuum, it is thermal_average_channel's to sample
+    p = make_params(0.7, 1e-3, n=2)
+    with pytest.raises(DomainError, match="thermal"):
+        extract_channel(p, 0.0, 0.0, CavityPrep.thermal(0.1, samples=2), n_ph=6)
 
 
 def test_cavity_prep_validation():
