@@ -267,6 +267,11 @@ def config_from_dict(data: dict, *, source: str = "<config>") -> RunConfig:
         )
     if cfg.n_ph is not None and cfg.n_ph < 2:
         raise ConfigError(f"n_ph: need at least 2 Fock levels, got {cfg.n_ph}")
+    if cfg.trajectory_out is not None and cfg.initial_cavity.kind == "thermal":
+        raise ConfigError(
+            "trajectory_out: a trajectory follows one cavity state, but initial_cavity "
+            "is thermal (a Monte-Carlo mixture); use a vacuum or coherent initial_cavity"
+        )
     return cfg
 
 

@@ -45,8 +45,10 @@ trajectory dump steps at its own stride through the same stepper. The
 truncated block generator preserves the trace exactly (Tr(a r a^dag) =
 Tr(n r), and a commutator is traceless), so the block engine checks only
 the guard-level population. A thermal cavity is not one state but a
-Monte-Carlo mixture of coherent ones: thermal_average_channel extracts and
-averages those samples, and the single-state paths reject it.
+Monte-Carlo mixture of coherent ones: thermal_average_channel steps all its
+samples as columns of one set of block tracks and averages their channels,
+and the single-state paths reject it. Displaced starts size their Fock
+space from the exact reach of the branch amplitudes (_reach).
 The tests check this engine against an independent dense-composite RK4
 integrator kept in tests/rk4_reference.py.
 """
@@ -130,18 +132,6 @@ class SimDiagnostics:
     failed: bool = False
     failure_reasons: tuple[str, ...] = ()
 
-    def merged_with(self, other: "SimDiagnostics") -> "SimDiagnostics":
-        """Worst-case combination (used when aggregating Monte-Carlo samples)."""
-        return SimDiagnostics(
-            max_top_level_pop=max(self.max_top_level_pop, other.max_top_level_pop),
-            steps=max(self.steps, other.steps),
-            dt_ns=max(self.dt_ns, other.dt_ns),
-            n_ph=max(self.n_ph, other.n_ph),
-            top_level_threshold=min(self.top_level_threshold, other.top_level_threshold),
-            failed=self.failed or other.failed,
-            failure_reasons=self.failure_reasons + other.failure_reasons,
-        )
-
     def to_json_dict(self) -> dict:
         return {
             "max_top_level_pop": self.max_top_level_pop,
@@ -210,9 +200,9 @@ def choose_n_ph(max_amplitude: float, n_ph_floor: int = DEFAULT_N_PH,
     """Smallest Fock dimension keeping the guard level below ``tail``.
 
     ``max_amplitude`` is the largest coherent amplitude the run can reach
-    (initial displacement plus the drive loop radius). The guard level of a
-    coherent state |amp| is Poissonian, so walk the pmf until it drops
-    below ``tail``.
+    (the branches' exact reach, _reach). The guard level of a coherent
+    state |amp| is Poissonian, so walk the pmf until it drops below
+    ``tail``.
     """
     lam = max_amplitude**2
     if lam == 0.0:
@@ -226,15 +216,21 @@ def choose_n_ph(max_amplitude: float, n_ph_floor: int = DEFAULT_N_PH,
     return max(n_ph_floor, k + 1)
 
 
-def _loop_radius(params: DerivedGateParams) -> float:
-    """Largest |alpha| a branch reaches during the loop (per the drive).
+def _reach(params: DerivedGateParams, alpha: complex = 0j) -> float:
+    """Largest |alpha_i(t)| over the branches i and all t >= 0, from alpha(0) = alpha.
 
-    Branch (s1, s2) is driven at amplitude lam = g1 s1 + g2 s2, and its
-    displacement lam * alpha_unit(t) stays within |lam| / |i Delta + kappa|;
-    the largest |lam| is |g1| + |g2| (the +/-2 branch for equal couplings).
+    Branch i is driven at lam_i = g1 s1 + g2 s2, so its amplitude
+    alpha_i(t) = beta_i + (alpha - beta_i) exp(-(i Delta + kappa) t) circles
+    its steady state beta_i = -i lam_i / (2 (i Delta + kappa)) on a shrinking
+    radius, and |beta_i| + |alpha - beta_i| is the supremum (reached at
+    kappa = 0). All beta_i share the phase u = -i conj(z)/|z|, z = kappa + i Delta,
+    so with b_i = lam_i / (2|z|) the sum is |b_i| + |alpha conj(u) - b_i|;
+    at alpha = 0 that is |lam_i| / |z| exactly, the loop radius of branch i.
     """
-    lam = abs(params.g1_rad_ns) + abs(params.g2_rad_ns)
-    return lam / math.hypot(params.delta_rad_ns, params.kappa_per_ns)
+    h = math.hypot(params.delta_rad_ns, params.kappa_per_ns)
+    w = alpha * complex(-params.delta_rad_ns, params.kappa_per_ns) / h  # alpha conj(u)
+    b = [lam / (2.0 * h) for lam in _branch_amplitudes(params)]
+    return max(abs(b_i) + abs(w - b_i) for b_i in b)
 
 
 def _block_generator(params: DerivedGateParams, n_ph: int):
@@ -283,7 +279,7 @@ def _initial_cavity(
     A thermal preparation is a mixture the block engine cannot step as one
     state, so it raises DomainError. With n_ph None, vacuum runs use the
     fixed default; a displaced cavity gets the space its excursion actually
-    needs (initial offset + loop radius).
+    needs (the branches' exact reach from its offset, _reach).
     """
     prep = prep or CavityPrep.vacuum()
     if prep.kind == "thermal":
@@ -293,7 +289,7 @@ def _initial_cavity(
         )
     if n_ph is None:
         n_ph = (
-            choose_n_ph(abs(prep.alpha) + _loop_radius(params))
+            choose_n_ph(_reach(params, prep.alpha))
             if prep.kind == "coherent" else DEFAULT_N_PH
         )
     fock = FockSpace(n_ph)
@@ -379,21 +375,28 @@ def _step_propagator(generator, lam_i: float, lam_j: float, dt: float) -> np.nda
 # qubit index pairs (i, j) of the blocks on and above the diagonal, row-major;
 # those below are their adjoints
 _UPPER = tuple((int(i), int(j)) for i, j in zip(*np.triu_indices(4)))
-_CHUNK = 64  # rows held at once by _BlockTracks.run
+# rows held at once by _BlockTracks.run: at most _CHUNK stops, and no more
+# than fit _CHUNK_BYTES (one stop at the least), so a stack of many cavity
+# states does not grow the buffer by its number of stops
+_CHUNK = 64
+_CHUNK_BYTES = 2 << 20
 # grid steps per macro step P = E^_MACRO (a power of two, built by squarings);
 # extract_channel runs its tracks at this stride
 _MACRO = 8
 
 
 class _BlockTracks:
-    """The blocks expm(L(lam_i, lam_j) k dt) cav of _UPPER on a time grid.
+    """The blocks expm(L(lam_i, lam_j) k dt) cav_s of _UPPER on a time grid,
+    for each cavity state cav_s of a stack.
 
-    Dephasing is left out (see _block_generator). run() steps the tracks
-    and yields their states as rows of float64 numbers; guard holds where
-    the guard-level populations of the four diagonal blocks sit in a row,
-    peak is the largest of them over every grid step run() has passed,
-    traces() reads the ten block traces off a row, and blocks() maps rows
-    back to the ten (n_ph, n_ph) blocks.
+    Dephasing is left out (see _block_generator). The states share every
+    propagator: each is only more columns of the same matmuls. run() steps
+    the tracks and yields their states as rows of float64 numbers; guard
+    holds where the guard-level populations of the four diagonal blocks of
+    each state sit in a row, peak is the largest of them over every state
+    and every grid step run() has passed, traces() reads each state's ten
+    block traces off a row, and blocks() maps rows back to each state's ten
+    (n_ph, n_ph) blocks.
 
     Orbit rule: branch 3 - k flips both Z signs of branch k, so
     lam_{3-k} = -lam_k. With Pi = diag((-1)^m), Pi x Pi = -x and
@@ -403,21 +406,22 @@ class _BlockTracks:
     evolved from Pi cav Pi: its trace is conj(Tr R), and for i = j its
     populations are those of R. One propagator serves each orbit
     {(i, j), (3-j, 3-i)} (and every pair with the same amplitudes), and it
-    steps each input a read needs: cav, and Pi cav Pi where it differs from
-    cav (coherent starts; not the vacuum).
+    steps each input a read needs: the S states cav_s, and then their
+    Pi cav_s Pi unless every state is parity-even (the vacuum; never a
+    coherent start).
 
     Orbits with lam_i = +-lam_j are stepped in real arithmetic: their
     propagator E = W^H expm(L dt) W is real (_step_propagator), and their
     state is u = W^H vec(input). A diagonal orbit (K r = r^dag) holds one
     real column per input, as both are Hermitian. A parity orbit
-    (K r = Pi r^dag Pi) is never read mirrored, so it holds cav only: u is
-    real when Pi cav Pi = cav, and (Re u, Im u) otherwise. So every real
-    orbit has as many columns as there are inputs (1 or 2), and the real
-    orbits step together as one float64 stack, diagonal orbits first; the
-    other orbits hold one complex vector per input. W leaves the diagonal
-    entries (a, a) in place, so the guard populations and the traces are
-    read straight off the real columns. Each stack advances by one batched
-    matmul per stop.
+    (K r = Pi r^dag Pi) is never read mirrored, so it holds the cav_s only:
+    u is real when Pi cav Pi = cav, and otherwise the S columns Re u_s are
+    followed by the S columns Im u_s. So every orbit has as many columns as
+    there are inputs (S or 2S): the real orbits step together as one
+    float64 (d, columns) stack, diagonal orbits first, and the other orbits
+    as a complex one. W leaves the diagonal entries (a, a) in place, so the
+    guard populations and the traces are read straight off the real
+    columns. Each stack advances by one batched matmul per stop.
 
     Macro steps: each orbit also keeps P = E^_MACRO, built by log2 _MACRO
     squarings, so a stride of _MACRO grid steps is one matmul. Only the
@@ -429,12 +433,14 @@ class _BlockTracks:
     (_MACRO, n_ph^2) block per diagonal orbit, not a stack of powers.
     """
 
-    def __init__(self, params: DerivedGateParams, cav: np.ndarray, dt: float):
-        n_ph = cav.shape[0]
+    def __init__(self, params: DerivedGateParams, cavs: np.ndarray, dt: float):
+        """cavs: the (S, n_ph, n_ph) stack of initial cavity states."""
+        samples, n_ph = len(cavs), cavs.shape[-1]
         d = n_ph * n_ph
         lam = _branch_amplitudes(params)
         self.flip = (-1.0) ** np.add.outer(np.arange(n_ph), np.arange(n_ph))  # Pi X Pi
-        inputs = [cav] if np.array_equal(self.flip * cav, cav) else [cav, self.flip * cav]
+        flipped = self.flip * cavs
+        inputs = cavs if np.array_equal(flipped, cavs) else np.concatenate([cavs, flipped])
         self.cols = cols = len(inputs)
         reps: list = []  # one amplitude pair per orbit
         reads: list = []  # (orbit, mirrored) per block of _UPPER
@@ -453,11 +459,11 @@ class _BlockTracks:
 
         # each propagator is written straight into its orbit's slot
         generator = _block_generator(params, n_ph)
-        vecs = np.stack([x.reshape(d) for x in inputs])  # (cols, d)
+        vecs = inputs.reshape(cols, d)
         self.cplx_ops = np.empty((len(cplx), d, d), dtype=complex)
         for slot, o in enumerate(cplx):
             self.cplx_ops[slot] = _step_propagator(generator, *reps[o], dt)
-        self.cplx_start = np.broadcast_to(vecs[:, :, None], (len(cplx), cols, d, 1)).copy()
+        self.cplx_start = np.broadcast_to(vecs.T, (len(cplx), d, cols)).copy()
         self.real_ops = np.empty((len(real), d, d))
         self.real_start = np.empty((len(real), d, cols))
         for slot, o in enumerate(real):
@@ -465,8 +471,9 @@ class _BlockTracks:
             u = _to_k_basis(vecs, *forms[o])
             if reps[o][0] == reps[o][1]:  # r -> r^dag: each input is K-fixed
                 self.real_start[slot] = u.real.T
-            else:  # r -> Pi r^dag Pi: cav alone, split into Re and Im
-                self.real_start[slot] = np.stack([u[0].real, u[0].imag][:cols], axis=1)
+            else:  # r -> Pi r^dag Pi: the cav_s alone, Re u_s then Im u_s
+                self.real_start[slot] = np.concatenate(
+                    [u[:samples].real, u[:samples].imag][:cols // samples]).T
 
         # P = E^_MACRO by squarings; the guard rows e_g^T E^j double alongside
         self.guard_rows = self.real_ops[:n_diag, -1:]  # j = 1
@@ -477,29 +484,31 @@ class _BlockTracks:
             self.cplx_macro = self.cplx_macro @ self.cplx_macro
             self.real_macro = self.real_macro @ self.real_macro
 
-        # a row of run() is the complex tracks (as float pairs), then the
-        # real columns; each read's entries sit at base + stride * entry,
-        # and im_sign weighs its imaginary parts (0 where the track is real)
-        real_at = 2 * len(cplx) * cols * d
+        # a row of run() is the complex (d, cols) tracks (as float pairs),
+        # then the real ones; each read of state 0 has its entries at
+        # base + stride * entry, state s sits s columns on, and im_sign
+        # weighs the imaginary parts (0 where the track is real)
+        real_at = 2 * len(cplx) * d * cols
         self.width = real_at + len(real) * d * cols
-        base_re, base_im, stride, im_sign = [], [], [], []
+        base_re, base_im, col, im_sign = [], [], [], []
         for o, mirrored in reads:
-            inp = cols - 1 if mirrored else 0
-            if o in cplx:
-                at = 2 * (cplx.index(o) * cols + inp) * d
-                split = True
-                stride.append(2)
+            inp = cols - samples if mirrored else 0  # column of state 0's input
+            if o in cplx:  # float pairs: a column is 2 floats
+                at = 2 * (cplx.index(o) * d * cols + inp)
+                base_im.append(at + 1)
+                col.append(2)
                 im_sign.append(-1.0 if mirrored else 1.0)  # a mirrored trace is conjugated
             else:  # a parity orbit is never mirrored: its inp is 0
                 at = real_at + real.index(o) * d * cols + inp
-                split = cols == 2 and reps[o][0] != reps[o][1]  # (Re u, Im u)
-                stride.append(cols)
+                split = cols > samples and reps[o][0] != reps[o][1]  # Re u_s, Im u_s
+                base_im.append(at + samples if split else at)
+                col.append(1)
                 im_sign.append(1.0 if split else 0.0)
             base_re.append(at)
-            base_im.append(at + 1 if split else at)
-        entries = np.arange(d)
-        self.re = np.array(base_re)[:, None] + np.array(stride)[:, None] * entries
-        self.im = np.array(base_im)[:, None] + np.array(stride)[:, None] * entries
+        at_entry = cols * np.array(col)[:, None] * np.arange(d)
+        shift = np.arange(samples)[:, None, None] * np.array(col)[:, None]
+        self.re = shift + (np.array(base_re)[:, None] + at_entry)  # (S, 10, d)
+        self.im = shift + (np.array(base_im)[:, None] + at_entry)
         self.im_sign = np.array(im_sign)
         self.mirrored = np.array([m for _, m in reads])
         # reads off a real orbit, with the signs s of their W
@@ -508,24 +517,25 @@ class _BlockTracks:
         self.signs = np.array([forms[reads[k][0]][2] for k in self.in_basis])
         # diagonal blocks all sit on real orbits (lam_i = lam_j), whose
         # columns are real at the diagonal entries
-        self.guard = self.re[[i == j for i, j in _UPPER], -1]
+        self.guard = self.re[:, [i == j for i, j in _UPPER], -1]
 
     def run(self, steps: int, stride: int = 1):
         """Yield (at, states) for grid steps 0, stride, 2 stride, ... and steps.
 
         at holds the grid steps of the rows of states, a (count, width)
         float64 array, in chunks. The tracks stop at those steps and at every
-        multiple of _MACRO, up to _CHUNK stops per chunk; a gap of _MACRO
-        steps between stops is one matmul by P per stack of tracks, and a
-        shorter gap takes E once per step. After each chunk, peak holds the
-        largest guard population over every grid step up to the chunk's last
-        stop: the guard rows read each gap off the stop that starts it.
+        multiple of _MACRO, up to _CHUNK stops per chunk and no more than
+        fit _CHUNK_BYTES; a gap of _MACRO steps between stops is one matmul
+        by P per stack of tracks, and a shorter gap takes E once per step.
+        After each chunk, peak holds the largest guard population over every
+        grid step up to the chunk's last stop: the guard rows read each gap
+        off the stop that starts it.
         """
         stops = np.unique(np.r_[np.arange(0, steps, _MACRO), np.arange(0, steps, stride), steps])
         gaps = np.diff(stops, prepend=0).tolist()  # steps up to each stop
         ahead = np.diff(stops, append=steps)  # steps from each stop to the next
         keep = (stops % stride == 0) | (stops == steps)
-        rows = min(_CHUNK, len(stops))
+        rows = max(1, min(_CHUNK, len(stops), _CHUNK_BYTES // (8 * self.width)))
         d = self.real_ops.shape[-1]
         n_diag = len(self.guard_rows)
         # a complex buffer keeps the complex tracks aligned; the real columns
@@ -533,17 +543,23 @@ class _BlockTracks:
         buf = np.empty((rows, (self.width + 1) // 2), dtype=complex)
         flat = buf.view(float)
         n_cplx, n_real = len(self.cplx_ops), len(self.real_ops)
-        at = n_cplx * self.cols * d
+        at = n_cplx * d * self.cols
         real_states = flat[:, 2 * at:self.width].reshape(rows, n_real, d, self.cols)
         stacks = [
-            (self.cplx_ops[:, None], self.cplx_macro[:, None],
-             buf[:, :at].reshape(rows, n_cplx, self.cols, d, 1)),
+            (self.cplx_ops, self.cplx_macro, buf[:, :at].reshape(rows, n_cplx, d, self.cols)),
             (self.real_ops, self.real_macro, real_states),
         ]
         starts = [self.cplx_start, self.real_start]
+        if self.cols == 2:
+            # one displaced state: OpenBLAS's zgemm with two columns is slower
+            # than a zgemv per column (d = 196: ~45 against ~25 us), so the
+            # complex tracks step their columns as strided vectors
+            states = stacks[0][2].swapaxes(-1, -2)[..., None]
+            stacks[0] = (self.cplx_ops[:, None], self.cplx_macro[:, None], states)
+            starts[0] = self.cplx_start.swapaxes(-1, -2)[..., None]
         self.peak = 0.0
-        for first in range(0, len(stops), _CHUNK):
-            count = min(_CHUNK, len(stops) - first)
+        for first in range(0, len(stops), rows):
+            count = min(rows, len(stops) - first)
             for (ops, macro, states), vec in zip(stacks, starts):
                 for k, gap in enumerate(gaps[first:first + count]):
                     if gap == _MACRO:
@@ -565,22 +581,24 @@ class _BlockTracks:
             # reads before it overwrites it
             starts = [states[count - 1] for _, _, states in stacks]
             kept = keep[first:first + count]
-            yield stops[first:first + count][kept], flat[:count, :self.width][kept]
+            chunk = flat[:count, :self.width]
+            yield stops[first:first + count][kept], chunk if kept.all() else chunk[kept]
 
     def traces(self, row: np.ndarray) -> np.ndarray:
-        """The ten block traces of _UPPER in one row of run()."""
+        """The (S, 10) block traces of _UPPER of each state in one row of run()."""
         diag = slice(None, None, self.flip.shape[0] + 1)  # entries (a, a)
-        return (row[self.re[:, diag]].sum(axis=1)
-                + 1j * self.im_sign * row[self.im[:, diag]].sum(axis=1))
+        return (row[self.re[..., diag]].sum(axis=-1)
+                + 1j * self.im_sign * row[self.im[..., diag]].sum(axis=-1))
 
     def blocks(self, states: np.ndarray) -> np.ndarray:
-        """The (count, 10, n_ph, n_ph) blocks of _UPPER in a chunk of run()."""
+        """The (count, S, 10, n_ph, n_ph) blocks of _UPPER in a chunk of run()."""
         n_ph = self.flip.shape[0]
         out = states[:, self.re] + 1j * (np.abs(self.im_sign)[:, None] * states[:, self.im])
-        out[:, self.in_basis] = _from_k_basis(out[:, self.in_basis], *self.pairs, self.signs)
-        out = out.reshape(len(states), len(_UPPER), n_ph, n_ph)
+        out[:, :, self.in_basis] = _from_k_basis(
+            out[:, :, self.in_basis], *self.pairs, self.signs)
+        out = out.reshape(*out.shape[:3], n_ph, n_ph)
         m = self.mirrored
-        out[:, m] = self.flip * out[:, m].transpose(0, 1, 3, 2).conj()
+        out[:, :, m] = self.flip * out[:, :, m].swapaxes(-1, -2).conj()
         return out
 
 
@@ -623,21 +641,32 @@ def extract_channel(
     step count. SimDiagnostics.steps counts grid steps, not macro steps.
     """
     cav = _initial_cavity(params, initial_cavity, n_ph)
-    n_ph = cav.shape[0]
-    steps, dt = policy.resolve(params.t_g_ns)
+    (coh,), diag = _coherences(params, gamma_1, gamma_2, cav[None], policy,
+                               top_level_threshold)
+    return TwoQubitChannel(coh), diag
 
-    tracks = _BlockTracks(params, cav, dt)
+
+def _coherences(
+    params: DerivedGateParams, gamma_1: float, gamma_2: float, cavs: np.ndarray,
+    policy: StepPolicy, top_level_threshold: float,
+) -> tuple[np.ndarray, SimDiagnostics]:
+    """The (S, 4, 4) coherence matrices of the gate from each cavity state of
+    the stack cavs, and one SimDiagnostics whose guard population is the
+    largest over all of them (see extract_channel)."""
+    steps, dt = policy.resolve(params.t_g_ns)
+    tracks = _BlockTracks(params, cavs, dt)
     for _, states in tracks.run(steps, _MACRO):
-        traces = tracks.traces(states[-1])
-    diag = _run_health(tracks.peak, steps, dt, n_ph, top_level_threshold)
+        pass  # the last chunk stays in run()'s buffer
+    traces = tracks.traces(states[-1])
+    diag = _run_health(tracks.peak, steps, dt, cavs.shape[-1], top_level_threshold)
 
     upper_i, upper_j = np.array(_UPPER).T
     rates = _dephasing_rates(gamma_1, gamma_2)[upper_i, upper_j]
-    coh = np.zeros((4, 4), dtype=complex)
-    coh[upper_i, upper_j] = np.exp(-rates * params.t_g_ns) * traces
-    coh[upper_j, upper_i] = np.conj(coh[upper_i, upper_j])
-    coh[range(4), range(4)] = traces[upper_i == upper_j].real
-    return TwoQubitChannel(coh), diag
+    coh = np.zeros((len(cavs), 4, 4), dtype=complex)
+    coh[:, upper_i, upper_j] = np.exp(-rates * params.t_g_ns) * traces
+    coh[:, upper_j, upper_i] = np.conj(coh[:, upper_i, upper_j])
+    coh[:, range(4), range(4)] = traces[:, upper_i == upper_j].real
+    return coh, diag
 
 
 def _polaron_defect(
@@ -685,7 +714,7 @@ def polaron_residual(
     if np.any(t_samples < 0) or np.any(t_samples > params.t_g_ns * (1 + 1e-12)):
         raise DomainError("sample times must lie in [0, t_g]")
     if n_ph is None:
-        n_ph = choose_n_ph(_loop_radius(params))
+        n_ph = choose_n_ph(_reach(params))
     rows = trajectory_rows(
         params, 0.0, 0.0, n_ph=n_ph, policy=policy, initial_qubit=initial_qubit
     )
@@ -739,10 +768,10 @@ def trajectory_rows(
     rate = _dephasing_rates(gamma_1, gamma_2)[upper_i, upper_j]
     photons = np.arange(cav.shape[0])
 
-    tracks = _BlockTracks(params, cav, dt)
+    tracks = _BlockTracks(params, cav[None], dt)
     rows: list[dict] = []
     for at, states in tracks.run(steps, stride):
-        for step, blocks in zip(at.tolist(), tracks.blocks(states)):
+        for step, blocks in zip(at.tolist(), tracks.blocks(states)[:, 0]):
             t_now = step * dt
             r_diag = np.diagonal(q)[:, None, None] * blocks[on_diag]
             pops = np.einsum("inn->in", r_diag).real
@@ -778,6 +807,13 @@ def thermal_average_channel(
     fitting two trailing Z angles per sample, and averages the compensated
     coherence matrices. Deterministic for a given seed. n_bar = 0 short-circuits
     to the plain vacuum extraction (bit-identical with it).
+
+    All samples share one Fock space, n_ph or else the size the largest
+    reach among them needs (_reach), and one set of block propagators: each
+    sample is only more columns of the same tracks (_BlockTracks), so a
+    point takes one expm per orbit whatever the sample count. The
+    diagnostics report that size and the worst guard population of any
+    sample.
     """
     if n_bar < 0:
         raise DomainError(f"n_bar must be non-negative, got {n_bar}")
@@ -791,18 +827,15 @@ def thermal_average_channel(
 
     rng = np.random.default_rng(seed)
     sigma = math.sqrt(n_bar / 2.0)
-    draws = rng.normal(0.0, sigma, size=(sample_count, 2))
-    target = ideal_gate_unitary(math.copysign(math.pi / 4, params.delta_rad_ns))
+    alphas = [complex(re_b, im_b) for re_b, im_b in rng.normal(0.0, sigma, (sample_count, 2))]
+    if n_ph is None:
+        n_ph = choose_n_ph(max(_reach(params, alpha) for alpha in alphas))
+    fock = FockSpace(n_ph)
+    cavs = np.stack([fock.coherent_rho(alpha) for alpha in alphas])
+    cohs, diag = _coherences(params, gamma_1, gamma_2, cavs, policy, top_level_threshold)
 
+    target = ideal_gate_unitary(math.copysign(math.pi / 4, params.delta_rad_ns))
     acc = np.zeros((4, 4), dtype=complex)
-    agg: SimDiagnostics | None = None
-    for re_b, im_b in draws:
-        beta = complex(re_b, im_b)
-        chan, diag = extract_channel(
-            params, gamma_1, gamma_2, CavityPrep.coherent(beta), n_ph=n_ph,
-            policy=policy, top_level_threshold=top_level_threshold,
-        )
-        fit = fit_local_z(chan, target, validate=False)
-        acc += fit.channel.coherence
-        agg = diag if agg is None else agg.merged_with(diag)
-    return TwoQubitChannel(acc / sample_count), agg
+    for coh in cohs:
+        acc += fit_local_z(TwoQubitChannel(coh), target, validate=False).channel.coherence
+    return TwoQubitChannel(acc / sample_count), diag

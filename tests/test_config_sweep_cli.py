@@ -337,22 +337,23 @@ def test_csv_and_json_rendering(tmp_path):
 
 
 def test_numeric_json_row_reports_its_fock_size(tmp_path):
-    # with n_ph null a coherent start sizes its Fock space from the reachable
-    # amplitude; the JSON row says which size ran, and reruns stay identical
+    # with n_ph null a coherent start sizes its Fock space from the branches'
+    # exact reach from alpha; the JSON row says which size ran, and reruns
+    # stay identical
     alpha = 0.6 - 0.3j
     cfg = config_from_dict({
         "numeric": True, "refine": False,
         "initial_cavity": {"kind": "coherent", "alpha": [alpha.real, alpha.imag]},
     }, source="t")
     p = resolve_operating_point(cfg).params
-    radius = lindblad._loop_radius(p)
+    reach = lindblad._reach(p, alpha)
     result = run_sweep(cfg)
     json_text = render_json(result)
     assert render_json(run_sweep(cfg)) == json_text
     path = tmp_path / "rows.json"
     path.write_text(json_text)
     (row,) = load_results(path)["rows"]
-    assert row["diagnostics"]["n_ph"] == choose_n_ph(abs(alpha) + radius) > 6
+    assert row["diagnostics"]["n_ph"] == choose_n_ph(reach) > 6
     # the CSV columns stay as they were
     assert render_csv(result).split("\n")[0] == ",".join(CSV_COLUMNS)
     assert "n_ph" not in CSV_COLUMNS
@@ -452,6 +453,25 @@ def test_cli_simulate_with_trajectory(tmp_path, capsys):
     last = dict(zip(TRAJECTORY_COLUMNS, traj_lines[-1].split(",")))
     assert float(last["mean_photon"]) < 1e-2
     assert float(last["polaron_residual"]) < 1e-4
+
+
+def test_cli_rejects_a_thermal_trajectory_before_any_work(tmp_path, capsys, monkeypatch):
+    # a trajectory follows one cavity state and a thermal start is a
+    # Monte-Carlo mixture: the config is refused before the row's extraction
+    def solver(*args, **kwargs):
+        raise AssertionError("the solver ran")
+
+    for name in ("thermal_average_channel", "extract_channel"):
+        monkeypatch.setattr(sweep, name, solver)
+    monkeypatch.setattr(cli, "trajectory_rows", solver)
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"initial_cavity": _THERMAL}))
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv"),
+                 "--trajectory", str(tmp_path / "traj.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "trajectory_out" in err and "initial_cavity" in err
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_cli_simulate_flags_small_fock_space(tmp_path, capsys):

@@ -438,32 +438,71 @@ def test_real_stepping_matches_complex_stepping(g2_over_g1, real_orbits, orbits,
     lam = _branch_lams(p)
     props = np.array([expm(_dense_block_generator(p, n_ph, lam[i], lam[j]) * dt)
                       for i, j in lindblad._UPPER])
+    # a stack of states steps as more columns of the same tracks, each
+    # state's blocks and traces its own; a parity-even vacuum among coherent
+    # states is stepped with its (equal) flipped copy
     fock = FockSpace(n_ph)
-    for cav in (fock.vacuum_rho(), fock.coherent_rho(0.5 - 0.4j)):
-        tracks = lindblad._BlockTracks(p, cav, dt)
+    coherent = fock.coherent_rho(0.5 - 0.4j)
+    for cavs in ([fock.vacuum_rho()], [coherent],
+                 [coherent, fock.coherent_rho(-0.2 + 0.6j), fock.vacuum_rho()]):
+        cavs = np.array(cavs)
+        tracks = lindblad._BlockTracks(p, cavs, dt)
         assert tracks.real_ops.dtype == np.float64 and len(tracks.real_ops) == real_orbits
         assert len(tracks.real_ops) + len(tracks.cplx_ops) == orbits
-        assert tracks.real_start.shape[-1] <= 2
+        assert tracks.real_start.shape[-1] <= 2 * len(cavs)
         _, states = next(tracks.run(steps))
-        assert len(states) == lindblad._CHUNK
-        vec = np.tile(cav.reshape(1, -1, 1), (len(props), 1, 1))
+        assert len(states) == min(lindblad._CHUNK,
+                                  lindblad._CHUNK_BYTES // (8 * tracks.width)) > 1
+        vec = np.tile(cavs.reshape(len(cavs), 1, -1, 1), (1, len(props), 1, 1))
         for k, blocks in enumerate(tracks.blocks(states)):
             if k:
                 vec = props @ vec
             assert np.abs(blocks.reshape(vec.shape) - vec).max() < 1e-12
-        traces = vec.reshape(-1, n_ph, n_ph).trace(axis1=1, axis2=2)
+        traces = vec.reshape(len(cavs), -1, n_ph, n_ph).trace(axis1=2, axis2=3)
         assert np.abs(tracks.traces(states[-1]) - traces).max() < 1e-12
+
+
+@given(
+    g2_over_g1=st.floats(min_value=0.3, max_value=3.0),
+    delta_sign=st.sampled_from([1, -1]),
+    kappa=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=5e-2)),
+    alpha=st.complex_numbers(max_magnitude=1.5),
+)
+@settings(max_examples=40, deadline=None)
+def test_reach_is_the_largest_branch_amplitude(g2_over_g1, delta_sign, kappa, alpha):
+    # _reach bounds |alpha_i(t)| = |alpha e^{-(i Delta + kappa) t} + lam_i alpha_unit(t)|
+    # over the branches on a fine grid of the first two drive periods, and
+    # at kappa = 0 (a closed circle) equals the grid's maximum; it never
+    # exceeds the old rule |alpha| + loop radius, so no Fock size grows
+    p = make_params(0.7, kappa, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
+    delta, lam = p.delta_rad_ns, np.array(_branch_lams(p))
+    t = np.linspace(0.0, 2 * 2 * math.pi / abs(delta), 2 * 2**16, endpoint=False)
+    amps = (alpha * np.exp(-(1j * delta + kappa) * t)
+            + lam[:, None] * drive_frame_displacement(1.0, delta, kappa, t))
+    grid_max = float(np.abs(amps).max())
+    reach = lindblad._reach(p, alpha)
+    assert grid_max <= reach * (1 + 1e-12)
+    if kappa == 0.0:
+        assert reach <= grid_max * (1 + 1e-9)
+    radius = lindblad._reach(p)
+    assert radius == (abs(p.g1_rad_ns) + abs(p.g2_rad_ns)) / math.hypot(delta, kappa)
+    assert reach <= (abs(alpha) + radius) * (1 + 1e-15)
+    assert choose_n_ph(reach) <= choose_n_ph(abs(alpha) + radius)
 
 
 @pytest.mark.parametrize("kappa", [5e-3, 5e-2])
 @pytest.mark.parametrize("delta_sign", [1, -1])
 @pytest.mark.parametrize("g2_over_g1", [1.5, 3.0])
 def test_auto_fock_size_covers_the_largest_branch(g2_over_g1, delta_sign, kappa):
-    # with n_ph unset a coherent start sizes its space from the largest
-    # branch amplitude |g1| + |g2|, not from 2 sqrt(g1 g2): the guard level
-    # then stays below choose_n_ph's default tail of 1e-5
+    # with n_ph unset a coherent start sizes its space from the branches'
+    # exact reach, which counts the largest branch amplitude |g1| + |g2|,
+    # not 2 sqrt(g1 g2): the guard level then stays below choose_n_ph's
+    # default tail of 1e-5. Every steady state beta_i lies along one phase
+    # u; an alpha along +-u reaches |alpha| + radius (the old rule), one
+    # along +-i u the least, so its space is the smallest
     p = make_params(0.7, kappa, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
-    for alpha in (0.5, 1.0, -0.7 + 0.7j):
+    u = -1j * complex(kappa, -p.delta_rad_ns) / math.hypot(kappa, p.delta_rad_ns)
+    for alpha in (0.5, 1.0, -0.7 + 0.7j, u, -u, 0.9j * u, -0.9j * u):
         _, diag = extract_channel(p, 0.0, 0.0, CavityPrep.coherent(alpha))
         assert diag.max_top_level_pop < 1e-5, (alpha, diag.n_ph)
 
@@ -482,7 +521,7 @@ def test_extract_channel_guard_is_read_at_every_step(alpha, g2_over_g1, steps):
                  else (CavityPrep.coherent(alpha), fock.coherent_rho(alpha)))
     policy = StepPolicy(min_steps=steps, max_steps=steps)
     _, dt = policy.resolve(p.t_g_ns)
-    tracks = lindblad._BlockTracks(p, cav, dt)
+    tracks = lindblad._BlockTracks(p, cav[None], dt)
     every = max(float(states[:, tracks.guard].max()) for _, states in tracks.run(steps))
     _, diag = extract_channel(p, 0.0, 0.0, prep, n_ph=n_ph, policy=policy)
     assert diag.steps == steps
@@ -709,20 +748,23 @@ def test_thermal_channel_deterministic_and_continuous():
 
 
 def test_thermal_diagnostics_report_the_largest_fock_size(monkeypatch):
-    # each Monte-Carlo sample sizes its own Fock space; the merged
-    # diagnostics report the largest one that ran
+    # the Monte-Carlo samples share one Fock space, sized from the largest
+    # reach among them, and one set of block tracks; the diagnostics report
+    # that size
     p = make_params(0.7, 1e-3, n=2)
-    sizes = []
-    real_extract = lindblad.extract_channel
+    stacks = []
+    real_tracks = lindblad._BlockTracks
 
-    def recording(*args, **kwargs):
-        chan, diag = real_extract(*args, **kwargs)
-        sizes.append(diag.n_ph)
-        return chan, diag
+    def recording(params, cavs, dt):
+        stacks.append(cavs.shape)
+        return real_tracks(params, cavs, dt)
 
-    monkeypatch.setattr(lindblad, "extract_channel", recording)
-    _, diag = thermal_average_channel(p, 0.2, 2, 1)
-    assert len(sizes) == 2 and len(set(sizes)) > 1
+    monkeypatch.setattr(lindblad, "_BlockTracks", recording)
+    _, diag = thermal_average_channel(p, 0.2, 2, 2)
+    draws = np.random.default_rng(2).normal(0.0, math.sqrt(0.1), (2, 2))
+    sizes = [choose_n_ph(lindblad._reach(p, complex(*z))) for z in draws]
+    assert len(set(sizes)) > 1  # each sample alone would take another size
+    assert stacks == [(2, max(sizes), max(sizes))]
     assert diag.n_ph == max(sizes)
     assert diag.to_json_dict()["n_ph"] == max(sizes)
 
