@@ -4,7 +4,7 @@ Layers, roughly bottom-up:
 
 - constants / errors: physical constants, unit conversions (J <-> GHz,
   ueV -> J) and the shared exception types.
-- device: resonator + double-dot electrostatics; exchange model and its
+- device: resonator and qubit tunings; exchange model and its
   derivatives; couplings, decay rate, and the gate schedule.
 - noise: 1/f^beta charge-noise dephasing, the echo filter constant, the
   closed-form optimal operating point, and infidelity estimates.
@@ -29,6 +29,7 @@ from .channel import (
     b_factor_simplified,
     correlated_dephasing_channel,
     drive_frame_displacement,
+    gate_target,
     ideal_gate_unitary,
     intrinsic_dephasing_channel,
     textbook_cphase_decomposition,
@@ -41,7 +42,6 @@ from .constants import (
     HBAR_J_S,
 )
 from .device import (
-    CapacitanceMatrix,
     CouplingStrengths,
     DerivedGateParams,
     QubitTuning,
@@ -51,7 +51,6 @@ from .device import (
     derive_gate_params,
     exchange_and_derivatives,
     gate_schedule,
-    lever_arm_from_capacitances,
     photon_voltage,
 )
 from .errors import ConfigError, DomainError, NonPhysicalChannelError

@@ -138,6 +138,12 @@ def ideal_gate_unitary(phi_12: float) -> np.ndarray:
     return np.diag([p, p.conjugate(), p.conjugate(), p]).astype(complex)
 
 
+def gate_target(params) -> np.ndarray:
+    """The ideal gate on params' drive sideband: the ZZ phase pi/4 takes the
+    sign of Delta, as the loops run the other way round when Delta < 0."""
+    return ideal_gate_unitary(math.copysign(math.pi / 4, params.delta_rad_ns))
+
+
 def textbook_cphase_decomposition() -> tuple[np.ndarray, np.ndarray]:
     """(CZ, local correction L) with CZ = e^{i pi/4} * ideal_gate_unitary(pi/4) L.
 
@@ -295,8 +301,7 @@ def analytic_gate_channel(
 
     ``params`` is a DerivedGateParams (SI); gamma_1, gamma_2 are the intrinsic
     dephasing rates in 1/s. The three factors commute, so the composition
-    order is a convention, not physics. The unitary phase is +pi/4 for
-    Delta > 0 and -pi/4 on the other drive sideband.
+    order is a convention, not physics. The unitary is gate_target(params).
     """
     g = params.g_geom_rad_ns
     delta = params.delta_rad_ns
@@ -305,8 +310,7 @@ def analytic_gate_channel(
     b, _, _ = b_factor(g, delta, kappa, t_ns)
     e_q = intrinsic_dephasing_channel(gamma_1 * 1e-9, gamma_2 * 1e-9, t_ns)
     e_b = correlated_dephasing_channel(b)
-    u = TwoQubitChannel.from_unitary(ideal_gate_unitary(math.copysign(math.pi / 4, delta)))
-    return e_q.then(e_b).then(u)
+    return e_q.then(e_b).then(TwoQubitChannel.from_unitary(gate_target(params)))
 
 
 def analytic_avg_fidelity(b: float, gamma_phi: float, t_g: float) -> float:

@@ -57,6 +57,12 @@ def _require_number(value, path, *, integer=False, positive=False,
     return int(value) if integer else float(value)
 
 
+def _require_lever_arm(value, path) -> float:
+    if not 0 < _require_number(value, path) <= 1:
+        raise ConfigError(f"{path}: a lever arm must lie in (0, 1], got {value!r}")
+    return float(value)
+
+
 def _require_choice(value, path, *, allowed) -> str:
     if value not in allowed:
         raise ConfigError(f"{path}: expected one of {list(allowed)}, got {value!r}")
@@ -178,7 +184,7 @@ class RunConfig:
     z_r_ohm: float = _key(5000.0, _require_number, positive=True)
     q_factor: float = _key(20000.0, _require_number, positive=True)
     eps_a_uev: float = _key(5.0, _require_number, positive=True)
-    c_r: float = _key(QubitTuning.c_r, _require_number, positive=True)
+    c_r: float = _key(QubitTuning.c_r, _require_lever_arm)
     j_ghz: float | None = _key(None, _require_number, positive=True)
     eps_d_over_eps_a: float | None = _key(None, _require_number, positive=True)
     # noise; eta None -> Hahn-echo value for beta

@@ -1,10 +1,9 @@
 """Device model: resonator + exchange-coupled singlet-triplet qubit tuning.
 
 Maps physical device parameters (resonator frequency/impedance/quality
-factor, exchange curve, lever arms, drive amplitude) to the effective gate
-parameters: single-photon voltage V0, cavity decay rate kappa, longitudinal
-coupling g, dispersive-like correction chi, drive detuning Delta and gate
-time t_g.
+factor, exchange curve, resonator lever arm, drive amplitude) to the
+effective gate parameters: cavity decay rate kappa, longitudinal coupling g,
+dispersive-like correction chi, drive detuning Delta and gate time t_g.
 
 Units at this layer are SI throughout: energies in joules, angular
 frequencies in rad/s, times in seconds, voltages in volts. The exchange
@@ -82,56 +81,20 @@ class QubitTuning:
 
 
 @dataclass(frozen=True)
-class CapacitanceMatrix:
-    """Dot-gate-resonator capacitances (all in farads).
-
-    C_L, C_R are the total capacitances of the left/right dot; C_ij is the
-    capacitance between dot i and gate j (j = 'l'/'r' plunger gates, j =
-    'res' the resonator).
-    """
-
-    C_L: float
-    C_R: float
-    C_ll: float = 0.0
-    C_lr: float = 0.0
-    C_rl: float = 0.0
-    C_rr: float = 0.0
-    C_lres: float = 0.0
-    C_rres: float = 0.0
-
-    def __post_init__(self):
-        entries = {
-            "C_L": self.C_L, "C_R": self.C_R,
-            "C_ll": self.C_ll, "C_lr": self.C_lr, "C_rl": self.C_rl,
-            "C_rr": self.C_rr, "C_lres": self.C_lres, "C_rres": self.C_rres,
-        }
-        for name, v in entries.items():
-            if v < 0:
-                raise DomainError(f"{name} must be non-negative, got {v}")
-        if self.C_L < self.C_ll + self.C_lr + self.C_lres:
-            raise DomainError("C_L smaller than the sum of its couplings")
-        if self.C_R < self.C_rl + self.C_rr + self.C_rres:
-            raise DomainError("C_R smaller than the sum of its couplings")
-
-
-@dataclass(frozen=True)
 class DerivedGateParams:
     """Effective gate parameters, all SI.
 
-    V0 (V), kappa (rad/s), g1/g2/chi/J_tilde (J), Delta (rad/s), t_g (s),
-    n (number of closed phase-space loops). Delta*t_g = 2*pi*n by
-    construction; hbar*|Delta| = 2*sqrt(n*g1*g2).
+    kappa (rad/s), g1/g2/chi (J), Delta (rad/s), t_g (s); chi is qubit 1's.
+    For a schedule of n closed phase-space loops, Delta*t_g = 2*pi*n by
+    construction and hbar*|Delta| = 2*sqrt(n*g1*g2).
     """
 
-    V0: float
     kappa: float
     g1: float
     g2: float
     chi: float
     Delta: float
     t_g: float
-    n: int
-    J_tilde: float
 
     # -- conversions to the internal (hbar = 1, rad/ns, ns) frame ----------
     @property
@@ -177,19 +140,20 @@ def cavity_decay(res: ResonatorSpec) -> float:
 
 
 def exchange_and_derivatives(
-    tuning: QubitTuning, eps: float, *, window: float = EXCHANGE_WINDOW_EPS_A
+    tuning: QubitTuning, eps: float
 ) -> tuple[float, float, float, float]:
     """Exchange splitting and its first three derivatives at detuning eps.
 
     J(eps) = J0 exp(eps/eps_a), so d^k J / d eps^k = J / eps_a^k. Raises
-    DomainError when |eps - eps_0| exceeds ``window * eps_a`` (the model is
-    empirical and only trusted near the operating point); warns when J lands
-    outside the soft 50 MHz .. 30 GHz band.
+    DomainError when |eps - eps_0| exceeds EXCHANGE_WINDOW_EPS_A * eps_a (the
+    model is empirical and only trusted near the operating point); warns
+    when J lands outside the soft 50 MHz .. 30 GHz band.
     """
-    if abs(eps - tuning.eps_0) > window * tuning.eps_a:
+    limit = EXCHANGE_WINDOW_EPS_A * tuning.eps_a
+    if abs(eps - tuning.eps_0) > limit:
         raise DomainError(
             f"eps = {eps:.4g} J outside the exchange-model validity window "
-            f"|eps - eps_0| <= {window:g}*eps_a = {window * tuning.eps_a:.4g} J"
+            f"|eps - eps_0| <= {EXCHANGE_WINDOW_EPS_A:g}*eps_a = {limit:.4g} J"
         )
     J = tuning.J0 * math.exp(eps / tuning.eps_a)
     if not (EXCHANGE_SOFT_MIN_J <= J <= EXCHANGE_SOFT_MAX_J):
@@ -251,23 +215,6 @@ def gate_schedule(g1: float, g2: float, n: int) -> tuple[float, float]:
     return delta, t_g
 
 
-def lever_arm_from_capacitances(cap: CapacitanceMatrix) -> tuple[float, float]:
-    """Lever arms from the electrostatic capacitance matrix.
-
-    Returns (d eps / d V_eps in units of e, resonator lever arm c_r):
-
-        d eps/d V_eps / e = (C_ll - C_lr)/C_L - (C_rl - C_rr)/C_R
-        c_r               = C_rres/C_R - C_lres/C_L
-
-    where V_eps = (V_L - V_R)/2 is the differential plunger voltage.
-    """
-    if cap.C_L == 0.0 or cap.C_R == 0.0:
-        raise DomainError("total dot capacitances must be non-zero")
-    gate_arm = (cap.C_ll - cap.C_lr) / cap.C_L - (cap.C_rl - cap.C_rr) / cap.C_R
-    c_r = cap.C_rres / cap.C_R - cap.C_lres / cap.C_L
-    return gate_arm, c_r
-
-
 def derive_gate_params(
     res: ResonatorSpec,
     tuning: QubitTuning,
@@ -289,18 +236,11 @@ def derive_gate_params(
     if c1.g == 0.0 or c2.g == 0.0:
         raise DomainError("eps_d = 0 gives no longitudinal coupling; cannot schedule a gate")
     delta, t_g = gate_schedule(c1.g, c2.g, n)
-    J, _, d2J, _ = exchange_and_derivatives(tuning, tuning.eps_0)
-    e_cr_v0 = E_CHARGE_C * tuning.c_r * photon_voltage(res)
-    # Static mean-field shift of the exchange from photon + drive variance.
-    j_tilde = J + 0.5 * d2J * (e_cr_v0**2 + tuning.eps_d**2 / 2.0)
     return DerivedGateParams(
-        V0=photon_voltage(res),
         kappa=cavity_decay(res),
         g1=c1.g,
         g2=c2.g,
         chi=c1.chi,
         Delta=delta_sign * delta,
         t_g=t_g,
-        n=n,
-        J_tilde=j_tilde,
     )

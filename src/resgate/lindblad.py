@@ -56,17 +56,18 @@ integrator kept in tests/rk4_reference.py.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .channel import TwoQubitChannel, drive_frame_displacement, ideal_gate_unitary
+from .channel import TwoQubitChannel, drive_frame_displacement, gate_target
 from .device import DerivedGateParams
 from .errors import DomainError
 from .fidelity import fit_local_z
 
 DEFAULT_N_PH = 6  # levels 0..5: one guard level above the 4-photon working range
 DEFAULT_TOP_LEVEL_THRESHOLD = 1e-4
+_GUARD_TAIL = 1e-5  # choose_n_ph's bound on the guard-level population
 # Z1, Z2 eigenvalues of the qubit basis states |00>, |01>, |10>, |11>.
 _BRANCHES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
@@ -133,15 +134,7 @@ class SimDiagnostics:
     failure_reasons: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
-        return {
-            "max_top_level_pop": self.max_top_level_pop,
-            "steps": self.steps,
-            "dt_ns": self.dt_ns,
-            "n_ph": self.n_ph,
-            "top_level_threshold": self.top_level_threshold,
-            "failed": self.failed,
-            "failure_reasons": list(self.failure_reasons),
-        }
+        return {**asdict(self), "failure_reasons": list(self.failure_reasons)}
 
 
 def _run_health(
@@ -195,25 +188,24 @@ class CavityPrep:
         return cls(kind="thermal", n_bar=n_bar, samples=samples)
 
 
-def choose_n_ph(max_amplitude: float, n_ph_floor: int = DEFAULT_N_PH,
-                tail: float = 1e-5) -> int:
-    """Smallest Fock dimension keeping the guard level below ``tail``.
+def choose_n_ph(max_amplitude: float) -> int:
+    """Smallest Fock dimension, at least DEFAULT_N_PH, with the guard level
+    of a coherent state below _GUARD_TAIL.
 
     ``max_amplitude`` is the largest coherent amplitude the run can reach
     (the branches' exact reach, _reach). The guard level of a coherent
-    state |amp| is Poissonian, so walk the pmf until it drops below
-    ``tail``.
+    state |amp| is Poissonian, so walk the pmf until it drops that low.
     """
     lam = max_amplitude**2
     if lam == 0.0:
-        return n_ph_floor
+        return DEFAULT_N_PH
     k, log_p = 0, -lam
-    while not (log_p < math.log(tail) and k > lam):
+    while not (log_p < math.log(_GUARD_TAIL) and k > lam):
         k += 1
         log_p += math.log(lam) - math.log(k)
         if k > 1000:
             raise DomainError(f"amplitude {max_amplitude} needs an absurd Fock space")
-    return max(n_ph_floor, k + 1)
+    return max(DEFAULT_N_PH, k + 1)
 
 
 def _reach(params: DerivedGateParams, alpha: complex = 0j) -> float:
@@ -695,11 +687,10 @@ def polaron_residual(
     *,
     n_ph: int | None = None,
     policy: StepPolicy = StepPolicy(),
-    initial_qubit: np.ndarray | None = None,
 ) -> float:
     """Max ground-state defect in the qubit-conditioned displaced frame.
 
-    Evolves (vacuum cavity, no intrinsic dephasing), and at each sampled
+    Evolves |++> (vacuum cavity, no intrinsic dephasing), and at each sampled
     time applies the inverse conditional displacement built from the
     closed-form drive-frame amplitude; the cavity should then sit in its
     ground state up to truncation error:
@@ -708,16 +699,16 @@ def polaron_residual(
 
     Sample times are snapped to the policy's step grid (consistently with
     the amplitude used for the displacement). Returns the maximum residual
-    over the samples; it is the polaron_residual column of trajectory_rows.
+    over the samples: at the same n_ph, the largest of trajectory_rows'
+    polaron_residual column over those steps (by default this sizes the
+    space from _reach and trajectory_rows at DEFAULT_N_PH).
     """
     t_samples = np.atleast_1d(np.asarray(t_samples, dtype=float))
     if np.any(t_samples < 0) or np.any(t_samples > params.t_g_ns * (1 + 1e-12)):
         raise DomainError("sample times must lie in [0, t_g]")
     if n_ph is None:
         n_ph = choose_n_ph(_reach(params))
-    rows = trajectory_rows(
-        params, 0.0, 0.0, n_ph=n_ph, policy=policy, initial_qubit=initial_qubit
-    )
+    rows = trajectory_rows(params, 0.0, 0.0, n_ph=n_ph, policy=policy)
     _, dt = policy.resolve(params.t_g_ns)
     return max([0.0] + [rows[int(round(t / dt))]["polaron_residual"] for t in t_samples])
 
@@ -834,7 +825,7 @@ def thermal_average_channel(
     cavs = np.stack([fock.coherent_rho(alpha) for alpha in alphas])
     cohs, diag = _coherences(params, gamma_1, gamma_2, cavs, policy, top_level_threshold)
 
-    target = ideal_gate_unitary(math.copysign(math.pi / 4, params.delta_rad_ns))
+    target = gate_target(params)
     acc = np.zeros((4, 4), dtype=complex)
     for coh in cohs:
         acc += fit_local_z(TwoQubitChannel(coh), target, validate=False).channel.coherence

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import analytic_avg_fidelity, b_factor, ideal_gate_unitary
+from .channel import analytic_avg_fidelity, b_factor, gate_target
 from .config import RunConfig
 from .constants import (
     E_CHARGE_C,
@@ -282,7 +282,7 @@ def _evaluate_point(cfg: RunConfig, seed: int) -> SweepRow:
                 gamma_1=gphi, gamma_2=gphi, **solver)
         else:
             chan, diag = extract_channel(params, gphi, gphi, prep, **solver)
-        target = ideal_gate_unitary(math.copysign(math.pi / 4.0, params.delta_rad_ns))
+        target = gate_target(params)
         if prep.kind == "coherent":
             # a displaced cavity adds deterministic single-qubit Z phases;
             # score the entangling content after stripping them

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import math
 import os
@@ -246,14 +245,16 @@ def test_evaluate_point_analytic_row():
 
 
 def test_evaluate_point_captures_domain_errors():
-    cfg = config_from_dict({"c_r": 1.5}, source="t")  # passes config, fails physics
-    row = evaluate_point(cfg)
+    # config_from_dict rejects c_r > 1; a RunConfig that skips its rules
+    # reaches QubitTuning, which raises inside the row
+    base = config_from_dict({}, source="t")
+    row = evaluate_point(replace(base, c_r=1.5))
     assert row.failed
     assert "error" in row.diagnostics
     assert "DomainError" in row.diagnostics["error"]
     assert math.isnan(row.f_analytic)
-    # the same value on a sweep axis passes config too, and fails the same way
-    (swept,) = run_sweep(config_from_dict({"axes": {"c_r": [1.5]}}, source="t")).rows
+    # the same value on a sweep axis fails the same way
+    (swept,) = run_sweep(replace(base, axes=(("c_r", (1.5,)),))).rows
     assert swept.diagnostics == row.diagnostics
 
 
@@ -380,6 +381,25 @@ def test_thermal_row_is_the_seeded_thermal_average():
     assert row.diagnostics["n_ph"] == diag.n_ph
 
 
+@pytest.mark.parametrize(
+    "start",
+    [{"n_ph": 7}, {"initial_cavity": {"kind": "coherent", "alpha": [0.6, -0.3]}},
+     {"initial_cavity": _THERMAL}],
+    ids=["vacuum", "coherent", "thermal"],
+)
+def test_drive_above_resonator_rows_score_the_mirrored_phase(start):
+    # with delta_sign -1 the ZZ phase is -pi/4. A vacuum row scored against
+    # the +pi/4 gate would read f_numeric ~ 0.2; coherent and thermal rows
+    # fit local Z first, which absorbs that mirror (exp(i pi/2 Z1 Z2) is the
+    # local i Z1 Z2), so there the check is agreement with the analytic row
+    cfg = config_from_dict({"numeric": True, "refine": False, "delta_sign": -1, **start},
+                           source="t")
+    row = evaluate_point(cfg)
+    assert not row.failed
+    assert row.delta_mhz < 0
+    assert abs(row.f_numeric - row.f_analytic) < 1e-3
+
+
 def test_sweep_row_i_draws_its_thermal_samples_with_seed_plus_i(monkeypatch):
     seeds = []
 
@@ -423,6 +443,20 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     assert main(["analytic", "--config", str(p)]) == 2
     err = capsys.readouterr().err
     assert "qbits" in err
+
+
+def test_cli_rejects_a_lever_arm_above_one(tmp_path, capsys):
+    # c_r is the share of the resonator voltage a dot feels: above 1 is a
+    # config error that names its path (exit 2), not a failed row (exit 3)
+    cfg = tmp_path / "c.json"
+    for command, payload, path in (
+        ("analytic", {"c_r": 1.5}, "c_r: "),
+        ("sweep", {"axes": {"c_r": [0.5, 1.5]}}, "axes.c_r[1]: "),
+    ):
+        cfg.write_text(json.dumps(payload))
+        assert main([command, "--config", str(cfg)]) == 2
+        assert f"error: {path}" in capsys.readouterr().err
+    assert config_from_dict({"c_r": 1.0}, source="t").c_r == 1.0
 
 
 def test_cli_optimize_json(capsys):
@@ -508,23 +542,27 @@ def test_cli_seed_override(tmp_path):
     assert out1.read_text() == out2.read_text()
 
 
-# --------------------------------------------------------------- scripts --
+# ------------------------------------------------------- example configs --
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
 
-@pytest.mark.parametrize(
-    "script, argv",
-    [
-        ("fidelity_map", ["--z", "5000", "--q-points", "2"]),
-        ("drive_tradeoff", ["--num", "2"]),
-    ],
-)
-def test_script_writes_its_grid(tmp_path, script, argv):
-    path = Path(__file__).resolve().parents[1] / "scripts" / f"{script}.py"
-    spec = importlib.util.spec_from_file_location(script, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    out = tmp_path / "rows.csv"
-    assert module.main(argv + ["--out", str(out)]) == 0
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == ",".join(CSV_COLUMNS)
-    assert len(lines) == 1 + 2
+def _example_rows(tmp_path, name) -> list[dict]:
+    """Run examples/<name>.json through `resgate sweep`; its CSV rows as dicts."""
+    out = tmp_path / f"{name}.csv"
+    assert main(["sweep", "--config", str(EXAMPLES / f"{name}.json"), "--out", str(out)]) == 0
+    header, *lines = out.read_text().strip().split("\n")
+    assert header == ",".join(CSV_COLUMNS)
+    return [dict(zip(CSV_COLUMNS, line.split(","))) for line in lines]
+
+
+@pytest.mark.parametrize("name, count", [("fidelity_map", 32), ("drive_tradeoff", 15)])
+def test_example_config_writes_its_grid(tmp_path, name, count):
+    assert len(_example_rows(tmp_path, name)) == count
+
+
+def test_drive_tradeoff_example_keeps_t_g_times_drive_fixed(tmp_path):
+    # g grows linearly with eps_d, so t_g * (eps_d/eps_a) is one number
+    rows = _example_rows(tmp_path, "drive_tradeoff")
+    tw = [float(r["t_g_ns"]) * float(r["eps_d_over_eps_a"]) for r in rows]
+    assert max(tw) - min(tw) <= 1e-12 * min(tw)

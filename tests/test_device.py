@@ -1,4 +1,4 @@
-"""Device layer: photon voltage, decay, exchange model, schedule, lever arms."""
+"""Device layer: photon voltage, decay, exchange model, couplings, schedule."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resgate import (
-    CapacitanceMatrix,
     QubitTuning,
     ResonatorSpec,
     cavity_decay,
@@ -17,7 +16,6 @@ from resgate import (
     derive_gate_params,
     exchange_and_derivatives,
     gate_schedule,
-    lever_arm_from_capacitances,
     photon_voltage,
 )
 from resgate.constants import HBAR_J_S, TWO_PI, h_ghz_to_energy_J, uev_to_J
@@ -112,7 +110,6 @@ def test_derive_gate_params_schedule_consistency(res):
     p = derive_gate_params(res, tun, 2)
     assert p.Delta * p.t_g == pytest.approx(TWO_PI * 2, rel=1e-14)
     assert p.kappa == pytest.approx(cavity_decay(res), rel=1e-14)
-    assert p.V0 == pytest.approx(photon_voltage(res), rel=1e-14)
     assert p.g1 == p.g2
     # internal-unit properties are plain rescalings
     assert p.delta_rad_ns == pytest.approx(p.Delta * 1e-9, rel=1e-15)
@@ -142,22 +139,6 @@ def test_derive_gate_params_geometric_mean_two_tunings(res):
     assert p.g_geom_rad_ns == pytest.approx(
         math.sqrt(p.g1_rad_ns * p.g2_rad_ns), rel=1e-14
     )
-
-
-def test_lever_arms_reference_point():
-    cap = CapacitanceMatrix(
-        C_L=100e-18, C_R=100e-18,
-        C_ll=30e-18, C_lr=5e-18, C_rl=5e-18, C_rr=30e-18,
-        C_lres=0.0, C_rres=25e-18,
-    )
-    gate_arm, c_r = lever_arm_from_capacitances(cap)
-    assert gate_arm == pytest.approx(0.5, rel=1e-12)
-    assert c_r == pytest.approx(0.25, rel=1e-12)
-
-
-def test_capacitance_matrix_rejects_oversubscribed_dot():
-    with pytest.raises(DomainError):
-        CapacitanceMatrix(C_L=10e-18, C_R=100e-18, C_ll=9e-18, C_lr=2e-18)
 
 
 def test_make_params_helper_matches_schedule():

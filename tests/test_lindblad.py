@@ -163,7 +163,6 @@ def test_choose_n_ph_behaviour():
     assert choose_n_ph(0.05) == 6  # floor dominates for tiny amplitudes
     sizes = [choose_n_ph(a) for a in (0.3, 0.8, 1.5, 2.5)]
     assert sizes == sorted(sizes)
-    assert choose_n_ph(1.5, n_ph_floor=20) == 20
 
 
 def test_extract_channel_matches_analytic_sample():
