@@ -27,28 +27,46 @@ One block engine serves every path: extract_channel, the trajectory dump
 (trajectory_rows) and the polaron check (polaron_residual) all step the
 blocks with expm(L_ij dt) on the StepPolicy grid through one stepper
 (_BlockTracks.run) and read their numbers off the blocks.
-Branches come in sign-reversed pairs (lam_{3-k} = -lam_k), and the cavity
-parity Pi = diag((-1)^m) maps L(lam_i, lam_j) onto L(-lam_i, -lam_j)
-exactly, so block (3-j, 3-i) is read off block (i, j) evolved from
-Pi cav Pi: one propagator per orbit of (i, j) <-> (3-j, 3-i), 4 with equal
-couplings and 6 with unequal ones. Orbits with lam_i = +-lam_j commute with
-an antiunitary (r -> r^dag or r -> Pi r^dag Pi), so in that antiunitary's
-fixed basis both their expm(L dt) and their stepping are real arithmetic:
-float64 propagators acting on at most two float64 columns per orbit, read
-straight off for the guard populations and the traces and mapped back to
-blocks only where whole blocks are needed. Only 1 orbit of 4 (2 of 6 with
-unequal couplings) takes the complex expm and complex steps. Each orbit
-also keeps P = E^8 (three squarings of its step propagator E), so
-extract_channel advances 8 grid steps per matmul and reads the guard
-populations of the steps in between off 8 precomputed rows of E^j; the
-trajectory dump steps at its own stride through the same stepper. The
-truncated block generator preserves the trace exactly (Tr(a r a^dag) =
-Tr(n r), and a commutator is traceless), so the block engine checks only
-the guard-level population. A thermal cavity is not one state but a
-Monte-Carlo mixture of coherent ones: thermal_average_channel steps all its
-samples as columns of one set of block tracks and averages their channels,
-and the single-state paths reject it. Displaced starts size their Fock
-space from the exact reach of the branch amplitudes (_reach).
+
+Frames: branch i drives the cavity towards its steady state
+beta_i = -i lam_i / (2 (i Delta + kappa)) (the coherent-branch picture of
+Gambetta et al., PRA 74, 042318 (2006)). The channel paths (extract_channel,
+thermal_average_channel) step each block in its branches' displaced frame,
+r'_ij = D(beta_i)^dag r_ij D(beta_j): one generator (_block_generator)
+keeps every term of that transformation, so there the cavity holds only
+|alpha - beta_i| e^{-kappa t} instead of the whole excursion, no level feeds
+the one above it, and the Fock space is sized from max_i |alpha - beta_i|
+(_reach). The trace is read back as Tr[r' D(beta_j)^dag D(beta_i)] with the
+displacement's exact matrix elements on the kept levels (_displacement).
+The trajectory dump and the polaron check report lab-frame quantities, so
+they pass a zero shift to the same generator and stepper, and size the space
+from the lab-frame reach. Every start is a coherent state (the vacuum is
+alpha = 0), so each block starts as a dyad of coherent kets.
+
+Branches come in sign-reversed pairs (lam_{3-k} = -lam_k, so
+beta_{3-k} = -beta_k), and the cavity parity Pi = diag((-1)^m) maps
+L(lam_i, lam_j) onto L(-lam_i, -lam_j) exactly, so block (3-j, 3-i) is read
+off block (i, j) evolved from Pi cav Pi: one propagator per orbit of
+(i, j) <-> (3-j, 3-i), 4 with equal couplings and 6 with unequal ones.
+Orbits with lam_i = +-lam_j commute with an antiunitary (r -> r^dag or
+r -> Pi r^dag Pi), so in that antiunitary's fixed basis both their
+expm(L dt) and their stepping are real arithmetic: float64 propagators
+acting on at most two float64 columns per orbit, read straight off for the
+guard populations, through one weighted sum each for the traces, and mapped
+back to blocks only where whole blocks are needed. Only 1 orbit of 4 (2 of 6
+with unequal couplings) takes the complex expm and complex steps, and in the
+displaced frame the two diagonal orbits see the same generator and share
+one expm. Each orbit also keeps P = E^8 (three squarings of its step
+propagator E), so extract_channel advances 8 grid steps per matmul and
+reads the guard populations of the steps in between off 8 precomputed rows
+of E^j; the trajectory dump steps at its own stride through the same
+stepper. The truncated block generator preserves
+the trace of a diagonal block exactly (Tr(A r A^dag) = Tr(A^dag A r), and a
+commutator is traceless), so the block engine checks only the guard-level
+population, taken in the frame it steps in. A thermal cavity is not one
+state but a Monte-Carlo mixture of coherent ones: thermal_average_channel
+steps all its samples as columns of one set of block tracks and averages
+their channels, and the single-state paths reject it.
 The tests check this engine against an independent dense-composite RK4
 integrator kept in tests/rk4_reference.py.
 """
@@ -57,6 +75,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -95,13 +114,38 @@ class FockSpace:
 
     def coherent_rho(self, beta: complex) -> np.ndarray:
         """|beta><beta| truncated to the space and renormalized."""
-        n = np.arange(self.n_levels)
-        log_fact = np.cumsum(np.log(np.maximum(n, 1)))
-        amps = np.exp(-0.5 * abs(beta) ** 2 + n * np.log(complex(beta)) - 0.5 * log_fact) \
-            if beta != 0 else np.eye(self.n_levels, 1, dtype=complex).ravel()
-        amps = np.asarray(amps, dtype=complex)
-        amps /= math.sqrt(float(np.vdot(amps, amps).real))
-        return np.outer(amps, amps.conj())
+        (ket,) = _coherent_kets(self.n_levels, [beta])
+        return np.outer(ket, ket.conj())
+
+
+def _coherent_kets(n_ph: int, amps) -> np.ndarray:
+    """Rows |amp> over levels 0..n_ph-1, truncated and renormalized:
+    amplitudes amp^m / sqrt(m!) by their running product."""
+    amps = np.asarray(amps, dtype=complex)
+    ratios = amps[:, None] / np.sqrt(np.arange(1, n_ph))
+    kets = np.cumprod(np.concatenate([np.ones((len(amps), 1)), ratios], axis=1), axis=1)
+    return kets / np.linalg.norm(kets, axis=1, keepdims=True)
+
+
+def _displacement(n_ph: int, deltas) -> np.ndarray:
+    """<m|D(delta)|n> for m, n < n_ph, exact: one (n_ph, n_ph) matrix per delta.
+
+    D(delta) = exp(-|delta|^2/2) exp(delta a^dag) exp(-delta^* a), and
+    <m|exp(x a^dag)|n> = x^k sqrt(m!/n!) / k! at k = m - n >= 0; the
+    product sums over levels below min(m, n) only, so no level above the
+    space enters. (expm of a truncated a^dag - a would not be exact.)
+    """
+    deltas = np.asarray(deltas, dtype=complex)[:, None]
+    m = np.arange(n_ph)
+    log_fact = np.cumsum(np.log(np.maximum(m, 1)))
+    k = m[:, None] - m
+    kk = np.maximum(k, 0)
+    mag = np.where(k >= 0, np.exp(0.5 * (log_fact[:, None] - log_fact) - log_fact[kk]), 0.0)
+    ones = np.ones((len(deltas), 1))
+    up, down = (np.cumprod(np.concatenate([ones, x.repeat(n_ph - 1, axis=1)], axis=1), axis=1)
+                for x in (deltas, -deltas.conj()))  # x^0 .. x^(n_ph-1)
+    raising, lowering = up[:, kk] * mag, down[:, kk] * mag
+    return np.exp(-0.5 * np.abs(deltas[:, :, None]) ** 2) * (raising @ lowering.swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)
@@ -192,9 +236,9 @@ def choose_n_ph(max_amplitude: float) -> int:
     """Smallest Fock dimension, at least DEFAULT_N_PH, with the guard level
     of a coherent state below _GUARD_TAIL.
 
-    ``max_amplitude`` is the largest coherent amplitude the run can reach
-    (the branches' exact reach, _reach). The guard level of a coherent
-    state |amp| is Poissonian, so walk the pmf until it drops that low.
+    ``max_amplitude`` is the largest coherent amplitude the run must hold in
+    the frame it steps in (_reach). The guard level of a coherent state
+    |amp| is Poissonian, so walk the pmf until it drops that low.
     """
     lam = max_amplitude**2
     if lam == 0.0:
@@ -208,47 +252,118 @@ def choose_n_ph(max_amplitude: float) -> int:
     return max(DEFAULT_N_PH, k + 1)
 
 
-def _reach(params: DerivedGateParams, alpha: complex = 0j) -> float:
-    """Largest |alpha_i(t)| over the branches i and all t >= 0, from alpha(0) = alpha.
+def _reach(params: DerivedGateParams, alpha: complex = 0j, *, displaced: bool = False) -> float:
+    """Largest cavity amplitude any branch holds over t >= 0, from alpha(0) = alpha.
 
     Branch i is driven at lam_i = g1 s1 + g2 s2, so its amplitude
     alpha_i(t) = beta_i + (alpha - beta_i) exp(-(i Delta + kappa) t) circles
     its steady state beta_i = -i lam_i / (2 (i Delta + kappa)) on a shrinking
-    radius, and |beta_i| + |alpha - beta_i| is the supremum (reached at
-    kappa = 0). All beta_i share the phase u = -i conj(z)/|z|, z = kappa + i Delta,
-    so with b_i = lam_i / (2|z|) the sum is |b_i| + |alpha conj(u) - b_i|;
-    at alpha = 0 that is |lam_i| / |z| exactly, the loop radius of branch i.
+    radius. In the lab frame |beta_i| + |alpha - beta_i| is the supremum of
+    |alpha_i(t)| (reached at kappa = 0); in the branch's displaced frame
+    (displaced=True, the frame extract_channel steps in) the state is
+    centred on beta_i and only |alpha_i(t) - beta_i| <= |alpha - beta_i| is
+    left. All beta_i share the phase u = -i conj(z)/|z|, z = kappa + i Delta,
+    so with b_i = lam_i / (2|z|) the lab sum is |b_i| + |alpha conj(u) - b_i|;
+    at alpha = 0 that is |lam_i| / |z| exactly, the loop radius of branch i,
+    and displaced it is half of it.
     """
     h = math.hypot(params.delta_rad_ns, params.kappa_per_ns)
     w = alpha * complex(-params.delta_rad_ns, params.kappa_per_ns) / h  # alpha conj(u)
     b = [lam / (2.0 * h) for lam in _branch_amplitudes(params)]
-    return max(abs(b_i) + abs(w - b_i) for b_i in b)
+    return max((0.0 if displaced else abs(b_i)) + abs(w - b_i) for b_i in b)
 
 
-def _block_generator(params: DerivedGateParams, n_ph: int):
-    """Generator maker for the qubit blocks r_ij = <i|rho|j> (internal units).
+def _steady_shift(params: DerivedGateParams) -> complex:
+    """beta_i / lam_i = -i / (2 (i Delta + kappa)), the same for every branch:
+    the shift that centres each branch's displaced frame on its steady state."""
+    return -0.5j / complex(params.kappa_per_ns, params.delta_rad_ns)
 
-    Returns L(lam_i, lam_j), the n_ph^2 x n_ph^2 generator of a block whose
+
+@lru_cache(maxsize=8)
+def _vec_operators(n_ph: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n_ph-only parts of _block_generator on row-major vec(r'), read-only:
+    n (x) I - I (x) n, 2 a (x) a - n (x) I - I (x) n, and the rows of the
+    four linear terms a^dag r', a r', r' a^dag and r' a. Cached, as every
+    extraction at one size rebuilds the same matrices."""
+    fock = FockSpace(n_ph)
+    a, num = fock.annihilation().real, fock.number_op().real
+    eye = np.eye(n_ph)
+    n_left, n_right = np.kron(num, eye), np.kron(eye, num)
+    a_left, a_right = np.kron(a, eye), np.kron(eye, a)
+    ops = (
+        n_left - n_right,
+        2.0 * np.kron(a, a) - n_left - n_right,
+        np.array([a_left.T, a_left, a_right, a_right.T], dtype=complex).reshape(4, -1),
+    )
+    for op in ops:
+        op.flags.writeable = False
+    return ops
+
+
+def _block_generator(params: DerivedGateParams, n_ph: int, shift: complex = 0j):
+    """Generator maker for the displaced qubit blocks (internal units).
+
+    Returns L(lam_i, lam_j), the n_ph^2 x n_ph^2 generator of the block
+    r' = D(b_i)^dag r D(b_j), b = shift * lam, where r = <i|rho|j> and the
     row and column branches have amplitudes lam = g1 s1 + g2 s2 (branch
-    (s1, s2)). With row-major vec(A X B) = (A (x) B^T) vec(X),
+    (s1, s2)). D(b)^dag a D(b) = a + b, so with A = a + b
+
+        L r' = -i(H_i r' - r' H_j)
+               + kappa (2 A_i r' A_j^dag - A_i^dag A_i r' - r' A_j^dag A_j),
+        H = Delta A^dag A + (lam/2)(A + A^dag),
+
+    built here with every linear and scalar term kept, so no choice of
+    shift changes the physics, only how many levels it needs. With
+    row-major vec(A X B) = (A (x) B^T) vec(X), shift 0 gives the lab-frame
+    generator (to rounding)
 
         L = -i(H_i (x) I - I (x) H_j^T) + 2 kappa a (x) a - kappa (n (x) I + I (x) n),
         H_i = Delta n + (lam_i/2)(a + a^dag).
 
-    The (gamma/2) D[Z] dephasing only adds -c_ij, a multiple of the identity,
-    so callers apply it as the factor exp(-c_ij t).
+    The linear terms are written through each branch's deviation
+    e = b - beta from its steady state beta = -i lam / (2 (i Delta + kappa))
+    (_steady_shift):
+
+        a^dag r': -z e_i,             a r': 2 kappa (b_j - b_i)^* + z^* e_i^*,
+        r' a^dag: 2 kappa (b_i - b_j) + z e_j,        r' a: -z^* e_j^*,
+
+    z = kappa + i Delta. So at the steady shift the a^dag r' and r' a terms
+    vanish exactly: what is left is the undriven damped oscillator, the
+    lowering terms 2 kappa (b_j^* - b_i^*) a r' and 2 kappa (b_i - b_j) r' a^dag,
+    and a scalar, so no level feeds the one above it, and every diagonal
+    block sees the same generator. The (gamma/2) D[Z] dephasing only adds
+    -c_ij, a multiple of the identity, so callers apply it as the factor
+    exp(-c_ij t).
     """
-    fock = FockSpace(n_ph)
-    a, num = fock.annihilation().real, fock.number_op().real
-    x, eye = a + a.T, np.eye(n_ph)
-    n_left, n_right = np.kron(num, eye), np.kron(eye, num)
-    kappa = params.kappa_per_ns
-    base = (
-        -1j * params.delta_rad_ns * (n_left - n_right)
-        + kappa * (2.0 * np.kron(a, a) - n_left - n_right)
-    )
-    x_left, x_right = np.kron(x, eye), np.kron(eye, x)
-    return lambda lam_i, lam_j: base + (-0.5j * lam_i) * x_left + (0.5j * lam_j) * x_right
+    detuning, damping, linear = _vec_operators(n_ph)
+    kappa, delta = params.kappa_per_ns, params.delta_rad_ns
+    z = complex(kappa, delta)
+    off = shift - _steady_shift(params)  # e / lam, exactly 0 at the steady shift
+    base = -1j * delta * detuning + kappa * damping
+    diag = np.arange(n_ph * n_ph)
+
+    def generator(lam_i, lam_j) -> np.ndarray:
+        """L(lam_i, lam_j); for arrays of amplitudes, the stack of them."""
+        lam_i, lam_j = np.asarray(lam_i, dtype=float), np.asarray(lam_j, dtype=float)
+        b_i, b_j, e_i, e_j = shift * lam_i, shift * lam_j, off * lam_i, off * lam_j
+        coeffs = np.stack([
+            -z * e_i,  # a^dag r'
+            2.0 * kappa * (b_j - b_i).conj() + z.conjugate() * e_i.conj(),  # a r'
+            2.0 * kappa * (b_i - b_j) + z * e_j,  # r' a^dag
+            -z.conjugate() * e_j.conj(),  # r' a
+        ], axis=-1)
+        m = base + (coeffs @ linear).reshape(*lam_i.shape, *base.shape)
+        # -i(c_i - c_j), c = Delta |b|^2 + lam Re b, and
+        # kappa (2 b_i b_j^* - |b_i|^2 - |b_j|^2), written so that both
+        # vanish exactly on a diagonal block (Im(b_i b_j^*) by real products:
+        # a fused complex product leaves a rounding residue)
+        energy = (delta * (np.abs(b_i) ** 2 - np.abs(b_j) ** 2)
+                  + lam_i * b_i.real - lam_j * b_j.real)
+        loss = -np.abs(b_i - b_j) ** 2 + 2j * (b_i.imag * b_j.real - b_i.real * b_j.imag)
+        m[..., diag, diag] += (-1j * energy + kappa * loss)[..., None]
+        return m
+
+    return generator
 
 
 def _branch_amplitudes(params: DerivedGateParams) -> list[float]:
@@ -263,15 +378,12 @@ def _dephasing_rates(gamma_1: float, gamma_2: float) -> np.ndarray:
     return 1e-9 * ((s[:, None, :] != s[None, :, :]) @ np.array([gamma_1, gamma_2]))
 
 
-def _initial_cavity(
-    params: DerivedGateParams, prep: CavityPrep | None, n_ph: int | None
-) -> np.ndarray:
-    """Initial cavity rho of a vacuum (prep None) or coherent preparation.
+def _start_amplitude(prep: CavityPrep | None) -> complex:
+    """Coherent amplitude of a vacuum (prep None, amplitude 0) or coherent
+    preparation.
 
     A thermal preparation is a mixture the block engine cannot step as one
-    state, so it raises DomainError. With n_ph None, vacuum runs use the
-    fixed default; a displaced cavity gets the space its excursion actually
-    needs (the branches' exact reach from its offset, _reach).
+    state, so it raises DomainError.
     """
     prep = prep or CavityPrep.vacuum()
     if prep.kind == "thermal":
@@ -279,13 +391,7 @@ def _initial_cavity(
             "needs a deterministic cavity preparation (vacuum or coherent), got "
             "thermal; thermal_average_channel averages its coherent samples"
         )
-    if n_ph is None:
-        n_ph = (
-            choose_n_ph(_reach(params, prep.alpha))
-            if prep.kind == "coherent" else DEFAULT_N_PH
-        )
-    fock = FockSpace(n_ph)
-    return fock.vacuum_rho() if prep.kind == "vacuum" else fock.coherent_rho(prep.alpha)
+    return prep.alpha
 
 
 def _expm(m: np.ndarray) -> np.ndarray:
@@ -352,16 +458,30 @@ def _from_k_basis(u: np.ndarray, p, q, s) -> np.ndarray:
     return v
 
 
-def _step_propagator(generator, lam_i: float, lam_j: float, dt: float) -> np.ndarray:
-    """expm(L(lam_i, lam_j) dt) in the basis its block is stepped in: where
-    an antiunitary K commutes with L (_conjugation), W^H L W is real for the
-    unitary W of K's fixed vectors, and this returns the real
-    E = expm(real(W^H L dt W)) = W^H expm(L dt) W; elsewhere the complex
-    expm(L dt). The real expm costs a fraction of the complex one; W is
-    applied by index gathers, never built."""
-    m = generator(lam_i, lam_j) * dt
-    pairs = _conjugation(math.isqrt(m.shape[0]), lam_i, lam_j)
-    return _expm(m) if pairs is None else _expm(_to_real(m, *pairs))
+def _step_propagator(m: np.ndarray, form) -> np.ndarray:
+    """expm(m) of one step's generator m = L(lam_i, lam_j) dt, in the basis
+    its block is stepped in: where an antiunitary K commutes with L (form,
+    from _conjugation, is not None), W^H L W is real for the unitary W of
+    K's fixed vectors, and this returns the real
+    E = expm(real(W^H m W)) = W^H expm(m) W; elsewhere the complex expm(m).
+    The real expm costs a fraction of the complex one; W is applied by
+    index gathers, never built. m is overwritten."""
+    return _expm(m) if form is None else _expm(_to_real(m, *form))
+
+
+def _drop_underflow(ops: np.ndarray) -> None:
+    """Zero the numbers below 1e-36 in a stack of step propagators, in place.
+
+    In a displaced frame the raising entries of a propagator are rounding
+    noise (~1e-17 per level), and products of them fall below the normal
+    floating-point range, where BLAS runs many times slower (the macro-step
+    squarings of the real stack took 4-6x longer at 12 levels). P = E^_MACRO
+    and the guard rows e_g^T E^j multiply at most _MACRO = 8 kept entries,
+    at least 1e-288, still normal; a dropped entry moves no number read by
+    more than ~1e-36 per step.
+    """
+    parts = ops.view(float)  # a complex entry's real and imaginary parts apart
+    parts[np.abs(parts) < 1e-36] = 0.0
 
 
 # qubit index pairs (i, j) of the blocks on and above the diagonal, row-major;
@@ -378,8 +498,10 @@ _MACRO = 8
 
 
 class _BlockTracks:
-    """The blocks expm(L(lam_i, lam_j) k dt) cav_s of _UPPER on a time grid,
-    for each cavity state cav_s of a stack.
+    """The displaced blocks r'_ij = D(b_i)^dag r_ij D(b_j) of _UPPER on a time
+    grid, r_ij evolved from each coherent start cav_s = |alpha_s><alpha_s| of
+    a stack, with b = shift * lam (_block_generator; shift 0 is the lab
+    frame).
 
     Dephasing is left out (see _block_generator). The states share every
     propagator: each is only more columns of the same matmuls. run() steps
@@ -387,33 +509,40 @@ class _BlockTracks:
     holds where the guard-level populations of the four diagonal blocks of
     each state sit in a row, peak is the largest of them over every state
     and every grid step run() has passed, traces() reads each state's ten
-    block traces off a row, and blocks() maps rows back to each state's ten
-    (n_ph, n_ph) blocks.
+    lab-frame block traces off a row, and blocks() maps rows back to each
+    state's ten (n_ph, n_ph) blocks r'_ij.
+
+    Starts: D(b)^dag |alpha> = exp(i Im(b^* alpha)) |alpha - b>, so block
+    (i, j) starts as the dyad psi_i psi_j^dag of the coherent kets
+    psi_i = exp(i Im(b_i^* alpha)) |alpha - b_i>, each truncated to the space
+    and renormalized; at shift 0 that is cav_s itself.
 
     Orbit rule: branch 3 - k flips both Z signs of branch k, so
-    lam_{3-k} = -lam_k. With Pi = diag((-1)^m), Pi x Pi = -x and
-    Pi a (x) a Pi = a (x) a, so (Pi (x) Pi) L(lam_i, lam_j) (Pi (x) Pi) =
-    L(-lam_i, -lam_j); and the adjoint of a block evolves as the swapped
-    pair. Hence block (3-j, 3-i) is exactly Pi R^dag Pi, with R block (i, j)
-    evolved from Pi cav Pi: its trace is conj(Tr R), and for i = j its
-    populations are those of R. One propagator serves each orbit
+    lam_{3-k} = -lam_k and b_{3-k} = -b_k. With Pi = diag((-1)^m),
+    Pi (a + b) Pi = -(a - b), so (Pi (x) Pi) L(lam_i, lam_j) (Pi (x) Pi) =
+    L(-lam_i, -lam_j), shift and all; and the adjoint of a block evolves as
+    the swapped pair. Hence block (3-j, 3-i) is exactly Pi R^dag Pi, with R
+    block (i, j) evolved from the start of Pi cav Pi = |-alpha><-alpha|
+    (Pi psi_k(alpha) = psi_{3-k}(-alpha), truncated kets included): for
+    i = j its populations are those of R. One propagator serves each orbit
     {(i, j), (3-j, 3-i)} (and every pair with the same amplitudes), and it
-    steps each input a read needs: the S states cav_s, and then their
-    Pi cav_s Pi unless every state is parity-even (the vacuum; never a
-    coherent start).
+    steps each input a read needs: the S starts alpha_s, and then the
+    -alpha_s unless every start is the vacuum, each displaced into the
+    orbit's own frame.
 
     Orbits with lam_i = +-lam_j are stepped in real arithmetic: their
     propagator E = W^H expm(L dt) W is real (_step_propagator), and their
-    state is u = W^H vec(input). A diagonal orbit (K r = r^dag) holds one
-    real column per input, as both are Hermitian. A parity orbit
-    (K r = Pi r^dag Pi) is never read mirrored, so it holds the cav_s only:
-    u is real when Pi cav Pi = cav, and otherwise the S columns Re u_s are
+    state is u = W^H vec(start). A diagonal orbit (K r = r^dag) holds one
+    real column per input, as its starts psi_i psi_i^dag are Hermitian. A
+    parity orbit (K r = Pi r^dag Pi) is never read mirrored, so it holds the
+    alpha_s starts only: K maps the start of alpha onto that of -alpha, so u
+    is real when every alpha_s is 0, and otherwise the S columns Re u_s are
     followed by the S columns Im u_s. So every orbit has as many columns as
     there are inputs (S or 2S): the real orbits step together as one
     float64 (d, columns) stack, diagonal orbits first, and the other orbits
     as a complex one. W leaves the diagonal entries (a, a) in place, so the
-    guard populations and the traces are read straight off the real
-    columns. Each stack advances by one batched matmul per stop.
+    guard populations are read straight off the real columns. Each stack
+    advances by one batched matmul per stop.
 
     Macro steps: each orbit also keeps P = E^_MACRO, built by log2 _MACRO
     squarings, so a stride of _MACRO grid steps is one matmul. Only the
@@ -425,15 +554,16 @@ class _BlockTracks:
     (_MACRO, n_ph^2) block per diagonal orbit, not a stack of powers.
     """
 
-    def __init__(self, params: DerivedGateParams, cavs: np.ndarray, dt: float):
-        """cavs: the (S, n_ph, n_ph) stack of initial cavity states."""
-        samples, n_ph = len(cavs), cavs.shape[-1]
-        d = n_ph * n_ph
+    def __init__(self, params: DerivedGateParams, alphas, n_ph: int, dt: float,
+                 shift: complex = 0j):
+        """alphas: the S coherent amplitudes the cavity starts in (0: vacuum)."""
+        alphas = np.asarray(alphas, dtype=complex)
+        samples, d = len(alphas), n_ph * n_ph
         lam = _branch_amplitudes(params)
         self.flip = (-1.0) ** np.add.outer(np.arange(n_ph), np.arange(n_ph))  # Pi X Pi
-        flipped = self.flip * cavs
-        inputs = cavs if np.array_equal(flipped, cavs) else np.concatenate([cavs, flipped])
-        self.cols = cols = len(inputs)
+        # Pi |alpha> = |-alpha>: the parity-flipped starts, unless all are vacuum
+        starts = np.concatenate([alphas, -alphas]) if alphas.any() else alphas
+        self.cols = cols = len(starts)
         reps: list = []  # one amplitude pair per orbit
         reads: list = []  # (orbit, mirrored) per block of _UPPER
         for i, j in _UPPER:
@@ -449,25 +579,41 @@ class _BlockTracks:
         cplx = [o for o, form in enumerate(forms) if form is None]
         n_diag = sum(reps[o][0] == reps[o][1] for o in real)
 
-        # each propagator is written straight into its orbit's slot
-        generator = _block_generator(params, n_ph)
-        vecs = inputs.reshape(cols, d)
+        # psi per branch amplitude and input, then each orbit's starts
+        levels = sorted(set(lam))
+        b = shift * np.array(levels)[:, None]
+        psi = (np.exp(1j * (b.conj() * starts).imag)[..., None]
+               * _coherent_kets(n_ph, (starts - b).ravel()).reshape(len(levels), cols, n_ph))
+        row_k, col_k = ([levels.index(rep[side]) for rep in reps] for side in (0, 1))
+        vecs = (psi[row_k, :, :, None] * psi[col_k, :, None, :].conj()).reshape(len(reps), cols, d)
+
+        # every orbit's L dt at once; each propagator is written straight
+        # into its orbit's slot
+        steps_dt = _block_generator(params, n_ph, shift)(*np.array(reps).T) * dt
         self.cplx_ops = np.empty((len(cplx), d, d), dtype=complex)
         for slot, o in enumerate(cplx):
-            self.cplx_ops[slot] = _step_propagator(generator, *reps[o], dt)
-        self.cplx_start = np.broadcast_to(vecs.T, (len(cplx), d, cols)).copy()
+            self.cplx_ops[slot] = _step_propagator(steps_dt[o], None)
+        self.cplx_start = vecs[cplx].transpose(0, 2, 1).copy()
         self.real_ops = np.empty((len(real), d, d))
         self.real_start = np.empty((len(real), d, cols))
+        # diagonal orbits with the same L dt (all of them at the steady
+        # shift) share one expm; the real forms overwrite steps_dt below
+        twin = [next((t for t in range(slot) if np.array_equal(steps_dt[real[t]], steps_dt[o])),
+                     None) if slot < n_diag else None for slot, o in enumerate(real)]
         for slot, o in enumerate(real):
-            self.real_ops[slot] = _step_propagator(generator, *reps[o], dt)
-            u = _to_k_basis(vecs, *forms[o])
+            self.real_ops[slot] = (self.real_ops[twin[slot]] if twin[slot] is not None
+                                   else _step_propagator(steps_dt[o], forms[o]))
+            u = _to_k_basis(vecs[o], *forms[o])
             if reps[o][0] == reps[o][1]:  # r -> r^dag: each input is K-fixed
                 self.real_start[slot] = u.real.T
-            else:  # r -> Pi r^dag Pi: the cav_s alone, Re u_s then Im u_s
+            else:  # r -> Pi r^dag Pi: the alpha_s alone, Re u_s then Im u_s
                 self.real_start[slot] = np.concatenate(
                     [u[:samples].real, u[:samples].imag][:cols // samples]).T
+        del steps_dt  # before the squarings allocate
 
         # P = E^_MACRO by squarings; the guard rows e_g^T E^j double alongside
+        _drop_underflow(self.cplx_ops)
+        _drop_underflow(self.real_ops)
         self.guard_rows = self.real_ops[:n_diag, -1:]  # j = 1
         self.cplx_macro, self.real_macro = self.cplx_ops, self.real_ops
         for _ in range(_MACRO.bit_length() - 1):
@@ -478,30 +624,30 @@ class _BlockTracks:
 
         # a row of run() is the complex (d, cols) tracks (as float pairs),
         # then the real ones; each read of state 0 has its entries at
-        # base + stride * entry, state s sits s columns on, and im_sign
-        # weighs the imaginary parts (0 where the track is real)
+        # base + stride * entry, state s sits s columns on, and has_im
+        # marks the reads with an imaginary part (not a K-fixed real track)
         real_at = 2 * len(cplx) * d * cols
         self.width = real_at + len(real) * d * cols
-        base_re, base_im, col, im_sign = [], [], [], []
+        base_re, base_im, col, has_im = [], [], [], []
         for o, mirrored in reads:
             inp = cols - samples if mirrored else 0  # column of state 0's input
             if o in cplx:  # float pairs: a column is 2 floats
                 at = 2 * (cplx.index(o) * d * cols + inp)
                 base_im.append(at + 1)
                 col.append(2)
-                im_sign.append(-1.0 if mirrored else 1.0)  # a mirrored trace is conjugated
+                has_im.append(1.0)
             else:  # a parity orbit is never mirrored: its inp is 0
                 at = real_at + real.index(o) * d * cols + inp
                 split = cols > samples and reps[o][0] != reps[o][1]  # Re u_s, Im u_s
                 base_im.append(at + samples if split else at)
                 col.append(1)
-                im_sign.append(1.0 if split else 0.0)
+                has_im.append(1.0 if split else 0.0)
             base_re.append(at)
         at_entry = cols * np.array(col)[:, None] * np.arange(d)
-        shift = np.arange(samples)[:, None, None] * np.array(col)[:, None]
-        self.re = shift + (np.array(base_re)[:, None] + at_entry)  # (S, 10, d)
-        self.im = shift + (np.array(base_im)[:, None] + at_entry)
-        self.im_sign = np.array(im_sign)
+        state_at = np.arange(samples)[:, None, None] * np.array(col)[:, None]
+        self.re = state_at + (np.array(base_re)[:, None] + at_entry)  # (S, 10, d)
+        self.im = state_at + (np.array(base_im)[:, None] + at_entry)
+        self.has_im = np.array(has_im)
         self.mirrored = np.array([m for _, m in reads])
         # reads off a real orbit, with the signs s of their W
         self.in_basis = np.array([k for k, (o, _) in enumerate(reads) if o in real])
@@ -510,6 +656,21 @@ class _BlockTracks:
         # diagonal blocks all sit on real orbits (lam_i = lam_j), whose
         # columns are real at the diagonal entries
         self.guard = self.re[:, [i == j for i, j in _UPPER], -1]
+        # Tr r_ij = Tr[r'_ij X_ij], X_ij = D(b_j)^dag D(b_i)
+        # = exp(i Im(b_i b_j^*)) D(b_i - b_j) on the kept levels, read as one
+        # weighted sum over the column v of each read: sum_e v_e vec(X^T)_e,
+        # or for a mirrored read (block Pi V^dag Pi) the conjugate of
+        # sum_e v_e conj(vec(Pi X Pi))_e; a real track holds u = W^H v, so
+        # its weights are W^T w
+        b = shift * np.array(lam)
+        upper_i, upper_j = np.array(_UPPER).T
+        deltas, which = np.unique(b[upper_i] - b[upper_j], return_inverse=True)
+        x = (np.exp(1j * (b[upper_i] * b[upper_j].conj()).imag)[:, None, None]
+             * _displacement(n_ph, deltas)[which])
+        w = np.where(self.mirrored[:, None, None], (self.flip * x).conj(),
+                     x.swapaxes(-1, -2)).reshape(len(_UPPER), d)
+        w[self.in_basis] = _to_k_basis(w[self.in_basis].conj(), *self.pairs, self.signs).conj()
+        self.weights = w
 
     def run(self, steps: int, stride: int = 1):
         """Yield (at, states) for grid steps 0, stride, 2 stride, ... and steps.
@@ -577,15 +738,15 @@ class _BlockTracks:
             yield stops[first:first + count][kept], chunk if kept.all() else chunk[kept]
 
     def traces(self, row: np.ndarray) -> np.ndarray:
-        """The (S, 10) block traces of _UPPER of each state in one row of run()."""
-        diag = slice(None, None, self.flip.shape[0] + 1)  # entries (a, a)
-        return (row[self.re[..., diag]].sum(axis=-1)
-                + 1j * self.im_sign * row[self.im[..., diag]].sum(axis=-1))
+        """The (S, 10) lab-frame block traces Tr r_ij of _UPPER of each state
+        in one row of run()."""
+        traces = ((row[self.re] + 1j * self.has_im[:, None] * row[self.im]) * self.weights).sum(-1)
+        return np.where(self.mirrored, traces.conj(), traces)
 
     def blocks(self, states: np.ndarray) -> np.ndarray:
-        """The (count, S, 10, n_ph, n_ph) blocks of _UPPER in a chunk of run()."""
+        """The (count, S, 10, n_ph, n_ph) blocks r'_ij of _UPPER in a chunk of run()."""
         n_ph = self.flip.shape[0]
-        out = states[:, self.re] + 1j * (np.abs(self.im_sign)[:, None] * states[:, self.im])
+        out = states[:, self.re] + 1j * (self.has_im[:, None] * states[:, self.im])
         out[:, :, self.in_basis] = _from_k_basis(
             out[:, :, self.in_basis], *self.pairs, self.signs)
         out = out.reshape(*out.shape[:3], n_ph, n_ph)
@@ -612,49 +773,64 @@ def extract_channel(
     The channel is diagonal: rho_ij -> C_ij rho_ij with
     C_ij = exp(-c_ij t_g) Tr[expm(L(lam_i, lam_j) t_g) cav] (see
     _block_generator), where c_ij is gamma_k summed over the qubits k whose
-    Z eigenvalues differ between i and j, and C_ji = conj(C_ij). The ten
-    blocks on and above the diagonal are stepped with expm(L dt) on the
-    policy's time grid (_BlockTracks): one propagator per orbit of the
+    Z eigenvalues differ between i and j, and C_ji = conj(C_ij).
+
+    Each block is stepped in its branches' displaced frame,
+    r'_ij = D(beta_i)^dag r_ij D(beta_j) with beta_i the steady state of
+    branch i (_steady_shift): there the cavity only holds the decaying
+    |alpha - beta_i| e^{-kappa t}, not the whole excursion
+    |beta_i| + |alpha - beta_i|, and no level feeds the one above it. With
+    n_ph None the space is sized from max_i |alpha - beta_i| (_reach,
+    displaced): 6 levels from vacuum at a default point, where the lab frame
+    needs 8. C_ij is read back as Tr[r'_ij D(beta_j)^dag D(beta_i)], with the
+    displacement's exact matrix elements on the kept levels.
+
+    The ten blocks on and above the diagonal are stepped with expm(L dt) on
+    the policy's time grid (_BlockTracks): one propagator per orbit of the
     branch-flip symmetry (i, j) <-> (3-j, 3-i), which maps block (i, j)
     evolved from Pi cav Pi onto block (3-j, 3-i) exactly, so 4 propagators
     serve equal couplings and 6 unequal ones; the orbits with
     lam_i = +-lam_j (3 of 4, 4 of 6) take a real expm and step real columns
     in the fixed basis of an antiunitary symmetry, with the same numbers to
-    rounding. The tracks advance _MACRO grid steps per matmul by
-    P = E^_MACRO (E for the last steps % _MACRO), which matches stepping by
-    E to rounding. The guard-level population is still a running maximum
-    over all four diagonal blocks at every grid step, not only at the
-    gate's end or at the macro steps: the steps in between are read off the
-    rows e_g^T E^j. For basis-state inputs the composite state is a single
-    diagonal block, so it is the worst case over any qubit input. The guard
-    entries and the final traces are read straight off the stepped columns,
+    rounding, and the two diagonal orbits, whose displaced generators are
+    the same, share one expm (3 and 5 expm calls in all). The tracks
+    advance _MACRO grid steps per matmul by P = E^_MACRO (E for the last
+    steps % _MACRO), which matches stepping by E to rounding. The
+    guard-level population, in the displaced frame, is a running maximum
+    over all four diagonal blocks at every grid step, not only at the gate's
+    end or at the macro steps: the steps in between are read off the rows
+    e_g^T E^j. For basis-state inputs the composite state
+    is a single diagonal block, so it is the worst case over any qubit
+    input. The guard entries are read straight off the stepped columns,
     which the fixed basis leaves alone on the diagonal, and only the
-    maximum and the final traces are kept, so memory does not grow with the
+    maximum and the final blocks are kept, so memory does not grow with the
     step count. SimDiagnostics.steps counts grid steps, not macro steps.
     """
-    cav = _initial_cavity(params, initial_cavity, n_ph)
-    (coh,), diag = _coherences(params, gamma_1, gamma_2, cav[None], policy,
-                               top_level_threshold)
+    (coh,), diag = _coherences(params, gamma_1, gamma_2, [_start_amplitude(initial_cavity)],
+                               n_ph, policy, top_level_threshold)
     return TwoQubitChannel(coh), diag
 
 
 def _coherences(
-    params: DerivedGateParams, gamma_1: float, gamma_2: float, cavs: np.ndarray,
-    policy: StepPolicy, top_level_threshold: float,
+    params: DerivedGateParams, gamma_1: float, gamma_2: float, alphas,
+    n_ph: int | None, policy: StepPolicy, top_level_threshold: float,
 ) -> tuple[np.ndarray, SimDiagnostics]:
-    """The (S, 4, 4) coherence matrices of the gate from each cavity state of
-    the stack cavs, and one SimDiagnostics whose guard population is the
-    largest over all of them (see extract_channel)."""
+    """The (S, 4, 4) coherence matrices of the gate from each coherent start
+    of alphas, in the displaced frame, and one SimDiagnostics whose guard
+    population is the largest over all of them (see extract_channel). With
+    n_ph None every start shares the size the largest of them needs."""
+    if n_ph is None:
+        n_ph = choose_n_ph(max(_reach(params, alpha, displaced=True) for alpha in alphas))
     steps, dt = policy.resolve(params.t_g_ns)
-    tracks = _BlockTracks(params, cavs, dt)
+    tracks = _BlockTracks(params, alphas, n_ph, dt, _steady_shift(params))
     for _, states in tracks.run(steps, _MACRO):
         pass  # the last chunk stays in run()'s buffer
     traces = tracks.traces(states[-1])
-    diag = _run_health(tracks.peak, steps, dt, cavs.shape[-1], top_level_threshold)
+    diag = _run_health(tracks.peak, steps, dt, n_ph, top_level_threshold)
 
     upper_i, upper_j = np.array(_UPPER).T
     rates = _dephasing_rates(gamma_1, gamma_2)[upper_i, upper_j]
-    coh = np.zeros((len(cavs), 4, 4), dtype=complex)
+    coh = np.zeros((len(traces), 4, 4), dtype=complex)
     coh[:, upper_i, upper_j] = np.exp(-rates * params.t_g_ns) * traces
     coh[:, upper_j, upper_i] = np.conj(coh[:, upper_i, upper_j])
     coh[:, range(4), range(4)] = traces[:, upper_i == upper_j].real
@@ -699,15 +875,13 @@ def polaron_residual(
 
     Sample times are snapped to the policy's step grid (consistently with
     the amplitude used for the displacement). Returns the maximum residual
-    over the samples: at the same n_ph, the largest of trajectory_rows'
-    polaron_residual column over those steps (by default this sizes the
-    space from _reach and trajectory_rows at DEFAULT_N_PH).
+    over the samples: the largest of trajectory_rows' polaron_residual
+    column over those steps, at the same n_ph (with n_ph None both take the
+    lab-frame size choose_n_ph(_reach)).
     """
     t_samples = np.atleast_1d(np.asarray(t_samples, dtype=float))
     if np.any(t_samples < 0) or np.any(t_samples > params.t_g_ns * (1 + 1e-12)):
         raise DomainError("sample times must lie in [0, t_g]")
-    if n_ph is None:
-        n_ph = choose_n_ph(_reach(params))
     rows = trajectory_rows(params, 0.0, 0.0, n_ph=n_ph, policy=policy)
     _, dt = policy.resolve(params.t_g_ns)
     return max([0.0] + [rows[int(round(t / dt))]["polaron_residual"] for t in t_samples])
@@ -737,7 +911,9 @@ def trajectory_rows(
     _BlockTracks.blocks, so at most 6 propagators serve them (4 with equal
     couplings): block (3-j, 3-i) is read off block (i, j) evolved from the
     parity-flipped cavity, exactly, and the real-form tracks are mapped
-    back from their fixed basis. The residual column is the same
+    back from their fixed basis. The blocks are stepped in the lab frame
+    (zero shift), and with n_ph None the space is sized from the lab-frame
+    reach, choose_n_ph(_reach). The residual column is the same
     displaced-frame ground-state defect polaron_residual() maximizes; for
     non-vacuum preparations or gamma > 0 it is reported as-is rather than
     being expected small.
@@ -748,7 +924,9 @@ def trajectory_rows(
     if stride < 1:
         raise DomainError(f"stride must be >= 1, got {stride}")
 
-    cav = _initial_cavity(params, initial_cavity, n_ph)
+    alpha = _start_amplitude(initial_cavity)
+    if n_ph is None:
+        n_ph = choose_n_ph(_reach(params, alpha))
     q = np.asarray(initial_qubit, dtype=complex)
     lam = _branch_amplitudes(params)
     steps, dt = policy.resolve(params.t_g_ns)
@@ -757,9 +935,9 @@ def trajectory_rows(
     on_diag = upper_i == upper_j
     weight = np.abs(q[upper_i, upper_j]) ** 2 * np.where(on_diag, 1.0, 2.0)
     rate = _dephasing_rates(gamma_1, gamma_2)[upper_i, upper_j]
-    photons = np.arange(cav.shape[0])
+    photons = np.arange(n_ph)
 
-    tracks = _BlockTracks(params, cav[None], dt)
+    tracks = _BlockTracks(params, [alpha], n_ph, dt)
     rows: list[dict] = []
     for at, states in tracks.run(steps, stride):
         for step, blocks in zip(at.tolist(), tracks.blocks(states)[:, 0]):
@@ -799,12 +977,14 @@ def thermal_average_channel(
     coherence matrices. Deterministic for a given seed. n_bar = 0 short-circuits
     to the plain vacuum extraction (bit-identical with it).
 
-    All samples share one Fock space, n_ph or else the size the largest
-    reach among them needs (_reach), and one set of block propagators: each
-    sample is only more columns of the same tracks (_BlockTracks), so a
-    point takes one expm per orbit whatever the sample count. The
-    diagnostics report that size and the worst guard population of any
-    sample.
+    Every sample is stepped in the branches' displaced frame (see
+    extract_channel). All samples share one Fock space, n_ph or else the
+    size the largest displaced reach among them needs,
+    max_i |alpha_s - beta_i| (_reach), and one set of block propagators:
+    each sample is only more columns of the same tracks (_BlockTracks), so
+    a point takes one expm per orbit whatever the sample count. The
+    diagnostics report that size and the worst displaced-frame guard
+    population of any sample.
     """
     if n_bar < 0:
         raise DomainError(f"n_bar must be non-negative, got {n_bar}")
@@ -819,11 +999,8 @@ def thermal_average_channel(
     rng = np.random.default_rng(seed)
     sigma = math.sqrt(n_bar / 2.0)
     alphas = [complex(re_b, im_b) for re_b, im_b in rng.normal(0.0, sigma, (sample_count, 2))]
-    if n_ph is None:
-        n_ph = choose_n_ph(max(_reach(params, alpha) for alpha in alphas))
-    fock = FockSpace(n_ph)
-    cavs = np.stack([fock.coherent_rho(alpha) for alpha in alphas])
-    cohs, diag = _coherences(params, gamma_1, gamma_2, cavs, policy, top_level_threshold)
+    cohs, diag = _coherences(params, gamma_1, gamma_2, alphas, n_ph, policy,
+                             top_level_threshold)
 
     target = gate_target(params)
     acc = np.zeros((4, 4), dtype=complex)

@@ -338,16 +338,16 @@ def test_csv_and_json_rendering(tmp_path):
 
 
 def test_numeric_json_row_reports_its_fock_size(tmp_path):
-    # with n_ph null a coherent start sizes its Fock space from the branches'
-    # exact reach from alpha; the JSON row says which size ran, and reruns
-    # stay identical
+    # with n_ph null a coherent start sizes its Fock space from what the
+    # branches' displaced frames hold, max_i |alpha - beta_i|; the JSON row
+    # says which size ran, and reruns stay identical
     alpha = 0.6 - 0.3j
     cfg = config_from_dict({
         "numeric": True, "refine": False,
         "initial_cavity": {"kind": "coherent", "alpha": [alpha.real, alpha.imag]},
     }, source="t")
     p = resolve_operating_point(cfg).params
-    reach = lindblad._reach(p, alpha)
+    reach = lindblad._reach(p, alpha, displaced=True)
     result = run_sweep(cfg)
     json_text = render_json(result)
     assert render_json(run_sweep(cfg)) == json_text
@@ -509,8 +509,9 @@ def test_cli_rejects_a_thermal_trajectory_before_any_work(tmp_path, capsys, monk
 
 
 def test_cli_simulate_flags_small_fock_space(tmp_path, capsys):
+    # 4 levels leave ~2.9e-4 in the guard level of the displaced frame
     cfg = tmp_path / "sim.json"
-    cfg.write_text(json.dumps({"j_ghz": 0.3, "eps_d_over_eps_a": 2.0, "n_ph": 6}))
+    cfg.write_text(json.dumps({"j_ghz": 0.3, "eps_d_over_eps_a": 2.0, "n_ph": 4}))
     code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
     assert code == 3
     err = capsys.readouterr().err
@@ -559,6 +560,19 @@ def _example_rows(tmp_path, name) -> list[dict]:
 @pytest.mark.parametrize("name, count", [("fidelity_map", 32), ("drive_tradeoff", 15)])
 def test_example_config_writes_its_grid(tmp_path, name, count):
     assert len(_example_rows(tmp_path, name)) == count
+
+
+def test_fidelity_map_example_passes_the_numeric_check(tmp_path, capsys):
+    # the shipped map re-checked by the solver at the default Fock size
+    # (n_ph null): every row passes its guard, so the run exits 0
+    out = tmp_path / "map.csv"
+    code = main(["sweep", "--config", str(EXAMPLES / "fidelity_map.json"), "--numeric",
+                 "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    header, *lines = out.read_text().strip().split("\n")
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    assert len(rows) == 32
+    assert all(float(row["max_fock_pop"]) < 1e-4 for row in rows)
 
 
 def test_drive_tradeoff_example_keeps_t_g_times_drive_fixed(tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 import subprocess
@@ -180,19 +181,20 @@ def test_extract_channel_matches_analytic_sample():
 
 
 def _rk4_reference_superop(p, gamma_1, gamma_2, cav):
-    """Channel from one RK4 run of |++> (x) cav: C_ij = 4 Tr_cav of block ij.
+    """Channel from one RK4 run of |++> (x) cav: C_ij = 4 Tr_cav of block ij,
+    and the run's largest guard-level population.
 
     A 10 ps step keeps RK4's own error near 1e-7; at the default 20 ps it
     reaches ~2e-6 on displaced starts.
     """
     n_ph = cav.shape[0]
     plus = np.full((4, 4), 0.25, dtype=complex)
-    final, _ = evolve_rk4(
+    final, diag = evolve_rk4(
         CompositeState.from_parts(plus, cav), build_hamiltonian(p, n_ph),
         p.kappa_per_ns, gamma_1 * 1e-9, gamma_2 * 1e-9, p.t_g_ns,
         StepPolicy(dt_ns=0.010),
     )
-    return np.diag(4.0 * final.qubit_rho().reshape(16))
+    return np.diag(4.0 * final.qubit_rho().reshape(16)), diag.max_top_level_pop
 
 
 @pytest.mark.parametrize(
@@ -210,52 +212,88 @@ def _rk4_reference_superop(p, gamma_1, gamma_2, cav):
          "coherent"],
 )
 def test_extract_channel_matches_rk4_reference(p, gamma_1, gamma_2, alpha):
-    fock = FockSpace(7 if alpha is None else 10)
-    if alpha is None:
-        prep, cav = CavityPrep.vacuum(), fock.vacuum_rho()
-    else:
-        prep, cav = CavityPrep.coherent(alpha), fock.coherent_rho(alpha)
-    chan, diag = extract_channel(p, gamma_1, gamma_2, prep, n_ph=fock.n_levels)
+    # the engine at a pinned size (7 levels, 10 for the coherent start) in
+    # its displaced frame, against RK4 on the whole composite state in the
+    # lab frame at a size its own guard level certifies (< 1e-8 over the
+    # run), so neither side's truncation shows at the 1e-6 bound
+    n_ph, n_ref = (7, 11) if alpha is None else (10, 13)
+    prep = CavityPrep.vacuum() if alpha is None else CavityPrep.coherent(alpha)
+    chan, diag = extract_channel(p, gamma_1, gamma_2, prep, n_ph=n_ph)
     assert not diag.failed
-    ref = _rk4_reference_superop(p, gamma_1, gamma_2, cav)
+    ref, ref_top = _rk4_reference_superop(p, gamma_1, gamma_2,
+                                          FockSpace(n_ref).coherent_rho(alpha or 0.0))
+    assert ref_top < 1e-8
     assert np.max(np.abs(chan.superop - ref)) < 1e-6
 
 
 _BRANCHES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def _dense_block_generator(p, n_ph, lam_i, lam_j):
-    """L(lam_i, lam_j) from scratch: r -> -i(H_i r - r H_j) + kappa(2 a r a^dag - n r - r n),
-    H = Delta n + (lam/2)(a + a^dag), as a matrix on row-major vec(r)."""
-    fock = FockSpace(n_ph)
-    a, num, eye = fock.annihilation(), fock.number_op(), np.eye(n_ph)
+def _dense_block_generator(p, n_ph, lam_i, lam_j, shift=0j):
+    """L(lam_i, lam_j) of the block r' = D(b_i)^dag r D(b_j), b = shift lam,
+    from its operator form: r' -> -i(H_i r' - r' H_j)
+    + kappa(2 A_i r' A_j^dag - A_i^dag A_i r' - r' A_j^dag A_j), with A = a + b
+    and H = Delta A^dag A + (lam/2)(A + A^dag), as a matrix on row-major
+    vec(r'). Shift 0 is the lab frame."""
+    a, eye = FockSpace(n_ph).annihilation(), np.eye(n_ph)
 
-    def h(lam):
-        return p.delta_rad_ns * num + 0.5 * lam * (a + a.conj().T)
+    def ops(lam):
+        big_a = a + shift * lam * eye
+        return big_a, big_a.conj().T @ big_a, (
+            p.delta_rad_ns * big_a.conj().T @ big_a + 0.5 * lam * (big_a + big_a.conj().T))
 
-    return (-1j * (np.kron(h(lam_i), eye) - np.kron(eye, h(lam_j).T))
-            + p.kappa_per_ns * (2.0 * np.kron(a, a.conj()) - np.kron(num, eye)
-                                - np.kron(eye, num.T)))
+    (a_i, n_i, h_i), (a_j, n_j, h_j) = ops(lam_i), ops(lam_j)
+    return (-1j * (np.kron(h_i, eye) - np.kron(eye, h_j.T))
+            + p.kappa_per_ns * (2.0 * np.kron(a_i, a_j.conj()) - np.kron(n_i, eye)
+                                - np.kron(eye, n_j.T)))
 
 
 def _branch_lams(p):
     return [p.g1_rad_ns * s1 + p.g2_rad_ns * s2 for s1, s2 in _BRANCHES]
 
 
-def _dense_reference_superop(p, gamma_1, gamma_2, cav):
-    """Channel with each block on or above the diagonal propagated by its own
-    dense expm(L(lam_i, lam_j) t_g): no stepping and no symmetry used."""
+def _dense_displacement(n_ph, delta, room=40):
+    """<m|D(delta)|n> on n_ph levels, from expm in a space room levels larger."""
     from scipy.linalg import expm
 
-    n_ph, lam = cav.shape[0], _branch_lams(p)
+    a = FockSpace(n_ph + room).annihilation()
+    return expm(delta * a.conj().T - np.conj(delta) * a)[:n_ph, :n_ph]
+
+
+def _ket(n_ph, gamma):
+    """|gamma> on n_ph levels from its definition, truncated and renormalized."""
+    ket = np.array([gamma**m / math.sqrt(math.factorial(m)) for m in range(n_ph)],
+                   dtype=complex)
+    return ket / np.linalg.norm(ket)
+
+
+def _displaced_start(n_ph, alpha, b_i, b_j):
+    """psi_i psi_j^dag, psi = exp(i Im(b^* alpha)) |alpha - b>: the block start
+    D(b_i)^dag |alpha><alpha| D(b_j), each ket truncated and renormalized."""
+    psi_i, psi_j = (cmath.exp(1j * (b.conjugate() * alpha).imag) * _ket(n_ph, alpha - b)
+                    for b in (b_i, b_j))
+    return np.outer(psi_i, psi_j.conj())
+
+
+def _dense_reference_superop(p, gamma_1, gamma_2, n_ph, alpha, shift=0j):
+    """Channel with each block on or above the diagonal propagated by its own
+    dense expm(L(lam_i, lam_j) t_g) from its own start in the frame of shift:
+    no stepping and no symmetry used. The trace is read as
+    Tr[r' D(b_j)^dag D(b_i)], the displacements taken from a larger space."""
+    from scipy.linalg import expm
+
+    lam = _branch_lams(p)
     coh = np.zeros((4, 4), dtype=complex)
     for i in range(4):
         for j in range(i, 4):
             rate = 1e-9 * sum(g for g, si, sj in zip((gamma_1, gamma_2), _BRANCHES[i],
                                                       _BRANCHES[j]) if si != sj)
-            block = expm(_dense_block_generator(p, n_ph, lam[i], lam[j]) * p.t_g_ns)
+            b_i, b_j = shift * lam[i], shift * lam[j]
+            block = expm(_dense_block_generator(p, n_ph, lam[i], lam[j], shift) * p.t_g_ns)
+            final = (block @ _displaced_start(n_ph, alpha, b_i, b_j).reshape(-1))
+            frame = (_dense_displacement(n_ph + 40, -b_j) @ _dense_displacement(n_ph + 40, b_i))
             coh[i, j] = math.exp(-rate * p.t_g_ns) * np.trace(
-                (block @ cav.reshape(-1)).reshape(n_ph, n_ph))
+                final.reshape(n_ph, n_ph) @ frame[:n_ph, :n_ph])
             coh[j, i] = np.conj(coh[i, j])
     return np.diag(coh.reshape(16))
 
@@ -278,35 +316,34 @@ def test_extract_channel_orbit_rule_matches_dense_blocks(
     g2_over_g1, delta_sign, n, gamma_1, gamma_2, alpha, n_ph
 ):
     # every block on and above the diagonal against its own dense expm over
-    # the whole gate, for vacuum and for coherent starts off both axes
+    # the whole gate in the displaced frame extract_channel steps in, from
+    # its own displaced start, for vacuum and for coherent starts off both
+    # axes; the trace read back through dense displacements
     assume(gamma_1 != gamma_2)
     p = make_params(0.7, 5e-3, n=n, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
-    fock = FockSpace(n_ph)
-    if alpha is None:
-        prep, cav = CavityPrep.vacuum(), fock.vacuum_rho()
-    else:
-        beta = complex(alpha[0] * alpha[1], alpha[2] * alpha[3])
-        prep, cav = CavityPrep.coherent(beta), fock.coherent_rho(beta)
+    beta = 0j if alpha is None else complex(alpha[0] * alpha[1], alpha[2] * alpha[3])
+    prep = CavityPrep.vacuum() if alpha is None else CavityPrep.coherent(beta)
     chan, _ = extract_channel(p, gamma_1, gamma_2, prep, n_ph=n_ph)
-    ref = _dense_reference_superop(p, gamma_1, gamma_2, cav)
+    ref = _dense_reference_superop(p, gamma_1, gamma_2, n_ph, beta, lindblad._steady_shift(p))
     assert np.max(np.abs(chan.superop - ref)) < 1e-12
 
 
 @pytest.mark.parametrize("g2_over_g1", [1.0, 1.5])
 def test_extract_channel_guard_reads_mirrored_branches(g2_over_g1):
     # this start sends |11>, whose block is read off the mirrored track of
-    # |00>, far up the ladder (~1.5e-3 in the guard level against ~1e-5 for
-    # |00>): the guard maximum must be the dense per-branch stepping maximum
+    # |00>, far up the ladder of its displaced frame (|alpha - beta_3| ~ 1
+    # against |alpha - beta_0| ~ 0.5: ~6e-5 in the guard level against
+    # ~2e-8): the guard maximum must be the dense per-branch stepping maximum
+    # in that frame, each branch from its own displaced start
     from scipy.linalg import expm
 
     p = make_params(0.7, 5e-3, n=2, g2_over_g1=g2_over_g1)
-    alpha, n_ph = -0.5 + 0.5j, 8
-    cav = FockSpace(n_ph).coherent_rho(alpha)
+    alpha, n_ph, shift = -0.5 + 0.5j, 8, lindblad._steady_shift(p)
     steps, dt = StepPolicy().resolve(p.t_g_ns)
     worst = []
     for lam in _branch_lams(p):
-        prop = expm(_dense_block_generator(p, n_ph, lam, lam) * dt)
-        vec, top = cav.reshape(-1), 0.0
+        prop = expm(_dense_block_generator(p, n_ph, lam, lam, shift) * dt)
+        vec, top = _displaced_start(n_ph, alpha, shift * lam, shift * lam).reshape(-1), 0.0
         for step in range(steps + 1):
             if step:
                 vec = prop @ vec
@@ -332,17 +369,21 @@ def _dense_real_basis(n_ph, parity):
     return w
 
 
-@pytest.mark.parametrize("g2_over_g1, expected, real", [(1.0, 4, 3), (1.5, 6, 4)],
+@pytest.mark.parametrize("g2_over_g1, expected, real", [(1.0, 3, 2), (1.5, 5, 3)],
                          ids=["1.0-4", "1.5-6"])
 def test_extract_channel_builds_one_propagator_per_orbit(monkeypatch, g2_over_g1, expected,
                                                          real):
-    # one expm per orbit of (i, j) <-> (3-j, 3-i), none over the whole gate:
-    # expm(L dt) itself, or real(W^H L dt W) where that is exact (an orbit
-    # with lam_i = +-lam_j; the imaginary part dropped is zero)
+    # one expm per orbit of (i, j) <-> (3-j, 3-i) (4 with equal couplings, 6
+    # with unequal ones), none over the whole gate, except that the two
+    # diagonal orbits share one: in the displaced frame every diagonal block
+    # sees the same undriven damped oscillator. Each is expm(L dt) of the
+    # displaced-frame generator itself, or real(W^H L dt W) where that is
+    # exact (an orbit with lam_i = +-lam_j; the imaginary part dropped is
+    # zero)
     p = make_params(0.7, 5e-3, n=2, g2_over_g1=g2_over_g1)
     _, dt = StepPolicy().resolve(p.t_g_ns)
-    lam = _branch_lams(p)
-    steps_dt = [_dense_block_generator(p, 6, lam[i], lam[j]) * dt
+    lam, shift = _branch_lams(p), lindblad._steady_shift(p)
+    steps_dt = [_dense_block_generator(p, 6, lam[i], lam[j], shift) * dt
                 for i in range(4) for j in range(i, 4)]
     real_forms = [w.conj().T @ m @ w for m in steps_dt
                   for w in (_dense_real_basis(6, False), _dense_real_basis(6, True))]
@@ -400,24 +441,56 @@ def test_real_form_check_fires_off_the_symmetric_orbits(parity):
     delta_sign=st.sampled_from([1, -1]),
     kappa=st.floats(min_value=1e-3, max_value=5e-2),
     n_ph=st.integers(min_value=4, max_value=10),
+    frame=st.sampled_from([0.0, 1.0, 1.03]),
 )
 @settings(max_examples=12, deadline=None)
-def test_step_propagator_matches_expm(g2_over_g1, delta_sign, kappa, n_ph):
-    # every orbit's propagator against the complex expm: a real one is
-    # E = W^H expm(L dt) W, so W E W^H (W built densely here) must match
+def test_step_propagator_matches_expm(g2_over_g1, delta_sign, kappa, n_ph, frame):
+    # every orbit's propagator against the complex expm of the dense
+    # generator in the same frame (lab, displaced, or displaced by a shift
+    # 3 % off the steady state): a real one is E = W^H expm(L dt) W, so
+    # W E W^H (W built densely here) must match
     from scipy.linalg import expm
 
     p = make_params(0.7, kappa, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
     _, dt = StepPolicy().resolve(p.t_g_ns)
-    lam = _branch_lams(p)
-    generator = lindblad._block_generator(p, n_ph)
+    lam, shift = _branch_lams(p), frame * lindblad._steady_shift(p)
+    generator = lindblad._block_generator(p, n_ph, shift)
     for i, j in lindblad._UPPER:
-        ref = expm(_dense_block_generator(p, n_ph, lam[i], lam[j]) * dt)
-        prop = lindblad._step_propagator(generator, lam[i], lam[j], dt)
+        ref = expm(_dense_block_generator(p, n_ph, lam[i], lam[j], shift) * dt)
+        prop = lindblad._step_propagator(generator(lam[i], lam[j]) * dt,
+                                         lindblad._conjugation(n_ph, lam[i], lam[j]))
         if np.isrealobj(prop):
             w = _dense_real_basis(n_ph, lam[i] != lam[j])
             prop = w @ prop @ w.conj().T
         assert np.abs(prop - ref).max() < 1e-13
+
+
+def test_generator_keeps_every_term_of_the_frame():
+    # shift 0 gives the lab-frame generator; at the steady shift every
+    # diagonal block sees exactly the same undriven damped oscillator (the
+    # drive and the a^dag r', r' a terms cancel), and any block no raising
+    # term at all, so no level feeds the one above it
+    p = make_params(0.7, 5e-3, n=2, g2_over_g1=1.5)
+    n_ph, lam = 6, _branch_lams(p)
+    lab = lindblad._block_generator(p, n_ph)
+    shift = lindblad._steady_shift(p)
+    frame = lindblad._block_generator(p, n_ph, shift)
+    idle = _dense_block_generator(p, n_ph, 0.0, 0.0)
+    assert np.abs(lab(np.array(lam), np.array(lam[::-1]))
+                  - np.array([lab(li, lj) for li, lj in zip(lam, lam[::-1])])).max() < 1e-15
+    diagonal = frame(np.array(lam), np.array(lam))
+    assert all(np.array_equal(diagonal[0], m) for m in diagonal)
+    for li in lam:
+        for lj in lam:
+            ref = _dense_block_generator(p, n_ph, li, lj)
+            assert np.abs(lab(li, lj) - ref).max() <= 1e-15 * np.abs(ref).max()
+            displaced = frame(li, lj)
+            assert np.abs(displaced - _dense_block_generator(p, n_ph, li, lj, shift)).max() < 1e-14
+            level = np.add.outer(np.arange(n_ph), np.arange(n_ph)).ravel()  # m + n of vec(r')
+            raising = level[:, None] > level[None, :]  # entries that move r' up the ladder
+            assert np.abs(displaced[raising]).max() < 1e-14
+            if li == lj:
+                assert np.abs(displaced - idle).max() < 1e-14
 
 
 @pytest.mark.parametrize("n_ph", [4, 7, 10])
@@ -426,39 +499,78 @@ def test_step_propagator_matches_expm(g2_over_g1, delta_sign, kappa, n_ph):
                          [(1.0, 3, 4), (1.5, 4, 6), (3.0, 4, 6)], ids=["1.0", "1.5", "3.0"])
 def test_real_stepping_matches_complex_stepping(g2_over_g1, real_orbits, orbits, delta_sign,
                                                 n_ph):
-    # the self-conjugate orbits step real columns in K's fixed basis; mapped
-    # back by blocks(), every block of the first chunk must match that block
-    # stepped from cav with its own dense complex expm(L dt), and traces()
-    # must read the same traces (a mirrored block's conjugated)
+    # in the lab and in the displaced frame, the self-conjugate orbits step
+    # real columns in K's fixed basis; mapped back by blocks(), every block
+    # of the first chunk must match that block stepped from its own
+    # displaced start with its own dense complex expm(L dt) in the same
+    # frame, so the blocks read mirrored also check the parity-mirror
+    # identity; and traces() must read Tr[r' D(b_j)^dag D(b_i)] of each
+    # block, the displacements dense here
     from scipy.linalg import expm
 
     p = make_params(0.7, 5e-3, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
     steps, dt = StepPolicy().resolve(p.t_g_ns)
     lam = _branch_lams(p)
-    props = np.array([expm(_dense_block_generator(p, n_ph, lam[i], lam[j]) * dt)
-                      for i, j in lindblad._UPPER])
-    # a stack of states steps as more columns of the same tracks, each
-    # state's blocks and traces its own; a parity-even vacuum among coherent
-    # states is stepped with its (equal) flipped copy
-    fock = FockSpace(n_ph)
-    coherent = fock.coherent_rho(0.5 - 0.4j)
-    for cavs in ([fock.vacuum_rho()], [coherent],
-                 [coherent, fock.coherent_rho(-0.2 + 0.6j), fock.vacuum_rho()]):
-        cavs = np.array(cavs)
-        tracks = lindblad._BlockTracks(p, cavs, dt)
-        assert tracks.real_ops.dtype == np.float64 and len(tracks.real_ops) == real_orbits
-        assert len(tracks.real_ops) + len(tracks.cplx_ops) == orbits
-        assert tracks.real_start.shape[-1] <= 2 * len(cavs)
-        _, states = next(tracks.run(steps))
-        assert len(states) == min(lindblad._CHUNK,
-                                  lindblad._CHUNK_BYTES // (8 * tracks.width)) > 1
-        vec = np.tile(cavs.reshape(len(cavs), 1, -1, 1), (1, len(props), 1, 1))
-        for k, blocks in enumerate(tracks.blocks(states)):
-            if k:
-                vec = props @ vec
-            assert np.abs(blocks.reshape(vec.shape) - vec).max() < 1e-12
-        traces = vec.reshape(len(cavs), -1, n_ph, n_ph).trace(axis1=2, axis2=3)
-        assert np.abs(tracks.traces(states[-1]) - traces).max() < 1e-12
+    for shift in (0j, lindblad._steady_shift(p)):
+        props = np.array([expm(_dense_block_generator(p, n_ph, lam[i], lam[j], shift) * dt)
+                          for i, j in lindblad._UPPER])
+        frames = np.array([(_dense_displacement(n_ph + 40, -shift * lam[j])
+                            @ _dense_displacement(n_ph + 40, shift * lam[i]))[:n_ph, :n_ph]
+                           for i, j in lindblad._UPPER])
+        # a stack of states steps as more columns of the same tracks, each
+        # state's blocks and traces its own; a vacuum among coherent states
+        # is stepped with its (equal) flipped copy
+        for alphas in ([0j], [0.5 - 0.4j], [0.5 - 0.4j, -0.2 + 0.6j, 0j]):
+            tracks = lindblad._BlockTracks(p, alphas, n_ph, dt, shift)
+            assert tracks.real_ops.dtype == np.float64 and len(tracks.real_ops) == real_orbits
+            assert len(tracks.real_ops) + len(tracks.cplx_ops) == orbits
+            assert tracks.real_start.shape[-1] <= 2 * len(alphas)
+            _, states = next(tracks.run(steps))
+            assert len(states) == min(lindblad._CHUNK,
+                                      lindblad._CHUNK_BYTES // (8 * tracks.width)) > 1
+            vec = np.array([[_displaced_start(n_ph, alpha, shift * lam[i], shift * lam[j])
+                             .reshape(-1, 1) for i, j in lindblad._UPPER] for alpha in alphas])
+            for k, blocks in enumerate(tracks.blocks(states)):
+                if k:
+                    vec = props @ vec
+                assert np.abs(blocks.reshape(vec.shape) - vec).max() < 1e-12
+            traces = np.einsum("skab,kba->sk", vec.reshape(len(alphas), -1, n_ph, n_ph), frames)
+            assert np.abs(tracks.traces(states[-1]) - traces).max() < 1e-12
+
+
+def test_displaced_starts_are_the_displaced_cavity():
+    # at a size where truncation cannot show, each block of the first row is
+    # D(beta_i)^dag |alpha><alpha| D(beta_j) with both displacements dense:
+    # the starts' phases, and the mirrored reads' flipped starts
+    p = make_params(0.7, 5e-3, n=2, g2_over_g1=1.5)
+    n_ph, big = 14, 50
+    lam, shift = _branch_lams(p), lindblad._steady_shift(p)
+    _, dt = StepPolicy().resolve(p.t_g_ns)
+    alphas = [0.5 - 0.4j, 0j]
+    tracks = lindblad._BlockTracks(p, alphas, n_ph, dt, shift)
+    _, states = next(tracks.run(1))
+    (blocks,) = tracks.blocks(states[:1])
+    for s, alpha in enumerate(alphas):
+        cav = np.outer(_ket(big, alpha), _ket(big, alpha).conj())
+        for k, (i, j) in enumerate(lindblad._UPPER):
+            ref = (_dense_displacement(big, shift * lam[i]).conj().T @ cav
+                   @ _dense_displacement(big, shift * lam[j]))[:n_ph, :n_ph]
+            assert np.abs(blocks[s, k] - ref).max() < 1e-10
+
+
+def test_displacement_has_the_exact_kept_elements():
+    # _displacement's elements on the kept levels against expm in a much
+    # larger space; expm of the truncated generator misses them
+    from scipy.linalg import expm
+
+    n_ph = 8
+    deltas = [0.0, 0.3 - 0.2j, -0.9j, 1.4]
+    exact = lindblad._displacement(n_ph, deltas)
+    a = FockSpace(n_ph).annihilation()
+    for got, delta in zip(exact, deltas):
+        assert np.abs(got - _dense_displacement(n_ph, delta)).max() < 1e-14
+        truncated = expm(delta * a.conj().T - np.conj(delta) * a)
+        assert delta == 0.0 or np.abs(truncated - got).max() > 1e-6
 
 
 @given(
@@ -469,10 +581,14 @@ def test_real_stepping_matches_complex_stepping(g2_over_g1, real_orbits, orbits,
 )
 @settings(max_examples=40, deadline=None)
 def test_reach_is_the_largest_branch_amplitude(g2_over_g1, delta_sign, kappa, alpha):
-    # _reach bounds |alpha_i(t)| = |alpha e^{-(i Delta + kappa) t} + lam_i alpha_unit(t)|
+    # lab frame (trajectory_rows, polaron_residual): _reach bounds
+    # |alpha_i(t)| = |alpha e^{-(i Delta + kappa) t} + lam_i alpha_unit(t)|
     # over the branches on a fine grid of the first two drive periods, and
     # at kappa = 0 (a closed circle) equals the grid's maximum; it never
-    # exceeds the old rule |alpha| + loop radius, so no Fock size grows
+    # exceeds the old rule |alpha| + loop radius. Displaced frame
+    # (extract_channel, thermal_average_channel): |alpha_i(t) - beta_i| on the
+    # same grid peaks at t = 0, at max_i |alpha - beta_i|, which is the
+    # displaced reach; that never exceeds the lab reach, so no Fock size grows
     p = make_params(0.7, kappa, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
     delta, lam = p.delta_rad_ns, np.array(_branch_lams(p))
     t = np.linspace(0.0, 2 * 2 * math.pi / abs(delta), 2 * 2**16, endpoint=False)
@@ -488,41 +604,96 @@ def test_reach_is_the_largest_branch_amplitude(g2_over_g1, delta_sign, kappa, al
     assert reach <= (abs(alpha) + radius) * (1 + 1e-15)
     assert choose_n_ph(reach) <= choose_n_ph(abs(alpha) + radius)
 
+    beta = lindblad._steady_shift(p) * lam
+    held = np.abs(amps - beta[:, None])
+    displaced = lindblad._reach(p, alpha, displaced=True)
+    assert held.max() == pytest.approx(held[:, 0].max(), rel=1e-12)
+    assert displaced == pytest.approx(float(np.abs(alpha - beta).max()), rel=1e-12)
+    assert held.max() <= displaced * (1 + 1e-12)
+    assert lindblad._reach(p, displaced=True) == pytest.approx(radius / 2.0, rel=1e-12)
+    assert displaced <= reach * (1 + 1e-15)
+    assert choose_n_ph(displaced) <= choose_n_ph(reach)
+
 
 @pytest.mark.parametrize("kappa", [5e-3, 5e-2])
 @pytest.mark.parametrize("delta_sign", [1, -1])
 @pytest.mark.parametrize("g2_over_g1", [1.5, 3.0])
 def test_auto_fock_size_covers_the_largest_branch(g2_over_g1, delta_sign, kappa):
-    # with n_ph unset a coherent start sizes its space from the branches'
-    # exact reach, which counts the largest branch amplitude |g1| + |g2|,
-    # not 2 sqrt(g1 g2): the guard level then stays below choose_n_ph's
-    # default tail of 1e-5. Every steady state beta_i lies along one phase
-    # u; an alpha along +-u reaches |alpha| + radius (the old rule), one
-    # along +-i u the least, so its space is the smallest
+    # with n_ph unset a coherent start sizes its displaced-frame space from
+    # max_i |alpha - beta_i|, which counts the branch driven hardest
+    # (|g1| + |g2|), not 2 sqrt(g1 g2): the guard level of that frame then
+    # stays below choose_n_ph's default tail of 1e-5. Every steady state
+    # beta_i lies along one phase u; an alpha along +-u holds |alpha| plus
+    # the largest |beta_i|, one along +-i u the least, so its space is the
+    # smallest
     p = make_params(0.7, kappa, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
     u = -1j * complex(kappa, -p.delta_rad_ns) / math.hypot(kappa, p.delta_rad_ns)
     for alpha in (0.5, 1.0, -0.7 + 0.7j, u, -u, 0.9j * u, -0.9j * u):
         _, diag = extract_channel(p, 0.0, 0.0, CavityPrep.coherent(alpha))
+        assert diag.n_ph == choose_n_ph(lindblad._reach(p, alpha, displaced=True))
         assert diag.max_top_level_pop < 1e-5, (alpha, diag.n_ph)
+
+
+@pytest.mark.parametrize("kappa", [5e-3, 5e-2])
+@pytest.mark.parametrize("delta_sign", [1, -1])
+@pytest.mark.parametrize("g2_over_g1", [1.0, 1.5, 3.0])
+def test_displaced_frame_agrees_with_the_lab_frame(g2_over_g1, delta_sign, kappa):
+    # pinned-size channels of extract_channel (displaced frame) against a
+    # lab-frame extraction at n_ph 20, from vacuum and from |alpha| = 0.95 at
+    # a phase off the steady states: at 6 and 8 levels they agree within the
+    # lab frame's own truncation error at that size. A steady state 3 % off
+    # in size or phase moves the channel by no more than twice the displaced
+    # frame's own truncation error (the frame is a choice of basis, not of
+    # physics), while the halfway shift breaks that bound
+    p = make_params(0.7, kappa, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
+    alphas = [0j, 0.95 * cmath.exp(2.1j)]
+    shift = lindblad._steady_shift(p)
+    steps, dt = StepPolicy().resolve(p.t_g_ns)
+
+    def traces(n_ph, frame):
+        tracks = lindblad._BlockTracks(p, alphas, n_ph, dt, frame)
+        for _, states in tracks.run(steps, lindblad._MACRO):
+            pass
+        return tracks.traces(states[-1])
+
+    upper = tuple(np.array(lindblad._UPPER).T)
+    ref = traces(20, 0j)
+    for n_ph in (6, 8):
+        lab_error = np.abs(traces(n_ph, 0j) - ref).max(axis=1)
+        error = np.array([
+            np.abs(extract_channel(p, 0.0, 0.0, CavityPrep.coherent(alpha), n_ph=n_ph)[0]
+                   .coherence[upper] - ref[s]).max()
+            for s, alpha in enumerate(alphas)])
+        assert np.all(error <= lab_error), (n_ph, error, lab_error)
+        ours = traces(n_ph, shift)
+        assert np.abs(ours - ref).max(axis=1) == pytest.approx(error, rel=1e-9, abs=1e-13)
+        for off in (1.03, cmath.exp(0.03j)):
+            moved = np.abs(traces(n_ph, off * shift) - ours).max(axis=1)
+            assert np.all(moved <= 2.0 * error + 1e-13), (n_ph, off, moved, error)
+        assert np.all(np.abs(traces(n_ph, 0.5 * shift) - ours).max(axis=1) > 2.0 * error + 1e-13)
 
 
 @pytest.mark.parametrize("steps", [3, 200, 203, 365])
 @pytest.mark.parametrize("g2_over_g1", [1.0, 1.5])
-@pytest.mark.parametrize("alpha", [None, -0.5 + 0.5j], ids=["vacuum", "coherent"])
+@pytest.mark.parametrize("alpha", [0j, -0.5 + 0.5j], ids=["vacuum", "coherent"])
 def test_extract_channel_guard_is_read_at_every_step(alpha, g2_over_g1, steps):
-    # extract_channel stops only every _MACRO grid steps; its guard maximum
-    # must still be the maximum over every grid step of stride-1 stepping,
-    # for fewer steps than _MACRO, a multiple of it and remainders
+    # the tracks stop only every _MACRO grid steps at that stride; their guard
+    # maximum must still be the maximum over every grid step of stride-1
+    # stepping, for fewer steps than _MACRO, a multiple of it and
+    # remainders. In the lab frame the guard fills mid-gate, so there this
+    # reads the steps between stops; in the displaced frame it is largest
+    # at the start. extract_channel reports the displaced frame's maximum
     p = make_params(0.7, 5e-3, n=2, g2_over_g1=g2_over_g1)
     n_ph = 8
-    fock = FockSpace(n_ph)
-    prep, cav = ((CavityPrep.vacuum(), fock.vacuum_rho()) if alpha is None
-                 else (CavityPrep.coherent(alpha), fock.coherent_rho(alpha)))
     policy = StepPolicy(min_steps=steps, max_steps=steps)
     _, dt = policy.resolve(p.t_g_ns)
-    tracks = lindblad._BlockTracks(p, cav[None], dt)
-    every = max(float(states[:, tracks.guard].max()) for _, states in tracks.run(steps))
-    _, diag = extract_channel(p, 0.0, 0.0, prep, n_ph=n_ph, policy=policy)
+    for shift in (0j, lindblad._steady_shift(p)):
+        tracks = lindblad._BlockTracks(p, [alpha], n_ph, dt, shift)
+        every = max(float(states[:, tracks.guard].max()) for _, states in tracks.run(steps))
+        for _ in tracks.run(steps, lindblad._MACRO):
+            pass
+        assert tracks.peak == pytest.approx(every, rel=1e-12)
+    _, diag = extract_channel(p, 0.0, 0.0, CavityPrep.coherent(alpha), n_ph=n_ph, policy=policy)
     assert diag.steps == steps
     assert diag.max_top_level_pop == pytest.approx(every, rel=1e-12)
 
@@ -573,22 +744,23 @@ def test_trajectory_rows_are_the_same_at_any_stride(stride):
 
 
 def test_extract_channel_guard_is_max_over_gate():
-    # the guard level fills to ~1e-5 mid-gate and empties to ~7e-8 by t_g:
-    # only a check over the whole gate flags it
-    p = make_params(0.7, 5e-3, n=2)
-    threshold = 1e-6
-    fock = FockSpace(7)
+    # in the displaced frame the guard level holds ~9e-6 at the start and
+    # decays with the displaced state, to ~7e-7 by t_g (its final value
+    # comes from one dense expm over the whole gate, no stepping): only a
+    # check over the whole gate, its start included, flags it
+    from scipy.linalg import expm
+
+    p = make_params(0.7, 5e-2, n=2)
+    threshold, n_ph = 1e-6, 5
+    shift = lindblad._steady_shift(p)
     worst_end = 0.0
-    for k in range(4):
-        qubit = np.zeros((4, 4), dtype=complex)
-        qubit[k, k] = 1.0
-        final, _ = evolve_rk4(
-            CompositeState.from_parts(qubit, fock.vacuum_rho()),
-            build_hamiltonian(p, 7), p.kappa_per_ns, 0.0, 0.0, p.t_g_ns,
-        )
-        worst_end = max(worst_end, final.top_level_pop)
+    for lam in _branch_lams(p):
+        b = shift * lam
+        final = (expm(_dense_block_generator(p, n_ph, lam, lam, shift) * p.t_g_ns)
+                 @ _displaced_start(n_ph, 0j, b, b).reshape(-1))
+        worst_end = max(worst_end, final[-1].real)
     assert worst_end < threshold
-    _, diag = extract_channel(p, 0.0, 0.0, n_ph=7, top_level_threshold=threshold)
+    _, diag = extract_channel(p, 0.0, 0.0, n_ph=n_ph, top_level_threshold=threshold)
     assert diag.failed
     assert diag.max_top_level_pop > threshold
     assert any("population" in r for r in diag.failure_reasons)
@@ -748,24 +920,45 @@ def test_thermal_channel_deterministic_and_continuous():
 
 def test_thermal_diagnostics_report_the_largest_fock_size(monkeypatch):
     # the Monte-Carlo samples share one Fock space, sized from the largest
-    # reach among them, and one set of block tracks; the diagnostics report
-    # that size
+    # displaced reach max_i |alpha_s - beta_i| among them, and one set of
+    # block tracks; the diagnostics report that size
     p = make_params(0.7, 1e-3, n=2)
     stacks = []
     real_tracks = lindblad._BlockTracks
 
-    def recording(params, cavs, dt):
-        stacks.append(cavs.shape)
-        return real_tracks(params, cavs, dt)
+    def recording(params, alphas, n_ph, dt, shift):
+        stacks.append((len(alphas), n_ph))
+        return real_tracks(params, alphas, n_ph, dt, shift)
 
     monkeypatch.setattr(lindblad, "_BlockTracks", recording)
     _, diag = thermal_average_channel(p, 0.2, 2, 2)
     draws = np.random.default_rng(2).normal(0.0, math.sqrt(0.1), (2, 2))
-    sizes = [choose_n_ph(lindblad._reach(p, complex(*z))) for z in draws]
+    sizes = [choose_n_ph(lindblad._reach(p, complex(*z), displaced=True)) for z in draws]
     assert len(set(sizes)) > 1  # each sample alone would take another size
-    assert stacks == [(2, max(sizes), max(sizes))]
+    assert stacks == [(2, max(sizes))]
     assert diag.n_ph == max(sizes)
     assert diag.to_json_dict()["n_ph"] == max(sizes)
+
+
+def test_trajectory_and_polaron_residual_share_one_fock_size(monkeypatch):
+    # with n_ph unset both lab-frame paths size a vacuum start by one rule,
+    # choose_n_ph(_reach): here 8 levels, where the channel's displaced
+    # frame takes 6; so the residual column's maximum is the residual
+    sizes = []
+    real_tracks = lindblad._BlockTracks
+
+    def recording(params, alphas, n_ph, dt, shift=0j):
+        sizes.append(n_ph)
+        return real_tracks(params, alphas, n_ph, dt, shift)
+
+    monkeypatch.setattr(lindblad, "_BlockTracks", recording)
+    p = make_params(0.35, 5e-3)
+    rows = trajectory_rows(p, 0.0, 0.0)
+    steps, dt = StepPolicy().resolve(p.t_g_ns)
+    residual = polaron_residual(p, np.arange(steps + 1) * dt)
+    assert sizes == [8, 8] == [choose_n_ph(lindblad._reach(p))] * 2
+    assert residual == max(row["polaron_residual"] for row in rows)
+    assert extract_channel(p, 0.0, 0.0)[1].n_ph == 6
 
 
 def test_composite_state_partial_traces():
