@@ -194,7 +194,8 @@ class RunConfig:
     # gate
     n: int = _key(2, _require_number, integer=True, positive=True)
     delta_sign: int = _key(1, _require_number, integer=True)
-    # simulation; n_ph None -> default / amplitude-adaptive
+    # simulation; n_ph None -> default / amplitude-adaptive; the step grid
+    # serves the trajectory dump only (a channel is one exact propagation)
     n_ph: int | None = _key(None, _require_number, integer=True)
     dt_ps: float = _key(StepPolicy.dt_ns * 1e3, _require_number, positive=True)
     min_steps: int = _key(StepPolicy.min_steps, _require_number, integer=True, positive=True)
@@ -217,7 +218,7 @@ class RunConfig:
     jobs: int = _key(1, _require_number, integer=True, positive=True)
 
     def step_policy(self) -> StepPolicy:
-        """The solver's time grid: dt_ps, clamped to [min_steps, max_steps]."""
+        """The trajectory dump's time grid: dt_ps, clamped to [min_steps, max_steps]."""
         return StepPolicy(dt_ns=self.dt_ps * 1e-3, min_steps=self.min_steps,
                           max_steps=self.max_steps)
 

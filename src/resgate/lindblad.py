@@ -7,75 +7,62 @@ Solves the full (two qubits) x (truncated Fock space) master equation
     H = Delta a^dag a + (g1/2)(a + a^dag) Z1 + (g2/2)(a + a^dag) Z2,
 
 with D[c] rho = c rho c^dag - {c^dag c, rho}/2. The Hamiltonian is written
-in the frame rotating at the drive frequency, so it is time-independent and
-nothing oscillates faster than Delta; the default 20 ps step grid resolves
-everything comfortably. With the (gamma/2) D[Z] convention a single-qubit
-coherence decays at exactly gamma (the 1/T2 rate).
+in the frame rotating at the drive frequency, so it is time-independent.
+With the (gamma/2) D[Z] convention a single-qubit coherence decays at
+exactly gamma (the 1/T2 rate).
 
 Unit boundaries: the entry points (extract_channel, trajectory_rows,
 polaron_residual, thermal_average_channel) take SI-valued DerivedGateParams
-and dephasing rates in 1/s; the block generators and steps inside work in
+and dephasing rates in 1/s; the generators and propagators inside work in
 the internal system rad/ns, 1/ns, ns.
 
 Basis ordering is qubit_1 (x) qubit_2 (x) Fock, i.e. the Fock index runs
 fastest. H, the photon loss and the dephasing all commute with Z1 and Z2,
 so the qubit block r_ij = <i|rho|j> (an n_ph x n_ph cavity operator)
-evolves on its own under a fixed n_ph^2 x n_ph^2 generator L_ij. The
-effective two-qubit channel is therefore the elementwise map
-rho_ij -> C_ij rho_ij with C_ij = Tr[expm(L_ij t_g) cav], stored as C.
-One block engine serves every path: extract_channel, the trajectory dump
-(trajectory_rows) and the polaron check (polaron_residual) all step the
-blocks with expm(L_ij dt) on the StepPolicy grid through one stepper
-(_BlockTracks.run) and read their numbers off the blocks.
+evolves on its own under a fixed generator L_ij. The effective two-qubit
+channel is therefore the elementwise map rho_ij -> C_ij rho_ij with
+C_ij = Tr[exp(L_ij t_g) cav], stored as C. Every start is a coherent state
+(the vacuum is alpha = 0), so each block starts as a dyad of coherent kets.
 
-Frames: branch i drives the cavity towards its steady state
-beta_i = -i lam_i / (2 (i Delta + kappa)) (the coherent-branch picture of
-Gambetta et al., PRA 74, 042318 (2006)). The channel paths (extract_channel,
-thermal_average_channel) step each block in its branches' displaced frame,
-r'_ij = D(beta_i)^dag r_ij D(beta_j): one generator (_block_generator)
-keeps every term of that transformation, so there the cavity holds only
-|alpha - beta_i| e^{-kappa t} instead of the whole excursion, no level feeds
-the one above it, and the Fock space is sized from max_i |alpha - beta_i|
-(_reach). The trace is read back as Tr[r' D(beta_j)^dag D(beta_i)] with the
-displacement's exact matrix elements on the kept levels (_displacement).
-The trajectory dump and the polaron check report lab-frame quantities, so
-they pass a zero shift to the same generator and stepper, and size the space
-from the lab-frame reach. Every start is a coherent state (the vacuum is
-alpha = 0), so each block starts as a dyad of coherent kets.
+Channel paths (extract_channel, thermal_average_channel): branch i drives
+the cavity towards its steady state beta_i = -i lam_i / (2 (i Delta + kappa))
+(the coherent-branch picture of Gambetta et al., PRA 74, 042318 (2006)).
+In the branches' displaced frame r'_ij = D(beta_i)^dag r_ij D(beta_j) the
+generator is the undriven damped oscillator L0 plus two lowering terms and
+a scalar (_frame_terms), and L0 shifts each lowering term by a constant
+factor, so exp(L t) factorizes exactly (Wei & Norman, J. Math. Phys. 4,
+575 (1963)) into exp(x a) on the start kets and the amplitude-damping
+channel's Kraus operators (_carry). Each block is carried over the whole
+gate in one step, with no time grid, no expm and no scipy, and read back as
+Tr[r' D(beta_j)^dag D(beta_i)] with the displacement's exact matrix
+elements on the kept levels (_displacement). There the cavity holds only
+|alpha - beta_i| e^{-kappa t}, no level feeds the one above it, and the
+guard-level population is largest at the start; the Fock space is sized
+from max_i |alpha - beta_i| (_reach). A thermal cavity is not one state
+but a Monte-Carlo mixture of coherent ones: thermal_average_channel carries
+all its samples through the same closed form and averages their channels,
+and the single-state paths reject it.
 
-Branches come in sign-reversed pairs (lam_{3-k} = -lam_k, so
-beta_{3-k} = -beta_k), and the cavity parity Pi = diag((-1)^m) maps
-L(lam_i, lam_j) onto L(-lam_i, -lam_j) exactly, so block (3-j, 3-i) is read
-off block (i, j) evolved from Pi cav Pi: one propagator per orbit of
-(i, j) <-> (3-j, 3-i), 4 with equal couplings and 6 with unequal ones.
-Orbits with lam_i = +-lam_j commute with an antiunitary (r -> r^dag or
-r -> Pi r^dag Pi), so in that antiunitary's fixed basis both their
-expm(L dt) and their stepping are real arithmetic: float64 propagators
-acting on at most two float64 columns per orbit, read straight off for the
-guard populations, through one weighted sum each for the traces, and mapped
-back to blocks only where whole blocks are needed. Only 1 orbit of 4 (2 of 6
-with unequal couplings) takes the complex expm and complex steps, and in the
-displaced frame the two diagonal orbits see the same generator and share
-one expm. Each orbit also keeps P = E^8 (three squarings of its step
-propagator E), so extract_channel advances 8 grid steps per matmul and
-reads the guard populations of the steps in between off 8 precomputed rows
-of E^j; the trajectory dump steps at its own stride through the same
-stepper. The truncated block generator preserves
-the trace of a diagonal block exactly (Tr(A r A^dag) = Tr(A^dag A r), and a
-commutator is traceless), so the block engine checks only the guard-level
-population, taken in the frame it steps in. A thermal cavity is not one
-state but a Monte-Carlo mixture of coherent ones: thermal_average_channel
-steps all its samples as columns of one set of block tracks and averages
-their channels, and the single-state paths reject it.
-The tests check this engine against an independent dense-composite RK4
+Lab-frame paths (trajectory_rows, polaron_residual) report per-step
+quantities, so they step the blocks with expm(L_ij dt) on the StepPolicy
+grid (_BlockTracks) and size the space from the lab-frame reach. Branches
+come in sign-reversed pairs (lam_{3-k} = -lam_k), and the cavity parity
+Pi = diag((-1)^m) maps L(lam_i, lam_j) onto L(-lam_i, -lam_j) exactly, so
+block (3-j, 3-i) is read off block (i, j) evolved from Pi cav Pi: one
+propagator per orbit of (i, j) <-> (3-j, 3-i), 4 with equal couplings and
+6 with unequal ones. Orbits with lam_i = +-lam_j commute with an
+antiunitary (r -> r^dag or r -> Pi r^dag Pi), so in that antiunitary's
+fixed basis both their expm(L dt) and their stepping are real arithmetic.
+scipy (for expm) is imported on these paths' first use only.
+The tests check both engines against an independent dense-composite RK4
 integrator kept in tests/rk4_reference.py.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -127,30 +114,40 @@ def _coherent_kets(n_ph: int, amps) -> np.ndarray:
     return kets / np.linalg.norm(kets, axis=1, keepdims=True)
 
 
+def _lowering_exp(n_ph: int, xs) -> np.ndarray:
+    """<m|exp(x a)|n> for m, n < n_ph: one (n_ph, n_ph) matrix per x, over
+    the trailing axes of xs's shape. The element is x^k sqrt(n!/m!) / k! at
+    k = n - m >= 0; a only lowers, so no level above the space enters and the
+    kept elements are exact."""
+    xs = np.asarray(xs, dtype=complex)[..., None]
+    m = np.arange(n_ph)
+    log_fact = np.cumsum(np.log(np.maximum(m, 1)))
+    k = m - m[:, None]
+    kk = np.maximum(k, 0)
+    mag = np.where(k >= 0, np.exp(0.5 * (log_fact - log_fact[:, None]) - log_fact[kk]), 0.0)
+    powers = np.cumprod(np.concatenate([np.ones_like(xs), xs.repeat(n_ph - 1, axis=-1)],
+                                       axis=-1), axis=-1)  # x^0 .. x^(n_ph-1)
+    return powers[..., kk] * mag
+
+
 def _displacement(n_ph: int, deltas) -> np.ndarray:
     """<m|D(delta)|n> for m, n < n_ph, exact: one (n_ph, n_ph) matrix per delta.
 
     D(delta) = exp(-|delta|^2/2) exp(delta a^dag) exp(-delta^* a), and
-    <m|exp(x a^dag)|n> = x^k sqrt(m!/n!) / k! at k = m - n >= 0; the
-    product sums over levels below min(m, n) only, so no level above the
-    space enters. (expm of a truncated a^dag - a would not be exact.)
+    <m|exp(x a^dag)|n> = <n|exp(x a)|m>; the product sums over levels below
+    min(m, n) only, so no level above the space enters. (expm of a
+    truncated a^dag - a would not be exact.)
     """
-    deltas = np.asarray(deltas, dtype=complex)[:, None]
-    m = np.arange(n_ph)
-    log_fact = np.cumsum(np.log(np.maximum(m, 1)))
-    k = m[:, None] - m
-    kk = np.maximum(k, 0)
-    mag = np.where(k >= 0, np.exp(0.5 * (log_fact[:, None] - log_fact) - log_fact[kk]), 0.0)
-    ones = np.ones((len(deltas), 1))
-    up, down = (np.cumprod(np.concatenate([ones, x.repeat(n_ph - 1, axis=1)], axis=1), axis=1)
-                for x in (deltas, -deltas.conj()))  # x^0 .. x^(n_ph-1)
-    raising, lowering = up[:, kk] * mag, down[:, kk] * mag
-    return np.exp(-0.5 * np.abs(deltas[:, :, None]) ** 2) * (raising @ lowering.swapaxes(-1, -2))
+    deltas = np.asarray(deltas, dtype=complex)
+    raising = _lowering_exp(n_ph, deltas).swapaxes(-1, -2)
+    return (np.exp(-0.5 * np.abs(deltas) ** 2)[..., None, None]
+            * (raising @ _lowering_exp(n_ph, -deltas.conj())))
 
 
 @dataclass(frozen=True)
 class StepPolicy:
-    """Fixed-step rule: dt_ns unless that lands outside [min_steps, max_steps]."""
+    """Fixed-step rule of the lab-frame paths (the trajectory dump and the
+    polaron check): dt_ns unless that lands outside [min_steps, max_steps]."""
 
     dt_ns: float = 0.020
     min_steps: int = 200
@@ -167,7 +164,10 @@ class StepPolicy:
 
 @dataclass(frozen=True)
 class SimDiagnostics:
-    """Run health: guard-level population, grid, Fock size, and failure flags."""
+    """Run health: guard-level population, grid, Fock size, and failure flags.
+
+    A channel extraction is one exact propagation over the gate, so it
+    reports steps = 1 and dt_ns = t_g."""
 
     max_top_level_pop: float
     steps: int
@@ -237,7 +237,7 @@ def choose_n_ph(max_amplitude: float) -> int:
     of a coherent state below _GUARD_TAIL.
 
     ``max_amplitude`` is the largest coherent amplitude the run must hold in
-    the frame it steps in (_reach). The guard level of a coherent state
+    the frame it runs in (_reach). The guard level of a coherent state
     |amp| is Poissonian, so walk the pmf until it drops that low.
     """
     lam = max_amplitude**2
@@ -260,7 +260,7 @@ def _reach(params: DerivedGateParams, alpha: complex = 0j, *, displaced: bool = 
     its steady state beta_i = -i lam_i / (2 (i Delta + kappa)) on a shrinking
     radius. In the lab frame |beta_i| + |alpha - beta_i| is the supremum of
     |alpha_i(t)| (reached at kappa = 0); in the branch's displaced frame
-    (displaced=True, the frame extract_channel steps in) the state is
+    (displaced=True, the frame extract_channel works in) the state is
     centred on beta_i and only |alpha_i(t) - beta_i| <= |alpha - beta_i| is
     left. All beta_i share the phase u = -i conj(z)/|z|, z = kappa + i Delta,
     so with b_i = lam_i / (2|z|) the lab sum is |b_i| + |alpha conj(u) - b_i|;
@@ -279,89 +279,33 @@ def _steady_shift(params: DerivedGateParams) -> complex:
     return -0.5j / complex(params.kappa_per_ns, params.delta_rad_ns)
 
 
-@lru_cache(maxsize=8)
-def _vec_operators(n_ph: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The n_ph-only parts of _block_generator on row-major vec(r'), read-only:
-    n (x) I - I (x) n, 2 a (x) a - n (x) I - I (x) n, and the rows of the
-    four linear terms a^dag r', a r', r' a^dag and r' a. Cached, as every
-    extraction at one size rebuilds the same matrices."""
+def _block_generator(params: DerivedGateParams, n_ph: int):
+    """Generator maker for the lab-frame qubit blocks (internal units).
+
+    Returns L(lam_i, lam_j), the n_ph^2 x n_ph^2 generator of the block
+    r = <i|rho|j>, whose row and column branches have amplitudes
+    lam = g1 s1 + g2 s2 (branch (s1, s2)):
+
+        L r = -i(H_i r - r H_j) + kappa (2 a r a^dag - n r - r n),
+        H = Delta n + (lam/2)(a + a^dag),
+
+    on row-major vec(r), where vec(A X B) = (A (x) B^T) vec(X). The
+    (gamma/2) D[Z] dephasing only adds -c_ij, a multiple of the identity,
+    so callers apply it as the factor exp(-c_ij t).
+    """
     fock = FockSpace(n_ph)
     a, num = fock.annihilation().real, fock.number_op().real
     eye = np.eye(n_ph)
     n_left, n_right = np.kron(num, eye), np.kron(eye, num)
-    a_left, a_right = np.kron(a, eye), np.kron(eye, a)
-    ops = (
-        n_left - n_right,
-        2.0 * np.kron(a, a) - n_left - n_right,
-        np.array([a_left.T, a_left, a_right, a_right.T], dtype=complex).reshape(4, -1),
-    )
-    for op in ops:
-        op.flags.writeable = False
-    return ops
-
-
-def _block_generator(params: DerivedGateParams, n_ph: int, shift: complex = 0j):
-    """Generator maker for the displaced qubit blocks (internal units).
-
-    Returns L(lam_i, lam_j), the n_ph^2 x n_ph^2 generator of the block
-    r' = D(b_i)^dag r D(b_j), b = shift * lam, where r = <i|rho|j> and the
-    row and column branches have amplitudes lam = g1 s1 + g2 s2 (branch
-    (s1, s2)). D(b)^dag a D(b) = a + b, so with A = a + b
-
-        L r' = -i(H_i r' - r' H_j)
-               + kappa (2 A_i r' A_j^dag - A_i^dag A_i r' - r' A_j^dag A_j),
-        H = Delta A^dag A + (lam/2)(A + A^dag),
-
-    built here with every linear and scalar term kept, so no choice of
-    shift changes the physics, only how many levels it needs. With
-    row-major vec(A X B) = (A (x) B^T) vec(X), shift 0 gives the lab-frame
-    generator (to rounding)
-
-        L = -i(H_i (x) I - I (x) H_j^T) + 2 kappa a (x) a - kappa (n (x) I + I (x) n),
-        H_i = Delta n + (lam_i/2)(a + a^dag).
-
-    The linear terms are written through each branch's deviation
-    e = b - beta from its steady state beta = -i lam / (2 (i Delta + kappa))
-    (_steady_shift):
-
-        a^dag r': -z e_i,             a r': 2 kappa (b_j - b_i)^* + z^* e_i^*,
-        r' a^dag: 2 kappa (b_i - b_j) + z e_j,        r' a: -z^* e_j^*,
-
-    z = kappa + i Delta. So at the steady shift the a^dag r' and r' a terms
-    vanish exactly: what is left is the undriven damped oscillator, the
-    lowering terms 2 kappa (b_j^* - b_i^*) a r' and 2 kappa (b_i - b_j) r' a^dag,
-    and a scalar, so no level feeds the one above it, and every diagonal
-    block sees the same generator. The (gamma/2) D[Z] dephasing only adds
-    -c_ij, a multiple of the identity, so callers apply it as the factor
-    exp(-c_ij t).
-    """
-    detuning, damping, linear = _vec_operators(n_ph)
-    kappa, delta = params.kappa_per_ns, params.delta_rad_ns
-    z = complex(kappa, delta)
-    off = shift - _steady_shift(params)  # e / lam, exactly 0 at the steady shift
-    base = -1j * delta * detuning + kappa * damping
-    diag = np.arange(n_ph * n_ph)
+    base = (-1j * params.delta_rad_ns * (n_left - n_right)
+            + params.kappa_per_ns * (2.0 * np.kron(a, a) - n_left - n_right))
+    x = a + a.T
+    drive_left, drive_right = -0.5j * np.kron(x, eye), 0.5j * np.kron(eye, x)
 
     def generator(lam_i, lam_j) -> np.ndarray:
         """L(lam_i, lam_j); for arrays of amplitudes, the stack of them."""
-        lam_i, lam_j = np.asarray(lam_i, dtype=float), np.asarray(lam_j, dtype=float)
-        b_i, b_j, e_i, e_j = shift * lam_i, shift * lam_j, off * lam_i, off * lam_j
-        coeffs = np.stack([
-            -z * e_i,  # a^dag r'
-            2.0 * kappa * (b_j - b_i).conj() + z.conjugate() * e_i.conj(),  # a r'
-            2.0 * kappa * (b_i - b_j) + z * e_j,  # r' a^dag
-            -z.conjugate() * e_j.conj(),  # r' a
-        ], axis=-1)
-        m = base + (coeffs @ linear).reshape(*lam_i.shape, *base.shape)
-        # -i(c_i - c_j), c = Delta |b|^2 + lam Re b, and
-        # kappa (2 b_i b_j^* - |b_i|^2 - |b_j|^2), written so that both
-        # vanish exactly on a diagonal block (Im(b_i b_j^*) by real products:
-        # a fused complex product leaves a rounding residue)
-        energy = (delta * (np.abs(b_i) ** 2 - np.abs(b_j) ** 2)
-                  + lam_i * b_i.real - lam_j * b_j.real)
-        loss = -np.abs(b_i - b_j) ** 2 + 2j * (b_i.imag * b_j.real - b_i.real * b_j.imag)
-        m[..., diag, diag] += (-1j * energy + kappa * loss)[..., None]
-        return m
+        lam_i, lam_j = (np.asarray(lam, dtype=float)[..., None, None] for lam in (lam_i, lam_j))
+        return base + lam_i * drive_left + lam_j * drive_right
 
     return generator
 
@@ -382,7 +326,7 @@ def _start_amplitude(prep: CavityPrep | None) -> complex:
     """Coherent amplitude of a vacuum (prep None, amplitude 0) or coherent
     preparation.
 
-    A thermal preparation is a mixture the block engine cannot step as one
+    A thermal preparation is a mixture the block engines cannot carry as one
     state, so it raises DomainError.
     """
     prep = prep or CavityPrep.vacuum()
@@ -394,9 +338,99 @@ def _start_amplitude(prep: CavityPrep | None) -> complex:
     return prep.alpha
 
 
+# qubit index pairs (i, j) of the blocks on and above the diagonal, row-major;
+# those below are their adjoints
+_UPPER = tuple((int(i), int(j)) for i, j in zip(*np.triu_indices(4)))
+
+
+def _frame_terms(params: DerivedGateParams):
+    """The displaced-frame generator of each block of _UPPER, in the pieces
+    its exponential factorizes into (internal units).
+
+    In the frame r' = D(beta_i)^dag r D(beta_j) of the branch steady states
+    beta = -i lam / (2 z), z = kappa + i Delta (_steady_shift), a becomes
+    a + beta on each side, and the generator of _block_generator becomes
+
+        L r' = L0 r' + c_a a r' + c_b r' a^dag + s r',
+        L0 r' = -i Delta [n, r'] + kappa (2 a r' a^dag - n r' - r' n),
+        c_a = 2 kappa (beta_j - beta_i)^*,  c_b = 2 kappa (beta_i - beta_j),
+
+    plus the scalar s = -i(e_i - e_j) + kappa (2 beta_i beta_j^* - |beta_i|^2
+    - |beta_j|^2), e = Delta |beta|^2 + lam Re beta. At the steady state the
+    drive and the a^dag r', r' a terms cancel exactly, so no level feeds the
+    one above it, and a diagonal block sees L0 alone: c_a, c_b and s are
+    exactly 0 there (Im(beta_i beta_j^*) is taken by real products, as a
+    fused complex product leaves a rounding residue). Returns beta over the
+    branches, and c_a and s over _UPPER; c_b = -c_a^*.
+    """
+    kappa, delta = params.kappa_per_ns, params.delta_rad_ns
+    lam = np.array(_branch_amplitudes(params))
+    beta = _steady_shift(params) * lam
+    upper_i, upper_j = np.array(_UPPER).T
+    b_i, b_j = beta[upper_i], beta[upper_j]
+    energy = (delta * (np.abs(b_i) ** 2 - np.abs(b_j) ** 2)
+              + lam[upper_i] * b_i.real - lam[upper_j] * b_j.real)
+    loss = -np.abs(b_i - b_j) ** 2 + 2j * (b_i.imag * b_j.real - b_i.real * b_j.imag)
+    return beta, 2.0 * kappa * (b_j - b_i).conj(), -1j * energy + kappa * loss
+
+
+def _branch_kets(params: DerivedGateParams, alphas, n_ph: int) -> np.ndarray:
+    """psi_k = D(beta_k)^dag |alpha> = exp(i Im(beta_k^* alpha)) |alpha - beta_k>
+    for each branch k and each coherent start alpha of alphas, truncated and
+    renormalized: a (4, S, n_ph) array. Block (i, j) starts as psi_i psi_j^dag."""
+    beta, _, _ = _frame_terms(params)
+    alphas = np.asarray(alphas, dtype=complex)
+    kets = _coherent_kets(n_ph, (alphas - beta[:, None]).ravel()).reshape(4, len(alphas), n_ph)
+    return np.exp(1j * (beta.conj()[:, None] * alphas).imag)[..., None] * kets
+
+
+def _carry(params: DerivedGateParams, psi: np.ndarray, t: float):
+    """Every displaced block of _UPPER at time t, in closed form, from the
+    branch kets psi of _branch_kets.
+
+    With L = L0 + c_a A_L + c_b A_R + s (_frame_terms), A_L r' = a r' and
+    A_R r' = r' a^dag, the kept levels satisfy [L0, A_L] = z A_L,
+    [L0, A_R] = z^* A_R and [A_L, A_R] = 0 exactly ([n, a] = -a holds there),
+    so
+
+        exp(t L) = exp(s t) exp(t L0) exp(x A_L + y A_R),
+        x = c_a (1 - exp(-z t)) / z,  y = c_b (1 - exp(-z^* t)) / z^* = -x^*.
+
+    exp(t L0) is amplitude damping at eta = exp(-2 kappa t) followed by
+    exp(-i Delta n t), with Kraus operators
+    G_k = sum_m exp(-i Delta (m-k) t) sqrt(C(m, k) eta^(m-k) (1-eta)^k) |m-k><m|,
+    and exp(x a) is exact on the kept levels (_lowering_exp). So
+
+        r'_ij(t) = exp(s t) sum_k (G_k phi_i)(G_k phi_j)^dag,
+        phi_i = exp(x a) psi_i,  phi_j = exp(-x a) psi_j.
+
+    Returns (left, right, scale): the columns G_k phi_i and G_k phi_j as
+    (10, S, k, n_ph) arrays, and exp(s t) over _UPPER.
+    """
+    n_ph = psi.shape[-1]
+    kappa, delta = params.kappa_per_ns, params.delta_rad_ns
+    z = complex(kappa, delta)
+    _, c_a, s = _frame_terms(params)
+    x = c_a * ((1.0 - cmath.exp(-z * t)) / z)
+    upper_i, upper_j = np.array(_UPPER).T
+    phi_i = np.einsum("umn,usn->usm", _lowering_exp(n_ph, x), psi[upper_i])
+    phi_j = np.einsum("umn,usn->usm", _lowering_exp(n_ph, -x), psi[upper_j])
+    # (G_k phi)_q = w[k, q] phi_{q+k}, zero where q + k leaves the space
+    level = np.arange(n_ph)
+    source = level[:, None] + level
+    kept = source < n_ph
+    source = np.minimum(source, n_ph - 1)
+    log_fact = np.cumsum(np.log(np.maximum(level, 1)))
+    binom = np.exp(log_fact[source] - log_fact[:, None] - log_fact)  # C(q+k, k)
+    eta, lost = math.exp(-2.0 * kappa * t), -math.expm1(-2.0 * kappa * t)
+    w = np.where(kept, np.exp(-1j * delta * t * level)
+                 * np.sqrt(binom * eta**level * lost ** level[:, None]), 0.0)
+    return w * phi_i[..., source], w * phi_j[..., source], np.exp(s * t)
+
+
 def _expm(m: np.ndarray) -> np.ndarray:
     """scipy.linalg.expm, imported on first use so that importing resgate
-    (and the analytic path) loads no scipy."""
+    and the channel paths load no scipy."""
     from scipy.linalg import expm
 
     return expm(m)
@@ -469,93 +503,47 @@ def _step_propagator(m: np.ndarray, form) -> np.ndarray:
     return _expm(m) if form is None else _expm(_to_real(m, *form))
 
 
-def _drop_underflow(ops: np.ndarray) -> None:
-    """Zero the numbers below 1e-36 in a stack of step propagators, in place.
-
-    In a displaced frame the raising entries of a propagator are rounding
-    noise (~1e-17 per level), and products of them fall below the normal
-    floating-point range, where BLAS runs many times slower (the macro-step
-    squarings of the real stack took 4-6x longer at 12 levels). P = E^_MACRO
-    and the guard rows e_g^T E^j multiply at most _MACRO = 8 kept entries,
-    at least 1e-288, still normal; a dropped entry moves no number read by
-    more than ~1e-36 per step.
-    """
-    parts = ops.view(float)  # a complex entry's real and imaginary parts apart
-    parts[np.abs(parts) < 1e-36] = 0.0
-
-
-# qubit index pairs (i, j) of the blocks on and above the diagonal, row-major;
-# those below are their adjoints
-_UPPER = tuple((int(i), int(j)) for i, j in zip(*np.triu_indices(4)))
 # rows held at once by _BlockTracks.run: at most _CHUNK stops, and no more
 # than fit _CHUNK_BYTES (one stop at the least), so a stack of many cavity
 # states does not grow the buffer by its number of stops
 _CHUNK = 64
 _CHUNK_BYTES = 2 << 20
-# grid steps per macro step P = E^_MACRO (a power of two, built by squarings);
-# extract_channel runs its tracks at this stride
-_MACRO = 8
 
 
 class _BlockTracks:
-    """The displaced blocks r'_ij = D(b_i)^dag r_ij D(b_j) of _UPPER on a time
-    grid, r_ij evolved from each coherent start cav_s = |alpha_s><alpha_s| of
-    a stack, with b = shift * lam (_block_generator; shift 0 is the lab
-    frame).
+    """The lab-frame blocks r_ij of _UPPER on a time grid, each evolved from
+    each coherent start cav_s = |alpha_s><alpha_s| of a stack by
+    expm(L dt) (_block_generator).
 
     Dephasing is left out (see _block_generator). The states share every
     propagator: each is only more columns of the same matmuls. run() steps
-    the tracks and yields their states as rows of float64 numbers; guard
-    holds where the guard-level populations of the four diagonal blocks of
-    each state sit in a row, peak is the largest of them over every state
-    and every grid step run() has passed, traces() reads each state's ten
-    lab-frame block traces off a row, and blocks() maps rows back to each
-    state's ten (n_ph, n_ph) blocks r'_ij.
-
-    Starts: D(b)^dag |alpha> = exp(i Im(b^* alpha)) |alpha - b>, so block
-    (i, j) starts as the dyad psi_i psi_j^dag of the coherent kets
-    psi_i = exp(i Im(b_i^* alpha)) |alpha - b_i>, each truncated to the space
-    and renormalized; at shift 0 that is cav_s itself.
+    the tracks and yields their states as rows of float64 numbers, and
+    blocks() maps rows back to each state's ten (n_ph, n_ph) blocks r_ij.
 
     Orbit rule: branch 3 - k flips both Z signs of branch k, so
-    lam_{3-k} = -lam_k and b_{3-k} = -b_k. With Pi = diag((-1)^m),
-    Pi (a + b) Pi = -(a - b), so (Pi (x) Pi) L(lam_i, lam_j) (Pi (x) Pi) =
-    L(-lam_i, -lam_j), shift and all; and the adjoint of a block evolves as
-    the swapped pair. Hence block (3-j, 3-i) is exactly Pi R^dag Pi, with R
-    block (i, j) evolved from the start of Pi cav Pi = |-alpha><-alpha|
-    (Pi psi_k(alpha) = psi_{3-k}(-alpha), truncated kets included): for
-    i = j its populations are those of R. One propagator serves each orbit
-    {(i, j), (3-j, 3-i)} (and every pair with the same amplitudes), and it
-    steps each input a read needs: the S starts alpha_s, and then the
-    -alpha_s unless every start is the vacuum, each displaced into the
-    orbit's own frame.
+    lam_{3-k} = -lam_k. With Pi = diag((-1)^m), Pi a Pi = -a, so
+    (Pi (x) Pi) L(lam_i, lam_j) (Pi (x) Pi) = L(-lam_i, -lam_j); and the
+    adjoint of a block evolves as the swapped pair. Hence block (3-j, 3-i) is
+    exactly Pi R^dag Pi, with R block (i, j) evolved from
+    Pi cav Pi = |-alpha><-alpha| (truncated kets included). One propagator
+    serves each orbit {(i, j), (3-j, 3-i)} (and every pair with the same
+    amplitudes), and it steps each input a read needs: the S starts
+    alpha_s, and then the -alpha_s unless every start is the vacuum.
 
     Orbits with lam_i = +-lam_j are stepped in real arithmetic: their
     propagator E = W^H expm(L dt) W is real (_step_propagator), and their
     state is u = W^H vec(start). A diagonal orbit (K r = r^dag) holds one
-    real column per input, as its starts psi_i psi_i^dag are Hermitian. A
-    parity orbit (K r = Pi r^dag Pi) is never read mirrored, so it holds the
-    alpha_s starts only: K maps the start of alpha onto that of -alpha, so u
-    is real when every alpha_s is 0, and otherwise the S columns Re u_s are
-    followed by the S columns Im u_s. So every orbit has as many columns as
-    there are inputs (S or 2S): the real orbits step together as one
-    float64 (d, columns) stack, diagonal orbits first, and the other orbits
-    as a complex one. W leaves the diagonal entries (a, a) in place, so the
-    guard populations are read straight off the real columns. Each stack
-    advances by one batched matmul per stop.
-
-    Macro steps: each orbit also keeps P = E^_MACRO, built by log2 _MACRO
-    squarings, so a stride of _MACRO grid steps is one matmul. Only the
-    diagonal orbits carry guard reads, and the guard entry g = (n_ph - 1,
-    n_ph - 1) is one of those W leaves in place; so they also keep the
-    _MACRO rows e_g^T E^j (j = 1.._MACRO), and rows @ u gives the guard
-    populations of the _MACRO grid steps after a state u without stepping
-    through them. That is one extra propagator per orbit and a
-    (_MACRO, n_ph^2) block per diagonal orbit, not a stack of powers.
+    real column per input, as its starts are Hermitian. A parity orbit
+    (K r = Pi r^dag Pi) is never read mirrored, so it holds the alpha_s
+    starts only: K maps the start of alpha onto that of -alpha, so u is real
+    when every alpha_s is 0, and otherwise the S columns Re u_s are followed
+    by the S columns Im u_s. So every orbit has as many columns as there are
+    inputs (S or 2S): the real orbits step together as one float64
+    (d, columns) stack, and the other orbits as a complex one. Each stack
+    advances by one batched matmul per grid step.
     """
 
-    def __init__(self, params: DerivedGateParams, alphas, n_ph: int, dt: float,
-                 shift: complex = 0j):
+    def __init__(self, params: DerivedGateParams, alphas, n_ph: int, dt: float):
         """alphas: the S coherent amplitudes the cavity starts in (0: vacuum)."""
         alphas = np.asarray(alphas, dtype=complex)
         samples, d = len(alphas), n_ph * n_ph
@@ -573,54 +561,27 @@ class _BlockTracks:
                 reps.append(key)
             reads.append((reps.index(mirror if mirrored else key), mirrored))
         forms = [_conjugation(n_ph, *rep) for rep in reps]
-        # diagonal orbits (lam_i = lam_j) lead the real stack
-        real = sorted((o for o, form in enumerate(forms) if form is not None),
-                      key=lambda o: reps[o][0] != reps[o][1])
+        real = [o for o, form in enumerate(forms) if form is not None]
         cplx = [o for o, form in enumerate(forms) if form is None]
-        n_diag = sum(reps[o][0] == reps[o][1] for o in real)
 
-        # psi per branch amplitude and input, then each orbit's starts
-        levels = sorted(set(lam))
-        b = shift * np.array(levels)[:, None]
-        psi = (np.exp(1j * (b.conj() * starts).imag)[..., None]
-               * _coherent_kets(n_ph, (starts - b).ravel()).reshape(len(levels), cols, n_ph))
-        row_k, col_k = ([levels.index(rep[side]) for rep in reps] for side in (0, 1))
-        vecs = (psi[row_k, :, :, None] * psi[col_k, :, None, :].conj()).reshape(len(reps), cols, d)
-
-        # every orbit's L dt at once; each propagator is written straight
-        # into its orbit's slot
-        steps_dt = _block_generator(params, n_ph, shift)(*np.array(reps).T) * dt
+        # every block of every orbit starts as the cavity itself
+        kets = _coherent_kets(n_ph, starts)
+        vecs = (kets[:, :, None] * kets[:, None, :].conj()).reshape(cols, d)
+        steps_dt = _block_generator(params, n_ph)(*np.array(reps).T) * dt
         self.cplx_ops = np.empty((len(cplx), d, d), dtype=complex)
         for slot, o in enumerate(cplx):
             self.cplx_ops[slot] = _step_propagator(steps_dt[o], None)
-        self.cplx_start = vecs[cplx].transpose(0, 2, 1).copy()
+        self.cplx_start = np.repeat(vecs.T[None], len(cplx), axis=0)
         self.real_ops = np.empty((len(real), d, d))
         self.real_start = np.empty((len(real), d, cols))
-        # diagonal orbits with the same L dt (all of them at the steady
-        # shift) share one expm; the real forms overwrite steps_dt below
-        twin = [next((t for t in range(slot) if np.array_equal(steps_dt[real[t]], steps_dt[o])),
-                     None) if slot < n_diag else None for slot, o in enumerate(real)]
         for slot, o in enumerate(real):
-            self.real_ops[slot] = (self.real_ops[twin[slot]] if twin[slot] is not None
-                                   else _step_propagator(steps_dt[o], forms[o]))
-            u = _to_k_basis(vecs[o], *forms[o])
+            self.real_ops[slot] = _step_propagator(steps_dt[o], forms[o])
+            u = _to_k_basis(vecs, *forms[o])
             if reps[o][0] == reps[o][1]:  # r -> r^dag: each input is K-fixed
                 self.real_start[slot] = u.real.T
             else:  # r -> Pi r^dag Pi: the alpha_s alone, Re u_s then Im u_s
                 self.real_start[slot] = np.concatenate(
                     [u[:samples].real, u[:samples].imag][:cols // samples]).T
-        del steps_dt  # before the squarings allocate
-
-        # P = E^_MACRO by squarings; the guard rows e_g^T E^j double alongside
-        _drop_underflow(self.cplx_ops)
-        _drop_underflow(self.real_ops)
-        self.guard_rows = self.real_ops[:n_diag, -1:]  # j = 1
-        self.cplx_macro, self.real_macro = self.cplx_ops, self.real_ops
-        for _ in range(_MACRO.bit_length() - 1):
-            self.guard_rows = np.concatenate(
-                [self.guard_rows, self.guard_rows @ self.real_macro[:n_diag]], axis=1)
-            self.cplx_macro = self.cplx_macro @ self.cplx_macro
-            self.real_macro = self.real_macro @ self.real_macro
 
         # a row of run() is the complex (d, cols) tracks (as float pairs),
         # then the real ones; each read of state 0 has its entries at
@@ -653,98 +614,46 @@ class _BlockTracks:
         self.in_basis = np.array([k for k, (o, _) in enumerate(reads) if o in real])
         self.pairs = forms[real[0]][:2]  # p and q are the same in both forms
         self.signs = np.array([forms[reads[k][0]][2] for k in self.in_basis])
-        # diagonal blocks all sit on real orbits (lam_i = lam_j), whose
-        # columns are real at the diagonal entries
-        self.guard = self.re[:, [i == j for i, j in _UPPER], -1]
-        # Tr r_ij = Tr[r'_ij X_ij], X_ij = D(b_j)^dag D(b_i)
-        # = exp(i Im(b_i b_j^*)) D(b_i - b_j) on the kept levels, read as one
-        # weighted sum over the column v of each read: sum_e v_e vec(X^T)_e,
-        # or for a mirrored read (block Pi V^dag Pi) the conjugate of
-        # sum_e v_e conj(vec(Pi X Pi))_e; a real track holds u = W^H v, so
-        # its weights are W^T w
-        b = shift * np.array(lam)
-        upper_i, upper_j = np.array(_UPPER).T
-        deltas, which = np.unique(b[upper_i] - b[upper_j], return_inverse=True)
-        x = (np.exp(1j * (b[upper_i] * b[upper_j].conj()).imag)[:, None, None]
-             * _displacement(n_ph, deltas)[which])
-        w = np.where(self.mirrored[:, None, None], (self.flip * x).conj(),
-                     x.swapaxes(-1, -2)).reshape(len(_UPPER), d)
-        w[self.in_basis] = _to_k_basis(w[self.in_basis].conj(), *self.pairs, self.signs).conj()
-        self.weights = w
 
     def run(self, steps: int, stride: int = 1):
         """Yield (at, states) for grid steps 0, stride, 2 stride, ... and steps.
 
         at holds the grid steps of the rows of states, a (count, width)
-        float64 array, in chunks. The tracks stop at those steps and at every
-        multiple of _MACRO, up to _CHUNK stops per chunk and no more than
-        fit _CHUNK_BYTES; a gap of _MACRO steps between stops is one matmul
-        by P per stack of tracks, and a shorter gap takes E once per step.
-        After each chunk, peak holds the largest guard population over every
-        grid step up to the chunk's last stop: the guard rows read each gap
-        off the stop that starts it.
+        float64 array, in chunks of up to _CHUNK stops and no more than fit
+        _CHUNK_BYTES. Between stops the tracks take E once per grid step.
         """
-        stops = np.unique(np.r_[np.arange(0, steps, _MACRO), np.arange(0, steps, stride), steps])
+        stops = np.unique(np.r_[np.arange(0, steps, stride), steps])
         gaps = np.diff(stops, prepend=0).tolist()  # steps up to each stop
-        ahead = np.diff(stops, append=steps)  # steps from each stop to the next
-        keep = (stops % stride == 0) | (stops == steps)
         rows = max(1, min(_CHUNK, len(stops), _CHUNK_BYTES // (8 * self.width)))
         d = self.real_ops.shape[-1]
-        n_diag = len(self.guard_rows)
         # a complex buffer keeps the complex tracks aligned; the real columns
         # sit in its float view
         buf = np.empty((rows, (self.width + 1) // 2), dtype=complex)
         flat = buf.view(float)
         n_cplx, n_real = len(self.cplx_ops), len(self.real_ops)
         at = n_cplx * d * self.cols
-        real_states = flat[:, 2 * at:self.width].reshape(rows, n_real, d, self.cols)
         stacks = [
-            (self.cplx_ops, self.cplx_macro, buf[:, :at].reshape(rows, n_cplx, d, self.cols)),
-            (self.real_ops, self.real_macro, real_states),
+            (self.cplx_ops, buf[:, :at].reshape(rows, n_cplx, d, self.cols)),
+            (self.real_ops, flat[:, 2 * at:self.width].reshape(rows, n_real, d, self.cols)),
         ]
         starts = [self.cplx_start, self.real_start]
-        if self.cols == 2:
-            # one displaced state: OpenBLAS's zgemm with two columns is slower
-            # than a zgemv per column (d = 196: ~45 against ~25 us), so the
-            # complex tracks step their columns as strided vectors
-            states = stacks[0][2].swapaxes(-1, -2)[..., None]
-            stacks[0] = (self.cplx_ops[:, None], self.cplx_macro[:, None], states)
-            starts[0] = self.cplx_start.swapaxes(-1, -2)[..., None]
-        self.peak = 0.0
         for first in range(0, len(stops), rows):
             count = min(rows, len(stops) - first)
-            for (ops, macro, states), vec in zip(stacks, starts):
+            for (ops, states), vec in zip(stacks, starts):
                 for k, gap in enumerate(gaps[first:first + count]):
-                    if gap == _MACRO:
-                        vec = np.matmul(macro, vec, out=states[k])
-                    elif gap:
+                    if gap:
                         for _ in range(gap - 1):
                             vec = ops @ vec
                         vec = np.matmul(ops, vec, out=states[k])
                     else:
                         states[0] = vec
-            # the guard populations of the grid steps after each stop, up to
-            # the next; step 0 is read off its own row
-            pops = self.guard_rows @ real_states[:count, :n_diag]
-            within = np.arange(_MACRO)[:, None] < ahead[first:first + count, None, None, None]
-            self.peak = max(self.peak, float(np.where(within, pops, 0.0).max()))
-            if not first:
-                self.peak = max(self.peak, float(flat[0, self.guard].max()))
             # the next chunk steps on from this chunk's last row, which it
             # reads before it overwrites it
-            starts = [states[count - 1] for _, _, states in stacks]
-            kept = keep[first:first + count]
-            chunk = flat[:count, :self.width]
-            yield stops[first:first + count][kept], chunk if kept.all() else chunk[kept]
-
-    def traces(self, row: np.ndarray) -> np.ndarray:
-        """The (S, 10) lab-frame block traces Tr r_ij of _UPPER of each state
-        in one row of run()."""
-        traces = ((row[self.re] + 1j * self.has_im[:, None] * row[self.im]) * self.weights).sum(-1)
-        return np.where(self.mirrored, traces.conj(), traces)
+            starts = [states[count - 1] for _, states in stacks]
+            yield stops[first:first + count], flat[:count, :self.width]
 
     def blocks(self, states: np.ndarray) -> np.ndarray:
-        """The (count, S, 10, n_ph, n_ph) blocks r'_ij of _UPPER in a chunk of run()."""
+        """The (count, S, 10, n_ph, n_ph) blocks r_ij of _UPPER in a chunk of run()."""
         n_ph = self.flip.shape[0]
         out = states[:, self.re] + 1j * (self.has_im[:, None] * states[:, self.im])
         out[:, :, self.in_basis] = _from_k_basis(
@@ -762,58 +671,47 @@ def extract_channel(
     initial_cavity: CavityPrep | None = None,
     *,
     n_ph: int | None = None,
-    policy: StepPolicy = StepPolicy(),
     top_level_threshold: float = DEFAULT_TOP_LEVEL_THRESHOLD,
 ) -> tuple[TwoQubitChannel, SimDiagnostics]:
-    """Exact effective two-qubit channel of one gate, by qubit-block propagators.
+    """Exact effective two-qubit channel of one gate, in closed form per qubit block.
 
     gamma_1, gamma_2 in 1/s. The cavity starts in vacuum (the default) or
     in a coherent state; a thermal preparation raises DomainError, since
     its channel is the seeded Monte-Carlo average of thermal_average_channel.
     The channel is diagonal: rho_ij -> C_ij rho_ij with
-    C_ij = exp(-c_ij t_g) Tr[expm(L(lam_i, lam_j) t_g) cav] (see
+    C_ij = exp(-c_ij t_g) Tr[exp(L(lam_i, lam_j) t_g) cav] (see
     _block_generator), where c_ij is gamma_k summed over the qubits k whose
     Z eigenvalues differ between i and j, and C_ji = conj(C_ij).
 
-    Each block is stepped in its branches' displaced frame,
+    Each block is carried in its branches' displaced frame,
     r'_ij = D(beta_i)^dag r_ij D(beta_j) with beta_i the steady state of
     branch i (_steady_shift): there the cavity only holds the decaying
     |alpha - beta_i| e^{-kappa t}, not the whole excursion
     |beta_i| + |alpha - beta_i|, and no level feeds the one above it. With
     n_ph None the space is sized from max_i |alpha - beta_i| (_reach,
     displaced): 6 levels from vacuum at a default point, where the lab frame
-    needs 8. C_ij is read back as Tr[r'_ij D(beta_j)^dag D(beta_i)], with the
-    displacement's exact matrix elements on the kept levels.
+    needs 8. The ten blocks on and above the diagonal go over the whole gate
+    in one exact step (_carry: exp(x a) on the start kets, then the Kraus
+    operators of a damped, rotating oscillator), with no time grid and no
+    expm, and C_ij is read back as Tr[r'_ij D(beta_j)^dag D(beta_i)], with
+    the displacement's exact matrix elements on the kept levels.
 
-    The ten blocks on and above the diagonal are stepped with expm(L dt) on
-    the policy's time grid (_BlockTracks): one propagator per orbit of the
-    branch-flip symmetry (i, j) <-> (3-j, 3-i), which maps block (i, j)
-    evolved from Pi cav Pi onto block (3-j, 3-i) exactly, so 4 propagators
-    serve equal couplings and 6 unequal ones; the orbits with
-    lam_i = +-lam_j (3 of 4, 4 of 6) take a real expm and step real columns
-    in the fixed basis of an antiunitary symmetry, with the same numbers to
-    rounding, and the two diagonal orbits, whose displaced generators are
-    the same, share one expm (3 and 5 expm calls in all). The tracks
-    advance _MACRO grid steps per matmul by P = E^_MACRO (E for the last
-    steps % _MACRO), which matches stepping by E to rounding. The
-    guard-level population, in the displaced frame, is a running maximum
-    over all four diagonal blocks at every grid step, not only at the gate's
-    end or at the macro steps: the steps in between are read off the rows
-    e_g^T E^j. For basis-state inputs the composite state
-    is a single diagonal block, so it is the worst case over any qubit
-    input. The guard entries are read straight off the stepped columns,
-    which the fixed basis leaves alone on the diagonal, and only the
-    maximum and the final blocks are kept, so memory does not grow with the
-    step count. SimDiagnostics.steps counts grid steps, not macro steps.
+    The guard-level population, in the displaced frame, is the maximum over
+    all four diagonal blocks and the whole gate. A diagonal block sees only
+    L0, which lowers, so its top level holds exp(-2 kappa t (n_ph - 1)) times
+    its start value: the maximum is the start's, exactly. For basis-state
+    inputs the composite state is a single diagonal block, so it is the
+    worst case over any qubit input. SimDiagnostics reports steps = 1 and
+    dt_ns = t_g: one exact propagation.
     """
     (coh,), diag = _coherences(params, gamma_1, gamma_2, [_start_amplitude(initial_cavity)],
-                               n_ph, policy, top_level_threshold)
+                               n_ph, top_level_threshold)
     return TwoQubitChannel(coh), diag
 
 
 def _coherences(
     params: DerivedGateParams, gamma_1: float, gamma_2: float, alphas,
-    n_ph: int | None, policy: StepPolicy, top_level_threshold: float,
+    n_ph: int | None, top_level_threshold: float,
 ) -> tuple[np.ndarray, SimDiagnostics]:
     """The (S, 4, 4) coherence matrices of the gate from each coherent start
     of alphas, in the displaced frame, and one SimDiagnostics whose guard
@@ -821,17 +719,24 @@ def _coherences(
     n_ph None every start shares the size the largest of them needs."""
     if n_ph is None:
         n_ph = choose_n_ph(max(_reach(params, alpha, displaced=True) for alpha in alphas))
-    steps, dt = policy.resolve(params.t_g_ns)
-    tracks = _BlockTracks(params, alphas, n_ph, dt, _steady_shift(params))
-    for _, states in tracks.run(steps, _MACRO):
-        pass  # the last chunk stays in run()'s buffer
-    traces = tracks.traces(states[-1])
-    diag = _run_health(tracks.peak, steps, dt, n_ph, top_level_threshold)
+    t_g = params.t_g_ns
+    psi = _branch_kets(params, alphas, n_ph)
+    diag = _run_health(float((np.abs(psi[..., -1]) ** 2).max()), 1, t_g, n_ph,
+                       top_level_threshold)
+    left, right, scale = _carry(params, psi, t_g)
 
+    # Tr r_ij = Tr[r'_ij X_ij], X_ij = D(b_j)^dag D(b_i)
+    # = exp(i Im(b_i b_j^*)) D(b_i - b_j) on the kept levels
+    beta, _, _ = _frame_terms(params)
     upper_i, upper_j = np.array(_UPPER).T
+    b_i, b_j = beta[upper_i], beta[upper_j]
+    frame = (np.exp(1j * (b_i * b_j.conj()).imag)[:, None, None]
+             * _displacement(n_ph, b_i - b_j))
+    traces = scale * np.einsum("uskp,upq,uskq->su", right.conj(), frame, left)
+
     rates = _dephasing_rates(gamma_1, gamma_2)[upper_i, upper_j]
     coh = np.zeros((len(traces), 4, 4), dtype=complex)
-    coh[:, upper_i, upper_j] = np.exp(-rates * params.t_g_ns) * traces
+    coh[:, upper_i, upper_j] = np.exp(-rates * t_g) * traces
     coh[:, upper_j, upper_i] = np.conj(coh[:, upper_i, upper_j])
     coh[:, range(4), range(4)] = traces[:, upper_i == upper_j].real
     return coh, diag
@@ -911,9 +816,9 @@ def trajectory_rows(
     _BlockTracks.blocks, so at most 6 propagators serve them (4 with equal
     couplings): block (3-j, 3-i) is read off block (i, j) evolved from the
     parity-flipped cavity, exactly, and the real-form tracks are mapped
-    back from their fixed basis. The blocks are stepped in the lab frame
-    (zero shift), and with n_ph None the space is sized from the lab-frame
-    reach, choose_n_ph(_reach). The residual column is the same
+    back from their fixed basis. The blocks are stepped in the lab frame,
+    and with n_ph None the space is sized from the lab-frame reach,
+    choose_n_ph(_reach). The residual column is the same
     displaced-frame ground-state defect polaron_residual() maximizes; for
     non-vacuum preparations or gamma > 0 it is reported as-is rather than
     being expected small.
@@ -965,7 +870,6 @@ def thermal_average_channel(
     gamma_1: float = 0.0,
     gamma_2: float = 0.0,
     n_ph: int | None = None,
-    policy: StepPolicy = StepPolicy(),
     top_level_threshold: float = DEFAULT_TOP_LEVEL_THRESHOLD,
 ) -> tuple[TwoQubitChannel, SimDiagnostics]:
     """Monte-Carlo thermal-state channel with per-sample local-Z compensation.
@@ -977,14 +881,12 @@ def thermal_average_channel(
     coherence matrices. Deterministic for a given seed. n_bar = 0 short-circuits
     to the plain vacuum extraction (bit-identical with it).
 
-    Every sample is stepped in the branches' displaced frame (see
+    Every sample is carried in the branches' displaced frame (see
     extract_channel). All samples share one Fock space, n_ph or else the
     size the largest displaced reach among them needs,
-    max_i |alpha_s - beta_i| (_reach), and one set of block propagators:
-    each sample is only more columns of the same tracks (_BlockTracks), so
-    a point takes one expm per orbit whatever the sample count. The
-    diagnostics report that size and the worst displaced-frame guard
-    population of any sample.
+    max_i |alpha_s - beta_i| (_reach), and one closed-form pass: each sample
+    is only one more start of the same _carry call. The diagnostics report
+    that size and the worst displaced-frame guard population of any sample.
     """
     if n_bar < 0:
         raise DomainError(f"n_bar must be non-negative, got {n_bar}")
@@ -992,15 +894,14 @@ def thermal_average_channel(
         raise DomainError(f"sample_count must be >= 1, got {sample_count}")
     if n_bar == 0.0:
         return extract_channel(
-            params, gamma_1, gamma_2, CavityPrep.vacuum(), n_ph=n_ph, policy=policy,
+            params, gamma_1, gamma_2, CavityPrep.vacuum(), n_ph=n_ph,
             top_level_threshold=top_level_threshold,
         )
 
     rng = np.random.default_rng(seed)
     sigma = math.sqrt(n_bar / 2.0)
     alphas = [complex(re_b, im_b) for re_b, im_b in rng.normal(0.0, sigma, (sample_count, 2))]
-    cohs, diag = _coherences(params, gamma_1, gamma_2, alphas, n_ph, policy,
-                             top_level_threshold)
+    cohs, diag = _coherences(params, gamma_1, gamma_2, alphas, n_ph, top_level_threshold)
 
     target = gate_target(params)
     acc = np.zeros((4, 4), dtype=complex)

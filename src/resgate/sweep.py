@@ -274,8 +274,7 @@ def _evaluate_point(cfg: RunConfig, seed: int) -> SweepRow:
     max_fock = None
     if cfg.numeric:
         prep = cfg.initial_cavity
-        solver = dict(n_ph=cfg.n_ph, policy=cfg.step_policy(),
-                      top_level_threshold=cfg.top_level_threshold)
+        solver = dict(n_ph=cfg.n_ph, top_level_threshold=cfg.top_level_threshold)
         if prep.kind == "thermal":
             chan, diag = thermal_average_channel(
                 params, prep.n_bar, prep.samples, seed,

@@ -373,8 +373,7 @@ def test_thermal_row_is_the_seeded_thermal_average():
     op = resolve_operating_point(cfg)
     chan, diag = thermal_average_channel(
         op.params, 0.2, 2, cfg.seed, gamma_1=op.gamma_phi, gamma_2=op.gamma_phi,
-        n_ph=cfg.n_ph, policy=cfg.step_policy(),
-        top_level_threshold=cfg.top_level_threshold,
+        n_ph=cfg.n_ph, top_level_threshold=cfg.top_level_threshold,
     )
     target = ideal_gate_unitary(math.copysign(math.pi / 4.0, op.params.delta_rad_ns))
     assert row.f_numeric == average_gate_fidelity(chan, target, validate=False).f_avg

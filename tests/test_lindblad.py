@@ -275,11 +275,19 @@ def _displaced_start(n_ph, alpha, b_i, b_j):
     return np.outer(psi_i, psi_j.conj())
 
 
-def _dense_reference_superop(p, gamma_1, gamma_2, n_ph, alpha, shift=0j):
-    """Channel with each block on or above the diagonal propagated by its own
-    dense expm(L(lam_i, lam_j) t_g) from its own start in the frame of shift:
-    no stepping and no symmetry used. The trace is read as
-    Tr[r' D(b_j)^dag D(b_i)], the displacements taken from a larger space."""
+def _closed_form_blocks(p, alphas, n_ph, t):
+    """The (10, S, n_ph, n_ph) displaced blocks of _UPPER at time t, whole,
+    as the closed form carries them: exp(s t) sum_k (G_k phi_i)(G_k phi_j)^dag."""
+    left, right, scale = lindblad._carry(p, lindblad._branch_kets(p, alphas, n_ph), t)
+    return scale[:, None, None, None] * np.einsum("uskp,uskq->uspq", left, right.conj())
+
+
+def _dense_coherence(p, gamma_1, gamma_2, n_ph, alpha, shift=0j):
+    """4x4 coherence matrix with each block on or above the diagonal
+    propagated by its own dense expm(L(lam_i, lam_j) t_g) from its own start
+    in the frame of shift: no stepping, no closed form and no symmetry used.
+    The trace is read as Tr[r' D(b_j)^dag D(b_i)], the displacements taken
+    from a larger space."""
     from scipy.linalg import expm
 
     lam = _branch_lams(p)
@@ -295,7 +303,12 @@ def _dense_reference_superop(p, gamma_1, gamma_2, n_ph, alpha, shift=0j):
             coh[i, j] = math.exp(-rate * p.t_g_ns) * np.trace(
                 final.reshape(n_ph, n_ph) @ frame[:n_ph, :n_ph])
             coh[j, i] = np.conj(coh[i, j])
-    return np.diag(coh.reshape(16))
+    return coh
+
+
+def _dense_reference_superop(p, gamma_1, gamma_2, n_ph, alpha, shift=0j):
+    """The superoperator diagonal of _dense_coherence."""
+    return np.diag(_dense_coherence(p, gamma_1, gamma_2, n_ph, alpha, shift).reshape(16))
 
 
 @given(
@@ -369,36 +382,21 @@ def _dense_real_basis(n_ph, parity):
     return w
 
 
-@pytest.mark.parametrize("g2_over_g1, expected, real", [(1.0, 3, 2), (1.5, 5, 3)],
-                         ids=["1.0-4", "1.5-6"])
-def test_extract_channel_builds_one_propagator_per_orbit(monkeypatch, g2_over_g1, expected,
-                                                         real):
-    # one expm per orbit of (i, j) <-> (3-j, 3-i) (4 with equal couplings, 6
-    # with unequal ones), none over the whole gate, except that the two
-    # diagonal orbits share one: in the displaced frame every diagonal block
-    # sees the same undriven damped oscillator. Each is expm(L dt) of the
-    # displaced-frame generator itself, or real(W^H L dt W) where that is
-    # exact (an orbit with lam_i = +-lam_j; the imaginary part dropped is
-    # zero)
+@pytest.mark.parametrize("g2_over_g1", [1.0, 1.5])
+def test_channel_paths_call_expm_zero_times(monkeypatch, g2_over_g1):
+    # the channel paths carry each block over the gate in closed form: no
+    # propagator is built, from vacuum, coherent or thermal starts, while
+    # the lab-frame trajectory still takes one expm per orbit
     p = make_params(0.7, 5e-3, n=2, g2_over_g1=g2_over_g1)
-    _, dt = StepPolicy().resolve(p.t_g_ns)
-    lam, shift = _branch_lams(p), lindblad._steady_shift(p)
-    steps_dt = [_dense_block_generator(p, 6, lam[i], lam[j], shift) * dt
-                for i in range(4) for j in range(i, 4)]
-    real_forms = [w.conj().T @ m @ w for m in steps_dt
-                  for w in (_dense_real_basis(6, False), _dense_real_basis(6, True))]
-    real_forms = [m.real for m in real_forms if np.abs(m.imag).max() < 1e-14]
     args = []
     real_expm = lindblad._expm
     monkeypatch.setattr(lindblad, "_expm", lambda m: args.append(m) or real_expm(m))
     for prep in (CavityPrep.vacuum(), CavityPrep.coherent(0.3 - 0.2j)):
-        args.clear()
         extract_channel(p, 1e6, 2e6, prep, n_ph=6)
-        assert len(args) == expected
-        assert sum(np.isrealobj(m) for m in args) == real
-        assert all(any(m.shape == ref.shape and np.allclose(m, ref, rtol=0.0, atol=1e-14)
-                       for ref in (real_forms if np.isrealobj(m) else steps_dt))
-                   for m in args)
+    thermal_average_channel(p, 0.2, 3, 5, gamma_1=1e6, gamma_2=2e6)
+    assert args == []
+    trajectory_rows(p, 0.0, 0.0, n_ph=6, stride=400)
+    assert len(args) > 0
 
 
 @pytest.mark.parametrize("n_ph", [2, 3, 6])
@@ -441,22 +439,20 @@ def test_real_form_check_fires_off_the_symmetric_orbits(parity):
     delta_sign=st.sampled_from([1, -1]),
     kappa=st.floats(min_value=1e-3, max_value=5e-2),
     n_ph=st.integers(min_value=4, max_value=10),
-    frame=st.sampled_from([0.0, 1.0, 1.03]),
 )
 @settings(max_examples=12, deadline=None)
-def test_step_propagator_matches_expm(g2_over_g1, delta_sign, kappa, n_ph, frame):
-    # every orbit's propagator against the complex expm of the dense
-    # generator in the same frame (lab, displaced, or displaced by a shift
-    # 3 % off the steady state): a real one is E = W^H expm(L dt) W, so
-    # W E W^H (W built densely here) must match
+def test_step_propagator_matches_expm(g2_over_g1, delta_sign, kappa, n_ph):
+    # every orbit's lab-frame propagator against the complex expm of the
+    # dense generator: a real one is E = W^H expm(L dt) W, so W E W^H (W
+    # built densely here) must match
     from scipy.linalg import expm
 
     p = make_params(0.7, kappa, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
     _, dt = StepPolicy().resolve(p.t_g_ns)
-    lam, shift = _branch_lams(p), frame * lindblad._steady_shift(p)
-    generator = lindblad._block_generator(p, n_ph, shift)
+    lam = _branch_lams(p)
+    generator = lindblad._block_generator(p, n_ph)
     for i, j in lindblad._UPPER:
-        ref = expm(_dense_block_generator(p, n_ph, lam[i], lam[j], shift) * dt)
+        ref = expm(_dense_block_generator(p, n_ph, lam[i], lam[j]) * dt)
         prop = lindblad._step_propagator(generator(lam[i], lam[j]) * dt,
                                          lindblad._conjugation(n_ph, lam[i], lam[j]))
         if np.isrealobj(prop):
@@ -466,31 +462,36 @@ def test_step_propagator_matches_expm(g2_over_g1, delta_sign, kappa, n_ph, frame
 
 
 def test_generator_keeps_every_term_of_the_frame():
-    # shift 0 gives the lab-frame generator; at the steady shift every
-    # diagonal block sees exactly the same undriven damped oscillator (the
-    # drive and the a^dag r', r' a terms cancel), and any block no raising
-    # term at all, so no level feeds the one above it
+    # the lab generator is the operator form's, one pair or a stack; at the
+    # steady shift the dense displaced generator of every block is exactly
+    # L0 + c_a a r' + c_b r' a^dag + s with _frame_terms' coefficients, so
+    # the closed form drops no term: no entry raises the ladder, and a
+    # diagonal block sees the undriven damped oscillator L0 alone
     p = make_params(0.7, 5e-3, n=2, g2_over_g1=1.5)
     n_ph, lam = 6, _branch_lams(p)
     lab = lindblad._block_generator(p, n_ph)
-    shift = lindblad._steady_shift(p)
-    frame = lindblad._block_generator(p, n_ph, shift)
-    idle = _dense_block_generator(p, n_ph, 0.0, 0.0)
     assert np.abs(lab(np.array(lam), np.array(lam[::-1]))
                   - np.array([lab(li, lj) for li, lj in zip(lam, lam[::-1])])).max() < 1e-15
-    diagonal = frame(np.array(lam), np.array(lam))
-    assert all(np.array_equal(diagonal[0], m) for m in diagonal)
     for li in lam:
         for lj in lam:
             ref = _dense_block_generator(p, n_ph, li, lj)
             assert np.abs(lab(li, lj) - ref).max() <= 1e-15 * np.abs(ref).max()
-            displaced = frame(li, lj)
-            assert np.abs(displaced - _dense_block_generator(p, n_ph, li, lj, shift)).max() < 1e-14
-            level = np.add.outer(np.arange(n_ph), np.arange(n_ph)).ravel()  # m + n of vec(r')
-            raising = level[:, None] > level[None, :]  # entries that move r' up the ladder
-            assert np.abs(displaced[raising]).max() < 1e-14
-            if li == lj:
-                assert np.abs(displaced - idle).max() < 1e-14
+
+    shift = lindblad._steady_shift(p)
+    beta, c_a, scalar = lindblad._frame_terms(p)
+    assert np.abs(beta - shift * np.array(lam)).max() == 0.0
+    a, eye = FockSpace(n_ph).annihilation(), np.eye(n_ph)
+    idle = _dense_block_generator(p, n_ph, 0.0, 0.0)
+    level = np.add.outer(np.arange(n_ph), np.arange(n_ph)).ravel()  # m + n of vec(r')
+    raising = level[:, None] > level[None, :]  # entries that move r' up the ladder
+    for u, (i, j) in enumerate(lindblad._UPPER):
+        displaced = _dense_block_generator(p, n_ph, lam[i], lam[j], shift)
+        pieces = (idle + c_a[u] * np.kron(a, eye) - c_a[u].conjugate() * np.kron(eye, a)
+                  + scalar[u] * np.eye(n_ph * n_ph))
+        assert np.abs(displaced - pieces).max() < 1e-14
+        assert np.abs(displaced[raising]).max() < 1e-14
+        if i == j:
+            assert c_a[u] == 0.0 and scalar[u] == 0.0
 
 
 @pytest.mark.parametrize("n_ph", [4, 7, 10])
@@ -499,57 +500,46 @@ def test_generator_keeps_every_term_of_the_frame():
                          [(1.0, 3, 4), (1.5, 4, 6), (3.0, 4, 6)], ids=["1.0", "1.5", "3.0"])
 def test_real_stepping_matches_complex_stepping(g2_over_g1, real_orbits, orbits, delta_sign,
                                                 n_ph):
-    # in the lab and in the displaced frame, the self-conjugate orbits step
-    # real columns in K's fixed basis; mapped back by blocks(), every block
-    # of the first chunk must match that block stepped from its own
-    # displaced start with its own dense complex expm(L dt) in the same
-    # frame, so the blocks read mirrored also check the parity-mirror
-    # identity; and traces() must read Tr[r' D(b_j)^dag D(b_i)] of each
-    # block, the displacements dense here
+    # in the lab frame the self-conjugate orbits step real columns in K's
+    # fixed basis; mapped back by blocks(), every block of the first chunk
+    # must match that block stepped from the cavity start with its own dense
+    # complex expm(L dt), so the blocks read mirrored also check the
+    # parity-mirror identity
     from scipy.linalg import expm
 
     p = make_params(0.7, 5e-3, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
     steps, dt = StepPolicy().resolve(p.t_g_ns)
     lam = _branch_lams(p)
-    for shift in (0j, lindblad._steady_shift(p)):
-        props = np.array([expm(_dense_block_generator(p, n_ph, lam[i], lam[j], shift) * dt)
-                          for i, j in lindblad._UPPER])
-        frames = np.array([(_dense_displacement(n_ph + 40, -shift * lam[j])
-                            @ _dense_displacement(n_ph + 40, shift * lam[i]))[:n_ph, :n_ph]
-                           for i, j in lindblad._UPPER])
-        # a stack of states steps as more columns of the same tracks, each
-        # state's blocks and traces its own; a vacuum among coherent states
-        # is stepped with its (equal) flipped copy
-        for alphas in ([0j], [0.5 - 0.4j], [0.5 - 0.4j, -0.2 + 0.6j, 0j]):
-            tracks = lindblad._BlockTracks(p, alphas, n_ph, dt, shift)
-            assert tracks.real_ops.dtype == np.float64 and len(tracks.real_ops) == real_orbits
-            assert len(tracks.real_ops) + len(tracks.cplx_ops) == orbits
-            assert tracks.real_start.shape[-1] <= 2 * len(alphas)
-            _, states = next(tracks.run(steps))
-            assert len(states) == min(lindblad._CHUNK,
-                                      lindblad._CHUNK_BYTES // (8 * tracks.width)) > 1
-            vec = np.array([[_displaced_start(n_ph, alpha, shift * lam[i], shift * lam[j])
-                             .reshape(-1, 1) for i, j in lindblad._UPPER] for alpha in alphas])
-            for k, blocks in enumerate(tracks.blocks(states)):
-                if k:
-                    vec = props @ vec
-                assert np.abs(blocks.reshape(vec.shape) - vec).max() < 1e-12
-            traces = np.einsum("skab,kba->sk", vec.reshape(len(alphas), -1, n_ph, n_ph), frames)
-            assert np.abs(tracks.traces(states[-1]) - traces).max() < 1e-12
+    props = np.array([expm(_dense_block_generator(p, n_ph, lam[i], lam[j]) * dt)
+                      for i, j in lindblad._UPPER])
+    # a stack of states steps as more columns of the same tracks, each
+    # state's blocks its own; a vacuum among coherent states is stepped
+    # with its (equal) flipped copy
+    for alphas in ([0j], [0.5 - 0.4j], [0.5 - 0.4j, -0.2 + 0.6j, 0j]):
+        tracks = lindblad._BlockTracks(p, alphas, n_ph, dt)
+        assert tracks.real_ops.dtype == np.float64 and len(tracks.real_ops) == real_orbits
+        assert len(tracks.real_ops) + len(tracks.cplx_ops) == orbits
+        assert tracks.real_start.shape[-1] <= 2 * len(alphas)
+        _, states = next(tracks.run(steps))
+        assert len(states) == min(lindblad._CHUNK,
+                                  lindblad._CHUNK_BYTES // (8 * tracks.width)) > 1
+        vec = np.array([[_displaced_start(n_ph, alpha, 0j, 0j).reshape(-1, 1)
+                         for _ in lindblad._UPPER] for alpha in alphas])
+        for k, blocks in enumerate(tracks.blocks(states)):
+            if k:
+                vec = props @ vec
+            assert np.abs(blocks.reshape(vec.shape) - vec).max() < 1e-12
 
 
 def test_displaced_starts_are_the_displaced_cavity():
-    # at a size where truncation cannot show, each block of the first row is
-    # D(beta_i)^dag |alpha><alpha| D(beta_j) with both displacements dense:
-    # the starts' phases, and the mirrored reads' flipped starts
+    # at a size where truncation cannot show, each block the closed form
+    # carries from t = 0 is D(beta_i)^dag |alpha><alpha| D(beta_j) with both
+    # displacements dense: the starts' phases, for every block
     p = make_params(0.7, 5e-3, n=2, g2_over_g1=1.5)
     n_ph, big = 14, 50
     lam, shift = _branch_lams(p), lindblad._steady_shift(p)
-    _, dt = StepPolicy().resolve(p.t_g_ns)
     alphas = [0.5 - 0.4j, 0j]
-    tracks = lindblad._BlockTracks(p, alphas, n_ph, dt, shift)
-    _, states = next(tracks.run(1))
-    (blocks,) = tracks.blocks(states[:1])
+    blocks = _closed_form_blocks(p, alphas, n_ph, 0.0).swapaxes(0, 1)
     for s, alpha in enumerate(alphas):
         cav = np.outer(_ket(big, alpha), _ket(big, alpha).conj())
         for k, (i, j) in enumerate(lindblad._UPPER):
@@ -638,97 +628,126 @@ def test_auto_fock_size_covers_the_largest_branch(g2_over_g1, delta_sign, kappa)
 @pytest.mark.parametrize("delta_sign", [1, -1])
 @pytest.mark.parametrize("g2_over_g1", [1.0, 1.5, 3.0])
 def test_displaced_frame_agrees_with_the_lab_frame(g2_over_g1, delta_sign, kappa):
-    # pinned-size channels of extract_channel (displaced frame) against a
-    # lab-frame extraction at n_ph 20, from vacuum and from |alpha| = 0.95 at
-    # a phase off the steady states: at 6 and 8 levels they agree within the
-    # lab frame's own truncation error at that size. A steady state 3 % off
-    # in size or phase moves the channel by no more than twice the displaced
-    # frame's own truncation error (the frame is a choice of basis, not of
-    # physics), while the halfway shift breaks that bound
+    # pinned-size channels of extract_channel (closed form, displaced frame)
+    # against lab-frame stepping at n_ph 20, from vacuum and from
+    # |alpha| = 0.95 at a phase off the steady states: at 6 and 8 levels they
+    # agree within the lab frame's own truncation error at that size. A
+    # frame 3 % off the steady state in size or phase (dense expm of the
+    # operator-form generator, which keeps every term of any frame) moves
+    # the channel by no more than twice the displaced frame's own truncation
+    # error (the frame is a choice of basis, not of physics), while the
+    # halfway shift breaks that bound
     p = make_params(0.7, kappa, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
     alphas = [0j, 0.95 * cmath.exp(2.1j)]
     shift = lindblad._steady_shift(p)
-    steps, dt = StepPolicy().resolve(p.t_g_ns)
-
-    def traces(n_ph, frame):
-        tracks = lindblad._BlockTracks(p, alphas, n_ph, dt, frame)
-        for _, states in tracks.run(steps, lindblad._MACRO):
-            pass
-        return tracks.traces(states[-1])
-
     upper = tuple(np.array(lindblad._UPPER).T)
-    ref = traces(20, 0j)
+
+    def lab(n_ph):
+        steps, dt = StepPolicy().resolve(p.t_g_ns)
+        tracks = lindblad._BlockTracks(p, alphas, n_ph, dt)
+        for _, states in tracks.run(steps, steps):
+            pass
+        return np.einsum("skaa->sk", tracks.blocks(states[-1:])[0])
+
+    def dense(n_ph, frame):
+        return np.array([_dense_coherence(p, 0.0, 0.0, n_ph, alpha, frame)[upper]
+                         for alpha in alphas])
+
+    ref = lab(20)
     for n_ph in (6, 8):
-        lab_error = np.abs(traces(n_ph, 0j) - ref).max(axis=1)
-        error = np.array([
-            np.abs(extract_channel(p, 0.0, 0.0, CavityPrep.coherent(alpha), n_ph=n_ph)[0]
-                   .coherence[upper] - ref[s]).max()
-            for s, alpha in enumerate(alphas)])
+        lab_error = np.abs(lab(n_ph) - ref).max(axis=1)
+        ours = np.array([extract_channel(p, 0.0, 0.0, CavityPrep.coherent(alpha), n_ph=n_ph)[0]
+                         .coherence[upper] for alpha in alphas])
+        error = np.abs(ours - ref).max(axis=1)
         assert np.all(error <= lab_error), (n_ph, error, lab_error)
-        ours = traces(n_ph, shift)
-        assert np.abs(ours - ref).max(axis=1) == pytest.approx(error, rel=1e-9, abs=1e-13)
         for off in (1.03, cmath.exp(0.03j)):
-            moved = np.abs(traces(n_ph, off * shift) - ours).max(axis=1)
+            moved = np.abs(dense(n_ph, off * shift) - ours).max(axis=1)
             assert np.all(moved <= 2.0 * error + 1e-13), (n_ph, off, moved, error)
-        assert np.all(np.abs(traces(n_ph, 0.5 * shift) - ours).max(axis=1) > 2.0 * error + 1e-13)
+        assert np.all(np.abs(dense(n_ph, 0.5 * shift) - ours).max(axis=1) > 2.0 * error + 1e-13)
+
+
+def _dense_guard_track(p, n_ph, alpha, steps):
+    """Top-level population of each diagonal block, stepped densely at
+    stride 1 in the displaced frame from its own displaced start over a
+    grid of steps steps: a (4, steps + 1) array."""
+    from scipy.linalg import expm
+
+    shift, dt = lindblad._steady_shift(p), p.t_g_ns / steps
+    tracks = []
+    for lam in _branch_lams(p):
+        prop = expm(_dense_block_generator(p, n_ph, lam, lam, shift) * dt)
+        vec = _displaced_start(n_ph, alpha, shift * lam, shift * lam).reshape(-1)
+        pops = [vec[-1].real]
+        for _ in range(steps):
+            vec = prop @ vec
+            pops.append(vec[-1].real)
+        tracks.append(pops)
+    return np.array(tracks)
 
 
 @pytest.mark.parametrize("steps", [3, 200, 203, 365])
 @pytest.mark.parametrize("g2_over_g1", [1.0, 1.5])
 @pytest.mark.parametrize("alpha", [0j, -0.5 + 0.5j], ids=["vacuum", "coherent"])
 def test_extract_channel_guard_is_read_at_every_step(alpha, g2_over_g1, steps):
-    # the tracks stop only every _MACRO grid steps at that stride; their guard
-    # maximum must still be the maximum over every grid step of stride-1
-    # stepping, for fewer steps than _MACRO, a multiple of it and
-    # remainders. In the lab frame the guard fills mid-gate, so there this
-    # reads the steps between stops; in the displaced frame it is largest
-    # at the start. extract_channel reports the displaced frame's maximum
+    # extract_channel reads the guard off the start alone; that must be the
+    # maximum over every grid step of dense stride-1 stepping in the
+    # displaced frame, on coarse and fine grids alike, and it reports one
+    # exact propagation
     p = make_params(0.7, 5e-3, n=2, g2_over_g1=g2_over_g1)
     n_ph = 8
-    policy = StepPolicy(min_steps=steps, max_steps=steps)
-    _, dt = policy.resolve(p.t_g_ns)
-    for shift in (0j, lindblad._steady_shift(p)):
-        tracks = lindblad._BlockTracks(p, [alpha], n_ph, dt, shift)
-        every = max(float(states[:, tracks.guard].max()) for _, states in tracks.run(steps))
-        for _ in tracks.run(steps, lindblad._MACRO):
-            pass
-        assert tracks.peak == pytest.approx(every, rel=1e-12)
-    _, diag = extract_channel(p, 0.0, 0.0, CavityPrep.coherent(alpha), n_ph=n_ph, policy=policy)
-    assert diag.steps == steps
+    every = _dense_guard_track(p, n_ph, alpha, steps).max()
+    _, diag = extract_channel(p, 0.0, 0.0, CavityPrep.coherent(alpha), n_ph=n_ph)
+    assert (diag.steps, diag.dt_ns) == (1, p.t_g_ns)
     assert diag.max_top_level_pop == pytest.approx(every, rel=1e-12)
+
+
+@pytest.mark.parametrize("kappa", [5e-3, 5e-2])
+@pytest.mark.parametrize("delta_sign", [1, -1])
+@pytest.mark.parametrize("g2_over_g1", [1.0, 1.5, 3.0])
+def test_displaced_guard_population_never_rises(g2_over_g1, delta_sign, kappa):
+    # in the displaced frame a diagonal block sees only the damped
+    # oscillator, which lowers: under dense stride-1 stepping its top-level
+    # population never rises, and at t it is exp(-2 kappa t (n_ph - 1))
+    # times the start's, so the start holds the gate's maximum
+    p = make_params(0.7, kappa, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
+    n_ph, steps = 8, 365
+    pops = _dense_guard_track(p, n_ph, -0.5 + 0.5j, steps)
+    assert pops.min() > 1e-12
+    assert np.all(np.diff(pops, axis=1) < 0.0)
+    decay = np.exp(-2.0 * kappa * (n_ph - 1) * p.t_g_ns * np.arange(steps + 1) / steps)
+    assert np.abs(pops / (pops[:, :1] * decay) - 1.0).max() < 1e-9
 
 
 @given(
     g2_over_g1=st.one_of(st.just(1.0), st.floats(min_value=0.3, max_value=3.0)),
     delta_sign=st.sampled_from([1, -1]),
     kappa=st.floats(min_value=1e-3, max_value=5e-2),
-    n_ph=st.integers(min_value=4, max_value=10),
-    alpha=st.one_of(st.none(), st.complex_numbers(max_magnitude=0.8)),
-    half_steps=st.integers(min_value=1, max_value=205),
+    n_ph=st.integers(min_value=4, max_value=12),
+    alpha=st.one_of(st.just(0j), st.complex_numbers(max_magnitude=0.8)),
 )
-@settings(max_examples=15, deadline=None)
-def test_extract_channel_is_the_same_at_any_stride(g2_over_g1, delta_sign, kappa, n_ph,
-                                                   alpha, half_steps):
-    # stepping by P = E^_MACRO (and E for the remainder) against E at every
-    # grid step, over odd step counts
+@settings(max_examples=20, deadline=None)
+def test_closed_form_blocks_match_dense_expm(g2_over_g1, delta_sign, kappa, n_ph, alpha):
+    # every displaced block the closed form carries, whole, against the
+    # dense expm of the operator-form generator at the steady shift applied
+    # to that block's own displaced start, after one grid step and over the
+    # whole gate
+    from scipy.linalg import expm
+
     p = make_params(0.7, kappa, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
-    prep = CavityPrep.vacuum() if alpha is None else CavityPrep.coherent(alpha)
-    steps = 2 * half_steps + 1
-    policy = StepPolicy(min_steps=steps, max_steps=steps)
-    runs = []
-    for macro in (1, lindblad._MACRO):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lindblad, "_MACRO", macro)
-            runs.append(extract_channel(p, 1e6, 2e6, prep, n_ph=n_ph, policy=policy))
-    (chan_a, diag_a), (chan_b, diag_b) = runs
-    assert np.abs(chan_a.superop - chan_b.superop).max() < 1e-13
-    assert diag_a.max_top_level_pop == pytest.approx(diag_b.max_top_level_pop, rel=1e-12)
+    _, dt = StepPolicy().resolve(p.t_g_ns)
+    lam, shift = _branch_lams(p), lindblad._steady_shift(p)
+    for t in (dt, p.t_g_ns):
+        blocks = _closed_form_blocks(p, [alpha], n_ph, t)[:, 0]
+        for u, (i, j) in enumerate(lindblad._UPPER):
+            start = _displaced_start(n_ph, alpha, shift * lam[i], shift * lam[j]).reshape(-1)
+            ref = expm(_dense_block_generator(p, n_ph, lam[i], lam[j], shift) * t) @ start
+            assert np.abs(blocks[u] - ref.reshape(n_ph, n_ph)).max() < 1e-12, (t, i, j)
 
 
 @pytest.mark.parametrize("stride", [3, 8, 20, 203])
 def test_trajectory_rows_are_the_same_at_any_stride(stride):
-    # a stride s run stops at multiples of s and of _MACRO, and steps a gap
-    # of _MACRO by P: its rows must be the stride-1 rows at the same steps,
+    # a stride s run stops at multiples of s and steps the gaps between
+    # stops unseen: its rows must be the stride-1 rows at the same steps,
     # the final step included
     p = make_params(0.7, 5e-3, g2_over_g1=1.5)
     policy = StepPolicy(min_steps=203, max_steps=203)
@@ -764,25 +783,6 @@ def test_extract_channel_guard_is_max_over_gate():
     assert diag.failed
     assert diag.max_top_level_pop > threshold
     assert any("population" in r for r in diag.failure_reasons)
-
-
-def test_extract_channel_memory_does_not_grow_with_steps():
-    # only the running guard maximum and the final blocks are kept, so a
-    # 5000-step gate needs no more memory than a 200-step one
-    import tracemalloc
-
-    p = make_params(0.7, 5e-3, n=2)
-    extract_channel(p, 0.0, 0.0, n_ph=6)  # first use imports scipy: not measured
-    peaks = []
-    for steps in (200, 5000):
-        tracemalloc.start()
-        try:
-            extract_channel(p, 0.0, 0.0, n_ph=6,
-                            policy=StepPolicy(min_steps=steps, max_steps=steps))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] - peaks[0] < 1e6, peaks
 
 
 def test_extract_channel_flags_tight_guard():
@@ -841,16 +841,24 @@ def test_trajectory_rows_match_rk4_reference():
 
 
 def test_import_loads_no_scipy_until_the_oracle_runs():
-    # scipy is imported on the numeric engine's first use, not with resgate
+    # the channel paths are closed-form numpy: neither importing resgate nor
+    # extracting a vacuum, coherent or thermal channel loads scipy; the
+    # lab-frame trajectory imports it (for expm) on its first use
     script = (
         "import sys\n"
         "import resgate\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "assert not loaded, loaded\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded(), loaded()\n"
         "params = resgate.resolve_operating_point(resgate.config_from_dict({})).params\n"
-        "chan, diag = resgate.extract_channel(params, 0.0, 0.0, n_ph=7)\n"
-        "chan.validate()\n"
-        "assert not diag.failed and 'scipy.linalg' in sys.modules\n"
+        "for prep in (None, resgate.CavityPrep.coherent(0.4 - 0.3j)):\n"
+        "    chan, diag = resgate.extract_channel(params, 0.0, 0.0, prep, n_ph=7)\n"
+        "    chan.validate()\n"
+        "    assert not diag.failed\n"
+        "chan, diag = resgate.thermal_average_channel(params, 0.2, 2, 3)\n"
+        "assert not diag.failed and not loaded(), loaded()\n"
+        "resgate.trajectory_rows(params, 0.0, 0.0, stride=400)\n"
+        "assert 'scipy.linalg' in sys.modules\n"
     )
     src = str(Path(resgate.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -920,17 +928,17 @@ def test_thermal_channel_deterministic_and_continuous():
 
 def test_thermal_diagnostics_report_the_largest_fock_size(monkeypatch):
     # the Monte-Carlo samples share one Fock space, sized from the largest
-    # displaced reach max_i |alpha_s - beta_i| among them, and one set of
-    # block tracks; the diagnostics report that size
+    # displaced reach max_i |alpha_s - beta_i| among them, and one
+    # closed-form pass; the diagnostics report that size
     p = make_params(0.7, 1e-3, n=2)
     stacks = []
-    real_tracks = lindblad._BlockTracks
+    real_carry = lindblad._carry
 
-    def recording(params, alphas, n_ph, dt, shift):
-        stacks.append((len(alphas), n_ph))
-        return real_tracks(params, alphas, n_ph, dt, shift)
+    def recording(params, psi, t):
+        stacks.append(psi.shape[1:])
+        return real_carry(params, psi, t)
 
-    monkeypatch.setattr(lindblad, "_BlockTracks", recording)
+    monkeypatch.setattr(lindblad, "_carry", recording)
     _, diag = thermal_average_channel(p, 0.2, 2, 2)
     draws = np.random.default_rng(2).normal(0.0, math.sqrt(0.1), (2, 2))
     sizes = [choose_n_ph(lindblad._reach(p, complex(*z), displaced=True)) for z in draws]
@@ -947,9 +955,9 @@ def test_trajectory_and_polaron_residual_share_one_fock_size(monkeypatch):
     sizes = []
     real_tracks = lindblad._BlockTracks
 
-    def recording(params, alphas, n_ph, dt, shift=0j):
+    def recording(params, alphas, n_ph, dt):
         sizes.append(n_ph)
-        return real_tracks(params, alphas, n_ph, dt, shift)
+        return real_tracks(params, alphas, n_ph, dt)
 
     monkeypatch.setattr(lindblad, "_BlockTracks", recording)
     p = make_params(0.35, 5e-3)
