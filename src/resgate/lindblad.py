@@ -53,7 +53,10 @@ propagator per orbit of (i, j) <-> (3-j, 3-i), 4 with equal couplings and
 6 with unequal ones. Orbits with lam_i = +-lam_j commute with an
 antiunitary (r -> r^dag or r -> Pi r^dag Pi), so in that antiunitary's
 fixed basis both their expm(L dt) and their stepping are real arithmetic.
-scipy (for expm) is imported on these paths' first use only.
+scipy (for expm) is imported on these paths' first use only. The truncated
+generator preserves the trace of a diagonal block exactly
+(Tr(A r A^dag) = Tr(A^dag A r), and a commutator is traceless), so the
+channel paths check only the guard-level population, in their frame.
 The tests check both engines against an independent dense-composite RK4
 integrator kept in tests/rk4_reference.py.
 """
