@@ -32,16 +32,19 @@ generator is the undriven damped oscillator L0 plus two lowering terms and
 a scalar (_frame_terms), and L0 shifts each lowering term by a constant
 factor, so exp(L t) factorizes exactly (Wei & Norman, J. Math. Phys. 4,
 575 (1963)) into exp(x a) on the start kets and the amplitude-damping
-channel's Kraus operators (_carry). Each block is carried over the whole
-gate in one step, with no time grid, no expm and no scipy, and read back as
-Tr[r' D(beta_j)^dag D(beta_i)] with the displacement's exact matrix
-elements on the kept levels (_displacement). There the cavity holds only
+channel. Only the trace Tr[r' D(beta_j)^dag D(beta_i)] of each block enters
+C, and the adjoint of amplitude damping maps a normally ordered
+displacement onto a damped one, so each C_ij is one inner product of two
+start kets under exponentials of a, exact on the kept levels (_readout):
+over the whole gate in one step, with no time grid, no expm, no scipy and
+no block built. There the cavity holds only
 |alpha - beta_i| e^{-kappa t}, no level feeds the one above it, and the
 guard-level population is largest at the start; the Fock space is sized
 from max_i |alpha - beta_i| (_reach). A thermal cavity is not one state
 but a Monte-Carlo mixture of coherent ones: thermal_average_channel carries
-all its samples through the same closed form and averages their channels,
-and the single-state paths reject it.
+all its samples through the same closed form, compensates them in one
+batched local-Z fit and averages their channels, and the single-state paths
+reject it.
 
 Lab-frame paths (trajectory_rows, polaron_residual) report per-step
 quantities, so they step the blocks with expm(L_ij dt) on the StepPolicy
@@ -64,6 +67,7 @@ integrator kept in tests/rk4_reference.py.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -72,7 +76,7 @@ import numpy as np
 from .channel import TwoQubitChannel, drive_frame_displacement, gate_target
 from .device import DerivedGateParams
 from .errors import DomainError
-from .fidelity import fit_local_z
+from .fidelity import _fit_stack, _target_weights
 
 DEFAULT_N_PH = 6  # levels 0..5: one guard level above the 4-photon working range
 DEFAULT_TOP_LEVEL_THRESHOLD = 1e-4
@@ -117,34 +121,36 @@ def _coherent_kets(n_ph: int, amps) -> np.ndarray:
     return kets / np.linalg.norm(kets, axis=1, keepdims=True)
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: the per-size tables are cached and shared,
+    so no caller may write into them."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@functools.lru_cache(maxsize=32)  # the few Fock sizes a process runs at
+def _lowering_tables(n_ph: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only tables of _lowering_exp at one size: kk = max(n - m, 0) and
+    mag = sqrt(n!/m!) / kk! where n >= m, else 0, for m, n < n_ph."""
+    m = np.arange(n_ph)
+    log_fact = np.cumsum(np.log(np.maximum(m, 1)))
+    k = m - m[:, None]
+    kk = np.maximum(k, 0)
+    mag = np.where(k >= 0, np.exp(0.5 * (log_fact - log_fact[:, None]) - log_fact[kk]), 0.0)
+    return _read_only(kk, mag)
+
+
 def _lowering_exp(n_ph: int, xs) -> np.ndarray:
     """<m|exp(x a)|n> for m, n < n_ph: one (n_ph, n_ph) matrix per x, over
     the trailing axes of xs's shape. The element is x^k sqrt(n!/m!) / k! at
     k = n - m >= 0; a only lowers, so no level above the space enters and the
     kept elements are exact."""
     xs = np.asarray(xs, dtype=complex)[..., None]
-    m = np.arange(n_ph)
-    log_fact = np.cumsum(np.log(np.maximum(m, 1)))
-    k = m - m[:, None]
-    kk = np.maximum(k, 0)
-    mag = np.where(k >= 0, np.exp(0.5 * (log_fact - log_fact[:, None]) - log_fact[kk]), 0.0)
+    kk, mag = _lowering_tables(n_ph)
     powers = np.cumprod(np.concatenate([np.ones_like(xs), xs.repeat(n_ph - 1, axis=-1)],
                                        axis=-1), axis=-1)  # x^0 .. x^(n_ph-1)
     return powers[..., kk] * mag
-
-
-def _displacement(n_ph: int, deltas) -> np.ndarray:
-    """<m|D(delta)|n> for m, n < n_ph, exact: one (n_ph, n_ph) matrix per delta.
-
-    D(delta) = exp(-|delta|^2/2) exp(delta a^dag) exp(-delta^* a), and
-    <m|exp(x a^dag)|n> = <n|exp(x a)|m>; the product sums over levels below
-    min(m, n) only, so no level above the space enters. (expm of a
-    truncated a^dag - a would not be exact.)
-    """
-    deltas = np.asarray(deltas, dtype=complex)
-    raising = _lowering_exp(n_ph, deltas).swapaxes(-1, -2)
-    return (np.exp(-0.5 * np.abs(deltas) ** 2)[..., None, None]
-            * (raising @ _lowering_exp(n_ph, -deltas.conj())))
 
 
 @dataclass(frozen=True)
@@ -342,8 +348,9 @@ def _start_amplitude(prep: CavityPrep | None) -> complex:
 
 
 # qubit index pairs (i, j) of the blocks on and above the diagonal, row-major;
-# those below are their adjoints
+# those below are their adjoints; _UPPER_I and _UPPER_J index them
 _UPPER = tuple((int(i), int(j)) for i, j in zip(*np.triu_indices(4)))
+_UPPER_I, _UPPER_J = _read_only(*np.array(_UPPER).T)
 
 
 def _frame_terms(params: DerivedGateParams):
@@ -369,27 +376,27 @@ def _frame_terms(params: DerivedGateParams):
     kappa, delta = params.kappa_per_ns, params.delta_rad_ns
     lam = np.array(_branch_amplitudes(params))
     beta = _steady_shift(params) * lam
-    upper_i, upper_j = np.array(_UPPER).T
-    b_i, b_j = beta[upper_i], beta[upper_j]
+    b_i, b_j = beta[_UPPER_I], beta[_UPPER_J]
     energy = (delta * (np.abs(b_i) ** 2 - np.abs(b_j) ** 2)
-              + lam[upper_i] * b_i.real - lam[upper_j] * b_j.real)
+              + lam[_UPPER_I] * b_i.real - lam[_UPPER_J] * b_j.real)
     loss = -np.abs(b_i - b_j) ** 2 + 2j * (b_i.imag * b_j.real - b_i.real * b_j.imag)
     return beta, 2.0 * kappa * (b_j - b_i).conj(), -1j * energy + kappa * loss
 
 
-def _branch_kets(params: DerivedGateParams, alphas, n_ph: int) -> np.ndarray:
+def _branch_kets(beta: np.ndarray, alphas, n_ph: int) -> np.ndarray:
     """psi_k = D(beta_k)^dag |alpha> = exp(i Im(beta_k^* alpha)) |alpha - beta_k>
-    for each branch k and each coherent start alpha of alphas, truncated and
-    renormalized: a (4, S, n_ph) array. Block (i, j) starts as psi_i psi_j^dag."""
-    beta, _, _ = _frame_terms(params)
+    for each branch steady state beta_k of _frame_terms and each coherent
+    start alpha of alphas, truncated and renormalized: a (4, S, n_ph) array.
+    Block (i, j) starts as psi_i psi_j^dag."""
     alphas = np.asarray(alphas, dtype=complex)
     kets = _coherent_kets(n_ph, (alphas - beta[:, None]).ravel()).reshape(4, len(alphas), n_ph)
     return np.exp(1j * (beta.conj()[:, None] * alphas).imag)[..., None] * kets
 
 
-def _carry(params: DerivedGateParams, psi: np.ndarray, t: float):
-    """Every displaced block of _UPPER at time t, in closed form, from the
-    branch kets psi of _branch_kets.
+def _readout(params: DerivedGateParams, frame, psi: np.ndarray, t: float) -> np.ndarray:
+    """Tr r_ij(t) of every block of _UPPER at time t, in closed form, from the
+    branch kets psi of _branch_kets and the terms frame of _frame_terms: an
+    (S, 10) array, dephasing left out.
 
     With L = L0 + c_a A_L + c_b A_R + s (_frame_terms), A_L r' = a r' and
     A_R r' = r' a^dag, the kept levels satisfy [L0, A_L] = z A_L,
@@ -397,38 +404,37 @@ def _carry(params: DerivedGateParams, psi: np.ndarray, t: float):
     so
 
         exp(t L) = exp(s t) exp(t L0) exp(x A_L + y A_R),
-        x = c_a (1 - exp(-z t)) / z,  y = c_b (1 - exp(-z^* t)) / z^* = -x^*.
+        x = c_a (1 - exp(-z t)) / z,  y = c_b (1 - exp(-z^* t)) / z^* = -x^*,
 
-    exp(t L0) is amplitude damping at eta = exp(-2 kappa t) followed by
-    exp(-i Delta n t), with Kraus operators
-    G_k = sum_m exp(-i Delta (m-k) t) sqrt(C(m, k) eta^(m-k) (1-eta)^k) |m-k><m|,
-    and exp(x a) is exact on the kept levels (_lowering_exp). So
+    and r'_ij(t) = exp(s t) E(phi_i phi_j^dag) with E = exp(t L0),
+    phi_i = exp(x a) psi_i and phi_j = exp(-x a) psi_j. E is amplitude
+    damping at eta = exp(-2 kappa t) followed by exp(-i Delta n t); it only
+    lowers, and its adjoint maps exp(mu a^dag) exp(nu a) to
+    exp(mu e^{-z^* t} a^dag) exp(nu e^{-z t} a), as L0^dag(a) = -z a. The
+    trace is read in the lab frame as Tr[r'_ij X_ij] with
+    X_ij = D(b_j)^dag D(b_i) = exp(i Im(b_i b_j^*)) D(delta), delta = b_i - b_j;
+    all b share the phase of -i / (2 z), so the phase factor is exactly 1.
+    With D(delta) = exp(-|delta|^2/2) exp(delta a^dag) exp(-delta^* a) and
+    Tr[E(phi_i phi_j^dag) X] = phi_j^dag E^dag(X) phi_i,
 
-        r'_ij(t) = exp(s t) sum_k (G_k phi_i)(G_k phi_j)^dag,
-        phi_i = exp(x a) psi_i,  phi_j = exp(-x a) psi_j.
+        Tr r_ij(t) = exp(s t - |delta|^2/2) <exp(p a) psi_j, exp(-p a) psi_i>,
+        p = delta^* e^{-z t} - x.
 
-    Returns (left, right, scale): the columns G_k phi_i and G_k phi_j as
-    (10, S, k, n_ph) arrays, and exp(s t) over _UPPER.
+    Each step is exact on the kept levels: the starts live there, E and the
+    lowering exponentials keep them there, and a product of raising and
+    lowering exponentials has the kept elements of its truncated factors
+    (_lowering_exp). No block, displacement or Kraus operator is built.
     """
     n_ph = psi.shape[-1]
-    kappa, delta = params.kappa_per_ns, params.delta_rad_ns
-    z = complex(kappa, delta)
-    _, c_a, s = _frame_terms(params)
-    x = c_a * ((1.0 - cmath.exp(-z * t)) / z)
-    upper_i, upper_j = np.array(_UPPER).T
-    phi_i = np.einsum("umn,usn->usm", _lowering_exp(n_ph, x), psi[upper_i])
-    phi_j = np.einsum("umn,usn->usm", _lowering_exp(n_ph, -x), psi[upper_j])
-    # (G_k phi)_q = w[k, q] phi_{q+k}, zero where q + k leaves the space
-    level = np.arange(n_ph)
-    source = level[:, None] + level
-    kept = source < n_ph
-    source = np.minimum(source, n_ph - 1)
-    log_fact = np.cumsum(np.log(np.maximum(level, 1)))
-    binom = np.exp(log_fact[source] - log_fact[:, None] - log_fact)  # C(q+k, k)
-    eta, lost = math.exp(-2.0 * kappa * t), -math.expm1(-2.0 * kappa * t)
-    w = np.where(kept, np.exp(-1j * delta * t * level)
-                 * np.sqrt(binom * eta**level * lost ** level[:, None]), 0.0)
-    return w * phi_i[..., source], w * phi_j[..., source], np.exp(s * t)
+    z = complex(params.kappa_per_ns, params.delta_rad_ns)
+    beta, c_a, s = frame
+    decay = cmath.exp(-z * t)
+    delta = beta[_UPPER_I] - beta[_UPPER_J]
+    p = delta.conj() * decay - c_a * ((1.0 - decay) / z)
+    left = np.einsum("umn,usn->usm", _lowering_exp(n_ph, -p), psi[_UPPER_I])
+    right = np.einsum("umn,usn->usm", _lowering_exp(n_ph, p), psi[_UPPER_J])
+    return (np.exp(s * t - 0.5 * np.abs(delta) ** 2)[:, None]
+            * np.einsum("usm,usm->us", right.conj(), left)).T
 
 
 def _expm(m: np.ndarray) -> np.ndarray:
@@ -693,11 +699,12 @@ def extract_channel(
     |beta_i| + |alpha - beta_i|, and no level feeds the one above it. With
     n_ph None the space is sized from max_i |alpha - beta_i| (_reach,
     displaced): 6 levels from vacuum at a default point, where the lab frame
-    needs 8. The ten blocks on and above the diagonal go over the whole gate
-    in one exact step (_carry: exp(x a) on the start kets, then the Kraus
-    operators of a damped, rotating oscillator), with no time grid and no
-    expm, and C_ij is read back as Tr[r'_ij D(beta_j)^dag D(beta_i)], with
-    the displacement's exact matrix elements on the kept levels.
+    needs 8. C_ij = Tr[r'_ij D(beta_j)^dag D(beta_i)] of the ten blocks on
+    and above the diagonal is read over the whole gate in one exact step
+    (_readout: the factorized generator carries the start kets through
+    exp(x a) and a damped, rotating oscillator, and the oscillator's adjoint
+    moves onto the readout displacement), with no time grid, no expm and no
+    block built, exact on the kept levels.
 
     The guard-level population, in the displaced frame, is the maximum over
     all four diagonal blocks and the whole gate. A diagonal block sees only
@@ -723,25 +730,17 @@ def _coherences(
     if n_ph is None:
         n_ph = choose_n_ph(max(_reach(params, alpha, displaced=True) for alpha in alphas))
     t_g = params.t_g_ns
-    psi = _branch_kets(params, alphas, n_ph)
+    frame = _frame_terms(params)
+    psi = _branch_kets(frame[0], alphas, n_ph)
     diag = _run_health(float((np.abs(psi[..., -1]) ** 2).max()), 1, t_g, n_ph,
                        top_level_threshold)
-    left, right, scale = _carry(params, psi, t_g)
+    traces = _readout(params, frame, psi, t_g)
 
-    # Tr r_ij = Tr[r'_ij X_ij], X_ij = D(b_j)^dag D(b_i)
-    # = exp(i Im(b_i b_j^*)) D(b_i - b_j) on the kept levels
-    beta, _, _ = _frame_terms(params)
-    upper_i, upper_j = np.array(_UPPER).T
-    b_i, b_j = beta[upper_i], beta[upper_j]
-    frame = (np.exp(1j * (b_i * b_j.conj()).imag)[:, None, None]
-             * _displacement(n_ph, b_i - b_j))
-    traces = scale * np.einsum("uskp,upq,uskq->su", right.conj(), frame, left)
-
-    rates = _dephasing_rates(gamma_1, gamma_2)[upper_i, upper_j]
+    rates = _dephasing_rates(gamma_1, gamma_2)[_UPPER_I, _UPPER_J]
     coh = np.zeros((len(traces), 4, 4), dtype=complex)
-    coh[:, upper_i, upper_j] = np.exp(-rates * t_g) * traces
-    coh[:, upper_j, upper_i] = np.conj(coh[:, upper_i, upper_j])
-    coh[:, range(4), range(4)] = traces[:, upper_i == upper_j].real
+    coh[:, _UPPER_I, _UPPER_J] = np.exp(-rates * t_g) * traces
+    coh[:, _UPPER_J, _UPPER_I] = np.conj(coh[:, _UPPER_I, _UPPER_J])
+    coh[:, range(4), range(4)] = traces[:, _UPPER_I == _UPPER_J].real
     return coh, diag
 
 
@@ -839,10 +838,9 @@ def trajectory_rows(
     lam = _branch_amplitudes(params)
     steps, dt = policy.resolve(params.t_g_ns)
 
-    upper_i, upper_j = np.array(_UPPER).T
-    on_diag = upper_i == upper_j
-    weight = np.abs(q[upper_i, upper_j]) ** 2 * np.where(on_diag, 1.0, 2.0)
-    rate = _dephasing_rates(gamma_1, gamma_2)[upper_i, upper_j]
+    on_diag = _UPPER_I == _UPPER_J
+    weight = np.abs(q[_UPPER_I, _UPPER_J]) ** 2 * np.where(on_diag, 1.0, 2.0)
+    rate = _dephasing_rates(gamma_1, gamma_2)[_UPPER_I, _UPPER_J]
     photons = np.arange(n_ph)
 
     tracks = _BlockTracks(params, [alpha], n_ph, dt)
@@ -878,18 +876,20 @@ def thermal_average_channel(
     """Monte-Carlo thermal-state channel with per-sample local-Z compensation.
 
     Draws coherent amplitudes from the complex Gaussian of variance n_bar
-    (the P-representation of a thermal state), extracts the channel for
-    each, strips the deterministic drive-induced single-qubit Z phases by
-    fitting two trailing Z angles per sample, and averages the compensated
-    coherence matrices. Deterministic for a given seed. n_bar = 0 short-circuits
-    to the plain vacuum extraction (bit-identical with it).
+    (the P-representation of a thermal state) and reads the coherence
+    matrix of every sample in one closed-form pass. One batched local-Z fit
+    then strips each sample's deterministic drive-induced single-qubit Z
+    phases by two trailing Z angles of its own (the fit of fit_local_z, run
+    on the whole stack at once), and the compensated coherence matrices are
+    averaged. Deterministic for a given seed. n_bar = 0 short-circuits to
+    the plain vacuum extraction (bit-identical with it).
 
     Every sample is carried in the branches' displaced frame (see
     extract_channel). All samples share one Fock space, n_ph or else the
     size the largest displaced reach among them needs,
-    max_i |alpha_s - beta_i| (_reach), and one closed-form pass: each sample
-    is only one more start of the same _carry call. The diagnostics report
-    that size and the worst displaced-frame guard population of any sample.
+    max_i |alpha_s - beta_i| (_reach): each sample is only one more start of
+    the same _readout call. The diagnostics report that size and the worst
+    displaced-frame guard population of any sample.
     """
     if n_bar < 0:
         raise DomainError(f"n_bar must be non-negative, got {n_bar}")
@@ -906,8 +906,5 @@ def thermal_average_channel(
     alphas = [complex(re_b, im_b) for re_b, im_b in rng.normal(0.0, sigma, (sample_count, 2))]
     cohs, diag = _coherences(params, gamma_1, gamma_2, alphas, n_ph, top_level_threshold)
 
-    target = gate_target(params)
-    acc = np.zeros((4, 4), dtype=complex)
-    for coh in cohs:
-        acc += fit_local_z(TwoQubitChannel(coh), target, validate=False).channel.coherence
-    return TwoQubitChannel(acc / sample_count), diag
+    _, fixed, _ = _fit_stack(cohs, _target_weights(gate_target(params)))
+    return TwoQubitChannel(fixed.mean(axis=0)), diag

@@ -29,6 +29,7 @@ from conftest import (
     entanglement_fidelity_product_basis,
     make_params,
 )
+from local_z_reference import reference_fit
 
 
 def _ideal_channel(phi=math.pi / 4.0) -> TwoQubitChannel:
@@ -196,6 +197,39 @@ def test_fit_local_z_not_below_brute_force_grid():
         assert grid[i, j] == pytest.approx(direct, abs=1e-13)
         fit = fit_local_z(chan, target)
         assert fit.report.f_avg >= grid.max() - 1e-12
+
+
+@given(
+    rank=st.integers(min_value=1, max_value=4),
+    sideband=st.sampled_from([1, -1]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_fit_local_z_matches_the_four_probe_reference(rank, sideband, seed):
+    # the coefficient-form fit against the four-probe coordinate ascent it
+    # replaced (tests/local_z_reference.py), on random CPTP channels of
+    # every rank against both sidebands' targets: the same F_avg, and never
+    # below the brute-force grid maximum
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    chan = TwoQubitChannel(v @ v.conj().T)
+    target = ideal_gate_unitary(sideband * math.pi / 4.0)
+    fit = fit_local_z(chan, target)
+    _, _, f_ref = reference_fit(chan.coherence, target)
+    assert fit.report.f_avg == pytest.approx(f_ref, abs=1e-13)
+    grid = _local_z_fidelity_grid(chan, target, np.linspace(-math.pi, math.pi, 181))
+    assert fit.report.f_avg >= grid.max() - 1e-12
+    # the report is the fidelity of the compensated channel it returns
+    assert average_gate_fidelity(fit.channel, target).f_avg == pytest.approx(
+        fit.report.f_avg, abs=1e-14)
+    # only C's Hermitian part enters F_avg: an unvalidated C with an added
+    # anti-Hermitian part fits as the reference fits it
+    h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    skewed = chan.coherence + 0.1j * (h + h.conj().T)
+    _, _, f_skew = reference_fit(skewed, target)
+    assert fit_local_z(TwoQubitChannel(skewed), target, validate=False).report.f_avg \
+        == pytest.approx(f_skew, abs=1e-13)
 
 
 def test_analytic_channel_fidelity_invariant_under_sideband():

@@ -275,13 +275,6 @@ def _displaced_start(n_ph, alpha, b_i, b_j):
     return np.outer(psi_i, psi_j.conj())
 
 
-def _closed_form_blocks(p, alphas, n_ph, t):
-    """The (10, S, n_ph, n_ph) displaced blocks of _UPPER at time t, whole,
-    as the closed form carries them: exp(s t) sum_k (G_k phi_i)(G_k phi_j)^dag."""
-    left, right, scale = lindblad._carry(p, lindblad._branch_kets(p, alphas, n_ph), t)
-    return scale[:, None, None, None] * np.einsum("uskp,uskq->uspq", left, right.conj())
-
-
 def _dense_coherence(p, gamma_1, gamma_2, n_ph, alpha, shift=0j):
     """4x4 coherence matrix with each block on or above the diagonal
     propagated by its own dense expm(L(lam_i, lam_j) t_g) from its own start
@@ -533,13 +526,15 @@ def test_real_stepping_matches_complex_stepping(g2_over_g1, real_orbits, orbits,
 
 def test_displaced_starts_are_the_displaced_cavity():
     # at a size where truncation cannot show, each block the closed form
-    # carries from t = 0 is D(beta_i)^dag |alpha><alpha| D(beta_j) with both
-    # displacements dense: the starts' phases, for every block
+    # starts from, psi_i psi_j^dag of the branch kets, is
+    # D(beta_i)^dag |alpha><alpha| D(beta_j) with both displacements dense:
+    # the starts' phases, for every block
     p = make_params(0.7, 5e-3, n=2, g2_over_g1=1.5)
     n_ph, big = 14, 50
     lam, shift = _branch_lams(p), lindblad._steady_shift(p)
     alphas = [0.5 - 0.4j, 0j]
-    blocks = _closed_form_blocks(p, alphas, n_ph, 0.0).swapaxes(0, 1)
+    psi = lindblad._branch_kets(lindblad._frame_terms(p)[0], alphas, n_ph)
+    blocks = np.einsum("usp,usq->supq", psi[lindblad._UPPER_I], psi[lindblad._UPPER_J].conj())
     for s, alpha in enumerate(alphas):
         cav = np.outer(_ket(big, alpha), _ket(big, alpha).conj())
         for k, (i, j) in enumerate(lindblad._UPPER):
@@ -549,13 +544,19 @@ def test_displaced_starts_are_the_displaced_cavity():
 
 
 def test_displacement_has_the_exact_kept_elements():
-    # _displacement's elements on the kept levels against expm in a much
-    # larger space; expm of the truncated generator misses them
+    # the closed form's readout D(delta) = exp(-|delta|^2/2) exp(delta a^dag)
+    # exp(-delta^* a), from the truncated lowering exponentials of
+    # _lowering_exp, has the displacement's elements on the kept levels:
+    # against expm in a much larger space; expm of the truncated generator
+    # misses them
     from scipy.linalg import expm
 
     n_ph = 8
-    deltas = [0.0, 0.3 - 0.2j, -0.9j, 1.4]
-    exact = lindblad._displacement(n_ph, deltas)
+    deltas = np.array([0.0, 0.3 - 0.2j, -0.9j, 1.4])
+    raising = lindblad._lowering_exp(n_ph, deltas).swapaxes(-1, -2)
+    lowering = lindblad._lowering_exp(n_ph, -deltas.conj())
+    exact = np.exp(-0.5 * np.abs(deltas) ** 2)[:, None, None] * np.einsum(
+        "dmk,dkn->dmn", raising, lowering)
     a = FockSpace(n_ph).annihilation()
     for got, delta in zip(exact, deltas):
         assert np.abs(got - _dense_displacement(n_ph, delta)).max() < 1e-14
@@ -726,22 +727,28 @@ def test_displaced_guard_population_never_rises(g2_over_g1, delta_sign, kappa):
     alpha=st.one_of(st.just(0j), st.complex_numbers(max_magnitude=0.8)),
 )
 @settings(max_examples=20, deadline=None)
-def test_closed_form_blocks_match_dense_expm(g2_over_g1, delta_sign, kappa, n_ph, alpha):
-    # every displaced block the closed form carries, whole, against the
-    # dense expm of the operator-form generator at the steady shift applied
-    # to that block's own displaced start, after one grid step and over the
-    # whole gate
+def test_closed_form_readout_matches_dense_expm(g2_over_g1, delta_sign, kappa, n_ph, alpha):
+    # every block's closed-form trace Tr[r'_ij(t) D(b_j)^dag D(b_i)] against
+    # the dense expm of the operator-form generator at the steady shift
+    # applied to that block's own displaced start, read back through dense
+    # displacements, after one grid step and over the whole gate
     from scipy.linalg import expm
 
     p = make_params(0.7, kappa, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
     _, dt = StepPolicy().resolve(p.t_g_ns)
     lam, shift = _branch_lams(p), lindblad._steady_shift(p)
+    frame = lindblad._frame_terms(p)
+    psi = lindblad._branch_kets(frame[0], [alpha], n_ph)
     for t in (dt, p.t_g_ns):
-        blocks = _closed_form_blocks(p, [alpha], n_ph, t)[:, 0]
+        (traces,) = lindblad._readout(p, frame, psi, t)
         for u, (i, j) in enumerate(lindblad._UPPER):
-            start = _displaced_start(n_ph, alpha, shift * lam[i], shift * lam[j]).reshape(-1)
-            ref = expm(_dense_block_generator(p, n_ph, lam[i], lam[j], shift) * t) @ start
-            assert np.abs(blocks[u] - ref.reshape(n_ph, n_ph)).max() < 1e-12, (t, i, j)
+            b_i, b_j = shift * lam[i], shift * lam[j]
+            start = _displaced_start(n_ph, alpha, b_i, b_j).reshape(-1)
+            block = expm(_dense_block_generator(p, n_ph, lam[i], lam[j], shift) * t) @ start
+            readout = (_dense_displacement(n_ph + 40, -b_j)
+                       @ _dense_displacement(n_ph + 40, b_i))[:n_ph, :n_ph]
+            ref = np.trace(block.reshape(n_ph, n_ph) @ readout)
+            assert abs(traces[u] - ref) < 1e-12, (t, i, j)
 
 
 @pytest.mark.parametrize("stride", [3, 8, 20, 203])
@@ -913,6 +920,36 @@ def test_polaron_residual_small_on_schedule():
     assert res < 1e-5
 
 
+@pytest.mark.parametrize("samples", [1, 2, 64])
+def test_thermal_average_is_the_mean_of_per_sample_fits(samples):
+    # the batched local-Z fit of thermal_average_channel gives each sample
+    # the compensation fit_local_z gives it alone: the average equals the
+    # mean of the per-sample fits of the same seeded draws' channels
+    p = make_params(0.7, 5e-3, n=2, delta_sign=-1)
+    sigma = math.sqrt(0.3 / 2.0)
+    draws = np.random.default_rng(41).normal(0.0, sigma, (samples, 2))
+    cohs, _ = lindblad._coherences(p, 1e6, 2e6, [complex(*z) for z in draws], None,
+                                   lindblad.DEFAULT_TOP_LEVEL_THRESHOLD)
+    target = resgate.gate_target(p)
+    fits = [resgate.fit_local_z(resgate.TwoQubitChannel(c), target, validate=False)
+            for c in cohs]
+    chan, _ = thermal_average_channel(p, 0.3, samples, 41, gamma_1=1e6, gamma_2=2e6)
+    mean = np.mean([fit.channel.coherence for fit in fits], axis=0)
+    assert np.abs(chan.coherence - mean).max() <= 1e-15
+    # the samples' compensated channels differ far beyond that bound
+    assert samples == 1 or np.abs(fits[0].channel.coherence - mean).max() > 1e-12
+
+
+def test_per_size_tables_are_read_only():
+    # the cached tables of one Fock size are shared by every later call at
+    # that size, so none of them can be written through
+    tables = lindblad._lowering_tables(7)
+    assert all(a is b for a, b in zip(tables, lindblad._lowering_tables(7)))
+    for table in tables + (lindblad._UPPER_I, lindblad._UPPER_J):
+        with pytest.raises(ValueError):
+            table[0] = 1
+
+
 def test_thermal_channel_deterministic_and_continuous():
     p = make_params(0.7, 1e-3, n=2)
     a = thermal_average_channel(p, 0.05, 3, 11, n_ph=6)[0].superop
@@ -932,13 +969,13 @@ def test_thermal_diagnostics_report_the_largest_fock_size(monkeypatch):
     # closed-form pass; the diagnostics report that size
     p = make_params(0.7, 1e-3, n=2)
     stacks = []
-    real_carry = lindblad._carry
+    real_readout = lindblad._readout
 
-    def recording(params, psi, t):
+    def recording(params, frame, psi, t):
         stacks.append(psi.shape[1:])
-        return real_carry(params, psi, t)
+        return real_readout(params, frame, psi, t)
 
-    monkeypatch.setattr(lindblad, "_carry", recording)
+    monkeypatch.setattr(lindblad, "_readout", recording)
     _, diag = thermal_average_channel(p, 0.2, 2, 2)
     draws = np.random.default_rng(2).normal(0.0, math.sqrt(0.1), (2, 2))
     sizes = [choose_n_ph(lindblad._reach(p, complex(*z), displaced=True)) for z in draws]
