@@ -17,23 +17,16 @@ Layers, roughly bottom-up:
 - lindblad: the numeric master-equation oracle on qubits x Fock space.
 - config / sweep / cli: run configuration, device-grid sweeps, and the
   `resgate` command-line tool.
+
+Importing the package loads only the numpy-free layers (constants, errors,
+device, noise, config). The names of channel, fidelity, lindblad and sweep
+resolve on first use through a PEP 562 module __getattr__, which reads the
+defining module's attribute on every lookup (nothing is cached here, so a
+patched module attribute is what resgate.<name> returns).
 """
 
-from .channel import (
-    TwoQubitChannel,
-    accumulated_entangling_phase,
-    alpha_closed_form,
-    analytic_avg_fidelity,
-    analytic_gate_channel,
-    b_factor,
-    b_factor_simplified,
-    correlated_dephasing_channel,
-    drive_frame_displacement,
-    gate_target,
-    ideal_gate_unitary,
-    intrinsic_dephasing_channel,
-    textbook_cphase_decomposition,
-)
+import importlib
+
 from .config import RunConfig, config_from_dict, load_config
 from .constants import (
     E_CHARGE_C,
@@ -42,10 +35,12 @@ from .constants import (
     HBAR_J_S,
 )
 from .device import (
+    CavityPrep,
     CouplingStrengths,
     DerivedGateParams,
     QubitTuning,
     ResonatorSpec,
+    StepPolicy,
     cavity_decay,
     coupling_strengths,
     derive_gate_params,
@@ -54,24 +49,6 @@ from .device import (
     photon_voltage,
 )
 from .errors import ConfigError, DomainError, NonPhysicalChannelError
-from .fidelity import (
-    FidelityReport,
-    LocalZFit,
-    average_gate_fidelity,
-    entanglement_fidelity,
-    fit_local_z,
-)
-from .lindblad import (
-    CavityPrep,
-    choose_n_ph,
-    FockSpace,
-    SimDiagnostics,
-    StepPolicy,
-    extract_channel,
-    polaron_residual,
-    thermal_average_channel,
-    trajectory_rows,
-)
 from .noise import (
     DephasingModel,
     NoiseSpec,
@@ -82,16 +59,80 @@ from .noise import (
     infidelity_power_law,
     optimal_drive,
 )
-from .sweep import (
-    CSV_COLUMNS,
-    OperatingPoint,
-    SweepResult,
-    SweepRow,
-    emit_results,
-    evaluate_point,
-    load_results,
-    resolve_operating_point,
-    run_sweep,
+
+# Names of the numpy-backed layers, by the submodule that defines them.
+_LAZY = {
+    "channel": (
+        "TwoQubitChannel",
+        "accumulated_entangling_phase",
+        "alpha_closed_form",
+        "analytic_avg_fidelity",
+        "analytic_gate_channel",
+        "b_factor",
+        "b_factor_simplified",
+        "correlated_dephasing_channel",
+        "drive_frame_displacement",
+        "gate_target",
+        "ideal_gate_unitary",
+        "intrinsic_dephasing_channel",
+        "textbook_cphase_decomposition",
+    ),
+    "fidelity": (
+        "FidelityReport",
+        "LocalZFit",
+        "average_gate_fidelity",
+        "entanglement_fidelity",
+        "fit_local_z",
+    ),
+    "lindblad": (
+        "FockSpace",
+        "SimDiagnostics",
+        "choose_n_ph",
+        "extract_channel",
+        "polaron_residual",
+        "thermal_average_channel",
+        "trajectory_rows",
+    ),
+    "sweep": (
+        "CSV_COLUMNS",
+        "OperatingPoint",
+        "SweepResult",
+        "SweepRow",
+        "emit_results",
+        "evaluate_point",
+        "load_results",
+        "resolve_operating_point",
+        "run_sweep",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
+
+__all__ = sorted(
+    [
+        "RunConfig", "config_from_dict", "load_config",
+        "E_CHARGE_C", "H_EV_S", "H_J_S", "HBAR_J_S",
+        "CavityPrep", "CouplingStrengths", "DerivedGateParams", "QubitTuning",
+        "ResonatorSpec", "StepPolicy", "cavity_decay", "coupling_strengths",
+        "derive_gate_params", "exchange_and_derivatives", "gate_schedule",
+        "photon_voltage",
+        "ConfigError", "DomainError", "NonPhysicalChannelError",
+        "DephasingModel", "NoiseSpec", "OptimalDrive", "dephasing_rate", "hahn_eta",
+        "infidelity_first_order", "infidelity_power_law", "optimal_drive",
+        *_MODULE_OF,
+    ]
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is not None:
+        return getattr(importlib.import_module(f".{module}", __name__), name)
+    if name in _LAZY:  # the submodule itself, e.g. resgate.sweep
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | set(_LAZY))

@@ -14,6 +14,9 @@ omitted) and emit the same row schema as CSV or JSON (--out/--format; stdout
 when --out is missing). Exit codes: 0 success, 2 configuration error,
 3 at least one row carries a failed numerical diagnostic (the failing
 rows and their reasons go to stderr).
+
+The numeric layers (sweep, lindblad and numpy under them) load only once the
+config is valid, so --help, usage errors and config errors start fast.
 """
 
 from __future__ import annotations
@@ -23,15 +26,6 @@ import sys
 
 from .config import config_from_dict, read_config_file
 from .errors import ConfigError, DomainError
-from .lindblad import trajectory_rows
-from .sweep import (
-    SweepResult,
-    _one_blas_thread,
-    emit_results,
-    evaluate_point,
-    resolve_operating_point,
-    run_sweep,
-)
 
 TRAJECTORY_COLUMNS = (
     "t_ns", "trace", "purity", "mean_photon", "top_level_pop", "polaron_residual"
@@ -68,6 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_trajectory(cfg, path: str) -> None:
+    from .lindblad import trajectory_rows
+    from .sweep import resolve_operating_point
+
     op = resolve_operating_point(cfg)
     rows = trajectory_rows(
         op.params, op.gamma_phi, op.gamma_phi, cfg.initial_cavity,
@@ -87,7 +84,6 @@ def _write_trajectory(cfg, path: str) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _one_blas_thread()  # small matrices: extra BLAS threads cost more than they save
     try:
         raw = read_config_file(args.config) if args.config else {}
         raw["mode"] = args.command
@@ -110,14 +106,17 @@ def main(argv=None) -> int:
             raw.setdefault("refine", False)
         cfg = config_from_dict(raw, source=args.config or "<cli>")
 
+        from . import sweep
+
+        sweep._one_blas_thread()  # small matrices: extra BLAS threads cost more than they save
         if cfg.mode == "sweep":
-            result = run_sweep(cfg)
+            result = sweep.run_sweep(cfg)
         else:
-            result = SweepResult(rows=(evaluate_point(cfg),), config=cfg)
+            result = sweep.SweepResult(rows=(sweep.evaluate_point(cfg),), config=cfg)
         if cfg.mode == "simulate" and cfg.trajectory_out:
             _write_trajectory(cfg, cfg.trajectory_out)
 
-        text = emit_results(result, cfg.out, cfg.format)
+        text = sweep.emit_results(result, cfg.out, cfg.format)
         if cfg.out is None:
             sys.stdout.write(text)
         else:

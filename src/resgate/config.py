@@ -16,6 +16,9 @@ Two keys take structured values:
 * axes: {parameter: [v1, v2, ...]} or {parameter: {"start": a, "stop": b,
   "num": k, "spacing": "linear"|"log"}}; parameters must be sweepable
   scalars (see SWEEPABLE_KEYS).
+
+The module loads no numpy (a range object imports it to lay out its
+points), so building a config is cheap in a fresh process.
 """
 
 from __future__ import annotations
@@ -26,11 +29,15 @@ from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Any
 
-import numpy as np
-
-from .device import EXCHANGE_SOFT_MAX_GHZ, EXCHANGE_SOFT_MIN_GHZ, QubitTuning
+from .device import (
+    DEFAULT_TOP_LEVEL_THRESHOLD,
+    EXCHANGE_SOFT_MAX_GHZ,
+    EXCHANGE_SOFT_MIN_GHZ,
+    CavityPrep,
+    QubitTuning,
+    StepPolicy,
+)
 from .errors import ConfigError
-from .lindblad import DEFAULT_TOP_LEVEL_THRESHOLD, CavityPrep, StepPolicy
 from .noise import NoiseSpec
 
 MODES = ("analytic", "simulate", "sweep", "optimize")
@@ -130,6 +137,8 @@ def _parse_axis(name, value) -> tuple:
         stop = _require_number(value["stop"], f"{path}.stop")
         num = _require_number(value["num"], f"{path}.num", integer=True, positive=True)
         spacing = value.get("spacing", "linear")
+        import numpy as np  # only here: config otherwise loads without numpy
+
         if spacing == "linear":
             pts = np.linspace(start, stop, num)
         elif spacing == "log":

@@ -11,6 +11,10 @@ splitting follows the empirical exponential model J(eps) = J0 * exp(eps/eps_a);
 all of its derivatives are then J/eps_a^k, which is what makes the
 second-order (longitudinal) coupling dominate when the qubit is parked at a
 symmetric point and driven along eps.
+
+The settings of a numeric run that a config names (the initial cavity state
+CavityPrep, the trajectory grid StepPolicy and the guard-level threshold)
+live here too, so that config and the CLI can build them without numpy.
 """
 
 from __future__ import annotations
@@ -244,3 +248,55 @@ def derive_gate_params(
         Delta=delta_sign * delta,
         t_g=t_g,
     )
+
+
+# Guard-level population above which a numeric run is flagged as failed.
+DEFAULT_TOP_LEVEL_THRESHOLD = 1e-4
+
+
+@dataclass(frozen=True)
+class StepPolicy:
+    """Fixed-step rule of the lab-frame paths (the trajectory dump and the
+    polaron check): dt_ns unless that lands outside [min_steps, max_steps]."""
+
+    dt_ns: float = 0.020
+    min_steps: int = 200
+    max_steps: int = 10000
+
+    def resolve(self, t_total_ns: float) -> tuple[int, float]:
+        """(step count, actual dt) for a run of t_total_ns."""
+        if t_total_ns <= 0:
+            raise DomainError(f"total time must be positive, got {t_total_ns}")
+        steps = int(round(t_total_ns / self.dt_ns))
+        steps = min(max(steps, self.min_steps), self.max_steps)
+        return steps, t_total_ns / steps
+
+
+@dataclass(frozen=True)
+class CavityPrep:
+    """Initial cavity state: vacuum, coherent(alpha), or thermal(n_bar, samples)."""
+
+    kind: str = "vacuum"
+    alpha: complex = 0j
+    n_bar: float = 0.0
+    samples: int = 64
+
+    def __post_init__(self):
+        if self.kind not in ("vacuum", "coherent", "thermal"):
+            raise DomainError(f"unknown cavity preparation {self.kind!r}")
+        if self.n_bar < 0:
+            raise DomainError(f"n_bar must be non-negative, got {self.n_bar}")
+        if self.samples < 1:
+            raise DomainError(f"samples must be >= 1, got {self.samples}")
+
+    @classmethod
+    def vacuum(cls) -> "CavityPrep":
+        return cls()
+
+    @classmethod
+    def coherent(cls, alpha: complex) -> "CavityPrep":
+        return cls(kind="coherent", alpha=complex(alpha))
+
+    @classmethod  # samples defaults to the field's default above
+    def thermal(cls, n_bar: float, samples: int = samples) -> "CavityPrep":
+        return cls(kind="thermal", n_bar=n_bar, samples=samples)

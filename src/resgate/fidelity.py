@@ -120,7 +120,11 @@ _GRID_BASIS = _grid_basis()
 
 @dataclass(frozen=True)
 class LocalZFit:
-    """Result of the trailing local-Z compensation fit."""
+    """Result of the trailing local-Z compensation fit.
+
+    theta_1 and theta_2 are radians in (-pi, pi], good to ~1e-7 where the
+    optimum is well curved (see fit_local_z).
+    """
 
     report: FidelityReport
     theta_1: float
@@ -204,6 +208,12 @@ def fit_local_z(
     channel. A 25 x 25 grid over [-pi, pi)^2 read off them seeds exact
     coordinate ascent, t1 = arg sum_d2 A[+1, d2] exp(-i d2 t2) and likewise
     for t2, which runs until a round gains less than 1e-14 (_fit_stack).
+
+    The stop is on F_avg, whose gain near the optimum is quadratic in the
+    angle error: where the optimum is well curved F_avg is exact to
+    rounding, but theta_1 and theta_2 are good to ~1e-7 only. Along a flat,
+    slanted ridge the ascent crawls and can stop early: on 1 of 400 random
+    rank-4 CPTP channels it stopped 4.9e-8 short in F_avg, 4e-3 off in angle.
     """
     weights = _target_weights(target)
     if validate:

@@ -74,12 +74,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .channel import TwoQubitChannel, drive_frame_displacement, gate_target
-from .device import DerivedGateParams
+from .device import DEFAULT_TOP_LEVEL_THRESHOLD, CavityPrep, DerivedGateParams, StepPolicy
 from .errors import DomainError
 from .fidelity import _fit_stack, _target_weights
 
 DEFAULT_N_PH = 6  # levels 0..5: one guard level above the 4-photon working range
-DEFAULT_TOP_LEVEL_THRESHOLD = 1e-4
 _GUARD_TAIL = 1e-5  # choose_n_ph's bound on the guard-level population
 # Z1, Z2 eigenvalues of the qubit basis states |00>, |01>, |10>, |11>.
 _BRANCHES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -154,24 +153,6 @@ def _lowering_exp(n_ph: int, xs) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class StepPolicy:
-    """Fixed-step rule of the lab-frame paths (the trajectory dump and the
-    polaron check): dt_ns unless that lands outside [min_steps, max_steps]."""
-
-    dt_ns: float = 0.020
-    min_steps: int = 200
-    max_steps: int = 10000
-
-    def resolve(self, t_total_ns: float) -> tuple[int, float]:
-        """(step count, actual dt) for a run of t_total_ns."""
-        if t_total_ns <= 0:
-            raise DomainError(f"total time must be positive, got {t_total_ns}")
-        steps = int(round(t_total_ns / self.dt_ns))
-        steps = min(max(steps, self.min_steps), self.max_steps)
-        return steps, t_total_ns / steps
-
-
-@dataclass(frozen=True)
 class SimDiagnostics:
     """Run health: guard-level population, grid, Fock size, and failure flags.
 
@@ -209,36 +190,6 @@ def _run_health(
         failed=bool(reasons),
         failure_reasons=tuple(reasons),
     )
-
-
-@dataclass(frozen=True)
-class CavityPrep:
-    """Initial cavity state: vacuum, coherent(alpha), or thermal(n_bar, samples)."""
-
-    kind: str = "vacuum"
-    alpha: complex = 0j
-    n_bar: float = 0.0
-    samples: int = 64
-
-    def __post_init__(self):
-        if self.kind not in ("vacuum", "coherent", "thermal"):
-            raise DomainError(f"unknown cavity preparation {self.kind!r}")
-        if self.n_bar < 0:
-            raise DomainError(f"n_bar must be non-negative, got {self.n_bar}")
-        if self.samples < 1:
-            raise DomainError(f"samples must be >= 1, got {self.samples}")
-
-    @classmethod
-    def vacuum(cls) -> "CavityPrep":
-        return cls()
-
-    @classmethod
-    def coherent(cls, alpha: complex) -> "CavityPrep":
-        return cls(kind="coherent", alpha=complex(alpha))
-
-    @classmethod  # samples defaults to the field's default above
-    def thermal(cls, n_bar: float, samples: int = samples) -> "CavityPrep":
-        return cls(kind="thermal", n_bar=n_bar, samples=samples)
 
 
 def choose_n_ph(max_amplitude: float) -> int:

@@ -28,7 +28,7 @@ from resgate import (
     sweep,
     thermal_average_channel,
 )
-from resgate import cli, lindblad
+from resgate import lindblad
 from resgate.cli import TRAJECTORY_COLUMNS, main
 from resgate.config import RunConfig, config_from_dict, load_config
 from resgate.constants import TWO_PI, h_ghz_to_energy_J, uev_to_J
@@ -103,6 +103,78 @@ def test_axis_forms():
     [(name, values)] = config_from_dict({"axes": {"n": [1, 3.0]}}, source="test").axes
     assert (name, values) == ("n", (1, 3))
     assert all(type(v) is int for v in values)
+
+
+@pytest.mark.parametrize("spacing, expected", [
+    ("linear", np.linspace(2e3, 7.5e4, 7)),
+    ("log", np.logspace(math.log10(2e3), math.log10(7.5e4), 7)),
+])
+def test_range_axis_lays_out_numpys_points_exactly(spacing, expected):
+    # the range object is the one config path that imports numpy: its points
+    # are numpy's own, bit for bit, not a reimplementation
+    [(_, values)] = config_from_dict(
+        {"axes": {"z_r_ohm": {"start": 2e3, "stop": 7.5e4, "num": 7, "spacing": spacing}}},
+        source="test").axes
+    assert values == tuple(expected.tolist())
+    assert all(type(v) is float for v in values)
+
+
+# Configs of the benchmark's three workloads (list axes, a numeric vacuum
+# start at n_ph 7, a thermal and a coherent start): building each one must
+# leave numpy unloaded.
+_NUMPY_FREE_SETUP = """
+import json, sys
+import resgate, resgate.cli
+for raw in json.loads(sys.argv[1]):
+    resgate.config_from_dict(raw, source="probe")
+print(json.dumps(sorted(m for m in ("numpy", "scipy") if m in sys.modules)))
+"""
+_NUMPY_FREE_CONFIGS = [
+    {"mode": "sweep", "axes": {"z_r_ohm": [50.0, 700.0, 5e4], "q_factor": [1e3, 2e5],
+                               "n": [1, 2, 3]}},
+    {"mode": "sweep", "numeric": True, "n": 2, "n_ph": 7, "initial_cavity": "vacuum",
+     "axes": {"z_r_ohm": [1.7e3, 1.7e4], "q_factor": [1.8e3, 1.15e4]}},
+    {"mode": "simulate", "numeric": True, "z_r_ohm": 8e3, "q_factor": 3e3, "seed": 7,
+     "initial_cavity": {"kind": "thermal", "n_bar": 0.3, "samples": 2}},
+    {"mode": "simulate", "numeric": True, "z_r_ohm": 8e3, "q_factor": 3e3,
+     "initial_cavity": {"kind": "coherent", "alpha": [0.6, -0.7]}},
+]
+# python -m resgate with the given arguments, then the numeric modules loaded
+_NUMPY_FREE_CLI = """
+import json, runpy, sys
+sys.argv = ["resgate", *json.loads(sys.argv[1])]
+try:
+    runpy.run_module("resgate", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m for m in ("numpy", "scipy") if m in sys.modules)]))
+"""
+
+
+def _python(script: str, *args: str, cwd=None, **env) -> str:
+    """Run script in a fresh interpreter with this resgate on its path; its stdout."""
+    src = str(Path(sweep.__file__).resolve().parents[1])
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_and_config_load_no_numpy(tmp_path):
+    # in a fresh interpreter: the package, the CLI module and a validated
+    # config of every kind the benchmark builds load neither numpy nor scipy
+    def loaded(script, arg):
+        return json.loads(_python(script, json.dumps(arg), cwd=tmp_path).splitlines()[-1])
+
+    assert loaded(_NUMPY_FREE_SETUP, _NUMPY_FREE_CONFIGS) == []
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"qbits": 2}))
+    # --help, a config error (exit 2) and the first real run, which does load numpy
+    assert loaded(_NUMPY_FREE_CLI, ["--help"]) == [0, []]
+    assert loaded(_NUMPY_FREE_CLI, ["analytic", "--config", str(bad)]) == [2, []]
+    assert loaded(_NUMPY_FREE_CLI, ["analytic"]) == [0, ["numpy"]]
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -298,13 +370,7 @@ def test_sweep_workers_cap_blas_at_one_thread():
         "sweep._one_blas_thread()\n"
         "print(before, get())\n"
     )
-    src = str(Path(sweep.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["2", "1"]
+    assert _python(script, OPENBLAS_NUM_THREADS="2").split() == ["2", "1"]
 
 
 def test_sweep_single_point_equals_optimize():
@@ -431,7 +497,8 @@ def test_cli_analytic_stdout(capsys):
 
 def test_cli_caps_its_blas_threads_once(monkeypatch, capsys):
     calls = []
-    monkeypatch.setattr(cli, "_one_blas_thread", lambda: calls.append(1))
+    # main reads sweep._one_blas_thread once the config is valid
+    monkeypatch.setattr(sweep, "_one_blas_thread", lambda: calls.append(1))
     assert main(["analytic"]) == 0
     assert calls == [1]
 
@@ -496,7 +563,7 @@ def test_cli_rejects_a_thermal_trajectory_before_any_work(tmp_path, capsys, monk
 
     for name in ("thermal_average_channel", "extract_channel"):
         monkeypatch.setattr(sweep, name, solver)
-    monkeypatch.setattr(cli, "trajectory_rows", solver)
+    monkeypatch.setattr(lindblad, "trajectory_rows", solver)
     cfg = tmp_path / "sim.json"
     cfg.write_text(json.dumps({"initial_cavity": _THERMAL}))
     code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv"),

@@ -131,19 +131,46 @@ def test_unequal_intrinsic_rates():
     assert rep1.f_avg > rep2.f_avg
 
 
+def _rz_pair(th1, th2) -> TwoQubitChannel:
+    return TwoQubitChannel.from_unitary(np.kron(
+        np.diag(np.exp(-0.5j * np.array([th1, -th1]))),
+        np.diag(np.exp(-0.5j * np.array([th2, -th2])))))
+
+
+def _angle_errors(fit, injected):
+    """Fitted minus expected angles, wrapped into [-pi, pi): the trailing
+    correction undoes an injected Rz(th1) (x) Rz(th2), so it is -th."""
+    return [(t + th + math.pi) % (2.0 * math.pi) - math.pi
+            for t, th in zip((fit.theta_1, fit.theta_2), injected)]
+
+
 def test_fit_local_z_recovers_injected_angles():
     th1, th2 = 0.37, -1.12
-    rz = np.diag([np.exp(-1j * th1 / 2.0), np.exp(1j * th1 / 2.0)])
-    rz2 = np.diag([np.exp(-1j * th2 / 2.0), np.exp(1j * th2 / 2.0)])
-    dressed = TwoQubitChannel.from_unitary(
-        np.kron(rz, rz2) @ ideal_gate_unitary(math.pi / 4.0)
-    )
+    dressed = _ideal_channel().then(_rz_pair(th1, th2))
     bare = average_gate_fidelity(dressed).f_avg
     fit = fit_local_z(dressed)
     assert bare < 0.9  # the dressing really hurts before compensation
     assert fit.report.f_avg == pytest.approx(1.0, abs=1e-9)
     comp = fit.channel
     assert average_gate_fidelity(comp).f_avg == pytest.approx(1.0, abs=1e-9)
+    assert max(map(abs, _angle_errors(fit, (th1, th2)))) < 1e-7
+
+
+def test_fit_local_z_angles_recover_injected_rotations_to_1e_7():
+    # noisy gates whose best correction is none, dressed by known local Z
+    # rotations: theta_1, theta_2 undo them to the stated ~1e-7 (the ascent
+    # stops on F_avg, which is quadratic in the angle error at the optimum)
+    rng = np.random.default_rng(11)
+    gate = _ideal_channel()
+    worst = 0.0
+    for b, gamma in ((1.0, 0.05), (0.95, 0.0), (0.8, 0.3)):
+        noisy = (correlated_dephasing_channel(b)
+                 .then(intrinsic_dephasing_channel(gamma, 2.0 * gamma, 1.0)).then(gate))
+        assert max(map(abs, _angle_errors(fit_local_z(noisy), (0.0, 0.0)))) < 1e-7
+        for th1, th2 in rng.uniform(-math.pi, math.pi, size=(20, 2)):
+            fit = fit_local_z(noisy.then(_rz_pair(th1, th2)))
+            worst = max(worst, *map(abs, _angle_errors(fit, (th1, th2))))
+    assert worst < 1e-7
 
 
 def test_fit_local_z_no_op_on_clean_channel():
