@@ -22,10 +22,14 @@ Importing the package loads only the numpy-free layers (constants, errors,
 device, noise, config). The names of channel, fidelity, lindblad and sweep
 resolve on first use through a PEP 562 module __getattr__, which reads the
 defining module's attribute on every lookup (nothing is cached here, so a
-patched module attribute is what resgate.<name> returns).
+patched module attribute is what resgate.<name> returns). A process that
+computes a channel or a sweep still loads numpy, at that first call; one
+that stops short of them never does: the CLI's --help, usage and config
+errors, and scripts that use only the device and noise layers.
 """
 
-import importlib
+from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
 
 from .config import RunConfig, config_from_dict, load_config
 from .constants import (
@@ -107,19 +111,11 @@ _LAZY = {
 }
 _MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
 
+# Every public name: the eagerly imported ones (submodules aside) and the table's.
 __all__ = sorted(
-    [
-        "RunConfig", "config_from_dict", "load_config",
-        "E_CHARGE_C", "H_EV_S", "H_J_S", "HBAR_J_S",
-        "CavityPrep", "CouplingStrengths", "DerivedGateParams", "QubitTuning",
-        "ResonatorSpec", "StepPolicy", "cavity_decay", "coupling_strengths",
-        "derive_gate_params", "exchange_and_derivatives", "gate_schedule",
-        "photon_voltage",
-        "ConfigError", "DomainError", "NonPhysicalChannelError",
-        "DephasingModel", "NoiseSpec", "OptimalDrive", "dephasing_rate", "hahn_eta",
-        "infidelity_first_order", "infidelity_power_law", "optimal_drive",
-        *_MODULE_OF,
-    ]
+    [name for name, value in globals().items()
+     if not name.startswith("_") and not isinstance(value, _ModuleType)]
+    + list(_MODULE_OF)
 )
 
 __version__ = "0.1.0"
@@ -128,9 +124,9 @@ __version__ = "0.1.0"
 def __getattr__(name: str):
     module = _MODULE_OF.get(name)
     if module is not None:
-        return getattr(importlib.import_module(f".{module}", __name__), name)
+        return getattr(_import_module(f".{module}", __name__), name)
     if name in _LAZY:  # the submodule itself, e.g. resgate.sweep
-        return importlib.import_module(f".{name}", __name__)
+        return _import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -150,6 +150,23 @@ except SystemExit as exc:
 print(json.dumps([code, sorted(m for m in ("numpy", "scipy") if m in sys.modules)]))
 """
 
+# the closed-form operating point at the default device, from the device and
+# noise layers alone: its gate time, then the numeric modules loaded
+_NUMPY_FREE_CLOSED_FORM = """
+import json, math, sys
+import resgate as r
+res = r.ResonatorSpec(omega_r=2 * math.pi * 6.5e9, Z_r=5000.0, Q=20000.0)
+noise = r.NoiseSpec(S_eps=1.4e-16, beta=0.67)
+eps_a = 5e-6 * 1.602176634e-19
+kappa = r.cavity_decay(res)
+j_opt = r.optimal_drive(noise, kappa, 2, eps_a, 1.0).J_opt
+gamma0 = r.dephasing_rate(j_opt, 0.0, noise, eps_a).gamma_phi_0
+opt = r.optimal_drive(noise, kappa, 2, eps_a, gamma0)
+tuning = r.QubitTuning(J0=opt.J_opt, eps_a=eps_a, c_r=0.18, eps_d=opt.eps_d_opt)
+params = r.derive_gate_params(res, tuning, n=2)
+print(json.dumps([params.t_g, sorted(m for m in ("numpy", "scipy") if m in sys.modules)]))
+"""
+
 
 def _python(script: str, *args: str, cwd=None, **env) -> str:
     """Run script in a fresh interpreter with this resgate on its path; its stdout."""
@@ -175,6 +192,11 @@ def test_import_and_config_load_no_numpy(tmp_path):
     assert loaded(_NUMPY_FREE_CLI, ["--help"]) == [0, []]
     assert loaded(_NUMPY_FREE_CLI, ["analytic", "--config", str(bad)]) == [2, []]
     assert loaded(_NUMPY_FREE_CLI, ["analytic"]) == [0, ["numpy"]]
+    # a script that computes only closed forms never loads numpy
+    t_g, modules = json.loads(_python(_NUMPY_FREE_CLOSED_FORM, cwd=tmp_path).splitlines()[-1])
+    assert modules == []
+    closed_form = resolve_operating_point(config_from_dict({"refine": False}, source="t"))
+    assert t_g == pytest.approx(closed_form.params.t_g, rel=1e-12)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

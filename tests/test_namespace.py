@@ -50,6 +50,10 @@ def test_each_name_is_its_defining_modules_object():
 def test_dir_and_star_import_cover_the_api():
     assert PUBLIC_NAMES <= set(dir(resgate))
     assert {"channel", "fidelity", "lindblad", "sweep"} <= set(dir(resgate))
+    # nothing else public: no helper (an imported module, say) leaks into it
+    assert {name for name in dir(resgate) if not name.startswith("_")} - PUBLIC_NAMES <= {
+        "channel", "cli", "config", "constants", "device", "errors", "fidelity",
+        "lindblad", "noise", "sweep"}
     namespace: dict = {}
     exec("from resgate import *", namespace)
     assert set(namespace) - {"__builtins__"} == PUBLIC_NAMES
