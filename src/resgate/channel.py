@@ -302,7 +302,19 @@ def analytic_gate_channel(
     ``params`` is a DerivedGateParams (SI); gamma_1, gamma_2 are the intrinsic
     dephasing rates in 1/s. The three factors commute, so the composition
     order is a convention, not physics. The unitary is gate_target(params).
+
+    The b-factor is that of one coupling g = g1 = g2, so unequal couplings
+    raise DomainError: folding them into sqrt(g1 g2) understates the error
+    (1 - F_e = 4.15e-2 against the exact 6.76e-2 at g1 = 0.7 rad/ns,
+    g2/g1 = 3, kappa = 5e-2/ns, two loops). extract_channel models unequal
+    couplings.
     """
+    if params.g1_rad_ns != params.g2_rad_ns:
+        raise DomainError(
+            f"analytic_gate_channel needs equal couplings, got g1 = "
+            f"{params.g1_rad_ns:.6g} and g2 = {params.g2_rad_ns:.6g} rad/ns; "
+            f"extract_channel models unequal couplings"
+        )
     g = params.g_geom_rad_ns
     delta = params.delta_rad_ns
     kappa = params.kappa_per_ns

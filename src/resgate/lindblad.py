@@ -47,19 +47,13 @@ batched local-Z fit and averages their channels, and the single-state paths
 reject it.
 
 Lab-frame paths (trajectory_rows, polaron_residual) report per-step
-quantities, so they step the blocks with expm(L_ij dt) on the StepPolicy
-grid (_BlockTracks) and size the space from the lab-frame reach. Branches
-come in sign-reversed pairs (lam_{3-k} = -lam_k), and the cavity parity
-Pi = diag((-1)^m) maps L(lam_i, lam_j) onto L(-lam_i, -lam_j) exactly, so
-block (3-j, 3-i) is read off block (i, j) evolved from Pi cav Pi: one
-propagator per orbit of (i, j) <-> (3-j, 3-i), 4 with equal couplings and
-6 with unequal ones. Orbits with lam_i = +-lam_j commute with an
-antiunitary (r -> r^dag or r -> Pi r^dag Pi), so in that antiunitary's
-fixed basis both their expm(L dt) and their stepping are real arithmetic.
-scipy (for expm) is imported on these paths' first use only. The truncated
-generator preserves the trace of a diagonal block exactly
-(Tr(A r A^dag) = Tr(A^dag A r), and a commutator is traceless), so the
-channel paths check only the guard-level population, in their frame.
+quantities, so they step the ten blocks on and above the diagonal with
+their own expm(L_ij dt) on the StepPolicy grid (_lab_blocks) and size the
+space from the lab-frame reach. scipy (for expm) is imported on these
+paths' first use only. The truncated generator preserves the trace of a
+diagonal block exactly (Tr(A r A^dag) = Tr(A^dag A r), and a commutator is
+traceless), so the channel paths check only the guard-level population,
+in their frame.
 The tests check both engines against an independent dense-composite RK4
 integrator kept in tests/rk4_reference.py.
 """
@@ -396,232 +390,25 @@ def _expm(m: np.ndarray) -> np.ndarray:
     return expm(m)
 
 
-_HALF = math.sqrt(0.5)
+def _lab_blocks(params: DerivedGateParams, alpha: complex, n_ph: int, dt: float, stops):
+    """Yield (step, blocks) at each grid step of stops (ascending, from 0):
+    the (10, n_ph, n_ph) lab-frame blocks r_ij of _UPPER, each evolved from
+    the cavity |alpha><alpha| by its own propagator expm(L(lam_i, lam_j) dt)
+    (_block_generator), dephasing left out.
 
-
-def _conjugation(n_ph: int, lam_i: float, lam_j: float):
-    """Index form of an antiunitary K (K^2 = 1) commuting with L(lam_i, lam_j), or None.
-
-    r -> r^dag maps L(lam_i, lam_j) onto L(lam_j, lam_i), and r -> Pi r^dag Pi
-    onto L(-lam_j, -lam_i); so the first commutes with L when lam_i = lam_j
-    and the second when lam_i = -lam_j. Either one sends the row-major vec
-    entry q = (b, a) to s * conj of entry p = (a, b). Returns the pairs p < q
-    and their signs s (1, or (-1)^(a+b) for the parity form); the diagonal
-    entries (a, a) are fixed by K with sign 1 in both forms.
+    The ten propagators come from one batched expm, and all ten blocks
+    advance together by one batched matmul per grid step.
     """
-    if lam_i == lam_j:
-        parity = False
-    elif lam_i == -lam_j:
-        parity = True
-    else:
-        return None
-    levels = np.arange(n_ph)
-    a, b = np.nonzero(levels[:, None] < levels)  # np.triu_indices(n_ph, 1), 4x cheaper
-    signs = (-1.0) ** (a + b) if parity else np.ones(a.size)
-    return a * n_ph + b, b * n_ph + a, signs
-
-
-def _to_real(m: np.ndarray, p, q, s) -> np.ndarray:
-    """real(W^H m W), overwriting m. W = S H is the unitary whose columns are
-    the K-fixed vectors of _conjugation: e_p for a diagonal entry p = (a, a),
-    (e_p + s e_q)/sqrt2 in column p and i(e_p - s e_q)/sqrt2 in column q.
-    S scales entry q by s; H mixes each pair. For an m that commutes with K
-    the result is exact up to rounding; the imaginary part dropped is zero."""
-    mp, mq = m[:, p], m[:, q] * s
-    m[:, p], m[:, q] = (mp + mq) * _HALF, (mp - mq) * (1j * _HALF)
-    rp, rq = m[p], m[q] * s[:, None]
-    out = m.real.copy()
-    out[p], out[q] = ((rp + rq) * _HALF).real, ((rp - rq) * _HALF).imag
-    return out
-
-
-def _to_k_basis(v: np.ndarray, p, q, s) -> np.ndarray:
-    """W^H v over the last axis, for the W of _to_real: a K-fixed v (one
-    with v_q = s conj(v_p) and real diagonal entries) comes out real."""
-    u = v.astype(complex)
-    vp, vq = v[..., p], s * v[..., q]
-    u[..., p], u[..., q] = (vp + vq) * _HALF, (vp - vq) * (-1j * _HALF)
-    return u
-
-
-def _from_k_basis(u: np.ndarray, p, q, s) -> np.ndarray:
-    """W u over the last axis, the inverse of _to_k_basis."""
-    v = u.astype(complex)
-    up, uq = u[..., p], 1j * u[..., q]
-    v[..., p], v[..., q] = (up + uq) * _HALF, (up - uq) * (s * _HALF)
-    return v
-
-
-def _step_propagator(m: np.ndarray, form) -> np.ndarray:
-    """expm(m) of one step's generator m = L(lam_i, lam_j) dt, in the basis
-    its block is stepped in: where an antiunitary K commutes with L (form,
-    from _conjugation, is not None), W^H L W is real for the unitary W of
-    K's fixed vectors, and this returns the real
-    E = expm(real(W^H m W)) = W^H expm(m) W; elsewhere the complex expm(m).
-    The real expm costs a fraction of the complex one; W is applied by
-    index gathers, never built. m is overwritten."""
-    return _expm(m) if form is None else _expm(_to_real(m, *form))
-
-
-# rows held at once by _BlockTracks.run: at most _CHUNK stops, and no more
-# than fit _CHUNK_BYTES (one stop at the least), so a stack of many cavity
-# states does not grow the buffer by its number of stops
-_CHUNK = 64
-_CHUNK_BYTES = 2 << 20
-
-
-class _BlockTracks:
-    """The lab-frame blocks r_ij of _UPPER on a time grid, each evolved from
-    each coherent start cav_s = |alpha_s><alpha_s| of a stack by
-    expm(L dt) (_block_generator).
-
-    Dephasing is left out (see _block_generator). The states share every
-    propagator: each is only more columns of the same matmuls. run() steps
-    the tracks and yields their states as rows of float64 numbers, and
-    blocks() maps rows back to each state's ten (n_ph, n_ph) blocks r_ij.
-
-    Orbit rule: branch 3 - k flips both Z signs of branch k, so
-    lam_{3-k} = -lam_k. With Pi = diag((-1)^m), Pi a Pi = -a, so
-    (Pi (x) Pi) L(lam_i, lam_j) (Pi (x) Pi) = L(-lam_i, -lam_j); and the
-    adjoint of a block evolves as the swapped pair. Hence block (3-j, 3-i) is
-    exactly Pi R^dag Pi, with R block (i, j) evolved from
-    Pi cav Pi = |-alpha><-alpha| (truncated kets included). One propagator
-    serves each orbit {(i, j), (3-j, 3-i)} (and every pair with the same
-    amplitudes), and it steps each input a read needs: the S starts
-    alpha_s, and then the -alpha_s unless every start is the vacuum.
-
-    Orbits with lam_i = +-lam_j are stepped in real arithmetic: their
-    propagator E = W^H expm(L dt) W is real (_step_propagator), and their
-    state is u = W^H vec(start). A diagonal orbit (K r = r^dag) holds one
-    real column per input, as its starts are Hermitian. A parity orbit
-    (K r = Pi r^dag Pi) is never read mirrored, so it holds the alpha_s
-    starts only: K maps the start of alpha onto that of -alpha, so u is real
-    when every alpha_s is 0, and otherwise the S columns Re u_s are followed
-    by the S columns Im u_s. So every orbit has as many columns as there are
-    inputs (S or 2S): the real orbits step together as one float64
-    (d, columns) stack, and the other orbits as a complex one. Each stack
-    advances by one batched matmul per grid step.
-    """
-
-    def __init__(self, params: DerivedGateParams, alphas, n_ph: int, dt: float):
-        """alphas: the S coherent amplitudes the cavity starts in (0: vacuum)."""
-        alphas = np.asarray(alphas, dtype=complex)
-        samples, d = len(alphas), n_ph * n_ph
-        lam = _branch_amplitudes(params)
-        self.flip = (-1.0) ** np.add.outer(np.arange(n_ph), np.arange(n_ph))  # Pi X Pi
-        # Pi |alpha> = |-alpha>: the parity-flipped starts, unless all are vacuum
-        starts = np.concatenate([alphas, -alphas]) if alphas.any() else alphas
-        self.cols = cols = len(starts)
-        reps: list = []  # one amplitude pair per orbit
-        reads: list = []  # (orbit, mirrored) per block of _UPPER
-        for i, j in _UPPER:
-            key, mirror = (lam[i], lam[j]), (-lam[j], -lam[i])
-            mirrored = key not in reps and mirror in reps
-            if not mirrored and key not in reps:
-                reps.append(key)
-            reads.append((reps.index(mirror if mirrored else key), mirrored))
-        forms = [_conjugation(n_ph, *rep) for rep in reps]
-        real = [o for o, form in enumerate(forms) if form is not None]
-        cplx = [o for o, form in enumerate(forms) if form is None]
-
-        # every block of every orbit starts as the cavity itself
-        kets = _coherent_kets(n_ph, starts)
-        vecs = (kets[:, :, None] * kets[:, None, :].conj()).reshape(cols, d)
-        steps_dt = _block_generator(params, n_ph)(*np.array(reps).T) * dt
-        self.cplx_ops = np.empty((len(cplx), d, d), dtype=complex)
-        for slot, o in enumerate(cplx):
-            self.cplx_ops[slot] = _step_propagator(steps_dt[o], None)
-        self.cplx_start = np.repeat(vecs.T[None], len(cplx), axis=0)
-        self.real_ops = np.empty((len(real), d, d))
-        self.real_start = np.empty((len(real), d, cols))
-        for slot, o in enumerate(real):
-            self.real_ops[slot] = _step_propagator(steps_dt[o], forms[o])
-            u = _to_k_basis(vecs, *forms[o])
-            if reps[o][0] == reps[o][1]:  # r -> r^dag: each input is K-fixed
-                self.real_start[slot] = u.real.T
-            else:  # r -> Pi r^dag Pi: the alpha_s alone, Re u_s then Im u_s
-                self.real_start[slot] = np.concatenate(
-                    [u[:samples].real, u[:samples].imag][:cols // samples]).T
-
-        # a row of run() is the complex (d, cols) tracks (as float pairs),
-        # then the real ones; each read of state 0 has its entries at
-        # base + stride * entry, state s sits s columns on, and has_im
-        # marks the reads with an imaginary part (not a K-fixed real track)
-        real_at = 2 * len(cplx) * d * cols
-        self.width = real_at + len(real) * d * cols
-        base_re, base_im, col, has_im = [], [], [], []
-        for o, mirrored in reads:
-            inp = cols - samples if mirrored else 0  # column of state 0's input
-            if o in cplx:  # float pairs: a column is 2 floats
-                at = 2 * (cplx.index(o) * d * cols + inp)
-                base_im.append(at + 1)
-                col.append(2)
-                has_im.append(1.0)
-            else:  # a parity orbit is never mirrored: its inp is 0
-                at = real_at + real.index(o) * d * cols + inp
-                split = cols > samples and reps[o][0] != reps[o][1]  # Re u_s, Im u_s
-                base_im.append(at + samples if split else at)
-                col.append(1)
-                has_im.append(1.0 if split else 0.0)
-            base_re.append(at)
-        at_entry = cols * np.array(col)[:, None] * np.arange(d)
-        state_at = np.arange(samples)[:, None, None] * np.array(col)[:, None]
-        self.re = state_at + (np.array(base_re)[:, None] + at_entry)  # (S, 10, d)
-        self.im = state_at + (np.array(base_im)[:, None] + at_entry)
-        self.has_im = np.array(has_im)
-        self.mirrored = np.array([m for _, m in reads])
-        # reads off a real orbit, with the signs s of their W
-        self.in_basis = np.array([k for k, (o, _) in enumerate(reads) if o in real])
-        self.pairs = forms[real[0]][:2]  # p and q are the same in both forms
-        self.signs = np.array([forms[reads[k][0]][2] for k in self.in_basis])
-
-    def run(self, steps: int, stride: int = 1):
-        """Yield (at, states) for grid steps 0, stride, 2 stride, ... and steps.
-
-        at holds the grid steps of the rows of states, a (count, width)
-        float64 array, in chunks of up to _CHUNK stops and no more than fit
-        _CHUNK_BYTES. Between stops the tracks take E once per grid step.
-        """
-        stops = np.unique(np.r_[np.arange(0, steps, stride), steps])
-        gaps = np.diff(stops, prepend=0).tolist()  # steps up to each stop
-        rows = max(1, min(_CHUNK, len(stops), _CHUNK_BYTES // (8 * self.width)))
-        d = self.real_ops.shape[-1]
-        # a complex buffer keeps the complex tracks aligned; the real columns
-        # sit in its float view
-        buf = np.empty((rows, (self.width + 1) // 2), dtype=complex)
-        flat = buf.view(float)
-        n_cplx, n_real = len(self.cplx_ops), len(self.real_ops)
-        at = n_cplx * d * self.cols
-        stacks = [
-            (self.cplx_ops, buf[:, :at].reshape(rows, n_cplx, d, self.cols)),
-            (self.real_ops, flat[:, 2 * at:self.width].reshape(rows, n_real, d, self.cols)),
-        ]
-        starts = [self.cplx_start, self.real_start]
-        for first in range(0, len(stops), rows):
-            count = min(rows, len(stops) - first)
-            for (ops, states), vec in zip(stacks, starts):
-                for k, gap in enumerate(gaps[first:first + count]):
-                    if gap:
-                        for _ in range(gap - 1):
-                            vec = ops @ vec
-                        vec = np.matmul(ops, vec, out=states[k])
-                    else:
-                        states[0] = vec
-            # the next chunk steps on from this chunk's last row, which it
-            # reads before it overwrites it
-            starts = [states[count - 1] for _, states in stacks]
-            yield stops[first:first + count], flat[:count, :self.width]
-
-    def blocks(self, states: np.ndarray) -> np.ndarray:
-        """The (count, S, 10, n_ph, n_ph) blocks r_ij of _UPPER in a chunk of run()."""
-        n_ph = self.flip.shape[0]
-        out = states[:, self.re] + 1j * (self.has_im[:, None] * states[:, self.im])
-        out[:, :, self.in_basis] = _from_k_basis(
-            out[:, :, self.in_basis], *self.pairs, self.signs)
-        out = out.reshape(*out.shape[:3], n_ph, n_ph)
-        m = self.mirrored
-        out[:, :, m] = self.flip * out[:, :, m].swapaxes(-1, -2).conj()
-        return out
+    lam = np.array(_branch_amplitudes(params))
+    props = _expm(_block_generator(params, n_ph)(lam[_UPPER_I], lam[_UPPER_J]) * dt)
+    (ket,) = _coherent_kets(n_ph, [alpha])
+    vec = np.repeat(np.outer(ket, ket.conj()).reshape(1, -1, 1), len(_UPPER), axis=0)
+    done = 0
+    for step in stops:
+        for _ in range(step - done):
+            vec = props @ vec
+        done = step
+        yield step, vec.reshape(len(_UPPER), n_ph, n_ph)
 
 
 def extract_channel(
@@ -765,16 +552,12 @@ def trajectory_rows(
     Every number comes from the qubit blocks r_ij(t) =
     q_ij exp(-c_ij t) expm(L_ij t) cav: trace, mean_photon, top_level_pop
     and the residual from the four diagonal blocks, and the purity as
-    sum_ij ||r_ij||^2. The ten blocks on and above the diagonal come from
-    _BlockTracks.blocks, so at most 6 propagators serve them (4 with equal
-    couplings): block (3-j, 3-i) is read off block (i, j) evolved from the
-    parity-flipped cavity, exactly, and the real-form tracks are mapped
-    back from their fixed basis. The blocks are stepped in the lab frame,
-    and with n_ph None the space is sized from the lab-frame reach,
-    choose_n_ph(_reach). The residual column is the same
-    displaced-frame ground-state defect polaron_residual() maximizes; for
-    non-vacuum preparations or gamma > 0 it is reported as-is rather than
-    being expected small.
+    sum_ij ||r_ij||^2 over the ten blocks on and above the diagonal, which
+    _lab_blocks steps in the lab frame. With n_ph None the space is sized
+    from the lab-frame reach, choose_n_ph(_reach). The residual column is
+    the same displaced-frame ground-state defect polaron_residual()
+    maximizes; for non-vacuum preparations or gamma > 0 it is reported
+    as-is rather than being expected small.
     """
     if initial_qubit is None:
         plus = np.full(4, 0.5, dtype=complex)
@@ -794,22 +577,21 @@ def trajectory_rows(
     rate = _dephasing_rates(gamma_1, gamma_2)[_UPPER_I, _UPPER_J]
     photons = np.arange(n_ph)
 
-    tracks = _BlockTracks(params, [alpha], n_ph, dt)
+    stops = [*range(0, steps, stride), steps]
     rows: list[dict] = []
-    for at, states in tracks.run(steps, stride):
-        for step, blocks in zip(at.tolist(), tracks.blocks(states)[:, 0]):
-            t_now = step * dt
-            r_diag = np.diagonal(q)[:, None, None] * blocks[on_diag]
-            pops = np.einsum("inn->in", r_diag).real
-            sq_norms = (np.abs(blocks) ** 2).sum(axis=(1, 2))
-            rows.append({
-                "t_ns": t_now,
-                "trace": float(pops.sum()),
-                "purity": float((weight * np.exp(-2.0 * rate * t_now) * sq_norms).sum()),
-                "mean_photon": float((pops * photons).sum()),
-                "top_level_pop": float(pops[:, -1].sum()),
-                "polaron_residual": _polaron_defect(r_diag, lam, params, t_now),
-            })
+    for step, blocks in _lab_blocks(params, alpha, n_ph, dt, stops):
+        t_now = step * dt
+        r_diag = np.diagonal(q)[:, None, None] * blocks[on_diag]
+        pops = np.einsum("inn->in", r_diag).real
+        sq_norms = (np.abs(blocks) ** 2).sum(axis=(1, 2))
+        rows.append({
+            "t_ns": t_now,
+            "trace": float(pops.sum()),
+            "purity": float((weight * np.exp(-2.0 * rate * t_now) * sq_norms).sum()),
+            "mean_photon": float((pops * photons).sum()),
+            "top_level_pop": float(pops[:, -1].sum()),
+            "polaron_residual": _polaron_defect(r_diag, lam, params, t_now),
+        })
     return rows
 
 

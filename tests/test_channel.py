@@ -16,10 +16,13 @@ from resgate import (
     alpha_closed_form,
     analytic_avg_fidelity,
     analytic_gate_channel,
+    average_gate_fidelity,
     b_factor,
     b_factor_simplified,
     correlated_dephasing_channel,
     drive_frame_displacement,
+    extract_channel,
+    gate_target,
     ideal_gate_unitary,
     intrinsic_dephasing_channel,
     textbook_cphase_decomposition,
@@ -294,6 +297,22 @@ def test_analytic_gate_channel_composition():
     out_pos = chan.apply(rho)
     out_neg = chan_neg.apply(rho)
     assert out_neg[0, 1] == pytest.approx(np.conj(out_pos[0, 1]), abs=1e-14)
+
+
+def test_analytic_gate_channel_rejects_unequal_couplings():
+    # one b-factor at g = sqrt(g1 g2) misses most of the loss of the branch
+    # driven at g1 + g2: at g2/g1 = 3 its 1 - F_e is ~0.6 of the exact
+    # channel's, so the analytic channel refuses and names the exact model
+    p = make_params(0.7, 5e-2, n=2, g2_over_g1=3.0)
+    with pytest.raises(DomainError, match="extract_channel"):
+        analytic_gate_channel(p, 0.0, 0.0)
+    target = gate_target(p)
+    b, _, _ = b_factor(p.g_geom_rad_ns, p.delta_rad_ns, p.kappa_per_ns, p.t_g_ns)
+    collapsed = correlated_dephasing_channel(b).then(TwoQubitChannel.from_unitary(target))
+    exact, _ = extract_channel(p, 0.0, 0.0, n_ph=14)
+    loss = [1.0 - average_gate_fidelity(c, target, validate=False).f_e
+            for c in (collapsed, exact)]
+    assert loss[0] < 0.7 * loss[1]
 
 
 def test_analytic_avg_fidelity_limits():

@@ -336,8 +336,8 @@ def test_extract_channel_orbit_rule_matches_dense_blocks(
 
 @pytest.mark.parametrize("g2_over_g1", [1.0, 1.5])
 def test_extract_channel_guard_reads_mirrored_branches(g2_over_g1):
-    # this start sends |11>, whose block is read off the mirrored track of
-    # |00>, far up the ladder of its displaced frame (|alpha - beta_3| ~ 1
+    # this start sends |11>, the branch mirrored from |00>, far up the
+    # ladder of its displaced frame (|alpha - beta_3| ~ 1
     # against |alpha - beta_0| ~ 0.5: ~6e-5 in the guard level against
     # ~2e-8): the guard maximum must be the dense per-branch stepping maximum
     # in that frame, each branch from its own displaced start
@@ -360,26 +360,13 @@ def test_extract_channel_guard_reads_mirrored_branches(g2_over_g1):
     assert diag.max_top_level_pop == pytest.approx(worst[3], rel=1e-12)
 
 
-def _dense_real_basis(n_ph, parity):
-    """W from its definition: the fixed vectors of K r = r^dag (parity False)
-    or K r = Pi r^dag Pi (parity True). Column p = (a, a) is e_p; for
-    p = (a, b), q = (b, a), a < b, column p is (e_p + s e_q)/sqrt2 and
-    column q is i(e_p - s e_q)/sqrt2, with s = 1 or (-1)^(a+b)."""
-    w = np.zeros((n_ph * n_ph,) * 2, dtype=complex)
-    for a in range(n_ph):
-        w[a * n_ph + a, a * n_ph + a] = 1.0
-        for b in range(a + 1, n_ph):
-            p, q, s = a * n_ph + b, b * n_ph + a, (-1) ** (a + b) if parity else 1
-            w[p, p], w[q, p] = math.sqrt(0.5), s * math.sqrt(0.5)
-            w[p, q], w[q, q] = 1j * math.sqrt(0.5), -1j * s * math.sqrt(0.5)
-    return w
-
-
 @pytest.mark.parametrize("g2_over_g1", [1.0, 1.5])
 def test_channel_paths_call_expm_zero_times(monkeypatch, g2_over_g1):
     # the channel paths carry each block over the gate in closed form: no
     # propagator is built, from vacuum, coherent or thermal starts, while
-    # the lab-frame trajectory still takes one expm per orbit
+    # the lab-frame trajectory builds the ten block propagators once, as one
+    # stack, and then takes only the residual's (4, n_ph, n_ph) displacements
+    # at each row
     p = make_params(0.7, 5e-3, n=2, g2_over_g1=g2_over_g1)
     args = []
     real_expm = lindblad._expm
@@ -388,70 +375,9 @@ def test_channel_paths_call_expm_zero_times(monkeypatch, g2_over_g1):
         extract_channel(p, 1e6, 2e6, prep, n_ph=6)
     thermal_average_channel(p, 0.2, 3, 5, gamma_1=1e6, gamma_2=2e6)
     assert args == []
-    trajectory_rows(p, 0.0, 0.0, n_ph=6, stride=400)
-    assert len(args) > 0
-
-
-@pytest.mark.parametrize("n_ph", [2, 3, 6])
-@pytest.mark.parametrize("parity", [False, True])
-def test_real_form_basis_is_unitary_and_matches_its_gathers(n_ph, parity):
-    # the index gathers of _to_real (a matrix) and of _to_k_basis and
-    # _from_k_basis (vectors, over the last axis) apply the W of its definition
-    w = _dense_real_basis(n_ph, parity)
-    assert np.allclose(w.conj().T @ w, np.eye(n_ph * n_ph), rtol=0.0, atol=1e-15)
-    rng = np.random.default_rng(n_ph)
-    m = rng.normal(size=w.shape) + 1j * rng.normal(size=w.shape)
-    lam = (0.4, -0.4) if parity else (0.4, 0.4)
-    pairs = lindblad._conjugation(n_ph, *lam)
-    assert np.allclose(lindblad._to_real(m.copy(), *pairs), (w.conj().T @ m @ w).real,
-                       rtol=0.0, atol=1e-14)
-    v = rng.normal(size=(3, n_ph * n_ph)) + 1j * rng.normal(size=(3, n_ph * n_ph))
-    assert np.allclose(lindblad._to_k_basis(v, *pairs), v @ w.conj(), rtol=0.0, atol=1e-14)
-    assert np.allclose(lindblad._from_k_basis(v, *pairs), v @ w.T, rtol=0.0, atol=1e-14)
-
-
-@pytest.mark.parametrize("parity", [False, True])
-def test_real_form_check_fires_off_the_symmetric_orbits(parity):
-    # an orbit (lam, 0) commutes with neither antiunitary: W^H L W keeps an
-    # imaginary part, so it must take the complex expm
-    p = make_params(0.7, 5e-3, n=2, g2_over_g1=1.5)
-    w = _dense_real_basis(6, parity)
-    lam = _branch_lams(p)[0]
-    for pair, symmetric in (((lam, 0.0), False), ((lam, -lam if parity else lam), True)):
-        gen = _dense_block_generator(p, 6, *pair)
-        imag = np.abs((w.conj().T @ gen @ w).imag).max()
-        if symmetric:
-            assert imag < 1e-12 * np.abs(gen).max()
-        else:
-            assert imag > 1e-3 * np.abs(gen).max()
-            assert lindblad._conjugation(6, *pair) is None
-
-
-@given(
-    g2_over_g1=st.one_of(st.just(1.0), st.floats(min_value=0.3, max_value=3.0)),
-    delta_sign=st.sampled_from([1, -1]),
-    kappa=st.floats(min_value=1e-3, max_value=5e-2),
-    n_ph=st.integers(min_value=4, max_value=10),
-)
-@settings(max_examples=12, deadline=None)
-def test_step_propagator_matches_expm(g2_over_g1, delta_sign, kappa, n_ph):
-    # every orbit's lab-frame propagator against the complex expm of the
-    # dense generator: a real one is E = W^H expm(L dt) W, so W E W^H (W
-    # built densely here) must match
-    from scipy.linalg import expm
-
-    p = make_params(0.7, kappa, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
-    _, dt = StepPolicy().resolve(p.t_g_ns)
-    lam = _branch_lams(p)
-    generator = lindblad._block_generator(p, n_ph)
-    for i, j in lindblad._UPPER:
-        ref = expm(_dense_block_generator(p, n_ph, lam[i], lam[j]) * dt)
-        prop = lindblad._step_propagator(generator(lam[i], lam[j]) * dt,
-                                         lindblad._conjugation(n_ph, lam[i], lam[j]))
-        if np.isrealobj(prop):
-            w = _dense_real_basis(n_ph, lam[i] != lam[j])
-            prop = w @ prop @ w.conj().T
-        assert np.abs(prop - ref).max() < 1e-13
+    rows = trajectory_rows(p, 0.0, 0.0, n_ph=6, stride=100)
+    assert len(rows) > 2
+    assert [m.shape for m in args] == [(10, 36, 36)] + [(4, 6, 6)] * len(rows)
 
 
 def test_generator_keeps_every_term_of_the_frame():
@@ -485,43 +411,6 @@ def test_generator_keeps_every_term_of_the_frame():
         assert np.abs(displaced[raising]).max() < 1e-14
         if i == j:
             assert c_a[u] == 0.0 and scalar[u] == 0.0
-
-
-@pytest.mark.parametrize("n_ph", [4, 7, 10])
-@pytest.mark.parametrize("delta_sign", [1, -1])
-@pytest.mark.parametrize("g2_over_g1, real_orbits, orbits",
-                         [(1.0, 3, 4), (1.5, 4, 6), (3.0, 4, 6)], ids=["1.0", "1.5", "3.0"])
-def test_real_stepping_matches_complex_stepping(g2_over_g1, real_orbits, orbits, delta_sign,
-                                                n_ph):
-    # in the lab frame the self-conjugate orbits step real columns in K's
-    # fixed basis; mapped back by blocks(), every block of the first chunk
-    # must match that block stepped from the cavity start with its own dense
-    # complex expm(L dt), so the blocks read mirrored also check the
-    # parity-mirror identity
-    from scipy.linalg import expm
-
-    p = make_params(0.7, 5e-3, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
-    steps, dt = StepPolicy().resolve(p.t_g_ns)
-    lam = _branch_lams(p)
-    props = np.array([expm(_dense_block_generator(p, n_ph, lam[i], lam[j]) * dt)
-                      for i, j in lindblad._UPPER])
-    # a stack of states steps as more columns of the same tracks, each
-    # state's blocks its own; a vacuum among coherent states is stepped
-    # with its (equal) flipped copy
-    for alphas in ([0j], [0.5 - 0.4j], [0.5 - 0.4j, -0.2 + 0.6j, 0j]):
-        tracks = lindblad._BlockTracks(p, alphas, n_ph, dt)
-        assert tracks.real_ops.dtype == np.float64 and len(tracks.real_ops) == real_orbits
-        assert len(tracks.real_ops) + len(tracks.cplx_ops) == orbits
-        assert tracks.real_start.shape[-1] <= 2 * len(alphas)
-        _, states = next(tracks.run(steps))
-        assert len(states) == min(lindblad._CHUNK,
-                                  lindblad._CHUNK_BYTES // (8 * tracks.width)) > 1
-        vec = np.array([[_displaced_start(n_ph, alpha, 0j, 0j).reshape(-1, 1)
-                         for _ in lindblad._UPPER] for alpha in alphas])
-        for k, blocks in enumerate(tracks.blocks(states)):
-            if k:
-                vec = props @ vec
-            assert np.abs(blocks.reshape(vec.shape) - vec).max() < 1e-12
 
 
 def test_displaced_starts_are_the_displaced_cavity():
@@ -630,9 +519,10 @@ def test_auto_fock_size_covers_the_largest_branch(g2_over_g1, delta_sign, kappa)
 @pytest.mark.parametrize("g2_over_g1", [1.0, 1.5, 3.0])
 def test_displaced_frame_agrees_with_the_lab_frame(g2_over_g1, delta_sign, kappa):
     # pinned-size channels of extract_channel (closed form, displaced frame)
-    # against lab-frame stepping at n_ph 20, from vacuum and from
-    # |alpha| = 0.95 at a phase off the steady states: at 6 and 8 levels they
-    # agree within the lab frame's own truncation error at that size. A
+    # against the lab frame at n_ph 20 (each block's dense expm over the
+    # whole gate), from vacuum and from |alpha| = 0.95 at a phase off the
+    # steady states: at 6 and 8 levels they agree within the lab frame's own
+    # truncation error at that size. A
     # frame 3 % off the steady state in size or phase (dense expm of the
     # operator-form generator, which keeps every term of any frame) moves
     # the channel by no more than twice the displaced frame's own truncation
@@ -644,11 +534,21 @@ def test_displaced_frame_agrees_with_the_lab_frame(g2_over_g1, delta_sign, kappa
     upper = tuple(np.array(lindblad._UPPER).T)
 
     def lab(n_ph):
-        steps, dt = StepPolicy().resolve(p.t_g_ns)
-        tracks = lindblad._BlockTracks(p, alphas, n_ph, dt)
-        for _, states in tracks.run(steps, steps):
-            pass
-        return np.einsum("skaa->sk", tracks.blocks(states[-1:])[0])
+        # Tr r_ij(t_g) of each block, from both cavity starts, with one dense
+        # expm per distinct amplitude pair (lam_i, lam_j)
+        from scipy.linalg import expm
+
+        lam = _branch_lams(p)
+        starts = np.array([_displaced_start(n_ph, alpha, 0j, 0j).reshape(-1)
+                           for alpha in alphas])
+        props, traces = {}, []
+        for i, j in lindblad._UPPER:
+            if (lam[i], lam[j]) not in props:
+                props[lam[i], lam[j]] = expm(
+                    _dense_block_generator(p, n_ph, lam[i], lam[j]) * p.t_g_ns)
+            final = (starts @ props[lam[i], lam[j]].T).reshape(-1, n_ph, n_ph)
+            traces.append(np.trace(final, axis1=1, axis2=2))
+        return np.array(traces).T
 
     def dense(n_ph, frame):
         return np.array([_dense_coherence(p, 0.0, 0.0, n_ph, alpha, frame)[upper]
@@ -816,11 +716,14 @@ def test_trajectory_rows_shape_and_content():
         trajectory_rows(p, 0.0, 0.0, initial_cavity=CavityPrep.thermal(0.1), n_ph=6)
 
 
-def test_trajectory_rows_match_rk4_reference():
-    # unequal couplings, a coherent start, unequal dephasing and a mixed
-    # qubit state with every coherence non-zero, so all 16 blocks count;
-    # 6 levels leave ~1e-4 in the guard level, so top_level_pop is not ~0
-    p = make_params(0.7, 5e-3, g2_over_g1=1.5)
+@pytest.mark.parametrize("delta_sign", [1, -1])
+@pytest.mark.parametrize("g2_over_g1", [1.5, 3.0])
+def test_trajectory_rows_match_rk4_reference(g2_over_g1, delta_sign):
+    # unequal couplings on both sidebands, a coherent start, unequal
+    # dephasing and a mixed qubit state with every coherence non-zero, so
+    # all 16 blocks count; 6 levels leave up to ~1e-3 in the guard level,
+    # so top_level_pop is not ~0
+    p = make_params(0.7, 5e-3, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
     gamma_1, gamma_2, alpha, n_ph = 2e6, 0.5e6, 0.3 + 0.4j, 6
     rng = np.random.default_rng(7)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -990,13 +893,13 @@ def test_trajectory_and_polaron_residual_share_one_fock_size(monkeypatch):
     # choose_n_ph(_reach): here 8 levels, where the channel's displaced
     # frame takes 6; so the residual column's maximum is the residual
     sizes = []
-    real_tracks = lindblad._BlockTracks
+    real_blocks = lindblad._lab_blocks
 
-    def recording(params, alphas, n_ph, dt):
+    def recording(params, alpha, n_ph, dt, stops):
         sizes.append(n_ph)
-        return real_tracks(params, alphas, n_ph, dt)
+        return real_blocks(params, alpha, n_ph, dt, stops)
 
-    monkeypatch.setattr(lindblad, "_BlockTracks", recording)
+    monkeypatch.setattr(lindblad, "_lab_blocks", recording)
     p = make_params(0.35, 5e-3)
     rows = trajectory_rows(p, 0.0, 0.0)
     steps, dt = StepPolicy().resolve(p.t_g_ns)
