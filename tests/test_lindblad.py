@@ -380,6 +380,69 @@ def test_channel_paths_call_expm_zero_times(monkeypatch, g2_over_g1):
     assert [m.shape for m in args] == [(10, 36, 36)] + [(4, 6, 6)] * len(rows)
 
 
+@given(
+    g2_over_g1=st.one_of(st.just(1.0), st.floats(min_value=0.3, max_value=3.0)),
+    delta_sign=st.sampled_from([1, -1]),
+    kappa=st.floats(min_value=1e-3, max_value=5e-2),
+    n_ph=st.integers(min_value=4, max_value=10),
+)
+@settings(max_examples=12, deadline=None)
+def test_step_propagator_matches_expm(g2_over_g1, delta_sign, kappa, n_ph):
+    # every block's lab-frame propagator, as _lab_blocks builds the stack,
+    # against the complex expm of the dense generator; its first grid step
+    # applies exactly that stack to the cavity start of every block
+    from scipy.linalg import expm
+
+    p = make_params(0.7, kappa, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
+    _, dt = StepPolicy().resolve(p.t_g_ns)
+    lam = _branch_lams(p)
+    alpha = 0.3 + 0.4j
+    props = []
+    real_expm = lindblad._expm
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lindblad, "_expm", lambda m: props.append(real_expm(m)) or props[-1])
+        (_, start), (_, stepped) = lindblad._lab_blocks(p, alpha, n_ph, dt, [0, 1])
+        start, stepped = start.copy(), stepped.copy()
+    assert len(props) == 1 and props[0].shape == (len(lindblad._UPPER), n_ph**2, n_ph**2)
+    cav = _displaced_start(n_ph, alpha, 0j, 0j)
+    for u, (i, j) in enumerate(lindblad._UPPER):
+        ref = expm(_dense_block_generator(p, n_ph, lam[i], lam[j]) * dt)
+        assert np.abs(props[0][u] - ref).max() < 1e-13
+        assert np.abs(start[u] - cav).max() < 1e-15
+        assert np.abs(stepped[u].reshape(-1) - ref @ cav.reshape(-1)).max() < 1e-13
+
+
+@pytest.mark.parametrize("n_ph", [4, 7, 10])
+@pytest.mark.parametrize("delta_sign", [1, -1])
+@pytest.mark.parametrize("g2_over_g1", [1.0, 1.5, 3.0], ids=["1.0", "1.5", "3.0"])
+def test_real_stepping_matches_complex_stepping(g2_over_g1, delta_sign, n_ph):
+    # the stepping trajectory_rows really runs (one batched propagator
+    # stack, one batched matmul per grid step, every block from the cavity
+    # start) against each block stepped on its own with its own dense
+    # complex expm(L dt): at every one of the first steps and at stops that
+    # skip steps, from vacuum and from coherent starts, on both sidebands
+    from scipy.linalg import expm
+
+    p = make_params(0.7, 5e-3, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
+    _, dt = StepPolicy().resolve(p.t_g_ns)
+    lam = _branch_lams(p)
+    props = np.array([expm(_dense_block_generator(p, n_ph, lam[i], lam[j]) * dt)
+                      for i, j in lindblad._UPPER])
+    stops = [0, 1, 2, 3, 4, 7, 12]
+    for alpha in (0j, 0.5 - 0.4j, -0.2 + 0.6j):
+        vec = np.array([_displaced_start(n_ph, alpha, 0j, 0j).reshape(-1, 1)
+                        for _ in lindblad._UPPER])
+        seen, done = [], 0
+        for step, blocks in lindblad._lab_blocks(p, alpha, n_ph, dt, stops):
+            for _ in range(step - done):
+                vec = props @ vec
+            done = step
+            seen.append(step)
+            assert blocks.shape == (len(lindblad._UPPER), n_ph, n_ph)
+            assert np.abs(blocks.reshape(vec.shape) - vec).max() < 1e-12
+        assert seen == stops
+
+
 def test_generator_keeps_every_term_of_the_frame():
     # the lab generator is the operator form's, one pair or a stack; at the
     # steady shift the dense displaced generator of every block is exactly
@@ -716,13 +779,11 @@ def test_trajectory_rows_shape_and_content():
         trajectory_rows(p, 0.0, 0.0, initial_cavity=CavityPrep.thermal(0.1), n_ph=6)
 
 
-@pytest.mark.parametrize("delta_sign", [1, -1])
-@pytest.mark.parametrize("g2_over_g1", [1.5, 3.0])
-def test_trajectory_rows_match_rk4_reference(g2_over_g1, delta_sign):
-    # unequal couplings on both sidebands, a coherent start, unequal
-    # dephasing and a mixed qubit state with every coherence non-zero, so
-    # all 16 blocks count; 6 levels leave up to ~1e-3 in the guard level,
-    # so top_level_pop is not ~0
+def _check_trajectory_rows_against_rk4(g2_over_g1, delta_sign):
+    # unequal couplings, a coherent start, unequal dephasing and a mixed
+    # qubit state with every coherence non-zero, so all 16 blocks count;
+    # 6 levels leave up to ~1e-3 in the guard level, so top_level_pop is
+    # not ~0
     p = make_params(0.7, 5e-3, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
     gamma_1, gamma_2, alpha, n_ph = 2e6, 0.5e6, 0.3 + 0.4j, 6
     rng = np.random.default_rng(7)
@@ -748,6 +809,16 @@ def test_trajectory_rows_match_rk4_reference(g2_over_g1, delta_sign):
         assert rows[k]["t_ns"] == pytest.approx(k * dt, rel=1e-12)
         for key in ("trace", "purity", "mean_photon", "top_level_pop"):
             assert abs(rows[k][key] - getattr(state, key)) < 1e-6, (k, key)
+
+
+def test_trajectory_rows_match_rk4_reference():
+    _check_trajectory_rows_against_rk4(1.5, 1)
+
+
+@pytest.mark.parametrize("g2_over_g1, delta_sign", [(1.5, -1), (3.0, 1), (3.0, -1)])
+def test_trajectory_rows_match_rk4_reference_on_both_sidebands(g2_over_g1, delta_sign):
+    # the same check on the lower sideband and at g2/g1 = 3
+    _check_trajectory_rows_against_rk4(g2_over_g1, delta_sign)
 
 
 def test_import_loads_no_scipy_until_the_oracle_runs():
