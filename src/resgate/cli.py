@@ -52,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("csv", "json"), help="output format")
         sp.add_argument("--numeric", action="store_true",
                         help="verify each point against the master equation")
-        sp.add_argument("--seed", type=int, metavar="N", help="base RNG seed")
         sp.add_argument("--jobs", type=int, metavar="N",
                         help="worker processes for sweeps")
         if name == "simulate":
@@ -93,8 +92,6 @@ def main(argv=None) -> int:
             raw["format"] = args.format
         if args.numeric:
             raw["numeric"] = True
-        if args.seed is not None:
-            raw["seed"] = args.seed
         if args.jobs is not None:
             raw["jobs"] = args.jobs
         if getattr(args, "trajectory", None):

@@ -12,7 +12,8 @@ Two keys take structured values:
 
 * initial_cavity: "vacuum" (default), {"kind": "coherent", "alpha":
   [re, im]} (or a bare number), or {"kind": "thermal", "n_bar": x,
-  "samples": k}.
+  "samples": k}. The thermal channel is exact in closed form, so "samples"
+  is validated but has no effect; so is the top-level "seed" key.
 * axes: {parameter: [v1, v2, ...]} or {parameter: {"start": a, "stop": b,
   "num": k, "spacing": "linear"|"log"}}; parameters must be sweepable
   scalars (see SWEEPABLE_KEYS).
@@ -223,7 +224,7 @@ class RunConfig:
     trajectory_out: str | None = _key(None, _require_path)
     out: str | None = _key(None, _require_path)
     format: str = _key("csv", _require_choice, allowed=FORMATS)
-    seed: int = _key(0, _require_number, integer=True, nonnegative=True)
+    seed: int = _key(0, _require_number, integer=True, nonnegative=True)  # no effect
     jobs: int = _key(1, _require_number, integer=True, positive=True)
 
     def step_policy(self) -> StepPolicy:
@@ -286,7 +287,7 @@ def config_from_dict(data: dict, *, source: str = "<config>") -> RunConfig:
     if cfg.trajectory_out is not None and cfg.initial_cavity.kind == "thermal":
         raise ConfigError(
             "trajectory_out: a trajectory follows one cavity state, but initial_cavity "
-            "is thermal (a Monte-Carlo mixture); use a vacuum or coherent initial_cavity"
+            "is thermal (a mixture of states); use a vacuum or coherent initial_cavity"
         )
     return cfg
 

@@ -274,7 +274,9 @@ class StepPolicy:
 
 @dataclass(frozen=True)
 class CavityPrep:
-    """Initial cavity state: vacuum, coherent(alpha), or thermal(n_bar, samples)."""
+    """Initial cavity state: vacuum, coherent(alpha), or thermal(n_bar).
+
+    samples is checked but has no effect (thermal_average_channel is exact)."""
 
     kind: str = "vacuum"
     alpha: complex = 0j

@@ -19,9 +19,9 @@ single-qubit Z phases (e.g. from a displaced initial cavity state):
 Rz (x) Rz is diagonal with phase vector v, so the compensated channel is
 (v v^dag) o C, and F_e(t1, t2) is a trigonometric polynomial of degree 1 in
 each angle whose nine coefficients are sums of entries of the folded matrix.
-The fit sums them once, seeds from a coarse grid read off them, and climbs
-by exact coordinate steps in scalar arithmetic; a stack of channels is
-fitted in one call (_fit_stack, which thermal averaging uses).
+The fit sums them once, seeds from a coarse grid read off them, climbs
+by exact coordinate steps and finishes with Newton steps, in scalar
+arithmetic.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ _GRID = np.linspace(-math.pi, math.pi, _COARSE_GRID, endpoint=False)
 def _grid_basis() -> np.ndarray:
     """cos(d.t) / 16 over the bins, then sin(d.t) / 16, as (18, 625) rows over
     the seed grid t = (t1, t2), row-major: F_e = sum_d Re A_d cos(d.t) / 16
-    + Im A_d sin(d.t) / 16 for the coefficients A_d of _fit_stack."""
+    + Im A_d sin(d.t) / 16 for the coefficients A_d of fit_local_z."""
     args = (_BIN_D[0][:, None, None] * _GRID[:, None]
             + _BIN_D[1][:, None, None] * _GRID).reshape(9, -1)
     return np.concatenate([np.cos(args), np.sin(args)]) / 16.0
@@ -122,8 +122,8 @@ _GRID_BASIS = _grid_basis()
 class LocalZFit:
     """Result of the trailing local-Z compensation fit.
 
-    theta_1 and theta_2 are radians in (-pi, pi], good to ~1e-7 where the
-    optimum is well curved (see fit_local_z).
+    theta_1 and theta_2 are radians in (-pi, pi], at the optimum to
+    rounding where it is curved (see fit_local_z).
     """
 
     report: FidelityReport
@@ -133,10 +133,11 @@ class LocalZFit:
 
 
 def _ascend(re: list, im: list, f_start: float, t1: float, t2: float) -> tuple[float, float]:
-    """Exact coordinate ascent on F_avg from (t1, t2), in scalar arithmetic.
+    """Exact coordinate ascent on F_avg from (t1, t2), then Newton steps, in
+    scalar arithmetic.
 
     re and im are the real and imaginary parts of one Hermitian coefficient
-    table of _fit_stack over its nine bins, so with e = exp(-i t) and
+    table of fit_local_z over its nine bins, so with e = exp(-i t) and
     A1m = A[+1, -1],
 
         16 F_e = A00 + 2 Re(A10 e1 + A01 e2 + A11 e1 e2 + A1m e1 conj(e2)).
@@ -144,7 +145,9 @@ def _ascend(re: list, im: list, f_start: float, t1: float, t2: float) -> tuple[f
     At a fixed t2 that is c + 2 Re(B exp(-i t1)) with
     B = sum_d2 A[+1, d2] exp(-i d2 t2), largest at t1 = arg B, and likewise
     in t2. Rounds run until one gains less than 1e-14 in F_avg, or
-    _MAX_ROUNDS of them have run.
+    _MAX_ROUNDS of them have run. Along a flat, slanted ridge the rounds
+    crawl and stop short of the optimum, so up to three Newton steps on the
+    same polynomial follow, while its Hessian is negative definite.
     """
     a00 = re[4]
     a1m, a10, a11 = (complex(x, y) for x, y in zip(re[6:], im[6:]))
@@ -162,38 +165,19 @@ def _ascend(re: list, im: list, f_start: float, t1: float, t2: float) -> tuple[f
         if cur - prev < 1e-14:
             break
         prev = cur
-    return t1, t2
-
-
-def _fit_stack(cohs: np.ndarray, weights: np.ndarray):
-    """fit_local_z for each coherence matrix of an (S, 4, 4) stack, against
-    the target weights of _target_weights.
-
-    Returns the (S, 2) angles, the (S, 4, 4) compensated matrices and their
-    (S,) F_e. Each F_e is a degree-1 trigonometric polynomial in each angle
-    with nine coefficients A[d1, d2] (see _coefficient_bins), summed once by
-    bincount. Only the Hermitian part of the folded matrix enters F_e, so A
-    is taken Hermitian, A[-d] = conj(A[d]) (unchanged for a Hermitian C).
-    The 25 x 25 seed grid is read off A, and _ascend climbs from its best
-    point, one matrix at a time.
-    """
-    count = len(cohs)
-    w = (weights * cohs).reshape(count, 16)
-    at = (9 * np.arange(count)[:, None] + _BINS).ravel()
-    re = np.bincount(at, w.real.ravel(), 9 * count).reshape(count, 9)
-    im = np.bincount(at, w.imag.ravel(), 9 * count).reshape(count, 9)
-    re, im = 0.5 * (re + re[:, ::-1]), 0.5 * (im - im[:, ::-1])
-    grid = (4.0 * np.einsum("sk,kg->sg", np.concatenate([re, im], axis=1), _GRID_BASIS)
-            + 1.0) / 5.0
-    best = grid.argmax(axis=1)
-    angles = np.array([
-        _ascend(r, i, f, _GRID[k // _COARSE_GRID], _GRID[k % _COARSE_GRID])
-        for r, i, f, k in zip(re.tolist(), im.tolist(),
-                              grid[np.arange(count), best].tolist(), best.tolist())
-    ]).reshape(count, 2)
-    phases = np.exp(-1j * (angles[:, :1] * _BIN_D[0] + angles[:, 1:] * _BIN_D[1]))
-    fixed = phases[:, _BINS].reshape(count, 4, 4) * cohs
-    return angles, fixed, (weights * fixed).sum(axis=(-2, -1)).real / 16.0
+    for _ in range(3):
+        # term A e^{-i d.t} adds d Im(term) to grad / 2, -d d^T Re(term) to Hess / 2
+        e1, e2 = cmath.exp(-1j * t1), cmath.exp(-1j * t2)
+        u10, u01, u11, u1m = a10 * e1, a01 * e2, a11 * e1 * e2, a1m * e1 * e2.conjugate()
+        g1, g2 = u10.imag + u11.imag + u1m.imag, u01.imag + u11.imag - u1m.imag
+        h11 = -(u10.real + u11.real + u1m.real)
+        h22 = -(u01.real + u11.real + u1m.real)
+        h12 = u1m.real - u11.real
+        det = h11 * h22 - h12 * h12
+        if not (h11 < 0.0 and det > 0.0):
+            break
+        t1, t2 = t1 - (h22 * g1 - h12 * g2) / det, t2 - (h11 * g2 - h12 * g1) / det
+    return math.remainder(t1, 2.0 * math.pi), math.remainder(t2, 2.0 * math.pi)
 
 
 def fit_local_z(
@@ -204,20 +188,25 @@ def fit_local_z(
     The compensated channel is N' = (Rz (x) Rz) . N. The correction is
     diagonal with phase vector v, and v_i conj(v_j) = exp(-i (d1 t1 + d2 t2))
     with d = (s_i - s_j) / 2 per qubit, so F_e(t1, t2) is a trigonometric
-    polynomial of degree 1 in each angle with nine coefficients, for any
-    channel. A 25 x 25 grid over [-pi, pi)^2 read off them seeds exact
-    coordinate ascent, t1 = arg sum_d2 A[+1, d2] exp(-i d2 t2) and likewise
-    for t2, which runs until a round gains less than 1e-14 (_fit_stack).
-
-    The stop is on F_avg, whose gain near the optimum is quadratic in the
-    angle error: where the optimum is well curved F_avg is exact to
-    rounding, but theta_1 and theta_2 are good to ~1e-7 only. Along a flat,
-    slanted ridge the ascent crawls and can stop early: on 1 of 400 random
-    rank-4 CPTP channels it stopped 4.9e-8 short in F_avg, 4e-3 off in angle.
+    polynomial of degree 1 in each angle whose nine coefficients A[d1, d2]
+    (_coefficient_bins) are summed once and taken Hermitian (only C's
+    Hermitian part enters F_e). A 25 x 25 grid over [-pi, pi)^2 read off
+    them seeds exact coordinate ascent, and Newton steps finish it (_ascend):
+    on 1 of 400 random rank-4 CPTP channels the ascent alone stopped 4.9e-8
+    short in F_avg, 4e-3 off in angle, on a flat, slanted ridge.
     """
     weights = _target_weights(target)
     if validate:
         channel.validate()
-    (angles,), (fixed,), (f_e,) = _fit_stack(channel.coherence[None], weights)
-    return LocalZFit(report=FidelityReport(f_e=float(f_e)), theta_1=float(angles[0]),
-                     theta_2=float(angles[1]), channel=TwoQubitChannel(fixed))
+    coh = channel.coherence
+    w = (weights * coh).ravel()
+    re, im = np.bincount(_BINS, w.real, 9), np.bincount(_BINS, w.imag, 9)
+    re, im = 0.5 * (re + re[::-1]), 0.5 * (im - im[::-1])
+    grid = (4.0 * np.einsum("k,kg->g", np.concatenate([re, im]), _GRID_BASIS) + 1.0) / 5.0
+    best = int(grid.argmax())
+    t1, t2 = _ascend(re.tolist(), im.tolist(), float(grid[best]),
+                     _GRID[best // _COARSE_GRID], _GRID[best % _COARSE_GRID])
+    fixed = np.exp(-1j * (t1 * _BIN_D[0] + t2 * _BIN_D[1]))[_BINS].reshape(4, 4) * coh
+    f_e = float((weights * fixed).sum().real) / 16.0
+    return LocalZFit(report=FidelityReport(f_e=f_e), theta_1=t1, theta_2=t2,
+                     channel=TwoQubitChannel(fixed))

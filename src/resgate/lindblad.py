@@ -41,10 +41,10 @@ no block built. There the cavity holds only
 |alpha - beta_i| e^{-kappa t}, no level feeds the one above it, and the
 guard-level population is largest at the start; the Fock space is sized
 from max_i |alpha - beta_i| (_reach). A thermal cavity is not one state
-but a Monte-Carlo mixture of coherent ones: thermal_average_channel carries
-all its samples through the same closed form, compensates them in one
-batched local-Z fit and averages their channels, and the single-state paths
-reject it.
+but a Gaussian mixture of coherent ones, and log C_ij(alpha) is linear in
+alpha and alpha^*, so the mixture's average is exact in closed form:
+thermal_average_channel multiplies the vacuum channel by a Gaussian factor
+in beta_i - beta_j, and the single-state paths reject it.
 
 Lab-frame paths (trajectory_rows, polaron_residual) report per-step
 quantities, so they step the ten blocks on and above the diagonal with
@@ -67,10 +67,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .channel import TwoQubitChannel, drive_frame_displacement, gate_target
+from .channel import TwoQubitChannel, drive_frame_displacement
 from .device import DEFAULT_TOP_LEVEL_THRESHOLD, CavityPrep, DerivedGateParams, StepPolicy
 from .errors import DomainError
-from .fidelity import _fit_stack, _target_weights
 
 DEFAULT_N_PH = 6  # levels 0..5: one guard level above the 4-photon working range
 _GUARD_TAIL = 1e-5  # choose_n_ph's bound on the guard-level population
@@ -281,13 +280,13 @@ def _start_amplitude(prep: CavityPrep | None) -> complex:
     preparation.
 
     A thermal preparation is a mixture the block engines cannot carry as one
-    state, so it raises DomainError.
+    state (thermal_average_channel averages it), so it raises DomainError.
     """
     prep = prep or CavityPrep.vacuum()
     if prep.kind == "thermal":
         raise DomainError(
             "needs a deterministic cavity preparation (vacuum or coherent), got "
-            "thermal; thermal_average_channel averages its coherent samples"
+            "thermal; thermal_average_channel gives its channel in closed form"
         )
     return prep.alpha
 
@@ -328,20 +327,18 @@ def _frame_terms(params: DerivedGateParams):
     return beta, 2.0 * kappa * (b_j - b_i).conj(), -1j * energy + kappa * loss
 
 
-def _branch_kets(beta: np.ndarray, alphas, n_ph: int) -> np.ndarray:
+def _branch_kets(beta: np.ndarray, alpha: complex, n_ph: int) -> np.ndarray:
     """psi_k = D(beta_k)^dag |alpha> = exp(i Im(beta_k^* alpha)) |alpha - beta_k>
-    for each branch steady state beta_k of _frame_terms and each coherent
-    start alpha of alphas, truncated and renormalized: a (4, S, n_ph) array.
-    Block (i, j) starts as psi_i psi_j^dag."""
-    alphas = np.asarray(alphas, dtype=complex)
-    kets = _coherent_kets(n_ph, (alphas - beta[:, None]).ravel()).reshape(4, len(alphas), n_ph)
-    return np.exp(1j * (beta.conj()[:, None] * alphas).imag)[..., None] * kets
+    for each branch steady state beta_k of _frame_terms and the coherent
+    start alpha, truncated and renormalized: a (4, n_ph) array. Block (i, j)
+    starts as psi_i psi_j^dag."""
+    return np.exp(1j * (beta.conj() * alpha).imag)[:, None] * _coherent_kets(n_ph, alpha - beta)
 
 
 def _readout(params: DerivedGateParams, frame, psi: np.ndarray, t: float) -> np.ndarray:
     """Tr r_ij(t) of every block of _UPPER at time t, in closed form, from the
-    branch kets psi of _branch_kets and the terms frame of _frame_terms: an
-    (S, 10) array, dephasing left out.
+    branch kets psi of _branch_kets and the terms frame of _frame_terms: a
+    (10,) array, dephasing left out.
 
     With L = L0 + c_a A_L + c_b A_R + s (_frame_terms), A_L r' = a r' and
     A_R r' = r' a^dag, the kept levels satisfy [L0, A_L] = z A_L,
@@ -376,10 +373,9 @@ def _readout(params: DerivedGateParams, frame, psi: np.ndarray, t: float) -> np.
     decay = cmath.exp(-z * t)
     delta = beta[_UPPER_I] - beta[_UPPER_J]
     p = delta.conj() * decay - c_a * ((1.0 - decay) / z)
-    left = np.einsum("umn,usn->usm", _lowering_exp(n_ph, -p), psi[_UPPER_I])
-    right = np.einsum("umn,usn->usm", _lowering_exp(n_ph, p), psi[_UPPER_J])
-    return (np.exp(s * t - 0.5 * np.abs(delta) ** 2)[:, None]
-            * np.einsum("usm,usm->us", right.conj(), left)).T
+    left = np.einsum("umn,un->um", _lowering_exp(n_ph, -p), psi[_UPPER_I])
+    right = np.einsum("umn,un->um", _lowering_exp(n_ph, p), psi[_UPPER_J])
+    return np.exp(s * t - 0.5 * np.abs(delta) ** 2) * np.einsum("um,um->u", right.conj(), left)
 
 
 def _expm(m: np.ndarray) -> np.ndarray:
@@ -424,7 +420,7 @@ def extract_channel(
 
     gamma_1, gamma_2 in 1/s. The cavity starts in vacuum (the default) or
     in a coherent state; a thermal preparation raises DomainError, since
-    its channel is the seeded Monte-Carlo average of thermal_average_channel.
+    its channel is the mixture's average, thermal_average_channel.
     The channel is diagonal: rho_ij -> C_ij rho_ij with
     C_ij = exp(-c_ij t_g) Tr[exp(L(lam_i, lam_j) t_g) cav] (see
     _block_generator), where c_ij is gamma_k summed over the qubits k whose
@@ -452,34 +448,22 @@ def extract_channel(
     worst case over any qubit input. SimDiagnostics reports steps = 1 and
     dt_ns = t_g: one exact propagation.
     """
-    (coh,), diag = _coherences(params, gamma_1, gamma_2, [_start_amplitude(initial_cavity)],
-                               n_ph, top_level_threshold)
-    return TwoQubitChannel(coh), diag
-
-
-def _coherences(
-    params: DerivedGateParams, gamma_1: float, gamma_2: float, alphas,
-    n_ph: int | None, top_level_threshold: float,
-) -> tuple[np.ndarray, SimDiagnostics]:
-    """The (S, 4, 4) coherence matrices of the gate from each coherent start
-    of alphas, in the displaced frame, and one SimDiagnostics whose guard
-    population is the largest over all of them (see extract_channel). With
-    n_ph None every start shares the size the largest of them needs."""
+    alpha = _start_amplitude(initial_cavity)
     if n_ph is None:
-        n_ph = choose_n_ph(max(_reach(params, alpha, displaced=True) for alpha in alphas))
+        n_ph = choose_n_ph(_reach(params, alpha, displaced=True))
     t_g = params.t_g_ns
     frame = _frame_terms(params)
-    psi = _branch_kets(frame[0], alphas, n_ph)
-    diag = _run_health(float((np.abs(psi[..., -1]) ** 2).max()), 1, t_g, n_ph,
+    psi = _branch_kets(frame[0], alpha, n_ph)
+    diag = _run_health(float((np.abs(psi[:, -1]) ** 2).max()), 1, t_g, n_ph,
                        top_level_threshold)
     traces = _readout(params, frame, psi, t_g)
 
     rates = _dephasing_rates(gamma_1, gamma_2)[_UPPER_I, _UPPER_J]
-    coh = np.zeros((len(traces), 4, 4), dtype=complex)
-    coh[:, _UPPER_I, _UPPER_J] = np.exp(-rates * t_g) * traces
-    coh[:, _UPPER_J, _UPPER_I] = np.conj(coh[:, _UPPER_I, _UPPER_J])
-    coh[:, range(4), range(4)] = traces[:, _UPPER_I == _UPPER_J].real
-    return coh, diag
+    coh = np.zeros((4, 4), dtype=complex)
+    coh[_UPPER_I, _UPPER_J] = np.exp(-rates * t_g) * traces
+    coh[_UPPER_J, _UPPER_I] = np.conj(coh[_UPPER_I, _UPPER_J])
+    coh[range(4), range(4)] = traces[_UPPER_I == _UPPER_J].real
+    return TwoQubitChannel(coh), diag
 
 
 def _polaron_defect(
@@ -598,46 +582,33 @@ def trajectory_rows(
 def thermal_average_channel(
     params: DerivedGateParams,
     n_bar: float,
-    sample_count: int,
-    seed: int,
     *,
     gamma_1: float = 0.0,
     gamma_2: float = 0.0,
     n_ph: int | None = None,
     top_level_threshold: float = DEFAULT_TOP_LEVEL_THRESHOLD,
 ) -> tuple[TwoQubitChannel, SimDiagnostics]:
-    """Monte-Carlo thermal-state channel with per-sample local-Z compensation.
+    """Channel of one gate from a thermal cavity of mean photon number n_bar.
 
-    Draws coherent amplitudes from the complex Gaussian of variance n_bar
-    (the P-representation of a thermal state) and reads the coherence
-    matrix of every sample in one closed-form pass. One batched local-Z fit
-    then strips each sample's deterministic drive-induced single-qubit Z
-    phases by two trailing Z angles of its own (the fit of fit_local_z, run
-    on the whole stack at once), and the compensated coherence matrices are
-    averaged. Deterministic for a given seed. n_bar = 0 short-circuits to
-    the plain vacuum extraction (bit-identical with it).
+    A thermal state is the average of coherent states |alpha><alpha| over
+    its P-function, the complex Gaussian of variance n_bar, and log C_ij(alpha)
+    of extract_channel is linear in alpha and alpha^* (the |alpha|^2 terms
+    cancel), so that average is exact:
 
-    Every sample is carried in the branches' displaced frame (see
-    extract_channel). All samples share one Fock space, n_ph or else the
-    size the largest displaced reach among them needs,
-    max_i |alpha_s - beta_i| (_reach): each sample is only one more start of
-    the same _readout call. The diagnostics report that size and the worst
-    displaced-frame guard population of any sample.
+        C_ij = C_ij(vacuum) exp(-n_bar |1 - exp(-z t_g)|^2 |beta_i - beta_j|^2),
+
+    z = kappa + i Delta, beta_i the branch steady states (_steady_shift): a
+    Gaussian kernel in beta, which keeps the channel completely positive, and
+    1 where the loops of a lossless gate close. The vacuum part, its Fock
+    size, guard check and diagnostics are extract_channel's; n_bar = 0
+    returns them bit for bit.
     """
     if n_bar < 0:
         raise DomainError(f"n_bar must be non-negative, got {n_bar}")
-    if sample_count < 1:
-        raise DomainError(f"sample_count must be >= 1, got {sample_count}")
-    if n_bar == 0.0:
-        return extract_channel(
-            params, gamma_1, gamma_2, CavityPrep.vacuum(), n_ph=n_ph,
-            top_level_threshold=top_level_threshold,
-        )
-
-    rng = np.random.default_rng(seed)
-    sigma = math.sqrt(n_bar / 2.0)
-    alphas = [complex(re_b, im_b) for re_b, im_b in rng.normal(0.0, sigma, (sample_count, 2))]
-    cohs, diag = _coherences(params, gamma_1, gamma_2, alphas, n_ph, top_level_threshold)
-
-    _, fixed, _ = _fit_stack(cohs, _target_weights(gate_target(params)))
-    return TwoQubitChannel(fixed.mean(axis=0)), diag
+    chan, diag = extract_channel(params, gamma_1, gamma_2, n_ph=n_ph,
+                                 top_level_threshold=top_level_threshold)
+    z = complex(params.kappa_per_ns, params.delta_rad_ns)
+    beta = _steady_shift(params) * np.array(_branch_amplitudes(params))
+    factor = np.exp(-n_bar * abs(1.0 - cmath.exp(-z * params.t_g_ns)) ** 2
+                    * np.abs(beta[:, None] - beta) ** 2)
+    return TwoQubitChannel(chan.coherence * factor), diag

@@ -10,8 +10,8 @@ keeps going.
 
 Output contract: CSV with the fixed column order in CSV_COLUMNS (stable
 plotting interface), or schema-versioned JSON that also carries the
-resolved config and per-row diagnostics. Identical (config, seed) pairs
-produce byte-identical files.
+resolved config and per-row diagnostics. Identical configs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -236,14 +236,14 @@ def resolve_operating_point(cfg: RunConfig) -> OperatingPoint:
     )
 
 
-def evaluate_point(cfg: RunConfig, *, seed: int | None = None) -> SweepRow:
+def evaluate_point(cfg: RunConfig) -> SweepRow:
     """Evaluate cfg's operating point into a single SweepRow.
 
     Any exception is captured into the row's diagnostics ("error") with NaN
     fidelities, so callers (sweeps in particular) can keep going.
     """
     try:
-        return _evaluate_point(cfg, cfg.seed if seed is None else seed)
+        return _evaluate_point(cfg)
     except Exception as exc:  # noqa: BLE001 - per-point isolation is the contract
         return SweepRow(
             z_ohm=cfg.z_r_ohm, q=cfg.q_factor, n=cfg.n,
@@ -255,7 +255,7 @@ def evaluate_point(cfg: RunConfig, *, seed: int | None = None) -> SweepRow:
         )
 
 
-def _evaluate_point(cfg: RunConfig, seed: int) -> SweepRow:
+def _evaluate_point(cfg: RunConfig) -> SweepRow:
     op = resolve_operating_point(cfg)
     params, gphi = op.params, op.gamma_phi
     diagnostics = dict(op.diagnostics)
@@ -277,8 +277,7 @@ def _evaluate_point(cfg: RunConfig, seed: int) -> SweepRow:
         solver = dict(n_ph=cfg.n_ph, top_level_threshold=cfg.top_level_threshold)
         if prep.kind == "thermal":
             chan, diag = thermal_average_channel(
-                params, prep.n_bar, prep.samples, seed,
-                gamma_1=gphi, gamma_2=gphi, **solver)
+                params, prep.n_bar, gamma_1=gphi, gamma_2=gphi, **solver)
         else:
             chan, diag = extract_channel(params, gphi, gphi, prep, **solver)
         target = gate_target(params)
@@ -338,7 +337,7 @@ def _one_blas_thread() -> None:
 
 def _point_worker(args) -> tuple[int, SweepRow]:
     cfg, index, overrides = args
-    return index, evaluate_point(replace(cfg, **overrides), seed=cfg.seed + index)
+    return index, evaluate_point(replace(cfg, **overrides))
 
 
 def run_sweep(cfg: RunConfig) -> SweepResult:
@@ -348,7 +347,7 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
     axes this degenerates to the single configured point. Points are
     independent; jobs > 1 dispatches them over a process pool, whose
     workers run with one BLAS thread each, and reorders results back to the
-    deterministic sequence. Per-point seeds are seed + index.
+    deterministic sequence.
     """
     names = [name for name, _ in cfg.axes]
     grids = [values for _, values in cfg.axes]

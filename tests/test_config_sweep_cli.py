@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from resgate import (
+    CavityPrep,
     NoiseSpec,
     QubitTuning,
     ResonatorSpec,
@@ -452,20 +453,23 @@ _THERMAL = {"kind": "thermal", "n_bar": 0.2, "samples": 2}
 
 
 def test_thermal_row_is_the_seeded_thermal_average():
-    # a thermal row scores thermal_average_channel at the row's seed, with
-    # the config's solver settings, against the sign-matched target
+    # a thermal row scores thermal_average_channel(params, n_bar, gamma,
+    # gamma), with the config's solver settings, against the sign-matched
+    # target; the config's seed and samples have no effect on it
     cfg = config_from_dict({"numeric": True, "refine": False, "seed": 4,
                             "initial_cavity": _THERMAL}, source="t")
     row = evaluate_point(cfg)
     assert not row.failed
     op = resolve_operating_point(cfg)
     chan, diag = thermal_average_channel(
-        op.params, 0.2, 2, cfg.seed, gamma_1=op.gamma_phi, gamma_2=op.gamma_phi,
+        op.params, 0.2, gamma_1=op.gamma_phi, gamma_2=op.gamma_phi,
         n_ph=cfg.n_ph, top_level_threshold=cfg.top_level_threshold,
     )
     target = ideal_gate_unitary(math.copysign(math.pi / 4.0, op.params.delta_rad_ns))
     assert row.f_numeric == average_gate_fidelity(chan, target, validate=False).f_avg
     assert row.diagnostics["n_ph"] == diag.n_ph
+    other = replace(cfg, seed=9, initial_cavity=CavityPrep.thermal(0.2, samples=50))
+    assert evaluate_point(other) == row
 
 
 @pytest.mark.parametrize(
@@ -475,32 +479,16 @@ def test_thermal_row_is_the_seeded_thermal_average():
     ids=["vacuum", "coherent", "thermal"],
 )
 def test_drive_above_resonator_rows_score_the_mirrored_phase(start):
-    # with delta_sign -1 the ZZ phase is -pi/4. A vacuum row scored against
-    # the +pi/4 gate would read f_numeric ~ 0.2; coherent and thermal rows
+    # with delta_sign -1 the ZZ phase is -pi/4. A vacuum or thermal row
+    # scored against the +pi/4 gate would read f_numeric ~ 0.2; coherent rows
     # fit local Z first, which absorbs that mirror (exp(i pi/2 Z1 Z2) is the
-    # local i Z1 Z2), so there the check is agreement with the analytic row
+    # local i Z1 Z2), so the check is agreement with the analytic row
     cfg = config_from_dict({"numeric": True, "refine": False, "delta_sign": -1, **start},
                            source="t")
     row = evaluate_point(cfg)
     assert not row.failed
     assert row.delta_mhz < 0
     assert abs(row.f_numeric - row.f_analytic) < 1e-3
-
-
-def test_sweep_row_i_draws_its_thermal_samples_with_seed_plus_i(monkeypatch):
-    seeds = []
-
-    def recording(params, n_bar, samples, seed, **kwargs):
-        seeds.append(seed)
-        return thermal_average_channel(params, n_bar, samples, seed, **kwargs)
-
-    monkeypatch.setattr(sweep, "thermal_average_channel", recording)
-    cfg = config_from_dict({"numeric": True, "refine": False, "seed": 7,
-                            "initial_cavity": _THERMAL,
-                            "axes": {"q_factor": [1e4, 2e4, 4e4]}}, source="t")
-    result = run_sweep(cfg)
-    assert seeds == [7, 8, 9]
-    assert not result.any_failed
 
 
 # ------------------------------------------------------------------- cli --
@@ -579,7 +567,7 @@ def test_cli_simulate_with_trajectory(tmp_path, capsys):
 
 def test_cli_rejects_a_thermal_trajectory_before_any_work(tmp_path, capsys, monkeypatch):
     # a trajectory follows one cavity state and a thermal start is a
-    # Monte-Carlo mixture: the config is refused before the row's extraction
+    # mixture of states: the config is refused before the row's extraction
     def solver(*args, **kwargs):
         raise AssertionError("the solver ran")
 
@@ -617,18 +605,6 @@ def test_cli_sweep_to_file(tmp_path, capsys):
     assert len(lines) == 4
     qs = [float(line.split(",")[1]) for line in lines[1:]]
     assert qs == [1e4, 2e4, 4e4]
-
-
-def test_cli_seed_override(tmp_path):
-    # the seed only matters for thermal sampling; check it is plumbed through
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"seed": 5}))
-    out1 = tmp_path / "a.csv"
-    out2 = tmp_path / "b.csv"
-    assert main(["analytic", "--config", str(cfg), "--out", str(out1)]) == 0
-    assert main(["analytic", "--config", str(cfg), "--seed", "9", "--out", str(out2)]) == 0
-    # analytic output is seed-independent
-    assert out1.read_text() == out2.read_text()
 
 
 # ------------------------------------------------------- example configs --

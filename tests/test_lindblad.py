@@ -373,7 +373,7 @@ def test_channel_paths_call_expm_zero_times(monkeypatch, g2_over_g1):
     monkeypatch.setattr(lindblad, "_expm", lambda m: args.append(m) or real_expm(m))
     for prep in (CavityPrep.vacuum(), CavityPrep.coherent(0.3 - 0.2j)):
         extract_channel(p, 1e6, 2e6, prep, n_ph=6)
-    thermal_average_channel(p, 0.2, 3, 5, gamma_1=1e6, gamma_2=2e6)
+    thermal_average_channel(p, 0.2, gamma_1=1e6, gamma_2=2e6)
     assert args == []
     rows = trajectory_rows(p, 0.0, 0.0, n_ph=6, stride=100)
     assert len(rows) > 2
@@ -484,15 +484,14 @@ def test_displaced_starts_are_the_displaced_cavity():
     p = make_params(0.7, 5e-3, n=2, g2_over_g1=1.5)
     n_ph, big = 14, 50
     lam, shift = _branch_lams(p), lindblad._steady_shift(p)
-    alphas = [0.5 - 0.4j, 0j]
-    psi = lindblad._branch_kets(lindblad._frame_terms(p)[0], alphas, n_ph)
-    blocks = np.einsum("usp,usq->supq", psi[lindblad._UPPER_I], psi[lindblad._UPPER_J].conj())
-    for s, alpha in enumerate(alphas):
+    for alpha in (0.5 - 0.4j, 0j):
+        psi = lindblad._branch_kets(lindblad._frame_terms(p)[0], alpha, n_ph)
+        blocks = np.einsum("up,uq->upq", psi[lindblad._UPPER_I], psi[lindblad._UPPER_J].conj())
         cav = np.outer(_ket(big, alpha), _ket(big, alpha).conj())
         for k, (i, j) in enumerate(lindblad._UPPER):
             ref = (_dense_displacement(big, shift * lam[i]).conj().T @ cav
                    @ _dense_displacement(big, shift * lam[j]))[:n_ph, :n_ph]
-            assert np.abs(blocks[s, k] - ref).max() < 1e-10
+            assert np.abs(blocks[k] - ref).max() < 1e-10
 
 
 def test_displacement_has_the_exact_kept_elements():
@@ -701,9 +700,9 @@ def test_closed_form_readout_matches_dense_expm(g2_over_g1, delta_sign, kappa, n
     _, dt = StepPolicy().resolve(p.t_g_ns)
     lam, shift = _branch_lams(p), lindblad._steady_shift(p)
     frame = lindblad._frame_terms(p)
-    psi = lindblad._branch_kets(frame[0], [alpha], n_ph)
+    psi = lindblad._branch_kets(frame[0], alpha, n_ph)
     for t in (dt, p.t_g_ns):
-        (traces,) = lindblad._readout(p, frame, psi, t)
+        traces = lindblad._readout(p, frame, psi, t)
         for u, (i, j) in enumerate(lindblad._UPPER):
             b_i, b_j = shift * lam[i], shift * lam[j]
             start = _displaced_start(n_ph, alpha, b_i, b_j).reshape(-1)
@@ -836,7 +835,7 @@ def test_import_loads_no_scipy_until_the_oracle_runs():
         "    chan, diag = resgate.extract_channel(params, 0.0, 0.0, prep, n_ph=7)\n"
         "    chan.validate()\n"
         "    assert not diag.failed\n"
-        "chan, diag = resgate.thermal_average_channel(params, 0.2, 2, 3)\n"
+        "chan, diag = resgate.thermal_average_channel(params, 0.2)\n"
         "assert not diag.failed and not loaded(), loaded()\n"
         "resgate.trajectory_rows(params, 0.0, 0.0, stride=400)\n"
         "assert 'scipy.linalg' in sys.modules\n"
@@ -894,26 +893,6 @@ def test_polaron_residual_small_on_schedule():
     assert res < 1e-5
 
 
-@pytest.mark.parametrize("samples", [1, 2, 64])
-def test_thermal_average_is_the_mean_of_per_sample_fits(samples):
-    # the batched local-Z fit of thermal_average_channel gives each sample
-    # the compensation fit_local_z gives it alone: the average equals the
-    # mean of the per-sample fits of the same seeded draws' channels
-    p = make_params(0.7, 5e-3, n=2, delta_sign=-1)
-    sigma = math.sqrt(0.3 / 2.0)
-    draws = np.random.default_rng(41).normal(0.0, sigma, (samples, 2))
-    cohs, _ = lindblad._coherences(p, 1e6, 2e6, [complex(*z) for z in draws], None,
-                                   lindblad.DEFAULT_TOP_LEVEL_THRESHOLD)
-    target = resgate.gate_target(p)
-    fits = [resgate.fit_local_z(resgate.TwoQubitChannel(c), target, validate=False)
-            for c in cohs]
-    chan, _ = thermal_average_channel(p, 0.3, samples, 41, gamma_1=1e6, gamma_2=2e6)
-    mean = np.mean([fit.channel.coherence for fit in fits], axis=0)
-    assert np.abs(chan.coherence - mean).max() <= 1e-15
-    # the samples' compensated channels differ far beyond that bound
-    assert samples == 1 or np.abs(fits[0].channel.coherence - mean).max() > 1e-12
-
-
 def test_per_size_tables_are_read_only():
     # the cached tables of one Fock size are shared by every later call at
     # that size, so none of them can be written through
@@ -926,37 +905,108 @@ def test_per_size_tables_are_read_only():
 
 def test_thermal_channel_deterministic_and_continuous():
     p = make_params(0.7, 1e-3, n=2)
-    a = thermal_average_channel(p, 0.05, 3, 11, n_ph=6)[0].superop
-    b = thermal_average_channel(p, 0.05, 3, 11, n_ph=6)[0].superop
+    a = thermal_average_channel(p, 0.05, n_ph=6)[0].superop
+    b = thermal_average_channel(p, 0.05, n_ph=6)[0].superop
     assert np.array_equal(a, b)
-    c = thermal_average_channel(p, 0.05, 3, 12, n_ph=6)[0].superop
-    assert not np.array_equal(a, c)  # the seed really enters
-    # n_bar = 0 short-circuits to the vacuum extraction, bit for bit
+    # n_bar = 0 is the vacuum extraction, bit for bit
     vac = extract_channel(p, 0.0, 0.0, n_ph=6)[0].superop
-    zero = thermal_average_channel(p, 0.0, 3, 11, n_ph=6)[0].superop
+    zero = thermal_average_channel(p, 0.0, n_ph=6)[0].superop
     assert np.array_equal(vac, zero)
+    # and the channel leaves it continuously: the change is linear in small n_bar
+    moves = [np.abs(thermal_average_channel(p, n_bar, n_ph=6)[0].superop - vac).max()
+             for n_bar in (1e-8, 1e-6, 1e-4)]
+    assert moves[0] > 0.0
+    assert moves[1] / moves[0] == pytest.approx(100.0, rel=1e-3)
+    assert moves[2] / moves[1] == pytest.approx(100.0, rel=1e-3)
+    with pytest.raises(DomainError, match="n_bar"):
+        thermal_average_channel(p, -0.1)
 
 
-def test_thermal_diagnostics_report_the_largest_fock_size(monkeypatch):
-    # the Monte-Carlo samples share one Fock space, sized from the largest
-    # displaced reach max_i |alpha_s - beta_i| among them, and one
-    # closed-form pass; the diagnostics report that size
+def test_thermal_diagnostics_report_the_largest_fock_size():
+    # the diagnostics are the vacuum extraction's: its Fock size, guard
+    # population and flags, with n_ph and the threshold passed through
     p = make_params(0.7, 1e-3, n=2)
-    stacks = []
-    real_readout = lindblad._readout
+    for kwargs in ({}, {"n_ph": 4}, {"n_ph": 5, "top_level_threshold": 1e-3}):
+        _, diag = thermal_average_channel(p, 0.2, gamma_1=1e6, gamma_2=2e6, **kwargs)
+        assert diag == extract_channel(p, 1e6, 2e6, **kwargs)[1]
+    assert diag.n_ph == 5 and not diag.failed
+    assert thermal_average_channel(p, 0.2, n_ph=4)[1].failed
 
-    def recording(params, frame, psi, t):
-        stacks.append(psi.shape[1:])
-        return real_readout(params, frame, psi, t)
 
-    monkeypatch.setattr(lindblad, "_readout", recording)
-    _, diag = thermal_average_channel(p, 0.2, 2, 2)
-    draws = np.random.default_rng(2).normal(0.0, math.sqrt(0.1), (2, 2))
-    sizes = [choose_n_ph(lindblad._reach(p, complex(*z), displaced=True)) for z in draws]
-    assert len(set(sizes)) > 1  # each sample alone would take another size
-    assert stacks == [(2, max(sizes))]
-    assert diag.n_ph == max(sizes)
-    assert diag.to_json_dict()["n_ph"] == max(sizes)
+@pytest.mark.parametrize("delta_sign", [1, -1])
+@pytest.mark.parametrize("g2_over_g1", [1.0, 3.0])
+def test_thermal_channel_matches_dense_thermal_propagation(g2_over_g1, delta_sign):
+    # the closed form against each off-diagonal block of the thermal state
+    # rho_th, sum_k n_bar^k / (1 + n_bar)^(k+1) |k><k| truncated and
+    # renormalized, propagated by the dense lab-frame expm(L(lam_i, lam_j) t_g)
+    # at 21 levels (~2e-10 from convergence); the thermal factor moves these
+    # entries by up to ~8e-3 here. Diagonal blocks keep their trace, 1.
+    from scipy.linalg import expm
+
+    n_bar, n_ph = 0.3, 21
+    p = make_params(0.7, 5e-2, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
+    chan, _ = thermal_average_channel(p, n_bar, n_ph=n_ph)
+    pops = n_bar ** np.arange(n_ph) / (1.0 + n_bar) ** np.arange(1, n_ph + 1)
+    rho = np.diag(pops / pops.sum()).reshape(-1)
+    lam = _branch_lams(p)
+    for i, j in lindblad._UPPER:
+        if i != j:
+            block = expm(_dense_block_generator(p, n_ph, lam[i], lam[j]) * p.t_g_ns) @ rho
+            assert abs(np.trace(block.reshape(n_ph, n_ph)) - chan.coherence[i, j]) < 1e-9
+
+
+@pytest.mark.parametrize("delta_sign", [1, -1])
+@pytest.mark.parametrize("g2_over_g1", [1.0, 3.0])
+def test_thermal_channel_is_the_mean_of_coherent_channels(g2_over_g1, delta_sign):
+    # the thermal state is the average of |alpha><alpha| over its
+    # P-function, so the channel is the mean of the coherent-start channels
+    # over draws of alpha: within 5 standard errors of that mean in every
+    # entry the draws move (the vacuum channel sits ~45 of them away). The
+    # others (the diagonal, and branches of equal lam at g2 = g1) are the
+    # same for every draw and equal the thermal entry to rounding.
+    n_bar, samples = 0.3, 4000
+    p = make_params(0.7, 5e-2, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
+    chan, _ = thermal_average_channel(p, n_bar, gamma_1=1e6, gamma_2=2e6)
+    draws = np.random.default_rng(5).normal(0.0, math.sqrt(n_bar / 2.0), (samples, 2))
+    cohs = np.array([
+        extract_channel(p, 1e6, 2e6, CavityPrep.coherent(complex(*z)))[0].coherence
+        for z in draws])
+    for part in (np.real, np.imag):
+        x, ref = part(cohs).reshape(samples, 16), part(chan.coherence).reshape(16)
+        sem = x.std(axis=0, ddof=1) / math.sqrt(samples)
+        still = np.ptp(x, axis=0) < 1e-12
+        assert np.all(np.abs(x.mean(axis=0) - ref)[~still] < 5.0 * sem[~still])
+        assert np.abs(x[:, still] - ref[still]).max() < 1e-12
+
+
+@pytest.mark.parametrize("delta_sign", [1, -1])
+@pytest.mark.parametrize("g2_over_g1", [1.0, 3.0])
+def test_thermal_channel_is_the_vacuum_one_for_a_lossless_gate(g2_over_g1, delta_sign):
+    # without loss every branch returns to its start at t_g (the loops
+    # close, exp(-z t_g) = 1), so the gate does not depend on the cavity's
+    # initial state: a thermal start gives the vacuum channel. The branches'
+    # steady states differ by ~0.5 here, so a factor without
+    # |1 - exp(-z t_g)|^2 would move the entries by ~0.1
+    p = make_params(0.7, 0.0, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
+    vac = extract_channel(p, 1e6, 2e6)[0].coherence
+    chan, _ = thermal_average_channel(p, 0.3, gamma_1=1e6, gamma_2=2e6)
+    assert np.abs(chan.coherence - vac).max() < 1e-14
+
+
+@given(
+    g1=st.floats(min_value=0.1, max_value=1.0),
+    g2_over_g1=st.floats(min_value=0.3, max_value=3.0),
+    kappa=st.floats(min_value=0.0, max_value=5e-2),
+    gamma=st.floats(min_value=0.0, max_value=3e6),
+    n_bar=st.floats(min_value=0.0, max_value=10.0),
+    delta_sign=st.sampled_from([1, -1]),
+)
+@settings(max_examples=100, deadline=None)
+def test_thermal_channel_is_cptp(g1, g2_over_g1, kappa, gamma, n_bar, delta_sign):
+    # the vacuum channel times a Gaussian kernel in the steady states beta_i
+    # is a Schur product of two positive semidefinite matrices
+    p = make_params(g1, kappa, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
+    thermal_average_channel(p, n_bar, gamma_1=gamma, gamma_2=0.5 * gamma)[0].validate()
 
 
 def test_trajectory_and_polaron_residual_share_one_fock_size(monkeypatch):
@@ -994,8 +1044,8 @@ def test_composite_state_partial_traces():
 
 
 def test_extract_channel_rejects_a_thermal_cavity():
-    # a thermal cavity is a seeded mixture: extract_channel must not run it
-    # as vacuum, it is thermal_average_channel's to sample
+    # a thermal cavity is a mixture: extract_channel must not run it as
+    # vacuum, its channel is thermal_average_channel's
     p = make_params(0.7, 1e-3, n=2)
     with pytest.raises(DomainError, match="thermal"):
         extract_channel(p, 0.0, 0.0, CavityPrep.thermal(0.1, samples=2), n_ph=6)
