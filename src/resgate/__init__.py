@@ -89,12 +89,10 @@ _LAZY = {
         "fit_local_z",
     ),
     "lindblad": (
-        "FockSpace",
         "SimDiagnostics",
         "choose_n_ph",
         "extract_channel",
         "polaron_residual",
-        "thermal_average_channel",
         "trajectory_rows",
     ),
     "sweep": (

@@ -12,8 +12,9 @@ Two keys take structured values:
 
 * initial_cavity: "vacuum" (default), {"kind": "coherent", "alpha":
   [re, im]} (or a bare number), or {"kind": "thermal", "n_bar": x,
-  "samples": k}. The thermal channel is exact in closed form, so "samples"
-  is validated but has no effect; so is the top-level "seed" key.
+  "samples": k}. extract_channel gives the thermal channel exactly, in
+  closed form, so "samples" is validated but has no effect; so is the
+  top-level "seed" key.
 * axes: {parameter: [v1, v2, ...]} or {parameter: {"start": a, "stop": b,
   "num": k, "spacing": "linear"|"log"}}; parameters must be sweepable
   scalars (see SWEEPABLE_KEYS).

@@ -276,7 +276,8 @@ class StepPolicy:
 class CavityPrep:
     """Initial cavity state: vacuum, coherent(alpha), or thermal(n_bar).
 
-    samples is checked but has no effect (thermal_average_channel is exact)."""
+    lindblad.extract_channel takes every kind, a thermal one in closed form,
+    so samples is checked but has no effect. alpha and n_bar must be finite."""
 
     kind: str = "vacuum"
     alpha: complex = 0j
@@ -286,8 +287,10 @@ class CavityPrep:
     def __post_init__(self):
         if self.kind not in ("vacuum", "coherent", "thermal"):
             raise DomainError(f"unknown cavity preparation {self.kind!r}")
-        if self.n_bar < 0:
-            raise DomainError(f"n_bar must be non-negative, got {self.n_bar}")
+        if not (math.isfinite(self.n_bar) and self.n_bar >= 0):
+            raise DomainError(f"n_bar must be finite and non-negative, got {self.n_bar}")
+        if not (math.isfinite(self.alpha.real) and math.isfinite(self.alpha.imag)):
+            raise DomainError(f"alpha must be finite, got {self.alpha}")
         if self.samples < 1:
             raise DomainError(f"samples must be >= 1, got {self.samples}")
 

@@ -12,20 +12,21 @@ With the (gamma/2) D[Z] convention a single-qubit coherence decays at
 exactly gamma (the 1/T2 rate).
 
 Unit boundaries: the entry points (extract_channel, trajectory_rows,
-polaron_residual, thermal_average_channel) take SI-valued DerivedGateParams
-and dephasing rates in 1/s; the generators and propagators inside work in
-the internal system rad/ns, 1/ns, ns.
+polaron_residual) take SI-valued DerivedGateParams and dephasing rates in
+1/s; the generators and propagators inside work in the internal system
+rad/ns, 1/ns, ns.
 
 Basis ordering is qubit_1 (x) qubit_2 (x) Fock, i.e. the Fock index runs
 fastest. H, the photon loss and the dephasing all commute with Z1 and Z2,
 so the qubit block r_ij = <i|rho|j> (an n_ph x n_ph cavity operator)
 evolves on its own under a fixed generator L_ij. The effective two-qubit
 channel is therefore the elementwise map rho_ij -> C_ij rho_ij with
-C_ij = Tr[exp(L_ij t_g) cav], stored as C. Every start is a coherent state
-(the vacuum is alpha = 0), so each block starts as a dyad of coherent kets.
+C_ij = Tr[exp(L_ij t_g) cav], stored as C. Every pure start is a coherent
+state (the vacuum is alpha = 0), so each block starts as a dyad of coherent
+kets.
 
-Channel paths (extract_channel, thermal_average_channel): branch i drives
-the cavity towards its steady state beta_i = -i lam_i / (2 (i Delta + kappa))
+Channel path (extract_channel): branch i drives the cavity towards its
+steady state beta_i = -i lam_i / (2 (i Delta + kappa))
 (the coherent-branch picture of Gambetta et al., PRA 74, 042318 (2006)).
 In the branches' displaced frame r'_ij = D(beta_i)^dag r_ij D(beta_j) the
 generator is the undriven damped oscillator L0 plus two lowering terms and
@@ -42,9 +43,10 @@ no block built. There the cavity holds only
 guard-level population is largest at the start; the Fock space is sized
 from max_i |alpha - beta_i| (_reach). A thermal cavity is not one state
 but a Gaussian mixture of coherent ones, and log C_ij(alpha) is linear in
-alpha and alpha^*, so the mixture's average is exact in closed form:
-thermal_average_channel multiplies the vacuum channel by a Gaussian factor
-in beta_i - beta_j, and the single-state paths reject it.
+alpha and alpha^*, so the mixture's average is exact in closed form: the
+vacuum channel times a Gaussian kernel in beta_i - beta_j. extract_channel
+takes every preparation; the lab-frame paths, which follow one state,
+reject a thermal one.
 
 Lab-frame paths (trajectory_rows, polaron_residual) report per-step
 quantities, so they step the ten blocks on and above the diagonal with
@@ -52,8 +54,8 @@ their own expm(L_ij dt) on the StepPolicy grid (_lab_blocks) and size the
 space from the lab-frame reach. scipy (for expm) is imported on these
 paths' first use only. The truncated generator preserves the trace of a
 diagonal block exactly (Tr(A r A^dag) = Tr(A^dag A r), and a commutator is
-traceless), so the channel paths check only the guard-level population,
-in their frame.
+traceless), so the channel path checks only the guard-level population,
+in its frame.
 The tests check both engines against an independent dense-composite RK4
 integrator kept in tests/rk4_reference.py.
 """
@@ -63,6 +65,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -75,33 +78,6 @@ DEFAULT_N_PH = 6  # levels 0..5: one guard level above the 4-photon working rang
 _GUARD_TAIL = 1e-5  # choose_n_ph's bound on the guard-level population
 # Z1, Z2 eigenvalues of the qubit basis states |00>, |01>, |10>, |11>.
 _BRANCHES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
-
-@dataclass(frozen=True)
-class FockSpace:
-    """Truncated oscillator space with levels 0..n_levels-1."""
-
-    n_levels: int
-
-    def __post_init__(self):
-        if not (isinstance(self.n_levels, int) and self.n_levels >= 2):
-            raise DomainError(f"need at least 2 Fock levels, got {self.n_levels!r}")
-
-    def annihilation(self) -> np.ndarray:
-        return np.diag(np.sqrt(np.arange(1, self.n_levels, dtype=float)), k=1).astype(complex)
-
-    def number_op(self) -> np.ndarray:
-        return np.diag(np.arange(self.n_levels, dtype=float)).astype(complex)
-
-    def vacuum_rho(self) -> np.ndarray:
-        rho = np.zeros((self.n_levels, self.n_levels), dtype=complex)
-        rho[0, 0] = 1.0
-        return rho
-
-    def coherent_rho(self, beta: complex) -> np.ndarray:
-        """|beta><beta| truncated to the space and renormalized."""
-        (ket,) = _coherent_kets(self.n_levels, [beta])
-        return np.outer(ket, ket.conj())
 
 
 def _coherent_kets(n_ph: int, amps) -> np.ndarray:
@@ -205,6 +181,13 @@ def choose_n_ph(max_amplitude: float) -> int:
     return max(DEFAULT_N_PH, k + 1)
 
 
+def _check_n_ph(n_ph) -> int:
+    """A given Fock size as an int of at least 2 levels, else DomainError."""
+    if isinstance(n_ph, bool) or not hasattr(n_ph, "__index__") or operator.index(n_ph) < 2:
+        raise DomainError(f"need at least 2 Fock levels, got {n_ph!r}")
+    return operator.index(n_ph)
+
+
 def _reach(params: DerivedGateParams, alpha: complex = 0j, *, displaced: bool = False) -> float:
     """Largest cavity amplitude any branch holds over t >= 0, from alpha(0) = alpha.
 
@@ -246,9 +229,8 @@ def _block_generator(params: DerivedGateParams, n_ph: int):
     (gamma/2) D[Z] dephasing only adds -c_ij, a multiple of the identity,
     so callers apply it as the factor exp(-c_ij t).
     """
-    fock = FockSpace(n_ph)
-    a, num = fock.annihilation().real, fock.number_op().real
-    eye = np.eye(n_ph)
+    a = np.diag(np.sqrt(np.arange(1.0, n_ph)), k=1)
+    num, eye = np.diag(np.arange(float(n_ph))), np.eye(n_ph)
     n_left, n_right = np.kron(num, eye), np.kron(eye, num)
     base = (-1j * params.delta_rad_ns * (n_left - n_right)
             + params.kappa_per_ns * (2.0 * np.kron(a, a) - n_left - n_right))
@@ -273,22 +255,6 @@ def _dephasing_rates(gamma_1: float, gamma_2: float) -> np.ndarray:
     eigenvalues differ between branches i and j."""
     s = np.array(_BRANCHES)
     return 1e-9 * ((s[:, None, :] != s[None, :, :]) @ np.array([gamma_1, gamma_2]))
-
-
-def _start_amplitude(prep: CavityPrep | None) -> complex:
-    """Coherent amplitude of a vacuum (prep None, amplitude 0) or coherent
-    preparation.
-
-    A thermal preparation is a mixture the block engines cannot carry as one
-    state (thermal_average_channel averages it), so it raises DomainError.
-    """
-    prep = prep or CavityPrep.vacuum()
-    if prep.kind == "thermal":
-        raise DomainError(
-            "needs a deterministic cavity preparation (vacuum or coherent), got "
-            "thermal; thermal_average_channel gives its channel in closed form"
-        )
-    return prep.alpha
 
 
 # qubit index pairs (i, j) of the blocks on and above the diagonal, row-major;
@@ -418,10 +384,10 @@ def extract_channel(
 ) -> tuple[TwoQubitChannel, SimDiagnostics]:
     """Exact effective two-qubit channel of one gate, in closed form per qubit block.
 
-    gamma_1, gamma_2 in 1/s. The cavity starts in vacuum (the default) or
-    in a coherent state; a thermal preparation raises DomainError, since
-    its channel is the mixture's average, thermal_average_channel.
-    The channel is diagonal: rho_ij -> C_ij rho_ij with
+    gamma_1, gamma_2 in 1/s. The cavity starts in vacuum (the default), in
+    a coherent state or in a thermal one; n_ph, if given, is an int of at
+    least 2 levels (else DomainError). The channel is diagonal:
+    rho_ij -> C_ij rho_ij with
     C_ij = exp(-c_ij t_g) Tr[exp(L(lam_i, lam_j) t_g) cav] (see
     _block_generator), where c_ij is gamma_k summed over the qubits k whose
     Z eigenvalues differ between i and j, and C_ji = conj(C_ij).
@@ -440,6 +406,20 @@ def extract_channel(
     moves onto the readout displacement), with no time grid, no expm and no
     block built, exact on the kept levels.
 
+    A thermal cavity of mean photon number n_bar is the average of
+    |alpha><alpha| over its P-function, the complex Gaussian of variance
+    n_bar, and log C_ij(alpha) is linear in alpha and alpha^* (the |alpha|^2
+    terms cancel), so that average is exact:
+
+        C_ij = C_ij(vacuum) exp(-n_bar |1 - exp(-z t_g)|^2 |beta_i - beta_j|^2),
+
+    z = kappa + i Delta: a Gaussian kernel in beta, which keeps the channel
+    completely positive, and 1 where the loops of a lossless gate close.
+    Every preparation carries its n_bar, 0 unless thermal, and at n_bar = 0
+    the kernel is exactly 1, so it is always applied. A thermal start's
+    alpha is 0, so its Fock size, guard check and diagnostics are the
+    vacuum's.
+
     The guard-level population, in the displaced frame, is the maximum over
     all four diagonal blocks and the whole gate. A diagonal block sees only
     L0, which lowers, so its top level holds exp(-2 kappa t (n_ph - 1)) times
@@ -448,19 +428,22 @@ def extract_channel(
     worst case over any qubit input. SimDiagnostics reports steps = 1 and
     dt_ns = t_g: one exact propagation.
     """
-    alpha = _start_amplitude(initial_cavity)
-    if n_ph is None:
-        n_ph = choose_n_ph(_reach(params, alpha, displaced=True))
+    prep = initial_cavity or CavityPrep.vacuum()
+    n_ph = (choose_n_ph(_reach(params, prep.alpha, displaced=True)) if n_ph is None
+            else _check_n_ph(n_ph))
     t_g = params.t_g_ns
     frame = _frame_terms(params)
-    psi = _branch_kets(frame[0], alpha, n_ph)
+    psi = _branch_kets(frame[0], prep.alpha, n_ph)
     diag = _run_health(float((np.abs(psi[:, -1]) ** 2).max()), 1, t_g, n_ph,
                        top_level_threshold)
     traces = _readout(params, frame, psi, t_g)
 
     rates = _dephasing_rates(gamma_1, gamma_2)[_UPPER_I, _UPPER_J]
+    z, beta = complex(params.kappa_per_ns, params.delta_rad_ns), frame[0]
+    thermal = np.exp(-prep.n_bar * abs(1.0 - cmath.exp(-z * t_g)) ** 2
+                     * np.abs(beta[_UPPER_I] - beta[_UPPER_J]) ** 2)
     coh = np.zeros((4, 4), dtype=complex)
-    coh[_UPPER_I, _UPPER_J] = np.exp(-rates * t_g) * traces
+    coh[_UPPER_I, _UPPER_J] = np.exp(-rates * t_g) * traces * thermal
     coh[_UPPER_J, _UPPER_I] = np.conj(coh[_UPPER_I, _UPPER_J])
     coh[range(4), range(4)] = traces[_UPPER_I == _UPPER_J].real
     return TwoQubitChannel(coh), diag
@@ -479,9 +462,9 @@ def _polaron_defect(
     alpha_unit = drive_frame_displacement(
         1.0, params.delta_rad_ns, params.kappa_per_ns, t_ns
     )
-    a = FockSpace(r_diag.shape[-1]).annihilation()
+    a = np.diag(np.sqrt(np.arange(1.0, r_diag.shape[-1])), k=1)
     amps = -np.array(lam)[:, None, None] * alpha_unit
-    disp = _expm(amps * a.conj().T - np.conj(amps) * a)
+    disp = _expm(amps * a.T - np.conj(amps) * a)
     cav = (disp @ r_diag @ disp.conj().transpose(0, 2, 1)).sum(axis=0)
     return 1.0 - float(cav[0, 0].real) / float(np.trace(cav).real)
 
@@ -509,7 +492,7 @@ def polaron_residual(
     lab-frame size choose_n_ph(_reach)).
     """
     t_samples = np.atleast_1d(np.asarray(t_samples, dtype=float))
-    if np.any(t_samples < 0) or np.any(t_samples > params.t_g_ns * (1 + 1e-12)):
+    if not np.all((t_samples >= 0) & (t_samples <= params.t_g_ns * (1 + 1e-12))):
         raise DomainError("sample times must lie in [0, t_g]")
     rows = trajectory_rows(params, 0.0, 0.0, n_ph=n_ph, policy=policy)
     _, dt = policy.resolve(params.t_g_ns)
@@ -530,9 +513,10 @@ def trajectory_rows(
     """Per-step state metrics for the optional trajectory dump.
 
     Evolves a single composite state (default |++> with the requested
-    cavity preparation; gamma in 1/s) on the policy's step grid and
-    records, every ``stride`` steps plus the final one, a row with keys
-    t_ns, trace, purity, mean_photon, top_level_pop, polaron_residual.
+    vacuum or coherent cavity; a thermal one, a mixture, raises DomainError;
+    gamma in 1/s) on the policy's step grid and records, every ``stride``
+    steps plus the final one, a row with keys t_ns, trace, purity,
+    mean_photon, top_level_pop, polaron_residual.
     Every number comes from the qubit blocks r_ij(t) =
     q_ij exp(-c_ij t) expm(L_ij t) cav: trace, mean_photon, top_level_pop
     and the residual from the four diagonal blocks, and the purity as
@@ -549,9 +533,11 @@ def trajectory_rows(
     if stride < 1:
         raise DomainError(f"stride must be >= 1, got {stride}")
 
-    alpha = _start_amplitude(initial_cavity)
-    if n_ph is None:
-        n_ph = choose_n_ph(_reach(params, alpha))
+    prep = initial_cavity or CavityPrep.vacuum()
+    if prep.kind == "thermal":
+        raise DomainError("a trajectory follows one cavity state, but a thermal "
+                          "cavity is a mixture; use a vacuum or coherent preparation")
+    n_ph = choose_n_ph(_reach(params, prep.alpha)) if n_ph is None else _check_n_ph(n_ph)
     q = np.asarray(initial_qubit, dtype=complex)
     lam = _branch_amplitudes(params)
     steps, dt = policy.resolve(params.t_g_ns)
@@ -563,7 +549,7 @@ def trajectory_rows(
 
     stops = [*range(0, steps, stride), steps]
     rows: list[dict] = []
-    for step, blocks in _lab_blocks(params, alpha, n_ph, dt, stops):
+    for step, blocks in _lab_blocks(params, prep.alpha, n_ph, dt, stops):
         t_now = step * dt
         r_diag = np.diagonal(q)[:, None, None] * blocks[on_diag]
         pops = np.einsum("inn->in", r_diag).real
@@ -577,38 +563,3 @@ def trajectory_rows(
             "polaron_residual": _polaron_defect(r_diag, lam, params, t_now),
         })
     return rows
-
-
-def thermal_average_channel(
-    params: DerivedGateParams,
-    n_bar: float,
-    *,
-    gamma_1: float = 0.0,
-    gamma_2: float = 0.0,
-    n_ph: int | None = None,
-    top_level_threshold: float = DEFAULT_TOP_LEVEL_THRESHOLD,
-) -> tuple[TwoQubitChannel, SimDiagnostics]:
-    """Channel of one gate from a thermal cavity of mean photon number n_bar.
-
-    A thermal state is the average of coherent states |alpha><alpha| over
-    its P-function, the complex Gaussian of variance n_bar, and log C_ij(alpha)
-    of extract_channel is linear in alpha and alpha^* (the |alpha|^2 terms
-    cancel), so that average is exact:
-
-        C_ij = C_ij(vacuum) exp(-n_bar |1 - exp(-z t_g)|^2 |beta_i - beta_j|^2),
-
-    z = kappa + i Delta, beta_i the branch steady states (_steady_shift): a
-    Gaussian kernel in beta, which keeps the channel completely positive, and
-    1 where the loops of a lossless gate close. The vacuum part, its Fock
-    size, guard check and diagnostics are extract_channel's; n_bar = 0
-    returns them bit for bit.
-    """
-    if n_bar < 0:
-        raise DomainError(f"n_bar must be non-negative, got {n_bar}")
-    chan, diag = extract_channel(params, gamma_1, gamma_2, n_ph=n_ph,
-                                 top_level_threshold=top_level_threshold)
-    z = complex(params.kappa_per_ns, params.delta_rad_ns)
-    beta = _steady_shift(params) * np.array(_branch_amplitudes(params))
-    factor = np.exp(-n_bar * abs(1.0 - cmath.exp(-z * params.t_g_ns)) ** 2
-                    * np.abs(beta[:, None] - beta) ** 2)
-    return TwoQubitChannel(chan.coherence * factor), diag

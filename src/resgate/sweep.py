@@ -47,7 +47,7 @@ from .device import (
 )
 from .errors import DomainError
 from .fidelity import average_gate_fidelity, fit_local_z
-from .lindblad import extract_channel, thermal_average_channel
+from .lindblad import extract_channel
 from .noise import NoiseSpec, dephasing_rate, infidelity_power_law, optimal_drive
 
 CSV_COLUMNS = (
@@ -274,12 +274,8 @@ def _evaluate_point(cfg: RunConfig) -> SweepRow:
     max_fock = None
     if cfg.numeric:
         prep = cfg.initial_cavity
-        solver = dict(n_ph=cfg.n_ph, top_level_threshold=cfg.top_level_threshold)
-        if prep.kind == "thermal":
-            chan, diag = thermal_average_channel(
-                params, prep.n_bar, gamma_1=gphi, gamma_2=gphi, **solver)
-        else:
-            chan, diag = extract_channel(params, gphi, gphi, prep, **solver)
+        chan, diag = extract_channel(params, gphi, gphi, prep, n_ph=cfg.n_ph,
+                                     top_level_threshold=cfg.top_level_threshold)
         target = gate_target(params)
         if prep.kind == "coherent":
             # a displaced cavity adds deterministic single-qubit Z phases;

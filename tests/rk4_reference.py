@@ -11,20 +11,46 @@ re-Hermitization after every step. It shares no stepping code with
 resgate.lindblad's block engine, which is why the tests compare that engine
 against it. build_hamiltonian takes SI-valued DerivedGateParams and returns
 rad/ns; lindblad_rhs and evolve_rk4 work in rad/ns, 1/ns and ns. Basis
-ordering is qubit_1 (x) qubit_2 (x) Fock, the Fock index fastest.
+ordering is qubit_1 (x) qubit_2 (x) Fock, the Fock index fastest. The
+cavity operators and states (annihilation, coherent_ket, coherent_rho,
+vacuum_rho) are built here from their definitions, not taken from resgate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from resgate import DerivedGateParams, FockSpace, SimDiagnostics, StepPolicy
+from resgate import DerivedGateParams, SimDiagnostics, StepPolicy
 from resgate.errors import DomainError
 from resgate.lindblad import DEFAULT_N_PH, DEFAULT_TOP_LEVEL_THRESHOLD, _run_health
 
 DEFAULT_TRACE_DRIFT_TOL = 1e-6
+
+
+def annihilation(n_ph: int) -> np.ndarray:
+    """The lowering operator a on levels 0..n_ph-1: <m-1|a|m> = sqrt(m)."""
+    return np.diag(np.sqrt(np.arange(1, n_ph)), k=1).astype(complex)
+
+
+def coherent_ket(n_ph: int, beta: complex) -> np.ndarray:
+    """|beta> on n_ph levels from its definition, truncated and renormalized."""
+    ket = np.array([beta**m / math.sqrt(math.factorial(m)) for m in range(n_ph)],
+                   dtype=complex)
+    return ket / np.linalg.norm(ket)
+
+
+def coherent_rho(n_ph: int, beta: complex) -> np.ndarray:
+    """|beta><beta| on n_ph levels, truncated and renormalized."""
+    ket = coherent_ket(n_ph, beta)
+    return np.outer(ket, ket.conj())
+
+
+def vacuum_rho(n_ph: int) -> np.ndarray:
+    """|0><0| on n_ph levels."""
+    return coherent_rho(n_ph, 0.0)
 
 
 @dataclass(frozen=True)
@@ -78,8 +104,7 @@ class CompositeState:
 
 def _full_ops(n_ph: int) -> dict:
     """Operators lifted to the composite space (qubit_1 x qubit_2 x Fock)."""
-    fock = FockSpace(n_ph)
-    a = fock.annihilation()
+    a = annihilation(n_ph)
     i_f = np.eye(n_ph, dtype=complex)
     z = np.diag([1.0, -1.0]).astype(complex)
     i2 = np.eye(2, dtype=complex)

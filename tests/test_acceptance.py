@@ -21,7 +21,6 @@ from scipy.integrate import quad
 
 from resgate import (
     CavityPrep,
-    FockSpace,
     StepPolicy,
     TwoQubitChannel,
     alpha_closed_form,
@@ -36,13 +35,12 @@ from resgate import (
     ideal_gate_unitary,
     intrinsic_dephasing_channel,
     polaron_residual,
-    thermal_average_channel,
 )
 from resgate.config import config_from_dict
 from resgate.sweep import evaluate_point, render_csv, run_sweep
 
 from conftest import entanglement_fidelity_product_basis, make_params
-from rk4_reference import CompositeState, build_hamiltonian, evolve_rk4
+from rk4_reference import CompositeState, build_hamiltonian, evolve_rk4, vacuum_rho
 
 # Representative rates in 1/ns: the default-resonator cavity decay and the
 # intrinsic dephasing at the optimized default operating point.
@@ -250,7 +248,7 @@ def test_09_initial_state_independence():
         assert not diag.failed
         f_coh = fit_local_z(chan, TARGET, validate=False).report.f_avg
         assert abs(f_coh - f_vac) < 1e-3, f"alpha={alpha}: {f_coh} vs {f_vac}"
-    chan_th, diag_th = thermal_average_channel(p, 0.3)
+    chan_th, diag_th = extract_channel(p, 0.0, 0.0, CavityPrep.thermal(0.3))
     assert not diag_th.failed
     f_th = fit_local_z(chan_th, TARGET, validate=False).report.f_avg
     assert abs(f_th - f_vac) < 1e-3, f"thermal: {f_th} vs {f_vac}"
@@ -302,10 +300,7 @@ def test_11_property_suites():
     chan_num.validate()
 
     # RK4 self-convergence on a dense case
-    f = FockSpace(4)
-    rho0 = CompositeState.from_parts(
-        np.full((4, 4), 0.25, dtype=complex), f.vacuum_rho()
-    )
+    rho0 = CompositeState.from_parts(np.full((4, 4), 0.25, dtype=complex), vacuum_rho(4))
     h = build_hamiltonian(p, n_ph=4)
 
     def run(dt):
@@ -317,8 +312,8 @@ def test_11_property_suites():
     assert 12.0 < ratio < 20.0
 
     # byte-identical reruns: the thermal channel and rendered sweeps
-    a = thermal_average_channel(p, 0.08, n_ph=6)[0].superop
-    b_mat = thermal_average_channel(p, 0.08, n_ph=6)[0].superop
+    a = extract_channel(p, 0.0, 0.0, CavityPrep.thermal(0.08), n_ph=6)[0].superop
+    b_mat = extract_channel(p, 0.0, 0.0, CavityPrep.thermal(0.08), n_ph=6)[0].superop
     assert np.array_equal(a, b_mat)
     cfg = config_from_dict({"axes": {"q_factor": [1e4, 3e4]}, "refine": False}, source="t")
     assert render_csv(run_sweep(cfg)) == render_csv(run_sweep(cfg))

@@ -25,9 +25,9 @@ from resgate import (
     choose_n_ph,
     dephasing_rate,
     derive_gate_params,
+    extract_channel,
     ideal_gate_unitary,
     sweep,
-    thermal_average_channel,
 )
 from resgate import lindblad
 from resgate.cli import TRAJECTORY_COLUMNS, main
@@ -453,16 +453,17 @@ _THERMAL = {"kind": "thermal", "n_bar": 0.2, "samples": 2}
 
 
 def test_thermal_row_is_the_seeded_thermal_average():
-    # a thermal row scores thermal_average_channel(params, n_bar, gamma,
-    # gamma), with the config's solver settings, against the sign-matched
-    # target; the config's seed and samples have no effect on it
+    # a thermal row scores extract_channel(params, gamma, gamma,
+    # CavityPrep.thermal(n_bar)), with the config's solver settings, against
+    # the sign-matched target; the config's seed and samples have no effect
+    # on it
     cfg = config_from_dict({"numeric": True, "refine": False, "seed": 4,
                             "initial_cavity": _THERMAL}, source="t")
     row = evaluate_point(cfg)
     assert not row.failed
     op = resolve_operating_point(cfg)
-    chan, diag = thermal_average_channel(
-        op.params, 0.2, gamma_1=op.gamma_phi, gamma_2=op.gamma_phi,
+    chan, diag = extract_channel(
+        op.params, op.gamma_phi, op.gamma_phi, CavityPrep.thermal(0.2),
         n_ph=cfg.n_ph, top_level_threshold=cfg.top_level_threshold,
     )
     target = ideal_gate_unitary(math.copysign(math.pi / 4.0, op.params.delta_rad_ns))
@@ -571,8 +572,7 @@ def test_cli_rejects_a_thermal_trajectory_before_any_work(tmp_path, capsys, monk
     def solver(*args, **kwargs):
         raise AssertionError("the solver ran")
 
-    for name in ("thermal_average_channel", "extract_channel"):
-        monkeypatch.setattr(sweep, name, solver)
+    monkeypatch.setattr(sweep, "extract_channel", solver)
     monkeypatch.setattr(lindblad, "trajectory_rows", solver)
     cfg = tmp_path / "sim.json"
     cfg.write_text(json.dumps({"initial_cavity": _THERMAL}))

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 import resgate
 from resgate import (
     CavityPrep,
-    FockSpace,
     StepPolicy,
     analytic_gate_channel,
     average_gate_fidelity,
@@ -26,39 +25,36 @@ from resgate import (
     extract_channel,
     ideal_gate_unitary,
     polaron_residual,
-    thermal_average_channel,
     trajectory_rows,
 )
 from resgate import lindblad
 from resgate.errors import DomainError
 
 from conftest import make_params
-from rk4_reference import CompositeState, build_hamiltonian, evolve_rk4, lindblad_rhs
-
-
-def test_fock_operators_truncated_commutator():
-    f = FockSpace(8)
-    a = f.annihilation()
-    comm = a @ a.conj().T - a.conj().T @ a
-    # [a, a^dag] = 1 except in the guard corner
-    expect = np.eye(8)
-    expect[-1, -1] = -(8 - 1)
-    assert np.allclose(comm, expect, atol=1e-13)
-    assert np.allclose(f.number_op(), a.conj().T @ a, atol=1e-13)
+from rk4_reference import (
+    CompositeState,
+    annihilation,
+    build_hamiltonian,
+    coherent_ket,
+    coherent_rho,
+    evolve_rk4,
+    lindblad_rhs,
+    vacuum_rho,
+)
 
 
 def test_fock_coherent_state_statistics():
-    f = FockSpace(20)
+    # the kets every start of the engines is built from: normalized, with
+    # the coherent state's photon number and amplitude, the vacuum exactly
+    # |0>, and each the reference's ket from its definition
     beta = 0.9 - 0.4j
-    rho = f.coherent_rho(beta)
-    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
-    n_mean = np.trace(f.number_op() @ rho).real
-    assert n_mean == pytest.approx(abs(beta) ** 2, rel=1e-6)
-    a_mean = np.trace(f.annihilation() @ rho)
-    assert a_mean == pytest.approx(beta, abs=1e-6)
-    vac = f.vacuum_rho()
-    assert vac[0, 0] == 1.0
-    assert np.trace(vac) == 1.0
+    ket, vac = lindblad._coherent_kets(20, [beta, 0.0])
+    a = annihilation(20)
+    assert np.linalg.norm(ket) == pytest.approx(1.0, abs=1e-12)
+    assert np.vdot(a @ ket, a @ ket).real == pytest.approx(abs(beta) ** 2, rel=1e-6)
+    assert np.vdot(ket, a @ ket) == pytest.approx(beta, abs=1e-6)
+    assert np.array_equal(vac, np.eye(20)[0])
+    assert np.abs(ket - coherent_ket(20, beta)).max() < 1e-15
 
 
 def test_step_policy_clamps():
@@ -94,10 +90,9 @@ def test_cavity_decay_rates():
     # nearly decoupled qubits: photon number decays at 2*kappa, trace stays 1
     p = make_params(1e-8, 0.0, n=2)
     kappa = 0.3
-    f = FockSpace(10)
     qubit = np.zeros((4, 4), dtype=complex)
     qubit[0, 0] = 1.0
-    rho0 = CompositeState.from_parts(qubit, f.coherent_rho(1.2))
+    rho0 = CompositeState.from_parts(qubit, coherent_rho(10, 1.2))
     h = build_hamiltonian(p, n_ph=10)
     final, diag = evolve_rk4(rho0, h, kappa, 0.0, 0.0, 3.0)
     assert not diag.failed
@@ -114,10 +109,9 @@ def test_qubit_dephasing_rate_convention():
     # gamma — the rate is 1/T2, not 2/T2
     p = make_params(1e-8, 0.0, n=2)
     h = build_hamiltonian(p, n_ph=3)
-    f = FockSpace(3)
     plus = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
     ground = np.array([[1, 0], [0, 0]], dtype=complex)
-    rho0 = CompositeState.from_parts(np.kron(plus, ground), f.vacuum_rho())
+    rho0 = CompositeState.from_parts(np.kron(plus, ground), vacuum_rho(3))
     gamma_1 = 0.2
     final, diag = evolve_rk4(rho0, h, 0.0, gamma_1, 0.0, 2.0)
     coh = final.qubit_rho()[0, 2]
@@ -129,9 +123,8 @@ def test_qubit_dephasing_rate_convention():
 
 def test_rk4_self_convergence_order():
     p = make_params(0.7, 5e-3, n=2)
-    f = FockSpace(4)
     qubit = np.full((4, 4), 0.25, dtype=complex)
-    rho0 = CompositeState.from_parts(qubit, f.vacuum_rho())
+    rho0 = CompositeState.from_parts(qubit, vacuum_rho(4))
     h = build_hamiltonian(p, n_ph=4)
 
     def run(dt):
@@ -221,7 +214,7 @@ def test_extract_channel_matches_rk4_reference(p, gamma_1, gamma_2, alpha):
     chan, diag = extract_channel(p, gamma_1, gamma_2, prep, n_ph=n_ph)
     assert not diag.failed
     ref, ref_top = _rk4_reference_superop(p, gamma_1, gamma_2,
-                                          FockSpace(n_ref).coherent_rho(alpha or 0.0))
+                                          coherent_rho(n_ref, alpha or 0.0))
     assert ref_top < 1e-8
     assert np.max(np.abs(chan.superop - ref)) < 1e-6
 
@@ -235,7 +228,7 @@ def _dense_block_generator(p, n_ph, lam_i, lam_j, shift=0j):
     + kappa(2 A_i r' A_j^dag - A_i^dag A_i r' - r' A_j^dag A_j), with A = a + b
     and H = Delta A^dag A + (lam/2)(A + A^dag), as a matrix on row-major
     vec(r'). Shift 0 is the lab frame."""
-    a, eye = FockSpace(n_ph).annihilation(), np.eye(n_ph)
+    a, eye = annihilation(n_ph), np.eye(n_ph)
 
     def ops(lam):
         big_a = a + shift * lam * eye
@@ -256,21 +249,14 @@ def _dense_displacement(n_ph, delta, room=40):
     """<m|D(delta)|n> on n_ph levels, from expm in a space room levels larger."""
     from scipy.linalg import expm
 
-    a = FockSpace(n_ph + room).annihilation()
+    a = annihilation(n_ph + room)
     return expm(delta * a.conj().T - np.conj(delta) * a)[:n_ph, :n_ph]
-
-
-def _ket(n_ph, gamma):
-    """|gamma> on n_ph levels from its definition, truncated and renormalized."""
-    ket = np.array([gamma**m / math.sqrt(math.factorial(m)) for m in range(n_ph)],
-                   dtype=complex)
-    return ket / np.linalg.norm(ket)
 
 
 def _displaced_start(n_ph, alpha, b_i, b_j):
     """psi_i psi_j^dag, psi = exp(i Im(b^* alpha)) |alpha - b>: the block start
     D(b_i)^dag |alpha><alpha| D(b_j), each ket truncated and renormalized."""
-    psi_i, psi_j = (cmath.exp(1j * (b.conjugate() * alpha).imag) * _ket(n_ph, alpha - b)
+    psi_i, psi_j = (cmath.exp(1j * (b.conjugate() * alpha).imag) * coherent_ket(n_ph, alpha - b)
                     for b in (b_i, b_j))
     return np.outer(psi_i, psi_j.conj())
 
@@ -362,7 +348,7 @@ def test_extract_channel_guard_reads_mirrored_branches(g2_over_g1):
 
 @pytest.mark.parametrize("g2_over_g1", [1.0, 1.5])
 def test_channel_paths_call_expm_zero_times(monkeypatch, g2_over_g1):
-    # the channel paths carry each block over the gate in closed form: no
+    # extract_channel carries each block over the gate in closed form: no
     # propagator is built, from vacuum, coherent or thermal starts, while
     # the lab-frame trajectory builds the ten block propagators once, as one
     # stack, and then takes only the residual's (4, n_ph, n_ph) displacements
@@ -373,7 +359,7 @@ def test_channel_paths_call_expm_zero_times(monkeypatch, g2_over_g1):
     monkeypatch.setattr(lindblad, "_expm", lambda m: args.append(m) or real_expm(m))
     for prep in (CavityPrep.vacuum(), CavityPrep.coherent(0.3 - 0.2j)):
         extract_channel(p, 1e6, 2e6, prep, n_ph=6)
-    thermal_average_channel(p, 0.2, gamma_1=1e6, gamma_2=2e6)
+    extract_channel(p, 1e6, 2e6, CavityPrep.thermal(0.2))
     assert args == []
     rows = trajectory_rows(p, 0.0, 0.0, n_ph=6, stride=100)
     assert len(rows) > 2
@@ -462,7 +448,7 @@ def test_generator_keeps_every_term_of_the_frame():
     shift = lindblad._steady_shift(p)
     beta, c_a, scalar = lindblad._frame_terms(p)
     assert np.abs(beta - shift * np.array(lam)).max() == 0.0
-    a, eye = FockSpace(n_ph).annihilation(), np.eye(n_ph)
+    a, eye = annihilation(n_ph), np.eye(n_ph)
     idle = _dense_block_generator(p, n_ph, 0.0, 0.0)
     level = np.add.outer(np.arange(n_ph), np.arange(n_ph)).ravel()  # m + n of vec(r')
     raising = level[:, None] > level[None, :]  # entries that move r' up the ladder
@@ -487,7 +473,7 @@ def test_displaced_starts_are_the_displaced_cavity():
     for alpha in (0.5 - 0.4j, 0j):
         psi = lindblad._branch_kets(lindblad._frame_terms(p)[0], alpha, n_ph)
         blocks = np.einsum("up,uq->upq", psi[lindblad._UPPER_I], psi[lindblad._UPPER_J].conj())
-        cav = np.outer(_ket(big, alpha), _ket(big, alpha).conj())
+        cav = coherent_rho(big, alpha)
         for k, (i, j) in enumerate(lindblad._UPPER):
             ref = (_dense_displacement(big, shift * lam[i]).conj().T @ cav
                    @ _dense_displacement(big, shift * lam[j]))[:n_ph, :n_ph]
@@ -508,7 +494,7 @@ def test_displacement_has_the_exact_kept_elements():
     lowering = lindblad._lowering_exp(n_ph, -deltas.conj())
     exact = np.exp(-0.5 * np.abs(deltas) ** 2)[:, None, None] * np.einsum(
         "dmk,dkn->dmn", raising, lowering)
-    a = FockSpace(n_ph).annihilation()
+    a = annihilation(n_ph)
     for got, delta in zip(exact, deltas):
         assert np.abs(got - _dense_displacement(n_ph, delta)).max() < 1e-14
         truncated = expm(delta * a.conj().T - np.conj(delta) * a)
@@ -528,9 +514,9 @@ def test_reach_is_the_largest_branch_amplitude(g2_over_g1, delta_sign, kappa, al
     # over the branches on a fine grid of the first two drive periods, and
     # at kappa = 0 (a closed circle) equals the grid's maximum; it never
     # exceeds the old rule |alpha| + loop radius. Displaced frame
-    # (extract_channel, thermal_average_channel): |alpha_i(t) - beta_i| on the
-    # same grid peaks at t = 0, at max_i |alpha - beta_i|, which is the
-    # displaced reach; that never exceeds the lab reach, so no Fock size grows
+    # (extract_channel): |alpha_i(t) - beta_i| on the same grid peaks at
+    # t = 0, at max_i |alpha - beta_i|, which is the displaced reach; that
+    # never exceeds the lab reach, so no Fock size grows
     p = make_params(0.7, kappa, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
     delta, lam = p.delta_rad_ns, np.array(_branch_lams(p))
     t = np.linspace(0.0, 2 * 2 * math.pi / abs(delta), 2 * 2**16, endpoint=False)
@@ -795,7 +781,7 @@ def _check_trajectory_rows_against_rk4(g2_over_g1, delta_sign):
     )
     steps, dt = policy.resolve(p.t_g_ns)
     assert len(rows) == steps + 1
-    state = CompositeState.from_parts(qubit, FockSpace(n_ph).coherent_rho(alpha))
+    state = CompositeState.from_parts(qubit, coherent_rho(n_ph, alpha))
     h = build_hamiltonian(p, n_ph)
     done = 0
     for k in (steps // 7, steps // 2, steps):
@@ -835,7 +821,8 @@ def test_import_loads_no_scipy_until_the_oracle_runs():
         "    chan, diag = resgate.extract_channel(params, 0.0, 0.0, prep, n_ph=7)\n"
         "    chan.validate()\n"
         "    assert not diag.failed\n"
-        "chan, diag = resgate.thermal_average_channel(params, 0.2)\n"
+        "chan, diag = resgate.extract_channel(params, 0.0, 0.0, "
+        "resgate.CavityPrep.thermal(0.2))\n"
         "assert not diag.failed and not loaded(), loaded()\n"
         "resgate.trajectory_rows(params, 0.0, 0.0, stride=400)\n"
         "assert 'scipy.linalg' in sys.modules\n"
@@ -859,10 +846,9 @@ def test_polaron_residual_matches_dense_reference():
         n_ph, policy = 8, StepPolicy(dt_ns=0.010)
         rows = trajectory_rows(p, 0.0, 0.0, n_ph=n_ph, policy=policy)
         steps, dt = policy.resolve(p.t_g_ns)
-        fock = FockSpace(n_ph)
-        a = fock.annihilation()
+        a = annihilation(n_ph)
         plus = np.full(4, 0.5, dtype=complex)
-        state = CompositeState.from_parts(np.outer(plus, plus.conj()), fock.vacuum_rho())
+        state = CompositeState.from_parts(np.outer(plus, plus.conj()), vacuum_rho(n_ph))
         h = build_hamiltonian(p, n_ph)
         lam = [p.g1_rad_ns * s1 + p.g2_rad_ns * s2 for s1 in (1, -1) for s2 in (1, -1)]
         done = 0
@@ -905,21 +891,21 @@ def test_per_size_tables_are_read_only():
 
 def test_thermal_channel_deterministic_and_continuous():
     p = make_params(0.7, 1e-3, n=2)
-    a = thermal_average_channel(p, 0.05, n_ph=6)[0].superop
-    b = thermal_average_channel(p, 0.05, n_ph=6)[0].superop
+    a = extract_channel(p, 0.0, 0.0, CavityPrep.thermal(0.05), n_ph=6)[0].superop
+    b = extract_channel(p, 0.0, 0.0, CavityPrep.thermal(0.05), n_ph=6)[0].superop
     assert np.array_equal(a, b)
     # n_bar = 0 is the vacuum extraction, bit for bit
     vac = extract_channel(p, 0.0, 0.0, n_ph=6)[0].superop
-    zero = thermal_average_channel(p, 0.0, n_ph=6)[0].superop
+    zero = extract_channel(p, 0.0, 0.0, CavityPrep.thermal(0.0), n_ph=6)[0].superop
     assert np.array_equal(vac, zero)
     # and the channel leaves it continuously: the change is linear in small n_bar
-    moves = [np.abs(thermal_average_channel(p, n_bar, n_ph=6)[0].superop - vac).max()
-             for n_bar in (1e-8, 1e-6, 1e-4)]
+    moves = [np.abs(extract_channel(p, 0.0, 0.0, CavityPrep.thermal(n_bar), n_ph=6)[0]
+                    .superop - vac).max() for n_bar in (1e-8, 1e-6, 1e-4)]
     assert moves[0] > 0.0
     assert moves[1] / moves[0] == pytest.approx(100.0, rel=1e-3)
     assert moves[2] / moves[1] == pytest.approx(100.0, rel=1e-3)
     with pytest.raises(DomainError, match="n_bar"):
-        thermal_average_channel(p, -0.1)
+        extract_channel(p, 0.0, 0.0, CavityPrep.thermal(-0.1))
 
 
 def test_thermal_diagnostics_report_the_largest_fock_size():
@@ -927,10 +913,10 @@ def test_thermal_diagnostics_report_the_largest_fock_size():
     # population and flags, with n_ph and the threshold passed through
     p = make_params(0.7, 1e-3, n=2)
     for kwargs in ({}, {"n_ph": 4}, {"n_ph": 5, "top_level_threshold": 1e-3}):
-        _, diag = thermal_average_channel(p, 0.2, gamma_1=1e6, gamma_2=2e6, **kwargs)
+        _, diag = extract_channel(p, 1e6, 2e6, CavityPrep.thermal(0.2), **kwargs)
         assert diag == extract_channel(p, 1e6, 2e6, **kwargs)[1]
     assert diag.n_ph == 5 and not diag.failed
-    assert thermal_average_channel(p, 0.2, n_ph=4)[1].failed
+    assert extract_channel(p, 0.0, 0.0, CavityPrep.thermal(0.2), n_ph=4)[1].failed
 
 
 @pytest.mark.parametrize("delta_sign", [1, -1])
@@ -945,7 +931,7 @@ def test_thermal_channel_matches_dense_thermal_propagation(g2_over_g1, delta_sig
 
     n_bar, n_ph = 0.3, 21
     p = make_params(0.7, 5e-2, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
-    chan, _ = thermal_average_channel(p, n_bar, n_ph=n_ph)
+    chan, _ = extract_channel(p, 0.0, 0.0, CavityPrep.thermal(n_bar), n_ph=n_ph)
     pops = n_bar ** np.arange(n_ph) / (1.0 + n_bar) ** np.arange(1, n_ph + 1)
     rho = np.diag(pops / pops.sum()).reshape(-1)
     lam = _branch_lams(p)
@@ -966,7 +952,7 @@ def test_thermal_channel_is_the_mean_of_coherent_channels(g2_over_g1, delta_sign
     # same for every draw and equal the thermal entry to rounding.
     n_bar, samples = 0.3, 4000
     p = make_params(0.7, 5e-2, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
-    chan, _ = thermal_average_channel(p, n_bar, gamma_1=1e6, gamma_2=2e6)
+    chan, _ = extract_channel(p, 1e6, 2e6, CavityPrep.thermal(n_bar))
     draws = np.random.default_rng(5).normal(0.0, math.sqrt(n_bar / 2.0), (samples, 2))
     cohs = np.array([
         extract_channel(p, 1e6, 2e6, CavityPrep.coherent(complex(*z)))[0].coherence
@@ -989,7 +975,7 @@ def test_thermal_channel_is_the_vacuum_one_for_a_lossless_gate(g2_over_g1, delta
     # |1 - exp(-z t_g)|^2 would move the entries by ~0.1
     p = make_params(0.7, 0.0, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
     vac = extract_channel(p, 1e6, 2e6)[0].coherence
-    chan, _ = thermal_average_channel(p, 0.3, gamma_1=1e6, gamma_2=2e6)
+    chan, _ = extract_channel(p, 1e6, 2e6, CavityPrep.thermal(0.3))
     assert np.abs(chan.coherence - vac).max() < 1e-14
 
 
@@ -1006,7 +992,7 @@ def test_thermal_channel_is_cptp(g1, g2_over_g1, kappa, gamma, n_bar, delta_sign
     # the vacuum channel times a Gaussian kernel in the steady states beta_i
     # is a Schur product of two positive semidefinite matrices
     p = make_params(g1, kappa, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
-    thermal_average_channel(p, n_bar, gamma_1=gamma, gamma_2=0.5 * gamma)[0].validate()
+    extract_channel(p, gamma, 0.5 * gamma, CavityPrep.thermal(n_bar))[0].validate()
 
 
 def test_trajectory_and_polaron_residual_share_one_fock_size(monkeypatch):
@@ -1031,24 +1017,64 @@ def test_trajectory_and_polaron_residual_share_one_fock_size(monkeypatch):
 
 
 def test_composite_state_partial_traces():
-    f = FockSpace(5)
     qubit = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-    cav = f.coherent_rho(0.6)
+    cav = coherent_rho(5, 0.6)
     st = CompositeState.from_parts(qubit, cav)
     assert np.allclose(st.qubit_rho(), qubit, atol=1e-14)
     assert np.allclose(st.cavity_rho(), cav, atol=1e-14)
-    assert st.mean_photon == pytest.approx(np.trace(f.number_op() @ cav).real, abs=1e-13)
+    assert st.mean_photon == pytest.approx((np.arange(5) * np.diag(cav).real).sum(), abs=1e-13)
     assert st.purity == pytest.approx(
         float(np.trace(qubit @ qubit).real * np.trace(cav @ cav).real), rel=1e-12
     )
 
 
-def test_extract_channel_rejects_a_thermal_cavity():
-    # a thermal cavity is a mixture: extract_channel must not run it as
-    # vacuum, its channel is thermal_average_channel's
+def test_extract_channel_does_not_run_a_thermal_cavity_as_vacuum():
+    # a thermal cavity is a mixture: its channel is the vacuum channel times
+    # the Gaussian kernel exp(-n_bar |1 - exp(-z t_g)|^2 |beta_i - beta_j|^2),
+    # which moves the off-diagonal entries here by up to ~2.7e-3
+    p = make_params(0.7, 5e-2, n=2)
+    vac = extract_channel(p, 1e6, 2e6, n_ph=6)[0].coherence
+    chan, _ = extract_channel(p, 1e6, 2e6, CavityPrep.thermal(0.1, samples=2), n_ph=6)
+    z = complex(p.kappa_per_ns, p.delta_rad_ns)
+    beta = lindblad._steady_shift(p) * np.array(_branch_lams(p))
+    kernel = np.exp(-0.1 * abs(1.0 - cmath.exp(-z * p.t_g_ns)) ** 2
+                    * np.abs(beta[:, None] - beta) ** 2)
+    assert np.abs(chan.coherence - vac * kernel).max() < 1e-15
+    assert np.abs(chan.coherence - vac).max() > 1e-3
+
+
+def test_trajectory_rows_rejects_a_thermal_cavity():
+    # a trajectory follows one cavity state; a thermal cavity is a mixture,
+    # which the lab-frame path must not run as vacuum
     p = make_params(0.7, 1e-3, n=2)
     with pytest.raises(DomainError, match="thermal"):
-        extract_channel(p, 0.0, 0.0, CavityPrep.thermal(0.1, samples=2), n_ph=6)
+        trajectory_rows(p, 0.0, 0.0, CavityPrep.thermal(0.1, samples=2), n_ph=6)
+
+
+@pytest.mark.parametrize("n_ph", [True, 1.5, 1, 0, -3], ids=str)
+def test_a_given_fock_size_is_an_int_of_at_least_two_levels(n_ph):
+    p = make_params(0.7, 1e-3, n=2)
+    with pytest.raises(DomainError, match="2 Fock levels"):
+        extract_channel(p, 0.0, 0.0, n_ph=n_ph)
+    with pytest.raises(DomainError, match="2 Fock levels"):
+        trajectory_rows(p, 0.0, 0.0, n_ph=n_ph, stride=400)
+
+
+def test_a_given_fock_size_may_be_a_numpy_integer():
+    p = make_params(0.7, 1e-3, n=2)
+    chan, diag = extract_channel(p, 1e6, 2e6, n_ph=np.int64(7))
+    ref, ref_diag = extract_channel(p, 1e6, 2e6, n_ph=7)
+    assert type(diag.n_ph) is int and diag == ref_diag
+    assert np.array_equal(chan.coherence, ref.coherence)
+    assert (trajectory_rows(p, 0.0, 0.0, n_ph=np.int64(6), stride=400)
+            == trajectory_rows(p, 0.0, 0.0, n_ph=6, stride=400))
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -0.1])
+def test_polaron_residual_rejects_a_sample_time_off_the_gate(t):
+    p = make_params(0.7, 1.021e-3, n=2)
+    with pytest.raises(DomainError, match=r"\[0, t_g\]"):
+        polaron_residual(p, [0.0, t], n_ph=6)
 
 
 def test_cavity_prep_validation():
@@ -1058,3 +1084,9 @@ def test_cavity_prep_validation():
         CavityPrep(kind="squeezed")
     with pytest.raises(DomainError):
         CavityPrep.thermal(0.1, samples=0)
+    for n_bar in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="n_bar"):
+            CavityPrep.thermal(n_bar)
+    for alpha in (math.nan, complex(0.3, math.inf), complex(math.nan, 0.0)):
+        with pytest.raises(DomainError, match="alpha"):
+            CavityPrep.coherent(alpha)

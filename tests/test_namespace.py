@@ -9,11 +9,10 @@ import pytest
 import resgate
 from resgate import device, lindblad, sweep
 
-# The public names of the package, as it exported them when it imported
-# every layer up front.
+# The public names of the package.
 PUBLIC_NAMES = frozenset({
     "CSV_COLUMNS", "CavityPrep", "ConfigError", "CouplingStrengths", "DephasingModel",
-    "DerivedGateParams", "DomainError", "E_CHARGE_C", "FidelityReport", "FockSpace",
+    "DerivedGateParams", "DomainError", "E_CHARGE_C", "FidelityReport",
     "HBAR_J_S", "H_EV_S", "H_J_S", "LocalZFit", "NoiseSpec", "NonPhysicalChannelError",
     "OperatingPoint", "OptimalDrive", "QubitTuning", "ResonatorSpec", "RunConfig",
     "SimDiagnostics", "StepPolicy", "SweepResult", "SweepRow", "TwoQubitChannel",
@@ -27,7 +26,7 @@ PUBLIC_NAMES = frozenset({
     "infidelity_first_order", "infidelity_power_law", "intrinsic_dephasing_channel",
     "load_config", "load_results", "optimal_drive", "photon_voltage", "polaron_residual",
     "resolve_operating_point", "run_sweep", "textbook_cphase_decomposition",
-    "thermal_average_channel", "trajectory_rows",
+    "trajectory_rows",
 })
 # Where the public values without a __module__ of their own are defined.
 CONSTANT_MODULES = {"CSV_COLUMNS": "sweep", "E_CHARGE_C": "constants",
