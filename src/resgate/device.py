@@ -277,7 +277,8 @@ class CavityPrep:
     """Initial cavity state: vacuum, coherent(alpha), or thermal(n_bar).
 
     lindblad.extract_channel takes every kind, a thermal one in closed form,
-    so samples is checked but has no effect. alpha and n_bar must be finite."""
+    so samples is checked but has no effect. alpha and n_bar must be finite,
+    and each is 0 unless the kind is coherent or thermal, respectively."""
 
     kind: str = "vacuum"
     alpha: complex = 0j
@@ -291,6 +292,10 @@ class CavityPrep:
             raise DomainError(f"n_bar must be finite and non-negative, got {self.n_bar}")
         if not (math.isfinite(self.alpha.real) and math.isfinite(self.alpha.imag)):
             raise DomainError(f"alpha must be finite, got {self.alpha}")
+        if self.alpha and self.kind != "coherent":
+            raise DomainError(f"a {self.kind} cavity needs alpha = 0, got {self.alpha}")
+        if self.n_bar and self.kind != "thermal":
+            raise DomainError(f"a {self.kind} cavity needs n_bar = 0, got {self.n_bar}")
         if self.samples < 1:
             raise DomainError(f"samples must be >= 1, got {self.samples}")
 

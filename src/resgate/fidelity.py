@@ -19,9 +19,9 @@ single-qubit Z phases (e.g. from a displaced initial cavity state):
 Rz (x) Rz is diagonal with phase vector v, so the compensated channel is
 (v v^dag) o C, and F_e(t1, t2) is a trigonometric polynomial of degree 1 in
 each angle whose nine coefficients are sums of entries of the folded matrix.
-The fit sums them once, seeds from a coarse grid read off them, climbs
-by exact coordinate steps and finishes with Newton steps, in scalar
-arithmetic.
+The fit sums them once, seeds from a coarse grid in one angle with the
+other at its exact optimum, climbs by exact coordinate steps and finishes
+with Newton steps, in scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -88,7 +88,6 @@ def average_gate_fidelity(
     return FidelityReport(f_e=entanglement_fidelity(channel, target, validate=validate))
 
 
-_COARSE_GRID = 25  # seed grid points per angle for fit_local_z
 _MAX_ROUNDS = 40  # cap on its coordinate-ascent rounds
 
 
@@ -103,19 +102,7 @@ def _coefficient_bins() -> tuple[np.ndarray, np.ndarray]:
 
 
 _BINS, _BIN_D = _coefficient_bins()
-_GRID = np.linspace(-math.pi, math.pi, _COARSE_GRID, endpoint=False)
-
-
-def _grid_basis() -> np.ndarray:
-    """cos(d.t) / 16 over the bins, then sin(d.t) / 16, as (18, 625) rows over
-    the seed grid t = (t1, t2), row-major: F_e = sum_d Re A_d cos(d.t) / 16
-    + Im A_d sin(d.t) / 16 for the coefficients A_d of fit_local_z."""
-    args = (_BIN_D[0][:, None, None] * _GRID[:, None]
-            + _BIN_D[1][:, None, None] * _GRID).reshape(9, -1)
-    return np.concatenate([np.cos(args), np.sin(args)]) / 16.0
-
-
-_GRID_BASIS = _grid_basis()
+_GRID = np.linspace(-math.pi, math.pi, 25, endpoint=False)  # fit_local_z's seeds of t2
 
 
 @dataclass(frozen=True)
@@ -190,10 +177,13 @@ def fit_local_z(
     with d = (s_i - s_j) / 2 per qubit, so F_e(t1, t2) is a trigonometric
     polynomial of degree 1 in each angle whose nine coefficients A[d1, d2]
     (_coefficient_bins) are summed once and taken Hermitian (only C's
-    Hermitian part enters F_e). A 25 x 25 grid over [-pi, pi)^2 read off
-    them seeds exact coordinate ascent, and Newton steps finish it (_ascend):
-    on 1 of 400 random rank-4 CPTP channels the ascent alone stopped 4.9e-8
-    short in F_avg, 4e-3 off in angle, on a flat, slanted ridge.
+    Hermitian part enters F_e). At a fixed t2, 16 F_e = A00 + 2 Re(A01 e2)
+    + 2 Re(B e1) with B = A10 + A11 e2 + A1m conj(e2) and e = exp(-i t) is
+    largest at t1 = arg B, so the best of 25 values of t2 over [-pi, pi),
+    each at that t1, seeds exact coordinate ascent, and Newton steps finish
+    it (_ascend): on 1 of 400 random rank-4 CPTP channels the ascent alone
+    stopped 4.9e-8 short in F_avg, 4e-3 off in angle, on a flat, slanted
+    ridge.
     """
     weights = _target_weights(target)
     if validate:
@@ -202,10 +192,13 @@ def fit_local_z(
     w = (weights * coh).ravel()
     re, im = np.bincount(_BINS, w.real, 9), np.bincount(_BINS, w.imag, 9)
     re, im = 0.5 * (re + re[::-1]), 0.5 * (im - im[::-1])
-    grid = (4.0 * np.einsum("k,kg->g", np.concatenate([re, im]), _GRID_BASIS) + 1.0) / 5.0
-    best = int(grid.argmax())
-    t1, t2 = _ascend(re.tolist(), im.tolist(), float(grid[best]),
-                     _GRID[best // _COARSE_GRID], _GRID[best % _COARSE_GRID])
+    a = re + 1j * im  # A[d1, d2] at bin (d1 + 1) * 3 + (d2 + 1)
+    e2 = np.exp(-1j * _GRID)
+    b = a[7] + a[8] * e2 + a[6] * e2.conj()  # A10 + A11 e2 + A1m conj(e2)
+    f16 = a[4].real + 2.0 * ((a[5] * e2).real + np.abs(b))  # at t1 = arg b
+    best = int(f16.argmax())
+    t1, t2 = _ascend(re.tolist(), im.tolist(), (float(f16[best]) / 4.0 + 1.0) / 5.0,
+                     float(np.angle(b[best])), float(_GRID[best]))
     fixed = np.exp(-1j * (t1 * _BIN_D[0] + t2 * _BIN_D[1]))[_BINS].reshape(4, 4) * coh
     f_e = float((weights * fixed).sum().real) / 16.0
     return LocalZFit(report=FidelityReport(f_e=f_e), theta_1=t1, theta_2=t2,

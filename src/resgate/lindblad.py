@@ -36,12 +36,13 @@ factor, so exp(L t) factorizes exactly (Wei & Norman, J. Math. Phys. 4,
 channel. Only the trace Tr[r' D(beta_j)^dag D(beta_i)] of each block enters
 C, and the adjoint of amplitude damping maps a normally ordered
 displacement onto a damped one, so each C_ij is one inner product of two
-start kets under exponentials of a, exact on the kept levels (_readout):
-over the whole gate in one step, with no time grid, no expm, no scipy and
-no block built. There the cavity holds only
+start kets under exponentials of a. On a truncated coherent ket exp(y a)
+is a weight per level, a partial sum of exp (_readout): exact on the kept
+levels, over the whole gate in one step, with no time grid, no expm, no
+scipy and no block or operator built. There the cavity holds only
 |alpha - beta_i| e^{-kappa t}, no level feeds the one above it, and the
 guard-level population is largest at the start; the Fock space is sized
-from max_i |alpha - beta_i| (_reach). A thermal cavity is not one state
+as choose_n_ph(max_i |alpha - beta_i|). A thermal cavity is not one state
 but a Gaussian mixture of coherent ones, and log C_ij(alpha) is linear in
 alpha and alpha^*, so the mixture's average is exact in closed form: the
 vacuum channel times a Gaussian kernel in beta_i - beta_j. extract_channel
@@ -63,7 +64,6 @@ integrator kept in tests/rk4_reference.py.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import operator
 from dataclasses import asdict, dataclass
@@ -90,35 +90,21 @@ def _coherent_kets(n_ph: int, amps) -> np.ndarray:
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The arrays, made read-only: the per-size tables are cached and shared,
+    """The arrays, made read-only: the module-level index tables are shared,
     so no caller may write into them."""
     for a in arrays:
         a.setflags(write=False)
     return arrays
 
 
-@functools.lru_cache(maxsize=32)  # the few Fock sizes a process runs at
-def _lowering_tables(n_ph: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only tables of _lowering_exp at one size: kk = max(n - m, 0) and
-    mag = sqrt(n!/m!) / kk! where n >= m, else 0, for m, n < n_ph."""
-    m = np.arange(n_ph)
-    log_fact = np.cumsum(np.log(np.maximum(m, 1)))
-    k = m - m[:, None]
-    kk = np.maximum(k, 0)
-    mag = np.where(k >= 0, np.exp(0.5 * (log_fact - log_fact[:, None]) - log_fact[kk]), 0.0)
-    return _read_only(kk, mag)
-
-
-def _lowering_exp(n_ph: int, xs) -> np.ndarray:
-    """<m|exp(x a)|n> for m, n < n_ph: one (n_ph, n_ph) matrix per x, over
-    the trailing axes of xs's shape. The element is x^k sqrt(n!/m!) / k! at
-    k = n - m >= 0; a only lowers, so no level above the space enters and the
-    kept elements are exact."""
-    xs = np.asarray(xs, dtype=complex)[..., None]
-    kk, mag = _lowering_tables(n_ph)
-    powers = np.cumprod(np.concatenate([np.ones_like(xs), xs.repeat(n_ph - 1, axis=-1)],
-                                       axis=-1), axis=-1)  # x^0 .. x^(n_ph-1)
-    return powers[..., kk] * mag
+def _tail_weights(ys: np.ndarray, n_ph: int) -> np.ndarray:
+    """E_{n_ph-1-m}(y) over levels m < n_ph, per y, with E_K(y) = sum_{k<=K}
+    y^k / k! the partial sums of exp(y): the weight exp(x a) puts on level m
+    of a truncated coherent ket of amplitude g, at y = x g (_readout)."""
+    ys = np.asarray(ys, dtype=complex)[:, None]
+    terms = np.cumprod(np.concatenate([np.ones_like(ys), ys / np.arange(1, n_ph)], axis=1),
+                       axis=1)  # y^k / k!
+    return np.cumsum(terms, axis=1)[:, ::-1]
 
 
 @dataclass(frozen=True)
@@ -166,8 +152,9 @@ def choose_n_ph(max_amplitude: float) -> int:
     of a coherent state below _GUARD_TAIL.
 
     ``max_amplitude`` is the largest coherent amplitude the run must hold in
-    the frame it runs in (_reach). The guard level of a coherent state
-    |amp| is Poissonian, so walk the pmf until it drops that low.
+    the frame it runs in (max_i |alpha - beta_i| displaced, _reach in the lab
+    frame). The guard level of a coherent state |amp| is Poissonian, so walk
+    the pmf until it drops that low.
     """
     lam = max_amplitude**2
     if lam == 0.0:
@@ -188,25 +175,23 @@ def _check_n_ph(n_ph) -> int:
     return operator.index(n_ph)
 
 
-def _reach(params: DerivedGateParams, alpha: complex = 0j, *, displaced: bool = False) -> float:
-    """Largest cavity amplitude any branch holds over t >= 0, from alpha(0) = alpha.
+def _reach(params: DerivedGateParams, alpha: complex = 0j) -> float:
+    """Largest lab-frame cavity amplitude any branch holds over t >= 0, from
+    alpha(0) = alpha: the size rule of the lab-frame paths.
 
     Branch i is driven at lam_i = g1 s1 + g2 s2, so its amplitude
     alpha_i(t) = beta_i + (alpha - beta_i) exp(-(i Delta + kappa) t) circles
     its steady state beta_i = -i lam_i / (2 (i Delta + kappa)) on a shrinking
-    radius. In the lab frame |beta_i| + |alpha - beta_i| is the supremum of
-    |alpha_i(t)| (reached at kappa = 0); in the branch's displaced frame
-    (displaced=True, the frame extract_channel works in) the state is
-    centred on beta_i and only |alpha_i(t) - beta_i| <= |alpha - beta_i| is
-    left. All beta_i share the phase u = -i conj(z)/|z|, z = kappa + i Delta,
-    so with b_i = lam_i / (2|z|) the lab sum is |b_i| + |alpha conj(u) - b_i|;
-    at alpha = 0 that is |lam_i| / |z| exactly, the loop radius of branch i,
-    and displaced it is half of it.
+    radius, and |beta_i| + |alpha - beta_i| is the supremum of |alpha_i(t)|
+    (reached at kappa = 0). All beta_i share the phase u = -i conj(z)/|z|,
+    z = kappa + i Delta, so with b_i = lam_i / (2|z|) that sum is
+    |b_i| + |alpha conj(u) - b_i|; at alpha = 0 it is |lam_i| / |z| exactly,
+    the loop radius of branch i.
     """
     h = math.hypot(params.delta_rad_ns, params.kappa_per_ns)
     w = alpha * complex(-params.delta_rad_ns, params.kappa_per_ns) / h  # alpha conj(u)
     b = [lam / (2.0 * h) for lam in _branch_amplitudes(params)]
-    return max((0.0 if displaced else abs(b_i)) + abs(w - b_i) for b_i in b)
+    return max(abs(b_i) + abs(w - b_i) for b_i in b)
 
 
 def _steady_shift(params: DerivedGateParams) -> complex:
@@ -301,10 +286,11 @@ def _branch_kets(beta: np.ndarray, alpha: complex, n_ph: int) -> np.ndarray:
     return np.exp(1j * (beta.conj() * alpha).imag)[:, None] * _coherent_kets(n_ph, alpha - beta)
 
 
-def _readout(params: DerivedGateParams, frame, psi: np.ndarray, t: float) -> np.ndarray:
+def _readout(params: DerivedGateParams, frame, psi: np.ndarray, alpha: complex,
+             t: float) -> np.ndarray:
     """Tr r_ij(t) of every block of _UPPER at time t, in closed form, from the
-    branch kets psi of _branch_kets and the terms frame of _frame_terms: a
-    (10,) array, dephasing left out.
+    branch kets psi of _branch_kets at the coherent start alpha and the terms
+    frame of _frame_terms: a (10,) array, dephasing left out.
 
     With L = L0 + c_a A_L + c_b A_R + s (_frame_terms), A_L r' = a r' and
     A_R r' = r' a^dag, the kept levels satisfy [L0, A_L] = z A_L,
@@ -328,10 +314,11 @@ def _readout(params: DerivedGateParams, frame, psi: np.ndarray, t: float) -> np.
         Tr r_ij(t) = exp(s t - |delta|^2/2) <exp(p a) psi_j, exp(-p a) psi_i>,
         p = delta^* e^{-z t} - x.
 
-    Each step is exact on the kept levels: the starts live there, E and the
-    lowering exponentials keep them there, and a product of raising and
-    lowering exponentials has the kept elements of its truncated factors
-    (_lowering_exp). No block, displacement or Kraus operator is built.
+    psi_k is a truncated coherent ket of amplitude g_k = alpha - beta_k, on
+    whose level m exp(y a) is the weight E_{n_ph-1-m}(y g_k) (_tail_weights),
+    exact on the kept levels, as E and the starts are. No block,
+    displacement or Kraus operator is built; as n_ph grows the weights
+    become exp(y g_k), the untruncated readout.
     """
     n_ph = psi.shape[-1]
     z = complex(params.kappa_per_ns, params.delta_rad_ns)
@@ -339,8 +326,9 @@ def _readout(params: DerivedGateParams, frame, psi: np.ndarray, t: float) -> np.
     decay = cmath.exp(-z * t)
     delta = beta[_UPPER_I] - beta[_UPPER_J]
     p = delta.conj() * decay - c_a * ((1.0 - decay) / z)
-    left = np.einsum("umn,un->um", _lowering_exp(n_ph, -p), psi[_UPPER_I])
-    right = np.einsum("umn,un->um", _lowering_exp(n_ph, p), psi[_UPPER_J])
+    g = alpha - beta
+    left = psi[_UPPER_I] * _tail_weights(-p * g[_UPPER_I], n_ph)
+    right = psi[_UPPER_J] * _tail_weights(p * g[_UPPER_J], n_ph)
     return np.exp(s * t - 0.5 * np.abs(delta) ** 2) * np.einsum("um,um->u", right.conj(), left)
 
 
@@ -397,14 +385,15 @@ def extract_channel(
     branch i (_steady_shift): there the cavity only holds the decaying
     |alpha - beta_i| e^{-kappa t}, not the whole excursion
     |beta_i| + |alpha - beta_i|, and no level feeds the one above it. With
-    n_ph None the space is sized from max_i |alpha - beta_i| (_reach,
-    displaced): 6 levels from vacuum at a default point, where the lab frame
-    needs 8. C_ij = Tr[r'_ij D(beta_j)^dag D(beta_i)] of the ten blocks on
-    and above the diagonal is read over the whole gate in one exact step
-    (_readout: the factorized generator carries the start kets through
-    exp(x a) and a damped, rotating oscillator, and the oscillator's adjoint
-    moves onto the readout displacement), with no time grid, no expm and no
-    block built, exact on the kept levels.
+    n_ph None the space is choose_n_ph(max_i |alpha - beta_i|), from the
+    beta_i the start kets use: 6 levels from vacuum at a default point,
+    where the lab frame (_reach) needs 8. C_ij = Tr[r'_ij D(beta_j)^dag
+    D(beta_i)] of the ten blocks on and above the diagonal is read over the
+    whole gate in one exact step (_readout: the factorized generator carries
+    the start kets through exp(x a) and a damped, rotating oscillator, the
+    oscillator's adjoint moves onto the readout displacement, and each
+    lowering exponential weights the kets' levels), with no time grid, no
+    expm and no block built, exact on the kept levels.
 
     A thermal cavity of mean photon number n_bar is the average of
     |alpha><alpha| over its P-function, the complex Gaussian of variance
@@ -429,17 +418,18 @@ def extract_channel(
     dt_ns = t_g: one exact propagation.
     """
     prep = initial_cavity or CavityPrep.vacuum()
-    n_ph = (choose_n_ph(_reach(params, prep.alpha, displaced=True)) if n_ph is None
-            else _check_n_ph(n_ph))
     t_g = params.t_g_ns
     frame = _frame_terms(params)
-    psi = _branch_kets(frame[0], prep.alpha, n_ph)
+    beta = frame[0]
+    n_ph = (choose_n_ph(float(np.abs(prep.alpha - beta).max())) if n_ph is None
+            else _check_n_ph(n_ph))
+    psi = _branch_kets(beta, prep.alpha, n_ph)
     diag = _run_health(float((np.abs(psi[:, -1]) ** 2).max()), 1, t_g, n_ph,
                        top_level_threshold)
-    traces = _readout(params, frame, psi, t_g)
+    traces = _readout(params, frame, psi, prep.alpha, t_g)
 
     rates = _dephasing_rates(gamma_1, gamma_2)[_UPPER_I, _UPPER_J]
-    z, beta = complex(params.kappa_per_ns, params.delta_rad_ns), frame[0]
+    z = complex(params.kappa_per_ns, params.delta_rad_ns)
     thermal = np.exp(-prep.n_bar * abs(1.0 - cmath.exp(-z * t_g)) ** 2
                      * np.abs(beta[_UPPER_I] - beta[_UPPER_J]) ** 2)
     coh = np.zeros((4, 4), dtype=complex)
@@ -485,18 +475,19 @@ def polaron_residual(
 
         residual(t) = 1 - <0| Tr_qubits[rho-displaced] |0> / Tr[rho].
 
-    Sample times are snapped to the policy's step grid (consistently with
-    the amplitude used for the displacement). Returns the maximum residual
-    over the samples: the largest of trajectory_rows' polaron_residual
-    column over those steps, at the same n_ph (with n_ph None both take the
-    lab-frame size choose_n_ph(_reach)).
+    At least one sample time is needed. Each is snapped to the policy's step
+    grid (consistently with the amplitude used for the displacement).
+    Returns the maximum residual over the samples: the largest of
+    trajectory_rows' polaron_residual column over those steps, at the same
+    n_ph (with n_ph None both take the lab-frame size choose_n_ph(_reach)).
     """
     t_samples = np.atleast_1d(np.asarray(t_samples, dtype=float))
-    if not np.all((t_samples >= 0) & (t_samples <= params.t_g_ns * (1 + 1e-12))):
-        raise DomainError("sample times must lie in [0, t_g]")
+    if not (t_samples.size and np.all((t_samples >= 0)
+                                      & (t_samples <= params.t_g_ns * (1 + 1e-12)))):
+        raise DomainError("need one or more sample times, all in [0, t_g]")
     rows = trajectory_rows(params, 0.0, 0.0, n_ph=n_ph, policy=policy)
     _, dt = policy.resolve(params.t_g_ns)
-    return max([0.0] + [rows[int(round(t / dt))]["polaron_residual"] for t in t_samples])
+    return max(rows[int(round(t / dt))]["polaron_residual"] for t in t_samples)
 
 
 def trajectory_rows(

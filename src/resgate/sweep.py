@@ -314,12 +314,11 @@ _BLAS_THREAD_SETTERS = (
 def _one_blas_thread() -> None:
     """Cap the OpenBLAS that numpy loaded at one thread.
 
-    The CLI calls it once in its own process, and each worker process of
-    run_sweep as its initializer. A point's matrices are at most a few
-    hundred rows, where BLAS threads cost more than they save, and each of
-    the N worker processes would start its own. The library sits in the
-    numpy.libs folder of a numpy wheel; opening it again returns the copy
-    numpy loaded. A no-op where there is no such library or setter.
+    The CLI calls it once in its own process: a trajectory's lab-frame expm
+    and matmuls are at most a few hundred rows, where BLAS threads cost
+    more than they save. The library sits in the numpy.libs folder of a
+    numpy wheel; opening it again returns the copy numpy loaded. A no-op
+    where there is no such library or setter.
     """
     for path in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*")):
         lib = ctypes.CDLL(str(path))
@@ -331,34 +330,23 @@ def _one_blas_thread() -> None:
                 break
 
 
-def _point_worker(args) -> tuple[int, SweepRow]:
-    cfg, index, overrides = args
-    return index, evaluate_point(replace(cfg, **overrides))
-
-
 def run_sweep(cfg: RunConfig) -> SweepResult:
     """Evaluate the Cartesian product of cfg.axes in deterministic order.
 
     Axes combine row-major in config order (last axis fastest); with no
     axes this degenerates to the single configured point. Points are
-    independent; jobs > 1 dispatches them over a process pool, whose
-    workers run with one BLAS thread each, and reorders results back to the
-    deterministic sequence.
+    independent; jobs > 1 dispatches them over a process pool, whose map
+    returns them in that order.
     """
     names = [name for name, _ in cfg.axes]
-    grids = [values for _, values in cfg.axes]
-    combos = list(itertools.product(*grids)) if grids else [()]
-    tasks = [
-        (cfg, index, dict(zip(names, combo)))
-        for index, combo in enumerate(combos)
-    ]
-    if cfg.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs, initializer=_one_blas_thread) as pool:
-            indexed = list(pool.map(_point_worker, tasks))
+    points = [replace(cfg, **dict(zip(names, combo)))
+              for combo in itertools.product(*(values for _, values in cfg.axes))]
+    if cfg.jobs > 1 and len(points) > 1:
+        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+            rows = tuple(pool.map(evaluate_point, points))
     else:
-        indexed = [_point_worker(t) for t in tasks]
-    indexed.sort(key=lambda pair: pair[0])
-    return SweepResult(rows=tuple(row for _, row in indexed), config=cfg)
+        rows = tuple(map(evaluate_point, points))
+    return SweepResult(rows=rows, config=cfg)
 
 
 def _csv_cell(value) -> str:

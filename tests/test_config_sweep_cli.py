@@ -378,7 +378,7 @@ def test_run_sweep_ordering_and_parallel_equivalence():
 
 
 def test_sweep_workers_cap_blas_at_one_thread():
-    # the --jobs worker initializer, in a process that starts with 2 threads;
+    # the CLI's own thread cap, in a process that starts with 2 threads;
     # where numpy bundles no OpenBLAS it does nothing, and there is nothing to read
     libs = sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*"))
     if not libs:
@@ -436,7 +436,10 @@ def test_numeric_json_row_reports_its_fock_size(tmp_path):
         "initial_cavity": {"kind": "coherent", "alpha": [alpha.real, alpha.imag]},
     }, source="t")
     p = resolve_operating_point(cfg).params
-    reach = lindblad._reach(p, alpha, displaced=True)
+    lam = np.array([p.g1_rad_ns * s1 + p.g2_rad_ns * s2
+                    for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1))])
+    beta = -1j * lam / (2.0 * complex(p.kappa_per_ns, p.delta_rad_ns))  # steady states
+    reach = float(np.abs(alpha - beta).max())
     result = run_sweep(cfg)
     json_text = render_json(result)
     assert render_json(run_sweep(cfg)) == json_text

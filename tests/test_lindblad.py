@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import resgate
@@ -243,6 +243,11 @@ def _dense_block_generator(p, n_ph, lam_i, lam_j, shift=0j):
 
 def _branch_lams(p):
     return [p.g1_rad_ns * s1 + p.g2_rad_ns * s2 for s1, s2 in _BRANCHES]
+
+
+def _steady_states(p):
+    """beta_i = -i lam_i / (2 (i Delta + kappa)), the steady state of branch i."""
+    return -0.5j * np.array(_branch_lams(p)) / complex(p.kappa_per_ns, p.delta_rad_ns)
 
 
 def _dense_displacement(n_ph, delta, room=40):
@@ -480,27 +485,6 @@ def test_displaced_starts_are_the_displaced_cavity():
             assert np.abs(blocks[k] - ref).max() < 1e-10
 
 
-def test_displacement_has_the_exact_kept_elements():
-    # the closed form's readout D(delta) = exp(-|delta|^2/2) exp(delta a^dag)
-    # exp(-delta^* a), from the truncated lowering exponentials of
-    # _lowering_exp, has the displacement's elements on the kept levels:
-    # against expm in a much larger space; expm of the truncated generator
-    # misses them
-    from scipy.linalg import expm
-
-    n_ph = 8
-    deltas = np.array([0.0, 0.3 - 0.2j, -0.9j, 1.4])
-    raising = lindblad._lowering_exp(n_ph, deltas).swapaxes(-1, -2)
-    lowering = lindblad._lowering_exp(n_ph, -deltas.conj())
-    exact = np.exp(-0.5 * np.abs(deltas) ** 2)[:, None, None] * np.einsum(
-        "dmk,dkn->dmn", raising, lowering)
-    a = annihilation(n_ph)
-    for got, delta in zip(exact, deltas):
-        assert np.abs(got - _dense_displacement(n_ph, delta)).max() < 1e-14
-        truncated = expm(delta * a.conj().T - np.conj(delta) * a)
-        assert delta == 0.0 or np.abs(truncated - got).max() > 1e-6
-
-
 @given(
     g2_over_g1=st.floats(min_value=0.3, max_value=3.0),
     delta_sign=st.sampled_from([1, -1]),
@@ -515,7 +499,7 @@ def test_reach_is_the_largest_branch_amplitude(g2_over_g1, delta_sign, kappa, al
     # at kappa = 0 (a closed circle) equals the grid's maximum; it never
     # exceeds the old rule |alpha| + loop radius. Displaced frame
     # (extract_channel): |alpha_i(t) - beta_i| on the same grid peaks at
-    # t = 0, at max_i |alpha - beta_i|, which is the displaced reach; that
+    # t = 0, at max_i |alpha - beta_i|, the displaced frame's size rule; that
     # never exceeds the lab reach, so no Fock size grows
     p = make_params(0.7, kappa, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
     delta, lam = p.delta_rad_ns, np.array(_branch_lams(p))
@@ -532,13 +516,12 @@ def test_reach_is_the_largest_branch_amplitude(g2_over_g1, delta_sign, kappa, al
     assert reach <= (abs(alpha) + radius) * (1 + 1e-15)
     assert choose_n_ph(reach) <= choose_n_ph(abs(alpha) + radius)
 
-    beta = lindblad._steady_shift(p) * lam
+    beta = _steady_states(p)
     held = np.abs(amps - beta[:, None])
-    displaced = lindblad._reach(p, alpha, displaced=True)
+    displaced = float(np.abs(alpha - beta).max())
     assert held.max() == pytest.approx(held[:, 0].max(), rel=1e-12)
-    assert displaced == pytest.approx(float(np.abs(alpha - beta).max()), rel=1e-12)
     assert held.max() <= displaced * (1 + 1e-12)
-    assert lindblad._reach(p, displaced=True) == pytest.approx(radius / 2.0, rel=1e-12)
+    assert float(np.abs(beta).max()) == pytest.approx(radius / 2.0, rel=1e-12)
     assert displaced <= reach * (1 + 1e-15)
     assert choose_n_ph(displaced) <= choose_n_ph(reach)
 
@@ -558,7 +541,7 @@ def test_auto_fock_size_covers_the_largest_branch(g2_over_g1, delta_sign, kappa)
     u = -1j * complex(kappa, -p.delta_rad_ns) / math.hypot(kappa, p.delta_rad_ns)
     for alpha in (0.5, 1.0, -0.7 + 0.7j, u, -u, 0.9j * u, -0.9j * u):
         _, diag = extract_channel(p, 0.0, 0.0, CavityPrep.coherent(alpha))
-        assert diag.n_ph == choose_n_ph(lindblad._reach(p, alpha, displaced=True))
+        assert diag.n_ph == choose_n_ph(float(np.abs(alpha - _steady_states(p)).max()))
         assert diag.max_top_level_pop < 1e-5, (alpha, diag.n_ph)
 
 
@@ -675,11 +658,14 @@ def test_displaced_guard_population_never_rises(g2_over_g1, delta_sign, kappa):
     alpha=st.one_of(st.just(0j), st.complex_numbers(max_magnitude=0.8)),
 )
 @settings(max_examples=20, deadline=None)
+@example(g2_over_g1=1.0, delta_sign=1, kappa=5e-3, n_ph=17, alpha=0.95 * cmath.exp(2.1j))
+@example(g2_over_g1=1.5, delta_sign=-1, kappa=2e-2, n_ph=14, alpha=1.0 + 0j)
 def test_closed_form_readout_matches_dense_expm(g2_over_g1, delta_sign, kappa, n_ph, alpha):
     # every block's closed-form trace Tr[r'_ij(t) D(b_j)^dag D(b_i)] against
     # the dense expm of the operator-form generator at the steady shift
     # applied to that block's own displaced start, read back through dense
-    # displacements, after one grid step and over the whole gate
+    # displacements, after one grid step and over the whole gate; the two
+    # explicit cases are the benchmark's largest sizes and amplitudes
     from scipy.linalg import expm
 
     p = make_params(0.7, kappa, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
@@ -688,7 +674,7 @@ def test_closed_form_readout_matches_dense_expm(g2_over_g1, delta_sign, kappa, n
     frame = lindblad._frame_terms(p)
     psi = lindblad._branch_kets(frame[0], alpha, n_ph)
     for t in (dt, p.t_g_ns):
-        traces = lindblad._readout(p, frame, psi, t)
+        traces = lindblad._readout(p, frame, psi, alpha, t)
         for u, (i, j) in enumerate(lindblad._UPPER):
             b_i, b_j = shift * lam[i], shift * lam[j]
             start = _displaced_start(n_ph, alpha, b_i, b_j).reshape(-1)
@@ -880,11 +866,9 @@ def test_polaron_residual_small_on_schedule():
 
 
 def test_per_size_tables_are_read_only():
-    # the cached tables of one Fock size are shared by every later call at
-    # that size, so none of them can be written through
-    tables = lindblad._lowering_tables(7)
-    assert all(a is b for a, b in zip(tables, lindblad._lowering_tables(7)))
-    for table in tables + (lindblad._UPPER_I, lindblad._UPPER_J):
+    # the module's block index tables are shared by every call, so neither
+    # can be written through
+    for table in (lindblad._UPPER_I, lindblad._UPPER_J):
         with pytest.raises(ValueError):
             table[0] = 1
 
@@ -1077,6 +1061,13 @@ def test_polaron_residual_rejects_a_sample_time_off_the_gate(t):
         polaron_residual(p, [0.0, t], n_ph=6)
 
 
+def test_polaron_residual_needs_a_sample_time():
+    # with no sample there is no residual to report, not a residual of 0
+    p = make_params(0.7, 1.021e-3, n=2)
+    with pytest.raises(DomainError, match="sample time"):
+        polaron_residual(p, [], n_ph=6)
+
+
 def test_cavity_prep_validation():
     with pytest.raises(DomainError):
         CavityPrep.thermal(-0.1)
@@ -1090,3 +1081,12 @@ def test_cavity_prep_validation():
     for alpha in (math.nan, complex(0.3, math.inf), complex(math.nan, 0.0)):
         with pytest.raises(DomainError, match="alpha"):
             CavityPrep.coherent(alpha)
+    # each kind carries only its own field: alpha is a coherent start's,
+    # n_bar a thermal one's
+    for kind, field in (("vacuum", {"alpha": 0.9j}), ("vacuum", {"n_bar": 0.5}),
+                        ("coherent", {"alpha": 0.5, "n_bar": 0.5}),
+                        ("thermal", {"alpha": 0.3, "n_bar": 0.5})):
+        with pytest.raises(DomainError, match="needs"):
+            CavityPrep(kind=kind, **field)
+    assert CavityPrep(kind="coherent", alpha=0j) == CavityPrep.coherent(0)
+    assert CavityPrep(kind="thermal", n_bar=0.0) == CavityPrep.thermal(0.0)
