@@ -13,7 +13,7 @@ Layers, roughly bottom-up:
   gate (displacement trajectory, entangling phase, b-factor, dephasing
   channels built from diagonal Kraus sets).
 - fidelity: entanglement / average gate fidelity read off C and the
-  target's diagonal, and local-Z compensation as a phase rescaling of C.
+  target's diagonal.
 - lindblad: the numeric master-equation oracle on qubits x Fock space.
 - config / sweep / cli: run configuration, device-grid sweeps, and the
   `resgate` command-line tool.
@@ -83,10 +83,8 @@ _LAZY = {
     ),
     "fidelity": (
         "FidelityReport",
-        "LocalZFit",
         "average_gate_fidelity",
         "entanglement_fidelity",
-        "fit_local_z",
     ),
     "lindblad": (
         "SimDiagnostics",

@@ -138,10 +138,24 @@ def ideal_gate_unitary(phi_12: float) -> np.ndarray:
     return np.diag([p, p.conjugate(), p.conjugate(), p]).astype(complex)
 
 
-def gate_target(params) -> np.ndarray:
-    """The ideal gate on params' drive sideband: the ZZ phase pi/4 takes the
-    sign of Delta, as the loops run the other way round when Delta < 0."""
-    return ideal_gate_unitary(math.copysign(math.pi / 4, params.delta_rad_ns))
+def gate_target(params, alpha: complex = 0j) -> np.ndarray:
+    """The gate that one run on params realizes from the coherent cavity start
+    alpha (0: the vacuum, and a thermal start, whose mean amplitude is 0).
+
+    The ZZ phase pi/4 takes the sign of Delta, as the loops run the other way
+    round when Delta < 0. A start alpha then adds the phase
+    v_k = exp(2i Im(alpha lam_k A)) on branch k, lam_k = g1 s1 + g2 s2, with
+    A = drive_frame_displacement(1, Delta, kappa, t_g) the loop's leftover
+    amplitude per unit lam at the end of the gate: the alpha terms of log C_ij
+    sum to 2i Im(alpha (beta_i - beta_j)(1 - e^{-z t_g})), beta_k = -i lam_k / 2z,
+    z = kappa + i Delta (Gambetta et al., PRA 74, 042318 (2006)). That is
+    linear in (s1, s2), a local Z rotation, and v = 1 where a lossless loop
+    closes.
+    """
+    u = np.diag(ideal_gate_unitary(math.copysign(math.pi / 4, params.delta_rad_ns)))
+    a = drive_frame_displacement(1.0, params.delta_rad_ns, params.kappa_per_ns, params.t_g_ns)
+    lam = params.g1_rad_ns * _Z1 + params.g2_rad_ns * _Z2
+    return np.diag(u * np.exp(2j * (alpha * a * lam).imag))
 
 
 def textbook_cphase_decomposition() -> tuple[np.ndarray, np.ndarray]:

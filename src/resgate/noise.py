@@ -189,7 +189,6 @@ def infidelity_power_law(
     res: ResonatorSpec,
     c_r: float,
     n: int,
-    printed_constant: bool = False,
 ) -> float:
     """Closed-form infidelity at the (unclamped) optimal operating point.
 
@@ -198,10 +197,7 @@ def infidelity_power_law(
 
     This is the first-order infidelity evaluated exactly at the closed-form
     optimum (same unit calibration as dephasing_rate), so it matches
-    infidelity_first_order there to rounding. ``printed_constant=True``
-    multiplies by 2^(beta/2) (1-beta)^(1-beta) (~0.875 at beta=0.67), an
-    alternative prefactor found in circulation for the same scaling law;
-    the default is the self-consistent one. Rejects n = 1: with a single
+    infidelity_first_order there to rounding. Rejects n = 1: with a single
     phase-space loop the optimal drive regime collides with the validity
     limits of the expansion, so the scaling form does not apply.
     """
@@ -213,7 +209,7 @@ def infidelity_power_law(
     beta = noise.beta
     if not (0.0 < beta < 1.0):
         raise DomainError(f"beta must lie strictly in (0, 1), got {beta}")
-    val = (
+    return (
         (2.0 ** (1.0 + beta) / 5.0)
         * (n / beta) ** (beta / 2.0)
         * (1.0 - beta) ** ((beta - 1.0) / 2.0)
@@ -225,6 +221,3 @@ def infidelity_power_law(
             * res.omega_r ** ((1.0 + beta) / 2.0)
         )
     )
-    if printed_constant:
-        val *= 2.0 ** (beta / 2.0) * (1.0 - beta) ** (1.0 - beta)
-    return val

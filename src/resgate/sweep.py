@@ -4,9 +4,10 @@ Each grid point is evaluated independently: pick the operating exchange and
 drive amplitude (closed-form optimum unless the config fixes them), derive
 the gate schedule, score the analytic channel, optionally refine (J, eps_d)
 by golden-section coordinate descent on the exact analytic infidelity, and
-optionally verify with the master-equation oracle. Rows carry every derived
-quantity plus free-form diagnostics; failures mark the row and the sweep
-keeps going.
+optionally verify with the master-equation oracle, scored against the gate
+that the cavity start realizes (channel.gate_target: a coherent start adds
+a known local Z rotation). Rows carry every derived quantity plus
+free-form diagnostics; failures mark the row and the sweep keeps going.
 
 Output contract: CSV with the fixed column order in CSV_COLUMNS (stable
 plotting interface), or schema-versioned JSON that also carries the
@@ -46,7 +47,7 @@ from .device import (
     photon_voltage,
 )
 from .errors import DomainError
-from .fidelity import average_gate_fidelity, fit_local_z
+from .fidelity import average_gate_fidelity
 from .lindblad import extract_channel
 from .noise import NoiseSpec, dephasing_rate, infidelity_power_law, optimal_drive
 
@@ -276,13 +277,8 @@ def _evaluate_point(cfg: RunConfig) -> SweepRow:
         prep = cfg.initial_cavity
         chan, diag = extract_channel(params, gphi, gphi, prep, n_ph=cfg.n_ph,
                                      top_level_threshold=cfg.top_level_threshold)
-        target = gate_target(params)
-        if prep.kind == "coherent":
-            # a displaced cavity adds deterministic single-qubit Z phases;
-            # score the entangling content after stripping them
-            f_numeric = fit_local_z(chan, target, validate=False).report.f_avg
-        else:
-            f_numeric = average_gate_fidelity(chan, target, validate=False).f_avg
+        f_numeric = average_gate_fidelity(chan, gate_target(params, prep.alpha),
+                                          validate=False).f_avg
         max_fock = diag.max_top_level_pop
         diagnostics.update(diag.to_json_dict())
 

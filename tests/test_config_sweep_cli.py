@@ -377,7 +377,7 @@ def test_run_sweep_ordering_and_parallel_equivalence():
     assert not serial.any_failed
 
 
-def test_sweep_workers_cap_blas_at_one_thread():
+def test_blas_cap_sets_one_thread():
     # the CLI's own thread cap, in a process that starts with 2 threads;
     # where numpy bundles no OpenBLAS it does nothing, and there is nothing to read
     libs = sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*"))
@@ -482,17 +482,22 @@ def test_thermal_row_is_the_seeded_thermal_average():
      {"initial_cavity": _THERMAL}],
     ids=["vacuum", "coherent", "thermal"],
 )
-def test_drive_above_resonator_rows_score_the_mirrored_phase(start):
-    # with delta_sign -1 the ZZ phase is -pi/4. A vacuum or thermal row
-    # scored against the +pi/4 gate would read f_numeric ~ 0.2; coherent rows
-    # fit local Z first, which absorbs that mirror (exp(i pi/2 Z1 Z2) is the
-    # local i Z1 Z2), so the check is agreement with the analytic row
+def test_drive_above_resonator_rows_score_the_mirrored_phase(start, monkeypatch):
+    # with delta_sign -1 the ZZ phase is -pi/4. Every row, a coherent one
+    # too, is scored against the fixed gate its start realizes (gate_target:
+    # a coherent start adds only a known local Z rotation), so it agrees with
+    # the analytic row, and the same row scored against the mirrored gate
+    # (the target times exp(i pi/2 Z1 Z2), which flips the ZZ sign) reads ~0.2
     cfg = config_from_dict({"numeric": True, "refine": False, "delta_sign": -1, **start},
                            source="t")
     row = evaluate_point(cfg)
     assert not row.failed
     assert row.delta_mhz < 0
     assert abs(row.f_numeric - row.f_analytic) < 1e-3
+    orig = sweep.gate_target
+    monkeypatch.setattr(sweep, "gate_target",
+                        lambda p, alpha=0j: orig(p, alpha) @ ideal_gate_unitary(math.pi / 2))
+    assert evaluate_point(cfg).f_numeric < 0.5
 
 
 # ------------------------------------------------------------------- cli --
