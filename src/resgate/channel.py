@@ -41,6 +41,11 @@ _Z2 = np.array([1.0, -1.0, 1.0, -1.0])
 _ZZ = _Z1 * _Z2
 
 
+def _branch_couplings(params) -> np.ndarray:
+    """lam = g1 s1 + g2 s2 (rad/ns) of each basis state, branch (s1, s2)."""
+    return params.g1_rad_ns * _Z1 + params.g2_rad_ns * _Z2
+
+
 @dataclass(frozen=True)
 class TwoQubitChannel:
     """A Z-diagonal two-qubit map rho -> C o rho, stored as its 4x4
@@ -154,8 +159,7 @@ def gate_target(params, alpha: complex = 0j) -> np.ndarray:
     """
     u = np.diag(ideal_gate_unitary(math.copysign(math.pi / 4, params.delta_rad_ns)))
     a = drive_frame_displacement(1.0, params.delta_rad_ns, params.kappa_per_ns, params.t_g_ns)
-    lam = params.g1_rad_ns * _Z1 + params.g2_rad_ns * _Z2
-    return np.diag(u * np.exp(2j * (alpha * a * lam).imag))
+    return np.diag(u * np.exp(2j * (alpha * a * _branch_couplings(params)).imag))
 
 
 def textbook_cphase_decomposition() -> tuple[np.ndarray, np.ndarray]:

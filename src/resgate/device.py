@@ -263,6 +263,13 @@ class StepPolicy:
     min_steps: int = 200
     max_steps: int = 10000
 
+    def __post_init__(self):
+        if not (math.isfinite(self.dt_ns) and self.dt_ns > 0):
+            raise DomainError(f"dt_ns must be finite and positive, got {self.dt_ns}")
+        steps = (self.min_steps, self.max_steps)
+        if not all(type(n) is int and n >= 1 for n in steps) or steps[1] < steps[0]:
+            raise DomainError(f"need ints 1 <= min_steps <= max_steps, got {steps!r}")
+
     def resolve(self, t_total_ns: float) -> tuple[int, float]:
         """(step count, actual dt) for a run of t_total_ns."""
         if t_total_ns <= 0:

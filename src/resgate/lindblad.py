@@ -51,9 +51,11 @@ reject a thermal one.
 
 Lab-frame paths (trajectory_rows, polaron_residual) report per-step
 quantities, so they step the ten blocks on and above the diagonal with
-their own expm(L_ij dt) on the StepPolicy grid (_lab_blocks) and size the
-space from the lab-frame reach. scipy (for expm) is imported on these
-paths' first use only. The truncated generator preserves the trace of a
+their own expm(L_ij dt) on the StepPolicy grid (_lab_blocks), the one expm
+of a trajectory, read the residual by overlap with coherent kets
+(_polaron_defect), and size the space from the lab-frame reach. scipy (for
+expm) is imported on these paths' first use only. The truncated generator
+preserves the trace of a
 diagonal block exactly (Tr(A r A^dag) = Tr(A^dag A r), and a commutator is
 traceless), so the channel path checks only the guard-level population,
 in its frame.
@@ -70,14 +72,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .channel import TwoQubitChannel, drive_frame_displacement
+from .channel import _Z1, _Z2, TwoQubitChannel, _branch_couplings, drive_frame_displacement
 from .device import DEFAULT_TOP_LEVEL_THRESHOLD, CavityPrep, DerivedGateParams, StepPolicy
 from .errors import DomainError
 
 DEFAULT_N_PH = 6  # levels 0..5: one guard level above the 4-photon working range
 _GUARD_TAIL = 1e-5  # choose_n_ph's bound on the guard-level population
-# Z1, Z2 eigenvalues of the qubit basis states |00>, |01>, |10>, |11>.
-_BRANCHES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 def _coherent_kets(n_ph: int, amps) -> np.ndarray:
@@ -87,14 +87,6 @@ def _coherent_kets(n_ph: int, amps) -> np.ndarray:
     ratios = amps[:, None] / np.sqrt(np.arange(1, n_ph))
     kets = np.cumprod(np.concatenate([np.ones((len(amps), 1)), ratios], axis=1), axis=1)
     return kets / np.linalg.norm(kets, axis=1, keepdims=True)
-
-
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The arrays, made read-only: the module-level index tables are shared,
-    so no caller may write into them."""
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
 
 
 def _tail_weights(ys: np.ndarray, n_ph: int) -> np.ndarray:
@@ -190,8 +182,7 @@ def _reach(params: DerivedGateParams, alpha: complex = 0j) -> float:
     """
     h = math.hypot(params.delta_rad_ns, params.kappa_per_ns)
     w = alpha * complex(-params.delta_rad_ns, params.kappa_per_ns) / h  # alpha conj(u)
-    b = [lam / (2.0 * h) for lam in _branch_amplitudes(params)]
-    return max(abs(b_i) + abs(w - b_i) for b_i in b)
+    return max(abs(b) + abs(w - b) for b in (_branch_couplings(params) / (2.0 * h)).tolist())
 
 
 def _steady_shift(params: DerivedGateParams) -> complex:
@@ -230,22 +221,21 @@ def _block_generator(params: DerivedGateParams, n_ph: int):
     return generator
 
 
-def _branch_amplitudes(params: DerivedGateParams) -> list[float]:
-    """lam = g1 s1 + g2 s2 for each qubit basis state (branch (s1, s2))."""
-    return [params.g1_rad_ns * s1 + params.g2_rad_ns * s2 for s1, s2 in _BRANCHES]
-
-
 def _dephasing_rates(gamma_1: float, gamma_2: float) -> np.ndarray:
-    """c_ij in 1/ns (gamma in 1/s): gamma_k summed over the qubits k whose Z
-    eigenvalues differ between branches i and j."""
-    s = np.array(_BRANCHES)
-    return 1e-9 * ((s[:, None, :] != s[None, :, :]) @ np.array([gamma_1, gamma_2]))
+    """c_ij in 1/ns: gamma_k in 1/s (finite and >= 0, else DomainError)
+    summed over the qubits k whose Z eigenvalues differ between i and j."""
+    if not all(math.isfinite(g) and g >= 0 for g in (gamma_1, gamma_2)):
+        raise DomainError(f"dephasing rates must be finite and non-negative, got "
+                          f"{gamma_1}, {gamma_2}")
+    return 1e-9 * ((_Z1[:, None] != _Z1) * gamma_1 + (_Z2[:, None] != _Z2) * gamma_2)
 
 
 # qubit index pairs (i, j) of the blocks on and above the diagonal, row-major;
-# those below are their adjoints; _UPPER_I and _UPPER_J index them
-_UPPER = tuple((int(i), int(j)) for i, j in zip(*np.triu_indices(4)))
-_UPPER_I, _UPPER_J = _read_only(*np.array(_UPPER).T)
+# those below are their adjoints; _UPPER_I and _UPPER_J index them, read-only
+# as every call shares them
+_UPPER_I, _UPPER_J = np.triu_indices(4)
+_UPPER_I.flags.writeable = _UPPER_J.flags.writeable = False
+_UPPER = tuple(zip(_UPPER_I.tolist(), _UPPER_J.tolist()))
 
 
 def _frame_terms(params: DerivedGateParams):
@@ -269,7 +259,7 @@ def _frame_terms(params: DerivedGateParams):
     branches, and c_a and s over _UPPER; c_b = -c_a^*.
     """
     kappa, delta = params.kappa_per_ns, params.delta_rad_ns
-    lam = np.array(_branch_amplitudes(params))
+    lam = _branch_couplings(params)
     beta = _steady_shift(params) * lam
     b_i, b_j = beta[_UPPER_I], beta[_UPPER_J]
     energy = (delta * (np.abs(b_i) ** 2 - np.abs(b_j) ** 2)
@@ -340,25 +330,23 @@ def _expm(m: np.ndarray) -> np.ndarray:
     return expm(m)
 
 
-def _lab_blocks(params: DerivedGateParams, alpha: complex, n_ph: int, dt: float, stops):
-    """Yield (step, blocks) at each grid step of stops (ascending, from 0):
-    the (10, n_ph, n_ph) lab-frame blocks r_ij of _UPPER, each evolved from
-    the cavity |alpha><alpha| by its own propagator expm(L(lam_i, lam_j) dt)
-    (_block_generator), dephasing left out.
+def _lab_blocks(params: DerivedGateParams, alpha: complex, n_ph: int, dt: float, steps: int):
+    """Yield the (10, n_ph, n_ph) lab-frame blocks r_ij of _UPPER at grid
+    steps 0, 1, ..., steps, each evolved from the cavity |alpha><alpha| by
+    its own propagator expm(L(lam_i, lam_j) dt) (_block_generator),
+    dephasing left out.
 
     The ten propagators come from one batched expm, and all ten blocks
     advance together by one batched matmul per grid step.
     """
-    lam = np.array(_branch_amplitudes(params))
+    lam = _branch_couplings(params)
     props = _expm(_block_generator(params, n_ph)(lam[_UPPER_I], lam[_UPPER_J]) * dt)
     (ket,) = _coherent_kets(n_ph, [alpha])
     vec = np.repeat(np.outer(ket, ket.conj()).reshape(1, -1, 1), len(_UPPER), axis=0)
-    done = 0
-    for step in stops:
-        for _ in range(step - done):
+    for step in range(steps + 1):
+        if step:
             vec = props @ vec
-        done = step
-        yield step, vec.reshape(len(_UPPER), n_ph, n_ph)
+        yield vec.reshape(len(_UPPER), n_ph, n_ph)
 
 
 def extract_channel(
@@ -372,9 +360,10 @@ def extract_channel(
 ) -> tuple[TwoQubitChannel, SimDiagnostics]:
     """Exact effective two-qubit channel of one gate, in closed form per qubit block.
 
-    gamma_1, gamma_2 in 1/s. The cavity starts in vacuum (the default), in
-    a coherent state or in a thermal one; n_ph, if given, is an int of at
-    least 2 levels (else DomainError). The channel is diagonal:
+    gamma_1, gamma_2 in 1/s, finite and non-negative (else DomainError).
+    The cavity starts in vacuum (the default), in a coherent state or in a
+    thermal one; n_ph, if given, is an int of at least 2 levels (else
+    DomainError). The channel is diagonal:
     rho_ij -> C_ij rho_ij with
     C_ij = exp(-c_ij t_g) Tr[exp(L(lam_i, lam_j) t_g) cav] (see
     _block_generator), where c_ij is gamma_k summed over the qubits k whose
@@ -418,6 +407,7 @@ def extract_channel(
     dt_ns = t_g: one exact propagation.
     """
     prep = initial_cavity or CavityPrep.vacuum()
+    rates = _dephasing_rates(gamma_1, gamma_2)[_UPPER_I, _UPPER_J]
     t_g = params.t_g_ns
     frame = _frame_terms(params)
     beta = frame[0]
@@ -428,7 +418,6 @@ def extract_channel(
                        top_level_threshold)
     traces = _readout(params, frame, psi, prep.alpha, t_g)
 
-    rates = _dephasing_rates(gamma_1, gamma_2)[_UPPER_I, _UPPER_J]
     z = complex(params.kappa_per_ns, params.delta_rad_ns)
     thermal = np.exp(-prep.n_bar * abs(1.0 - cmath.exp(-z * t_g)) ** 2
                      * np.abs(beta[_UPPER_I] - beta[_UPPER_J]) ** 2)
@@ -439,24 +428,16 @@ def extract_channel(
     return TwoQubitChannel(coh), diag
 
 
-def _polaron_defect(
-    r_diag: np.ndarray, lam: list[float], params: DerivedGateParams, t_ns: float
-) -> float:
-    """1 - vacuum weight of the cavity marginal after undoing the drive.
-
-    r_diag holds the diagonal blocks r_ii. Branch i is displaced back by
-    -lam_i * alpha_unit(t), with alpha_unit the closed-form drive-frame
-    amplitude (for equal couplings: the familiar -(s1 + s2) * alpha_d(t)),
-    so the marginal is sum_i D_i r_ii D_i^dag with n_ph x n_ph D_i.
-    """
-    alpha_unit = drive_frame_displacement(
-        1.0, params.delta_rad_ns, params.kappa_per_ns, t_ns
-    )
-    a = np.diag(np.sqrt(np.arange(1.0, r_diag.shape[-1])), k=1)
-    amps = -np.array(lam)[:, None, None] * alpha_unit
-    disp = _expm(amps * a.T - np.conj(amps) * a)
-    cav = (disp @ r_diag @ disp.conj().transpose(0, 2, 1)).sum(axis=0)
-    return 1.0 - float(cav[0, 0].real) / float(np.trace(cav).real)
+def _polaron_defect(r_diag: np.ndarray, params: DerivedGateParams, t_ns: float) -> float:
+    """1 - sum_i <phi_i| r_ii |phi_i> / Tr r over the diagonal blocks r_ii:
+    the weight off the coherent state phi_i = |lam_i A(t)> = D(lam_i A)|0>
+    branch i should hold, A = drive_frame_displacement(1, Delta, kappa, t).
+    phi_i is the truncated, renormalized ket the starts use, so a vacuum
+    start reads exactly 0 at t = 0."""
+    unit = drive_frame_displacement(1.0, params.delta_rad_ns, params.kappa_per_ns, t_ns)
+    phi = _coherent_kets(r_diag.shape[-1], _branch_couplings(params) * unit)
+    held = np.einsum("im,imn,in->", phi.conj(), r_diag, phi).real
+    return 1.0 - float(held) / float(np.einsum("imm->", r_diag).real)
 
 
 def polaron_residual(
@@ -466,28 +447,27 @@ def polaron_residual(
     n_ph: int | None = None,
     policy: StepPolicy = StepPolicy(),
 ) -> float:
-    """Max ground-state defect in the qubit-conditioned displaced frame.
+    """Max weight the cavity misses on the coherent paths of the qubit branches.
 
-    Evolves |++> (vacuum cavity, no intrinsic dephasing), and at each sampled
-    time applies the inverse conditional displacement built from the
-    closed-form drive-frame amplitude; the cavity should then sit in its
-    ground state up to truncation error:
+    Evolves |++> (vacuum cavity, no intrinsic dephasing) and at each sampled
+    time reads each diagonal block r_ii against the coherent state
+    phi_i = |lam_i A(t)> its branch should hold (the coherent-branch picture
+    of Gambetta et al., PRA 74, 042318 (2006)), up to truncation error:
 
-        residual(t) = 1 - <0| Tr_qubits[rho-displaced] |0> / Tr[rho].
+        residual(t) = 1 - sum_i <phi_i| r_ii |phi_i> / Tr[rho].
 
     At least one sample time is needed. Each is snapped to the policy's step
-    grid (consistently with the amplitude used for the displacement).
+    grid (consistently with the amplitude of phi_i).
     Returns the maximum residual over the samples: the largest of
     trajectory_rows' polaron_residual column over those steps, at the same
     n_ph (with n_ph None both take the lab-frame size choose_n_ph(_reach)).
     """
-    t_samples = np.atleast_1d(np.asarray(t_samples, dtype=float))
-    if not (t_samples.size and np.all((t_samples >= 0)
-                                      & (t_samples <= params.t_g_ns * (1 + 1e-12)))):
+    ts = np.atleast_1d(np.asarray(t_samples, dtype=float))
+    if not (ts.size and np.all((ts >= 0) & (ts <= params.t_g_ns * (1 + 1e-12)))):
         raise DomainError("need one or more sample times, all in [0, t_g]")
     rows = trajectory_rows(params, 0.0, 0.0, n_ph=n_ph, policy=policy)
     _, dt = policy.resolve(params.t_g_ns)
-    return max(rows[int(round(t / dt))]["polaron_residual"] for t in t_samples)
+    return max(rows[int(round(t / dt))]["polaron_residual"] for t in ts)
 
 
 def trajectory_rows(
@@ -499,14 +479,13 @@ def trajectory_rows(
     n_ph: int | None = None,
     policy: StepPolicy = StepPolicy(),
     initial_qubit: np.ndarray | None = None,
-    stride: int = 1,
 ) -> list[dict]:
     """Per-step state metrics for the optional trajectory dump.
 
     Evolves a single composite state (default |++> with the requested
     vacuum or coherent cavity; a thermal one, a mixture, raises DomainError;
-    gamma in 1/s) on the policy's step grid and records, every ``stride``
-    steps plus the final one, a row with keys t_ns, trace, purity,
+    gamma in 1/s, finite and non-negative) on the policy's step grid and
+    records, at every step, a row with keys t_ns, trace, purity,
     mean_photon, top_level_pop, polaron_residual.
     Every number comes from the qubit blocks r_ij(t) =
     q_ij exp(-c_ij t) expm(L_ij t) cav: trace, mean_photon, top_level_pop
@@ -514,33 +493,25 @@ def trajectory_rows(
     sum_ij ||r_ij||^2 over the ten blocks on and above the diagonal, which
     _lab_blocks steps in the lab frame. With n_ph None the space is sized
     from the lab-frame reach, choose_n_ph(_reach). The residual column is
-    the same displaced-frame ground-state defect polaron_residual()
-    maximizes; for non-vacuum preparations or gamma > 0 it is reported
-    as-is rather than being expected small.
+    the coherent-path defect polaron_residual() maximizes (_polaron_defect);
+    for non-vacuum preparations or gamma > 0 it is reported as-is rather
+    than being expected small.
     """
-    if initial_qubit is None:
-        plus = np.full(4, 0.5, dtype=complex)
-        initial_qubit = np.outer(plus, plus.conj())
-    if stride < 1:
-        raise DomainError(f"stride must be >= 1, got {stride}")
-
     prep = initial_cavity or CavityPrep.vacuum()
     if prep.kind == "thermal":
         raise DomainError("a trajectory follows one cavity state, but a thermal "
                           "cavity is a mixture; use a vacuum or coherent preparation")
+    rate = _dephasing_rates(gamma_1, gamma_2)[_UPPER_I, _UPPER_J]
     n_ph = choose_n_ph(_reach(params, prep.alpha)) if n_ph is None else _check_n_ph(n_ph)
-    q = np.asarray(initial_qubit, dtype=complex)
-    lam = _branch_amplitudes(params)
+    q = (np.full((4, 4), 0.25, dtype=complex) if initial_qubit is None  # |++><++|
+         else np.asarray(initial_qubit, dtype=complex))
     steps, dt = policy.resolve(params.t_g_ns)
 
     on_diag = _UPPER_I == _UPPER_J
     weight = np.abs(q[_UPPER_I, _UPPER_J]) ** 2 * np.where(on_diag, 1.0, 2.0)
-    rate = _dephasing_rates(gamma_1, gamma_2)[_UPPER_I, _UPPER_J]
-    photons = np.arange(n_ph)
 
-    stops = [*range(0, steps, stride), steps]
     rows: list[dict] = []
-    for step, blocks in _lab_blocks(params, prep.alpha, n_ph, dt, stops):
+    for step, blocks in enumerate(_lab_blocks(params, prep.alpha, n_ph, dt, steps)):
         t_now = step * dt
         r_diag = np.diagonal(q)[:, None, None] * blocks[on_diag]
         pops = np.einsum("inn->in", r_diag).real
@@ -549,8 +520,8 @@ def trajectory_rows(
             "t_ns": t_now,
             "trace": float(pops.sum()),
             "purity": float((weight * np.exp(-2.0 * rate * t_now) * sq_norms).sum()),
-            "mean_photon": float((pops * photons).sum()),
+            "mean_photon": float((pops * np.arange(n_ph)).sum()),
             "top_level_pop": float(pops[:, -1].sum()),
-            "polaron_residual": _polaron_defect(r_diag, lam, params, t_now),
+            "polaron_residual": _polaron_defect(r_diag, params, t_now),
         })
     return rows

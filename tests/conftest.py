@@ -6,8 +6,8 @@ from __future__ import annotations
 import os
 
 # One BLAS thread unless the caller chose otherwise. The matrices here are at
-# most a few hundred rows, where OpenBLAS's threads cost more than they save
-# (the suite runs about twice as fast on 2 cores). It must be set before numpy
+# most a few hundred rows, where a second OpenBLAS thread saves nothing (on 2
+# cores the suite took as long with two as with one). It must be set before numpy
 # loads; neither pytest nor hypothesis imports numpy before this file.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from resgate import (
     QubitTuning,
     ResonatorSpec,
+    StepPolicy,
     cavity_decay,
     coupling_strengths,
     derive_gate_params,
@@ -146,3 +147,25 @@ def test_make_params_helper_matches_schedule():
     assert p.g_geom_rad_ns == pytest.approx(0.35, rel=1e-12)
     assert p.delta_rad_ns * p.t_g_ns == pytest.approx(TWO_PI * 2, rel=1e-12)
     assert p.kappa_per_ns == pytest.approx(1e-3, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "fields, name",
+    [({"dt_ns": 0.0}, "dt_ns"), ({"dt_ns": -0.02}, "dt_ns"), ({"dt_ns": math.nan}, "dt_ns"),
+     ({"dt_ns": math.inf}, "dt_ns"), ({"min_steps": 0}, "min_steps"),
+     ({"min_steps": 2.5}, "min_steps"), ({"min_steps": True}, "min_steps"),
+     ({"max_steps": 0}, "max_steps"), ({"max_steps": 100.0}, "max_steps"),
+     ({"min_steps": 300, "max_steps": 100}, "max_steps")],
+    ids=str,
+)
+def test_step_policy_checks_its_fields(fields, name):
+    # a zero or NaN step once failed deep inside resolve, and an inverted
+    # clamp silently ran max_steps steps
+    with pytest.raises(DomainError, match=name):
+        StepPolicy(**fields)
+
+
+def test_step_policy_resolves_a_valid_grid():
+    assert StepPolicy(dt_ns=0.5, min_steps=1, max_steps=1).resolve(7.3) == (1, 7.3)
+    assert StepPolicy(min_steps=300, max_steps=300).resolve(7.3) == (300, 7.3 / 300)
+    assert StepPolicy().resolve(7.3) == (365, 7.3 / 365)
