@@ -10,8 +10,8 @@ Layers, roughly bottom-up:
   closed-form optimal operating point, and infidelity estimates.
 - channel: TwoQubitChannel, a Z-diagonal map stored as its 4x4 coherence
   matrix C (rho -> C o rho), and the exact analytic error channel of the
-  gate (displacement trajectory, entangling phase, b-factor, dephasing
-  channels built from diagonal Kraus sets).
+  gate (displacement trajectory, entangling phase, b-factor, and the
+  dephasing and gate factors as coherence tables).
 - fidelity: entanglement / average gate fidelity read off C and the
   target's diagonal.
 - lindblad: the numeric master-equation oracle on qubits x Fock space.

@@ -10,18 +10,19 @@ All of that is exactly expressible: the channel factorizes into
 
     rho -> U_g . E_b . E_q (rho)         (the three factors commute)
 
-with U_g = exp(+i * phi * Z1*Z2), E_b a three-Kraus correlated-dephasing
-channel parameterized by a single number b in (0, 1], and E_q the ordinary
+with U_g = exp(+i * phi * Z1*Z2), E_b the correlated (which-path)
+dephasing with a single parameter b in (0, 1], and E_q the ordinary
 independent dephasing of the two qubits. Everything in this module is in
 angular units: couplings are energy/hbar in rad/ns, rates in 1/ns, times in
 ns (any consistent set works).
 
 Basis order is |00>, |01>, |10>, |11>. Every map here commutes with Z1 and
 Z2, so it is a Schur multiplier rho -> C o rho (elementwise product) with
-one 4x4 coherence matrix C, and a TwoQubitChannel stores only C. The Kraus
-families are constructors that build C = sum_k k k^dag from the diagonals
-k of diagonal Kraus operators; a Kraus operator or unitary that is not
-diagonal is rejected.
+one 4x4 coherence matrix C, and a TwoQubitChannel stores only C. Each
+factor is built as its table: E_b = b**W, E_q = exp(-R t) with R the rate
+table the numeric oracle shares (_dephasing_rates), U_g = u u^dag. The
+constructors from_kraus and from_unitary take diagonal Kraus operators;
+one that is not diagonal is rejected.
 """
 
 from __future__ import annotations
@@ -34,16 +35,25 @@ import numpy as np
 
 from .errors import DomainError, NonPhysicalChannelError
 
-# Diagonals of I, Z1, Z2 and Z1 Z2 in the basis order above.
-_I = np.ones(4)
+# Diagonals of Z1 and Z2 in the basis order above.
 _Z1 = np.array([1.0, 1.0, -1.0, -1.0])
 _Z2 = np.array([1.0, -1.0, 1.0, -1.0])
-_ZZ = _Z1 * _Z2
+# W_ij = ((s_i - s_j)/2)^2, s = z1 + z2: E_b's exponent of b, with entries 0, 1 and 4
+_W = (0.5 * np.subtract.outer(_Z1 + _Z2, _Z1 + _Z2)) ** 2
 
 
 def _branch_couplings(params) -> np.ndarray:
     """lam = g1 s1 + g2 s2 (rad/ns) of each basis state, branch (s1, s2)."""
     return params.g1_rad_ns * _Z1 + params.g2_rad_ns * _Z2
+
+
+def _dephasing_rates(gamma_1: float, gamma_2: float) -> np.ndarray:
+    """R_ij: gamma_k (finite and >= 0, else DomainError) summed over the
+    qubits k whose Z eigenvalues differ between i and j, in the rates' units."""
+    if not all(math.isfinite(g) and g >= 0 for g in (gamma_1, gamma_2)):
+        raise DomainError(f"dephasing rates must be finite and non-negative, got "
+                          f"{gamma_1}, {gamma_2}")
+    return (_Z1[:, None] != _Z1) * gamma_1 + (_Z2[:, None] != _Z2) * gamma_2
 
 
 @dataclass(frozen=True)
@@ -82,14 +92,12 @@ class TwoQubitChannel:
     def from_unitary(cls, u: np.ndarray) -> "TwoQubitChannel":
         return cls.from_kraus((u,))
 
-    @property
-    def superop(self) -> np.ndarray:
-        """16x16 superoperator on row-major vectorized matrices: diag(vec C)."""
-        return np.diag(self.coherence.reshape(16))
-
     def choi_matrix(self) -> np.ndarray:
-        """Unnormalized Choi matrix (trace 4 for a TP map), row-major pairing."""
-        return self.superop.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16)
+        """Unnormalized Choi matrix (trace 4 for a TP map), row-major pairing:
+        C on the |ii> span, rows and columns 0, 5, 10, 15."""
+        choi = np.zeros((16, 16), dtype=complex)
+        choi[::5, ::5] = self.coherence
+        return choi
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return self.coherence * np.asarray(rho, dtype=complex).reshape(4, 4)
@@ -275,51 +283,45 @@ def b_factor_simplified(g: float, kappa: float, n: int) -> float:
 
 
 def correlated_dephasing_channel(b: float) -> TwoQubitChannel:
-    """Three-Kraus channel of the which-path dephasing, parameter b in [0, 1].
+    """Which-path dephasing with parameter b in [0, 1]: the table C = b**W,
+    W_ij = ((s_i - s_j)/2)^2, s = z1 + z2, so a coherence between branches
+    whose s differ by 2 keeps b and one between |00> and |11> keeps b^4.
 
+    It equals the paper's three-Kraus form
     K0 = [(1+b) I - (1-b) Z1 Z2]/2,
     K1 = sqrt((1-b^4)/2) (Z1 + Z2)/2,
-    K2 = ((1-b^2)/sqrt(2)) (I + Z1 Z2)/2.
-
-    Completeness is an exact algebraic identity, and the family is a
-    semigroup under composition: E_{b1} . E_{b2} = E_{b1 b2}.
+    K2 = ((1-b^2)/sqrt(2)) (I + Z1 Z2)/2,
+    and the family is a semigroup under composition: E_{b1} . E_{b2} = E_{b1 b2}.
     """
     if not (0.0 <= b <= 1.0):
         raise DomainError(f"b must lie in [0, 1], got {b}")
-    k0 = 0.5 * ((1.0 + b) * _I - (1.0 - b) * _ZZ)
-    k1 = math.sqrt((1.0 - b**4) / 2.0) * 0.5 * (_Z1 + _Z2)
-    k2 = ((1.0 - b**2) / math.sqrt(2.0)) * 0.5 * (_I + _ZZ)
-    return TwoQubitChannel.from_kraus(np.diag(k) for k in (k0, k1, k2))
+    return TwoQubitChannel(b**_W)
 
 
 def intrinsic_dephasing_channel(gamma_1: float, gamma_2: float, t: float) -> TwoQubitChannel:
-    """Independent dephasing of the two qubits over time t.
+    """Independent dephasing of the two qubits over time t: the table
+    C = exp(-R t), R = _dephasing_rates(gamma_1, gamma_2).
 
-    p_j = (1 - e^{-gamma_j t})/2; Kraus set sqrt(w) * {I, Z1, Z2, Z1 Z2} with
-    weights (1-p1)(1-p2), p1(1-p2), p2(1-p1), p1 p2. Markovian:
-    E(t1) . E(t2) = E(t1 + t2). Rates and time in any consistent units.
+    It equals the four-Kraus form sqrt(w) * {I, Z1, Z2, Z1 Z2} with
+    p_j = (1 - e^{-gamma_j t})/2 and weights (1-p1)(1-p2), p1(1-p2),
+    p2(1-p1), p1 p2. Markovian: E(t1) . E(t2) = E(t1 + t2). Rates and
+    time in any consistent units, finite and non-negative (else DomainError).
     """
-    if gamma_1 < 0 or gamma_2 < 0 or t < 0:
-        raise DomainError("rates and time must be non-negative")
-    p1 = 0.5 * (1.0 - math.exp(-gamma_1 * t))
-    p2 = 0.5 * (1.0 - math.exp(-gamma_2 * t))
-    weights_ops = (
-        ((1.0 - p1) * (1.0 - p2), _I),
-        (p1 * (1.0 - p2), _Z1),
-        (p2 * (1.0 - p1), _Z2),
-        (p1 * p2, _ZZ),
-    )
-    return TwoQubitChannel.from_kraus(np.diag(math.sqrt(w) * op) for w, op in weights_ops)
+    if not (math.isfinite(t) and t >= 0):
+        raise DomainError(f"time must be finite and non-negative, got {t}")
+    return TwoQubitChannel(np.exp(-_dephasing_rates(gamma_1, gamma_2) * t))
 
 
 def analytic_gate_channel(
     params, gamma_1: float, gamma_2: float
 ) -> TwoQubitChannel:
-    """Full analytic channel of one gate: E_q at t_g, E_b with b(t_g), then U_g.
+    """Full analytic channel of one gate: the table
+    exp(-R t_g) * b**W * u u^dag, that is E_q at t_g, E_b with b(t_g) and
+    U_g with diagonal u = diag(gate_target(params)).
 
     ``params`` is a DerivedGateParams (SI); gamma_1, gamma_2 are the intrinsic
     dephasing rates in 1/s. The three factors commute, so the composition
-    order is a convention, not physics. The unitary is gate_target(params).
+    order is a convention, not physics.
 
     The b-factor is that of one coupling g = g1 = g2, so unequal couplings
     raise DomainError: folding them into sqrt(g1 g2) understates the error
@@ -333,14 +335,11 @@ def analytic_gate_channel(
             f"{params.g1_rad_ns:.6g} and g2 = {params.g2_rad_ns:.6g} rad/ns; "
             f"extract_channel models unequal couplings"
         )
-    g = params.g_geom_rad_ns
-    delta = params.delta_rad_ns
-    kappa = params.kappa_per_ns
     t_ns = params.t_g_ns
-    b, _, _ = b_factor(g, delta, kappa, t_ns)
-    e_q = intrinsic_dephasing_channel(gamma_1 * 1e-9, gamma_2 * 1e-9, t_ns)
-    e_b = correlated_dephasing_channel(b)
-    return e_q.then(e_b).then(TwoQubitChannel.from_unitary(gate_target(params)))
+    b, _, _ = b_factor(params.g_geom_rad_ns, params.delta_rad_ns, params.kappa_per_ns, t_ns)
+    u = np.diag(gate_target(params))
+    return TwoQubitChannel(np.exp(-1e-9 * _dephasing_rates(gamma_1, gamma_2) * t_ns)
+                           * b**_W * np.outer(u, u.conj()))
 
 
 def analytic_avg_fidelity(b: float, gamma_phi: float, t_g: float) -> float:
@@ -354,7 +353,7 @@ def analytic_avg_fidelity(b: float, gamma_phi: float, t_g: float) -> float:
     """
     if not (0.0 <= b <= 1.0):
         raise DomainError(f"b must lie in [0, 1], got {b}")
-    if gamma_phi < 0 or t_g < 0:
-        raise DomainError("gamma_phi and t_g must be non-negative")
+    if not (gamma_phi >= 0 and t_g >= 0):
+        raise DomainError(f"gamma_phi and t_g must be non-negative, got {gamma_phi}, {t_g}")
     decay = math.exp(-gamma_phi * t_g)
     return (4.0 + 4.0 * b * decay + (b**4 + 1.0) * decay**2) / 10.0

@@ -16,12 +16,14 @@ when --out is missing). Exit codes: 0 success, 2 configuration error,
 rows and their reasons go to stderr).
 
 The numeric layers (sweep, lindblad and numpy under them) load only once the
-config is valid, so --help, usage errors and config errors start fast.
+config is valid, so --help, usage errors and config errors start fast. main
+sets OPENBLAS_NUM_THREADS=1 before numpy loads (small matrices, one thread).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .config import config_from_dict, read_config_file
@@ -82,6 +84,8 @@ def _write_trajectory(cfg, path: str) -> None:
 
 
 def main(argv=None) -> int:
+    # at most a few hundred rows: extra BLAS threads cost more than they save
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     args = build_parser().parse_args(argv)
     try:
         raw = read_config_file(args.config) if args.config else {}
@@ -105,7 +109,6 @@ def main(argv=None) -> int:
 
         from . import sweep
 
-        sweep._one_blas_thread()  # small matrices: extra BLAS threads cost more than they save
         if cfg.mode == "sweep":
             result = sweep.run_sweep(cfg)
         else:

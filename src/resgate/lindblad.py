@@ -21,9 +21,10 @@ fastest. H, the photon loss and the dephasing all commute with Z1 and Z2,
 so the qubit block r_ij = <i|rho|j> (an n_ph x n_ph cavity operator)
 evolves on its own under a fixed generator L_ij. The effective two-qubit
 channel is therefore the elementwise map rho_ij -> C_ij rho_ij with
-C_ij = Tr[exp(L_ij t_g) cav], stored as C. Every pure start is a coherent
-state (the vacuum is alpha = 0), so each block starts as a dyad of coherent
-kets.
+C_ij = Tr[exp(L_ij t_g) cav], stored as C; the dephasing scales it by
+exp(-1e-9 R_ij t_g), R the rate table of channel._dephasing_rates, as in the
+analytic E_q. Every pure start is a coherent state (the vacuum is
+alpha = 0), so each block starts as a dyad of coherent kets.
 
 Channel path (extract_channel): branch i drives the cavity towards its
 steady state beta_i = -i lam_i / (2 (i Delta + kappa))
@@ -72,7 +73,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .channel import _Z1, _Z2, TwoQubitChannel, _branch_couplings, drive_frame_displacement
+from .channel import (TwoQubitChannel, _branch_couplings, _dephasing_rates,
+                      drive_frame_displacement)
 from .device import DEFAULT_TOP_LEVEL_THRESHOLD, CavityPrep, DerivedGateParams, StepPolicy
 from .errors import DomainError
 
@@ -221,15 +223,6 @@ def _block_generator(params: DerivedGateParams, n_ph: int):
     return generator
 
 
-def _dephasing_rates(gamma_1: float, gamma_2: float) -> np.ndarray:
-    """c_ij in 1/ns: gamma_k in 1/s (finite and >= 0, else DomainError)
-    summed over the qubits k whose Z eigenvalues differ between i and j."""
-    if not all(math.isfinite(g) and g >= 0 for g in (gamma_1, gamma_2)):
-        raise DomainError(f"dephasing rates must be finite and non-negative, got "
-                          f"{gamma_1}, {gamma_2}")
-    return 1e-9 * ((_Z1[:, None] != _Z1) * gamma_1 + (_Z2[:, None] != _Z2) * gamma_2)
-
-
 # qubit index pairs (i, j) of the blocks on and above the diagonal, row-major;
 # those below are their adjoints; _UPPER_I and _UPPER_J index them, read-only
 # as every call shares them
@@ -366,8 +359,9 @@ def extract_channel(
     DomainError). The channel is diagonal:
     rho_ij -> C_ij rho_ij with
     C_ij = exp(-c_ij t_g) Tr[exp(L(lam_i, lam_j) t_g) cav] (see
-    _block_generator), where c_ij is gamma_k summed over the qubits k whose
-    Z eigenvalues differ between i and j, and C_ji = conj(C_ij).
+    _block_generator), where c_ij = 1e-9 R_ij (channel._dephasing_rates) is
+    gamma_k summed over the qubits k whose Z eigenvalues differ between i and
+    j, and C_ji = conj(C_ij).
 
     Each block is carried in its branches' displaced frame,
     r'_ij = D(beta_i)^dag r_ij D(beta_j) with beta_i the steady state of
@@ -407,7 +401,7 @@ def extract_channel(
     dt_ns = t_g: one exact propagation.
     """
     prep = initial_cavity or CavityPrep.vacuum()
-    rates = _dephasing_rates(gamma_1, gamma_2)[_UPPER_I, _UPPER_J]
+    rates = 1e-9 * _dephasing_rates(gamma_1, gamma_2)[_UPPER_I, _UPPER_J]
     t_g = params.t_g_ns
     frame = _frame_terms(params)
     beta = frame[0]
@@ -501,7 +495,7 @@ def trajectory_rows(
     if prep.kind == "thermal":
         raise DomainError("a trajectory follows one cavity state, but a thermal "
                           "cavity is a mixture; use a vacuum or coherent preparation")
-    rate = _dephasing_rates(gamma_1, gamma_2)[_UPPER_I, _UPPER_J]
+    rate = 1e-9 * _dephasing_rates(gamma_1, gamma_2)[_UPPER_I, _UPPER_J]
     n_ph = choose_n_ph(_reach(params, prep.alpha)) if n_ph is None else _check_n_ph(n_ph)
     q = (np.full((4, 4), 0.25, dtype=complex) if initial_qubit is None  # |++><++|
          else np.asarray(initial_qubit, dtype=complex))

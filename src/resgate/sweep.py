@@ -17,13 +17,11 @@ byte-identical files.
 
 from __future__ import annotations
 
-import ctypes
 import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -298,32 +296,6 @@ def _evaluate_point(cfg: RunConfig) -> SweepRow:
         max_fock_pop=max_fock,
         diagnostics=diagnostics,
     )
-
-
-# thread-count setters of the OpenBLAS builds numpy wheels bundle
-_BLAS_THREAD_SETTERS = (
-    "scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-    "openblas_set_num_threads64_", "openblas_set_num_threads",
-)
-
-
-def _one_blas_thread() -> None:
-    """Cap the OpenBLAS that numpy loaded at one thread.
-
-    The CLI calls it once in its own process: a trajectory's lab-frame expm
-    and matmuls are at most a few hundred rows, where BLAS threads cost
-    more than they save. The library sits in the numpy.libs folder of a
-    numpy wheel; opening it again returns the copy numpy loaded. A no-op
-    where there is no such library or setter.
-    """
-    for path in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*")):
-        lib = ctypes.CDLL(str(path))
-        for name in _BLAS_THREAD_SETTERS:
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-                break
 
 
 def run_sweep(cfg: RunConfig) -> SweepResult:

@@ -20,6 +20,7 @@ from resgate import (
     DerivedGateParams,
     NoiseSpec,
     ResonatorSpec,
+    TwoQubitChannel,
     gate_schedule,
     ideal_gate_unitary,
 )
@@ -35,6 +36,34 @@ _S1 = [
 PRODUCT_STATES = tuple(
     np.outer(np.kron(a, b), np.kron(a, b).conj()) for a in _S1 for b in _S1
 )
+
+
+# diagonals of I, Z1, Z2 and Z1 Z2 in the basis order |00>, |01>, |10>, |11>
+_I = np.ones(4)
+_Z1 = np.array([1.0, 1.0, -1.0, -1.0])
+_Z2 = np.array([1.0, -1.0, 1.0, -1.0])
+_ZZ = _Z1 * _Z2
+
+
+def kraus_correlated_dephasing(b: float) -> TwoQubitChannel:
+    """The paper's three-Kraus E_b, through from_kraus:
+    K0 = [(1+b) I - (1-b) Z1 Z2]/2, K1 = sqrt((1-b^4)/2) (Z1 + Z2)/2,
+    K2 = ((1-b^2)/sqrt(2)) (I + Z1 Z2)/2."""
+    ks = (0.5 * ((1.0 + b) * _I - (1.0 - b) * _ZZ),
+          math.sqrt((1.0 - b**4) / 2.0) * 0.5 * (_Z1 + _Z2),
+          ((1.0 - b**2) / math.sqrt(2.0)) * 0.5 * (_I + _ZZ))
+    return TwoQubitChannel.from_kraus(np.diag(k) for k in ks)
+
+
+def kraus_intrinsic_dephasing(gamma_1: float, gamma_2: float, t: float) -> TwoQubitChannel:
+    """The four-Kraus E_q, through from_kraus: sqrt(w) * {I, Z1, Z2, Z1 Z2}
+    with p_j = (1 - e^{-gamma_j t})/2 and weights (1-p1)(1-p2), p1(1-p2),
+    p2(1-p1), p1 p2."""
+    p1 = 0.5 * (1.0 - math.exp(-gamma_1 * t))
+    p2 = 0.5 * (1.0 - math.exp(-gamma_2 * t))
+    weights_ops = (((1.0 - p1) * (1.0 - p2), _I), (p1 * (1.0 - p2), _Z1),
+                   (p2 * (1.0 - p1), _Z2), (p1 * p2, _ZZ))
+    return TwoQubitChannel.from_kraus(np.diag(math.sqrt(w) * op) for w, op in weights_ops)
 
 
 def make_params(

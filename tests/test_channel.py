@@ -29,7 +29,7 @@ from resgate import (
 )
 from resgate.errors import DomainError, NonPhysicalChannelError
 
-from conftest import make_params
+from conftest import kraus_correlated_dephasing, kraus_intrinsic_dephasing, make_params
 
 
 def test_alpha_solves_its_ode():
@@ -157,10 +157,11 @@ def test_textbook_cphase_decomposition_identity():
 )
 @settings(max_examples=40, deadline=None)
 def test_correlated_dephasing_semigroup(b1, b2):
-    e1 = correlated_dephasing_channel(b1)
-    e2 = correlated_dephasing_channel(b2)
-    lhs = e1.then(e2).superop
-    rhs = correlated_dephasing_channel(b1 * b2).superop
+    # on the paper's Kraus form: the table b**W is a semigroup by construction
+    e1 = kraus_correlated_dephasing(b1)
+    e2 = kraus_correlated_dephasing(b2)
+    lhs = e1.then(e2).coherence
+    rhs = kraus_correlated_dephasing(b1 * b2).coherence
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -170,11 +171,51 @@ def test_correlated_dephasing_semigroup(b1, b2):
 )
 @settings(max_examples=40, deadline=None)
 def test_intrinsic_dephasing_semigroup(g1t, g2t):
-    e1 = intrinsic_dephasing_channel(g1t, g1t, 1.0)
-    e2 = intrinsic_dephasing_channel(g2t, g2t, 1.0)
-    lhs = e1.then(e2).superop
-    rhs = intrinsic_dephasing_channel(g1t + g2t, g1t + g2t, 1.0).superop
+    # on the four-Kraus form: the table exp(-R t) is a semigroup by construction
+    e1 = kraus_intrinsic_dephasing(g1t, g1t, 1.0)
+    e2 = kraus_intrinsic_dephasing(g2t, g2t, 1.0)
+    lhs = e1.then(e2).coherence
+    rhs = kraus_intrinsic_dephasing(g1t + g2t, g1t + g2t, 1.0).coherence
     assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def test_dephasing_tables_equal_their_kraus_sums():
+    # b**W and exp(-R t) against the paper's three- and four-Kraus sums,
+    # over a grid of b, rates and times, the lossless and fully dephased
+    # ends included
+    for b in np.linspace(0.0, 1.0, 21):
+        table = correlated_dephasing_channel(b).coherence
+        assert np.abs(table - kraus_correlated_dephasing(b).coherence).max() < 1e-14, b
+    rates = (0.0, 1e-3, 0.05, 0.7, 2.0, 30.0)
+    for g1 in rates:
+        for g2 in rates:
+            for t in (0.0, 0.3, 1.0, 7.3):
+                table = intrinsic_dephasing_channel(g1, g2, t).coherence
+                kraus = kraus_intrinsic_dephasing(g1, g2, t).coherence
+                assert np.abs(table - kraus).max() < 1e-14, (g1, g2, t)
+
+
+def test_analytic_channels_build_no_kraus_sum(monkeypatch):
+    # every analytic channel is a product of tables; none goes through from_kraus
+    def refuse(cls, ops):
+        raise AssertionError("from_kraus called")
+
+    monkeypatch.setattr(TwoQubitChannel, "from_kraus", classmethod(refuse))
+    p = make_params(0.35, 1.021e-3, n=2)
+    correlated_dephasing_channel(0.7)
+    intrinsic_dephasing_channel(0.2, 0.3, 1.5)
+    analytic_gate_channel(p, 1.5e6, 1.5e6).validate()
+
+
+@pytest.mark.parametrize("gamma_1, gamma_2, t", [
+    (math.nan, 0.0, 7.3), (0.0, math.inf, 7.3), (-0.1, 0.0, 7.3),
+    (0.1, 0.1, math.nan), (0.1, 0.1, math.inf), (0.1, 0.1, -1.0),
+])
+def test_intrinsic_dephasing_rejects_bad_rates_and_times(gamma_1, gamma_2, t):
+    # a NaN rate used to reach the Kraus diagonal check and be reported as
+    # a non-diagonal Kraus operator; the rates and the time are named
+    with pytest.raises(DomainError, match="rates" if t == 7.3 else "time"):
+        intrinsic_dephasing_channel(gamma_1, gamma_2, t)
 
 
 @given(b=st.floats(min_value=0.0, max_value=1.0))
@@ -321,6 +362,10 @@ def test_analytic_avg_fidelity_limits():
     assert analytic_avg_fidelity(0.0, 1e9, 10.0) == pytest.approx(0.4, abs=1e-12)
     with pytest.raises(DomainError):
         analytic_avg_fidelity(1.5, 0.0, 1.0)
+    # a NaN rate or time raises instead of returning nan
+    for gamma_phi, t_g in ((math.nan, 7.3), (0.1, math.nan), (-0.1, 7.3)):
+        with pytest.raises(DomainError, match="gamma_phi"):
+            analytic_avg_fidelity(0.9, gamma_phi, t_g)
 
 
 def test_degenerate_drive_guards():

@@ -378,22 +378,24 @@ def test_run_sweep_ordering_and_parallel_equivalence():
 
 
 def test_blas_cap_sets_one_thread():
-    # the CLI's own thread cap, in a process that starts with 2 threads;
-    # where numpy bundles no OpenBLAS it does nothing, and there is nothing to read
+    # main sets OPENBLAS_NUM_THREADS=1 before numpy loads, over the 2 this
+    # process starts with; where numpy bundles no OpenBLAS there is nothing to read
     libs = sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*"))
     if not libs:
         pytest.skip("numpy bundles no OpenBLAS here")
     script = (
-        "import ctypes, sys\n"
-        "from resgate import sweep\n"
+        "import contextlib, ctypes, io, sys\n"
+        "from resgate.cli import main\n"
+        "assert 'numpy' not in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['analytic'])\n"
         f"lib = ctypes.CDLL({str(libs[0])!r})\n"
-        "get = next(getattr(lib, n.replace('set', 'get')) for n in sweep._BLAS_THREAD_SETTERS\n"
-        "           if hasattr(lib, n.replace('set', 'get')))\n"
-        "before = get()\n"
-        "sweep._one_blas_thread()\n"
-        "print(before, get())\n"
+        "get = next(getattr(lib, n) for n in (\n"
+        "    'scipy_openblas_get_num_threads64_', 'scipy_openblas_get_num_threads',\n"
+        "    'openblas_get_num_threads64_', 'openblas_get_num_threads') if hasattr(lib, n))\n"
+        "print(code, get())\n"
     )
-    assert _python(script, OPENBLAS_NUM_THREADS="2").split() == ["2", "1"]
+    assert _python(script, OPENBLAS_NUM_THREADS="2").split() == ["0", "1"]
 
 
 def test_sweep_single_point_equals_optimize():
@@ -514,12 +516,11 @@ def test_cli_analytic_stdout(capsys):
     assert capsys.readouterr().out == out
 
 
-def test_cli_caps_its_blas_threads_once(monkeypatch, capsys):
-    calls = []
-    # main reads sweep._one_blas_thread once the config is valid
-    monkeypatch.setattr(sweep, "_one_blas_thread", lambda: calls.append(1))
+def test_cli_sets_one_blas_thread_over_any_set_value(monkeypatch, capsys):
+    # main overrides a thread count the caller's environment already holds
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
     assert main(["analytic"]) == 0
-    assert calls == [1]
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
 
 
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):

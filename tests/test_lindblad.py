@@ -173,7 +173,7 @@ def test_extract_channel_matches_analytic_sample():
     assert abs(f_num - f_ana) < 1e-3
 
 
-def _rk4_reference_superop(p, gamma_1, gamma_2, cav):
+def _rk4_reference_coherence(p, gamma_1, gamma_2, cav):
     """Channel from one RK4 run of |++> (x) cav: C_ij = 4 Tr_cav of block ij,
     and the run's largest guard-level population.
 
@@ -187,7 +187,7 @@ def _rk4_reference_superop(p, gamma_1, gamma_2, cav):
         p.kappa_per_ns, gamma_1 * 1e-9, gamma_2 * 1e-9, p.t_g_ns,
         StepPolicy(dt_ns=0.010),
     )
-    return np.diag(4.0 * final.qubit_rho().reshape(16)), diag.max_top_level_pop
+    return 4.0 * final.qubit_rho(), diag.max_top_level_pop
 
 
 @pytest.mark.parametrize(
@@ -213,10 +213,10 @@ def test_extract_channel_matches_rk4_reference(p, gamma_1, gamma_2, alpha):
     prep = CavityPrep.vacuum() if alpha is None else CavityPrep.coherent(alpha)
     chan, diag = extract_channel(p, gamma_1, gamma_2, prep, n_ph=n_ph)
     assert not diag.failed
-    ref, ref_top = _rk4_reference_superop(p, gamma_1, gamma_2,
-                                          coherent_rho(n_ref, alpha or 0.0))
+    ref, ref_top = _rk4_reference_coherence(p, gamma_1, gamma_2,
+                                            coherent_rho(n_ref, alpha or 0.0))
     assert ref_top < 1e-8
-    assert np.max(np.abs(chan.superop - ref)) < 1e-6
+    assert np.max(np.abs(chan.coherence - ref)) < 1e-6
 
 
 _BRANCHES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -266,33 +266,35 @@ def _displaced_start(n_ph, alpha, b_i, b_j):
     return np.outer(psi_i, psi_j.conj())
 
 
-def _dense_coherence(p, gamma_1, gamma_2, n_ph, alpha, shift=0j):
-    """4x4 coherence matrix with each block on or above the diagonal
-    propagated by its own dense expm(L(lam_i, lam_j) t_g) from its own start
-    in the frame of shift: no stepping, no closed form and no symmetry used.
-    The trace is read as Tr[r' D(b_j)^dag D(b_i)], the displacements taken
-    from a larger space."""
+def _dense_coherence(p, gamma_1, gamma_2, n_ph, alphas, shift=0j):
+    """(len(alphas), 4, 4) coherence matrices, one per cavity start, with
+    each block on or above the diagonal propagated by its own dense
+    expm(L(lam_i, lam_j) t_g) from its own start in the frame of shift: no
+    stepping and no closed form used. The trace is read as
+    Tr[r' D(b_j)^dag D(b_i)], the displacements taken from a larger space.
+    Neither the propagator nor the readout depends on the start, and blocks
+    of equal (lam_i, lam_j) share both, so each is computed once."""
     from scipy.linalg import expm
 
     lam = _branch_lams(p)
-    coh = np.zeros((4, 4), dtype=complex)
+    coh = np.zeros((len(alphas), 4, 4), dtype=complex)
+    traces = {}
     for i in range(4):
         for j in range(i, 4):
+            if (lam[i], lam[j]) not in traces:
+                b_i, b_j = shift * lam[i], shift * lam[j]
+                block = expm(_dense_block_generator(p, n_ph, lam[i], lam[j], shift) * p.t_g_ns)
+                starts = np.array([_displaced_start(n_ph, alpha, b_i, b_j).reshape(-1)
+                                   for alpha in alphas])
+                finals = (starts @ block.T).reshape(-1, n_ph, n_ph)
+                frame = (_dense_displacement(n_ph + 40, -b_j)
+                         @ _dense_displacement(n_ph + 40, b_i))[:n_ph, :n_ph]
+                traces[lam[i], lam[j]] = np.einsum("amn,nm->a", finals, frame)
             rate = 1e-9 * sum(g for g, si, sj in zip((gamma_1, gamma_2), _BRANCHES[i],
                                                       _BRANCHES[j]) if si != sj)
-            b_i, b_j = shift * lam[i], shift * lam[j]
-            block = expm(_dense_block_generator(p, n_ph, lam[i], lam[j], shift) * p.t_g_ns)
-            final = (block @ _displaced_start(n_ph, alpha, b_i, b_j).reshape(-1))
-            frame = (_dense_displacement(n_ph + 40, -b_j) @ _dense_displacement(n_ph + 40, b_i))
-            coh[i, j] = math.exp(-rate * p.t_g_ns) * np.trace(
-                final.reshape(n_ph, n_ph) @ frame[:n_ph, :n_ph])
-            coh[j, i] = np.conj(coh[i, j])
+            coh[:, i, j] = math.exp(-rate * p.t_g_ns) * traces[lam[i], lam[j]]
+            coh[:, j, i] = np.conj(coh[:, i, j])
     return coh
-
-
-def _dense_reference_superop(p, gamma_1, gamma_2, n_ph, alpha, shift=0j):
-    """The superoperator diagonal of _dense_coherence."""
-    return np.diag(_dense_coherence(p, gamma_1, gamma_2, n_ph, alpha, shift).reshape(16))
 
 
 @given(
@@ -321,8 +323,8 @@ def test_extract_channel_orbit_rule_matches_dense_blocks(
     beta = 0j if alpha is None else complex(alpha[0] * alpha[1], alpha[2] * alpha[3])
     prep = CavityPrep.vacuum() if alpha is None else CavityPrep.coherent(beta)
     chan, _ = extract_channel(p, gamma_1, gamma_2, prep, n_ph=n_ph)
-    ref = _dense_reference_superop(p, gamma_1, gamma_2, n_ph, beta, lindblad._steady_shift(p))
-    assert np.max(np.abs(chan.superop - ref)) < 1e-12
+    (ref,) = _dense_coherence(p, gamma_1, gamma_2, n_ph, [beta], lindblad._steady_shift(p))
+    assert np.max(np.abs(chan.coherence - ref)) < 1e-12
 
 
 @pytest.mark.parametrize("g2_over_g1", [1.0, 1.5])
@@ -580,8 +582,7 @@ def test_displaced_frame_agrees_with_the_lab_frame(g2_over_g1, delta_sign, kappa
         return np.array(traces).T
 
     def dense(n_ph, frame):
-        return np.array([_dense_coherence(p, 0.0, 0.0, n_ph, alpha, frame)[upper]
-                         for alpha in alphas])
+        return _dense_coherence(p, 0.0, 0.0, n_ph, alphas, frame)[(slice(None),) + upper]
 
     ref = lab(20)
     for n_ph in (6, 8):
@@ -671,16 +672,20 @@ def test_closed_form_readout_matches_dense_expm(g2_over_g1, delta_sign, kappa, n
     lam, shift = _branch_lams(p), lindblad._steady_shift(p)
     frame = lindblad._frame_terms(p)
     psi = lindblad._branch_kets(frame[0], alpha, n_ph)
-    for t in (dt, p.t_g_ns):
-        traces = lindblad._readout(p, frame, psi, alpha, t)
-        for u, (i, j) in enumerate(lindblad._UPPER):
+    times = (dt, p.t_g_ns)
+    traces = [lindblad._readout(p, frame, psi, alpha, t) for t in times]
+    refs = {}  # per (lam_i, lam_j): its start, generator and readout do not depend on t
+    for u, (i, j) in enumerate(lindblad._UPPER):
+        if (lam[i], lam[j]) not in refs:
             b_i, b_j = shift * lam[i], shift * lam[j]
             start = _displaced_start(n_ph, alpha, b_i, b_j).reshape(-1)
-            block = expm(_dense_block_generator(p, n_ph, lam[i], lam[j], shift) * t) @ start
+            generator = _dense_block_generator(p, n_ph, lam[i], lam[j], shift)
             readout = (_dense_displacement(n_ph + 40, -b_j)
                        @ _dense_displacement(n_ph + 40, b_i))[:n_ph, :n_ph]
-            ref = np.trace(block.reshape(n_ph, n_ph) @ readout)
-            assert abs(traces[u] - ref) < 1e-12, (t, i, j)
+            refs[lam[i], lam[j]] = [np.trace((expm(generator * t) @ start).reshape(n_ph, n_ph)
+                                             @ readout) for t in times]
+        for t, trace, ref in zip(times, traces, refs[lam[i], lam[j]]):
+            assert abs(trace[u] - ref) < 1e-12, (t, i, j)
 
 
 def test_extract_channel_guard_is_max_over_gate():
@@ -850,16 +855,16 @@ def test_per_size_tables_are_read_only():
 
 def test_thermal_channel_deterministic_and_continuous():
     p = make_params(0.7, 1e-3, n=2)
-    a = extract_channel(p, 0.0, 0.0, CavityPrep.thermal(0.05), n_ph=6)[0].superop
-    b = extract_channel(p, 0.0, 0.0, CavityPrep.thermal(0.05), n_ph=6)[0].superop
+    a = extract_channel(p, 0.0, 0.0, CavityPrep.thermal(0.05), n_ph=6)[0].coherence
+    b = extract_channel(p, 0.0, 0.0, CavityPrep.thermal(0.05), n_ph=6)[0].coherence
     assert np.array_equal(a, b)
     # n_bar = 0 is the vacuum extraction, bit for bit
-    vac = extract_channel(p, 0.0, 0.0, n_ph=6)[0].superop
-    zero = extract_channel(p, 0.0, 0.0, CavityPrep.thermal(0.0), n_ph=6)[0].superop
+    vac = extract_channel(p, 0.0, 0.0, n_ph=6)[0].coherence
+    zero = extract_channel(p, 0.0, 0.0, CavityPrep.thermal(0.0), n_ph=6)[0].coherence
     assert np.array_equal(vac, zero)
     # and the channel leaves it continuously: the change is linear in small n_bar
     moves = [np.abs(extract_channel(p, 0.0, 0.0, CavityPrep.thermal(n_bar), n_ph=6)[0]
-                    .superop - vac).max() for n_bar in (1e-8, 1e-6, 1e-4)]
+                    .coherence - vac).max() for n_bar in (1e-8, 1e-6, 1e-4)]
     assert moves[0] > 0.0
     assert moves[1] / moves[0] == pytest.approx(100.0, rel=1e-3)
     assert moves[2] / moves[1] == pytest.approx(100.0, rel=1e-3)
