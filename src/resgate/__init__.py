@@ -4,8 +4,8 @@ Layers, roughly bottom-up:
 
 - constants / errors: physical constants, unit conversions (J <-> GHz,
   ueV -> J) and the shared exception types.
-- device: resonator and qubit tunings; exchange model and its
-  derivatives; couplings, decay rate, and the gate schedule.
+- device: resonator and qubit tunings (J0 is the exchange at the operating
+  point); couplings, decay rate, and the gate schedule.
 - noise: 1/f^beta charge-noise dephasing, the echo filter constant, the
   closed-form optimal operating point, and infidelity estimates.
 - channel: TwoQubitChannel, a Z-diagonal map stored as its 4x4 coherence
@@ -48,7 +48,6 @@ from .device import (
     cavity_decay,
     coupling_strengths,
     derive_gate_params,
-    exchange_and_derivatives,
     gate_schedule,
     photon_voltage,
 )

@@ -253,10 +253,13 @@ def b_factor(g: float, delta: float, kappa: float, t_g: float) -> tuple[float, f
     entanglement with the unclosed loop; at a lossless schedule point both
     are 1. In the small-kappa/delta limit b ~ exp(-pi*kappa/(2 g sqrt(n))).
     """
+    # one finiteness test for all four, as this runs at every refinement
+    # step: the sum is nan or inf whenever a term is
+    if not (kappa >= 0.0 and t_g >= 0.0 and math.isfinite(g + delta + kappa + t_g)):
+        raise DomainError(f"need finite g, delta and finite non-negative kappa, t_g; got "
+                          f"g = {g}, delta = {delta}, kappa = {kappa}, t_g = {t_g}")
     if delta == 0.0 and kappa == 0.0:
         raise DomainError("b is undefined at delta = kappa = 0")
-    if t_g < 0:
-        raise DomainError(f"t_g must be non-negative, got {t_g}")
     gsq = g * g
     d2 = delta * delta + kappa * kappa
     if kappa > 0.0:

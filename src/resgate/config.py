@@ -7,6 +7,8 @@ dt_ps, ...). Each key's default and the rule its value must pass live
 together on its RunConfig field, and every value of a sweep axis passes the
 rule of the scalar key. Unknown keys are rejected by name; bad values are
 rejected with the config path spelled out (e.g. "axes.q_factor[1]").
+"refine" switches the operating-point refinement on or off; its stopping
+tolerance is fixed in sweep and is not a key.
 
 Two keys take structured values:
 
@@ -218,7 +220,6 @@ class RunConfig:
     j_min_ghz: float = _key(EXCHANGE_SOFT_MIN_GHZ, _require_number, positive=True)
     j_max_ghz: float = _key(EXCHANGE_SOFT_MAX_GHZ, _require_number, positive=True)
     refine: bool = _key(True, _require_bool)
-    refine_tol: float = _key(1e-4, _require_number, positive=True)
     # sweep / output
     axes: tuple[tuple[str, tuple[float | int, ...]], ...] = _key((), _parse_axes)
     numeric: bool = _key(False, _require_bool)

@@ -7,10 +7,11 @@ dispersive-like correction chi, drive detuning Delta and gate time t_g.
 
 Units at this layer are SI throughout: energies in joules, angular
 frequencies in rad/s, times in seconds, voltages in volts. The exchange
-splitting follows the empirical exponential model J(eps) = J0 * exp(eps/eps_a);
-all of its derivatives are then J/eps_a^k, which is what makes the
-second-order (longitudinal) coupling dominate when the qubit is parked at a
-symmetric point and driven along eps.
+splitting follows the empirical exponential model J(eps) = J0 * exp(eps/eps_a)
+about the operating point eps = 0, so J0 is the exchange there and its
+curvature is J'' = J0/eps_a^2, which is what makes the second-order
+(longitudinal) coupling dominate when the qubit is parked at a symmetric
+point and driven along eps.
 
 The settings of a numeric run that a config names (the initial cavity state
 CavityPrep, the trajectory grid StepPolicy and the guard-level threshold)
@@ -25,11 +26,6 @@ from dataclasses import dataclass
 
 from .constants import E_CHARGE_C, HBAR_J_S, TWO_PI, h_ghz_to_energy_J
 from .errors import DomainError
-
-# Empirical trust region of the exponential exchange model, expressed as a
-# multiple of the exponential scale eps_a. Outside it the model is
-# extrapolating and we refuse to evaluate.
-EXCHANGE_WINDOW_EPS_A = 6.0
 
 # Soft validity band for the exchange energy itself, in GHz (J/h) and in J.
 # Values outside trigger a warning (the exponential fit is only trusted
@@ -50,38 +46,37 @@ class ResonatorSpec:
     Q: float
 
     def __post_init__(self):
-        if not (self.omega_r > 0):
-            raise DomainError(f"omega_r must be positive, got {self.omega_r}")
-        if self.Z_r < 0:
-            raise DomainError(f"Z_r must be non-negative, got {self.Z_r}")
-        if not (self.Q > 0):
-            raise DomainError(f"Q must be positive, got {self.Q}")
+        if not (0.0 < self.omega_r < math.inf):
+            raise DomainError(f"omega_r must be finite and positive, got {self.omega_r}")
+        if not (0.0 < self.Z_r < math.inf):
+            raise DomainError(f"Z_r must be finite and positive, got {self.Z_r}")
+        if not (0.0 < self.Q < math.inf):
+            raise DomainError(f"Q must be finite and positive, got {self.Q}")
 
 
 @dataclass(frozen=True)
 class QubitTuning:
     """Exchange curve and drive for one singlet-triplet qubit.
 
-    J0: exchange at eps = 0 (J). eps_a: exponential scale (J). eps_0: DC
-    operating point (J). c_r: resonator lever arm (dimensionless). eps_d:
-    drive amplitude (J), i.e. the chemical-potential swing of the RF tone.
+    J0: exchange at the operating point (J). eps_a: exponential scale (J).
+    c_r: resonator lever arm (dimensionless, in (0, 1]). eps_d: drive
+    amplitude (J), i.e. the chemical-potential swing of the RF tone.
     """
 
     J0: float
     eps_a: float
-    eps_0: float = 0.0
     c_r: float = 0.18
     eps_d: float = 0.0
 
     def __post_init__(self):
-        if not (self.J0 > 0):
-            raise DomainError(f"J0 must be positive, got {self.J0}")
-        if not (self.eps_a > 0):
-            raise DomainError(f"eps_a must be positive, got {self.eps_a}")
-        if not (0.0 <= self.c_r <= 1.0):
-            raise DomainError(f"c_r must be in [0, 1], got {self.c_r}")
-        if self.eps_d < 0:
-            raise DomainError(f"eps_d must be non-negative, got {self.eps_d}")
+        if not (0.0 < self.J0 < math.inf):
+            raise DomainError(f"J0 must be finite and positive, got {self.J0}")
+        if not (0.0 < self.eps_a < math.inf):
+            raise DomainError(f"eps_a must be finite and positive, got {self.eps_a}")
+        if not (0.0 < self.c_r <= 1.0):
+            raise DomainError(f"c_r must be in (0, 1], got {self.c_r}")
+        if not (0.0 <= self.eps_d < math.inf):
+            raise DomainError(f"eps_d must be finite and non-negative, got {self.eps_d}")
 
 
 @dataclass(frozen=True)
@@ -143,34 +138,6 @@ def cavity_decay(res: ResonatorSpec) -> float:
     return res.omega_r / (2.0 * res.Q)
 
 
-def exchange_and_derivatives(
-    tuning: QubitTuning, eps: float
-) -> tuple[float, float, float, float]:
-    """Exchange splitting and its first three derivatives at detuning eps.
-
-    J(eps) = J0 exp(eps/eps_a), so d^k J / d eps^k = J / eps_a^k. Raises
-    DomainError when |eps - eps_0| exceeds EXCHANGE_WINDOW_EPS_A * eps_a (the
-    model is empirical and only trusted near the operating point); warns
-    when J lands outside the soft 50 MHz .. 30 GHz band.
-    """
-    limit = EXCHANGE_WINDOW_EPS_A * tuning.eps_a
-    if abs(eps - tuning.eps_0) > limit:
-        raise DomainError(
-            f"eps = {eps:.4g} J outside the exchange-model validity window "
-            f"|eps - eps_0| <= {EXCHANGE_WINDOW_EPS_A:g}*eps_a = {limit:.4g} J"
-        )
-    J = tuning.J0 * math.exp(eps / tuning.eps_a)
-    if not (EXCHANGE_SOFT_MIN_J <= J <= EXCHANGE_SOFT_MAX_J):
-        warnings.warn(
-            f"exchange J = {J:.4g} J is outside the trusted band "
-            f"[{EXCHANGE_SOFT_MIN_J:.4g}, {EXCHANGE_SOFT_MAX_J:.4g}] J "
-            "(h*50 MHz .. h*30 GHz)",
-            stacklevel=2,
-        )
-    inv = 1.0 / tuning.eps_a
-    return J, J * inv, J * inv**2, J * inv**3
-
-
 @dataclass(frozen=True)
 class CouplingStrengths:
     """Longitudinal coupling g, curvature term chi (both J), and chi/g."""
@@ -181,20 +148,27 @@ class CouplingStrengths:
 
 
 def coupling_strengths(tuning: QubitTuning, res: ResonatorSpec) -> CouplingStrengths:
-    """Effective qubit-resonator couplings at the DC operating point.
+    """Effective qubit-resonator couplings at the operating point.
 
     The resonator voltage shifts the dot chemical potentials by
     e * c_r * V0 * (a + a^dag); expanding J(eps) to second order around
-    eps_0 with the drive tone eps_d on top gives
+    the operating point, where J = J0 and J'' = J0/eps_a^2, with the drive
+    tone eps_d on top gives
 
-        g   = (1/2) J''(eps_0) * (e c_r V0) * eps_d     (sigma_z (a+a^dag))
-        chi =       J''(eps_0) * (e c_r V0)^2           (sigma_z (a+a^dag)^2)
+        g   = (1/2) J'' * (e c_r V0) * eps_d     (sigma_z (a+a^dag))
+        chi =       J'' * (e c_r V0)^2           (sigma_z (a+a^dag)^2)
 
     chi/g = 2 e c_r V0 / eps_d is returned as a diagnostic: the curvature
     term is weaker than the drive-activated coupling by that ratio and is
-    dropped by the gate model downstream.
+    dropped by the gate model downstream. Warns when J0 lands outside the
+    soft 50 MHz .. 30 GHz band, where the exponential fit is not trusted.
     """
-    _, _, d2J, _ = exchange_and_derivatives(tuning, tuning.eps_0)
+    J = tuning.J0
+    if not (EXCHANGE_SOFT_MIN_J <= J <= EXCHANGE_SOFT_MAX_J):
+        warnings.warn(f"exchange J = {J:.4g} J is outside the trusted band "
+                      f"[{EXCHANGE_SOFT_MIN_J:.4g}, {EXCHANGE_SOFT_MAX_J:.4g}] J "
+                      "(h*50 MHz .. h*30 GHz)", stacklevel=2)
+    d2J = J * (1.0 / tuning.eps_a) ** 2
     e_cr_v0 = E_CHARGE_C * tuning.c_r * photon_voltage(res)  # energy, J
     chi = d2J * e_cr_v0**2
     if tuning.eps_d == 0.0:

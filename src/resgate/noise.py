@@ -14,6 +14,9 @@ delta-f = delta-E / h, so energies pair with S_eps through h^2 (h in eV*s).
 All rates returned here are 1/s. A round-trip test pins the convention; the
 end-to-end check is the optimizer reproducing gate times near 10 ns and
 fidelities in the expected 0.87-0.998 window over the design grid.
+
+optimal_drive resolves the closed-form operating point in one call: the
+clamped optimal exchange and the drive amplitude at it (or at a pinned J).
 """
 
 from __future__ import annotations
@@ -42,12 +45,12 @@ class NoiseSpec:
     m: int = 1
 
     def __post_init__(self):
-        if not (self.S_eps > 0):
-            raise DomainError(f"S_eps must be positive, got {self.S_eps}")
-        if not (self.beta > 0):
-            raise DomainError(f"beta must be positive, got {self.beta}")
-        if self.eta is not None and not (self.eta > 0):
-            raise DomainError(f"eta must be positive, got {self.eta}")
+        if not (0.0 < self.S_eps < math.inf):
+            raise DomainError(f"S_eps must be finite and positive, got {self.S_eps}")
+        if not (0.0 < self.beta < math.inf):
+            raise DomainError(f"beta must be finite and positive, got {self.beta}")
+        if self.eta is not None and not (0.0 < self.eta < math.inf):
+            raise DomainError(f"eta must be finite and positive, got {self.eta}")
         if not (isinstance(self.m, int) and self.m >= 1):
             raise DomainError(f"m must be an integer >= 1, got {self.m!r}")
 
@@ -110,10 +113,12 @@ def dephasing_rate(
     factor (1 + eps_d^2/4eps_a^2)^(2/(1+beta)) comes from the noise being
     sampled quadratically along the drive swing.
     """
-    if not (J > 0):
-        raise DomainError(f"J must be positive, got {J}")
-    if eps_d < 0:
-        raise DomainError(f"eps_d must be non-negative, got {eps_d}")
+    if not (0.0 < J < math.inf):
+        raise DomainError(f"J must be finite and positive, got {J}")
+    if not (0.0 <= eps_d < math.inf):
+        raise DomainError(f"eps_d must be finite and non-negative, got {eps_d}")
+    if not (0.0 < eps_a < math.inf):
+        raise DomainError(f"eps_a must be finite and positive, got {eps_a}")
     base = noise.eta_value * noise.S_eps * (J / eps_a) ** 2 / H_EV_S**2
     gamma0 = base ** (1.0 / (1.0 + noise.beta)) / noise.m**noise.beta
     drive_factor = (1.0 + (eps_d / (2.0 * eps_a)) ** 2) ** (2.0 / (1.0 + noise.beta))
@@ -125,24 +130,26 @@ def optimal_drive(
     kappa: float,
     n: int,
     eps_a: float,
-    gamma_phi_0_at_J: float,
+    *,
     j_min: float = EXCHANGE_SOFT_MIN_J,
     j_max: float = EXCHANGE_SOFT_MAX_J,
+    J: float | None = None,
 ) -> OptimalDrive:
-    """Closed-form optimal drive amplitude and operating exchange.
+    """Closed-form optimal operating exchange and drive amplitude.
 
-    eps_d_opt = 2 eps_a sqrt(1 + kappa/(2 n gamma_phi_0_at_J)) balances drive
-    speed-up against drive-induced broadening; J_opt balances dephasing
-    (which grows with J) against photon loss (which shrinks with it):
+    J_opt balances dephasing (which grows with J) against photon loss
+    (which shrinks with it):
 
         J_opt = h * (beta*kappa / (2n(1-beta)))^((1+beta)/2) * eps_a / sqrt(S_eps*eta)
 
     (energies in eV inside the formula, returned in joules). J_opt diverges
     as beta -> 1 and vanishes as beta -> 0, hence the strict (0, 1) domain,
-    and the result is clamped to [j_min, j_max] with a flag. The caller
-    should evaluate gamma_phi_0 at the *clamped* J before using eps_d_opt;
-    both optima are stationary only for the linearized (small drive
-    exponent) objective, which is also what the power-law estimate assumes.
+    and the result is clamped to [j_min, j_max] with a flag.
+    eps_d_opt = 2 eps_a sqrt(1 + kappa/(2 n gamma_phi_0)) balances drive
+    speed-up against drive-induced broadening, gamma_phi_0 taken by
+    dephasing_rate at the clamped J_opt, or at J when it is pinned. Both
+    optima are stationary only for the linearized (small drive exponent)
+    objective, which is also what the power-law estimate assumes.
     """
     if not (0.0 < noise.beta < 1.0):
         raise DomainError(
@@ -151,12 +158,9 @@ def optimal_drive(
         )
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"loop count n must be a positive integer, got {n!r}")
-    if kappa < 0:
-        raise DomainError(f"kappa must be non-negative, got {kappa}")
-    if not (gamma_phi_0_at_J > 0):
-        raise DomainError(f"gamma_phi_0_at_J must be positive, got {gamma_phi_0_at_J}")
+    if not (0.0 <= kappa < math.inf):
+        raise DomainError(f"kappa must be finite and non-negative, got {kappa}")
     beta = noise.beta
-    eps_d_opt = 2.0 * eps_a * math.sqrt(1.0 + kappa / (2.0 * n * gamma_phi_0_at_J))
     rate_opt = beta * kappa / (2.0 * n * (1.0 - beta))  # optimal gamma_phi_0, 1/s
     eps_a_ev = eps_a / EV_TO_J
     j_opt_hz = rate_opt ** ((1.0 + beta) / 2.0) * eps_a_ev / math.sqrt(
@@ -165,8 +169,9 @@ def optimal_drive(
     j_opt = h_ghz_to_energy_J(j_opt_hz * 1e-9)
     clamped = not (j_min <= j_opt <= j_max)
     j_clamped = min(max(j_opt, j_min), j_max)
+    gamma0 = dephasing_rate(j_clamped if J is None else J, 0.0, noise, eps_a).gamma_phi_0
     return OptimalDrive(
-        eps_d_opt=eps_d_opt,
+        eps_d_opt=2.0 * eps_a * math.sqrt(1.0 + kappa / (2.0 * n * gamma0)),
         J_opt=j_clamped,
         clamped=clamped,
         J_opt_unclamped=j_opt,
@@ -209,6 +214,8 @@ def infidelity_power_law(
     beta = noise.beta
     if not (0.0 < beta < 1.0):
         raise DomainError(f"beta must lie strictly in (0, 1), got {beta}")
+    if not (0.0 < c_r <= 1.0):
+        raise DomainError(f"c_r must be in (0, 1], got {c_r}")
     return (
         (2.0 ** (1.0 + beta) / 5.0)
         * (n / beta) ** (beta / 2.0)

@@ -100,6 +100,9 @@ class SweepResult:
         return any(r.failed for r in self.rows)
 
 
+_REFINE_TOL = 1e-4  # refinement stops when a round gains less than this share of 1 - F
+
+
 def _golden_min(f, a: float, b: float, tol: float = 1e-12) -> tuple[float, int]:
     """Golden-section minimum of f on [a, b] and the number of f evaluations."""
     gr = (math.sqrt(5.0) - 1.0) / 2.0
@@ -164,12 +167,13 @@ class OperatingPoint:
 def resolve_operating_point(cfg: RunConfig) -> OperatingPoint:
     """Pick (J, eps_d) for cfg: config-fixed values or the refined optimum.
 
-    Refinement (golden-section coordinate descent on the exact analytic
-    infidelity, stopping when the relative improvement per round drops
-    below cfg.refine_tol) only runs when both J and eps_d came from the
-    optimizer; a config-pinned value is taken at face value. A refined
-    point reports both infidelities, its rounds and its objective
-    evaluations (refine_rounds, refine_evals) in the diagnostics.
+    One optimal_drive call gives what the config leaves unset. Refinement
+    (golden-section coordinate descent on the exact analytic infidelity,
+    stopping when a round improves it by less than _REFINE_TOL of itself)
+    only runs when both J and eps_d came from the optimizer; a config-pinned
+    value is taken at face value. A refined point reports both
+    infidelities, its rounds and its objective evaluations (refine_rounds,
+    refine_evals) in the diagnostics.
     """
     res = ResonatorSpec(omega_r=TWO_PI * cfg.omega_r_ghz * 1e9,
                         Z_r=cfg.z_r_ohm, Q=cfg.q_factor)
@@ -182,26 +186,20 @@ def resolve_operating_point(cfg: RunConfig) -> OperatingPoint:
 
     # -- operating point: fixed by config, else the closed-form optimum ----
     clamped = False
-    if cfg.j_ghz is not None:
-        J = h_ghz_to_energy_J(cfg.j_ghz)
-    else:
-        # J_opt does not depend on gamma_phi_0; pass a placeholder rate,
-        # then re-evaluate the rate at the (possibly clamped) optimum.
-        probe = optimal_drive(noise, kappa, cfg.n, eps_a, 1.0, j_min=j_min, j_max=j_max)
-        J, clamped = probe.J_opt, probe.clamped
-        if clamped:
-            diagnostics["j_opt_unclamped_ghz"] = energy_J_to_h_ghz(probe.J_opt_unclamped)
-
-    if cfg.eps_d_over_eps_a is not None:
-        y = cfg.eps_d_over_eps_a
-    else:
-        gamma0 = dephasing_rate(J, 0.0, noise, eps_a).gamma_phi_0
-        y = optimal_drive(noise, kappa, cfg.n, eps_a, gamma0,
-                          j_min=j_min, j_max=j_max).eps_d_opt / eps_a
+    J = None if cfg.j_ghz is None else h_ghz_to_energy_J(cfg.j_ghz)
+    y = cfg.eps_d_over_eps_a
+    if J is None or y is None:
+        opt = optimal_drive(noise, kappa, cfg.n, eps_a, j_min=j_min, j_max=j_max, J=J)
+        if J is None:
+            J, clamped = opt.J_opt, opt.clamped
+            if clamped:
+                diagnostics["j_opt_unclamped_ghz"] = energy_J_to_h_ghz(opt.J_opt_unclamped)
+        if y is None:
+            y = opt.eps_d_opt / eps_a
 
     # -- local refinement around the closed-form optimum -------------------
     # the objective trusts its inputs, so QubitTuning checks them first
-    tuning = QubitTuning(J0=J, eps_a=eps_a, eps_0=0.0, c_r=cfg.c_r, eps_d=y * eps_a)
+    tuning = QubitTuning(J0=J, eps_a=eps_a, c_r=cfg.c_r, eps_d=y * eps_a)
     infidelity = _objective(cfg, res, noise, eps_a)
     inf_closed = infidelity(J, y)
     inf_final = inf_closed
@@ -216,7 +214,7 @@ def resolve_operating_point(cfg: RunConfig) -> OperatingPoint:
             y, evals_y = _golden_min(lambda yy: infidelity(J, yy), 0.3 * y, 3.0 * y)
             inf_final = infidelity(J, y)
             evals += evals_j + evals_y + 1
-            if prev - inf_final < cfg.refine_tol * max(inf_final, 1e-300):
+            if prev - inf_final < _REFINE_TOL * max(inf_final, 1e-300):
                 break
             prev = inf_final
         diagnostics["infidelity_closed_form"] = inf_closed

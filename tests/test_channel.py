@@ -373,3 +373,19 @@ def test_degenerate_drive_guards():
         alpha_closed_form(0.3, 0.0, 0.0, 1.0)
     with pytest.raises(DomainError):
         b_factor(0.3, 0.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("args", [
+    (0.5, 1.0, -0.1, 7.0),  # unchecked, b_l = 1 would drop the loss term
+    (0.5, 1.0, math.nan, 7.0),
+    (0.5, 1.0, math.inf, 7.0),
+    (0.5, 1.0, 0.1, -1.0),
+    (0.5, 1.0, 0.1, math.inf),
+    (0.5, 1.0, 0.1, math.nan),
+    (math.nan, 1.0, 0.1, 7.0),
+    (0.5, -math.inf, 0.1, 7.0),
+    (math.inf, -math.inf, 0.1, 7.0),
+])
+def test_b_factor_rejects_bad_rates_couplings_and_times(args):
+    with pytest.raises(DomainError, match="finite g, delta and finite non-negative kappa"):
+        b_factor(*args)

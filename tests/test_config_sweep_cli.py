@@ -160,9 +160,7 @@ res = r.ResonatorSpec(omega_r=2 * math.pi * 6.5e9, Z_r=5000.0, Q=20000.0)
 noise = r.NoiseSpec(S_eps=1.4e-16, beta=0.67)
 eps_a = 5e-6 * 1.602176634e-19
 kappa = r.cavity_decay(res)
-j_opt = r.optimal_drive(noise, kappa, 2, eps_a, 1.0).J_opt
-gamma0 = r.dephasing_rate(j_opt, 0.0, noise, eps_a).gamma_phi_0
-opt = r.optimal_drive(noise, kappa, 2, eps_a, gamma0)
+opt = r.optimal_drive(noise, kappa, 2, eps_a)
 tuning = r.QubitTuning(J0=opt.J_opt, eps_a=eps_a, c_r=0.18, eps_d=opt.eps_d_opt)
 params = r.derive_gate_params(res, tuning, n=2)
 print(json.dumps([params.t_g, sorted(m for m in ("numpy", "scipy") if m in sys.modules)]))
@@ -524,11 +522,13 @@ def test_cli_sets_one_blas_thread_over_any_set_value(monkeypatch, capsys):
 
 
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):
-    p = tmp_path / "bad.json"
-    p.write_text(json.dumps({"qbits": 2}))
-    assert main(["analytic", "--config", str(p)]) == 2
-    err = capsys.readouterr().err
-    assert "qbits" in err
+    # refine_tol included: the refinement's stop tolerance is fixed, not a key
+    for key in ("qbits", "refine_tol"):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({key: 2}))
+        assert main(["analytic", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert key in err
 
 
 def test_cli_rejects_a_lever_arm_above_one(tmp_path, capsys):

@@ -9,17 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resgate import (
+    NoiseSpec,
     QubitTuning,
     ResonatorSpec,
     StepPolicy,
     cavity_decay,
     coupling_strengths,
+    dephasing_rate,
     derive_gate_params,
-    exchange_and_derivatives,
     gate_schedule,
+    infidelity_power_law,
     photon_voltage,
 )
-from resgate.constants import HBAR_J_S, TWO_PI, h_ghz_to_energy_J, uev_to_J
+from resgate.constants import E_CHARGE_C, HBAR_J_S, TWO_PI, h_ghz_to_energy_J, uev_to_J
 from resgate.errors import DomainError
 
 from conftest import make_params
@@ -40,28 +42,38 @@ def test_cavity_decay_reference_value(res):
     assert cavity_decay(res) == pytest.approx(1021017.6124166828, rel=1e-12)
 
 
-def test_exchange_derivatives_are_powers_of_inverse_scale():
-    tun = QubitTuning(J0=h_ghz_to_energy_J(0.5), eps_a=uev_to_J(5.0))
-    eps = uev_to_J(2.0)
-    j, d1, d2, d3 = exchange_and_derivatives(tun, eps)
-    assert j == pytest.approx(tun.J0 * math.exp(eps / tun.eps_a), rel=1e-14)
-    assert d1 == pytest.approx(j / tun.eps_a, rel=1e-14)
-    assert d2 == pytest.approx(j / tun.eps_a**2, rel=1e-14)
-    assert d3 == pytest.approx(j / tun.eps_a**3, rel=1e-14)
-
-
-def test_exchange_rejects_points_outside_trust_window():
-    tun = QubitTuning(J0=h_ghz_to_energy_J(0.05), eps_a=uev_to_J(5.0))
-    with pytest.raises(DomainError):
-        exchange_and_derivatives(tun, 6.5 * tun.eps_a)
-    # just inside is fine (and, with this J0, still in the soft band)
-    exchange_and_derivatives(tun, 5.9 * tun.eps_a)
-
-
-def test_exchange_warns_outside_soft_band():
-    tun = QubitTuning(J0=h_ghz_to_energy_J(0.010), eps_a=uev_to_J(5.0))
+def test_exchange_warns_outside_soft_band(res):
+    tun = QubitTuning(J0=h_ghz_to_energy_J(0.010), eps_a=uev_to_J(5.0), eps_d=uev_to_J(10.0))
     with pytest.warns(UserWarning, match="trusted band"):
-        exchange_and_derivatives(tun, 0.0)
+        coupling_strengths(tun, res)
+
+
+_RES = ResonatorSpec(2e10, 5e3, 2e4)
+# (field named in the error, a call that must raise it), keyed by test id
+_BAD_INPUTS = {
+    "Z_r=0": ("Z_r", lambda: ResonatorSpec(2e10, 0.0, 2e4)),
+    "Z_r=nan": ("Z_r", lambda: ResonatorSpec(2e10, math.nan, 2e4)),
+    "omega_r=inf": ("omega_r", lambda: ResonatorSpec(math.inf, 5e3, 2e4)),
+    "Q=inf": ("Q", lambda: ResonatorSpec(2e10, 5e3, math.inf)),
+    "c_r=0": ("c_r", lambda: QubitTuning(J0=1e-25, eps_a=1e-24, c_r=0.0)),
+    "J0=inf": ("J0", lambda: QubitTuning(J0=math.inf, eps_a=1e-24)),
+    "eps_a=nan": ("eps_a", lambda: QubitTuning(J0=1e-25, eps_a=math.nan)),
+    "eps_d=inf": ("eps_d", lambda: QubitTuning(J0=1e-25, eps_a=1e-24, eps_d=math.inf)),
+    "S_eps=inf": ("S_eps", lambda: NoiseSpec(S_eps=math.inf)),
+    "beta=nan": ("beta", lambda: NoiseSpec(beta=math.nan)),
+    "eta=inf": ("eta", lambda: NoiseSpec(eta=math.inf)),
+    "rate eps_a=0": ("eps_a", lambda: dephasing_rate(1e-25, 0.0, NoiseSpec(), 0.0)),
+    "rate eps_a=inf": ("eps_a", lambda: dephasing_rate(1e-25, 0.0, NoiseSpec(), math.inf)),
+    "rate J=inf": ("J", lambda: dephasing_rate(math.inf, 0.0, NoiseSpec(), 1e-24)),
+    "rate eps_d=nan": ("eps_d", lambda: dephasing_rate(1e-25, math.nan, NoiseSpec(), 1e-24)),
+    "power law c_r=0": ("c_r", lambda: infidelity_power_law(NoiseSpec(), _RES, 0.0, 2)),
+}
+
+
+@pytest.mark.parametrize("field, make", _BAD_INPUTS.values(), ids=_BAD_INPUTS)
+def test_device_and_noise_inputs_are_checked_by_name(field, make):
+    with pytest.raises(DomainError, match=rf"^{field} must be"):
+        make()
 
 
 @given(
@@ -96,6 +108,11 @@ def test_coupling_strengths_linear_in_drive(res):
     assert c1.chi_over_g == pytest.approx(
         2.0 * 1.602176634e-19 * 0.18 * photon_voltage(res) / uev_to_J(4.0), rel=1e-12
     )
+    # the curvature at the operating point is J'' = J0/eps_a^2
+    d2J = base["J0"] / base["eps_a"] ** 2
+    e_cr_v0 = E_CHARGE_C * 0.18 * photon_voltage(res)
+    assert c1.g == pytest.approx(0.5 * d2J * e_cr_v0 * uev_to_J(4.0), rel=1e-14)
+    assert c1.chi == pytest.approx(d2J * e_cr_v0**2, rel=1e-14)
 
 
 def test_coupling_vanishes_without_drive(res):

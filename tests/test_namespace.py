@@ -21,7 +21,7 @@ PUBLIC_NAMES = frozenset({
     "cavity_decay", "choose_n_ph", "config_from_dict", "correlated_dephasing_channel",
     "coupling_strengths", "dephasing_rate", "derive_gate_params",
     "drive_frame_displacement", "emit_results", "entanglement_fidelity",
-    "evaluate_point", "exchange_and_derivatives", "extract_channel",
+    "evaluate_point", "extract_channel",
     "gate_schedule", "gate_target", "hahn_eta", "ideal_gate_unitary",
     "infidelity_first_order", "infidelity_power_law", "intrinsic_dephasing_channel",
     "load_config", "load_results", "optimal_drive", "photon_voltage", "polaron_residual",

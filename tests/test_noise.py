@@ -86,29 +86,58 @@ def test_dephasing_rate_rejects_bad_inputs(noise, eps_a):
 
 def test_optimal_drive_reference_point(res, noise, eps_a):
     kappa = res.omega_r / (2.0 * res.Q)
-    # J_opt does not depend on the dephasing rate handed in
-    o1 = optimal_drive(noise, kappa, 2, eps_a, 1.0)
-    o2 = optimal_drive(noise, kappa, 2, eps_a, 12345.0)
-    assert o1.J_opt == o2.J_opt
-    assert o1.J_opt / EV_TO_J == pytest.approx(3.5230341138540733e-07, rel=1e-10)
-    assert not o1.clamped
-    # eps_d does: re-evaluate gamma_0 at J_opt, then fix eps_d
-    g0 = dephasing_rate(o1.J_opt, 0.0, noise, eps_a).gamma_phi_0
-    o3 = optimal_drive(noise, kappa, 2, eps_a, g0)
-    assert o3.eps_d_opt / eps_a == pytest.approx(2.443388887018247, rel=1e-10)
+    opt = optimal_drive(noise, kappa, 2, eps_a)
+    assert opt.J_opt / EV_TO_J == pytest.approx(3.5230341138540733e-07, rel=1e-10)
+    assert not opt.clamped
+    assert opt.eps_d_opt / eps_a == pytest.approx(2.443388887018247, rel=1e-10)
+
+
+def _two_call_drive(noise, kappa, n, eps_a, J):
+    """The drive optimum formed by hand: gamma_phi_0 at J from dephasing_rate,
+    then eps_d_opt = 2 eps_a sqrt(1 + kappa/(2 n gamma_phi_0))."""
+    gamma0 = dephasing_rate(J, 0.0, noise, eps_a).gamma_phi_0
+    return 2.0 * eps_a * math.sqrt(1.0 + kappa / (2.0 * n * gamma0))
+
+
+def test_optimal_drive_matches_the_two_call_recipe(res, eps_a):
+    # one call gives bit for bit the drive of the rate evaluated by hand at
+    # the optimized, the clamped and a pinned exchange
+    for noise, kappa, n in ((NoiseSpec(), res.omega_r / (2.0 * res.Q), 2),
+                            (NoiseSpec(beta=0.5, S_eps=3e-17), 4.1e7, 3),
+                            (NoiseSpec(eta=0.05), 2.2e7, 1)):
+        opt = optimal_drive(noise, kappa, n, eps_a)
+        assert not opt.clamped
+        assert opt.eps_d_opt == _two_call_drive(noise, kappa, n, eps_a, opt.J_opt)
+        tight = optimal_drive(noise, kappa, n, eps_a, j_min=2.0 * opt.J_opt,
+                              j_max=4.0 * opt.J_opt)
+        assert tight.clamped and tight.J_opt == 2.0 * opt.J_opt
+        assert tight.eps_d_opt == _two_call_drive(noise, kappa, n, eps_a, tight.J_opt)
+        pinned_J = h_ghz_to_energy_J(1.3)
+        pinned = optimal_drive(noise, kappa, n, eps_a, J=pinned_J)
+        assert pinned.J_opt == opt.J_opt and not pinned.clamped
+        assert pinned.eps_d_opt == _two_call_drive(noise, kappa, n, eps_a, pinned_J)
+        assert pinned.eps_d_opt != opt.eps_d_opt
+
+
+def test_optimal_drive_takes_its_window_and_exchange_by_keyword(noise, eps_a):
+    # a rate passed fifth must not be read as j_min
+    with pytest.raises(TypeError):
+        optimal_drive(noise, 1e6, 2, eps_a, 1e6)
+    with pytest.raises(TypeError):
+        optimal_drive(noise, 1e6, 2, eps_a, EXCHANGE_SOFT_MIN_J, EXCHANGE_SOFT_MAX_J)
 
 
 def test_optimal_drive_lossless_limit(noise, eps_a):
     # kappa -> 0: the drive optimum collapses to exactly 2 eps_a
-    o = optimal_drive(noise, 0.0, 2, eps_a, 1e6, j_min=1e-40, j_max=1e10)
+    o = optimal_drive(noise, 0.0, 2, eps_a, J=h_ghz_to_energy_J(0.1))
     assert o.eps_d_opt / eps_a == pytest.approx(2.0, rel=1e-14)
 
 
 def test_optimal_drive_clamps_and_flags(noise, eps_a):
     kappa = 1e6
-    wide = optimal_drive(noise, kappa, 2, eps_a, 1e6)
+    wide = optimal_drive(noise, kappa, 2, eps_a)
     tight = optimal_drive(
-        noise, kappa, 2, eps_a, 1e6, j_min=2.0 * wide.J_opt, j_max=4.0 * wide.J_opt
+        noise, kappa, 2, eps_a, j_min=2.0 * wide.J_opt, j_max=4.0 * wide.J_opt
     )
     assert tight.clamped
     assert tight.J_opt == 2.0 * wide.J_opt
@@ -123,9 +152,12 @@ def test_optimal_drive_clamps_and_flags(noise, eps_a):
 
 def test_optimal_drive_rejects_degenerate_exponents(eps_a):
     with pytest.raises(DomainError):
-        optimal_drive(NoiseSpec(beta=1.0), 1e6, 2, eps_a, 1e6)
+        optimal_drive(NoiseSpec(beta=1.0), 1e6, 2, eps_a)
     with pytest.raises(DomainError):
-        optimal_drive(NoiseSpec(), 1e6, 0, eps_a, 1e6)
+        optimal_drive(NoiseSpec(), 1e6, 0, eps_a)
+    for kappa in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="kappa"):
+            optimal_drive(NoiseSpec(), kappa, 2, eps_a)
 
 
 def test_first_order_infidelity_composition():
