@@ -53,7 +53,6 @@ from .device import (
 )
 from .errors import ConfigError, DomainError, NonPhysicalChannelError
 from .noise import (
-    DephasingModel,
     NoiseSpec,
     OptimalDrive,
     dephasing_rate,

@@ -37,6 +37,11 @@ EXCHANGE_SOFT_MIN_J = h_ghz_to_energy_J(EXCHANGE_SOFT_MIN_GHZ)
 EXCHANGE_SOFT_MAX_J = h_ghz_to_energy_J(EXCHANGE_SOFT_MAX_GHZ)
 
 
+def exchange_in_band(J: float) -> bool:
+    """Whether the exchange J (joules) lies in the soft band, ends included."""
+    return EXCHANGE_SOFT_MIN_J <= J <= EXCHANGE_SOFT_MAX_J
+
+
 @dataclass(frozen=True)
 class ResonatorSpec:
     """Half-wave resonator: angular frequency (rad/s), impedance (ohm), Q."""
@@ -164,7 +169,7 @@ def coupling_strengths(tuning: QubitTuning, res: ResonatorSpec) -> CouplingStren
     soft 50 MHz .. 30 GHz band, where the exponential fit is not trusted.
     """
     J = tuning.J0
-    if not (EXCHANGE_SOFT_MIN_J <= J <= EXCHANGE_SOFT_MAX_J):
+    if not exchange_in_band(J):
         warnings.warn(f"exchange J = {J:.4g} J is outside the trusted band "
                       f"[{EXCHANGE_SOFT_MIN_J:.4g}, {EXCHANGE_SOFT_MAX_J:.4g}] J "
                       "(h*50 MHz .. h*30 GHz)", stacklevel=2)

@@ -1,12 +1,14 @@
 """1/f charge-noise dephasing model, optimal drive, and infidelity estimates.
 
 The charge bath has spectral density S(f) = S_eps / f^beta with S_eps in
-eV^2/Hz^(1-beta). Echo filtering enters through the constant eta(beta) and
-the pulse count m. The dephasing rate of an exchange-coupled qubit at
-operating exchange J (with drive amplitude eps_d on top) is
+eV^2/Hz^(1-beta). Hahn-echo filtering enters through the constant
+eta(beta). The dephasing rate of an exchange-coupled qubit at operating
+exchange J (with drive amplitude eps_d on top) is
 
-    gamma_phi_0 = (eta * S_eps * (J/eps_a)^2 / h^2)^(1/(1+beta)) / m^beta
+    gamma_phi_0 = (eta * S_eps * (J/eps_a)^2 / h^2)^(1/(1+beta))
     gamma_phi   = gamma_phi_0 * (1 + eps_d^2/(4 eps_a^2))^(2/(1+beta))
+
+dephasing_rate returns gamma_phi; gamma_phi_0 is its value at eps_d = 0.
 
 Unit convention (the single calibrated choice in this package): the noise
 amplitude is read as an ordinary-frequency fluctuation of the splitting,
@@ -32,17 +34,15 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Charge-noise bath and echo constants.
+    """Charge-noise bath and echo constant.
 
     S_eps: power prefactor (eV^2/Hz^(1-beta)); beta: spectral exponent;
-    eta: pulse-sequence filter constant (None -> Hahn-echo value for beta);
-    m: number of decoupling pulses (>= 1, 1 = Hahn echo).
+    eta: echo filter constant (None -> Hahn-echo value for beta).
     """
 
     S_eps: float = 1.4e-16
     beta: float = 0.67
     eta: float | None = None
-    m: int = 1
 
     def __post_init__(self):
         if not (0.0 < self.S_eps < math.inf):
@@ -51,28 +51,11 @@ class NoiseSpec:
             raise DomainError(f"beta must be finite and positive, got {self.beta}")
         if self.eta is not None and not (0.0 < self.eta < math.inf):
             raise DomainError(f"eta must be finite and positive, got {self.eta}")
-        if not (isinstance(self.m, int) and self.m >= 1):
-            raise DomainError(f"m must be an integer >= 1, got {self.m!r}")
 
     @cached_property
     def eta_value(self) -> float:
         """The filter constant actually in effect (Hahn default), computed once."""
         return hahn_eta(self.beta) if self.eta is None else self.eta
-
-
-@dataclass(frozen=True)
-class DephasingModel:
-    """Dephasing rates (1/s) without and with the drive broadening."""
-
-    gamma_phi_0: float
-    gamma_phi: float
-
-    def __post_init__(self):
-        if not (self.gamma_phi >= self.gamma_phi_0 > 0):
-            raise DomainError(
-                "rates must satisfy gamma_phi >= gamma_phi_0 > 0, got "
-                f"{self.gamma_phi} / {self.gamma_phi_0}"
-            )
 
 
 @dataclass(frozen=True)
@@ -103,15 +86,16 @@ def hahn_eta(beta: float) -> float:
     )
 
 
-def dephasing_rate(
-    J: float, eps_d: float, noise: NoiseSpec, eps_a: float
-) -> DephasingModel:
-    """Dephasing rates (1/s) at exchange J with drive amplitude eps_d.
+def dephasing_rate(J: float, eps_d: float, noise: NoiseSpec, eps_a: float) -> float:
+    """Dephasing rate gamma_phi (1/s) at exchange J with drive amplitude eps_d.
 
     J, eps_d, eps_a in joules (only the dimensionless ratios enter, plus the
     h^2 calibration described in the module docstring). The drive-broadening
     factor (1 + eps_d^2/4eps_a^2)^(2/(1+beta)) comes from the noise being
-    sampled quadratically along the drive swing.
+    sampled quadratically along the drive swing; it is exactly 1.0 at
+    eps_d = 0, so dephasing_rate(J, 0.0, ...) is gamma_phi_0 itself. A rate
+    that is not > 0 raises DomainError naming J: it underflows to 0 once
+    J/eps_a falls below ~1e-154.
     """
     if not (0.0 < J < math.inf):
         raise DomainError(f"J must be finite and positive, got {J}")
@@ -120,9 +104,12 @@ def dephasing_rate(
     if not (0.0 < eps_a < math.inf):
         raise DomainError(f"eps_a must be finite and positive, got {eps_a}")
     base = noise.eta_value * noise.S_eps * (J / eps_a) ** 2 / H_EV_S**2
-    gamma0 = base ** (1.0 / (1.0 + noise.beta)) / noise.m**noise.beta
     drive_factor = (1.0 + (eps_d / (2.0 * eps_a)) ** 2) ** (2.0 / (1.0 + noise.beta))
-    return DephasingModel(gamma_phi_0=gamma0, gamma_phi=gamma0 * drive_factor)
+    rate = base ** (1.0 / (1.0 + noise.beta)) * drive_factor
+    if not rate > 0.0:
+        raise DomainError(f"the dephasing rate underflows to {rate} at J = {J} "
+                          f"(J/eps_a = {J / eps_a})")
+    return rate
 
 
 def optimal_drive(
@@ -146,10 +133,11 @@ def optimal_drive(
     as beta -> 1 and vanishes as beta -> 0, hence the strict (0, 1) domain,
     and the result is clamped to [j_min, j_max] with a flag.
     eps_d_opt = 2 eps_a sqrt(1 + kappa/(2 n gamma_phi_0)) balances drive
-    speed-up against drive-induced broadening, gamma_phi_0 taken by
-    dephasing_rate at the clamped J_opt, or at J when it is pinned. Both
-    optima are stationary only for the linearized (small drive exponent)
-    objective, which is also what the power-law estimate assumes.
+    speed-up against drive-induced broadening, with gamma_phi_0 =
+    dephasing_rate(J, 0.0, noise, eps_a) at the clamped J_opt, or at J when
+    it is pinned. Both optima are stationary only for the linearized (small
+    drive exponent) objective, which is also what the power-law estimate
+    assumes.
     """
     if not (0.0 < noise.beta < 1.0):
         raise DomainError(
@@ -169,7 +157,7 @@ def optimal_drive(
     j_opt = h_ghz_to_energy_J(j_opt_hz * 1e-9)
     clamped = not (j_min <= j_opt <= j_max)
     j_clamped = min(max(j_opt, j_min), j_max)
-    gamma0 = dephasing_rate(j_clamped if J is None else J, 0.0, noise, eps_a).gamma_phi_0
+    gamma0 = dephasing_rate(j_clamped if J is None else J, 0.0, noise, eps_a)
     return OptimalDrive(
         eps_d_opt=2.0 * eps_a * math.sqrt(1.0 + kappa / (2.0 * n * gamma0)),
         J_opt=j_clamped,

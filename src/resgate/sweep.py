@@ -36,11 +36,14 @@ from .constants import (
     uev_to_J,
 )
 from .device import (
+    EXCHANGE_SOFT_MAX_GHZ,
+    EXCHANGE_SOFT_MIN_GHZ,
     DerivedGateParams,
     QubitTuning,
     ResonatorSpec,
     cavity_decay,
     derive_gate_params,
+    exchange_in_band,
     gate_schedule,
     photon_voltage,
 )
@@ -56,9 +59,13 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
-    """One evaluated grid point (column order defined by CSV_COLUMNS)."""
+    """One evaluated grid point (column order defined by CSV_COLUMNS).
+
+    Slotted: a sweep's caller holds every row, so each row carries no
+    per-instance __dict__.
+    """
 
     z_ohm: float
     q: float
@@ -144,7 +151,7 @@ def _objective(cfg: RunConfig, res: ResonatorSpec, noise: NoiseSpec, eps_a: floa
         g_ns = g / HBAR_J_S * 1e-9
         t_ns = t_g * 1e9
         b, _, _ = b_factor(math.sqrt(g_ns * g_ns), sign * delta * 1e-9, kappa_ns, t_ns)
-        gphi = dephasing_rate(J, eps_d, noise, eps_a).gamma_phi  # 1/s
+        gphi = dephasing_rate(J, eps_d, noise, eps_a)  # 1/s
         return 1.0 - analytic_avg_fidelity(b, gphi * 1e-9, t_ns)
 
     return infidelity
@@ -152,7 +159,8 @@ def _objective(cfg: RunConfig, res: ResonatorSpec, noise: NoiseSpec, eps_a: floa
 
 @dataclass(frozen=True)
 class OperatingPoint:
-    """Resolved (J, eps_d) choice with its derived schedule and rates."""
+    """Resolved (J, eps_d) choice with its derived schedule and rates, and
+    the resonator and noise specs it was resolved with."""
 
     params: DerivedGateParams
     gamma_phi: float  # 1/s, at the operating (J, eps_d)
@@ -160,7 +168,8 @@ class OperatingPoint:
     y: float          # eps_d / eps_a
     clamped: bool
     infidelity_refined: float
-    refined: bool
+    res: ResonatorSpec
+    noise: NoiseSpec
     diagnostics: dict
 
 
@@ -173,7 +182,9 @@ def resolve_operating_point(cfg: RunConfig) -> OperatingPoint:
     only runs when both J and eps_d came from the optimizer; a config-pinned
     value is taken at face value. A refined point reports both
     infidelities, its rounds and its objective evaluations (refine_rounds,
-    refine_evals) in the diagnostics.
+    refine_evals) in the diagnostics. An exchange outside the device layer's
+    soft band warns (from derive_gate_params) and adds j_outside_band_ghz,
+    the band in GHz, to the diagnostics.
     """
     res = ResonatorSpec(omega_r=TWO_PI * cfg.omega_r_ghz * 1e9,
                         Z_r=cfg.z_r_ohm, Q=cfg.q_factor)
@@ -222,13 +233,15 @@ def resolve_operating_point(cfg: RunConfig) -> OperatingPoint:
         diagnostics["refine_rounds"] = rounds
         diagnostics["refine_evals"] = evals
         tuning = replace(tuning, J0=J, eps_d=y * eps_a)
+    if not exchange_in_band(J):
+        diagnostics["j_outside_band_ghz"] = [EXCHANGE_SOFT_MIN_GHZ, EXCHANGE_SOFT_MAX_GHZ]
 
     return OperatingPoint(
         params=derive_gate_params(res, tuning, cfg.n, delta_sign=cfg.delta_sign),
-        gamma_phi=dephasing_rate(J, y * eps_a, noise, eps_a).gamma_phi,
+        gamma_phi=dephasing_rate(J, y * eps_a, noise, eps_a),
         J=J, y=y, clamped=clamped,
         infidelity_refined=inf_final,
-        refined=refine,
+        res=res, noise=noise,
         diagnostics=diagnostics,
     )
 
@@ -258,11 +271,8 @@ def _evaluate_point(cfg: RunConfig) -> SweepRow:
     diagnostics = dict(op.diagnostics)
     inf_final = op.infidelity_refined
 
-    noise = NoiseSpec(S_eps=cfg.s_eps_ev2, beta=cfg.beta, eta=cfg.eta)
-    res = ResonatorSpec(omega_r=TWO_PI * cfg.omega_r_ghz * 1e9,
-                        Z_r=cfg.z_r_ohm, Q=cfg.q_factor)
     try:
-        powerlaw = infidelity_power_law(noise, res, cfg.c_r, cfg.n)
+        powerlaw = infidelity_power_law(op.noise, op.res, cfg.c_r, cfg.n)
     except DomainError:
         powerlaw = None  # n = 1 or beta outside (0, 1): estimate undefined
 

@@ -253,7 +253,7 @@ def test_load_config_file(tmp_path):
 def test_operating_point_refinement_improves():
     cfg = config_from_dict({}, source="t")  # refine on by default
     pt = resolve_operating_point(cfg)
-    assert pt.refined
+    assert pt.diagnostics["refine_rounds"] >= 1
     closed = pt.diagnostics["infidelity_closed_form"]
     refined = pt.diagnostics["infidelity_refined"]
     assert refined < closed
@@ -282,7 +282,7 @@ def test_refinement_objective_is_the_public_kernels():
             tuning = QubitTuning(J0=J, eps_a=eps_a, c_r=cfg.c_r, eps_d=y * eps_a)
             p = derive_gate_params(res, tuning, cfg.n, delta_sign=cfg.delta_sign)
             b, _, _ = b_factor(p.g_geom_rad_ns, p.delta_rad_ns, p.kappa_per_ns, p.t_g_ns)
-            gphi = dephasing_rate(J, y * eps_a, noise, eps_a).gamma_phi
+            gphi = dephasing_rate(J, y * eps_a, noise, eps_a)
             want = 1.0 - analytic_avg_fidelity(b, gphi * 1e-9, p.t_g_ns)
             assert objective(J, y) == want, (raw, J, y)
 
@@ -316,9 +316,65 @@ def test_operating_point_pinned_skips_refinement():
         {"j_ghz": 0.0852, "eps_d_over_eps_a": 2.4, "refine": True}, source="t"
     )
     pt = resolve_operating_point(cfg)
-    assert not pt.refined
+    assert "refine_rounds" not in pt.diagnostics
     assert pt.J == pytest.approx(0.0852 * 6.62607015e-34 * 1e9, rel=1e-12)
     assert pt.y == pytest.approx(2.4)
+
+
+@pytest.mark.parametrize("beta", [0.67, 0.8])
+@pytest.mark.parametrize("z_r_ohm, q_factor", [(5e3, 2e4), (5e4, 1e4), (500.0, 5e3)])
+def test_error_budget_holds_the_optimum_ratio(z_r_ohm, q_factor, beta):
+    # dephasing alone, 1 - F(b = 1, gamma_phi, t_g), over photon loss alone,
+    # 1 - F(b_l, 0, t_g). To first order on y = 2 the infidelity is
+    # a J^((1-beta)/(1+beta)) + c/J, whose minimum in J puts the ratio at
+    # (1+beta)/(1-beta); the closed-form point (gamma_phi_0 = beta kappa /
+    # (2n(1-beta)), drive broadening on top) puts it at
+    # beta/(1-beta) (1 + y^2/4)^(2/(1+beta)). Both points are unclamped here.
+    def budget(refine):
+        op = resolve_operating_point(config_from_dict(
+            {"z_r_ohm": z_r_ohm, "q_factor": q_factor, "beta": beta, "refine": refine},
+            source="t"))
+        p = op.params
+        _, b_l, _ = b_factor(p.g_geom_rad_ns, p.delta_rad_ns, p.kappa_per_ns, p.t_g_ns)
+        dephasing = 1.0 - analytic_avg_fidelity(1.0, op.gamma_phi * 1e-9, p.t_g_ns)
+        loss = 1.0 - analytic_avg_fidelity(b_l, 0.0, p.t_g_ns)
+        return dephasing / loss, op.y, op.clamped
+
+    refined, _, clamped_refined = budget(True)
+    assert refined == pytest.approx((1.0 + beta) / (1.0 - beta), rel=0.03)
+    closed, y, clamped = budget(False)
+    assert closed == pytest.approx(
+        beta / (1.0 - beta) * (1.0 + y * y / 4.0) ** (2.0 / (1.0 + beta)), rel=0.01)
+    assert not (clamped or clamped_refined)
+
+
+def test_out_of_band_exchange_is_recorded_in_the_row():
+    # the device layer's band predicate drives both the warning and the entry
+    with pytest.warns(UserWarning, match="outside the trusted band"):
+        row = evaluate_point(config_from_dict(
+            {"j_ghz": 0.01, "eps_d_over_eps_a": 2.0}, source="t"))
+    assert not row.failed
+    assert row.diagnostics["j_outside_band_ghz"] == [0.05, 30.0]
+    assert '"j_outside_band_ghz"' in render_json(sweep.SweepResult((row,), RunConfig()))
+    # a point inside the band, pinned at its lower end or refined, records nothing
+    for raw in ({"j_ghz": 0.05, "eps_d_over_eps_a": 2.0}, {}):
+        assert "j_outside_band_ghz" not in evaluate_point(
+            config_from_dict(raw, source="t")).diagnostics
+
+
+def test_operating_point_carries_its_specs():
+    cfg = config_from_dict({"z_r_ohm": 700.0, "beta": 0.5, "eta": 0.07}, source="t")
+    pt = resolve_operating_point(cfg)
+    assert pt.res == ResonatorSpec(omega_r=TWO_PI * cfg.omega_r_ghz * 1e9,
+                                   Z_r=700.0, Q=cfg.q_factor)
+    assert pt.noise == NoiseSpec(S_eps=cfg.s_eps_ev2, beta=0.5, eta=0.07)
+    assert not hasattr(pt, "refined")
+
+
+def test_sweep_rows_are_slotted():
+    # a caller holds every row of a sweep: a row carries no per-instance dict
+    row = evaluate_point(config_from_dict({"refine": False}, source="t"))
+    assert not hasattr(row, "__dict__")
 
 
 def test_operating_point_clamp_is_reported():

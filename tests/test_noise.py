@@ -39,7 +39,6 @@ def test_noise_spec_defaults():
     ns = NoiseSpec()
     assert ns.S_eps == 1.4e-16
     assert ns.beta == 0.67
-    assert ns.m == 1
     # eta defaults to the echo value for the configured beta
     assert ns.eta_value == pytest.approx(hahn_eta(0.67), rel=1e-14)
     explicit = NoiseSpec(eta=0.05)
@@ -48,11 +47,12 @@ def test_noise_spec_defaults():
 
 def test_dephasing_rate_reference_point(noise, eps_a):
     j_opt = 3.5230341138540733e-07 * EV_TO_J
+    # the rate itself, a float; at eps_d = 0 it is gamma_phi_0
     base = dephasing_rate(j_opt, 0.0, noise, eps_a)
-    assert base.gamma_phi_0 == pytest.approx(518243.7882592353, rel=1e-10)
-    assert base.gamma_phi == base.gamma_phi_0  # no drive, no broadening
+    assert type(base) is float
+    assert base == pytest.approx(518243.7882592353, rel=1e-10)
     driven = dephasing_rate(j_opt, 2.443388887018247 * eps_a, noise, eps_a)
-    assert driven.gamma_phi == pytest.approx(1547227.1139152115, rel=1e-10)
+    assert driven == pytest.approx(1547227.1139152115, rel=1e-10)
 
 
 @given(
@@ -67,12 +67,10 @@ def test_dephasing_rate_scaling_laws(scale, y):
     a = dephasing_rate(j0, 0.0, noise, eps_a)
     b = dephasing_rate(scale * j0, 0.0, noise, eps_a)
     # gamma_0 ~ J^(2/(1+beta))
-    assert b.gamma_phi_0 / a.gamma_phi_0 == pytest.approx(
-        scale ** (2.0 / (1.0 + noise.beta)), rel=1e-10
-    )
+    assert b / a == pytest.approx(scale ** (2.0 / (1.0 + noise.beta)), rel=1e-10)
     # drive broadening is (1 + y^2/4)^(2/(1+beta))
     d = dephasing_rate(j0, y * eps_a, noise, eps_a)
-    assert d.gamma_phi / d.gamma_phi_0 == pytest.approx(
+    assert d / a == pytest.approx(
         (1.0 + y * y / 4.0) ** (2.0 / (1.0 + noise.beta)), rel=1e-10
     )
 
@@ -82,6 +80,17 @@ def test_dephasing_rate_rejects_bad_inputs(noise, eps_a):
         dephasing_rate(0.0, 0.0, noise, eps_a)
     with pytest.raises(DomainError):
         dephasing_rate(1e-25, -1.0, noise, eps_a)
+
+
+def test_dephasing_rate_names_J_when_the_rate_underflows(noise, eps_a):
+    # (J/eps_a)^2 underflows to 0 at a pinned exchange near 1e-170 GHz: the
+    # rate would read 0, and the error names the exchange instead
+    tiny = h_ghz_to_energy_J(1e-170)
+    for eps_d in (0.0, 2.0 * eps_a):
+        with pytest.raises(DomainError, match=r"underflows .* at J = 6\.6"):
+            dephasing_rate(tiny, eps_d, noise, eps_a)
+    # a hundred-fold smaller J/eps_a squared stays representable, and positive
+    assert dephasing_rate(h_ghz_to_energy_J(1e-150), 0.0, noise, eps_a) > 0.0
 
 
 def test_optimal_drive_reference_point(res, noise, eps_a):
@@ -95,7 +104,7 @@ def test_optimal_drive_reference_point(res, noise, eps_a):
 def _two_call_drive(noise, kappa, n, eps_a, J):
     """The drive optimum formed by hand: gamma_phi_0 at J from dephasing_rate,
     then eps_d_opt = 2 eps_a sqrt(1 + kappa/(2 n gamma_phi_0))."""
-    gamma0 = dephasing_rate(J, 0.0, noise, eps_a).gamma_phi_0
+    gamma0 = dephasing_rate(J, 0.0, noise, eps_a)
     return 2.0 * eps_a * math.sqrt(1.0 + kappa / (2.0 * n * gamma0))
 
 
