@@ -12,8 +12,9 @@ Layers, roughly bottom-up:
   matrix C (rho -> C o rho), and the exact analytic error channel of the
   gate (displacement trajectory, entangling phase, b-factor, and the
   dephasing and gate factors as coherence tables).
-- fidelity: entanglement / average gate fidelity read off C and the
-  target's diagonal.
+- fidelity: entanglement / average gate fidelity, as floats, read off C
+  and the target's diagonal (gates and Kraus operators are passed as their
+  length-4 Z diagonals throughout).
 - lindblad: the numeric master-equation oracle on qubits x Fock space.
 - config / sweep / cli: run configuration, device-grid sweeps, and the
   `resgate` command-line tool.
@@ -80,7 +81,6 @@ _LAZY = {
         "textbook_cphase_decomposition",
     ),
     "fidelity": (
-        "FidelityReport",
         "average_gate_fidelity",
         "entanglement_fidelity",
     ),

@@ -20,9 +20,9 @@ Basis order is |00>, |01>, |10>, |11>. Every map here commutes with Z1 and
 Z2, so it is a Schur multiplier rho -> C o rho (elementwise product) with
 one 4x4 coherence matrix C, and a TwoQubitChannel stores only C. Each
 factor is built as its table: E_b = b**W, E_q = exp(-R t) with R the rate
-table the numeric oracle shares (_dephasing_rates), U_g = u u^dag. The
-constructors from_kraus and from_unitary take diagonal Kraus operators;
-one that is not diagonal is rejected.
+table the numeric oracle shares (_dephasing_rates), U_g = u u^dag. Every
+gate, target and Kraus operator here is Z-diagonal too, so each one is
+passed as its length-4 diagonal u (the operator is diag(u)).
 """
 
 from __future__ import annotations
@@ -76,28 +76,16 @@ class TwoQubitChannel:
 
     @classmethod
     def from_kraus(cls, ops) -> "TwoQubitChannel":
-        """The map rho -> sum_k K_k rho K_k^dag of diagonal 4x4 Kraus operators K_k."""
+        """The map rho -> sum_k K_k rho K_k^dag of Kraus operators K_k = diag(k),
+        each given as its diagonal k of shape (4,): C = sum_k k k^dag."""
         c = np.zeros((4, 4), dtype=complex)
         for k in ops:
             k = np.asarray(k, dtype=complex)
-            if k.shape != (4, 4):
-                raise DomainError("Kraus operators must be 4x4")
-            d = np.diag(k)
-            if np.any(k - np.diag(d)):
-                raise DomainError("Kraus operators must be diagonal in the Z basis")
-            c += np.multiply.outer(d, d.conj())
+            if k.shape != (4,):
+                raise DomainError(f"a Kraus operator must be given as its Z diagonal, "
+                                  f"shape (4,), got shape {k.shape}")
+            c += np.multiply.outer(k, k.conj())
         return cls(c)
-
-    @classmethod
-    def from_unitary(cls, u: np.ndarray) -> "TwoQubitChannel":
-        return cls.from_kraus((u,))
-
-    def choi_matrix(self) -> np.ndarray:
-        """Unnormalized Choi matrix (trace 4 for a TP map), row-major pairing:
-        C on the |ii> span, rows and columns 0, 5, 10, 15."""
-        choi = np.zeros((16, 16), dtype=complex)
-        choi[::5, ::5] = self.coherence
-        return choi
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return self.coherence * np.asarray(rho, dtype=complex).reshape(4, 4)
@@ -142,18 +130,19 @@ class TwoQubitChannel:
 
 
 def ideal_gate_unitary(phi_12: float) -> np.ndarray:
-    """exp(+i * phi_12 * Z1 Z2) = diag(e^{i phi}, e^{-i phi}, e^{-i phi}, e^{i phi}).
+    """Diagonal (e^{i phi}, e^{-i phi}, e^{-i phi}, e^{i phi}) of exp(+i * phi_12 * Z1 Z2).
 
     phi_12 = pi/4 is the CPHASE point: equal to diag(1,1,1,-1) up to
     single-qubit Z rotations and a global phase.
     """
     p = np.exp(1j * phi_12)
-    return np.diag([p, p.conjugate(), p.conjugate(), p]).astype(complex)
+    return np.array([p, p.conjugate(), p.conjugate(), p])
 
 
 def gate_target(params, alpha: complex = 0j) -> np.ndarray:
-    """The gate that one run on params realizes from the coherent cavity start
-    alpha (0: the vacuum, and a thermal start, whose mean amplitude is 0).
+    """Diagonal of the gate that one run on params realizes from the coherent
+    cavity start alpha (0: the vacuum, and a thermal start, whose mean
+    amplitude is 0).
 
     The ZZ phase pi/4 takes the sign of Delta, as the loops run the other way
     round when Delta < 0. A start alpha then adds the phase
@@ -165,22 +154,20 @@ def gate_target(params, alpha: complex = 0j) -> np.ndarray:
     linear in (s1, s2), a local Z rotation, and v = 1 where a lossless loop
     closes.
     """
-    u = np.diag(ideal_gate_unitary(math.copysign(math.pi / 4, params.delta_rad_ns)))
+    u = ideal_gate_unitary(math.copysign(math.pi / 4, params.delta_rad_ns))
     a = drive_frame_displacement(1.0, params.delta_rad_ns, params.kappa_per_ns, params.t_g_ns)
-    return np.diag(u * np.exp(2j * (alpha * a * _branch_couplings(params)).imag))
+    return u * np.exp(2j * (alpha * a * _branch_couplings(params)).imag)
 
 
 def textbook_cphase_decomposition() -> tuple[np.ndarray, np.ndarray]:
-    """(CZ, local correction L) with CZ = e^{i pi/4} * ideal_gate_unitary(pi/4) L.
+    """Diagonals of (CZ, local correction L) with CZ = e^{i pi/4} * ideal_gate_unitary(pi/4) L.
 
     L = Rz(pi/2) (x) Rz(pi/2) is the single-qubit-Z dressing that turns the
-    symmetric geometric-phase gate into the textbook diag(1, 1, 1, -1). All
-    three are diagonal, so the product is taken on their diagonals.
+    symmetric geometric-phase gate into the textbook diag(1, 1, 1, -1).
     """
     rz = np.exp(np.array([-1j, 1j]) * np.pi / 4)
     local = np.multiply.outer(rz, rz).reshape(4)
-    cz = np.exp(1j * np.pi / 4) * np.diag(ideal_gate_unitary(np.pi / 4)) * local
-    return np.diag(cz), np.diag(local)
+    return np.exp(1j * np.pi / 4) * ideal_gate_unitary(np.pi / 4) * local, local
 
 
 def alpha_closed_form(g: float, delta: float, kappa: float, t):
@@ -320,7 +307,7 @@ def analytic_gate_channel(
 ) -> TwoQubitChannel:
     """Full analytic channel of one gate: the table
     exp(-R t_g) * b**W * u u^dag, that is E_q at t_g, E_b with b(t_g) and
-    U_g with diagonal u = diag(gate_target(params)).
+    U_g with diagonal u = gate_target(params).
 
     ``params`` is a DerivedGateParams (SI); gamma_1, gamma_2 are the intrinsic
     dephasing rates in 1/s. The three factors commute, so the composition
@@ -340,7 +327,7 @@ def analytic_gate_channel(
         )
     t_ns = params.t_g_ns
     b, _, _ = b_factor(params.g_geom_rad_ns, params.delta_rad_ns, params.kappa_per_ns, t_ns)
-    u = np.diag(gate_target(params))
+    u = gate_target(params)
     return TwoQubitChannel(np.exp(-1e-9 * _dephasing_rates(gamma_1, gamma_2) * t_ns)
                            * b**_W * np.outer(u, u.conj()))
 

@@ -11,9 +11,12 @@ Subcommands:
 
 All subcommands read the same JSON config (--config; defaults apply when
 omitted) and emit the same row schema as CSV or JSON (--out/--format; stdout
-when --out is missing). Exit codes: 0 success, 2 configuration error,
+when --out is missing). Exit codes: 0 success, 2 configuration or file
+error (an invalid or unreadable config, an output that cannot be written),
 3 at least one row carries a failed numerical diagnostic (the failing
-rows and their reasons go to stderr).
+rows and their reasons go to stderr). simulate --trajectory resolves the
+operating point once, for the row and the trajectory; a point whose
+evaluation raised writes no trajectory.
 
 The numeric layers (sweep, lindblad and numpy under them) load only once the
 config is valid, so --help, usage errors and config errors start fast. main
@@ -62,11 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_trajectory(cfg, path: str) -> None:
+def _write_trajectory(cfg, op, path: str) -> None:
     from .lindblad import trajectory_rows
-    from .sweep import resolve_operating_point
 
-    op = resolve_operating_point(cfg)
     rows = trajectory_rows(
         op.params, op.gamma_phi, op.gamma_phi, cfg.initial_cavity,
         n_ph=cfg.n_ph, policy=cfg.step_policy(),
@@ -109,19 +110,22 @@ def main(argv=None) -> int:
 
         from . import sweep
 
+        op = None  # the operating point of a single-point run that did not raise
         if cfg.mode == "sweep":
             result = sweep.run_sweep(cfg)
         else:
-            result = sweep.SweepResult(rows=(sweep.evaluate_point(cfg),), config=cfg)
-        if cfg.mode == "simulate" and cfg.trajectory_out:
-            _write_trajectory(cfg, cfg.trajectory_out)
+            row, op = sweep._evaluate(cfg)
+            result = sweep.SweepResult(rows=(row,), config=cfg)
+        trajectory = cfg.mode == "simulate" and cfg.trajectory_out and op is not None
+        if trajectory:
+            _write_trajectory(cfg, op, cfg.trajectory_out)
 
         text = sweep.emit_results(result, cfg.out, cfg.format)
         if cfg.out is None:
             sys.stdout.write(text)
         else:
             print(f"wrote {len(result.rows)} row(s) to {cfg.out} ({cfg.format})")
-        if cfg.mode == "simulate" and cfg.trajectory_out:
+        if trajectory:
             print(f"wrote trajectory to {cfg.trajectory_out}")
 
         if result.any_failed:
@@ -133,7 +137,7 @@ def main(argv=None) -> int:
                 print(f"row {i}: {'; '.join(reasons)}", file=sys.stderr)
             return 3
         return 0
-    except (ConfigError, DomainError) as exc:
+    except (ConfigError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

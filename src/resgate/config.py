@@ -301,6 +301,11 @@ def read_config_file(path: str) -> dict:
             data = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file {path}: not found") from exc
+    except OSError as exc:  # a directory, no read permission, ...
+        raise ConfigError(f"config file {path}: cannot be read ({exc.strerror})") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path}: not UTF-8 text ({exc.reason} "
+                          f"at byte {exc.start})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):

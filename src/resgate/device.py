@@ -194,6 +194,9 @@ def gate_schedule(g1: float, g2: float, n: int) -> tuple[float, float]:
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"loop count n must be a positive integer, got {n!r}")
     delta = 2.0 * math.sqrt(n * g1 * g2) / HBAR_J_S
+    if not delta > 0.0:  # n g1 g2 underflowed to 0
+        raise DomainError(f"couplings g1={g1}, g2={g2} J with n={n} give no detuning: "
+                          f"the product n g1 g2 underflows to 0")
     t_g = TWO_PI * n / delta
     return delta, t_g
 

@@ -1,13 +1,13 @@
 """Entanglement and average gate fidelity of two-qubit channels.
 
-A channel here is rho -> C o rho with a 4x4 coherence matrix C, so its
-superoperator is diag(vec C) and F_e(N, U) = Tr[S_U^dag S_N] / 16 keeps
-only the diagonal u of the target U:
+A channel here is rho -> C o rho with a 4x4 coherence matrix C, and every
+target is Z-diagonal and passed as its diagonal u of shape (4,). The
+superoperator is diag(vec C), so F_e(N, U) = Tr[S_U^dag S_N] / 16 is
 
     F_e = Re sum_ij C_ij conj(u_i) u_j / 16,    F_avg = (4 F_e + 1)/5.
 
-That sum is the one scoring kernel: entanglement_fidelity and
-average_gate_fidelity compute it.
+That sum is the one scoring kernel: entanglement_fidelity returns F_e and
+average_gate_fidelity F_avg, each as a float.
 
 The default target is the symmetric geometric-phase unitary exp(i pi/4 Z1Z2).
 To score against the textbook diag(1,1,1,-1), append the local dressing of
@@ -19,7 +19,6 @@ rotation; channel.gate_target(params, alpha) gives it in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,36 +26,24 @@ from .channel import TwoQubitChannel, ideal_gate_unitary
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class FidelityReport:
-    """Entanglement fidelity and the average gate fidelity it implies."""
-
-    f_e: float
-
-    @property
-    def f_avg(self) -> float:
-        return (4.0 * self.f_e + 1.0) / 5.0
-
-
 def _target_weights(target) -> np.ndarray:
-    """conj(u_i conj(u_j)) for the diagonal u of the 4x4 target unitary
-    (None means the phase pi/4 gate): F_e = Re sum(weights * C) / 16."""
-    if target is None:
-        target = ideal_gate_unitary(math.pi / 4.0)
-    target = np.asarray(target, dtype=complex)
-    if target.shape != (4, 4):
-        raise DomainError(f"target must be a 4x4 unitary, got shape {target.shape}")
-    u = np.diag(target)
+    """conj(u_i conj(u_j)) for the target's diagonal u (None means the phase
+    pi/4 gate): F_e = Re sum(weights * C) / 16."""
+    u = np.asarray(ideal_gate_unitary(math.pi / 4.0) if target is None else target,
+                   dtype=complex)
+    if u.shape != (4,):
+        raise DomainError(f"target must be given as its Z diagonal, shape (4,), "
+                          f"got shape {u.shape}")
     return np.conj(np.outer(u, u.conj()))
 
 
 def entanglement_fidelity(
     channel: TwoQubitChannel, target=None, *, validate: bool = True,
 ) -> float:
-    """F_e of the channel against the target unitary (default: phase pi/4 gate).
+    """F_e of the channel against the target diagonal u (default: phase pi/4 gate).
 
     Computed as Re sum_ij C_ij conj(u_i) u_j / 16 over the coherence matrix
-    C and the target's diagonal u, which equals Tr[S_U^dag S_N] / 16; raises
+    C, which equals Tr[S_U^dag S_N] / 16 for U = diag(u); raises
     NonPhysicalChannelError (with the eigenvalues of C) when the channel
     fails the CPTP check and ``validate`` is on.
     """
@@ -70,6 +57,6 @@ def entanglement_fidelity(
 
 def average_gate_fidelity(
     channel: TwoQubitChannel, target=None, *, validate: bool = True,
-) -> FidelityReport:
-    """FidelityReport against the target unitary (default: phase pi/4 gate)."""
-    return FidelityReport(f_e=entanglement_fidelity(channel, target, validate=validate))
+) -> float:
+    """F_avg = (4 F_e + 1)/5 against the target diagonal u (default: phase pi/4 gate)."""
+    return (4.0 * entanglement_fidelity(channel, target, validate=validate) + 1.0) / 5.0

@@ -472,13 +472,12 @@ def trajectory_rows(
     *,
     n_ph: int | None = None,
     policy: StepPolicy = StepPolicy(),
-    initial_qubit: np.ndarray | None = None,
 ) -> list[dict]:
     """Per-step state metrics for the optional trajectory dump.
 
-    Evolves a single composite state (default |++> with the requested
-    vacuum or coherent cavity; a thermal one, a mixture, raises DomainError;
-    gamma in 1/s, finite and non-negative) on the policy's step grid and
+    Evolves a single composite state (|++> with the requested vacuum or
+    coherent cavity; a thermal one, a mixture, raises DomainError; gamma in
+    1/s, finite and non-negative) on the policy's step grid and
     records, at every step, a row with keys t_ns, trace, purity,
     mean_photon, top_level_pop, polaron_residual.
     Every number comes from the qubit blocks r_ij(t) =
@@ -497,8 +496,7 @@ def trajectory_rows(
                           "cavity is a mixture; use a vacuum or coherent preparation")
     rate = 1e-9 * _dephasing_rates(gamma_1, gamma_2)[_UPPER_I, _UPPER_J]
     n_ph = choose_n_ph(_reach(params, prep.alpha)) if n_ph is None else _check_n_ph(n_ph)
-    q = (np.full((4, 4), 0.25, dtype=complex) if initial_qubit is None  # |++><++|
-         else np.asarray(initial_qubit, dtype=complex))
+    q = np.full((4, 4), 0.25, dtype=complex)  # |++><++|
     steps, dt = policy.resolve(params.t_g_ns)
 
     on_diag = _UPPER_I == _UPPER_J

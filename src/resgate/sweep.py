@@ -252,8 +252,15 @@ def evaluate_point(cfg: RunConfig) -> SweepRow:
     Any exception is captured into the row's diagnostics ("error") with NaN
     fidelities, so callers (sweeps in particular) can keep going.
     """
+    return _evaluate(cfg)[0]
+
+
+def _evaluate(cfg: RunConfig) -> tuple[SweepRow, OperatingPoint | None]:
+    """evaluate_point's row and the operating point it was scored at (None
+    when the evaluation raised), so a caller can reuse the point."""
     try:
-        return _evaluate_point(cfg)
+        op = resolve_operating_point(cfg)
+        return _evaluate_point(cfg, op), op
     except Exception as exc:  # noqa: BLE001 - per-point isolation is the contract
         return SweepRow(
             z_ohm=cfg.z_r_ohm, q=cfg.q_factor, n=cfg.n,
@@ -262,11 +269,10 @@ def evaluate_point(cfg: RunConfig) -> SweepRow:
             f_analytic=float("nan"), f_numeric=None,
             infidelity_powerlaw=None, clamped=False, max_fock_pop=None,
             diagnostics={"error": f"{type(exc).__name__}: {exc}"},
-        )
+        ), None
 
 
-def _evaluate_point(cfg: RunConfig) -> SweepRow:
-    op = resolve_operating_point(cfg)
+def _evaluate_point(cfg: RunConfig, op: OperatingPoint) -> SweepRow:
     params, gphi = op.params, op.gamma_phi
     diagnostics = dict(op.diagnostics)
     inf_final = op.infidelity_refined
@@ -284,7 +290,7 @@ def _evaluate_point(cfg: RunConfig) -> SweepRow:
         chan, diag = extract_channel(params, gphi, gphi, prep, n_ph=cfg.n_ph,
                                      top_level_threshold=cfg.top_level_threshold)
         f_numeric = average_gate_fidelity(chan, gate_target(params, prep.alpha),
-                                          validate=False).f_avg
+                                          validate=False)
         max_fock = diag.max_top_level_pop
         diagnostics.update(diag.to_json_dict())
 

@@ -46,24 +46,25 @@ _ZZ = _Z1 * _Z2
 
 
 def kraus_correlated_dephasing(b: float) -> TwoQubitChannel:
-    """The paper's three-Kraus E_b, through from_kraus:
+    """The paper's three-Kraus E_b, through from_kraus (each K_k by its diagonal):
     K0 = [(1+b) I - (1-b) Z1 Z2]/2, K1 = sqrt((1-b^4)/2) (Z1 + Z2)/2,
     K2 = ((1-b^2)/sqrt(2)) (I + Z1 Z2)/2."""
     ks = (0.5 * ((1.0 + b) * _I - (1.0 - b) * _ZZ),
           math.sqrt((1.0 - b**4) / 2.0) * 0.5 * (_Z1 + _Z2),
           ((1.0 - b**2) / math.sqrt(2.0)) * 0.5 * (_I + _ZZ))
-    return TwoQubitChannel.from_kraus(np.diag(k) for k in ks)
+    return TwoQubitChannel.from_kraus(ks)
 
 
 def kraus_intrinsic_dephasing(gamma_1: float, gamma_2: float, t: float) -> TwoQubitChannel:
-    """The four-Kraus E_q, through from_kraus: sqrt(w) * {I, Z1, Z2, Z1 Z2}
+    """The four-Kraus E_q, through from_kraus (each K_k by its diagonal):
+    sqrt(w) * {I, Z1, Z2, Z1 Z2}
     with p_j = (1 - e^{-gamma_j t})/2 and weights (1-p1)(1-p2), p1(1-p2),
     p2(1-p1), p1 p2."""
     p1 = 0.5 * (1.0 - math.exp(-gamma_1 * t))
     p2 = 0.5 * (1.0 - math.exp(-gamma_2 * t))
     weights_ops = (((1.0 - p1) * (1.0 - p2), _I), (p1 * (1.0 - p2), _Z1),
                    (p2 * (1.0 - p1), _Z2), (p1 * p2, _ZZ))
-    return TwoQubitChannel.from_kraus(np.diag(math.sqrt(w) * op) for w, op in weights_ops)
+    return TwoQubitChannel.from_kraus(math.sqrt(w) * op for w, op in weights_ops)
 
 
 def make_params(
@@ -95,11 +96,11 @@ def entanglement_fidelity_product_basis(channel, target=None, *, validate=True) 
     B_mu = sum_i rho_i W_i_mu with W W^dag = G^-1 (G the Gram matrix) gives
     sum_mu Tr[B_mu^dag N'(B_mu)] = Tr[G^-1 M], M_ij = Tr[rho_i^dag N'(rho_j)].
     An independent route to resgate's F_e: it scores the channel on physical
-    input states through ``apply`` and takes the whole target, not only its
-    diagonal (default: the phase pi/4 gate).
+    input states through ``apply`` and takes the whole 4x4 target matrix, not
+    only its diagonal (default: the phase pi/4 gate).
     """
     if target is None:
-        target = ideal_gate_unitary(math.pi / 4.0)
+        target = np.diag(ideal_gate_unitary(math.pi / 4.0))
     tmat = np.asarray(target, dtype=complex)
     if validate:
         channel.validate()

@@ -16,11 +16,11 @@ from resgate import (
     alpha_closed_form,
     analytic_avg_fidelity,
     analytic_gate_channel,
-    average_gate_fidelity,
     b_factor,
     b_factor_simplified,
     correlated_dephasing_channel,
     drive_frame_displacement,
+    entanglement_fidelity,
     extract_channel,
     gate_target,
     ideal_gate_unitary,
@@ -133,20 +133,22 @@ def test_b_factor_simplified_direction():
 
 
 def test_ideal_gate_unitary_structure():
+    # the gate is passed as its Z diagonal
     u = ideal_gate_unitary(math.pi / 4.0)
-    assert np.allclose(u, np.diag(np.exp(1j * math.pi / 4.0 * np.array([1, -1, -1, 1]))))
+    assert u.shape == (4,)
+    assert np.allclose(u, np.exp(1j * math.pi / 4.0 * np.array([1, -1, -1, 1])))
     # group property
-    u2 = ideal_gate_unitary(0.3) @ ideal_gate_unitary(0.5)
+    u2 = ideal_gate_unitary(0.3) * ideal_gate_unitary(0.5)
     assert np.allclose(u2, ideal_gate_unitary(0.8), atol=1e-14)
 
 
 def test_textbook_cphase_decomposition_identity():
     u_cz, u_locals = textbook_cphase_decomposition()
-    assert np.allclose(u_cz, np.diag([1.0, 1.0, 1.0, -1.0]), atol=1e-14)
+    assert np.allclose(u_cz, [1.0, 1.0, 1.0, -1.0], atol=1e-14)
     # the decomposition differs from the bare entangling unitary by the
     # local dressing and one global phase
-    recon = u_locals @ ideal_gate_unitary(math.pi / 4.0)
-    ratio = np.diag(u_cz) / np.diag(recon)
+    recon = u_locals * ideal_gate_unitary(math.pi / 4.0)
+    ratio = u_cz / recon
     assert np.allclose(np.abs(ratio), 1.0, atol=1e-14)
     assert np.allclose(ratio, ratio[0], atol=1e-14)
 
@@ -245,7 +247,7 @@ def test_correlated_dephasing_coherence_pattern():
 
 def test_channel_rejects_misshapen_input():
     with pytest.raises(DomainError):
-        TwoQubitChannel.from_kraus([np.eye(4), np.eye(2)])
+        TwoQubitChannel.from_kraus([np.ones(4), np.ones(2)])
     with pytest.raises(DomainError):
         TwoQubitChannel(np.eye(16))
     with pytest.raises(DomainError):
@@ -253,18 +255,21 @@ def test_channel_rejects_misshapen_input():
 
 
 def test_channel_rejects_non_diagonal_kraus_and_unitary():
-    # only Z-diagonal maps have a coherence matrix; a CNOT has none
+    # only Z-diagonal maps have a coherence matrix, so each Kraus operator
+    # is given as its diagonal, shape (4,); a 4x4 matrix is refused by its
+    # shape, whether it is a CNOT, a diagonal with one stray entry or diagonal
     cnot = np.eye(4)[[0, 1, 3, 2]]
-    with pytest.raises(DomainError):
-        TwoQubitChannel.from_unitary(cnot)
     k = np.diag([1.0, 1.0, 1.0, 0.0]).astype(complex)
     k[0, 3] = 1e-9
-    with pytest.raises(DomainError):
-        TwoQubitChannel.from_kraus([np.eye(4), k])
+    for dense in (cnot, k, np.eye(4)):
+        with pytest.raises(DomainError, match="diagonal"):
+            TwoQubitChannel.from_kraus([dense])
+        with pytest.raises(DomainError, match="diagonal"):
+            TwoQubitChannel.from_kraus([np.ones(4), dense])
 
 
 def test_channel_validate_catches_broken_kraus():
-    k = [np.eye(4, dtype=complex) * 0.9]
+    k = [np.ones(4, dtype=complex) * 0.9]
     chan = TwoQubitChannel.from_kraus(k)
     with pytest.raises(NonPhysicalChannelError):
         chan.validate()
@@ -312,7 +317,9 @@ def test_coherence_cp_check_matches_choi_spectrum():
         h = h + h.conj().T
         np.fill_diagonal(h, 0.0)
         chan = TwoQubitChannel(v @ v.conj().T + rng.uniform(0.0, 0.3) * h)
-        choi_eigs = np.linalg.eigvalsh(chan.choi_matrix())
+        choi = np.zeros((16, 16), dtype=complex)
+        choi[::5, ::5] = chan.coherence  # row-major pairing: rows 0, 5, 10, 15
+        choi_eigs = np.linalg.eigvalsh(choi)
         eigs = np.linalg.eigvalsh(chan.coherence)
         assert np.allclose(choi_eigs, np.sort(np.concatenate([eigs, np.zeros(12)])), atol=1e-12)
         assert min(chan.choi_min_eigenvalue(), 0.0) == pytest.approx(choi_eigs[0], abs=1e-12)
@@ -349,9 +356,9 @@ def test_analytic_gate_channel_rejects_unequal_couplings():
         analytic_gate_channel(p, 0.0, 0.0)
     target = gate_target(p)
     b, _, _ = b_factor(p.g_geom_rad_ns, p.delta_rad_ns, p.kappa_per_ns, p.t_g_ns)
-    collapsed = correlated_dephasing_channel(b).then(TwoQubitChannel.from_unitary(target))
+    collapsed = correlated_dephasing_channel(b).then(TwoQubitChannel.from_kraus((target,)))
     exact, _ = extract_channel(p, 0.0, 0.0, n_ph=14)
-    loss = [1.0 - average_gate_fidelity(c, target, validate=False).f_e
+    loss = [1.0 - entanglement_fidelity(c, target, validate=False)
             for c in (collapsed, exact)]
     assert loss[0] < 0.7 * loss[1]
 

@@ -245,6 +245,13 @@ def test_load_config_file(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config(bad)
+    # a directory and a file that is not UTF-8 text are refused by path
+    latin = tmp_path / "latin1.json"
+    latin.write_bytes(b'{"mode": "caf\xe9"}')  # latin-1
+    for path, reason in ((tmp_path, "cannot be read"), (latin, "not UTF-8")):
+        with pytest.raises(ConfigError, match=reason) as err:
+            load_config(path)
+        assert str(path) in str(err.value)
 
 
 # ----------------------------------------------------------------- sweep --
@@ -407,6 +414,18 @@ def test_evaluate_point_captures_domain_errors():
     assert swept.diagnostics == row.diagnostics
 
 
+@pytest.mark.parametrize("raw", [{"j_ghz": 1e-170, "eps_d_over_eps_a": 2.0},
+                                 {"eps_d_over_eps_a": 1e-200}])
+def test_underflowing_coupling_product_is_a_named_domain_error(raw):
+    # g1 g2 underflows to 0 in gate_schedule, so Delta = 0 and t_g = 2 pi n /
+    # Delta would divide by zero: the row says which couplings did it
+    row = evaluate_point(config_from_dict(raw, source="t"))
+    assert row.failed
+    error = row.diagnostics["error"]
+    assert error.startswith("DomainError: ")
+    assert "g1=" in error and "g2=" in error and "n=2" in error
+
+
 def test_single_loop_drops_power_law_only():
     row = evaluate_point(config_from_dict({"n": 1}, source="t"))
     assert not row.failed
@@ -526,7 +545,7 @@ def test_thermal_row_is_the_seeded_thermal_average():
         n_ph=cfg.n_ph, top_level_threshold=cfg.top_level_threshold,
     )
     target = ideal_gate_unitary(math.copysign(math.pi / 4.0, op.params.delta_rad_ns))
-    assert row.f_numeric == average_gate_fidelity(chan, target, validate=False).f_avg
+    assert row.f_numeric == average_gate_fidelity(chan, target, validate=False)
     assert row.diagnostics["n_ph"] == diag.n_ph
     other = replace(cfg, seed=9, initial_cavity=CavityPrep.thermal(0.2, samples=50))
     assert evaluate_point(other) == row
@@ -552,7 +571,7 @@ def test_drive_above_resonator_rows_score_the_mirrored_phase(start, monkeypatch)
     assert abs(row.f_numeric - row.f_analytic) < 1e-3
     orig = sweep.gate_target
     monkeypatch.setattr(sweep, "gate_target",
-                        lambda p, alpha=0j: orig(p, alpha) @ ideal_gate_unitary(math.pi / 2))
+                        lambda p, alpha=0j: orig(p, alpha) * ideal_gate_unitary(math.pi / 2))
     assert evaluate_point(cfg).f_numeric < 0.5
 
 
@@ -629,6 +648,78 @@ def test_cli_simulate_with_trajectory(tmp_path, capsys):
     last = dict(zip(TRAJECTORY_COLUMNS, traj_lines[-1].split(",")))
     assert float(last["mean_photon"]) < 1e-2
     assert float(last["polaron_residual"]) < 1e-4
+
+
+def test_cli_simulate_resolves_the_operating_point_once(tmp_path, capsys, monkeypatch):
+    # the row and the trajectory share one resolution: one refinement, and an
+    # exchange outside the soft band warns once
+    calls = []
+    resolve = sweep.resolve_operating_point
+
+    def counted(cfg):
+        calls.append(cfg)
+        return resolve(cfg)
+
+    monkeypatch.setattr(sweep, "resolve_operating_point", counted)
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"j_ghz": 0.01, "eps_d_over_eps_a": 2.0}))
+    with pytest.warns(UserWarning, match="outside the trusted band") as record:
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv"),
+                     "--trajectory", str(tmp_path / "traj.csv")])
+    assert code == 0
+    assert len(calls) == 1
+    assert len(record) == 1
+
+
+def test_cli_default_trajectory_is_that_of_the_resolved_point(tmp_path, capsys):
+    # the trajectory CSV holds trajectory_rows at resolve_operating_point's
+    # point, written as the repr of each float
+    traj = tmp_path / "traj.csv"
+    assert main(["simulate", "--out", str(tmp_path / "o.csv"), "--trajectory", str(traj)]) == 0
+    cfg = config_from_dict({"mode": "simulate", "numeric": True}, source="t")
+    op = resolve_operating_point(cfg)
+    rows = lindblad.trajectory_rows(op.params, op.gamma_phi, op.gamma_phi,
+                                    cfg.initial_cavity, n_ph=cfg.n_ph,
+                                    policy=cfg.step_policy())
+    lines = [",".join(TRAJECTORY_COLUMNS)]
+    lines += [",".join(repr(row[c]) for c in TRAJECTORY_COLUMNS) for row in rows]
+    assert traj.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("raw", [{"q_factor": 1e-300},
+                                 {"j_ghz": 1e-170, "eps_d_over_eps_a": 2.0}])
+def test_cli_simulate_trajectory_of_a_failing_point(tmp_path, capsys, raw):
+    # a point that raises emits its row and exits 3 with or without
+    # --trajectory, and writes no trajectory
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps(raw))
+    out, traj = tmp_path / "o.csv", tmp_path / "traj.csv"
+    for extra in ([], ["--trajectory", str(traj)]):
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), *extra]) == 3
+        assert "row 0: DomainError" in capsys.readouterr().err
+        header, row = out.read_text().strip().split("\n")
+        assert header == ",".join(CSV_COLUMNS)
+        assert not traj.exists()
+
+
+@pytest.mark.parametrize("case", ["out", "trajectory", "config_dir", "config_latin1"])
+def test_cli_file_errors_exit_2(tmp_path, capsys, case):
+    # an output in a missing directory and a config that is a directory or
+    # not UTF-8 are reported as one line on stderr, not a traceback
+    latin = tmp_path / "latin1.json"
+    latin.write_bytes(b'{"mode": "caf\xe9"}')  # latin-1
+    missing = tmp_path / "no_such_dir" / "x.csv"
+    argv, named = {
+        "out": (["analytic", "--out", str(missing)], missing),
+        "trajectory": (["simulate", "--out", str(tmp_path / "o.csv"),
+                        "--trajectory", str(missing)], missing),
+        "config_dir": (["analytic", "--config", str(tmp_path)], tmp_path),
+        "config_latin1": (["analytic", "--config", str(latin)], latin),
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(named) in err, err
+    assert len(err.strip().split("\n")) == 1
 
 
 def test_cli_rejects_a_thermal_trajectory_before_any_work(tmp_path, capsys, monkeypatch):

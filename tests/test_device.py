@@ -96,6 +96,9 @@ def test_schedule_rejects_bad_inputs():
         gate_schedule(0.0, 1e-25, 2)
     with pytest.raises(DomainError):
         gate_schedule(1e-25, 1e-25, 0)
+    # positive couplings whose product underflows to 0 give no detuning
+    with pytest.raises(DomainError, match="g1=1e-170, g2=1e-170 J with n=2"):
+        gate_schedule(1e-170, 1e-170, 2)
 
 
 def test_coupling_strengths_linear_in_drive(res):

@@ -12,7 +12,7 @@ from resgate import device, lindblad, sweep
 # The public names of the package.
 PUBLIC_NAMES = frozenset({
     "CSV_COLUMNS", "CavityPrep", "ConfigError", "CouplingStrengths", "DerivedGateParams",
-    "DomainError", "E_CHARGE_C", "FidelityReport", "HBAR_J_S", "H_EV_S", "H_J_S",
+    "DomainError", "E_CHARGE_C", "HBAR_J_S", "H_EV_S", "H_J_S",
     "NoiseSpec", "NonPhysicalChannelError",
     "OperatingPoint", "OptimalDrive", "QubitTuning", "ResonatorSpec", "RunConfig",
     "SimDiagnostics", "StepPolicy", "SweepResult", "SweepRow", "TwoQubitChannel",
