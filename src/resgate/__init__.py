@@ -10,7 +10,7 @@ Layers, roughly bottom-up:
   closed-form optimal operating point, and infidelity estimates.
 - channel: TwoQubitChannel, a Z-diagonal map stored as its 4x4 coherence
   matrix C (rho -> C o rho), and the exact analytic error channel of the
-  gate (displacement trajectory, entangling phase, b-factor, and the
+  gate (displacement trajectory, b-factor, and the
   dephasing and gate factors as coherence tables).
 - fidelity: entanglement / average gate fidelity, as floats, read off C
   and the target's diagonal (gates and Kraus operators are passed as their
@@ -58,7 +58,6 @@ from .noise import (
     OptimalDrive,
     dephasing_rate,
     hahn_eta,
-    infidelity_first_order,
     infidelity_power_law,
     optimal_drive,
 )
@@ -67,12 +66,10 @@ from .noise import (
 _LAZY = {
     "channel": (
         "TwoQubitChannel",
-        "accumulated_entangling_phase",
         "alpha_closed_form",
         "analytic_avg_fidelity",
         "analytic_gate_channel",
         "b_factor",
-        "b_factor_simplified",
         "correlated_dephasing_channel",
         "drive_frame_displacement",
         "gate_target",

@@ -40,6 +40,8 @@ _Z1 = np.array([1.0, 1.0, -1.0, -1.0])
 _Z2 = np.array([1.0, -1.0, 1.0, -1.0])
 # W_ij = ((s_i - s_j)/2)^2, s = z1 + z2: E_b's exponent of b, with entries 0, 1 and 4
 _W = (0.5 * np.subtract.outer(_Z1 + _Z2, _Z1 + _Z2)) ** 2
+_TP_TOL = 1e-10  # TwoQubitChannel.validate: bound on max|C_ii - 1| and max|C - C^dag|
+_CHOI_TOL = 1e-8  # and on minus the smallest eigenvalue of C
 
 
 def _branch_couplings(params) -> np.ndarray:
@@ -107,23 +109,24 @@ class TwoQubitChannel:
         """Smallest eigenvalue of C (the Choi matrix adds only zeros)."""
         return float(self._coherence_eigenvalues()[0])
 
-    def validate(self, tp_tol: float = 1e-10, choi_tol: float = 1e-8) -> None:
-        """Raise NonPhysicalChannelError if the map is not CPTP within tolerance.
+    def validate(self) -> None:
+        """Raise NonPhysicalChannelError unless the map is CPTP: max|C_ii - 1|
+        and max|C - C^dag| within _TP_TOL, no eigenvalue of C below -_CHOI_TOL.
 
         A CP map has a Hermitian C (it maps Hermitian states to Hermitian
-        ones), so max|C - C^dag| must stay within tp_tol as well; the
-        eigenvalue test reads only C's Hermitian part.
+        ones), hence the second test; the eigenvalue test reads only C's
+        Hermitian part.
         """
         defect = self.completeness_defect()
         c = self.coherence
         skew = float(np.max(np.abs(c - c.conj().T)))
         eigs = self._coherence_eigenvalues()
-        if defect > tp_tol or skew > tp_tol or eigs[0] < -choi_tol:
+        if defect > _TP_TOL or skew > _TP_TOL or eigs[0] < -_CHOI_TOL:
             raise NonPhysicalChannelError(
                 f"map is not CPTP: trace-preservation defect {defect:.3e} "
-                f"(tol {tp_tol:.0e}), non-Hermitian part max|C - C^dag| {skew:.3e} "
-                f"(tol {tp_tol:.0e}), coherence eigenvalues "
-                f"{np.array2string(eigs, precision=3)} (min tol -{choi_tol:.0e})",
+                f"(tol {_TP_TOL:.0e}), non-Hermitian part max|C - C^dag| {skew:.3e} "
+                f"(tol {_TP_TOL:.0e}), coherence eigenvalues "
+                f"{np.array2string(eigs, precision=3)} (min tol -{_CHOI_TOL:.0e})",
                 choi_eigenvalues=eigs,
                 tp_defect=defect,
             )
@@ -210,26 +213,6 @@ def drive_frame_displacement(g: float, delta: float, kappa: float, t):
     return val if val.ndim else complex(val)
 
 
-def accumulated_entangling_phase(g: float, delta: float, kappa: float, t: float) -> float:
-    """Two-qubit geometric phase accumulated by time t (closed form).
-
-    d(phi)/dt = -g * Re[alpha_d(t)] integrates to
-
-        phi(t) = -(g^2/2) * Im[ ((e^{p t} - 1)/p - t) / (kappa - i delta) ],
-        p = i delta - kappa.
-
-    At kappa = 0 this reduces to (g^2 / 2 delta^2)(delta t - sin delta t),
-    which reaches pi/4 at the schedule point delta*t = 2*pi*n with
-    delta = 2 g sqrt(n). With loss the phase at the schedule point drops by
-    a relative 3 kappa^2/delta^2 + O(kappa^3).
-    """
-    if delta == 0.0 and kappa == 0.0:
-        raise DomainError("phase is undefined at delta = kappa = 0")
-    p = 1j * delta - kappa
-    core = ((np.exp(p * t) - 1.0) / p - t) / (kappa - 1j * delta)
-    return float(-(g**2 / 2.0) * core.imag)
-
-
 def b_factor(g: float, delta: float, kappa: float, t_g: float) -> tuple[float, float, float]:
     """Correlated-dephasing factor b(t_g) and its loss/entanglement split.
 
@@ -263,13 +246,6 @@ def b_factor(g: float, delta: float, kappa: float, t_g: float) -> tuple[float, f
     b_l = math.exp(-int_term)
     b_e = math.exp(-ent_term)
     return b_l * b_e, b_l, b_e
-
-
-def b_factor_simplified(g: float, kappa: float, n: int) -> float:
-    """Leading-order b at the schedule point: exp(-pi*kappa/(2 g sqrt(n)))."""
-    if not (g > 0 and n >= 1):
-        raise DomainError("g must be positive and n >= 1")
-    return math.exp(-math.pi * kappa / (2.0 * g * math.sqrt(n)))
 
 
 def correlated_dephasing_channel(b: float) -> TwoQubitChannel:

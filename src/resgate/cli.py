@@ -15,8 +15,9 @@ when --out is missing). Exit codes: 0 success, 2 configuration or file
 error (an invalid or unreadable config, an output that cannot be written),
 3 at least one row carries a failed numerical diagnostic (the failing
 rows and their reasons go to stderr). simulate --trajectory resolves the
-operating point once, for the row and the trajectory; a point whose
-evaluation raised writes no trajectory.
+operating point once, for the row and the trajectory, and writes the
+trajectory after the row, so a trajectory path that cannot be written
+still leaves the row; a point whose evaluation raised writes no trajectory.
 
 The numeric layers (sweep, lindblad and numpy under them) load only once the
 config is valid, so --help, usage errors and config errors start fast. main
@@ -116,16 +117,13 @@ def main(argv=None) -> int:
         else:
             row, op = sweep._evaluate(cfg)
             result = sweep.SweepResult(rows=(row,), config=cfg)
-        trajectory = cfg.mode == "simulate" and cfg.trajectory_out and op is not None
-        if trajectory:
-            _write_trajectory(cfg, op, cfg.trajectory_out)
-
         text = sweep.emit_results(result, cfg.out, cfg.format)
         if cfg.out is None:
             sys.stdout.write(text)
         else:
             print(f"wrote {len(result.rows)} row(s) to {cfg.out} ({cfg.format})")
-        if trajectory:
+        if cfg.mode == "simulate" and cfg.trajectory_out and op is not None:
+            _write_trajectory(cfg, op, cfg.trajectory_out)
             print(f"wrote trajectory to {cfg.trajectory_out}")
 
         if result.any_failed:

@@ -13,10 +13,11 @@ tolerance is fixed in sweep and is not a key.
 Two keys take structured values:
 
 * initial_cavity: "vacuum" (default), {"kind": "coherent", "alpha":
-  [re, im]} (or a bare number), or {"kind": "thermal", "n_bar": x,
-  "samples": k}. extract_channel gives the thermal channel exactly, in
-  closed form, so "samples" is validated but has no effect; so is the
-  top-level "seed" key.
+  [re, im]} (or a bare number), or {"kind": "thermal", "n_bar": x}.
+  extract_channel gives the thermal channel exactly, in closed form, so a
+  thermal "samples" (once a Monte-Carlo count) is checked to be a positive
+  integer, then dropped and not echoed; the top-level "seed" key is
+  validated but has no effect either.
 * axes: {parameter: [v1, v2, ...]} or {parameter: {"start": a, "stop": b,
   "num": k, "spacing": "linear"|"log"}}; parameters must be sweepable
   scalars (see SWEEPABLE_KEYS).
@@ -118,9 +119,9 @@ def _parse_cavity(value, path) -> CavityPrep:
             raise ConfigError(f"{path}: unknown keys {extra} for thermal preparation")
         n_bar = _require_number(value.get("n_bar", CavityPrep.n_bar), f"{path}.n_bar",
                                 nonnegative=True)
-        samples = _require_number(value.get("samples", CavityPrep.samples),
-                                  f"{path}.samples", integer=True, positive=True)
-        return CavityPrep.thermal(n_bar, samples)
+        if "samples" in value:  # checked, then dropped (module docstring)
+            _require_number(value["samples"], f"{path}.samples", integer=True, positive=True)
+        return CavityPrep.thermal(n_bar)
     raise ConfigError(
         f'{path}.kind: expected "coherent" or "thermal", got {kind!r}'
     )
@@ -242,7 +243,7 @@ class RunConfig:
         elif cav.kind == "coherent":
             cav_repr = {"kind": "coherent", "alpha": [cav.alpha.real, cav.alpha.imag]}
         else:
-            cav_repr = {"kind": "thermal", "n_bar": cav.n_bar, "samples": cav.samples}
+            cav_repr = {"kind": "thermal", "n_bar": cav.n_bar}
         out = {k: getattr(self, k) for k in _FIELDS if k not in ("initial_cavity", "axes")}
         out["initial_cavity"] = cav_repr
         out["axes"] = {name: list(values) for name, values in self.axes} or None

@@ -265,14 +265,13 @@ class StepPolicy:
 class CavityPrep:
     """Initial cavity state: vacuum, coherent(alpha), or thermal(n_bar).
 
-    lindblad.extract_channel takes every kind, a thermal one in closed form,
-    so samples is checked but has no effect. alpha and n_bar must be finite,
-    and each is 0 unless the kind is coherent or thermal, respectively."""
+    lindblad.extract_channel takes every kind, a thermal one in closed form.
+    alpha and n_bar must be finite, and each is 0 unless the kind is coherent
+    or thermal, respectively."""
 
     kind: str = "vacuum"
     alpha: complex = 0j
     n_bar: float = 0.0
-    samples: int = 64
 
     def __post_init__(self):
         if self.kind not in ("vacuum", "coherent", "thermal"):
@@ -285,8 +284,6 @@ class CavityPrep:
             raise DomainError(f"a {self.kind} cavity needs alpha = 0, got {self.alpha}")
         if self.n_bar and self.kind != "thermal":
             raise DomainError(f"a {self.kind} cavity needs n_bar = 0, got {self.n_bar}")
-        if self.samples < 1:
-            raise DomainError(f"samples must be >= 1, got {self.samples}")
 
     @classmethod
     def vacuum(cls) -> "CavityPrep":
@@ -296,6 +293,6 @@ class CavityPrep:
     def coherent(cls, alpha: complex) -> "CavityPrep":
         return cls(kind="coherent", alpha=complex(alpha))
 
-    @classmethod  # samples defaults to the field's default above
-    def thermal(cls, n_bar: float, samples: int = samples) -> "CavityPrep":
-        return cls(kind="thermal", n_bar=n_bar, samples=samples)
+    @classmethod
+    def thermal(cls, n_bar: float) -> "CavityPrep":
+        return cls(kind="thermal", n_bar=n_bar)

@@ -439,7 +439,6 @@ def polaron_residual(
     t_samples,
     *,
     n_ph: int | None = None,
-    policy: StepPolicy = StepPolicy(),
 ) -> float:
     """Max weight the cavity misses on the coherent paths of the qubit branches.
 
@@ -450,8 +449,8 @@ def polaron_residual(
 
         residual(t) = 1 - sum_i <phi_i| r_ii |phi_i> / Tr[rho].
 
-    At least one sample time is needed. Each is snapped to the policy's step
-    grid (consistently with the amplitude of phi_i).
+    At least one sample time is needed. Each is snapped to the default step
+    grid StepPolicy() (consistently with the amplitude of phi_i).
     Returns the maximum residual over the samples: the largest of
     trajectory_rows' polaron_residual column over those steps, at the same
     n_ph (with n_ph None both take the lab-frame size choose_n_ph(_reach)).
@@ -459,8 +458,8 @@ def polaron_residual(
     ts = np.atleast_1d(np.asarray(t_samples, dtype=float))
     if not (ts.size and np.all((ts >= 0) & (ts <= params.t_g_ns * (1 + 1e-12)))):
         raise DomainError("need one or more sample times, all in [0, t_g]")
-    rows = trajectory_rows(params, 0.0, 0.0, n_ph=n_ph, policy=policy)
-    _, dt = policy.resolve(params.t_g_ns)
+    rows = trajectory_rows(params, 0.0, 0.0, n_ph=n_ph)
+    _, dt = StepPolicy().resolve(params.t_g_ns)
     return max(rows[int(round(t / dt))]["polaron_residual"] for t in ts)
 
 

@@ -166,17 +166,6 @@ def optimal_drive(
     )
 
 
-def infidelity_first_order(gamma_phi: float, kappa: float, t_g: float, n: int) -> float:
-    """First-order infidelity (4/5)(gamma_phi*t_g + kappa*t_g/(2n)).
-
-    Valid when both exponents are small (not enforced); rates in 1/s and
-    t_g in seconds, or any consistent pairing.
-    """
-    if not (isinstance(n, int) and n >= 1):
-        raise DomainError(f"loop count n must be a positive integer, got {n!r}")
-    return 0.8 * (gamma_phi * t_g + kappa * t_g / (2.0 * n))
-
-
 def infidelity_power_law(
     noise: NoiseSpec,
     res: ResonatorSpec,
@@ -188,9 +177,11 @@ def infidelity_power_law(
         1 - F ~ (2^(1+beta)/5) (n/beta)^(beta/2) (1-beta)^((beta-1)/2)
                 * sqrt(S_eps*eta) / (c_r sqrt(hbar Z_r) Q^((1-beta)/2) omega_r^((1+beta)/2))
 
-    This is the first-order infidelity evaluated exactly at the closed-form
-    optimum (same unit calibration as dephasing_rate), so it matches
-    infidelity_first_order there to rounding. Rejects n = 1: with a single
+    This is the first-order infidelity (4/5)(gamma t_g + kappa t_g/2n) at the
+    unclamped closed-form optimum of optimal_drive (same unit calibration as
+    dephasing_rate), with gamma the linearized rate gamma_phi_0 (1 + y^2/4),
+    y = eps_d/eps_a, that optimal_drive's optima are stationary for; it
+    matches that to rounding. Rejects n = 1: with a single
     phase-space loop the optimal drive regime collides with the validity
     limits of the expansion, so the scaling form does not apply.
     """

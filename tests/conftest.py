@@ -67,6 +67,12 @@ def kraus_intrinsic_dephasing(gamma_1: float, gamma_2: float, t: float) -> TwoQu
     return TwoQubitChannel.from_kraus(math.sqrt(w) * op for w, op in weights_ops)
 
 
+def b_simplified(g: float, kappa: float, n: int) -> float:
+    """Leading-order b at the schedule point, exp(-pi kappa/(2 g sqrt(n))): the
+    small-kappa limit of b_factor, which drops the residual-entanglement term."""
+    return math.exp(-math.pi * kappa / (2.0 * g * math.sqrt(n)))
+
+
 def make_params(
     g_rad_ns: float, kappa_per_ns: float, n: int = 2, delta_sign: int = 1,
     g2_over_g1: float = 1.0,

@@ -28,7 +28,6 @@ from resgate import (
     analytic_gate_channel,
     average_gate_fidelity,
     b_factor,
-    b_factor_simplified,
     correlated_dephasing_channel,
     extract_channel,
     gate_target,
@@ -40,6 +39,7 @@ from resgate.config import config_from_dict
 from resgate.sweep import evaluate_point, render_csv, run_sweep
 
 from conftest import (
+    b_simplified,
     entanglement_fidelity_product_basis,
     kraus_correlated_dephasing,
     kraus_intrinsic_dephasing,
@@ -206,7 +206,7 @@ def test_06_b_factor_consistency():
     for kod in np.geomspace(1e-3, 1e-1, 13):
         kappa = float(kod * p0.delta_rad_ns)
         b, _, _ = b_factor(0.35, p0.delta_rad_ns, kappa, p0.t_g_ns)
-        bs = b_factor_simplified(0.35, kappa, 2)
+        bs = b_simplified(0.35, kappa, 2)
         assert abs(b - bs) / bs < 3.0 * kod
 
 

@@ -12,12 +12,10 @@ from scipy.integrate import quad, solve_ivp
 
 from resgate import (
     TwoQubitChannel,
-    accumulated_entangling_phase,
     alpha_closed_form,
     analytic_avg_fidelity,
     analytic_gate_channel,
     b_factor,
-    b_factor_simplified,
     correlated_dephasing_channel,
     drive_frame_displacement,
     entanglement_fidelity,
@@ -29,7 +27,12 @@ from resgate import (
 )
 from resgate.errors import DomainError, NonPhysicalChannelError
 
-from conftest import kraus_correlated_dephasing, kraus_intrinsic_dephasing, make_params
+from conftest import (
+    b_simplified,
+    kraus_correlated_dephasing,
+    kraus_intrinsic_dephasing,
+    make_params,
+)
 
 
 def test_alpha_solves_its_ode():
@@ -61,30 +64,25 @@ def test_drive_frame_displacement_is_rotated_alpha():
     assert abs(ad) == pytest.approx(abs(a), abs=1e-15)
 
 
-def test_entangling_phase_closed_form_vs_quadrature():
-    g, delta, kappa = 0.35, 0.9899494936611665, 1.021e-3
+def _entangling_phase(p) -> float:
+    """ZZ phase by t_g: d(phi)/dt = -g Re A(t), A the drive-frame displacement,
+    integrated by quadrature."""
+    g, delta, kappa = p.g_geom_rad_ns, p.delta_rad_ns, p.kappa_per_ns
 
-    def integrand(t):
+    def rate(t):
         return -g * drive_frame_displacement(g, delta, kappa, t).real
 
-    for t_end in (3.0, 7.0, 12.6953125):
-        num, _ = quad(integrand, 0.0, t_end, limit=400)
-        assert accumulated_entangling_phase(g, delta, kappa, t_end) == pytest.approx(
-            num, abs=1e-10
-        )
+    phi, err = quad(rate, 0.0, p.t_g_ns, limit=400, epsabs=1e-14, epsrel=1e-14)
+    assert err < 1e-12
+    return phi
 
 
 def test_entangling_phase_hits_quarter_pi_at_schedule():
-    p = make_params(0.35, 0.0, n=2)
-    phi = accumulated_entangling_phase(
-        p.g_geom_rad_ns, p.delta_rad_ns, 0.0, p.t_g_ns
-    )
+    phi = _entangling_phase(make_params(0.35, 0.0, n=2))
     assert phi == pytest.approx(math.pi / 4.0, rel=1e-12)
     # with loss the phase falls short by ~3 kappa^2/delta^2 (relative)
     p2 = make_params(0.35, 1e-3, n=2)
-    phi2 = accumulated_entangling_phase(
-        p2.g_geom_rad_ns, p2.delta_rad_ns, p2.kappa_per_ns, p2.t_g_ns
-    )
+    phi2 = _entangling_phase(p2)
     rel = (math.pi / 4.0 - phi2) / (math.pi / 4.0)
     expected = 3.0 * (p2.kappa_per_ns / p2.delta_rad_ns) ** 2
     assert rel == pytest.approx(expected, rel=0.05)
@@ -128,7 +126,7 @@ def test_b_factor_simplified_direction():
     for kod in (1e-3, 1e-2, 5e-2):
         kappa = kod * p.delta_rad_ns
         b, _, _ = b_factor(g, p.delta_rad_ns, kappa, p.t_g_ns)
-        bs = b_factor_simplified(g, kappa, n)
+        bs = b_simplified(g, kappa, n)
         assert abs(b - bs) / bs < 3.0 * kod
 
 
@@ -300,7 +298,7 @@ def test_channel_validate_rejects_non_hermitian_coherence():
         chan.validate()
     assert err.value.tp_defect == 0.0
     assert err.value.choi_eigenvalues[0] == pytest.approx(0.75, abs=1e-14)
-    # a skew within tp_tol is rounding, not a defect
+    # a skew within the 1e-10 tolerance is rounding, not a defect
     c[0, 1], c[1, 0] = 0.5j, -0.5j + 1e-12
     TwoQubitChannel(c).validate()
 

@@ -81,6 +81,9 @@ def test_unknown_key_is_named():
         # an axis value passes the rule of its scalar key
         ({"axes": {"q_factor": [1e4, -1.0]}}, "axes.q_factor"),
         ({"axes": {"n": [2.5]}}, "axes.n"),
+        # a thermal samples is checked, then dropped
+        ({"initial_cavity": {"kind": "thermal", "n_bar": 0.1, "samples": 0}},
+         "initial_cavity.samples"),
     ],
 )
 def test_rejections_carry_the_offending_path(payload, fragment):
@@ -547,8 +550,12 @@ def test_thermal_row_is_the_seeded_thermal_average():
     target = ideal_gate_unitary(math.copysign(math.pi / 4.0, op.params.delta_rad_ns))
     assert row.f_numeric == average_gate_fidelity(chan, target, validate=False)
     assert row.diagnostics["n_ph"] == diag.n_ph
-    other = replace(cfg, seed=9, initial_cavity=CavityPrep.thermal(0.2, samples=50))
+    other = config_from_dict({"numeric": True, "refine": False, "seed": 9,
+                              "initial_cavity": {**_THERMAL, "samples": 50}}, source="t")
+    assert other.initial_cavity == CavityPrep.thermal(0.2)
     assert evaluate_point(other) == row
+    # samples is checked, then dropped: the config echo does not carry it
+    assert other.to_json_dict()["initial_cavity"] == {"kind": "thermal", "n_bar": 0.2}
 
 
 @pytest.mark.parametrize(
@@ -720,6 +727,13 @@ def test_cli_file_errors_exit_2(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(named) in err, err
     assert len(err.strip().split("\n")) == 1
+    if case == "trajectory":
+        # the rows are emitted before the trajectory, so they survive its error
+        plain = tmp_path / "plain.csv"
+        assert main(["simulate", "--out", str(plain)]) == 0
+        header, _ = (tmp_path / "o.csv").read_text().strip().split("\n")
+        assert header == ",".join(CSV_COLUMNS)
+        assert (tmp_path / "o.csv").read_bytes() == plain.read_bytes()
 
 
 def test_cli_rejects_a_thermal_trajectory_before_any_work(tmp_path, capsys, monkeypatch):

@@ -248,6 +248,30 @@ def _steady_states(p):
     return -0.5j * np.array(_branch_lams(p)) / complex(p.kappa_per_ns, p.delta_rad_ns)
 
 
+def _block_classes(lam):
+    """For each block (i, j) of lindblad._UPPER: ((lam_a, lam_b), flip, conj),
+    the traces of block (i, j) being those of a block with amplitudes
+    (lam_a, lam_b) from the start at -alpha if flip, conjugated if conj.
+
+    Parity Pi = (-1)^n is exact on the truncated space (Pi a Pi = -a), so
+    Pi L(lam_i, lam_j)[r] Pi = L(-lam_i, -lam_j)[Pi r Pi], and Pi|alpha> =
+    |-alpha>; from a Hermitian start r_ji = r_ij^dag. So one propagator per
+    class serves blocks (lam_i, lam_j), (-lam_i, -lam_j) and their swaps,
+    in the lab frame and in any frame shift lam (b_i = shift lam_i) alike."""
+    classes = []
+    for i, j in lindblad._UPPER:
+        li, lj = lam[i], lam[j]
+        seen = {key for key, _, _ in classes}
+        for key, flip, conj in (((li, lj), False, False), ((-li, -lj), True, False),
+                                ((lj, li), False, True), ((-lj, -li), True, True)):
+            if key in seen:
+                break
+        else:
+            key, flip, conj = (li, lj), False, False
+        classes.append((key, flip, conj))
+    return classes
+
+
 def _dense_displacement(n_ph, delta, room=40):
     """<m|D(delta)|n> on n_ph levels, from expm in a space room levels larger."""
     from scipy.linalg import expm
@@ -270,28 +294,28 @@ def _dense_coherence(p, gamma_1, gamma_2, n_ph, alphas, shift=0j):
     expm(L(lam_i, lam_j) t_g) from its own start in the frame of shift: no
     stepping and no closed form used. The trace is read as
     Tr[r' D(b_j)^dag D(b_i)], the displacements taken from a larger space.
-    Neither the propagator nor the readout depends on the start, and blocks
-    of equal (lam_i, lam_j) share both, so each is computed once."""
+    Neither the propagator nor the readout depends on the start, and the
+    blocks of one class of _block_classes share both, so each is computed
+    once, from the starts at +-alpha."""
     from scipy.linalg import expm
 
-    lam = _branch_lams(p)
     coh = np.zeros((len(alphas), 4, 4), dtype=complex)
     traces = {}
-    for i in range(4):
-        for j in range(i, 4):
-            if (lam[i], lam[j]) not in traces:
-                b_i, b_j = shift * lam[i], shift * lam[j]
-                block = expm(_dense_block_generator(p, n_ph, lam[i], lam[j], shift) * p.t_g_ns)
-                starts = np.array([_displaced_start(n_ph, alpha, b_i, b_j).reshape(-1)
-                                   for alpha in alphas])
-                finals = (starts @ block.T).reshape(-1, n_ph, n_ph)
-                frame = (_dense_displacement(n_ph + 40, -b_j)
-                         @ _dense_displacement(n_ph + 40, b_i))[:n_ph, :n_ph]
-                traces[lam[i], lam[j]] = np.einsum("amn,nm->a", finals, frame)
-            rate = 1e-9 * sum(g for g, si, sj in zip((gamma_1, gamma_2), _BRANCHES[i],
-                                                      _BRANCHES[j]) if si != sj)
-            coh[:, i, j] = math.exp(-rate * p.t_g_ns) * traces[lam[i], lam[j]]
-            coh[:, j, i] = np.conj(coh[:, i, j])
+    for (i, j), (key, flip, conj) in zip(lindblad._UPPER, _block_classes(_branch_lams(p))):
+        if key not in traces:
+            b_i, b_j = shift * key[0], shift * key[1]
+            block = expm(_dense_block_generator(p, n_ph, *key, shift) * p.t_g_ns)
+            starts = np.array([_displaced_start(n_ph, sign * alpha, b_i, b_j).reshape(-1)
+                               for sign in (1, -1) for alpha in alphas])
+            finals = (starts @ block.T).reshape(2, len(alphas), n_ph, n_ph)
+            frame = (_dense_displacement(n_ph + 40, -b_j)
+                     @ _dense_displacement(n_ph + 40, b_i))[:n_ph, :n_ph]
+            traces[key] = np.einsum("samn,nm->sa", finals, frame)
+        trace = traces[key][int(flip)]
+        rate = 1e-9 * sum(g for g, si, sj in zip((gamma_1, gamma_2), _BRANCHES[i],
+                                                  _BRANCHES[j]) if si != sj)
+        coh[:, i, j] = math.exp(-rate * p.t_g_ns) * (trace.conj() if conj else trace)
+        coh[:, j, i] = np.conj(coh[:, i, j])
     return coh
 
 
@@ -564,19 +588,19 @@ def test_displaced_frame_agrees_with_the_lab_frame(g2_over_g1, delta_sign, kappa
 
     def lab(n_ph):
         # Tr r_ij(t_g) of each block, from both cavity starts, with one dense
-        # expm per distinct amplitude pair (lam_i, lam_j)
+        # expm per class of _block_classes, applied to the starts at +-alpha
         from scipy.linalg import expm
 
-        lam = _branch_lams(p)
-        starts = np.array([_displaced_start(n_ph, alpha, 0j, 0j).reshape(-1)
-                           for alpha in alphas])
-        props, traces = {}, []
-        for i, j in lindblad._UPPER:
-            if (lam[i], lam[j]) not in props:
-                props[lam[i], lam[j]] = expm(
-                    _dense_block_generator(p, n_ph, lam[i], lam[j]) * p.t_g_ns)
-            final = (starts @ props[lam[i], lam[j]].T).reshape(-1, n_ph, n_ph)
-            traces.append(np.trace(final, axis1=1, axis2=2))
+        starts = np.array([_displaced_start(n_ph, sign * alpha, 0j, 0j).reshape(-1)
+                           for sign in (1, -1) for alpha in alphas])
+        by_class, traces = {}, []
+        for key, flip, conj in _block_classes(_branch_lams(p)):
+            if key not in by_class:
+                prop = expm(_dense_block_generator(p, n_ph, *key) * p.t_g_ns)
+                final = (starts @ prop.T).reshape(2, len(alphas), n_ph, n_ph)
+                by_class[key] = np.trace(final, axis1=2, axis2=3)
+            trace = by_class[key][int(flip)]
+            traces.append(trace.conj() if conj else trace)
         return np.array(traces).T
 
     def dense(n_ph, frame):
@@ -672,18 +696,20 @@ def test_closed_form_readout_matches_dense_expm(g2_over_g1, delta_sign, kappa, n
     psi = lindblad._branch_kets(frame[0], alpha, n_ph)
     times = (dt, p.t_g_ns)
     traces = [lindblad._readout(p, frame, psi, alpha, t) for t in times]
-    refs = {}  # per (lam_i, lam_j): its start, generator and readout do not depend on t
-    for u, (i, j) in enumerate(lindblad._UPPER):
-        if (lam[i], lam[j]) not in refs:
-            b_i, b_j = shift * lam[i], shift * lam[j]
-            start = _displaced_start(n_ph, alpha, b_i, b_j).reshape(-1)
-            generator = _dense_block_generator(p, n_ph, lam[i], lam[j], shift)
+    refs = {}  # per class of _block_classes, from the starts at +-alpha and per time
+    for u, (key, flip, conj) in enumerate(_block_classes(lam)):
+        if key not in refs:
+            b_i, b_j = shift * key[0], shift * key[1]
+            starts = np.array([_displaced_start(n_ph, sign * alpha, b_i, b_j).reshape(-1)
+                               for sign in (1, -1)])
+            generator = _dense_block_generator(p, n_ph, *key, shift)
             readout = (_dense_displacement(n_ph + 40, -b_j)
                        @ _dense_displacement(n_ph + 40, b_i))[:n_ph, :n_ph]
-            refs[lam[i], lam[j]] = [np.trace((expm(generator * t) @ start).reshape(n_ph, n_ph)
-                                             @ readout) for t in times]
-        for t, trace, ref in zip(times, traces, refs[lam[i], lam[j]]):
-            assert abs(trace[u] - ref) < 1e-12, (t, i, j)
+            refs[key] = [np.einsum("smn,nm->s", (starts @ expm(generator * t).T)
+                                   .reshape(2, n_ph, n_ph), readout) for t in times]
+        for t, trace, ref in zip(times, traces, refs[key]):
+            ref = ref[int(flip)].conj() if conj else ref[int(flip)]
+            assert abs(trace[u] - ref) < 1e-12, (t, lindblad._UPPER[u])
 
 
 def test_extract_channel_guard_is_max_over_gate():
@@ -993,7 +1019,7 @@ def test_extract_channel_does_not_run_a_thermal_cavity_as_vacuum():
     # which moves the off-diagonal entries here by up to ~2.7e-3
     p = make_params(0.7, 5e-2, n=2)
     vac = extract_channel(p, 1e6, 2e6, n_ph=6)[0].coherence
-    chan, _ = extract_channel(p, 1e6, 2e6, CavityPrep.thermal(0.1, samples=2), n_ph=6)
+    chan, _ = extract_channel(p, 1e6, 2e6, CavityPrep.thermal(0.1), n_ph=6)
     z = complex(p.kappa_per_ns, p.delta_rad_ns)
     beta = lindblad._steady_shift(p) * np.array(_branch_lams(p))
     kernel = np.exp(-0.1 * abs(1.0 - cmath.exp(-z * p.t_g_ns)) ** 2
@@ -1007,7 +1033,7 @@ def test_trajectory_rows_rejects_a_thermal_cavity():
     # which the lab-frame path must not run as vacuum
     p = make_params(0.7, 1e-3, n=2)
     with pytest.raises(DomainError, match="thermal"):
-        trajectory_rows(p, 0.0, 0.0, CavityPrep.thermal(0.1, samples=2), n_ph=6)
+        trajectory_rows(p, 0.0, 0.0, CavityPrep.thermal(0.1), n_ph=6)
 
 
 @pytest.mark.parametrize("n_ph", [True, 1.5, 1, 0, -3], ids=str)
@@ -1060,8 +1086,6 @@ def test_cavity_prep_validation():
         CavityPrep.thermal(-0.1)
     with pytest.raises(DomainError):
         CavityPrep(kind="squeezed")
-    with pytest.raises(DomainError):
-        CavityPrep.thermal(0.1, samples=0)
     for n_bar in (math.nan, math.inf):
         with pytest.raises(DomainError, match="n_bar"):
             CavityPrep.thermal(n_bar)

@@ -16,14 +16,14 @@ PUBLIC_NAMES = frozenset({
     "NoiseSpec", "NonPhysicalChannelError",
     "OperatingPoint", "OptimalDrive", "QubitTuning", "ResonatorSpec", "RunConfig",
     "SimDiagnostics", "StepPolicy", "SweepResult", "SweepRow", "TwoQubitChannel",
-    "accumulated_entangling_phase", "alpha_closed_form", "analytic_avg_fidelity",
-    "analytic_gate_channel", "average_gate_fidelity", "b_factor", "b_factor_simplified",
+    "alpha_closed_form", "analytic_avg_fidelity",
+    "analytic_gate_channel", "average_gate_fidelity", "b_factor",
     "cavity_decay", "choose_n_ph", "config_from_dict", "correlated_dephasing_channel",
     "coupling_strengths", "dephasing_rate", "derive_gate_params",
     "drive_frame_displacement", "emit_results", "entanglement_fidelity",
     "evaluate_point", "extract_channel",
     "gate_schedule", "gate_target", "hahn_eta", "ideal_gate_unitary",
-    "infidelity_first_order", "infidelity_power_law", "intrinsic_dephasing_channel",
+    "infidelity_power_law", "intrinsic_dephasing_channel",
     "load_config", "load_results", "optimal_drive", "photon_voltage", "polaron_residual",
     "resolve_operating_point", "run_sweep", "textbook_cphase_decomposition",
     "trajectory_rows",
