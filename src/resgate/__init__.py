@@ -66,7 +66,6 @@ from .noise import (
 _LAZY = {
     "channel": (
         "TwoQubitChannel",
-        "alpha_closed_form",
         "analytic_avg_fidelity",
         "analytic_gate_channel",
         "b_factor",

@@ -30,6 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -149,17 +150,15 @@ def gate_target(params, alpha: complex = 0j) -> np.ndarray:
 
     The ZZ phase pi/4 takes the sign of Delta, as the loops run the other way
     round when Delta < 0. A start alpha then adds the phase
-    v_k = exp(2i Im(alpha lam_k A)) on branch k, lam_k = g1 s1 + g2 s2, with
-    A = drive_frame_displacement(1, Delta, kappa, t_g) the loop's leftover
-    amplitude per unit lam at the end of the gate: the alpha terms of log C_ij
-    sum to 2i Im(alpha (beta_i - beta_j)(1 - e^{-z t_g})), beta_k = -i lam_k / 2z,
-    z = kappa + i Delta (Gambetta et al., PRA 74, 042318 (2006)). That is
-    linear in (s1, s2), a local Z rotation, and v = 1 where a lossless loop
-    closes.
+    v_k = exp(2i Im(alpha lam_k A)) on branch k, with lam_k A =
+    beta_k (1 - e^{-z t_g}) the loop's leftover amplitude at the end of the
+    gate (_loops): the alpha terms of log C_ij sum to
+    2i Im(alpha (beta_i - beta_j)(1 - e^{-z t_g})). That is linear in
+    (s1, s2), a local Z rotation, and v = 1 where a lossless loop closes.
     """
     u = ideal_gate_unitary(math.copysign(math.pi / 4, params.delta_rad_ns))
-    a = drive_frame_displacement(1.0, params.delta_rad_ns, params.kappa_per_ns, params.t_g_ns)
-    return u * np.exp(2j * (alpha * a * _branch_couplings(params)).imag)
+    z, beta = _loops(params)
+    return u * np.exp(2j * (alpha * beta * (1.0 - cmath.exp(-z * params.t_g_ns))).imag)
 
 
 def textbook_cphase_decomposition() -> tuple[np.ndarray, np.ndarray]:
@@ -173,52 +172,48 @@ def textbook_cphase_decomposition() -> tuple[np.ndarray, np.ndarray]:
     return np.exp(1j * np.pi / 4) * ideal_gate_unitary(np.pi / 4) * local, local
 
 
-def alpha_closed_form(g: float, delta: float, kappa: float, t):
-    """Cavity displacement per unit sigma_z eigenvalue at time t.
+def _loops(params) -> tuple[complex, np.ndarray]:
+    """z = kappa + i Delta and the steady state beta_k = -i lam_k / 2z of each
+    branch's loop, lam_k = g1 s1 + g2 s2 (rad/ns, 1/ns).
 
-        alpha(t) = -(g/2) * (e^{-kappa t} - e^{i delta t}) / (i delta + kappa)
-
-    (hbar = 1; g in rad/ns, delta in rad/ns, kappa in 1/ns, t in ns, scalar
-    or array). Solves d(alpha)/dt = -kappa*alpha + (g/2) e^{i delta t} with
-    alpha(0) = 0. At kappa = 0 this is i(g/2 delta)(1 - e^{i delta t}), which
-    vanishes whenever delta*t is a multiple of 2*pi — the loop-closing
-    (disentangling) points.
+    Branch k, started from the vacuum, holds beta_k (1 - e^{-z t}) in the
+    frame of the drive (the coherent-branch picture of Gambetta et al.,
+    PRA 74, 042318 (2006)): a circle about beta_k that shrinks as e^{-kappa t}.
     """
-    if delta == 0.0 and kappa == 0.0:
-        raise DomainError("alpha is unbounded at delta = kappa = 0 (resonant lossless drive)")
-    val = _alpha(g, delta, kappa, np.asarray(t, dtype=float), np)
-    return val if val.ndim else complex(val)
-
-
-def _alpha(g: float, delta: float, kappa: float, t, xp):
-    """The alpha_closed_form expression with exp taken from ``xp``: numpy for
-    arrays, cmath for one float (as b_factor needs, without 0-d arrays)."""
-    return -(g / 2.0) * (xp.exp(-kappa * t) - xp.exp(1j * delta * t)) / (1j * delta + kappa)
+    z = complex(params.kappa_per_ns, params.delta_rad_ns)
+    return z, (-0.5j / z) * _branch_couplings(params)
 
 
 def drive_frame_displacement(g: float, delta: float, kappa: float, t):
-    """alpha in the frame of the time-independent gate Hamiltonian.
+    """Cavity displacement per unit sigma_z eigenvalue at time t, in the frame
+    of the time-independent gate Hamiltonian (which rotates at the drive):
 
-    The simulation Hamiltonian is written in the frame rotating at the drive
-    frequency, where the coherent-state amplitude is
+        alpha_d(t) = -i (g/2z) (1 - e^{-z t}),   z = kappa + i delta,
 
-        alpha_d(t) = -i e^{-i delta t} alpha(t)
-                   = -i (g/2) (1 - e^{-(i delta + kappa) t}) / (i delta + kappa).
-
-    This is the amplitude the cavity actually holds in the simulation frame
-    (per unit sigma_z eigenvalue); use it for polaron-frame checks.
+    beta (1 - e^{-z t}) of _loops with one branch driven at g (hbar = 1; g in
+    rad/ns, delta in rad/ns, kappa in 1/ns, t in ns, scalar or array). It
+    solves d(alpha_d)/dt = -z alpha_d - i g/2 with alpha_d(0) = 0, and at
+    kappa = 0 it vanishes whenever delta*t is a multiple of 2*pi, the
+    loop-closing (disentangling) points. This is the amplitude the cavity
+    holds in the simulation frame; use it for polaron-frame checks.
     """
-    t = np.asarray(t, dtype=float)
-    val = -1j * np.exp(-1j * delta * t) * alpha_closed_form(g, delta, kappa, t)
+    if delta == 0.0 and kappa == 0.0:
+        raise DomainError("alpha is unbounded at delta = kappa = 0 (resonant lossless drive)")
+    z, beta = _loops(SimpleNamespace(kappa_per_ns=kappa, delta_rad_ns=delta,
+                                     g1_rad_ns=g, g2_rad_ns=0.0))
+    val = beta[0] * (1.0 - np.exp(-z * np.asarray(t, dtype=float)))
     return val if val.ndim else complex(val)
 
 
 def b_factor(g: float, delta: float, kappa: float, t_g: float) -> tuple[float, float, float]:
     """Correlated-dephasing factor b(t_g) and its loss/entanglement split.
 
-        b = exp(-4 kappa \\int_0^{t_g} |alpha|^2 dt - 2 |alpha(t_g)|^2) = b_l * b_e
+        b = exp(-4 kappa \\int_0^{t_g} |alpha|^2 dt - 2 |alpha(t_g)|^2) = b_l * b_e,
+        alpha(t) = -(g/2) (e^{-kappa t} - e^{i delta t}) / (i delta + kappa),
 
-    computed from the closed-form antiderivative (no quadrature). b_l
+    the displacement per unit sigma_z eigenvalue in the lab frame (the
+    paper's form; drive_frame_displacement has the same modulus), computed
+    from the closed-form antiderivative (no quadrature). b_l
     collects the photon-loss (which-path emission) term, b_e the residual
     entanglement with the unclosed loop; at a lossless schedule point both
     are 1. In the small-kappa/delta limit b ~ exp(-pi*kappa/(2 g sqrt(n))).
@@ -242,7 +237,9 @@ def b_factor(g: float, delta: float, kappa: float, t_g: float) -> tuple[float, f
         int_term = 4.0 * kappa * (gsq / (4.0 * d2)) * (i_exp - 2.0 * i_cos + t_g)
     else:
         int_term = 0.0
-    ent_term = 2.0 * abs(_alpha(g, delta, kappa, t_g, cmath)) ** 2
+    alpha = (-(g / 2.0) * (cmath.exp(-kappa * t_g) - cmath.exp(1j * delta * t_g))
+             / (1j * delta + kappa))
+    ent_term = 2.0 * abs(alpha) ** 2
     b_l = math.exp(-int_term)
     b_e = math.exp(-ent_term)
     return b_l * b_e, b_l, b_e

@@ -7,7 +7,9 @@ Subcommands:
              (Z_r, Q); add --numeric for master-equation verification
   simulate   one point with the master-equation oracle; optionally dump a
              state trajectory CSV via --trajectory
-  sweep      Cartesian product of the config's axes (optionally --numeric)
+  sweep      Cartesian product of the config's axes (optionally --numeric);
+             the other three evaluate one point and reject a config with
+             axes (exit 2)
 
 All subcommands read the same JSON config (--config; defaults apply when
 omitted) and emit the same row schema as CSV or JSON (--out/--format; stdout
@@ -69,10 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _write_trajectory(cfg, op, path: str) -> None:
     from .lindblad import trajectory_rows
 
-    rows = trajectory_rows(
-        op.params, op.gamma_phi, op.gamma_phi, cfg.initial_cavity,
-        n_ph=cfg.n_ph, policy=cfg.step_policy(),
-    )
+    rows = trajectory_rows(op.params, op.gamma_phi, op.gamma_phi, cfg.initial_cavity,
+                           n_ph=cfg.n_ph)
     lines = [",".join(TRAJECTORY_COLUMNS)]
     lines += [
         ",".join(repr(float(row[col])) for col in TRAJECTORY_COLUMNS)
@@ -108,6 +108,9 @@ def main(argv=None) -> int:
             # pure closed-form evaluation: the configured point as-is
             raw.setdefault("refine", False)
         cfg = config_from_dict(raw, source=args.config or "<cli>")
+        if cfg.axes and cfg.mode != "sweep":
+            raise ConfigError(f"axes: {cfg.mode} evaluates one point; run the axes "
+                              f"with sweep, or drop them")
 
         from . import sweep
 

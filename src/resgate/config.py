@@ -3,7 +3,7 @@
 The config is a single flat JSON object; every key is optional and the
 empty object gives RunConfig's defaults, the reference operating point.
 Keys carry their units in the name (omega_r_ghz, eps_a_uev, s_eps_ev2,
-dt_ps, ...). Each key's default and the rule its value must pass live
+...). Each key's default and the rule its value must pass live
 together on its RunConfig field, and every value of a sweep axis passes the
 rule of the scalar key. Unknown keys are rejected by name; bad values are
 rejected with the config path spelled out (e.g. "axes.q_factor[1]").
@@ -34,14 +34,7 @@ from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Any
 
-from .device import (
-    DEFAULT_TOP_LEVEL_THRESHOLD,
-    EXCHANGE_SOFT_MAX_GHZ,
-    EXCHANGE_SOFT_MIN_GHZ,
-    CavityPrep,
-    QubitTuning,
-    StepPolicy,
-)
+from .device import EXCHANGE_SOFT_MAX_GHZ, EXCHANGE_SOFT_MIN_GHZ, CavityPrep, QubitTuning
 from .errors import ConfigError
 from .noise import NoiseSpec
 
@@ -208,14 +201,8 @@ class RunConfig:
     # gate
     n: int = _key(2, _require_number, integer=True, positive=True)
     delta_sign: int = _key(1, _require_number, integer=True)
-    # simulation; n_ph None -> default / amplitude-adaptive; the step grid
-    # serves the trajectory dump only (a channel is one exact propagation)
+    # simulation; n_ph None -> default / amplitude-adaptive
     n_ph: int | None = _key(None, _require_number, integer=True)
-    dt_ps: float = _key(StepPolicy.dt_ns * 1e3, _require_number, positive=True)
-    min_steps: int = _key(StepPolicy.min_steps, _require_number, integer=True, positive=True)
-    max_steps: int = _key(StepPolicy.max_steps, _require_number, integer=True, positive=True)
-    top_level_threshold: float = _key(DEFAULT_TOP_LEVEL_THRESHOLD, _require_number,
-                                      positive=True)
     initial_cavity: CavityPrep = _key(CavityPrep.vacuum(), _parse_cavity)
     # optimizer
     j_min_ghz: float = _key(EXCHANGE_SOFT_MIN_GHZ, _require_number, positive=True)
@@ -229,11 +216,6 @@ class RunConfig:
     format: str = _key("csv", _require_choice, allowed=FORMATS)
     seed: int = _key(0, _require_number, integer=True, nonnegative=True)  # no effect
     jobs: int = _key(1, _require_number, integer=True, positive=True)
-
-    def step_policy(self) -> StepPolicy:
-        """The trajectory dump's time grid: dt_ps, clamped to [min_steps, max_steps]."""
-        return StepPolicy(dt_ns=self.dt_ps * 1e-3, min_steps=self.min_steps,
-                          max_steps=self.max_steps)
 
     def to_json_dict(self) -> dict:
         """Flat JSON-serializable echo of the resolved configuration."""
@@ -277,10 +259,6 @@ def config_from_dict(data: dict, *, source: str = "<config>") -> RunConfig:
 
     if cfg.delta_sign not in (1, -1):
         raise ConfigError(f"delta_sign: expected +1 or -1, got {cfg.delta_sign}")
-    if cfg.max_steps < cfg.min_steps:
-        raise ConfigError(
-            f"max_steps: must be >= min_steps ({cfg.min_steps}), got {cfg.max_steps}"
-        )
     if cfg.j_max_ghz <= cfg.j_min_ghz:
         raise ConfigError(
             f"j_max_ghz: must exceed j_min_ghz ({cfg.j_min_ghz}), got {cfg.j_max_ghz}"

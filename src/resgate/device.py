@@ -13,9 +13,12 @@ curvature is J'' = J0/eps_a^2, which is what makes the second-order
 (longitudinal) coupling dominate when the qubit is parked at a symmetric
 point and driven along eps.
 
-The settings of a numeric run that a config names (the initial cavity state
-CavityPrep, the trajectory grid StepPolicy and the guard-level threshold)
-live here too, so that config and the CLI can build them without numpy.
+The initial cavity state CavityPrep lives here too, so that config and the
+CLI can build it without numpy. The lab-frame step grid StepPolicy and the
+guard-level threshold stay beside it, though no config key sets them: the
+package imports StepPolicy eagerly, and that import must not load lindblad
+(and numpy) with it; the threshold is the default SimDiagnostics and
+extract_channel read.
 """
 
 from __future__ import annotations

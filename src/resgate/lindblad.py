@@ -27,8 +27,8 @@ analytic E_q. Every pure start is a coherent state (the vacuum is
 alpha = 0), so each block starts as a dyad of coherent kets.
 
 Channel path (extract_channel): branch i drives the cavity towards its
-steady state beta_i = -i lam_i / (2 (i Delta + kappa))
-(the coherent-branch picture of Gambetta et al., PRA 74, 042318 (2006)).
+steady state beta_i = -i lam_i / (2 (i Delta + kappa)) (channel._loops: the
+coherent-branch picture of Gambetta et al., PRA 74, 042318 (2006)).
 In the branches' displaced frame r'_ij = D(beta_i)^dag r_ij D(beta_j) the
 generator is the undriven damped oscillator L0 plus two lowering terms and
 a scalar (_frame_terms), and L0 shifts each lowering term by a constant
@@ -73,8 +73,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .channel import (TwoQubitChannel, _branch_couplings, _dephasing_rates,
-                      drive_frame_displacement)
+from .channel import TwoQubitChannel, _branch_couplings, _dephasing_rates, _loops
 from .device import DEFAULT_TOP_LEVEL_THRESHOLD, CavityPrep, DerivedGateParams, StepPolicy
 from .errors import DomainError
 
@@ -187,12 +186,6 @@ def _reach(params: DerivedGateParams, alpha: complex = 0j) -> float:
     return max(abs(b) + abs(w - b) for b in (_branch_couplings(params) / (2.0 * h)).tolist())
 
 
-def _steady_shift(params: DerivedGateParams) -> complex:
-    """beta_i / lam_i = -i / (2 (i Delta + kappa)), the same for every branch:
-    the shift that centres each branch's displaced frame on its steady state."""
-    return -0.5j / complex(params.kappa_per_ns, params.delta_rad_ns)
-
-
 def _block_generator(params: DerivedGateParams, n_ph: int):
     """Generator maker for the lab-frame qubit blocks (internal units).
 
@@ -236,7 +229,7 @@ def _frame_terms(params: DerivedGateParams):
     its exponential factorizes into (internal units).
 
     In the frame r' = D(beta_i)^dag r D(beta_j) of the branch steady states
-    beta = -i lam / (2 z), z = kappa + i Delta (_steady_shift), a becomes
+    beta = -i lam / (2 z), z = kappa + i Delta (channel._loops), a becomes
     a + beta on each side, and the generator of _block_generator becomes
 
         L r' = L0 r' + c_a a r' + c_b r' a^dag + s r',
@@ -248,17 +241,17 @@ def _frame_terms(params: DerivedGateParams):
     drive and the a^dag r', r' a terms cancel exactly, so no level feeds the
     one above it, and a diagonal block sees L0 alone: c_a, c_b and s are
     exactly 0 there (Im(beta_i beta_j^*) is taken by real products, as a
-    fused complex product leaves a rounding residue). Returns beta over the
-    branches, and c_a and s over _UPPER; c_b = -c_a^*.
+    fused complex product leaves a rounding residue). Returns z, beta over
+    the branches, and c_a and s over _UPPER; c_b = -c_a^*.
     """
     kappa, delta = params.kappa_per_ns, params.delta_rad_ns
     lam = _branch_couplings(params)
-    beta = _steady_shift(params) * lam
+    z, beta = _loops(params)
     b_i, b_j = beta[_UPPER_I], beta[_UPPER_J]
     energy = (delta * (np.abs(b_i) ** 2 - np.abs(b_j) ** 2)
               + lam[_UPPER_I] * b_i.real - lam[_UPPER_J] * b_j.real)
     loss = -np.abs(b_i - b_j) ** 2 + 2j * (b_i.imag * b_j.real - b_i.real * b_j.imag)
-    return beta, 2.0 * kappa * (b_j - b_i).conj(), -1j * energy + kappa * loss
+    return z, beta, 2.0 * kappa * (b_j - b_i).conj(), -1j * energy + kappa * loss
 
 
 def _branch_kets(beta: np.ndarray, alpha: complex, n_ph: int) -> np.ndarray:
@@ -269,8 +262,7 @@ def _branch_kets(beta: np.ndarray, alpha: complex, n_ph: int) -> np.ndarray:
     return np.exp(1j * (beta.conj() * alpha).imag)[:, None] * _coherent_kets(n_ph, alpha - beta)
 
 
-def _readout(params: DerivedGateParams, frame, psi: np.ndarray, alpha: complex,
-             t: float) -> np.ndarray:
+def _readout(frame, psi: np.ndarray, alpha: complex, t: float) -> np.ndarray:
     """Tr r_ij(t) of every block of _UPPER at time t, in closed form, from the
     branch kets psi of _branch_kets at the coherent start alpha and the terms
     frame of _frame_terms: a (10,) array, dephasing left out.
@@ -304,8 +296,7 @@ def _readout(params: DerivedGateParams, frame, psi: np.ndarray, alpha: complex,
     become exp(y g_k), the untruncated readout.
     """
     n_ph = psi.shape[-1]
-    z = complex(params.kappa_per_ns, params.delta_rad_ns)
-    beta, c_a, s = frame
+    z, beta, c_a, s = frame
     decay = cmath.exp(-z * t)
     delta = beta[_UPPER_I] - beta[_UPPER_J]
     p = delta.conj() * decay - c_a * ((1.0 - decay) / z)
@@ -365,7 +356,7 @@ def extract_channel(
 
     Each block is carried in its branches' displaced frame,
     r'_ij = D(beta_i)^dag r_ij D(beta_j) with beta_i the steady state of
-    branch i (_steady_shift): there the cavity only holds the decaying
+    branch i (channel._loops): there the cavity only holds the decaying
     |alpha - beta_i| e^{-kappa t}, not the whole excursion
     |beta_i| + |alpha - beta_i|, and no level feeds the one above it. With
     n_ph None the space is choose_n_ph(max_i |alpha - beta_i|), from the
@@ -404,15 +395,14 @@ def extract_channel(
     rates = 1e-9 * _dephasing_rates(gamma_1, gamma_2)[_UPPER_I, _UPPER_J]
     t_g = params.t_g_ns
     frame = _frame_terms(params)
-    beta = frame[0]
+    z, beta = frame[:2]
     n_ph = (choose_n_ph(float(np.abs(prep.alpha - beta).max())) if n_ph is None
             else _check_n_ph(n_ph))
     psi = _branch_kets(beta, prep.alpha, n_ph)
     diag = _run_health(float((np.abs(psi[:, -1]) ** 2).max()), 1, t_g, n_ph,
                        top_level_threshold)
-    traces = _readout(params, frame, psi, prep.alpha, t_g)
+    traces = _readout(frame, psi, prep.alpha, t_g)
 
-    z = complex(params.kappa_per_ns, params.delta_rad_ns)
     thermal = np.exp(-prep.n_bar * abs(1.0 - cmath.exp(-z * t_g)) ** 2
                      * np.abs(beta[_UPPER_I] - beta[_UPPER_J]) ** 2)
     coh = np.zeros((4, 4), dtype=complex)
@@ -424,12 +414,12 @@ def extract_channel(
 
 def _polaron_defect(r_diag: np.ndarray, params: DerivedGateParams, t_ns: float) -> float:
     """1 - sum_i <phi_i| r_ii |phi_i> / Tr r over the diagonal blocks r_ii:
-    the weight off the coherent state phi_i = |lam_i A(t)> = D(lam_i A)|0>
-    branch i should hold, A = drive_frame_displacement(1, Delta, kappa, t).
-    phi_i is the truncated, renormalized ket the starts use, so a vacuum
-    start reads exactly 0 at t = 0."""
-    unit = drive_frame_displacement(1.0, params.delta_rad_ns, params.kappa_per_ns, t_ns)
-    phi = _coherent_kets(r_diag.shape[-1], _branch_couplings(params) * unit)
+    the weight off the coherent state phi_i = |beta_i (1 - e^{-z t})> branch
+    i should hold from the vacuum (channel._loops). phi_i is the truncated,
+    renormalized ket the starts use, so a vacuum start reads exactly 0 at
+    t = 0."""
+    z, beta = _loops(params)
+    phi = _coherent_kets(r_diag.shape[-1], beta * (1.0 - cmath.exp(-z * t_ns)))
     held = np.einsum("im,imn,in->", phi.conj(), r_diag, phi).real
     return 1.0 - float(held) / float(np.einsum("imm->", r_diag).real)
 
@@ -444,8 +434,9 @@ def polaron_residual(
 
     Evolves |++> (vacuum cavity, no intrinsic dephasing) and at each sampled
     time reads each diagonal block r_ii against the coherent state
-    phi_i = |lam_i A(t)> its branch should hold (the coherent-branch picture
-    of Gambetta et al., PRA 74, 042318 (2006)), up to truncation error:
+    phi_i = |beta_i (1 - e^{-z t})> its branch should hold (channel._loops:
+    the coherent-branch picture of Gambetta et al., PRA 74, 042318 (2006)),
+    up to truncation error:
 
         residual(t) = 1 - sum_i <phi_i| r_ii |phi_i> / Tr[rho].
 

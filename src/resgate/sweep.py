@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -287,8 +288,7 @@ def _evaluate_point(cfg: RunConfig, op: OperatingPoint) -> SweepRow:
     max_fock = None
     if cfg.numeric:
         prep = cfg.initial_cavity
-        chan, diag = extract_channel(params, gphi, gphi, prep, n_ph=cfg.n_ph,
-                                     top_level_threshold=cfg.top_level_threshold)
+        chan, diag = extract_channel(params, gphi, gphi, prep, n_ph=cfg.n_ph)
         f_numeric = average_gate_fidelity(chan, gate_target(params, prep.alpha),
                                           validate=False)
         max_fock = diag.max_top_level_pop
@@ -317,14 +317,16 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
 
     Axes combine row-major in config order (last axis fastest); with no
     axes this degenerates to the single configured point. Points are
-    independent; jobs > 1 dispatches them over a process pool, whose map
-    returns them in that order.
+    independent; they go to a process pool of min(jobs, points, CPUs)
+    workers, whose map returns them in that order, or run in this process
+    when that is 1 (a pool starts all its workers at once).
     """
     names = [name for name, _ in cfg.axes]
     points = [replace(cfg, **dict(zip(names, combo)))
               for combo in itertools.product(*(values for _, values in cfg.axes))]
-    if cfg.jobs > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    workers = min(cfg.jobs, len(points), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = tuple(pool.map(evaluate_point, points))
     else:
         rows = tuple(map(evaluate_point, points))
@@ -377,12 +379,24 @@ def emit_results(result: SweepResult, path: str | None = None,
 
 
 def load_results(path: str) -> dict:
-    """Read back a JSON result file (schema_version 1)."""
+    """Read back a JSON result file (schema_version 1).
+
+    A file that cannot be opened raises OSError; one that is not UTF-8, not
+    JSON, not a JSON object or of another schema raises DomainError, each
+    naming the path.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
     except OSError as exc:
         raise OSError(f"reading results from {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"results file {path}: not UTF-8 text ({exc.reason} "
+                          f"at byte {exc.start})") from exc
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"results file {path}: invalid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise DomainError(f"results file {path}: top level must be a JSON object")
     if payload.get("schema_version") != 1:
         raise DomainError(
             f"unsupported results schema {payload.get('schema_version')!r} in {path}"

@@ -73,6 +73,16 @@ def b_simplified(g: float, kappa: float, n: int) -> float:
     return math.exp(-math.pi * kappa / (2.0 * g * math.sqrt(n)))
 
 
+def lab_alpha(g: float, delta: float, kappa: float, t):
+    """Cavity displacement per unit sigma_z eigenvalue in the lab frame,
+    alpha(t) = -(g/2) (e^{-kappa t} - e^{i delta t}) / (i delta + kappa): the
+    solution of d(alpha)/dt = -kappa alpha + (g/2) e^{i delta t}, alpha(0) = 0
+    (t scalar or array). resgate works in the drive frame; this is the
+    paper's form, an independent reference."""
+    t = np.asarray(t, dtype=float)
+    return -(g / 2.0) * (np.exp(-kappa * t) - np.exp(1j * delta * t)) / (1j * delta + kappa)
+
+
 def make_params(
     g_rad_ns: float, kappa_per_ns: float, n: int = 2, delta_sign: int = 1,
     g2_over_g1: float = 1.0,

@@ -23,12 +23,12 @@ from resgate import (
     CavityPrep,
     StepPolicy,
     TwoQubitChannel,
-    alpha_closed_form,
     analytic_avg_fidelity,
     analytic_gate_channel,
     average_gate_fidelity,
     b_factor,
     correlated_dephasing_channel,
+    drive_frame_displacement,
     extract_channel,
     gate_target,
     ideal_gate_unitary,
@@ -189,8 +189,10 @@ def test_06_b_factor_consistency():
         p = make_params(0.35, kappa, n=2)
         g, d, t_g = p.g_geom_rad_ns, p.delta_rad_ns, p.t_g_ns
 
+        # |alpha|^2 from the drive-frame amplitude: a rotation of the lab
+        # frame's, so the same modulus
         def loss_density(t):
-            return abs(alpha_closed_form(g, d, kappa, t)) ** 2
+            return abs(drive_frame_displacement(g, d, kappa, t)) ** 2
 
         integral, quad_err = quad(loss_density, 0.0, t_g, limit=800)
         # the estimate propagates into b as ~4*kappa*err; keep that well
@@ -198,7 +200,7 @@ def test_06_b_factor_consistency():
         assert 4.0 * kappa * quad_err < 1e-9
         b_quad = math.exp(
             -4.0 * kappa * integral
-            - 2.0 * abs(alpha_closed_form(g, d, kappa, t_g)) ** 2
+            - 2.0 * abs(drive_frame_displacement(g, d, kappa, t_g)) ** 2
         )
         b, _, _ = b_factor(g, d, kappa, t_g)
         assert abs(b - b_quad) < 1e-8

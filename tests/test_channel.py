@@ -12,7 +12,6 @@ from scipy.integrate import quad, solve_ivp
 
 from resgate import (
     TwoQubitChannel,
-    alpha_closed_form,
     analytic_avg_fidelity,
     analytic_gate_channel,
     b_factor,
@@ -31,34 +30,36 @@ from conftest import (
     b_simplified,
     kraus_correlated_dephasing,
     kraus_intrinsic_dephasing,
+    lab_alpha,
     make_params,
 )
 
 
 def test_alpha_solves_its_ode():
+    # the drive-frame amplitude solves d(alpha_d)/dt = -(kappa + i delta) alpha_d - i g/2
     g, delta, kappa = 0.4, 1.1, 0.05
 
     def rhs(t, y):
         al = y[0] + 1j * y[1]
-        d = -kappa * al + (g / 2.0) * np.exp(1j * delta * t)
+        d = -(kappa + 1j * delta) * al - 0.5j * g
         return [d.real, d.imag]
 
     sol = solve_ivp(rhs, (0.0, 9.0), [0.0, 0.0], rtol=1e-11, atol=1e-13, dense_output=True)
     for t in (0.7, 3.0, 9.0):
         num = complex(*sol.sol(t))
-        assert alpha_closed_form(g, delta, kappa, t) == pytest.approx(num, abs=1e-9)
+        assert drive_frame_displacement(g, delta, kappa, t) == pytest.approx(num, abs=1e-9)
 
 
 def test_alpha_vanishes_at_loop_closures():
     g, delta = 0.4, 1.1
     for k in (1, 2, 5):
         t = 2.0 * math.pi * k / delta
-        assert abs(alpha_closed_form(g, delta, 0.0, t)) < 1e-14
+        assert abs(drive_frame_displacement(g, delta, 0.0, t)) < 1e-14
 
 
 def test_drive_frame_displacement_is_rotated_alpha():
     g, delta, kappa, t = 0.3, 0.9, 0.02, 4.0
-    a = alpha_closed_form(g, delta, kappa, t)
+    a = complex(lab_alpha(g, delta, kappa, t))
     ad = drive_frame_displacement(g, delta, kappa, t)
     assert ad == pytest.approx(-1j * np.exp(-1j * delta * t) * a, abs=1e-15)
     assert abs(ad) == pytest.approx(abs(a), abs=1e-15)
@@ -106,7 +107,7 @@ def test_b_factor_entanglement_term_is_alpha_closed_form():
         kappa = 0.0 if k % 4 == 0 else 10.0 ** rng.uniform(-5.0, -0.5)
         t = rng.uniform(0.0, 40.0)
         _, _, b_e = b_factor(g, delta, kappa, t)
-        ref = math.exp(-2.0 * abs(alpha_closed_form(g, delta, kappa, np.array([t]))[0]) ** 2)
+        ref = math.exp(-2.0 * abs(lab_alpha(g, delta, kappa, np.array([t]))[0]) ** 2)
         assert abs(b_e - ref) <= 1e-14 * ref, (g, delta, kappa, t)
 
 
@@ -375,7 +376,7 @@ def test_analytic_avg_fidelity_limits():
 
 def test_degenerate_drive_guards():
     with pytest.raises(DomainError):
-        alpha_closed_form(0.3, 0.0, 0.0, 1.0)
+        drive_frame_displacement(0.3, 0.0, 0.0, 1.0)
     with pytest.raises(DomainError):
         b_factor(0.3, 0.0, 0.0, 1.0)
 

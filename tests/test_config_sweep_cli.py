@@ -33,7 +33,7 @@ from resgate import lindblad
 from resgate.cli import TRAJECTORY_COLUMNS, main
 from resgate.config import RunConfig, config_from_dict, load_config
 from resgate.constants import TWO_PI, h_ghz_to_energy_J, uev_to_J
-from resgate.errors import ConfigError
+from resgate.errors import ConfigError, DomainError
 from resgate.sweep import (
     CSV_COLUMNS,
     _objective,
@@ -453,6 +453,41 @@ def test_run_sweep_ordering_and_parallel_equivalence():
     assert not serial.any_failed
 
 
+@pytest.mark.parametrize("jobs, cpus, points, workers", [
+    (100000, 8, 2, 2),  # no more workers than points
+    (100000, 64, 3, 3),
+    (5, 2, 4, 2),       # nor than CPUs
+    (3, None, 4, None),  # an unknown CPU count counts as one: serial
+    (8, 8, 1, None),    # one point runs in this process
+    (1, 8, 4, None),
+])
+def test_run_sweep_bounds_its_pool(monkeypatch, jobs, cpus, points, workers):
+    # a recorder stands in for the pool (it maps serially), so no worker
+    # process starts whatever jobs asks for
+    pools = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    cfg = config_from_dict({"axes": {"q_factor": [1e4 + k for k in range(points)]},
+                            "refine": False, "jobs": jobs}, source="t")
+    result = run_sweep(cfg)
+    assert pools == ([] if workers is None else [workers])
+    assert [r.q for r in result.rows] == [1e4 + k for k in range(points)]
+
+
 def test_blas_cap_sets_one_thread():
     # main sets OPENBLAS_NUM_THREADS=1 before numpy loads, over the 2 this
     # process starts with; where numpy bundles no OpenBLAS there is nothing to read
@@ -504,6 +539,20 @@ def test_csv_and_json_rendering(tmp_path):
     assert back["config"]["q_factor"] == 20000.0
 
 
+@pytest.mark.parametrize("content, fragment", [
+    (b"[]", "top level must be a JSON object"),
+    (b"{bad", "invalid JSON"),
+    (b'{"schema_version": "caf\xe9"}', "not UTF-8 text"),  # latin-1
+    (b'{"schema_version": 2}', "unsupported results schema"),
+])
+def test_load_results_names_a_malformed_file(tmp_path, content, fragment):
+    path = tmp_path / "rows.json"
+    path.write_bytes(content)
+    with pytest.raises(DomainError, match=fragment) as info:
+        load_results(path)
+    assert str(path) in str(info.value)
+
+
 def test_numeric_json_row_reports_its_fock_size(tmp_path):
     # with n_ph null a coherent start sizes its Fock space from what the
     # branches' displaced frames hold, max_i |alpha - beta_i|; the JSON row
@@ -545,7 +594,7 @@ def test_thermal_row_is_the_seeded_thermal_average():
     op = resolve_operating_point(cfg)
     chan, diag = extract_channel(
         op.params, op.gamma_phi, op.gamma_phi, CavityPrep.thermal(0.2),
-        n_ph=cfg.n_ph, top_level_threshold=cfg.top_level_threshold,
+        n_ph=cfg.n_ph,
     )
     target = ideal_gate_unitary(math.copysign(math.pi / 4.0, op.params.delta_rad_ns))
     assert row.f_numeric == average_gate_fidelity(chan, target, validate=False)
@@ -604,13 +653,32 @@ def test_cli_sets_one_blas_thread_over_any_set_value(monkeypatch, capsys):
 
 
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):
-    # refine_tol included: the refinement's stop tolerance is fixed, not a key
-    for key in ("qbits", "refine_tol"):
+    # refine_tol included: the refinement's stop tolerance is fixed, not a
+    # key; so are the trajectory's step grid (StepPolicy()) and the guard
+    # threshold, whose four keys are refused by name too
+    for key in ("qbits", "refine_tol", "dt_ps", "min_steps", "max_steps",
+                "top_level_threshold"):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({key: 2}))
         assert main(["analytic", "--config", str(p)]) == 2
         err = capsys.readouterr().err
-        assert key in err
+        assert f"unknown config keys: {key} (allowed: " in err, err
+
+
+@pytest.mark.parametrize("command", ["analytic", "optimize", "simulate"])
+def test_cli_single_point_commands_reject_axes(tmp_path, capsys, command):
+    # these evaluate the base point only, so a config with axes (a grid the
+    # user meant to run) is refused with exit 2, naming axes and sweep,
+    # before any work; sweep runs the same config
+    cfg = tmp_path / "map.json"
+    cfg.write_text(json.dumps({"axes": {"q_factor": [1e4, 2e4]}, "refine": False}))
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: axes: ") and "sweep" in err, err
+    assert not out.exists()
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(out.read_text().strip().split("\n")) == 3
 
 
 def test_cli_rejects_a_lever_arm_above_one(tmp_path, capsys):
@@ -686,8 +754,7 @@ def test_cli_default_trajectory_is_that_of_the_resolved_point(tmp_path, capsys):
     cfg = config_from_dict({"mode": "simulate", "numeric": True}, source="t")
     op = resolve_operating_point(cfg)
     rows = lindblad.trajectory_rows(op.params, op.gamma_phi, op.gamma_phi,
-                                    cfg.initial_cavity, n_ph=cfg.n_ph,
-                                    policy=cfg.step_policy())
+                                    cfg.initial_cavity, n_ph=cfg.n_ph)
     lines = [",".join(TRAJECTORY_COLUMNS)]
     lines += [",".join(repr(row[c]) for c in TRAJECTORY_COLUMNS) for row in rows]
     assert traj.read_text(encoding="utf-8") == "\n".join(lines) + "\n"

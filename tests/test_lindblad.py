@@ -28,6 +28,7 @@ from resgate import (
     trajectory_rows,
 )
 from resgate import lindblad
+from resgate.channel import _loops
 from resgate.errors import DomainError
 
 from conftest import make_params
@@ -243,9 +244,26 @@ def _branch_lams(p):
     return [p.g1_rad_ns * s1 + p.g2_rad_ns * s2 for s1, s2 in _BRANCHES]
 
 
+def _steady_shift(p):
+    """beta_i / lam_i = -i / (2 (i Delta + kappa)), the same for every branch:
+    the shift that centres each branch's displaced frame on its steady state."""
+    return -0.5j / complex(p.kappa_per_ns, p.delta_rad_ns)
+
+
 def _steady_states(p):
     """beta_i = -i lam_i / (2 (i Delta + kappa)), the steady state of branch i."""
-    return -0.5j * np.array(_branch_lams(p)) / complex(p.kappa_per_ns, p.delta_rad_ns)
+    return _steady_shift(p) * np.array(_branch_lams(p))
+
+
+def test_loops_are_the_branch_steady_states():
+    # channel._loops forms z and the branch steady states once for every
+    # reader (gate target, displaced frame, readout, thermal kernel, polaron
+    # check); its beta is the reference's, bit for bit
+    for g2_over_g1, delta_sign, kappa in ((1.0, 1, 5e-3), (1.5, -1, 5e-2), (3.0, 1, 0.0)):
+        p = make_params(0.7, kappa, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
+        z, beta = _loops(p)
+        assert z == complex(p.kappa_per_ns, p.delta_rad_ns)
+        assert np.array_equal(beta, _steady_states(p))
 
 
 def _block_classes(lam):
@@ -345,7 +363,7 @@ def test_extract_channel_orbit_rule_matches_dense_blocks(
     beta = 0j if alpha is None else complex(alpha[0] * alpha[1], alpha[2] * alpha[3])
     prep = CavityPrep.vacuum() if alpha is None else CavityPrep.coherent(beta)
     chan, _ = extract_channel(p, gamma_1, gamma_2, prep, n_ph=n_ph)
-    (ref,) = _dense_coherence(p, gamma_1, gamma_2, n_ph, [beta], lindblad._steady_shift(p))
+    (ref,) = _dense_coherence(p, gamma_1, gamma_2, n_ph, [beta], _steady_shift(p))
     assert np.max(np.abs(chan.coherence - ref)) < 1e-12
 
 
@@ -359,7 +377,7 @@ def test_extract_channel_guard_reads_mirrored_branches(g2_over_g1):
     from scipy.linalg import expm
 
     p = make_params(0.7, 5e-3, n=2, g2_over_g1=g2_over_g1)
-    alpha, n_ph, shift = -0.5 + 0.5j, 8, lindblad._steady_shift(p)
+    alpha, n_ph, shift = -0.5 + 0.5j, 8, _steady_shift(p)
     steps, dt = StepPolicy().resolve(p.t_g_ns)
     worst = []
     for lam in _branch_lams(p):
@@ -472,8 +490,8 @@ def test_generator_keeps_every_term_of_the_frame():
             ref = _dense_block_generator(p, n_ph, li, lj)
             assert np.abs(lab(li, lj) - ref).max() <= 1e-15 * np.abs(ref).max()
 
-    shift = lindblad._steady_shift(p)
-    beta, c_a, scalar = lindblad._frame_terms(p)
+    shift = _steady_shift(p)
+    _, beta, c_a, scalar = lindblad._frame_terms(p)
     assert np.abs(beta - shift * np.array(lam)).max() == 0.0
     a, eye = annihilation(n_ph), np.eye(n_ph)
     idle = _dense_block_generator(p, n_ph, 0.0, 0.0)
@@ -496,9 +514,9 @@ def test_displaced_starts_are_the_displaced_cavity():
     # the starts' phases, for every block
     p = make_params(0.7, 5e-3, n=2, g2_over_g1=1.5)
     n_ph, big = 14, 50
-    lam, shift = _branch_lams(p), lindblad._steady_shift(p)
+    lam, shift = _branch_lams(p), _steady_shift(p)
     for alpha in (0.5 - 0.4j, 0j):
-        psi = lindblad._branch_kets(lindblad._frame_terms(p)[0], alpha, n_ph)
+        psi = lindblad._branch_kets(lindblad._frame_terms(p)[1], alpha, n_ph)
         blocks = np.einsum("up,uq->upq", psi[lindblad._UPPER_I], psi[lindblad._UPPER_J].conj())
         cav = coherent_rho(big, alpha)
         for k, (i, j) in enumerate(lindblad._UPPER):
@@ -583,7 +601,7 @@ def test_displaced_frame_agrees_with_the_lab_frame(g2_over_g1, delta_sign, kappa
     # halfway shift breaks that bound
     p = make_params(0.7, kappa, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
     alphas = [0j, 0.95 * cmath.exp(2.1j)]
-    shift = lindblad._steady_shift(p)
+    shift = _steady_shift(p)
     upper = tuple(np.array(lindblad._UPPER).T)
 
     def lab(n_ph):
@@ -625,7 +643,7 @@ def _dense_guard_track(p, n_ph, alpha, steps):
     grid of steps steps: a (4, steps + 1) array."""
     from scipy.linalg import expm
 
-    shift, dt = lindblad._steady_shift(p), p.t_g_ns / steps
+    shift, dt = _steady_shift(p), p.t_g_ns / steps
     tracks = []
     for lam in _branch_lams(p):
         prop = expm(_dense_block_generator(p, n_ph, lam, lam, shift) * dt)
@@ -691,11 +709,11 @@ def test_closed_form_readout_matches_dense_expm(g2_over_g1, delta_sign, kappa, n
 
     p = make_params(0.7, kappa, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
     _, dt = StepPolicy().resolve(p.t_g_ns)
-    lam, shift = _branch_lams(p), lindblad._steady_shift(p)
+    lam, shift = _branch_lams(p), _steady_shift(p)
     frame = lindblad._frame_terms(p)
-    psi = lindblad._branch_kets(frame[0], alpha, n_ph)
+    psi = lindblad._branch_kets(frame[1], alpha, n_ph)
     times = (dt, p.t_g_ns)
-    traces = [lindblad._readout(p, frame, psi, alpha, t) for t in times]
+    traces = [lindblad._readout(frame, psi, alpha, t) for t in times]
     refs = {}  # per class of _block_classes, from the starts at +-alpha and per time
     for u, (key, flip, conj) in enumerate(_block_classes(lam)):
         if key not in refs:
@@ -721,7 +739,7 @@ def test_extract_channel_guard_is_max_over_gate():
 
     p = make_params(0.7, 5e-2, n=2)
     threshold, n_ph = 1e-6, 5
-    shift = lindblad._steady_shift(p)
+    shift = _steady_shift(p)
     worst_end = 0.0
     for lam in _branch_lams(p):
         b = shift * lam
@@ -1021,7 +1039,7 @@ def test_extract_channel_does_not_run_a_thermal_cavity_as_vacuum():
     vac = extract_channel(p, 1e6, 2e6, n_ph=6)[0].coherence
     chan, _ = extract_channel(p, 1e6, 2e6, CavityPrep.thermal(0.1), n_ph=6)
     z = complex(p.kappa_per_ns, p.delta_rad_ns)
-    beta = lindblad._steady_shift(p) * np.array(_branch_lams(p))
+    beta = _steady_shift(p) * np.array(_branch_lams(p))
     kernel = np.exp(-0.1 * abs(1.0 - cmath.exp(-z * p.t_g_ns)) ** 2
                     * np.abs(beta[:, None] - beta) ** 2)
     assert np.abs(chan.coherence - vac * kernel).max() < 1e-15
