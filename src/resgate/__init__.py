@@ -45,7 +45,6 @@ from .device import (
     DerivedGateParams,
     QubitTuning,
     ResonatorSpec,
-    StepPolicy,
     cavity_decay,
     coupling_strengths,
     derive_gate_params,
@@ -70,7 +69,6 @@ _LAZY = {
         "analytic_gate_channel",
         "b_factor",
         "correlated_dephasing_channel",
-        "drive_frame_displacement",
         "gate_target",
         "ideal_gate_unitary",
         "intrinsic_dephasing_channel",

@@ -30,7 +30,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -184,27 +183,6 @@ def _loops(params) -> tuple[complex, np.ndarray]:
     return z, (-0.5j / z) * _branch_couplings(params)
 
 
-def drive_frame_displacement(g: float, delta: float, kappa: float, t):
-    """Cavity displacement per unit sigma_z eigenvalue at time t, in the frame
-    of the time-independent gate Hamiltonian (which rotates at the drive):
-
-        alpha_d(t) = -i (g/2z) (1 - e^{-z t}),   z = kappa + i delta,
-
-    beta (1 - e^{-z t}) of _loops with one branch driven at g (hbar = 1; g in
-    rad/ns, delta in rad/ns, kappa in 1/ns, t in ns, scalar or array). It
-    solves d(alpha_d)/dt = -z alpha_d - i g/2 with alpha_d(0) = 0, and at
-    kappa = 0 it vanishes whenever delta*t is a multiple of 2*pi, the
-    loop-closing (disentangling) points. This is the amplitude the cavity
-    holds in the simulation frame; use it for polaron-frame checks.
-    """
-    if delta == 0.0 and kappa == 0.0:
-        raise DomainError("alpha is unbounded at delta = kappa = 0 (resonant lossless drive)")
-    z, beta = _loops(SimpleNamespace(kappa_per_ns=kappa, delta_rad_ns=delta,
-                                     g1_rad_ns=g, g2_rad_ns=0.0))
-    val = beta[0] * (1.0 - np.exp(-z * np.asarray(t, dtype=float)))
-    return val if val.ndim else complex(val)
-
-
 def b_factor(g: float, delta: float, kappa: float, t_g: float) -> tuple[float, float, float]:
     """Correlated-dephasing factor b(t_g) and its loss/entanglement split.
 
@@ -212,8 +190,9 @@ def b_factor(g: float, delta: float, kappa: float, t_g: float) -> tuple[float, f
         alpha(t) = -(g/2) (e^{-kappa t} - e^{i delta t}) / (i delta + kappa),
 
     the displacement per unit sigma_z eigenvalue in the lab frame (the
-    paper's form; drive_frame_displacement has the same modulus), computed
-    from the closed-form antiderivative (no quadrature). b_l
+    paper's form; the drive-frame loop -i (g/2z)(1 - e^{-z t}) of _loops has
+    the same modulus), computed from the closed-form antiderivative (no
+    quadrature). b_l
     collects the photon-loss (which-path emission) term, b_e the residual
     entanglement with the unclosed loop; at a lossless schedule point both
     are 1. In the small-kappa/delta limit b ~ exp(-pi*kappa/(2 g sqrt(n))).

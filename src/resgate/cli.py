@@ -2,11 +2,14 @@
 
 Subcommands:
   analytic   evaluate the configured operating point with the closed-form
-             channel only (no refinement, no integration)
+             channel; refinement is off unless the config sets
+             "refine": true, and the master-equation check is off unless
+             --numeric (or "numeric": true) is given
   optimize   closed-form optimum + local refinement at the configured
              (Z_r, Q); add --numeric for master-equation verification
   simulate   one point with the master-equation oracle; optionally dump a
-             state trajectory CSV via --trajectory
+             state trajectory CSV via --trajectory (or "trajectory_out"),
+             which the other three reject (exit 2)
   sweep      Cartesian product of the config's axes (optionally --numeric);
              the other three evaluate one point and reject a config with
              axes (exit 2)
@@ -111,6 +114,9 @@ def main(argv=None) -> int:
         if cfg.axes and cfg.mode != "sweep":
             raise ConfigError(f"axes: {cfg.mode} evaluates one point; run the axes "
                               f"with sweep, or drop them")
+        if cfg.trajectory_out and cfg.mode != "simulate":
+            raise ConfigError(f"trajectory_out: only simulate writes a trajectory, "
+                              f"not {cfg.mode}; run simulate, or drop the key")
 
         from . import sweep
 

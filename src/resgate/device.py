@@ -14,11 +14,7 @@ curvature is J'' = J0/eps_a^2, which is what makes the second-order
 point and driven along eps.
 
 The initial cavity state CavityPrep lives here too, so that config and the
-CLI can build it without numpy. The lab-frame step grid StepPolicy and the
-guard-level threshold stay beside it, though no config key sets them: the
-package imports StepPolicy eagerly, and that import must not load lindblad
-(and numpy) with it; the threshold is the default SimDiagnostics and
-extract_channel read.
+CLI can build it without numpy.
 """
 
 from __future__ import annotations
@@ -233,35 +229,6 @@ def derive_gate_params(
         Delta=delta_sign * delta,
         t_g=t_g,
     )
-
-
-# Guard-level population above which a numeric run is flagged as failed.
-DEFAULT_TOP_LEVEL_THRESHOLD = 1e-4
-
-
-@dataclass(frozen=True)
-class StepPolicy:
-    """Fixed-step rule of the lab-frame paths (the trajectory dump and the
-    polaron check): dt_ns unless that lands outside [min_steps, max_steps]."""
-
-    dt_ns: float = 0.020
-    min_steps: int = 200
-    max_steps: int = 10000
-
-    def __post_init__(self):
-        if not (math.isfinite(self.dt_ns) and self.dt_ns > 0):
-            raise DomainError(f"dt_ns must be finite and positive, got {self.dt_ns}")
-        steps = (self.min_steps, self.max_steps)
-        if not all(type(n) is int and n >= 1 for n in steps) or steps[1] < steps[0]:
-            raise DomainError(f"need ints 1 <= min_steps <= max_steps, got {steps!r}")
-
-    def resolve(self, t_total_ns: float) -> tuple[int, float]:
-        """(step count, actual dt) for a run of t_total_ns."""
-        if t_total_ns <= 0:
-            raise DomainError(f"total time must be positive, got {t_total_ns}")
-        steps = int(round(t_total_ns / self.dt_ns))
-        steps = min(max(steps, self.min_steps), self.max_steps)
-        return steps, t_total_ns / steps
 
 
 @dataclass(frozen=True)

@@ -45,13 +45,16 @@ def entanglement_fidelity(
     Computed as Re sum_ij C_ij conj(u_i) u_j / 16 over the coherence matrix
     C, which equals Tr[S_U^dag S_N] / 16 for U = diag(u); raises
     NonPhysicalChannelError (with the eigenvalues of C) when the channel
-    fails the CPTP check and ``validate`` is on.
+    fails the CPTP check and ``validate`` is on, and DomainError when the
+    sum is not real (a non-Hermitian C that was not validated).
     """
     weights = _target_weights(target)
     if validate:
         channel.validate()
     f_e = (weights * channel.coherence).sum() / 16.0
-    assert abs(f_e.imag) < 1e-10, f"entanglement fidelity has imaginary part {f_e.imag:+.3e}"
+    if not abs(f_e.imag) < 1e-10:
+        raise DomainError(f"entanglement fidelity has imaginary part {f_e.imag:+.3e}; "
+                          f"is the channel's coherence matrix Hermitian?")
     return float(f_e.real)
 
 

@@ -52,8 +52,8 @@ reject a thermal one.
 
 Lab-frame paths (trajectory_rows, polaron_residual) report per-step
 quantities, so they step the ten blocks on and above the diagonal with
-their own expm(L_ij dt) on the StepPolicy grid (_lab_blocks), the one expm
-of a trajectory, read the residual by overlap with coherent kets
+their own expm(L_ij dt) on the fixed grid of _step_grid (_lab_blocks), the
+one expm of a trajectory, read the residual by overlap with coherent kets
 (_polaron_defect), and size the space from the lab-frame reach. scipy (for
 expm) is imported on these paths' first use only. The truncated generator
 preserves the trace of a
@@ -74,11 +74,16 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .channel import TwoQubitChannel, _branch_couplings, _dephasing_rates, _loops
-from .device import DEFAULT_TOP_LEVEL_THRESHOLD, CavityPrep, DerivedGateParams, StepPolicy
+from .device import CavityPrep, DerivedGateParams
 from .errors import DomainError
 
 DEFAULT_N_PH = 6  # levels 0..5: one guard level above the 4-photon working range
 _GUARD_TAIL = 1e-5  # choose_n_ph's bound on the guard-level population
+# Guard-level population above which a numeric run is flagged as failed.
+DEFAULT_TOP_LEVEL_THRESHOLD = 1e-4
+# Fixed-step rule of the lab-frame paths (_step_grid): 20 ps steps, unless
+# that lands outside [_MIN_STEPS, _MAX_STEPS].
+_DT_NS, _MIN_STEPS, _MAX_STEPS = 0.020, 200, 10000
 
 
 def _coherent_kets(n_ph: int, amps) -> np.ndarray:
@@ -119,22 +124,19 @@ class SimDiagnostics:
         return {**asdict(self), "failure_reasons": list(self.failure_reasons)}
 
 
-def _run_health(
-    max_top: float, steps: int, dt: float, n_ph: int, top_level_threshold: float,
-) -> SimDiagnostics:
+def _run_health(max_top: float, steps: int, dt: float, n_ph: int) -> SimDiagnostics:
     """Diagnostics from the worst guard-level population of a run."""
     reasons = []
-    if max_top > top_level_threshold:
+    if max_top > DEFAULT_TOP_LEVEL_THRESHOLD:
         reasons.append(
-            f"top Fock level population {max_top:.3e} exceeds {top_level_threshold:.0e} "
-            f"(n_ph = {n_ph} too small for these parameters)"
+            f"top Fock level population {max_top:.3e} exceeds "
+            f"{DEFAULT_TOP_LEVEL_THRESHOLD:.0e} (n_ph = {n_ph} too small for these parameters)"
         )
     return SimDiagnostics(
         max_top_level_pop=max_top,
         steps=steps,
         dt_ns=dt,
         n_ph=n_ph,
-        top_level_threshold=top_level_threshold,
         failed=bool(reasons),
         failure_reasons=tuple(reasons),
     )
@@ -159,6 +161,15 @@ def choose_n_ph(max_amplitude: float) -> int:
         if k > 1000:
             raise DomainError(f"amplitude {max_amplitude} needs an absurd Fock space")
     return max(DEFAULT_N_PH, k + 1)
+
+
+def _step_grid(t_ns: float) -> tuple[int, float]:
+    """(step count, actual dt) of the lab-frame grid over a run of t_ns:
+    _DT_NS steps, clamped to [_MIN_STEPS, _MAX_STEPS]."""
+    if t_ns <= 0:
+        raise DomainError(f"total time must be positive, got {t_ns}")
+    steps = min(max(int(round(t_ns / _DT_NS)), _MIN_STEPS), _MAX_STEPS)
+    return steps, t_ns / steps
 
 
 def _check_n_ph(n_ph) -> int:
@@ -340,7 +351,6 @@ def extract_channel(
     initial_cavity: CavityPrep | None = None,
     *,
     n_ph: int | None = None,
-    top_level_threshold: float = DEFAULT_TOP_LEVEL_THRESHOLD,
 ) -> tuple[TwoQubitChannel, SimDiagnostics]:
     """Exact effective two-qubit channel of one gate, in closed form per qubit block.
 
@@ -399,8 +409,7 @@ def extract_channel(
     n_ph = (choose_n_ph(float(np.abs(prep.alpha - beta).max())) if n_ph is None
             else _check_n_ph(n_ph))
     psi = _branch_kets(beta, prep.alpha, n_ph)
-    diag = _run_health(float((np.abs(psi[:, -1]) ** 2).max()), 1, t_g, n_ph,
-                       top_level_threshold)
+    diag = _run_health(float((np.abs(psi[:, -1]) ** 2).max()), 1, t_g, n_ph)
     traces = _readout(frame, psi, prep.alpha, t_g)
 
     thermal = np.exp(-prep.n_bar * abs(1.0 - cmath.exp(-z * t_g)) ** 2
@@ -424,34 +433,23 @@ def _polaron_defect(r_diag: np.ndarray, params: DerivedGateParams, t_ns: float) 
     return 1.0 - float(held) / float(np.einsum("imm->", r_diag).real)
 
 
-def polaron_residual(
-    params: DerivedGateParams,
-    t_samples,
-    *,
-    n_ph: int | None = None,
-) -> float:
-    """Max weight the cavity misses on the coherent paths of the qubit branches.
+def polaron_residual(params: DerivedGateParams, *, n_ph: int | None = None) -> float:
+    """Max weight the cavity misses on the coherent paths of the qubit
+    branches, throughout the gate.
 
-    Evolves |++> (vacuum cavity, no intrinsic dephasing) and at each sampled
-    time reads each diagonal block r_ii against the coherent state
+    Evolves |++> (vacuum cavity, no intrinsic dephasing) and at every step
+    reads each diagonal block r_ii against the coherent state
     phi_i = |beta_i (1 - e^{-z t})> its branch should hold (channel._loops:
     the coherent-branch picture of Gambetta et al., PRA 74, 042318 (2006)),
     up to truncation error:
 
         residual(t) = 1 - sum_i <phi_i| r_ii |phi_i> / Tr[rho].
 
-    At least one sample time is needed. Each is snapped to the default step
-    grid StepPolicy() (consistently with the amplitude of phi_i).
-    Returns the maximum residual over the samples: the largest of
-    trajectory_rows' polaron_residual column over those steps, at the same
-    n_ph (with n_ph None both take the lab-frame size choose_n_ph(_reach)).
+    Returns the largest of trajectory_rows' polaron_residual column, over
+    every step of the gate, at the same n_ph (with n_ph None both take the
+    lab-frame size choose_n_ph(_reach)).
     """
-    ts = np.atleast_1d(np.asarray(t_samples, dtype=float))
-    if not (ts.size and np.all((ts >= 0) & (ts <= params.t_g_ns * (1 + 1e-12)))):
-        raise DomainError("need one or more sample times, all in [0, t_g]")
-    rows = trajectory_rows(params, 0.0, 0.0, n_ph=n_ph)
-    _, dt = StepPolicy().resolve(params.t_g_ns)
-    return max(rows[int(round(t / dt))]["polaron_residual"] for t in ts)
+    return max(row["polaron_residual"] for row in trajectory_rows(params, 0.0, 0.0, n_ph=n_ph))
 
 
 def trajectory_rows(
@@ -461,15 +459,14 @@ def trajectory_rows(
     initial_cavity: CavityPrep | None = None,
     *,
     n_ph: int | None = None,
-    policy: StepPolicy = StepPolicy(),
 ) -> list[dict]:
     """Per-step state metrics for the optional trajectory dump.
 
     Evolves a single composite state (|++> with the requested vacuum or
     coherent cavity; a thermal one, a mixture, raises DomainError; gamma in
-    1/s, finite and non-negative) on the policy's step grid and
-    records, at every step, a row with keys t_ns, trace, purity,
-    mean_photon, top_level_pop, polaron_residual.
+    1/s, finite and non-negative) on the fixed grid of _step_grid (20 ps
+    steps, 200-10000 of them) and records, at every step, a row with keys
+    t_ns, trace, purity, mean_photon, top_level_pop, polaron_residual.
     Every number comes from the qubit blocks r_ij(t) =
     q_ij exp(-c_ij t) expm(L_ij t) cav: trace, mean_photon, top_level_pop
     and the residual from the four diagonal blocks, and the purity as
@@ -487,7 +484,7 @@ def trajectory_rows(
     rate = 1e-9 * _dephasing_rates(gamma_1, gamma_2)[_UPPER_I, _UPPER_J]
     n_ph = choose_n_ph(_reach(params, prep.alpha)) if n_ph is None else _check_n_ph(n_ph)
     q = np.full((4, 4), 0.25, dtype=complex)  # |++><++|
-    steps, dt = policy.resolve(params.t_g_ns)
+    steps, dt = _step_grid(params.t_g_ns)
 
     on_diag = _UPPER_I == _UPPER_J
     weight = np.abs(q[_UPPER_I, _UPPER_J]) ** 2 * np.where(on_diag, 1.0, 2.0)

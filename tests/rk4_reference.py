@@ -23,9 +23,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from resgate import DerivedGateParams, SimDiagnostics, StepPolicy
+from resgate import DerivedGateParams, SimDiagnostics
 from resgate.errors import DomainError
-from resgate.lindblad import DEFAULT_N_PH, DEFAULT_TOP_LEVEL_THRESHOLD, _run_health
+from resgate.lindblad import DEFAULT_N_PH, _run_health
 
 DEFAULT_TRACE_DRIFT_TOL = 1e-6
 
@@ -174,12 +174,12 @@ def evolve_rk4(
     gamma_1: float,
     gamma_2: float,
     t_total_ns: float,
-    policy: StepPolicy = StepPolicy(),
+    steps: int,
     *,
-    top_level_threshold: float = DEFAULT_TOP_LEVEL_THRESHOLD,
     trace_drift_tol: float = DEFAULT_TRACE_DRIFT_TOL,
 ) -> tuple[CompositeState, SimDiagnostics]:
-    """Evolve one composite state (internal units; H from build_hamiltonian).
+    """Evolve one composite state (internal units; H from build_hamiltonian)
+    over t_total_ns in ``steps`` equal RK4 steps.
 
     Out-of-tolerance trace drift or guard-level population does not raise:
     it comes back as diagnostics.failed with the reasons spelled out, for
@@ -189,7 +189,7 @@ def evolve_rk4(
     """
     n_ph = rho0.n_ph
     ops = _full_ops(n_ph)
-    steps, dt = policy.resolve(t_total_ns)
+    dt = t_total_ns / steps
     rho = np.array(rho0.matrix, dtype=complex)
     init_trace = float(np.trace(rho).real)
     max_top = max_drift = 0.0
@@ -204,7 +204,7 @@ def evolve_rk4(
         pops = np.diagonal(rho).real
         max_top = max(max_top, float(pops[n_ph - 1::n_ph].sum()))
         max_drift = max(max_drift, abs(float(pops.sum()) - init_trace))
-    diag = _run_health(max_top, steps, dt, n_ph, top_level_threshold)
+    diag = _run_health(max_top, steps, dt, n_ph)
     if max_drift > trace_drift_tol:
         reasons = (f"trace drift {max_drift:.3e} exceeds {trace_drift_tol:.0e}",)
         diag = replace(diag, failed=True, failure_reasons=reasons + diag.failure_reasons)

@@ -21,14 +21,12 @@ from scipy.integrate import quad
 
 from resgate import (
     CavityPrep,
-    StepPolicy,
     TwoQubitChannel,
     analytic_avg_fidelity,
     analytic_gate_channel,
     average_gate_fidelity,
     b_factor,
     correlated_dephasing_channel,
-    drive_frame_displacement,
     extract_channel,
     gate_target,
     ideal_gate_unitary,
@@ -43,6 +41,7 @@ from conftest import (
     entanglement_fidelity_product_basis,
     kraus_correlated_dephasing,
     kraus_intrinsic_dephasing,
+    lab_alpha,
     make_params,
 )
 from rk4_reference import CompositeState, build_hamiltonian, evolve_rk4, vacuum_rho
@@ -189,10 +188,10 @@ def test_06_b_factor_consistency():
         p = make_params(0.35, kappa, n=2)
         g, d, t_g = p.g_geom_rad_ns, p.delta_rad_ns, p.t_g_ns
 
-        # |alpha|^2 from the drive-frame amplitude: a rotation of the lab
-        # frame's, so the same modulus
+        # |alpha|^2 from the lab frame's amplitude (conftest's, independent
+        # of resgate); the drive frame's is its rotation, of the same modulus
         def loss_density(t):
-            return abs(drive_frame_displacement(g, d, kappa, t)) ** 2
+            return abs(complex(lab_alpha(g, d, kappa, t))) ** 2
 
         integral, quad_err = quad(loss_density, 0.0, t_g, limit=800)
         # the estimate propagates into b as ~4*kappa*err; keep that well
@@ -200,7 +199,7 @@ def test_06_b_factor_consistency():
         assert 4.0 * kappa * quad_err < 1e-9
         b_quad = math.exp(
             -4.0 * kappa * integral
-            - 2.0 * abs(drive_frame_displacement(g, d, kappa, t_g)) ** 2
+            - 2.0 * abs(complex(lab_alpha(g, d, kappa, t_g))) ** 2
         )
         b, _, _ = b_factor(g, d, kappa, t_g)
         assert abs(b - b_quad) < 1e-8
@@ -265,8 +264,7 @@ def test_10_polaron_residual_stays_small():
     """Item 10: with gamma = 0 and the reference kappa, the displaced-frame
     ground-state residual stays below 1e-4 throughout the gate."""
     p = make_params(0.35, KAPPA_REF, n=2)
-    ts = np.linspace(0.0, p.t_g_ns, 33)
-    assert polaron_residual(p, ts) < 1e-4
+    assert polaron_residual(p) < 1e-4
 
 
 def test_11_property_suites():
@@ -318,8 +316,7 @@ def test_11_property_suites():
     h = build_hamiltonian(p, n_ph=4)
 
     def run(dt):
-        pol = StepPolicy(dt_ns=dt, min_steps=1, max_steps=10**6)
-        return evolve_rk4(rho0, h, 5e-3, 2e-3, 2e-3, 4.0, pol)[0].matrix
+        return evolve_rk4(rho0, h, 5e-3, 2e-3, 2e-3, 4.0, round(4.0 / dt))[0].matrix
 
     ref = run(0.005)
     ratio = np.max(np.abs(run(0.08) - ref)) / np.max(np.abs(run(0.04) - ref))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -16,7 +17,6 @@ from resgate import (
     analytic_gate_channel,
     b_factor,
     correlated_dephasing_channel,
-    drive_frame_displacement,
     entanglement_fidelity,
     extract_channel,
     gate_target,
@@ -24,6 +24,7 @@ from resgate import (
     intrinsic_dephasing_channel,
     textbook_cphase_decomposition,
 )
+from resgate.channel import _loops
 from resgate.errors import DomainError, NonPhysicalChannelError
 
 from conftest import (
@@ -35,43 +36,67 @@ from conftest import (
 )
 
 
+# branch k's coupling lam_k = g1 s1 + g2 s2, from the (s1, s2) of |00>, |01>, |10>, |11>
+_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def _drive_frame_loops(p, t: float) -> np.ndarray:
+    """beta_k (1 - e^{-z t}) of channel._loops: the amplitude branch k holds
+    in the frame of the drive at time t, started from the vacuum."""
+    z, beta = _loops(p)
+    return beta * (1.0 - np.exp(-z * t))
+
+
 def test_alpha_solves_its_ode():
-    # the drive-frame amplitude solves d(alpha_d)/dt = -(kappa + i delta) alpha_d - i g/2
-    g, delta, kappa = 0.4, 1.1, 0.05
+    # each branch's drive-frame amplitude solves
+    # d(alpha_k)/dt = -(kappa + i delta) alpha_k - i lam_k/2, alpha_k(0) = 0
+    p = make_params(0.4, 0.05, n=2, g2_over_g1=1.5)
+    kappa, delta = p.kappa_per_ns, p.delta_rad_ns
+    for k, (s1, s2) in enumerate(_SIGNS):
+        lam = s1 * p.g1_rad_ns + s2 * p.g2_rad_ns
 
-    def rhs(t, y):
-        al = y[0] + 1j * y[1]
-        d = -(kappa + 1j * delta) * al - 0.5j * g
-        return [d.real, d.imag]
+        def rhs(t, y, lam=lam):
+            al = y[0] + 1j * y[1]
+            d = -(kappa + 1j * delta) * al - 0.5j * lam
+            return [d.real, d.imag]
 
-    sol = solve_ivp(rhs, (0.0, 9.0), [0.0, 0.0], rtol=1e-11, atol=1e-13, dense_output=True)
-    for t in (0.7, 3.0, 9.0):
-        num = complex(*sol.sol(t))
-        assert drive_frame_displacement(g, delta, kappa, t) == pytest.approx(num, abs=1e-9)
+        sol = solve_ivp(rhs, (0.0, 9.0), [0.0, 0.0], rtol=1e-11, atol=1e-13,
+                        dense_output=True)
+        for t in (0.7, 3.0, 9.0):
+            num = complex(*sol.sol(t))
+            assert _drive_frame_loops(p, t)[k] == pytest.approx(num, abs=1e-9)
 
 
 def test_alpha_vanishes_at_loop_closures():
-    g, delta = 0.4, 1.1
+    # lossless loops close whenever delta t is a multiple of 2 pi
+    p = make_params(0.4, 0.0, n=2, g2_over_g1=1.5)
     for k in (1, 2, 5):
-        t = 2.0 * math.pi * k / delta
-        assert abs(drive_frame_displacement(g, delta, 0.0, t)) < 1e-14
+        t = 2.0 * math.pi * k / abs(p.delta_rad_ns)
+        assert np.abs(_drive_frame_loops(p, t)).max() < 1e-14
 
 
 def test_drive_frame_displacement_is_rotated_alpha():
-    g, delta, kappa, t = 0.3, 0.9, 0.02, 4.0
-    a = complex(lab_alpha(g, delta, kappa, t))
-    ad = drive_frame_displacement(g, delta, kappa, t)
-    assert ad == pytest.approx(-1j * np.exp(-1j * delta * t) * a, abs=1e-15)
-    assert abs(ad) == pytest.approx(abs(a), abs=1e-15)
+    # the drive-frame loop of each branch is lam_k times the lab-frame
+    # amplitude per unit coupling, rotated by -i e^{-i delta t}
+    p = make_params(0.3, 0.02, n=2, g2_over_g1=1.5, delta_sign=-1)
+    delta, t = p.delta_rad_ns, 4.0
+    a = complex(lab_alpha(1.0, delta, p.kappa_per_ns, t))
+    ad = _drive_frame_loops(p, t)
+    for k, (s1, s2) in enumerate(_SIGNS):
+        lam = s1 * p.g1_rad_ns + s2 * p.g2_rad_ns
+        assert ad[k] == pytest.approx(-1j * np.exp(-1j * delta * t) * lam * a, abs=1e-15)
+        assert abs(ad[k]) == pytest.approx(abs(lam * a), abs=1e-15)
 
 
 def _entangling_phase(p) -> float:
-    """ZZ phase by t_g: d(phi)/dt = -g Re A(t), A the drive-frame displacement,
-    integrated by quadrature."""
+    """ZZ phase by t_g: d(phi)/dt = -g Re A(t), A the drive-frame displacement
+    (conftest's lab-frame amplitude rotated by -i e^{-i delta t}), integrated
+    by quadrature."""
     g, delta, kappa = p.g_geom_rad_ns, p.delta_rad_ns, p.kappa_per_ns
 
     def rate(t):
-        return -g * drive_frame_displacement(g, delta, kappa, t).real
+        drive_frame = -1j * cmath.exp(-1j * delta * t) * complex(lab_alpha(g, delta, kappa, t))
+        return -g * drive_frame.real
 
     phi, err = quad(rate, 0.0, p.t_g_ns, limit=400, epsabs=1e-14, epsrel=1e-14)
     assert err < 1e-12
@@ -375,8 +400,6 @@ def test_analytic_avg_fidelity_limits():
 
 
 def test_degenerate_drive_guards():
-    with pytest.raises(DomainError):
-        drive_frame_displacement(0.3, 0.0, 0.0, 1.0)
     with pytest.raises(DomainError):
         b_factor(0.3, 0.0, 0.0, 1.0)
 

@@ -654,7 +654,7 @@ def test_cli_sets_one_blas_thread_over_any_set_value(monkeypatch, capsys):
 
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     # refine_tol included: the refinement's stop tolerance is fixed, not a
-    # key; so are the trajectory's step grid (StepPolicy()) and the guard
+    # key; so are the trajectory's step grid (20 ps steps) and the guard
     # threshold, whose four keys are refused by name too
     for key in ("qbits", "refine_tol", "dt_ps", "min_steps", "max_steps",
                 "top_level_threshold"):
@@ -679,6 +679,21 @@ def test_cli_single_point_commands_reject_axes(tmp_path, capsys, command):
     assert not out.exists()
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
     assert len(out.read_text().strip().split("\n")) == 3
+
+
+@pytest.mark.parametrize("command", ["analytic", "optimize", "sweep"])
+def test_cli_only_simulate_takes_a_trajectory_out(tmp_path, capsys, command):
+    # only simulate writes a trajectory, so a config's trajectory_out under
+    # another subcommand is refused with exit 2, naming the key and
+    # simulate, before any work, where it once exited 0 and wrote nothing
+    traj = tmp_path / "traj.csv"
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"trajectory_out": str(traj), "refine": False}))
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: trajectory_out: ") and "simulate" in err, err
+    assert not out.exists() and not traj.exists()
 
 
 def test_cli_rejects_a_lever_arm_above_one(tmp_path, capsys):

@@ -12,7 +12,6 @@ from resgate import (
     NoiseSpec,
     QubitTuning,
     ResonatorSpec,
-    StepPolicy,
     cavity_decay,
     coupling_strengths,
     dephasing_rate,
@@ -21,6 +20,7 @@ from resgate import (
     infidelity_power_law,
     photon_voltage,
 )
+from resgate import lindblad
 from resgate.constants import E_CHARGE_C, HBAR_J_S, TWO_PI, h_ghz_to_energy_J, uev_to_J
 from resgate.errors import DomainError
 
@@ -169,23 +169,14 @@ def test_make_params_helper_matches_schedule():
     assert p.kappa_per_ns == pytest.approx(1e-3, rel=1e-15)
 
 
-@pytest.mark.parametrize(
-    "fields, name",
-    [({"dt_ns": 0.0}, "dt_ns"), ({"dt_ns": -0.02}, "dt_ns"), ({"dt_ns": math.nan}, "dt_ns"),
-     ({"dt_ns": math.inf}, "dt_ns"), ({"min_steps": 0}, "min_steps"),
-     ({"min_steps": 2.5}, "min_steps"), ({"min_steps": True}, "min_steps"),
-     ({"max_steps": 0}, "max_steps"), ({"max_steps": 100.0}, "max_steps"),
-     ({"min_steps": 300, "max_steps": 100}, "max_steps")],
-    ids=str,
-)
-def test_step_policy_checks_its_fields(fields, name):
-    # a zero or NaN step once failed deep inside resolve, and an inverted
-    # clamp silently ran max_steps steps
-    with pytest.raises(DomainError, match=name):
-        StepPolicy(**fields)
-
-
 def test_step_policy_resolves_a_valid_grid():
-    assert StepPolicy(dt_ns=0.5, min_steps=1, max_steps=1).resolve(7.3) == (1, 7.3)
-    assert StepPolicy(min_steps=300, max_steps=300).resolve(7.3) == (300, 7.3 / 300)
-    assert StepPolicy().resolve(7.3) == (365, 7.3 / 365)
+    # every gate time the schedule fixes resolves, under the lab-frame step
+    # policy (lindblad._step_grid), to a whole number of steps in
+    # [200, 10000] that spans the gate exactly; 7.3 ns is 365 steps of 20 ps
+    assert lindblad._step_grid(7.3) == (365, 7.3 / 365)
+    for g in (0.01, 0.35, 5.0):
+        for n in (1, 2, 3):
+            t_g = make_params(g, 1e-3, n=n).t_g_ns
+            steps, dt = lindblad._step_grid(t_g)
+            assert type(steps) is int and 200 <= steps <= 10000
+            assert steps * dt == pytest.approx(t_g, rel=1e-12)

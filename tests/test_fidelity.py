@@ -57,6 +57,17 @@ def test_identity_channel_has_unit_fidelity():
     assert entanglement_fidelity(ident, np.ones(4)) == pytest.approx(1.0, abs=1e-14)
 
 
+def test_a_complex_fidelity_raises_without_validation():
+    # an unvalidated non-Hermitian C gives a complex sum: a DomainError that
+    # names the imaginary part, under python -O too, not a fidelity of 0.25
+    coh = np.eye(4, dtype=complex)
+    coh[0, 3] = 0.5j
+    chan = TwoQubitChannel(coh)
+    for scorer in (entanglement_fidelity, average_gate_fidelity):
+        with pytest.raises(DomainError, match="imaginary part"):
+            scorer(chan, validate=False)
+
+
 def test_target_is_passed_as_its_diagonal():
     # every target is Z-diagonal and travels as its diagonal, shape (4,); a
     # 4x4 matrix, even a diagonal one, is refused by its shape

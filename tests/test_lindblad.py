@@ -17,11 +17,9 @@ from hypothesis import strategies as st
 import resgate
 from resgate import (
     CavityPrep,
-    StepPolicy,
     analytic_gate_channel,
     average_gate_fidelity,
     choose_n_ph,
-    drive_frame_displacement,
     extract_channel,
     ideal_gate_unitary,
     polaron_residual,
@@ -31,7 +29,7 @@ from resgate import lindblad
 from resgate.channel import _loops
 from resgate.errors import DomainError
 
-from conftest import make_params
+from conftest import lab_alpha, make_params
 from rk4_reference import (
     CompositeState,
     annihilation,
@@ -59,18 +57,19 @@ def test_fock_coherent_state_statistics():
 
 
 def test_step_policy_clamps():
-    pol = StepPolicy(dt_ns=0.02, min_steps=200, max_steps=10000)
-    steps, dt = pol.resolve(1.0)  # would be 50 raw steps
+    # the lab-frame step policy (_step_grid): 20 ps steps, at least 200 and
+    # at most 10000
+    steps, dt = lindblad._step_grid(1.0)  # would be 50 raw steps
     assert steps == 200
     assert dt == pytest.approx(0.005)
-    steps, dt = pol.resolve(1000.0)  # would be 50000 raw steps
+    steps, dt = lindblad._step_grid(1000.0)  # would be 50000 raw steps
     assert steps == 10000
     assert dt == pytest.approx(0.1)
-    steps, dt = pol.resolve(10.0)
+    steps, dt = lindblad._step_grid(10.0)
     assert steps == 500
     assert dt == pytest.approx(0.02)
     with pytest.raises(DomainError):
-        pol.resolve(0.0)
+        lindblad._step_grid(0.0)
 
 
 def test_hamiltonian_structure():
@@ -95,7 +94,7 @@ def test_cavity_decay_rates():
     qubit[0, 0] = 1.0
     rho0 = CompositeState.from_parts(qubit, coherent_rho(10, 1.2))
     h = build_hamiltonian(p, n_ph=10)
-    final, diag = evolve_rk4(rho0, h, kappa, 0.0, 0.0, 3.0)
+    final, diag = evolve_rk4(rho0, h, kappa, 0.0, 0.0, 3.0, 200)
     assert not diag.failed
     assert final.trace == pytest.approx(1.0, abs=1e-12)
     # d<n>/dt = -2 kappa <n> holds exactly, also on the truncated space;
@@ -114,7 +113,7 @@ def test_qubit_dephasing_rate_convention():
     ground = np.array([[1, 0], [0, 0]], dtype=complex)
     rho0 = CompositeState.from_parts(np.kron(plus, ground), vacuum_rho(3))
     gamma_1 = 0.2
-    final, diag = evolve_rk4(rho0, h, 0.0, gamma_1, 0.0, 2.0)
+    final, diag = evolve_rk4(rho0, h, 0.0, gamma_1, 0.0, 2.0, 200)
     coh = final.qubit_rho()[0, 2]
     assert abs(coh) == pytest.approx(0.5 * math.exp(-gamma_1 * 2.0), rel=1e-9)
     # dephasing never moves populations
@@ -129,8 +128,7 @@ def test_rk4_self_convergence_order():
     h = build_hamiltonian(p, n_ph=4)
 
     def run(dt):
-        pol = StepPolicy(dt_ns=dt, min_steps=1, max_steps=10**6)
-        final, _ = evolve_rk4(rho0, h, 5e-3, 2e-3, 2e-3, 4.0, pol)
+        final, _ = evolve_rk4(rho0, h, 5e-3, 2e-3, 2e-3, 4.0, round(4.0 / dt))
         return final.matrix
 
     ref = run(0.005)
@@ -176,15 +174,15 @@ def _rk4_reference_coherence(p, gamma_1, gamma_2, cav):
     """Channel from one RK4 run of |++> (x) cav: C_ij = 4 Tr_cav of block ij,
     and the run's largest guard-level population.
 
-    A 10 ps step keeps RK4's own error near 1e-7; at the default 20 ps it
-    reaches ~2e-6 on displaced starts.
+    Two RK4 steps per lab-frame grid step, ~10 ps each, keep RK4's own error
+    near 1e-7; at the grid's 20 ps it reaches ~2e-6 on displaced starts.
     """
     n_ph = cav.shape[0]
     plus = np.full((4, 4), 0.25, dtype=complex)
     final, diag = evolve_rk4(
         CompositeState.from_parts(plus, cav), build_hamiltonian(p, n_ph),
         p.kappa_per_ns, gamma_1 * 1e-9, gamma_2 * 1e-9, p.t_g_ns,
-        StepPolicy(dt_ns=0.010),
+        2 * lindblad._step_grid(p.t_g_ns)[0],
     )
     return 4.0 * final.qubit_rho(), diag.max_top_level_pop
 
@@ -378,7 +376,7 @@ def test_extract_channel_guard_reads_mirrored_branches(g2_over_g1):
 
     p = make_params(0.7, 5e-3, n=2, g2_over_g1=g2_over_g1)
     alpha, n_ph, shift = -0.5 + 0.5j, 8, _steady_shift(p)
-    steps, dt = StepPolicy().resolve(p.t_g_ns)
+    steps, dt = lindblad._step_grid(p.t_g_ns)
     worst = []
     for lam in _branch_lams(p):
         prop = expm(_dense_block_generator(p, n_ph, lam, lam, shift) * dt)
@@ -426,7 +424,7 @@ def test_step_propagator_matches_expm(g2_over_g1, delta_sign, kappa, n_ph):
     from scipy.linalg import expm
 
     p = make_params(0.7, kappa, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
-    _, dt = StepPolicy().resolve(p.t_g_ns)
+    _, dt = lindblad._step_grid(p.t_g_ns)
     lam = _branch_lams(p)
     alpha = 0.3 + 0.4j
     props = []
@@ -456,7 +454,7 @@ def test_real_stepping_matches_complex_stepping(g2_over_g1, delta_sign, n_ph):
     from scipy.linalg import expm
 
     p = make_params(0.7, 5e-3, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
-    _, dt = StepPolicy().resolve(p.t_g_ns)
+    _, dt = lindblad._step_grid(p.t_g_ns)
     lam = _branch_lams(p)
     props = np.array([expm(_dense_block_generator(p, n_ph, lam[i], lam[j]) * dt)
                       for i, j in lindblad._UPPER])
@@ -544,8 +542,9 @@ def test_reach_is_the_largest_branch_amplitude(g2_over_g1, delta_sign, kappa, al
     p = make_params(0.7, kappa, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
     delta, lam = p.delta_rad_ns, np.array(_branch_lams(p))
     t = np.linspace(0.0, 2 * 2 * math.pi / abs(delta), 2 * 2**16, endpoint=False)
-    amps = (alpha * np.exp(-(1j * delta + kappa) * t)
-            + lam[:, None] * drive_frame_displacement(1.0, delta, kappa, t))
+    # the drive-frame loop per unit coupling: the lab frame's rotated by -i e^{-i delta t}
+    unit = -1j * np.exp(-1j * delta * t) * lab_alpha(1.0, delta, kappa, t)
+    amps = alpha * np.exp(-(1j * delta + kappa) * t) + lam[:, None] * unit
     grid_max = float(np.abs(amps).max())
     reach = lindblad._reach(p, alpha)
     assert grid_max <= reach * (1 + 1e-12)
@@ -708,7 +707,7 @@ def test_closed_form_readout_matches_dense_expm(g2_over_g1, delta_sign, kappa, n
     from scipy.linalg import expm
 
     p = make_params(0.7, kappa, n=2, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
-    _, dt = StepPolicy().resolve(p.t_g_ns)
+    _, dt = lindblad._step_grid(p.t_g_ns)
     lam, shift = _branch_lams(p), _steady_shift(p)
     frame = lindblad._frame_terms(p)
     psi = lindblad._branch_kets(frame[1], alpha, n_ph)
@@ -731,14 +730,15 @@ def test_closed_form_readout_matches_dense_expm(g2_over_g1, delta_sign, kappa, n
 
 
 def test_extract_channel_guard_is_max_over_gate():
-    # in the displaced frame the guard level holds ~9e-6 at the start and
-    # decays with the displaced state, to ~7e-7 by t_g (its final value
-    # comes from one dense expm over the whole gate, no stepping): only a
-    # check over the whole gate, its start included, flags it
+    # in the displaced frame the guard level holds ~2.9e-4 at the start and
+    # decays with the displaced state, to ~4.3e-5 by t_g, below the 1e-4
+    # threshold (its final value comes from one dense expm over the whole
+    # gate, no stepping): only a check over the whole gate, its start
+    # included, flags it
     from scipy.linalg import expm
 
     p = make_params(0.7, 5e-2, n=2)
-    threshold, n_ph = 1e-6, 5
+    threshold, n_ph = lindblad.DEFAULT_TOP_LEVEL_THRESHOLD, 4
     shift = _steady_shift(p)
     worst_end = 0.0
     for lam in _branch_lams(p):
@@ -747,15 +747,16 @@ def test_extract_channel_guard_is_max_over_gate():
                  @ _displaced_start(n_ph, 0j, b, b).reshape(-1))
         worst_end = max(worst_end, final[-1].real)
     assert worst_end < threshold
-    _, diag = extract_channel(p, 0.0, 0.0, n_ph=n_ph, top_level_threshold=threshold)
+    _, diag = extract_channel(p, 0.0, 0.0, n_ph=n_ph)
     assert diag.failed
     assert diag.max_top_level_pop > threshold
     assert any("population" in r for r in diag.failure_reasons)
 
 
 def test_extract_channel_flags_tight_guard():
+    # 4 levels leave ~2.9e-4 in the guard level, above the 1e-4 threshold
     p = make_params(0.7, 5e-3, n=2)
-    _, diag = extract_channel(p, 0.0, 0.0, n_ph=7, top_level_threshold=1e-12)
+    _, diag = extract_channel(p, 0.0, 0.0, n_ph=4)
     assert diag.failed
     assert any("guard" in r or "population" in r for r in diag.failure_reasons)
 
@@ -781,24 +782,21 @@ def _check_trajectory_rows_against_rk4(g2_over_g1, delta_sign):
     # unequal couplings, a coherent start, unequal dephasing and the |++>
     # qubit start, whose every coherence is 1/4, so all 16 blocks count;
     # 6 levels leave up to ~1e-3 in the guard level, so top_level_pop is
-    # not ~0
+    # not ~0; RK4 takes two steps per grid step, ~10 ps
     p = make_params(0.7, 5e-3, delta_sign=delta_sign, g2_over_g1=g2_over_g1)
     gamma_1, gamma_2, alpha, n_ph = 2e6, 0.5e6, 0.3 + 0.4j, 6
     qubit = np.full((4, 4), 0.25, dtype=complex)
-    policy = StepPolicy(dt_ns=0.010)
-    rows = trajectory_rows(
-        p, gamma_1, gamma_2, CavityPrep.coherent(alpha), n_ph=n_ph, policy=policy,
-    )
-    steps, dt = policy.resolve(p.t_g_ns)
+    rows = trajectory_rows(p, gamma_1, gamma_2, CavityPrep.coherent(alpha), n_ph=n_ph)
+    steps, dt = lindblad._step_grid(p.t_g_ns)
     assert len(rows) == steps + 1
     state = CompositeState.from_parts(qubit, coherent_rho(n_ph, alpha))
     h = build_hamiltonian(p, n_ph)
     done = 0
     for k in (steps // 7, steps // 2, steps):
-        # RK4 continues from the previous grid time, k - done steps of dt
+        # RK4 continues from the previous grid time, k - done grid steps of dt
         state, _ = evolve_rk4(
             state, h, p.kappa_per_ns, gamma_1 * 1e-9, gamma_2 * 1e-9, (k - done) * dt,
-            StepPolicy(dt_ns=dt, min_steps=1, max_steps=10**6),
+            2 * (k - done),
         )
         done = k
         assert rows[k]["t_ns"] == pytest.approx(k * dt, rel=1e-12)
@@ -847,13 +845,15 @@ def test_import_loads_no_scipy_until_the_oracle_runs():
 
 def test_polaron_residual_matches_dense_reference():
     # the residual column against an independent route: the RK4 composite
-    # state, each diagonal block r_ii read against the coherent ket
-    # |lam_i alpha_unit(t)> built from its definition
+    # state (two steps per grid step, ~10 ps), each diagonal block r_ii read
+    # against the coherent ket |lam_i alpha_unit(t)> built from its
+    # definition, alpha_unit the lab-frame amplitude rotated into the drive
+    # frame by -i e^{-i Delta t}
     for g2_over_g1 in (1.0, 1.5):
         p = make_params(0.7, 1.021e-3, n=2, g2_over_g1=g2_over_g1)
-        n_ph, policy = 8, StepPolicy(dt_ns=0.010)
-        rows = trajectory_rows(p, 0.0, 0.0, n_ph=n_ph, policy=policy)
-        steps, dt = policy.resolve(p.t_g_ns)
+        n_ph = 8
+        rows = trajectory_rows(p, 0.0, 0.0, n_ph=n_ph)
+        steps, dt = lindblad._step_grid(p.t_g_ns)
         plus = np.full(4, 0.5, dtype=complex)
         state = CompositeState.from_parts(np.outer(plus, plus.conj()), vacuum_rho(n_ph))
         h = build_hamiltonian(p, n_ph)
@@ -861,27 +861,26 @@ def test_polaron_residual_matches_dense_reference():
         done = 0
         for k in [*range(steps // 40, steps, steps // 40), steps]:
             state, _ = evolve_rk4(
-                state, h, p.kappa_per_ns, 0.0, 0.0, (k - done) * dt,
-                StepPolicy(dt_ns=dt, min_steps=1, max_steps=10**6),
+                state, h, p.kappa_per_ns, 0.0, 0.0, (k - done) * dt, 2 * (k - done),
             )
             done = k
-            unit = drive_frame_displacement(1.0, p.delta_rad_ns, p.kappa_per_ns, k * dt)
+            delta, t = p.delta_rad_ns, k * dt
+            unit = -1j * cmath.exp(-1j * delta * t) * complex(
+                lab_alpha(1.0, delta, p.kappa_per_ns, t))
             held = 0.0
             for i, lam_i in enumerate(lam):
                 phi = coherent_ket(n_ph, lam_i * unit)
                 block = state.matrix[i * n_ph:(i + 1) * n_ph, i * n_ph:(i + 1) * n_ph]
                 held += (phi.conj() @ block @ phi).real
             ref = 1.0 - held / state.trace
-            # measured <= 5.1e-10 apart (RK4's own error at 10 ps); the
+            # measured <= 5.1e-10 apart (RK4's own error at ~10 ps); the
             # conjugate amplitude lam_i alpha_unit^* moves the column by ~0.2
             assert abs(rows[k]["polaron_residual"] - ref) < 1e-8, (g2_over_g1, k)
 
 
 def test_polaron_residual_small_on_schedule():
     p = make_params(0.7, 1.021e-3, n=2)
-    ts = np.linspace(0.0, p.t_g_ns, 9)
-    res = polaron_residual(p, ts, n_ph=8)
-    assert res < 1e-5
+    assert polaron_residual(p) < 1e-5
 
 
 def test_per_size_tables_are_read_only():
@@ -913,9 +912,9 @@ def test_thermal_channel_deterministic_and_continuous():
 
 def test_thermal_diagnostics_report_the_largest_fock_size():
     # the diagnostics are the vacuum extraction's: its Fock size, guard
-    # population and flags, with n_ph and the threshold passed through
+    # population and flags, with n_ph passed through
     p = make_params(0.7, 1e-3, n=2)
-    for kwargs in ({}, {"n_ph": 4}, {"n_ph": 5, "top_level_threshold": 1e-3}):
+    for kwargs in ({}, {"n_ph": 4}, {"n_ph": 5}):
         _, diag = extract_channel(p, 1e6, 2e6, CavityPrep.thermal(0.2), **kwargs)
         assert diag == extract_channel(p, 1e6, 2e6, **kwargs)[1]
     assert diag.n_ph == 5 and not diag.failed
@@ -1012,8 +1011,7 @@ def test_trajectory_and_polaron_residual_share_one_fock_size(monkeypatch):
     monkeypatch.setattr(lindblad, "_lab_blocks", recording)
     p = make_params(0.35, 5e-3)
     rows = trajectory_rows(p, 0.0, 0.0)
-    steps, dt = StepPolicy().resolve(p.t_g_ns)
-    residual = polaron_residual(p, np.arange(steps + 1) * dt)
+    residual = polaron_residual(p)
     assert sizes == [8, 8] == [choose_n_ph(lindblad._reach(p))] * 2
     assert residual == max(row["polaron_residual"] for row in rows)
     assert extract_channel(p, 0.0, 0.0)[1].n_ph == 6
@@ -1083,20 +1081,6 @@ def test_dephasing_rates_must_be_finite_and_non_negative(gammas):
         extract_channel(p, *gammas)
     with pytest.raises(DomainError, match="dephasing rates"):
         trajectory_rows(p, *gammas, n_ph=6)
-
-
-@pytest.mark.parametrize("t", [math.nan, math.inf, -0.1])
-def test_polaron_residual_rejects_a_sample_time_off_the_gate(t):
-    p = make_params(0.7, 1.021e-3, n=2)
-    with pytest.raises(DomainError, match=r"\[0, t_g\]"):
-        polaron_residual(p, [0.0, t], n_ph=6)
-
-
-def test_polaron_residual_needs_a_sample_time():
-    # with no sample there is no residual to report, not a residual of 0
-    p = make_params(0.7, 1.021e-3, n=2)
-    with pytest.raises(DomainError, match="sample time"):
-        polaron_residual(p, [], n_ph=6)
 
 
 def test_cavity_prep_validation():
