@@ -8,18 +8,19 @@ Subcommands:
   optimize   closed-form optimum + local refinement at the configured
              (Z_r, Q); add --numeric for master-equation verification
   simulate   one point with the master-equation oracle; optionally dump a
-             state trajectory CSV via --trajectory (or "trajectory_out"),
-             which the other three reject (exit 2)
+             state trajectory CSV via --trajectory, a flag of simulate only
   sweep      Cartesian product of the config's axes (optionally --numeric);
              the other three evaluate one point and reject a config with
              axes (exit 2)
 
 All subcommands read the same JSON config (--config; defaults apply when
 omitted) and emit the same row schema as CSV or JSON (--out/--format; stdout
-when --out is missing). Exit codes: 0 success, 2 configuration or file
-error (an invalid or unreadable config, an output that cannot be written),
-3 at least one row carries a failed numerical diagnostic (the failing
-rows and their reasons go to stderr). simulate --trajectory resolves the
+when --out is missing, CSV when --format is). The output path, format and
+trajectory are flags only: a config that sets "out", "format" or
+"trajectory_out" is refused by name. Exit codes: 0 success, 2 configuration
+or file error (an invalid or unreadable config, an output that cannot be
+written), 3 at least one row carries a failed numerical diagnostic (the
+failing rows and their reasons go to stderr). simulate --trajectory resolves the
 operating point once, for the row and the trajectory, and writes the
 trajectory after the row, so a trajectory path that cannot be written
 still leaves the row; a point whose evaluation raised writes no trajectory.
@@ -60,7 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", metavar="PATH", help="JSON config file")
         sp.add_argument("--out", metavar="PATH", help="output file (default stdout)")
-        sp.add_argument("--format", choices=("csv", "json"), help="output format")
+        sp.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="output format (default csv)")
         sp.add_argument("--numeric", action="store_true",
                         help="verify each point against the master equation")
         sp.add_argument("--jobs", type=int, metavar="N",
@@ -95,16 +97,10 @@ def main(argv=None) -> int:
     try:
         raw = read_config_file(args.config) if args.config else {}
         raw["mode"] = args.command
-        if args.out is not None:
-            raw["out"] = args.out
-        if args.format is not None:
-            raw["format"] = args.format
         if args.numeric:
             raw["numeric"] = True
         if args.jobs is not None:
             raw["jobs"] = args.jobs
-        if getattr(args, "trajectory", None):
-            raw["trajectory_out"] = args.trajectory
         if args.command == "simulate":
             raw["numeric"] = True
         if args.command == "analytic":
@@ -114,9 +110,12 @@ def main(argv=None) -> int:
         if cfg.axes and cfg.mode != "sweep":
             raise ConfigError(f"axes: {cfg.mode} evaluates one point; run the axes "
                               f"with sweep, or drop them")
-        if cfg.trajectory_out and cfg.mode != "simulate":
-            raise ConfigError(f"trajectory_out: only simulate writes a trajectory, "
-                              f"not {cfg.mode}; run simulate, or drop the key")
+        trajectory = getattr(args, "trajectory", None)
+        if trajectory and cfg.initial_cavity.kind == "thermal":
+            raise ConfigError(
+                "--trajectory: a trajectory follows one cavity state, but initial_cavity "
+                "is thermal (a mixture of states); use a vacuum or coherent initial_cavity"
+            )
 
         from . import sweep
 
@@ -126,14 +125,14 @@ def main(argv=None) -> int:
         else:
             row, op = sweep._evaluate(cfg)
             result = sweep.SweepResult(rows=(row,), config=cfg)
-        text = sweep.emit_results(result, cfg.out, cfg.format)
-        if cfg.out is None:
+        text = sweep.emit_results(result, args.out, args.format)
+        if args.out is None:
             sys.stdout.write(text)
         else:
-            print(f"wrote {len(result.rows)} row(s) to {cfg.out} ({cfg.format})")
-        if cfg.mode == "simulate" and cfg.trajectory_out and op is not None:
-            _write_trajectory(cfg, op, cfg.trajectory_out)
-            print(f"wrote trajectory to {cfg.trajectory_out}")
+            print(f"wrote {len(result.rows)} row(s) to {args.out} ({args.format})")
+        if trajectory and op is not None:
+            _write_trajectory(cfg, op, trajectory)
+            print(f"wrote trajectory to {trajectory}")
 
         if result.any_failed:
             bad = [i for i, r in enumerate(result.rows) if r.failed]

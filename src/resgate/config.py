@@ -8,7 +8,10 @@ together on its RunConfig field, and every value of a sweep axis passes the
 rule of the scalar key. Unknown keys are rejected by name; bad values are
 rejected with the config path spelled out (e.g. "axes.q_factor[1]").
 "refine" switches the operating-point refinement on or off; its stopping
-tolerance is fixed in sweep and is not a key.
+tolerance is fixed in sweep and is not a key. Where the output goes and in
+what form are command-line flags (--out, --format, --trajectory), not keys.
+"mode" is read only by the CLI, which sets it from the subcommand; here a
+"simulate" mode is checked to come with "numeric": true.
 
 Two keys take structured values:
 
@@ -39,7 +42,6 @@ from .errors import ConfigError
 from .noise import NoiseSpec
 
 MODES = ("analytic", "simulate", "sweep", "optimize")
-FORMATS = ("csv", "json")
 
 SWEEPABLE_KEYS = (
     "z_r_ohm", "q_factor", "omega_r_ghz", "eps_a_uev", "c_r",
@@ -77,12 +79,6 @@ def _require_choice(value, path, *, allowed) -> str:
 def _require_bool(value, path) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{path}: expected true/false, got {value!r}")
-    return value
-
-
-def _require_path(value, path) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{path}: expected a string path, got {value!r}")
     return value
 
 
@@ -208,12 +204,9 @@ class RunConfig:
     j_min_ghz: float = _key(EXCHANGE_SOFT_MIN_GHZ, _require_number, positive=True)
     j_max_ghz: float = _key(EXCHANGE_SOFT_MAX_GHZ, _require_number, positive=True)
     refine: bool = _key(True, _require_bool)
-    # sweep / output
+    # sweep
     axes: tuple[tuple[str, tuple[float | int, ...]], ...] = _key((), _parse_axes)
     numeric: bool = _key(False, _require_bool)
-    trajectory_out: str | None = _key(None, _require_path)
-    out: str | None = _key(None, _require_path)
-    format: str = _key("csv", _require_choice, allowed=FORMATS)
     seed: int = _key(0, _require_number, integer=True, nonnegative=True)  # no effect
     jobs: int = _key(1, _require_number, integer=True, positive=True)
 
@@ -265,11 +258,9 @@ def config_from_dict(data: dict, *, source: str = "<config>") -> RunConfig:
         )
     if cfg.n_ph is not None and cfg.n_ph < 2:
         raise ConfigError(f"n_ph: need at least 2 Fock levels, got {cfg.n_ph}")
-    if cfg.trajectory_out is not None and cfg.initial_cavity.kind == "thermal":
-        raise ConfigError(
-            "trajectory_out: a trajectory follows one cavity state, but initial_cavity "
-            "is thermal (a mixture of states); use a vacuum or coherent initial_cavity"
-        )
+    if cfg.mode == "simulate" and not cfg.numeric:
+        raise ConfigError('mode: "simulate" needs "numeric": true (it runs the master '
+                          'equation)')
     return cfg
 
 

@@ -21,7 +21,6 @@ import itertools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -326,6 +325,8 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
               for combo in itertools.product(*(values for _, values in cfg.axes))]
     workers = min(cfg.jobs, len(points), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # ~2 MB: load it only here
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = tuple(pool.map(evaluate_point, points))
     else:
@@ -359,10 +360,9 @@ def render_json(result: SweepResult) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def emit_results(result: SweepResult, path: str | None = None,
-                 fmt: str | None = None) -> str:
-    """Serialize (and optionally write) the sweep result; returns the text."""
-    fmt = fmt or result.config.format
+def emit_results(result: SweepResult, path: str | None = None, fmt: str = "csv") -> str:
+    """Serialize result as fmt ("csv" or "json"), write it to path unless
+    that is None, and return the text."""
     if fmt == "csv":
         text = render_csv(result)
     elif fmt == "json":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import math
 import os
@@ -71,7 +72,9 @@ def test_unknown_key_is_named():
         ({"n": 2.5}, "n"),
         ({"n": True}, "n"),
         ({"mode": "explore"}, "mode"),
-        ({"format": "yaml"}, "format"),
+        # the output format is a CLI flag, not a key: even "csv" is an
+        # unknown key, refused by name ("unknown config keys: format")
+        ({"format": "csv"}, "format"),
         ({"axes": {"bogus_key": [1, 2]}}, "bogus_key"),
         ({"axes": {"q_factor": {"start": 1, "stop": 2}}}, "axes.q_factor"),
         ({"axes": {"q_factor": {"start": -1, "stop": 2, "num": 3, "spacing": "log"}}},
@@ -84,6 +87,8 @@ def test_unknown_key_is_named():
         # a thermal samples is checked, then dropped
         ({"initial_cavity": {"kind": "thermal", "n_bar": 0.1, "samples": 0}},
          "initial_cavity.samples"),
+        # a simulate mode that ran no master equation would report no f_numeric
+        ({"mode": "simulate"}, 'mode: "simulate" needs "numeric": true'),
     ],
 )
 def test_rejections_carry_the_offending_path(payload, fragment):
@@ -479,13 +484,19 @@ def test_run_sweep_bounds_its_pool(monkeypatch, jobs, cpus, points, workers):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     cfg = config_from_dict({"axes": {"q_factor": [1e4 + k for k in range(points)]},
                             "refine": False, "jobs": jobs}, source="t")
     result = run_sweep(cfg)
     assert pools == ([] if workers is None else [workers])
     assert [r.q for r in result.rows] == [1e4 + k for k in range(points)]
+
+
+def test_sweep_import_loads_no_process_pool():
+    # run_sweep imports the pool only when it starts one
+    script = "import sys, resgate.sweep; print('concurrent.futures' in sys.modules)"
+    assert _python(script).split() == ["False"]
 
 
 def test_blas_cap_sets_one_thread():
@@ -683,17 +694,40 @@ def test_cli_single_point_commands_reject_axes(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["analytic", "optimize", "sweep"])
 def test_cli_only_simulate_takes_a_trajectory_out(tmp_path, capsys, command):
-    # only simulate writes a trajectory, so a config's trajectory_out under
-    # another subcommand is refused with exit 2, naming the key and
-    # simulate, before any work, where it once exited 0 and wrote nothing
+    # only simulate has --trajectory, and no config names a trajectory: the
+    # flag is a usage error under another subcommand, and a config's
+    # trajectory_out is an unknown key, each exit 2 before any work
     traj = tmp_path / "traj.csv"
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"trajectory_out": str(traj), "refine": False}))
     out = tmp_path / "o.csv"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: trajectory_out: ") and "simulate" in err, err
+    assert err.startswith(f"error: {cfg}: unknown config keys: trajectory_out (allowed: "), err
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--out", str(out), "--trajectory", str(traj)])
+    assert exc.value.code == 2
+    assert "--trajectory" in capsys.readouterr().err
     assert not out.exists() and not traj.exists()
+
+
+@pytest.mark.parametrize("key", ["out", "format", "trajectory_out"])
+def test_cli_rejects_an_output_key_in_the_config(tmp_path, capsys, monkeypatch, key):
+    # where the output goes and in what form are flags only: a config that
+    # still sets one of the keys is refused by name, exit 2, before any work
+    def solver(*args, **kwargs):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(sweep, "extract_channel", solver)
+    monkeypatch.setattr(lindblad, "trajectory_rows", solver)
+    value = "json" if key == "format" else str(tmp_path / f"{key}.csv")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {cfg}: unknown config keys: {key} (allowed: ")
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_cli_rejects_a_lever_arm_above_one(tmp_path, capsys):
@@ -832,7 +866,7 @@ def test_cli_rejects_a_thermal_trajectory_before_any_work(tmp_path, capsys, monk
                  "--trajectory", str(tmp_path / "traj.csv")])
     assert code == 2
     err = capsys.readouterr().err
-    assert "trajectory_out" in err and "initial_cavity" in err
+    assert err.startswith("error: --trajectory: ") and "initial_cavity" in err, err
     assert list(tmp_path.iterdir()) == [cfg]
 
 
